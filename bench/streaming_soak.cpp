@@ -7,7 +7,7 @@
  *
  * Neither direction ever materializes the trace: generation appends
  * fixed-size spans to a TraceV3Writer, and the read-back consumes
- * spans from the sliding block window. Both sides fold every record
+ * spans from the source's single decoded block. Both sides fold every record
  * field into an FNV-1a digest; the digests must match exactly, the
  * record count must match --insts, and the phase peak RSS (RssSampler)
  * must stay at or below --mem-budget. A 100M-instruction run (the CI
@@ -199,15 +199,12 @@ main(int argc, char **argv)
     const double write_seconds = write_watch.seconds();
     const std::size_t write_peak = sampler.peakBytes();
 
-    // Phase 2: stream it back through the bounded window and redo the
+    // Phase 2: stream it back one decoded block at a time and redo the
     // digest from the delivered spans.
     sampler.beginPhase();
     Stopwatch read_watch;
     StreamingTraceSource source;
-    StreamingOptions streaming;
-    streaming.salvage = options.getBool("salvage-blocks");
-    streaming.memBudgetBytes = budget_bytes;
-    fatalIf(!source.open(path, streaming).isOk(),
+    fatalIf(!source.open(path, options.getBool("salvage-blocks")).isOk(),
             "cannot stream back " + path);
     std::uint64_t read_digest = fnvBasis;
     std::uint64_t read_records = 0;

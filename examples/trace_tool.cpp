@@ -15,10 +15,10 @@
 
 #include "common/logging.hpp"
 #include "common/options.hpp"
-#include "trace/trace_io.hpp"
+#include "trace/trace_stats.hpp"
+#include "trace/trace_v3.hpp"
 #include "vm/assembler.hpp"
 #include "vm/interpreter.hpp"
-#include "trace/trace_stats.hpp"
 #include "workloads/workload.hpp"
 
 int
@@ -49,7 +49,8 @@ main(int argc, char **argv)
                     source_name.c_str(), trace.size());
     } else if (!options.getString("in").empty()) {
         source_name = options.getString("in");
-        trace = readTraceFile(source_name);
+        const Status read = readTraceV3(source_name, &trace);
+        fatalIf(!read.isOk(), read.message());
         std::printf("loaded %zu records from %s\n", trace.size(),
                     source_name.c_str());
     } else {
@@ -80,11 +81,14 @@ main(int argc, char **argv)
 
     const std::string out = options.getString("out");
     if (!out.empty()) {
-        writeTraceFile(out, trace);
+        const Status written = writeTraceV3(out, trace);
+        fatalIf(!written.isOk(), written.message());
         std::printf("wrote %zu records to %s\n", trace.size(),
                     out.c_str());
         // Round-trip check.
-        const auto reloaded = readTraceFile(out);
+        std::vector<TraceRecord> reloaded;
+        const Status reread = readTraceV3(out, &reloaded);
+        fatalIf(!reread.isOk(), reread.message());
         fatalIf(reloaded.size() != trace.size(),
                 "round-trip record count mismatch");
         std::puts("round-trip verified");

@@ -2,8 +2,8 @@
 
 The TraceSource contract (src/trace/source.hpp): a span delivered by
 nextBlock()/nextColumns() borrows storage owned by the source and is
-invalidated by the next successful nextBlock()/nextColumns()/next()
-call or reset() on that source. A streaming source recycles its block
+invalidated by the next successful nextBlock()/nextColumns() call or
+reset() on that source. A streaming source recycles its block
 buffer on every delivery, so reading a stale span is a use-after-free
 that happens to "work" on vector-backed sources — exactly the silent
 class of bug that corrupts figures instead of crashing.
@@ -13,7 +13,7 @@ This checker abstractly interprets each function body:
   - a local TraceSpan/TraceColumns variable passed as the out-argument
     of `recv.nextBlock(var, ...)` is *bound* to `recv` at that source's
     current generation;
-  - every nextBlock()/nextColumns()/next()/reset() on `recv` bumps the
+  - every nextBlock()/nextColumns()/reset() on `recv` bumps the
     generation;
   - reading a variable whose bound generation is stale is a finding;
   - returning a bound span, or storing one into a class member,
@@ -32,7 +32,7 @@ ID = "span-lifetime"
 
 SPAN_TYPES = {"TraceSpan", "TraceColumns"}
 FILL_METHODS = {"nextBlock", "nextColumns"}
-INVALIDATING_METHODS = {"nextBlock", "nextColumns", "next", "reset"}
+INVALIDATING_METHODS = {"nextBlock", "nextColumns", "reset"}
 
 
 class _State:
@@ -185,7 +185,7 @@ class _Checker:
 
     def _negated_probe(self, header):
         """(receiver, out_var|None) when @p header is exactly
-        `! recv.nextBlock(...)` / `! recv.next(...)` — the idiom whose
+        `! recv.nextBlock(...)` / `! recv.nextColumns(...)` — the idiom whose
         taken branch runs only when the delivery FAILED."""
         if not header or header[0].text != "!":
             return None
@@ -273,7 +273,7 @@ class _Checker:
             self.report(
                 self.sm.path, tok.line, ID,
                 "span '%s' (filled from '%s' at line %d) is read "
-                "after a later nextBlock()/next()/reset() on '%s' "
+                "after a later nextBlock()/nextColumns()/reset() on '%s' "
                 "invalidated it; copy the records or restructure the "
                 "loop (src/trace/source.hpp lifetime rules)"
                 % (tok.text, source, fill_line, source))

@@ -112,7 +112,7 @@ echo "== v3 cache populate (clean, block-framed entries)"
       cat "$work/v3pop.err" >&2; exit 1; }
 check_golden "v3 populate" "$work/v3pop"
 if ! ls "$cache_v3"/*-v3.vptrace > /dev/null 2>&1; then
-    echo "FAIL: cache holds no v3 entries (default --trace-format)" >&2
+    echo "FAIL: cache holds no v3 entries" >&2
     failed=1
 fi
 

@@ -194,10 +194,8 @@ class File
  * File::openForRead, then the "mmap" counter (for mmap-fail clauses),
  * then records exactly one "read" occurrence — the bulk read of the
  * whole file — and honors read-class kinds on it, so `read:` specs fire
- * on the mmap path too instead of silently skipping it. The v2 trace
- * reader still prefers buffered reads while the injector is active so
- * that long-standing per-record op counts in fault specs stay stable;
- * the v3 streaming sources use the mapping under injection directly.
+ * on the mmap path too instead of silently skipping it. The whole-file
+ * v3 reader uses the mapping under injection directly.
  *
  * Any map() failure (open error, injected fault, empty or unmappable
  * file) is reported as a Status and leaves the object unmapped; callers

@@ -48,18 +48,14 @@ declareRunnerOptions(Options &options)
     options.declare("job-timeout", "0",
                     "seconds without job progress before the watchdog "
                     "cancels it (cell becomes a timeout NaN; 0 = off)");
-    options.declare("trace-format", "3",
-                    "on-disk trace format for captures and the trace "
-                    "cache: 3 (block-framed, streamable) or 2 (legacy "
-                    "flat records)");
     options.declare("salvage-blocks", "0",
                     "quarantine and skip corrupt v3 trace blocks "
                     "(loss reported in stats and the run manifest) "
                     "instead of failing the whole file");
     options.declare("mem-budget", "0",
-                    "soft process-RSS budget in MB: trace streaming "
-                    "degrades mmap -> buffered -> single-block window "
-                    "to stay under it (0 = unlimited)");
+                    "soft process-RSS budget in MB: warns once when a "
+                    "trace capture leaves the process above it, and "
+                    "sizes the fleet's worker count (0 = unlimited)");
     options.declare("cache-gc-days", "7",
                     "age in days after which quarantined .corrupt-* "
                     "trace cache files are garbage-collected "
@@ -96,17 +92,6 @@ declareRunnerOptions(Options &options)
         if (level != "off" && level != "cheap" && level != "full")
             return "--check-invariants expects off, cheap or full, "
                    "got '" + level + "'";
-        return "";
-    });
-    options.addValidator([](const Options &parsed) -> std::string {
-        const std::int64_t format = parsed.getInt("trace-format");
-        if (format != 2 && format != 3)
-            return "--trace-format expects 2 (legacy flat) or 3 "
-                   "(block-framed), got '" +
-                   parsed.getString("trace-format") + "'";
-        if (format < 3 && parsed.getBool("salvage-blocks"))
-            return "--salvage-blocks needs --trace-format 3 (the legacy "
-                   "format has no block framing to salvage)";
         return "";
     });
     options.addValidator([](const Options &parsed) -> std::string {

@@ -7,7 +7,6 @@
 
 #include "common/crc32.hpp"
 #include "common/logging.hpp"
-#include "trace/trace_io.hpp"
 #include "trace/trace_v3.hpp"
 
 #ifndef VPSIM_GIT_DESCRIBE
@@ -81,7 +80,7 @@ writeRunManifest(const Options &options, const std::string &csv_path)
         options.getString("check-invariants");
     const std::string cross_check = options.getString("cross-check");
     const std::string job_timeout = options.getString("job-timeout");
-    const std::int64_t trace_format = options.getInt("trace-format");
+    const std::uint32_t trace_format = traceFormatVersionV3;
     const std::string salvage_mode =
         options.getBool("salvage-blocks") ? "1" : "0";
     // The signed salvage tally is what makes block-level loss

@@ -5,7 +5,7 @@
  * Every bench that writes `--csv FILE` also writes `FILE.manifest.json`
  * describing exactly how the data was produced: the full experiment
  * fingerprint (every option, defaults applied), the source revision the
- * binary was built from, the binary trace-format version, the
+ * binary was built from, the binary trace format version, the
  * self-check configuration (--check-invariants / --cross-check /
  * --job-timeout), and a CRC-32 of the CSV's bytes at write time. The
  * manifest body is itself signed with a CRC-32 over a canonical

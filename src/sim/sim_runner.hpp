@@ -67,7 +67,6 @@
 #include "common/thread_annotations.hpp"
 #include "common/thread_pool.hpp"
 #include "sim/experiment.hpp"
-#include "trace/streaming_source.hpp"
 #include "trace/trace_cache_store.hpp"
 #include "workloads/workload.hpp"
 
@@ -199,21 +198,8 @@ class SimRunner
     /** Jobs canceled by the --job-timeout watchdog. */
     std::uint64_t timedOutJobs() const { return timedOutJobCount.load(); }
 
-    /** Trace format version captures use (--trace-format: 2 or 3). */
-    std::uint32_t traceFormat() const { return captureFormatVersion; }
-
     /** --salvage-blocks: quarantine + skip corrupt v3 blocks. */
     bool salvageBlocks() const { return salvageBlocksEnabled; }
-
-    /** --mem-budget converted to bytes (0 = unlimited). */
-    std::uint64_t memBudgetBytes() const { return memBudget; }
-
-    /**
-     * Streaming-source knobs derived from the runner's options
-     * (--salvage-blocks, --mem-budget), for benches that stream a v3
-     * trace instead of materializing it.
-     */
-    StreamingOptions streamingOptions() const;
 
     /**
      * Print the runtime's summary to stderr: jobs run, threads, wall
@@ -291,8 +277,6 @@ class SimRunner
     /** One-shot latch for the cache-degradation warning. */
     std::atomic<bool> cacheDegraded{false};
 
-    /** --trace-format: format version new captures are stored in. */
-    std::uint32_t captureFormatVersion = traceFormatVersion;
     /** --salvage-blocks: block-level corruption containment. */
     bool salvageBlocksEnabled = false;
     /** --mem-budget in bytes (0 = unlimited). */

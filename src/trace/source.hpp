@@ -12,10 +12,10 @@
  * and the per-instruction simulation path is a plain pointer walk.
  *
  * Span lifetime/invalidation rules:
- *  - A span returned by nextBlock() (or a record delivered by the
- *    next() shim) borrows storage owned by the source. It stays valid
- *    until the next *successful* nextBlock()/next() call, a reset(),
- *    or the source's destruction — whichever comes first. A
+ *  - A span returned by nextBlock() or nextColumns() borrows storage
+ *    owned by the source. It stays valid until the next *successful*
+ *    nextBlock()/nextColumns() call, a reset(), or the source's
+ *    destruction — whichever comes first. A
  *    nextBlock() that reports exhaustion (returns false) never
  *    invalidates earlier spans. Sources backed by stable storage
  *    (VectorTraceSource, BorrowedTraceSource) keep earlier spans
@@ -100,29 +100,6 @@ class TraceSource
         (void)max_records;
         panic("trace source has no columnar path "
               "(check supportsColumns() first)");
-    }
-
-    /**
-     * Fetch the next record.
-     *
-     * @deprecated Compatibility shim over nextBlock(): it pays a
-     * virtual call and a record copy per instruction, which is exactly
-     * the per-record cost the batched API removes (see docs/PERF.md).
-     * New code must iterate spans; the project lint
-     * (`trace-per-record`) flags new per-record loops.
-     *
-     * @param out Filled with the next record on success.
-     * @retval true A record was produced.
-     * @retval false The trace is exhausted.
-     */
-    bool
-    next(TraceRecord &out)
-    {
-        TraceSpan block;
-        if (!nextBlock(block, 1))
-            return false;
-        out = block.front();
-        return true;
     }
 };
 

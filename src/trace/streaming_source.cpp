@@ -1,157 +1,94 @@
 #include "trace/streaming_source.hpp"
 
-#include <filesystem>
-#include <utility>
-
-#include "common/resource_usage.hpp"
-
 namespace vpsim
 {
 
 Status
-StreamingTraceSource::open(const std::string &path,
-                           const StreamingOptions &options)
+StreamingTraceSource::open(const std::string &path, bool salvage)
 {
     if (reader.isOpen())
         reader.close();
     filePath = path;
-    opts = options;
-    window = opts.windowBlocks == 0 ? 1 : opts.windowBlocks;
-    degraded = false;
+    salvageMode = salvage;
     endOfTrace = false;
     streamStatus = Status::ok();
-    blocks.clear();
+    block.clear();
+    aosBuilt = false;
     posInBlock = 0;
     deliveredRecords = 0;
 
+    // Buffered reads, never a mapping: a mapped multi-GB trace keeps
+    // every touched page resident until memory pressure, which defeats
+    // the bounded-RSS contract this source exists for.
     TraceV3Reader::Options reader_options;
-    reader_options.salvage = opts.salvage;
-    reader_options.preferMapped = opts.preferMapped;
-    if (opts.preferMapped && opts.memBudgetBytes != 0) {
-        // First degradation step, taken up front: a mapping keeps every
-        // touched page resident, so a file that cannot fit under the
-        // budget next to the current RSS must stream through buffered
-        // reads instead.
-        std::error_code ec;
-        const std::uintmax_t file_bytes =
-            std::filesystem::file_size(path, ec);
-        if (!ec && RssSampler::currentRssBytes() + file_bytes >
-                       opts.memBudgetBytes) {
-            reader_options.preferMapped = false;
-            degraded = true;
-        }
-    }
+    reader_options.salvage = salvage;
     Status opened = reader.open(path, reader_options);
     if (!opened.isOk()) {
         streamStatus = opened;
         endOfTrace = true;
-        return opened;
     }
-    if (reader_options.preferMapped && reader.usingBufferedReads())
-        degraded = true;
-    return Status::ok();
+    return opened;
 }
 
 /**
- * Decode one more block onto the back of the window; records errors
- * and end-of-trace in the sticky state instead of returning them.
+ * True when the block has unserved records, decoding the next one over
+ * it once it is fully served. Errors and end-of-trace land in the
+ * sticky state instead of being returned.
  */
 bool
-StreamingTraceSource::fillWindow()
+StreamingTraceSource::ensureBlock()
 {
-    if (endOfTrace || !streamStatus.isOk())
+    if (posInBlock < block.size())
+        return true;
+    if (endOfTrace || !reader.isOpen()) // never opened: exhausted
         return false;
-    if (!reader.isOpen()) {
-        // Never opened (or reset after a failed reopen): exhausted.
-        endOfTrace = true;
-        return false;
-    }
-    DecodedBlock decoded;
+    // The served block is only recycled here, on the way to another
+    // delivery, which is when the span contract lets it go.
     TraceV3Reader::Block outcome = TraceV3Reader::Block::kEnd;
-    if (Status got = reader.nextBlock(&decoded.soa, &outcome);
-        !got.isOk()) {
+    if (Status got = reader.nextBlock(&block, &outcome); !got.isOk()) {
         streamStatus = got;
         endOfTrace = true;
         return false;
     }
-    if (outcome == TraceV3Reader::Block::kEnd ||
-        decoded.soa.empty()) {
+    if (outcome == TraceV3Reader::Block::kEnd || block.empty()) {
         endOfTrace = true;
         return false;
     }
-    blocks.push_back(std::move(decoded));
-    enforceBudget();
+    aosBuilt = false;
+    posInBlock = 0;
     return true;
 }
 
-void
-StreamingTraceSource::enforceBudget()
+/** Claim up to @p max_records of the block; returns the start index. */
+std::size_t
+StreamingTraceSource::take(std::size_t max_records)
 {
-    if (opts.memBudgetBytes == 0)
-        return;
-    if (RssSampler::currentRssBytes() <= opts.memBudgetBytes)
-        return;
-    // Second degradation step: give up decode-ahead. Only deep
-    // prefetch blocks are dropped — the front block may have live
-    // spans pointing into it, and its immediate successor is what an
-    // exhausted front advances onto (dropping that would truncate the
-    // stream).
-    window = 1;
-    while (blocks.size() > 2)
-        blocks.pop_back();
-}
-
-/** True when the front block has unserved records (decoding as needed). */
-bool
-StreamingTraceSource::ensureCurrentBlock()
-{
-    for (;;) {
-        if (!blocks.empty() &&
-            posInBlock < blocks.front().soa.size()) {
-            // Top up the decode-ahead window behind the serving block.
-            while (blocks.size() < window && fillWindow()) {
-            }
-            return true;
-        }
-        if (blocks.size() >= 2) {
-            // The front is fully served and a successor exists, so
-            // dropping it only invalidates spans the contract already
-            // allows us to recycle (we are about to deliver again).
-            blocks.pop_front();
-            posInBlock = 0;
-            continue;
-        }
-        if (endOfTrace || !streamStatus.isOk())
-            return false;
-        fillWindow();
-    }
+    const std::size_t start = posInBlock;
+    const std::size_t remaining = block.size() - start;
+    posInBlock += max_records < remaining ? max_records : remaining;
+    deliveredRecords += posInBlock - start;
+    return start;
 }
 
 bool
 StreamingTraceSource::nextBlock(TraceSpan &out, std::size_t max_records)
 {
-    if (!ensureCurrentBlock()) {
+    if (!ensureBlock()) {
         out = TraceSpan();
         return false;
     }
-    DecodedBlock &block = blocks.front();
-    if (!block.aosBuilt) {
+    if (!aosBuilt) {
         // Spans need contiguous TraceRecords: gather the AoS mirror
-        // once per block, only on the span path (the columnar path
-        // never pays for it).
-        const TraceColumns cols = block.soa.columns();
-        block.aos.clear();
-        block.aos.reserve(cols.size());
+        // once per block, only on the span path.
+        const TraceColumns cols = block.columns();
+        aos.clear();
+        aos.reserve(cols.size());
         for (std::size_t i = 0; i < cols.size(); ++i)
-            block.aos.push_back(cols.record(i));
-        block.aosBuilt = true;
+            aos.push_back(cols.record(i));
+        aosBuilt = true;
     }
-    const std::size_t remaining = block.soa.size() - posInBlock;
-    const std::size_t count =
-        max_records < remaining ? max_records : remaining;
-    out = TraceSpan(block.aos.data() + posInBlock, count);
-    posInBlock += count;
-    deliveredRecords += count;
+    const std::size_t start = take(max_records);
+    out = TraceSpan(aos.data() + start, posInBlock - start);
     return true;
 }
 
@@ -159,24 +96,19 @@ bool
 StreamingTraceSource::nextColumns(TraceColumns &out,
                                   std::size_t max_records)
 {
-    if (!ensureCurrentBlock()) {
+    if (!ensureBlock()) {
         out = TraceColumns();
         return false;
     }
-    DecodedBlock &block = blocks.front();
-    const std::size_t remaining = block.soa.size() - posInBlock;
-    const std::size_t count =
-        max_records < remaining ? max_records : remaining;
-    out = block.soa.columns(posInBlock, count);
-    posInBlock += count;
-    deliveredRecords += count;
+    const std::size_t start = take(max_records);
+    out = block.columns(start, posInBlock - start);
     return true;
 }
 
 void
 StreamingTraceSource::reset()
 {
-    const Status reopened = open(filePath, opts);
+    const Status reopened = open(filePath, salvageMode);
     // open() already recorded any failure in the sticky status; a
     // rewound source that cannot reopen simply reads as exhausted.
     (void)reopened;

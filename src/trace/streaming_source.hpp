@@ -2,30 +2,26 @@
  * @file
  * StreamingTraceSource: bounded-memory TraceSource over a v3 trace file.
  *
- * Serves the standard nextBlock()/nextColumns() span contract from a
- * sliding window of decoded v3 blocks, so a 1B-instruction trace file
- * is simulated with the memory footprint of a handful of blocks (a few
- * tens of MB) instead of the whole trace. The window holds the block
- * currently being served plus up to windowBlocks - 1 decoded-ahead
- * blocks; delivered spans never cross a block boundary, and a span
- * stays valid until the next successful delivery, exactly as the
- * TraceSource lifetime rules allow for a recycling source.
+ * Serves the standard nextBlock()/nextColumns() span contract from one
+ * decoded v3 block, so a 1B-instruction trace file is simulated with
+ * the memory footprint of a single block (a few MB) instead of the
+ * whole trace. The block is decoded into one reused TraceSoa when the
+ * previous one is fully served; spans are served from a lazily built
+ * AoS mirror of it, so the columnar path never pays for the mirror.
+ * Delivered spans never cross a block boundary, and a span stays valid
+ * until the next successful delivery, exactly as the TraceSource
+ * lifetime rules allow for a recycling source.
  *
- * Resource-budget degradation: when opened with a memory budget the
- * source checks the process RSS (common/resource_usage.hpp) as it
- * streams — over budget it first abandons the mmap backend for buffered
- * reads, then shrinks the decode-ahead window toward a single block,
- * instead of letting a sweep OOM forty minutes in. Corrupt blocks are
- * handled per the reader's mode: strict mode ends the stream with a
- * sticky error Status; salvage mode (--salvage-blocks) quarantines and
- * skips them, with the loss tallied in the global salvage registry.
+ * Corrupt blocks are handled per the reader's mode: strict mode ends
+ * the stream with a sticky error Status; salvage mode
+ * (--salvage-blocks) quarantines and skips them, with the loss tallied
+ * in the global salvage registry.
  */
 
 #ifndef VPSIM_TRACE_STREAMING_SOURCE_HPP
 #define VPSIM_TRACE_STREAMING_SOURCE_HPP
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
@@ -36,39 +32,20 @@
 namespace vpsim
 {
 
-/** Tuning and containment knobs for a StreamingTraceSource. */
-struct StreamingOptions
-{
-    /** Quarantine + skip corrupt blocks instead of failing the file. */
-    bool salvage = false;
-
-    /**
-     * Try the mmap backend first (fastest for cache-sized traces).
-     * Buffered reads are the default: a mapped multi-GB trace keeps
-     * every touched page resident until memory pressure, which defeats
-     * the bounded-RSS contract the streaming source exists for.
-     */
-    bool preferMapped = false;
-
-    /** Decoded blocks held at once (current + decode-ahead), >= 1. */
-    std::size_t windowBlocks = 4;
-
-    /**
-     * Soft process-RSS ceiling in bytes (0 = unlimited). Crossing it
-     * degrades mmap -> buffered -> single-block window.
-     */
-    std::uint64_t memBudgetBytes = 0;
-};
-
 /** Bounded-memory trace source streaming a v3 file block by block. */
 class StreamingTraceSource : public TraceSource
 {
   public:
     StreamingTraceSource() = default;
 
-    /** Open @p path; on error the source reads as exhausted. */
+    /**
+     * Open @p path; on error the source reads as exhausted.
+     *
+     * @param salvage Quarantine + skip corrupt blocks instead of
+     *        failing the file.
+     */
     [[nodiscard]] Status open(const std::string &path,
-                              const StreamingOptions &options = {});
+                              bool salvage = false);
 
     bool nextBlock(TraceSpan &out,
                    std::size_t max_records =
@@ -100,34 +77,20 @@ class StreamingTraceSource : public TraceSource
         return reader.salvageReport();
     }
 
-    /** Current decode-ahead window size (shrinks under budget). */
-    std::size_t windowBlocks() const { return window; }
-
-    /** True when the mmap backend was abandoned for buffered reads. */
-    bool degradedToBuffered() const { return degraded; }
-
   private:
-    struct DecodedBlock
-    {
-        TraceSoa soa;
-        std::vector<TraceRecord> aos; ///< Lazy AoS mirror for spans.
-        bool aosBuilt = false;
-    };
-
-    bool ensureCurrentBlock();
-    bool fillWindow();
-    void enforceBudget();
+    bool ensureBlock();
+    std::size_t take(std::size_t max_records);
 
     std::string filePath;
-    StreamingOptions opts;
+    bool salvageMode = false;
     TraceV3Reader reader;
     Status streamStatus = Status::ok();
     bool endOfTrace = false;
 
-    std::deque<DecodedBlock> blocks; ///< [0] = serving, rest decode-ahead.
+    TraceSoa block;               ///< The decoded block being served.
+    std::vector<TraceRecord> aos; ///< Lazy AoS mirror for spans.
+    bool aosBuilt = false;
     std::size_t posInBlock = 0;
-    std::size_t window = 1;
-    bool degraded = false;
     std::uint64_t deliveredRecords = 0;
 };
 

@@ -197,11 +197,9 @@ TraceCacheStore::tryLoad(const TraceCacheKey &key,
         return false;
     }
 
-    const bool v3 = key.formatVersion >= traceFormatVersionV3;
     Status read = Status::ok();
     for (int attempt = 1; attempt <= maxIoAttempts; ++attempt) {
-        read = v3 ? readTraceV3(path, out, salvageBlocks)
-                  : readTrace(path, out);
+        read = readTraceV3(path, out, salvageBlocks);
         if (read.isOk()) {
             ++hitCount;
             return true;
@@ -249,11 +247,9 @@ TraceCacheStore::store(const TraceCacheKey &key,
     // a fully durable entry even if the machine dies right after — and
     // an ENOSPC mid-write fails here, on the temporary, never the
     // published name.
-    const bool v3 = key.formatVersion >= traceFormatVersionV3;
     Status result = Status::ok();
     for (int attempt = 1; attempt <= maxIoAttempts; ++attempt) {
-        result = v3 ? writeTraceV3(temp, records)
-                    : writeTrace(temp, records);
+        result = writeTraceV3(temp, records);
         if (result.isOk()) {
             result = io::renameFile(temp, path);
             if (result.isOk())
@@ -281,16 +277,6 @@ TraceCacheStore::storeStreaming(
         const std::function<Status(const std::vector<TraceRecord> &)>
             &)> &produce) const
 {
-    // Streaming is a v3-only property: the append-only block framing is
-    // what lets a capture go straight to disk. Pre-v3 keys exist only in
-    // format-compatibility tests; their captures stay materialized.
-    if (key.formatVersion < traceFormatVersionV3) {
-        return Status::error(
-            StatusCode::kInternal,
-            "streaming store requires trace format v3 (key has v" +
-                std::to_string(key.formatVersion) + ")");
-    }
-
     const std::string path = pathFor(key);
     const std::string temp =
         path + ".tmp." + std::to_string(::getpid());

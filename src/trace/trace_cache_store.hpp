@@ -4,12 +4,12 @@
  *
  * Capturing the eight workload traces dominates the start-up time of
  * every figure bench, and each bench binary used to redo it. The cache
- * stores each capture once per machine, in the versioned binary trace
- * format (trace_io.hpp), keyed by everything that determines the
+ * stores each capture once per machine, in the block-framed v3 trace
+ * format (trace_v3.hpp), keyed by everything that determines the
  * capture's content: (workload, insts, skip, scale, seed,
  * format-version). The key is encoded in the file name, so any change
- * to a parameter — or a bump of traceFormatVersion — misses cleanly and
- * old entries are simply never read again.
+ * to a parameter — or a format version bump — misses cleanly and old
+ * entries are simply never read again.
  *
  * Concurrency: entries are written to a temporary name and renamed into
  * place, so concurrent jobs (or concurrent bench processes sharing a
@@ -26,13 +26,12 @@
  * whose directory cannot be created or written reports a non-ok
  * status(); callers (SimRunner) degrade to uncached in-memory capture.
  *
- * Formats: keys with formatVersion >= 3 are stored and loaded in the
- * block-framed v3 format (trace_v3.hpp), whose writer fsyncs before the
- * atomic rename so a capture that hits ENOSPC or a crash never
- * publishes a torn entry. With salvage enabled (--salvage-blocks), a
- * v3 entry with rotted blocks loads anyway — the damage is quarantined
- * block by block and tallied in the global salvage registry — instead
- * of quarantining the whole file and recapturing.
+ * Durability: the v3 writer fsyncs before the atomic rename, so a
+ * capture that hits ENOSPC or a crash never publishes a torn entry.
+ * With salvage enabled (--salvage-blocks), an entry with rotted blocks
+ * loads anyway — the damage is quarantined block by block and tallied
+ * in the global salvage registry — instead of quarantining the whole
+ * file and recapturing.
  *
  * Hygiene: alongside the orphaned-temporary reap, quarantined
  * `.corrupt-*` evidence files are garbage-collected once they are older
@@ -53,7 +52,7 @@
 #include "common/status.hpp"
 #include "common/thread_annotations.hpp"
 #include "trace/record.hpp"
-#include "trace/trace_io.hpp"
+#include "trace/trace_v3.hpp"
 
 namespace vpsim
 {
@@ -68,7 +67,8 @@ struct TraceCacheKey
     std::uint64_t skip = 0;
     unsigned scale = 1;
     std::uint64_t seed = 0;
-    std::uint32_t formatVersion = traceFormatVersion;
+    /** On-disk format version, part of the entry name. */
+    std::uint32_t formatVersion = traceFormatVersionV3;
 };
 
 /** A directory of cached trace captures, one file per key. */
@@ -97,7 +97,7 @@ class TraceCacheStore
         std::chrono::seconds quarantine_gc_age = defaultQuarantineGcAge);
 
     /**
-     * Load v3 entries in salvage mode: quarantine + skip damaged
+     * Load entries in salvage mode: quarantine + skip damaged
      * blocks (loss tallied in salvageRegistry()) instead of failing
      * the entry. Call before lookups start; not thread-safe against
      * concurrent tryLoad().
@@ -143,14 +143,12 @@ class TraceCacheStore
         const std::vector<TraceRecord> &records) const;
 
     /**
-     * Streaming store for v3 keys: open a temporary, hand @p produce a
-     * sink that appends record chunks to the entry's TraceV3Writer,
-     * and publish with the same fsync + atomic-rename contract as
-     * store() — so the capture never materializes in this process.
-     * @p produce is re-invoked from scratch on each transient-failure
-     * retry (a capture is deterministic, a half-written file is not).
-     * Returns kInternal for pre-v3 keys; callers fall back to the
-     * materializing store().
+     * Streaming store: open a temporary, hand @p produce a sink that
+     * appends record chunks to the entry's TraceV3Writer, and publish
+     * with the same fsync + atomic-rename contract as store() — so the
+     * capture never materializes in this process. @p produce is
+     * re-invoked from scratch on each transient-failure retry (a
+     * capture is deterministic, a half-written file is not).
      */
     [[nodiscard]] Status storeStreaming(
         const TraceCacheKey &key,

@@ -3,10 +3,11 @@
  * Trace file format v3: block-framed, delta/varint-compressed records
  * with per-block CRC-32 containment.
  *
- * v2 (trace_io.hpp) guards a whole file with one trailing CRC-32, so a
- * single flipped bit in a 100M-instruction capture discards hours of
- * work and the reader must materialize every record to verify anything.
- * v3 generalizes the footer to the block level:
+ * The project's only on-disk trace format. The retired v2 format
+ * guarded a whole file with one trailing CRC-32, so a single flipped
+ * bit in a 100M-instruction capture discarded hours of work and the
+ * reader had to materialize every record to verify anything. v3
+ * generalizes that footer to the block level:
  *
  *   header  "VPTR" ver=3 reserved[3] recordsPerBlock:u32 headerCrc:u32
  *   block*  "VPB3" recordCount:u32 payloadBytes:u32 payload frameCrc:u32
@@ -167,8 +168,8 @@ class TraceV3Writer
  * Sequential block-at-a-time v3 reader with strict and salvage modes.
  *
  * Strict mode (the default, used for trace-cache entries) fails the
- * whole file on the first damaged block, exactly like v2 — the cache
- * then quarantines and recaptures, keeping figure outputs bit-exact.
+ * whole file on the first damaged block — the cache then quarantines
+ * and recaptures, keeping figure outputs bit-exact.
  * Salvage mode (--salvage-blocks) quarantines the damaged block,
  * resyncs on the next block magic, and keeps going; the damage tally is
  * available via salvageReport() and is noted in salvageRegistry() when
@@ -222,9 +223,6 @@ class TraceV3Reader
     std::uint64_t trailerRecords() const { return declaredRecords; }
 
     bool isOpen() const { return opened; }
-
-    /** True when open() fell back from mmap to buffered reads. */
-    bool usingBufferedReads() const { return opened && !mapped.isMapped(); }
 
     /** Close, noting salvage losses in the global registry. */
     void close();

@@ -176,10 +176,11 @@ TEST_P(TableParity, RandomizedOpsMatchTheLegacyHashMap)
             ParityEntry &ref = legacy.findOrAllocate(pc, &ref_fresh);
             // The fused variant reports no allocated flag; compare
             // eviction decisions only when both were collected.
-            if (!use_fused)
+            if (!use_fused) {
                 ASSERT_EQ(mine_fresh, ref_fresh)
                     << "eviction decision diverged on pc " << pc
                     << " at op " << op;
+            }
             EXPECT_EQ(mine.stamp, ref.stamp)
                 << "resident state diverged on pc " << pc << " at op "
                 << op;
@@ -192,8 +193,9 @@ TEST_P(TableParity, RandomizedOpsMatchTheLegacyHashMap)
             break;
           }
         }
-        if ((op & 0xfff) == 0)
+        if ((op & 0xfff) == 0) {
             ASSERT_EQ(table.size(), legacy.size()) << "at op " << op;
+        }
     }
     EXPECT_EQ(table.size(), legacy.size());
 }
@@ -256,10 +258,11 @@ TEST_P(PredictorParity, FusedAndSplitPathsAgreeAcrossCapacities)
             ASSERT_EQ(via_split.predicted, via_fused.predicted)
                 << GetParam().name << " capacity " << capacity
                 << " diverged at event " << i;
-            if (via_split.predicted)
+            if (via_split.predicted) {
                 ASSERT_EQ(via_split.value, via_fused.value)
                     << GetParam().name << " capacity " << capacity
                     << " at event " << i;
+            }
             ASSERT_EQ(via_split.rawAvailable, via_fused.rawAvailable);
         }
         EXPECT_EQ(split->lookups(), fused->lookups());

@@ -163,11 +163,13 @@ TEST_F(TraceCacheTest, ChecksumCorruptionIsQuarantinedAndRecaptured)
 
     // Flip one payload bit: structurally valid, checksum-invalid.
     const std::string path = cache.pathFor(key);
+    const long payload_byte =
+        static_cast<long>(v3HeaderBytes + v3BlockFrameBytes + 9);
     std::FILE *file = std::fopen(path.c_str(), "rb+");
     ASSERT_NE(file, nullptr);
-    std::fseek(file, 16 + 9, SEEK_SET);
+    std::fseek(file, payload_byte, SEEK_SET);
     const int byte = std::fgetc(file);
-    std::fseek(file, 16 + 9, SEEK_SET);
+    std::fseek(file, payload_byte, SEEK_SET);
     std::fputc(byte ^ 0x01, file);
     std::fclose(file);
 
@@ -257,7 +259,7 @@ TEST_F(TraceCacheTest, ExpiredQuarantineFilesAreGarbageCollected)
     std::filesystem::create_directories(dir);
     const auto old_corpse = dir / ".corrupt-go-i400.vptrace";
     const auto fresh_corpse = dir / ".corrupt-gcc-i400.vptrace";
-    const auto old_entry = dir / "go-i400-k0-s1-d0-v2.vptrace";
+    const auto old_entry = dir / "go-i400-k0-s1-d0-v3.vptrace";
     for (const auto &p : {old_corpse, fresh_corpse, old_entry}) {
         std::FILE *file = std::fopen(p.c_str(), "wb");
         ASSERT_NE(file, nullptr);
@@ -306,8 +308,7 @@ TEST_F(TraceCacheTest, V3EntriesRoundTripThroughTheCache)
 {
     TraceCacheStore cache(dir.string());
     const auto trace = captureWorkloadTrace("compress", 500);
-    TraceCacheKey key = keyFor("compress", 500);
-    key.formatVersion = traceFormatVersionV3;
+    const TraceCacheKey key = keyFor("compress", 500);
 
     std::vector<TraceRecord> out;
     Status error = Status::ok();
@@ -323,14 +324,14 @@ TEST_F(TraceCacheTest, V3EntriesRoundTripThroughTheCache)
         EXPECT_EQ(out[i].op, trace[i].op);
     }
 
-    // The entry really is block-framed v3 on disk (version byte 3).
+    // The default key stores block-framed v3 bytes (version byte 3).
     std::FILE *file = std::fopen(cache.pathFor(key).c_str(), "rb");
     ASSERT_NE(file, nullptr);
     unsigned char header[5] = {};
     ASSERT_EQ(std::fread(header, 1, sizeof(header), file),
               sizeof(header));
     std::fclose(file);
-    EXPECT_EQ(header[4], 3u) << "v3 keys must store v3 bytes";
+    EXPECT_EQ(header[4], traceFormatVersionV3);
 }
 
 TEST_F(TraceCacheTest, SalvageModeLoadsADamagedV3EntryStrictQuarantines)
@@ -338,8 +339,7 @@ TEST_F(TraceCacheTest, SalvageModeLoadsADamagedV3EntryStrictQuarantines)
     TraceCacheStore strict(dir.string());
     const auto trace = captureWorkloadTrace("go", 400);
     ASSERT_GE(trace.size(), 300u);
-    TraceCacheKey key = keyFor("go", 400);
-    key.formatVersion = traceFormatVersionV3;
+    const TraceCacheKey key = keyFor("go", 400);
     // Plant a multi-block entry directly (small blocks), so one rotted
     // block cannot take the whole capture with it.
     const std::string path = strict.pathFor(key);

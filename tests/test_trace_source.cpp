@@ -1,7 +1,8 @@
 /**
  * @file
- * Tests for the batched trace-delivery API: TraceSpan, TraceSource
- * block iteration, the deprecated next() shim, and materializeTrace.
+ * Tests for the batched trace-delivery API (TraceSpan, TraceSource
+ * block iteration, materializeTrace) and for trace statistics and
+ * slicing.
  */
 
 #include <algorithm>
@@ -10,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "trace/source.hpp"
+#include "trace/trace_stats.hpp"
 #include "workloads/workload.hpp"
 
 namespace vpsim
@@ -118,10 +120,9 @@ TEST(TraceSource, EmptyTraceExhaustsImmediately)
     TraceSpan block;
     EXPECT_FALSE(source.nextBlock(block));
     EXPECT_TRUE(block.empty());
-    TraceRecord record;
-    // lint:allow trace-per-record — asserts the shim's exhaustion
-    // contract; not a simulation loop.
-    EXPECT_FALSE(source.next(record));
+    TraceColumns cols;
+    EXPECT_FALSE(source.nextColumns(cols));
+    EXPECT_EQ(cols.size(), 0u);
 }
 
 TEST(TraceSource, DeliversTailSmallerThanRequest)
@@ -164,34 +165,6 @@ TEST(TraceSource, ResetMidBlockRestartsFromTheTop)
     ASSERT_TRUE(source.nextBlock(block, TraceSpan::noLimit));
     EXPECT_EQ(block.size(), 10u);
     EXPECT_EQ(block.front().seq, 0u);
-}
-
-TEST(TraceSource, ShimMatchesSpanIterationRecordForRecord)
-{
-    const auto records = captureWorkloadTrace("compress", 3000);
-    VectorTraceSource span_source{records};
-    VectorTraceSource shim_source{records};
-
-    std::vector<TraceRecord> via_span;
-    TraceSpan block;
-    while (span_source.nextBlock(block, 77))
-        via_span.insert(via_span.end(), block.begin(), block.end());
-
-    std::vector<TraceRecord> via_shim;
-    TraceRecord record;
-    // lint:allow trace-per-record — this test proves the deprecated
-    // shim and the span iteration agree record for record.
-    while (shim_source.next(record))
-        via_shim.push_back(record);
-
-    ASSERT_EQ(via_span.size(), records.size());
-    ASSERT_EQ(via_shim.size(), records.size());
-    for (std::size_t i = 0; i < records.size(); ++i) {
-        EXPECT_EQ(via_span[i].seq, via_shim[i].seq);
-        EXPECT_EQ(via_span[i].pc, via_shim[i].pc);
-        EXPECT_EQ(via_span[i].result, via_shim[i].result);
-        EXPECT_EQ(via_span[i].rd, via_shim[i].rd);
-    }
 }
 
 TEST(TraceSource, VectorSourceServesSpansZeroCopy)
@@ -263,6 +236,80 @@ TEST(TraceSource, MaterializeEmptySourceYieldsEmptySpan)
     const TraceSpan span = materializeTrace(source, storage);
     EXPECT_TRUE(span.empty());
     EXPECT_TRUE(storage.empty());
+}
+
+TEST(TraceStatsTest, CountsAreConsistent)
+{
+    const auto trace = captureWorkloadTrace("gcc", 20000);
+    const TraceStats stats = computeTraceStats(trace);
+    EXPECT_EQ(stats.totalInsts, trace.size());
+    EXPECT_LE(stats.takenCondBranches, stats.condBranches);
+    EXPECT_GT(stats.valueProducers, 0u);
+    const std::uint64_t classified = stats.aluOps + stats.mulDivOps +
+                                     stats.loads + stats.stores +
+                                     stats.condBranches + stats.jumps;
+    EXPECT_LE(classified, stats.totalInsts);
+    EXPECT_GE(classified, stats.totalInsts * 9 / 10)
+        << "nops/halts are rare";
+}
+
+TEST(TraceStatsTest, ReportMentionsName)
+{
+    const auto trace = captureWorkloadTrace("perl", 2000);
+    const TraceStats stats = computeTraceStats(trace);
+    EXPECT_NE(stats.report("perl").find("perl"), std::string::npos);
+}
+
+TEST(TraceStatsTest, EmptyTrace)
+{
+    const TraceStats stats = computeTraceStats({});
+    EXPECT_EQ(stats.totalInsts, 0u);
+    EXPECT_DOUBLE_EQ(stats.takenRate, 0.0);
+}
+
+TEST(TraceStatsTest, SourceOverloadMatchesSpanOverload)
+{
+    const auto trace = captureWorkloadTrace("compress", 3000);
+    const TraceStats from_span = computeTraceStats(trace);
+    VectorTraceSource source{trace};
+    const TraceStats from_source = computeTraceStats(source);
+    EXPECT_EQ(from_span.totalInsts, from_source.totalInsts);
+    EXPECT_EQ(from_span.distinctPcs, from_source.distinctPcs);
+    EXPECT_EQ(from_span.valueProducers, from_source.valueProducers);
+    EXPECT_DOUBLE_EQ(from_span.takenRate, from_source.takenRate);
+    EXPECT_DOUBLE_EQ(from_span.avgBasicBlock,
+                     from_source.avgBasicBlock);
+}
+
+TEST(SliceTrace, SkipsAndRenumbers)
+{
+    const auto full = captureWorkloadTrace("li", 1000);
+    const auto sliced = sliceTrace(full, 300);
+    ASSERT_EQ(sliced.size(), 700u);
+    for (std::size_t i = 0; i < sliced.size(); ++i) {
+        EXPECT_EQ(sliced[i].seq, i) << "dense renumbering";
+        EXPECT_EQ(sliced[i].pc, full[300 + i].pc);
+        EXPECT_EQ(sliced[i].result, full[300 + i].result);
+    }
+}
+
+TEST(SliceTrace, LengthBounds)
+{
+    const auto full = captureWorkloadTrace("go", 500);
+    EXPECT_EQ(sliceTrace(full, 100, 50).size(), 50u);
+    EXPECT_EQ(sliceTrace(full, 450, 500).size(), 50u)
+        << "length clamps at the end";
+    EXPECT_TRUE(sliceTrace(full, 1000).empty());
+    EXPECT_EQ(sliceTrace(full, 0).size(), full.size());
+}
+
+TEST(SliceTrace, AnalysesRunOnSlices)
+{
+    // A slice must be a valid input for the DID machinery (dense seqs).
+    const auto full = captureWorkloadTrace("perl", 4000);
+    const auto sliced = sliceTrace(full, 1000);
+    for (std::size_t i = 0; i + 1 < sliced.size(); ++i)
+        ASSERT_EQ(sliced[i].nextPc, sliced[i + 1].pc);
 }
 
 } // namespace

@@ -1,6 +1,7 @@
 /**
  * @file
- * Tests for the v3 block-framed trace format, salvage containment, and
+ * Tests for the v3 block-framed trace format: the whole-file read and
+ * write status contract, block framing and salvage containment, and
  * the bounded-memory streaming source.
  */
 
@@ -13,7 +14,6 @@
 
 #include "common/io.hpp"
 #include "trace/streaming_source.hpp"
-#include "trace/trace_io.hpp"
 #include "trace/trace_v3.hpp"
 #include "workloads/workload.hpp"
 
@@ -104,6 +104,279 @@ expectSameRecords(const std::vector<TraceRecord> &got,
     }
 }
 
+/** Read @p path whole through one TraceV3Reader backend. */
+Status
+readWithBackend(const std::string &path, bool mapped,
+                std::vector<TraceRecord> *out)
+{
+    out->clear();
+    TraceV3Reader reader;
+    TraceV3Reader::Options options;
+    options.preferMapped = mapped;
+    if (Status opened = reader.open(path, options); !opened.isOk())
+        return opened;
+    TraceSoa block;
+    for (;;) {
+        TraceV3Reader::Block outcome = TraceV3Reader::Block::kEnd;
+        if (Status got = reader.nextBlock(&block, &outcome); !got.isOk())
+            return got;
+        if (outcome == TraceV3Reader::Block::kEnd)
+            return Status::ok();
+        const TraceColumns cols = block.columns();
+        for (std::size_t i = 0; i < cols.size(); ++i)
+            out->push_back(cols.record(i));
+    }
+}
+
+// TraceIo: the whole-file readTraceV3()/writeTraceV3() contract at the
+// default block size, the configuration every trace-cache entry uses.
+
+TEST(TraceIo, RoundTripsARealTrace)
+{
+    const auto original = captureWorkloadTrace("compress", 5000);
+    const std::string path = tempPath("vpsim_roundtrip.vptrace");
+    ASSERT_TRUE(writeTraceV3(path, original).isOk());
+    std::vector<TraceRecord> reloaded;
+    ASSERT_TRUE(readTraceV3(path, &reloaded).isOk());
+    expectSameRecords(reloaded, original);
+    std::remove(path.c_str());
+}
+
+TEST(TraceIo, EmptyTraceRoundTrips)
+{
+    // An empty file must also stream as a clean, immediate end.
+    const std::string path = tempPath("vpsim_empty.vptrace");
+    ASSERT_TRUE(writeTraceV3(path, {}).isOk());
+    StreamingTraceSource source;
+    ASSERT_TRUE(source.open(path).isOk());
+    TraceSpan block;
+    EXPECT_FALSE(source.nextBlock(block));
+    EXPECT_TRUE(source.status().isOk()) << source.status().message();
+    std::remove(path.c_str());
+}
+
+TEST(TraceIo, StatusApiRoundTrips)
+{
+    // One record per block: the most framing per record the format
+    // allows.
+    const auto original = captureWorkloadTrace("go", 2000);
+    const std::string path = tempPath("vpsim_status_roundtrip.vptrace");
+    const Status written = writeTraceV3(path, original, 1);
+    ASSERT_TRUE(written.isOk()) << written.message();
+    std::vector<TraceRecord> reloaded;
+    const Status read = readTraceV3(path, &reloaded);
+    ASSERT_TRUE(read.isOk()) << read.message();
+    expectSameRecords(reloaded, original);
+    std::remove(path.c_str());
+}
+
+TEST(TraceIo, StatusApiNamesTheMissingFile)
+{
+    const std::string path = tempPath("vpsim_status_missing.vptrace");
+    std::vector<TraceRecord> out;
+    const Status read = readTraceV3(path, &out);
+    ASSERT_FALSE(read.isOk());
+    EXPECT_EQ(read.code(), StatusCode::kIo);
+    EXPECT_NE(read.message().find(path), std::string::npos)
+        << "error must name the offending file: " << read.message();
+}
+
+TEST(TraceIo, StatusApiRejectsTrailingBytes)
+{
+    const std::string path = tempPath("vpsim_status_trailing.vptrace");
+    ASSERT_TRUE(
+        writeTraceV3(path, captureWorkloadTrace("go", 100)).isOk());
+    std::vector<unsigned char> bytes = slurp(path);
+    bytes.push_back('X'); // shorter than any frame header
+    spit(path, bytes);
+    std::vector<TraceRecord> out;
+    const Status read = readTraceV3(path, &out);
+    ASSERT_FALSE(read.isOk());
+    EXPECT_NE(read.message().find("trailing"), std::string::npos)
+        << read.message();
+    std::remove(path.c_str());
+}
+
+TEST(TraceIo, StatusApiRejectsBadMagic)
+{
+    const std::string path = tempPath("vpsim_status_badmagic.vptrace");
+    spit(path, {'J', 'U', 'N', 'K', 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0});
+    std::vector<TraceRecord> out;
+    const Status read = readTraceV3(path, &out);
+    ASSERT_FALSE(read.isOk());
+    EXPECT_EQ(read.code(), StatusCode::kCorrupt);
+    EXPECT_NE(read.message().find("magic"), std::string::npos);
+    std::remove(path.c_str());
+}
+
+TEST(TraceIo, VersionMismatchReportsFoundAndExpected)
+{
+    const std::string path = tempPath("vpsim_version.vptrace");
+    ASSERT_TRUE(
+        writeTraceV3(path, captureWorkloadTrace("go", 50)).isOk());
+    std::vector<unsigned char> bytes = slurp(path);
+    bytes[4] = 1; // a stale version byte
+    spit(path, bytes);
+
+    std::vector<TraceRecord> out;
+    const Status read = readTraceV3(path, &out);
+    ASSERT_FALSE(read.isOk());
+    EXPECT_EQ(read.code(), StatusCode::kCorrupt);
+    EXPECT_NE(read.message().find("version 1"), std::string::npos)
+        << "must report the version found: " << read.message();
+    EXPECT_NE(read.message().find(
+                  "expected " + std::to_string(traceFormatVersionV3)),
+              std::string::npos)
+        << "must report the version expected: " << read.message();
+    std::remove(path.c_str());
+}
+
+TEST(TraceIo, ChecksumCatchesFlippedPayloadByte)
+{
+    // A flipped bit inside the first record's encoding: no structural
+    // check can see it, only the block checksum.
+    const std::string path = tempPath("vpsim_bitflip.vptrace");
+    ASSERT_TRUE(
+        writeTraceV3(path, captureWorkloadTrace("go", 200)).isOk());
+    std::vector<unsigned char> bytes = slurp(path);
+    bytes[v3HeaderBytes + v3BlockFrameBytes + 1] ^= 0x40;
+    spit(path, bytes);
+
+    std::vector<TraceRecord> out;
+    const Status read = readTraceV3(path, &out);
+    ASSERT_FALSE(read.isOk());
+    EXPECT_EQ(read.code(), StatusCode::kCorrupt);
+    EXPECT_NE(read.message().find("checksum mismatch"),
+              std::string::npos)
+        << read.message();
+    EXPECT_NE(read.message().find(path), std::string::npos);
+    std::remove(path.c_str());
+}
+
+TEST(TraceIo, MissingFooterIsCorrupt)
+{
+    // Every block intact, trailer gone: an interrupted capture. Strict
+    // reads refuse it; salvage keeps every record.
+    const auto original = captureWorkloadTrace("go", 100);
+    const std::string path = tempPath("vpsim_nofooter.vptrace");
+    ASSERT_TRUE(writeTraceV3(path, original).isOk());
+    std::vector<unsigned char> bytes = slurp(path);
+    bytes.resize(bytes.size() - v3TrailerBytes);
+    spit(path, bytes);
+
+    std::vector<TraceRecord> out;
+    const Status read = readTraceV3(path, &out);
+    ASSERT_FALSE(read.isOk());
+    EXPECT_EQ(read.code(), StatusCode::kCorrupt);
+    EXPECT_NE(read.message().find("trailer"), std::string::npos)
+        << read.message();
+    ASSERT_TRUE(readTraceV3(path, &out, /*salvage=*/true).isOk());
+    expectSameRecords(out, original);
+    std::remove(path.c_str());
+}
+
+TEST(TraceIo, MappedAndBufferedReadsAgree)
+{
+    const auto original = captureWorkloadTrace("li", 3000);
+    const std::string path = tempPath("vpsim_mmap_parity.vptrace");
+    ASSERT_TRUE(writeTraceV3(path, original, 512).isOk());
+
+    std::vector<TraceRecord> via_mapped;
+    ASSERT_TRUE(readWithBackend(path, true, &via_mapped).isOk());
+    std::vector<TraceRecord> via_buffered;
+    ASSERT_TRUE(readWithBackend(path, false, &via_buffered).isOk());
+    expectSameRecords(via_mapped, original);
+    expectSameRecords(via_buffered, original);
+    std::remove(path.c_str());
+}
+
+TEST(TraceIo, MappedAndBufferedCorruptionMessagesAgree)
+{
+    // Every block-level corruption must fail identically on both
+    // backends: the trace cache quarantines on code and message, and
+    // the streaming source reads buffered while readTraceV3() maps.
+    const auto trace = captureWorkloadTrace("go", 1200);
+    const std::string path = tempPath("vpsim_mmap_corrupt.vptrace");
+    ASSERT_TRUE(writeTraceV3(path, trace, 256).isOk());
+    const std::vector<unsigned char> pristine = slurp(path);
+    const std::size_t second = blockOffset(pristine, 1);
+    const auto corrupt_then_compare =
+        [&](const std::vector<unsigned char> &bytes) {
+            spit(path, bytes);
+            std::vector<TraceRecord> out;
+            const Status mapped = readWithBackend(path, true, &out);
+            const Status buffered = readWithBackend(path, false, &out);
+            ASSERT_FALSE(mapped.isOk());
+            EXPECT_EQ(mapped.code(), buffered.code());
+            EXPECT_EQ(mapped.message(), buffered.message());
+        };
+
+    std::vector<unsigned char> bytes = pristine;
+    bytes[second + v3BlockFrameBytes + 5] ^= 0x10; // payload bit rot
+    corrupt_then_compare(bytes);
+    bytes = pristine;
+    bytes[second] = 'X'; // frame magic
+    corrupt_then_compare(bytes);
+    bytes = pristine;
+    bytes.resize(second + v3BlockFrameBytes + 7); // cut mid-block
+    corrupt_then_compare(bytes);
+    bytes = pristine;
+    bytes.resize(pristine.size() - 3); // torn trailer
+    corrupt_then_compare(bytes);
+    bytes = pristine;
+    bytes.insert(bytes.end(), {'?', '?'}); // trailing junk
+    corrupt_then_compare(bytes);
+    bytes = pristine;
+    bytes[0] = 'J'; // file magic
+    corrupt_then_compare(bytes);
+    bytes = pristine;
+    bytes[4] = 1; // stale version byte
+    corrupt_then_compare(bytes);
+    std::remove(path.c_str());
+}
+
+TEST(TraceIo, SpanIterationMatchesColumnsAfterRoundTrip)
+{
+    const auto original = captureWorkloadTrace("go", 4000);
+    const std::string path = tempPath("vpsim_span_roundtrip.vptrace");
+    ASSERT_TRUE(writeTraceV3(path, original, 512).isOk());
+
+    // The file must deliver identically through both halves of the
+    // TraceSource API, record for record: spans of one size against
+    // columns of another, so the two cursors cross block boundaries
+    // at different points.
+    StreamingTraceSource span_source;
+    StreamingTraceSource column_source;
+    ASSERT_TRUE(span_source.open(path).isOk());
+    ASSERT_TRUE(column_source.open(path).isOk());
+    std::size_t index = 0;
+    std::size_t column_index = 0;
+    TraceSpan block;
+    TraceColumns cols;
+    while (span_source.nextBlock(block, 123)) {
+        for (const TraceRecord &from_span : block) {
+            if (column_index == cols.size()) {
+                ASSERT_TRUE(column_source.nextColumns(cols, 77));
+                column_index = 0;
+            }
+            const TraceRecord from_columns = cols.record(column_index++);
+            ASSERT_LT(index, original.size());
+            EXPECT_EQ(from_span.seq, from_columns.seq);
+            EXPECT_EQ(from_span.pc, original[index].pc);
+            EXPECT_EQ(from_columns.pc, original[index].pc);
+            EXPECT_EQ(from_span.result, from_columns.result);
+            EXPECT_EQ(from_columns.taken, original[index].taken);
+            ++index;
+        }
+    }
+    EXPECT_EQ(column_index, cols.size());
+    EXPECT_FALSE(column_source.nextColumns(cols));
+    EXPECT_TRUE(span_source.status().isOk());
+    EXPECT_TRUE(column_source.status().isOk());
+    EXPECT_EQ(index, original.size());
+    std::remove(path.c_str());
+}
+
 TEST(TraceV3, RoundTripsARealTraceAcrossBlocks)
 {
     const auto original = captureWorkloadTrace("compress", 5000);
@@ -157,18 +430,18 @@ TEST(TraceV3, StreamedAppendsMatchTheWholeFileWriterByteForByte)
 
 TEST(TraceV3, CompressesWellBelowTheV2Format)
 {
+    // The retired v2 format stored every record as 45 packed bytes:
+    // five u64 fields plus op, rd, rs1, rs2 and taken.
+    constexpr std::size_t v2PackedRecordBytes = 5 * 8 + 5;
     const auto original = captureWorkloadTrace("compress", 5000);
-    const std::string v2 = tempPath("vpsim_v3_sizecheck_v2.vptrace");
     const std::string v3 = tempPath("vpsim_v3_sizecheck_v3.vptrace");
-    ASSERT_TRUE(writeTrace(v2, original).isOk());
     ASSERT_TRUE(writeTraceV3(v3, original).isOk());
-    const std::size_t v2_bytes = slurp(v2).size();
+    const std::size_t v2_bytes = original.size() * v2PackedRecordBytes;
     const std::size_t v3_bytes = slurp(v3).size();
     EXPECT_LT(v3_bytes * 2, v2_bytes)
         << "delta/varint encoding should at least halve the 45-byte "
            "packed records (got "
         << v3_bytes << " vs " << v2_bytes << ")";
-    std::remove(v2.c_str());
     std::remove(v3.c_str());
 }
 
@@ -452,9 +725,7 @@ TEST(StreamingSource, SalvageModeSkipsDamageAndKeepsStreaming)
     EXPECT_EQ(strict.status().code(), StatusCode::kCorrupt);
 
     StreamingTraceSource salvage;
-    StreamingOptions options;
-    options.salvage = true;
-    ASSERT_TRUE(salvage.open(path, options).isOk());
+    ASSERT_TRUE(salvage.open(path, /*salvage=*/true).isOk());
     std::uint64_t salvaged_records = 0;
     while (salvage.nextBlock(block))
         salvaged_records += block.size();
@@ -464,28 +735,44 @@ TEST(StreamingSource, SalvageModeSkipsDamageAndKeepsStreaming)
     std::remove(path.c_str());
 }
 
-TEST(StreamingSource, MemoryBudgetDegradesMmapAndWindow)
+TEST(StreamingSource, ResetReusesTheDecodedBlockBuffer)
 {
-    const auto original = captureWorkloadTrace("go", 4000);
-    const std::string path = tempPath("vpsim_v3_stream_budget.vptrace");
+    const auto original = captureWorkloadTrace("go", 2000);
+    const std::string path = tempPath("vpsim_v3_stream_reset.vptrace");
     ASSERT_TRUE(writeTraceV3(path, original, 256).isOk());
 
     StreamingTraceSource source;
-    StreamingOptions options;
-    options.preferMapped = true;
-    options.windowBlocks = 8;
-    options.memBudgetBytes = 1; // Any real process is over this.
-    ASSERT_TRUE(source.open(path, options).isOk());
-    EXPECT_TRUE(source.degradedToBuffered())
-        << "over budget, the mmap backend must be abandoned first";
+    ASSERT_TRUE(source.open(path).isOk());
+    // A partial columnar read that crosses into the second block, so
+    // the one block buffer has already been decoded over once.
+    TraceColumns cols;
+    ASSERT_TRUE(source.nextColumns(cols, 200));
+    const SeqNum *const buffer = cols.seq;
+    ASSERT_TRUE(source.nextColumns(cols, 200));
+    ASSERT_TRUE(source.nextColumns(cols, 200));
+    EXPECT_EQ(cols.seq[0], original[256].seq)
+        << "the third delivery starts the second block";
+    EXPECT_EQ(cols.seq, buffer)
+        << "the second block is decoded into the first block's buffer";
 
-    TraceSpan block;
+    source.reset();
     std::vector<TraceRecord> got;
-    while (source.nextBlock(block))
-        got.insert(got.end(), block.begin(), block.end());
-    EXPECT_EQ(source.windowBlocks(), 1u)
-        << "over budget, decode-ahead must shrink to a single block";
+    ASSERT_TRUE(source.nextColumns(cols, 100));
+    EXPECT_EQ(cols.seq, buffer) << "reset keeps the buffer";
+    do {
+        for (std::size_t i = 0; i < cols.size(); ++i)
+            got.push_back(cols.record(i));
+    } while (source.nextColumns(cols, 100));
     EXPECT_TRUE(source.status().isOk());
+    expectSameRecords(got, original);
+
+    source.reset();
+    got.clear();
+    TraceSpan block;
+    while (source.nextBlock(block, 300))
+        got.insert(got.end(), block.begin(), block.end());
+    EXPECT_TRUE(source.status().isOk());
+    EXPECT_EQ(source.recordsDelivered(), original.size());
     expectSameRecords(got, original);
     std::remove(path.c_str());
 }
