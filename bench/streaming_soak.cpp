@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fnv1a.hpp"
 #include "common/logging.hpp"
 #include "common/options.hpp"
 #include "common/resource_usage.hpp"
@@ -95,13 +96,13 @@ synthesize(std::uint64_t seq, SoakRng &rng)
     return r;
 }
 
-/** Fold one record into the running FNV-1a digest. */
+/** Fold one record, word by word, into the running FNV-1a digest. */
 std::uint64_t
 digestRecord(std::uint64_t hash, const TraceRecord &r)
 {
     const auto mix = [&hash](std::uint64_t value) {
         hash ^= value;
-        hash *= 1099511628211ull;
+        hash *= fnv1aPrime;
     };
     mix(r.seq);
     mix(r.pc);
@@ -115,8 +116,6 @@ digestRecord(std::uint64_t hash, const TraceRecord &r)
     mix(r.taken ? 1 : 0);
     return hash;
 }
-
-constexpr std::uint64_t fnvBasis = 14695981039346656037ull;
 
 } // namespace
 } // namespace vpsim
@@ -171,7 +170,7 @@ main(int argc, char **argv)
     // Phase 1: generate straight to disk, one span at a time.
     sampler.beginPhase();
     Stopwatch write_watch;
-    std::uint64_t write_digest = fnvBasis;
+    std::uint64_t write_digest = fnv1aBasis;
     {
         SoakRng rng{options.getInt("seed") == 0
                     ? 0x9e3779b97f4a7c15ull
@@ -206,7 +205,7 @@ main(int argc, char **argv)
     StreamingTraceSource source;
     fatalIf(!source.open(path, options.getBool("salvage-blocks")).isOk(),
             "cannot stream back " + path);
-    std::uint64_t read_digest = fnvBasis;
+    std::uint64_t read_digest = fnv1aBasis;
     std::uint64_t read_records = 0;
     TraceSpan block;
     while (source.nextBlock(block, TraceSpan::noLimit)) {

@@ -22,7 +22,7 @@
 #                  (because the signed lineage is deterministic)
 #                  byte-identical manifests too.
 #   7. supervisor kill -9: the supervisor is SIGKILLed mid-run; a rerun
-#                  with --fleet-resume 1 reuses every published shard
+#                  with --resume 1 reuses every published shard
 #                  and produces the golden bytes.
 #   8. store corruption: a published shard result is bit-flipped; the
 #                  resume run must quarantine it (.corrupt-*),
@@ -139,7 +139,7 @@ python3 "$scripts/verify_manifest.py" \
     "$work/poison1/out.csv.fleet-manifest.json" > /dev/null ||
     { echo "FAIL: poisoned manifests do not verify" >&2; failed=1; }
 
-echo "== supervisor kill -9 mid-run, then --fleet-resume 1"
+echo "== supervisor kill -9 mid-run, then --resume 1"
 mkdir -p "$work/resume"
 store="$work/resume/store"
 # exec setsid: $! becomes the supervisor itself, alone (with its
@@ -164,7 +164,7 @@ if [ "$published" -lt 1 ]; then
     failed=1
 fi
 (cd "$work/resume" && "$bench" "${args[@]}" --fleet-workers 3 \
-    --fleet-shard-cells 2 --result-store store --fleet-resume 1 \
+    --fleet-shard-cells 2 --result-store store --resume 1 \
     --csv out.csv > stdout.txt 2> stderr.txt)
 check_identical "supervisor kill -9 + resume" resume no
 if ! grep -q "[1-9][0-9]* reused cell" "$work/resume/stderr.txt"; then
@@ -183,7 +183,7 @@ mkdir -p "$work/corrupt"
 victim="$(ls "$work/corrupt/store"/shard-*.vpshard | head -1)"
 printf 'X' | dd of="$victim" bs=1 seek=60 conv=notrunc 2> /dev/null
 (cd "$work/corrupt" && "$bench" "${args[@]}" --fleet-workers 2 \
-    --result-store store --fleet-resume 1 --csv out.csv \
+    --result-store store --resume 1 --csv out.csv \
     > stdout.txt 2> stderr.txt)
 check_identical "store corruption" corrupt no
 if ls "$work/corrupt/store"/.corrupt-* > /dev/null 2>&1; then

@@ -37,7 +37,7 @@ class Options
     /**
      * Register a cross-option validation rule, run at the end of
      * parse() — a bad option *combination* (--resume without
-     * --checkpoint, --cross-check under fault injection) should fail
+     * --result-store, --cross-check under fault injection) should fail
      * with a one-line usage hint before any trace is captured, not
      * surface as a confusing error forty minutes into a sweep.
      *
@@ -79,7 +79,7 @@ class Options
      * Canonical "name=value;" string over every declared option (with
      * defaults applied), sorted by name, minus the names in @p exclude.
      * Two runs with the same fingerprint request the same experiment;
-     * the grid checkpoint (sim_runner.hpp) keys cells by its hash so
+     * the result store (sim/result_store.hpp) keys cells by its hash so
      * --resume never reuses cells from a differently-configured sweep.
      */
     std::string fingerprint(
@@ -92,6 +92,9 @@ class Options
      * the parsed configuration, not a forward of raw argv.
      */
     std::vector<std::pair<std::string, std::string>> items() const;
+
+    /** argv[0] as given to parse() (empty before parsing). */
+    const std::string &program() const { return programName; }
 
   private:
     struct Decl

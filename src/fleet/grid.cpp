@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/fnv1a.hpp"
 #include "common/logging.hpp"
 #include "predictor/factory.hpp"
 #include "sim/experiment.hpp"
@@ -14,17 +15,6 @@ namespace fleet
 
 namespace
 {
-
-std::uint64_t
-fnv1a(const std::string &text)
-{
-    std::uint64_t hash = 1469598103934665603ull;
-    for (const char ch : text) {
-        hash ^= static_cast<unsigned char>(ch);
-        hash *= 1099511628211ull;
-    }
-    return hash;
-}
 
 std::vector<std::uint64_t>
 parseAxis(const Options &options, const std::string &name)
@@ -81,13 +71,6 @@ declareFleetOptions(Options &options,
             "worker processes (isolated fault domains); 0 runs every "
             "cell in-process — the reference mode fleets must match "
             "byte for byte");
-    declare("result-store", "",
-            "directory of content-addressed shard result files; "
-            "required for --fleet-resume (empty = private temporary "
-            "store)");
-    declare("fleet-resume", "0",
-            "reuse finished cells already present in --result-store "
-            "instead of starting fresh");
     declare("fleet-shard-cells", "64",
             "cells per shard the planner aims for (smaller shards "
             "lose less work per worker death)");
@@ -137,38 +120,11 @@ declareFleetOptions(Options &options,
         return "";
     });
     options.addValidator([](const Options &parsed) -> std::string {
-        if (parsed.getBool("fleet-resume") &&
-            parsed.getString("result-store").empty())
-            return "--fleet-resume 1 requires --result-store DIR "
-                   "(a private temporary store has nothing to resume "
-                   "from)";
-        return "";
-    });
-    options.addValidator([](const Options &parsed) -> std::string {
         if (parsed.getBool("fleet-worker") &&
             parsed.getString("fleet-cells").empty())
             return "--fleet-worker 1 requires --fleet-cells FIRST-LAST";
         return "";
     });
-}
-
-const std::vector<std::string> &
-fleetFingerprintExclusions()
-{
-    // The execution-knob exclusion list SimRunner uses for checkpoint
-    // keys, extended with the fleet's own execution knobs. --csv is
-    // excluded too: the output path does not change any cell, and a
-    // resumed fleet may write its merged CSV somewhere new.
-    static const std::vector<std::string> exclusions = {
-        "jobs", "trace-cache-dir", "stats", "keep-going", "checkpoint",
-        "resume", "fault-inject", "check-invariants", "cross-check",
-        "job-timeout", "salvage-blocks", "mem-budget",
-        "cache-gc-days", "csv", "fleet-workers", "result-store",
-        "fleet-resume", "fleet-shard-cells", "fleet-worker-timeout",
-        "fleet-max-attempts", "fleet-retry-base-ms",
-        "fleet-worker-mem-mb", "fleet-worker", "fleet-cells",
-        "fleet-heartbeat-fd", "fleet-fault"};
-    return exclusions;
 }
 
 FleetGrid::FleetGrid(const Options &options)
@@ -232,8 +188,7 @@ FleetGrid::FleetGrid(const Options &options)
     }
     fatalIf(columns.empty(), "fleet grid has no columns");
 
-    fleetFingerprint =
-        options.fingerprint(fleetFingerprintExclusions());
+    fleetFingerprint = resultFingerprint(options);
     fingerprintHash = fnv1a(fleetFingerprint);
 }
 

@@ -13,10 +13,12 @@
  * speedup − 1.0, the same convention the ablation benches use).
  *
  * The grid also owns the fleet's identity: fleetHash() hashes the
- * result-defining option fingerprint (axes, workloads, trace length,
- * seed — not execution knobs like worker count or retry limits), and
- * every shard result file carries it, so a resumed fleet can never
- * merge cells computed under a different experiment definition.
+ * result-defining option fingerprint (resultFingerprint(): axes,
+ * workloads, trace length, seed — not execution knobs like worker
+ * count or retry limits), and every shard result file carries it, so a
+ * resumed fleet can never merge cells computed under a different
+ * experiment definition, while a 1-worker and a 16-worker fleet of the
+ * same experiment share one result store namespace.
  */
 
 #ifndef VPSIM_FLEET_GRID_HPP
@@ -37,22 +39,14 @@ namespace fleet
 
 /**
  * Declare every option a fleet binary understands: the standard
- * experiment options (declareStandardOptions), the grid axes, and the
- * fleet execution knobs. @p defaults overrides per-option default
- * values (bench/fleet_soak ships soak-sized axes this way).
+ * experiment options (declareStandardOptions, including --result-store
+ * and --resume), the grid axes, and the fleet execution knobs.
+ * @p defaults overrides per-option default values (bench/fleet_soak
+ * ships soak-sized axes this way).
  */
 void declareFleetOptions(
     Options &options,
     const std::map<std::string, std::string> &defaults = {});
-
-/**
- * Option names excluded from the fleet fingerprint: everything that
- * changes how the sweep executes but not what any cell computes.
- * Worker count, shard size, retry policy, stores and caches are all
- * here — a 1-worker and a 16-worker fleet of the same experiment share
- * one fingerprint, one fleetHash, and one result store namespace.
- */
-const std::vector<std::string> &fleetFingerprintExclusions();
 
 /** The dense experiment grid derived from parsed fleet options. */
 class FleetGrid

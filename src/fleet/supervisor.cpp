@@ -19,11 +19,11 @@
 #include "common/io.hpp"
 #include "common/logging.hpp"
 #include "common/rng.hpp"
-#include "fleet/result_store.hpp"
 #include "fleet/retry_policy.hpp"
 #include "fleet/shard_planner.hpp"
 #include "fleet/worker.hpp"
 #include "fleet/worker_handle.hpp"
+#include "sim/result_store.hpp"
 #include "sim/sim_runner.hpp"
 
 namespace vpsim
@@ -85,8 +85,7 @@ workerOverriddenOptions()
         "fleet-fault", "result-store",
         // Supervisor-level execution knobs a worker must not recurse
         // on or duplicate.
-        "fleet-workers", "fleet-resume", "jobs", "stats", "csv",
-        "checkpoint", "resume",
+        "fleet-workers", "jobs", "stats", "csv", "resume",
         // The supervisor's injector drives worker faults; forwarding
         // the spec would double-arm io clauses in every child.
         "fault-inject",
@@ -239,7 +238,7 @@ runWorkerFleet(const Options &options, const FleetGrid &grid,
     // Cooperative shutdown: on SIGINT/SIGTERM the loop kills its
     // children (via the handle destructors) and exits 128+signal,
     // mirroring SimRunner's contract. Published shards survive in the
-    // store for --fleet-resume.
+    // store for --resume.
     void (*previous_sigint)(int) =
         std::signal(SIGINT, fleetSignalHandler);
     void (*previous_sigterm)(int) =
@@ -344,13 +343,7 @@ runWorkerFleet(const Options &options, const FleetGrid &grid,
                     if (loaded.isOk()) {
                         for (const auto &[cell, value] : result.cells)
                             merged->emplace(cell, value);
-                        report->salvage.files += result.salvage.files;
-                        report->salvage.blocksQuarantined +=
-                            result.salvage.blocksQuarantined;
-                        report->salvage.recordsLost +=
-                            result.salvage.recordsLost;
-                        report->salvage.bytesSkipped +=
-                            result.salvage.bytesSkipped;
+                        report->salvage += result.salvage;
                         // attempts=1 regardless of retried launches:
                         // the lineage records the result that merged,
                         // not the transient faults on the way there
@@ -533,7 +526,7 @@ runFleet(const Options &options, const FleetGrid &grid)
 
     std::map<std::uint32_t, double> merged;
     if (store) {
-        if (options.getBool("fleet-resume")) {
+        if (options.getBool("resume")) {
             SalvageRegistry::Totals reused_salvage;
             const ResultStore::ScanReport scan =
                 store->mergeAll(&merged, &reused_salvage);

@@ -75,7 +75,7 @@ struct FleetReport
     std::vector<std::uint32_t> quarantinedCells;
     /** Executed shards, sorted by (firstCell, id). */
     std::vector<ShardOutcome> shards;
-    /** Cells served from the result store by --fleet-resume. */
+    /** Cells served from the result store by --resume. */
     std::uint64_t reusedCells = 0;
     /** Deterministic (signed) retries: attempts beyond the first that
      *  the lineage records, i.e. sum of (attempts - 1) over terminal

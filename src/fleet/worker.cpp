@@ -13,8 +13,8 @@
 #include "common/cancellation.hpp"
 #include "common/logging.hpp"
 #include "core/ideal_machine.hpp"
-#include "fleet/result_store.hpp"
 #include "fleet/worker_handle.hpp"
+#include "sim/result_store.hpp"
 #include "trace/trace_v3.hpp"
 
 namespace vpsim

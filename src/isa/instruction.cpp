@@ -11,9 +11,12 @@ namespace
 std::string
 reg(RegIndex index)
 {
+    std::string name(1, 'r');
     if (index == invalidReg)
-        return "r?";
-    return "r" + std::to_string(static_cast<unsigned>(index));
+        name += '?';
+    else
+        name += std::to_string(static_cast<unsigned>(index));
+    return name;
 }
 
 } // namespace

@@ -28,12 +28,14 @@ declareRunnerOptions(Options &options)
     options.declare("keep-going", "0",
                     "record failing jobs (cells become NaN) and finish "
                     "the sweep instead of aborting on the first error");
-    options.declare("checkpoint", "",
-                    "flush finished grid cells to this file when the "
-                    "sweep is interrupted (SIGINT/SIGTERM)");
+    options.declare("result-store", "",
+                    "directory of content-addressed result files: "
+                    "finished grid cells are published here when a grid "
+                    "completes or SIGINT/SIGTERM interrupts it (a fleet "
+                    "without one uses a private temporary store)");
     options.declare("resume", "0",
-                    "reload finished cells from the --checkpoint file "
-                    "so an interrupted sweep continues");
+                    "reuse finished cells already present in "
+                    "--result-store instead of starting fresh");
     options.declare("fault-inject", "",
                     "deterministic I/O fault spec, e.g. "
                     "write:3:torn,read:2:eio,job:5:sigint "
@@ -65,9 +67,9 @@ declareRunnerOptions(Options &options)
     // hint, not forty minutes into a sweep.
     options.addValidator([](const Options &parsed) -> std::string {
         if (parsed.getBool("resume") &&
-            parsed.getString("checkpoint").empty())
-            return "--resume 1 requires --checkpoint FILE (there is no "
-                   "file to reload cells from)";
+            parsed.getString("result-store").empty())
+            return "--resume 1 requires --result-store DIR (there is no "
+                   "store to reload cells from)";
         return "";
     });
     options.addValidator([](const Options &parsed) -> std::string {
@@ -102,6 +104,22 @@ declareRunnerOptions(Options &options)
                    "quarantined files forever)";
         return "";
     });
+}
+
+std::string
+resultFingerprint(const Options &options)
+{
+    // Names a binary does not declare never match, so one list serves
+    // figure benches and fleets alike.
+    static const std::vector<std::string> executionOptions = {
+        "jobs", "trace-cache-dir", "stats", "keep-going", "result-store",
+        "resume", "fault-inject", "check-invariants", "cross-check",
+        "job-timeout", "salvage-blocks", "mem-budget", "cache-gc-days",
+        "csv", "fleet-workers", "fleet-shard-cells",
+        "fleet-worker-timeout", "fleet-max-attempts",
+        "fleet-retry-base-ms", "fleet-worker-mem-mb", "fleet-worker",
+        "fleet-cells", "fleet-heartbeat-fd", "fleet-fault"};
+    return options.fingerprint(executionOptions);
 }
 
 void

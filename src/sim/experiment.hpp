@@ -54,14 +54,26 @@ struct BenchmarkTraces
  * --jobs (worker threads), --trace-cache-dir (on-disk capture cache),
  * --stats (dump the runtime's counters to stderr), and the
  * fault-tolerance flags --keep-going (isolate failing jobs as NaN
- * cells), --checkpoint / --resume (survive SIGINT/SIGTERM and continue
- * an interrupted sweep), and --fault-inject (arm the deterministic I/O
- * fault injector for soak tests).
+ * cells), --result-store / --resume (publish finished cells so an
+ * interrupted sweep continues; shared by figure benches and fleets),
+ * and --fault-inject (arm the deterministic I/O fault injector for
+ * soak tests).
  *
  * declareStandardOptions() calls this; benches with no benchmark
  * capture of their own (worked examples) can call it directly.
  */
 void declareRunnerOptions(Options &options);
+
+/**
+ * The result-defining fingerprint of a parsed experiment: every
+ * declared option except those that change how a sweep executes but
+ * not what any cell computes (threads, caches, stores, fault specs,
+ * self-checks, the CSV path, and the fleet's worker knobs). Both sweep
+ * runtimes hash it into their result-store identity, so a resumed run
+ * with different parallelism reuses every cell and a run with a
+ * different experiment reuses none.
+ */
+std::string resultFingerprint(const Options &options);
 
 /**
  * Declare the options every figure bench shares: --insts (trace length

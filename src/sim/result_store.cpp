@@ -1,4 +1,4 @@
-#include "fleet/result_store.hpp"
+#include "sim/result_store.hpp"
 
 #include <unistd.h>
 
@@ -15,8 +15,6 @@
 #include "common/logging.hpp"
 
 namespace vpsim
-{
-namespace fleet
 {
 
 namespace
@@ -103,9 +101,8 @@ splitWords(const std::string &line)
 
 } // namespace
 
-ResultStore::ResultStore(std::string store_dir,
-                         std::uint64_t fleet_hash)
-    : dir(std::move(store_dir)), fleetHash(fleet_hash)
+ResultStore::ResultStore(std::string store_dir, std::uint64_t hash)
+    : dir(std::move(store_dir)), storeHash(hash)
 {
     fatalIf(dir.empty(), "result store directory must not be empty");
     std::error_code ec;
@@ -135,7 +132,7 @@ std::string
 ResultStore::pathFor(std::uint32_t first_cell,
                      std::uint32_t last_cell) const
 {
-    return dir + "/shard-" + hex16(fleetHash) + "-c" +
+    return dir + "/shard-" + hex16(storeHash) + "-c" +
            std::to_string(first_cell) + "-c" +
            std::to_string(last_cell) + ".vpshard";
 }
@@ -147,7 +144,7 @@ ResultStore::store(std::uint32_t first_cell, std::uint32_t last_cell,
     std::string body;
     body += shardMagic;
     body += '\n';
-    body += "fleet " + hex16(fleetHash) + '\n';
+    body += "fleet " + hex16(storeHash) + '\n';
     body += "cells " + std::to_string(result.cells.size()) + '\n';
     for (const auto &[index, value] : result.cells) {
         body += std::to_string(index) + ' ' +
@@ -230,9 +227,9 @@ ResultStore::parseFile(const std::string &path, ShardResult *out) const
     if (lines[1].rfind("fleet ", 0) != 0 ||
         !parseHexField(lines[1].substr(6), &declared_hash))
         return corrupt("bad fleet line");
-    if (declared_hash != fleetHash) {
-        return corrupt("fleet hash " + hex16(declared_hash) +
-                       " does not match " + hex16(fleetHash));
+    if (declared_hash != storeHash) {
+        return corrupt("store hash " + hex16(declared_hash) +
+                       " does not match " + hex16(storeHash));
     }
     std::uint64_t cell_count = 0;
     if (lines[2].rfind("cells ", 0) != 0 ||
@@ -311,7 +308,7 @@ ResultStore::mergeAll(std::map<std::uint32_t, double> *cells,
     panicIf(cells == nullptr || salvage == nullptr,
             "ResultStore::mergeAll needs outputs");
     ScanReport report;
-    const std::string prefix = "shard-" + hex16(fleetHash) + "-";
+    const std::string prefix = "shard-" + hex16(storeHash) + "-";
     std::error_code ec;
     std::vector<std::filesystem::path> candidates;
     for (const auto &entry :
@@ -349,11 +346,7 @@ ResultStore::mergeAll(std::map<std::uint32_t, double> *cells,
             if (cells->emplace(index, value).second)
                 ++report.cellsMerged;
         }
-        salvage->files += result.salvage.files;
-        salvage->blocksQuarantined +=
-            result.salvage.blocksQuarantined;
-        salvage->recordsLost += result.salvage.recordsLost;
-        salvage->bytesSkipped += result.salvage.bytesSkipped;
+        *salvage += result.salvage;
         ++report.filesMerged;
     }
     return report;
@@ -362,7 +355,7 @@ ResultStore::mergeAll(std::map<std::uint32_t, double> *cells,
 std::uint64_t
 ResultStore::removeAll() const
 {
-    const std::string prefix = "shard-" + hex16(fleetHash) + "-";
+    const std::string prefix = "shard-" + hex16(storeHash) + "-";
     std::error_code ec;
     std::uint64_t removed = 0;
     std::vector<std::filesystem::path> victims;
@@ -385,5 +378,4 @@ ResultStore::removeAll() const
     return removed;
 }
 
-} // namespace fleet
 } // namespace vpsim

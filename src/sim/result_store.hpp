@@ -1,25 +1,29 @@
 /**
  * @file
- * Content-addressed store of finished shard results.
+ * Content-addressed store of finished grid cells: the one resume
+ * mechanism of both sweep runtimes (`--result-store DIR`,
+ * `--resume 1`).
  *
- * Each fleet worker that completes its shard publishes one small text
- * file — the shard's cell values plus the worker's salvage totals —
- * named by the fleet hash and the shard's cell range, written through
- * the fault-injectable io layer to a temporary and renamed into place
- * (the same torn-write-proof publish protocol the trace cache uses).
- * A CRC-32 footer covers every byte above it, so a supervisor never
- * merges a truncated or bit-flipped file: corrupt files are quarantined
- * to `.corrupt-*` for post-mortem and their cells simply recomputed.
+ * A producer publishes one small text file per range of cells — the
+ * cell values plus the producer's salvage totals — named by the
+ * owning sweep's hash and the cell range, written through the
+ * fault-injectable io layer to a temporary and renamed into place (the
+ * same torn-write-proof publish protocol the trace cache uses). Fleet
+ * workers publish one file per shard; SimRunner publishes one sparse
+ * file per grid, when the grid completes and when a signal interrupts
+ * it. A CRC-32 footer covers every byte above it, so a truncated or
+ * bit-flipped file is never merged: corrupt files are quarantined to
+ * `.corrupt-*` for post-mortem and their cells simply recomputed.
  *
- * Resume: a restarted supervisor scans the directory, merges every
- * intact file carrying its fleet hash — regardless of how shard
- * boundaries were drawn when the file was written — and plans new
- * shards only over the cells still missing. Killing a supervisor with
- * `kill -9` therefore costs at most the shards that were in flight.
+ * Resume: a restarted sweep scans the directory, merges every intact
+ * file carrying its hash — regardless of how ranges were drawn when the
+ * file was written — and computes only the cells still missing.
+ * Killing a sweep with `kill -9` therefore costs at most the work in
+ * flight since the last publish.
  */
 
-#ifndef VPSIM_FLEET_RESULT_STORE_HPP
-#define VPSIM_FLEET_RESULT_STORE_HPP
+#ifndef VPSIM_SIM_RESULT_STORE_HPP
+#define VPSIM_SIM_RESULT_STORE_HPP
 
 #include <cstdint>
 #include <map>
@@ -32,30 +36,28 @@
 
 namespace vpsim
 {
-namespace fleet
-{
 
-/** One finished shard: its cells and the worker's salvage damage. */
+/** One published cell range: its cells and the producer's salvage. */
 struct ShardResult
 {
     /** (global cell index, value) pairs in ascending index order. */
     std::vector<std::pair<std::uint32_t, double>> cells;
-    /** The producing process's salvage totals (merged by the
-     *  supervisor into the global registry). */
+    /** The producing process's salvage totals (merged by the fleet
+     *  supervisor into the global registry; zero from SimRunner). */
     SalvageRegistry::Totals salvage;
 };
 
-/** A directory of per-shard result files for one fleet. */
+/** A directory of cell-range result files, namespaced by sweep hash. */
 class ResultStore
 {
   public:
     /**
      * @param dir Store directory; created (with parents) if missing.
      *        Failure is recorded in status(), not fatal.
-     * @param fleet_hash The owning fleet's identity; files from other
-     *        fleets sharing the directory are ignored.
+     * @param hash The owning sweep's identity; files of other sweeps
+     *        sharing the directory are ignored.
      */
-    ResultStore(std::string dir, std::uint64_t fleet_hash);
+    ResultStore(std::string dir, std::uint64_t hash);
 
     /** ok() when the directory exists and is writable. */
     const Status &status() const { return creationStatus; }
@@ -78,7 +80,7 @@ class ResultStore
      * Strict-parse the result file for cells [first, last]. kCorrupt
      * on any framing, checksum, hash or count anomaly; kIo when the
      * file cannot be read. The file is not quarantined here — the
-     * caller decides (the supervisor quarantines and recomputes).
+     * caller decides (the fleet supervisor retries the shard).
      */
     [[nodiscard]] Status load(std::uint32_t first_cell,
                               std::uint32_t last_cell,
@@ -93,16 +95,16 @@ class ResultStore
     };
 
     /**
-     * Merge every intact result file of this fleet into @p cells
-     * (later files never overwrite earlier cells — shard files of one
-     * fleet agree by construction) and fold their salvage totals into
+     * Merge every intact result file of this sweep into @p cells
+     * (later files never overwrite earlier cells — files of one sweep
+     * agree by construction) and fold their salvage totals into
      * @p salvage. Corrupt files are quarantined to `.corrupt-*`.
      */
     ScanReport mergeAll(std::map<std::uint32_t, double> *cells,
                         SalvageRegistry::Totals *salvage) const;
 
     /**
-     * Delete every result file of this fleet (fresh-start mode: a
+     * Delete every result file of this sweep (fresh-start mode: a
      * stale store must not silently satisfy a sweep the user asked to
      * recompute).
      */
@@ -113,11 +115,10 @@ class ResultStore
                                    ShardResult *out) const;
 
     std::string dir;
-    std::uint64_t fleetHash = 0;
+    std::uint64_t storeHash = 0;
     Status creationStatus = Status::ok();
 };
 
-} // namespace fleet
 } // namespace vpsim
 
-#endif // VPSIM_FLEET_RESULT_STORE_HPP
+#endif // VPSIM_SIM_RESULT_STORE_HPP

@@ -1,25 +1,22 @@
 #include "sim/sim_runner.hpp"
 
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <csignal>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
+#include <filesystem>
 #include <iterator>
 #include <limits>
+#include <map>
 #include <stdexcept>
-#include <unordered_map>
 
+#include "common/fnv1a.hpp"
 #include "common/invariant.hpp"
 #include "common/io.hpp"
 #include "common/logging.hpp"
 #include "common/resource_usage.hpp"
-#include "common/stats.hpp"
+#include "sim/result_store.hpp"
 #include "trace/trace_stats.hpp"
 #include "trace/trace_v3.hpp"
 
@@ -47,18 +44,6 @@ resolveJobCount(const Options &options)
                      : static_cast<unsigned>(jobs);
 }
 
-/** FNV-1a 64-bit over @p text, folded with @p seed. */
-std::uint64_t
-fnv1a(const std::string &text, std::uint64_t seed = 0)
-{
-    std::uint64_t hash = 14695981039346656037ull ^ seed;
-    for (const char ch : text) {
-        hash ^= static_cast<unsigned char>(ch);
-        hash *= 1099511628211ull;
-    }
-    return hash;
-}
-
 /**
  * The signal last caught by the cooperative handler (0 = none). Global
  * because signal handlers cannot carry state; consumed by the runner
@@ -75,49 +60,6 @@ simRunnerSignalHandler(int signal_number)
         std::_Exit(128 + signal_number);
 }
 
-constexpr char checkpointMagic[] = "vpsim-grid-checkpoint 1";
-
-/**
- * Load a checkpoint file into key -> cell-value-bits. A missing file
- * is a fresh start; a malformed one is ignored with a warning (the
- * sweep recomputes, which is always safe).
- */
-std::unordered_map<std::uint64_t, std::uint64_t>
-loadCheckpoint(const std::string &path)
-{
-    std::unordered_map<std::uint64_t, std::uint64_t> cells;
-    std::ifstream in(path);
-    if (!in)
-        return cells;
-    std::string magic;
-    std::getline(in, magic);
-    if (magic != checkpointMagic) {
-        warn("ignoring malformed checkpoint file " + path);
-        return cells;
-    }
-    std::uint64_t key = 0;
-    std::uint64_t value_bits = 0;
-    while (in >> std::hex >> key >> value_bits)
-        cells[key] = value_bits;
-    return cells;
-}
-
-std::uint64_t
-doubleToBits(double value)
-{
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &value, sizeof(bits));
-    return bits;
-}
-
-double
-bitsToDouble(std::uint64_t bits)
-{
-    double value = 0;
-    std::memcpy(&value, &bits, sizeof(value));
-    return value;
-}
-
 } // namespace
 
 SimRunner::SimRunner(const Options &options_in)
@@ -125,10 +67,8 @@ SimRunner::SimRunner(const Options &options_in)
 {
     io::configureFaultInjection(options.getString("fault-inject"));
     keepGoing = options.getBool("keep-going");
-    checkpointPath = options.getString("checkpoint");
+    resultStoreDir = options.getString("result-store");
     resumeRequested = options.getBool("resume");
-    fatalIf(resumeRequested && checkpointPath.empty(),
-            "--resume requires --checkpoint FILE");
 
     setInvariantLevel(
         invariantLevelFromString(options.getString("check-invariants")));
@@ -142,18 +82,13 @@ SimRunner::SimRunner(const Options &options_in)
     memBudget = static_cast<std::uint64_t>(options.getInt("mem-budget"))
                 << 20;
 
-    // Checkpoint cells are keyed by everything that determines results
-    // (insts, benchmarks, seed, ...) but not by how the run executes
-    // (--jobs, cache dir, fault spec, self-check level): a resumed run
-    // may use different parallelism or verification settings, and a
-    // differently-configured sweep never matches. --salvage-blocks is
-    // in the execution set too: salvage only matters when disk
-    // corruption strikes, so it does not change what a cell computes.
-    configHash = fnv1a(options.fingerprint(
-        {"jobs", "trace-cache-dir", "stats", "keep-going", "checkpoint",
-         "resume", "fault-inject", "check-invariants", "cross-check",
-         "job-timeout", "salvage-blocks", "mem-budget",
-         "cache-gc-days"}));
+    // Stored cells are keyed by what determines results, not by how
+    // the run executes (resultFingerprint), plus the binary's name:
+    // two benches that declare the same options compute different
+    // grids and must never serve each other's cells.
+    runHash = fnv1a(
+        std::filesystem::path(options.program()).filename().string(),
+        fnv1a(resultFingerprint(options)));
 
     const std::string cache_dir = options.getString("trace-cache-dir");
     if (!cache_dir.empty()) {
@@ -345,22 +280,17 @@ SimRunner::run(std::vector<SimJob> batch)
         exitOnSignal(signal_number);
 }
 
-std::uint64_t
-SimRunner::cellKey(std::uint64_t grid, std::size_t row,
-                   std::size_t col) const
-{
-    return fnv1a("g" + std::to_string(grid) + "r" + std::to_string(row) +
-                     "c" + std::to_string(col),
-                 configHash);
-}
-
 std::vector<std::vector<double>>
 SimRunner::runGrid(
     std::size_t rows, std::size_t cols,
     const std::function<double(std::size_t, std::size_t)> &cell,
     const std::function<double(std::size_t, std::size_t)> &reference)
 {
-    const std::uint64_t grid_id = ++gridOrdinal;
+    const std::size_t total = rows * cols;
+    // One store namespace per grid of this run: grid ordinal and shape
+    // folded into the run's identity.
+    const std::uint64_t grid_hash = fnv1aFold(
+        fnv1aFold(fnv1aFold(runHash, ++gridOrdinal), rows), cols);
     // NaN until a job writes the cell: failed (--keep-going) and
     // signal-skipped cells are visibly absent, never silently zero.
     std::vector<std::vector<double>> cells(
@@ -371,57 +301,64 @@ SimRunner::runGrid(
     grid.rows = rows;
     grid.cols = cols;
     grid.cells = &cells;
-    grid.keys.resize(rows * cols);
-    grid.done = std::make_unique<std::atomic<bool>[]>(rows * cols);
-    for (std::size_t idx = 0; idx < rows * cols; ++idx) {
-        grid.keys[idx] = cellKey(grid_id, idx / cols, idx % cols);
+    grid.done = std::make_unique<std::atomic<bool>[]>(total);
+    for (std::size_t idx = 0; idx < total; ++idx)
         grid.done[idx].store(false, std::memory_order_relaxed);
-    }
 
+    std::unique_ptr<ResultStore> store;
     std::size_t resumed = 0;
-    if (resumeRequested) {
-        const auto saved = loadCheckpoint(checkpointPath);
-        for (std::size_t idx = 0; idx < rows * cols; ++idx) {
-            const auto it = saved.find(grid.keys[idx]);
-            if (it == saved.end())
-                continue;
-            cells[idx / cols][idx % cols] = bitsToDouble(it->second);
-            grid.done[idx].store(true, std::memory_order_relaxed);
-            ++resumed;
-        }
-        if (resumed > 0) {
-            std::fprintf(stderr,
-                         "sim: resumed %zu of %zu cells from %s\n",
-                         resumed, rows * cols, checkpointPath.c_str());
+    if (!resultStoreDir.empty()) {
+        store = std::make_unique<ResultStore>(resultStoreDir, grid_hash);
+        fatalIf(!store->status().isOk(), store->status().message());
+        grid.store = store.get();
+        if (resumeRequested) {
+            // Corrupt files are quarantined inside mergeAll; their cells
+            // are simply recomputed. Salvage totals are ignored: the
+            // bench reloads its traces and reports their salvage itself.
+            std::map<std::uint32_t, double> saved;
+            SalvageRegistry::Totals ignored;
+            (void)store->mergeAll(&saved, &ignored);
+            for (const auto &[index, value] : saved) {
+                if (index >= total)
+                    continue;
+                cells[index / cols][index % cols] = value;
+                grid.done[index].store(true, std::memory_order_relaxed);
+                ++resumed;
+            }
+            if (resumed > 0) {
+                std::fprintf(stderr,
+                             "sim: resumed %zu of %zu cells from %s\n",
+                             resumed, total, resultStoreDir.c_str());
+            }
+        } else {
+            // Fresh start: a stale store must not satisfy this grid.
+            (void)store->removeAll();
         }
     }
     resumedCellCount += resumed;
 
     // Deterministic --cross-check sample: the N cells with the
-    // smallest checkpoint keys among those actually being computed.
-    // The keys are a hash of (experiment fingerprint, grid, row, col),
-    // so the sample is effectively random over the grid yet identical
+    // smallest per-cell keys among those actually being computed.
+    // The keys hash (experiment fingerprint, binary, grid, cell), so
+    // the sample is effectively random over the grid yet identical
     // across --jobs values and reruns of the same experiment.
-    std::vector<char> crossChecked(rows * cols, 0);
+    std::vector<char> crossChecked(total, 0);
     if (crossCheckCells > 0 && reference) {
-        std::vector<std::size_t> candidates;
-        for (std::size_t idx = 0; idx < rows * cols; ++idx) {
+        std::vector<std::pair<std::uint64_t, std::size_t>> candidates;
+        for (std::size_t idx = 0; idx < total; ++idx) {
             if (!grid.done[idx].load(std::memory_order_relaxed))
-                candidates.push_back(idx);
+                candidates.emplace_back(fnv1aFold(grid_hash, idx), idx);
         }
-        std::sort(candidates.begin(), candidates.end(),
-                  [&grid](std::size_t a, std::size_t b) {
-                      return grid.keys[a] < grid.keys[b];
-                  });
+        std::sort(candidates.begin(), candidates.end());
         const std::size_t sample = std::min(
             candidates.size(),
             static_cast<std::size_t>(crossCheckCells));
         for (std::size_t i = 0; i < sample; ++i)
-            crossChecked[candidates[i]] = 1;
+            crossChecked[candidates[i].second] = 1;
     }
 
     std::vector<SimJob> batch;
-    batch.reserve(rows * cols - resumed);
+    batch.reserve(total - resumed);
     for (std::size_t row = 0; row < rows; ++row) {
         for (std::size_t col = 0; col < cols; ++col) {
             const std::size_t idx = row * cols + col;
@@ -472,63 +409,48 @@ SimRunner::runGrid(
     activeGrid = &grid;
     run(std::move(batch));
     activeGrid = nullptr;
+    if (grid.store != nullptr)
+        publishGrid(grid);
     return cells;
 }
 
-void
-SimRunner::flushCheckpoint() const
+std::size_t
+SimRunner::publishGrid(const GridState &grid) const
 {
-    // Deliberately bypasses the fault injector: the checkpoint is the
-    // recovery mechanism itself, and injected faults are meant for the
-    // pipeline under test, not for the lifeboat.
-    const std::string temp =
-        checkpointPath + ".tmp." + std::to_string(::getpid());
-    std::FILE *file = std::fopen(temp.c_str(), "w");
-    if (!file) {
-        warn("cannot write checkpoint " + checkpointPath + ": " +
-             std::strerror(errno));
-        return;
-    }
-    std::fprintf(file, "%s\n", checkpointMagic);
-    const GridState &grid = *activeGrid;
-    for (std::size_t idx = 0; idx < grid.rows * grid.cols; ++idx) {
+    // One sparse file over the whole grid: the finished cells only,
+    // with zero salvage totals (a resumed bench reloads its traces and
+    // reports their salvage itself).
+    const std::size_t total = grid.rows * grid.cols;
+    ShardResult result;
+    for (std::size_t idx = 0; idx < total; ++idx) {
         if (!grid.done[idx].load(std::memory_order_acquire))
             continue;
-        const double value =
-            (*grid.cells)[idx / grid.cols][idx % grid.cols];
-        std::fprintf(file, "%016llx %016llx\n",
-                     static_cast<unsigned long long>(grid.keys[idx]),
-                     static_cast<unsigned long long>(
-                         doubleToBits(value)));
+        result.cells.emplace_back(
+            static_cast<std::uint32_t>(idx),
+            (*grid.cells)[idx / grid.cols][idx % grid.cols]);
     }
-    const bool write_ok = std::fflush(file) == 0 && !std::ferror(file);
-    std::fclose(file);
-    if (!write_ok || std::rename(temp.c_str(), checkpointPath.c_str())) {
-        std::remove(temp.c_str());
-        warn("cannot publish checkpoint " + checkpointPath + ": " +
-             std::strerror(errno));
-    }
+    const Status stored = grid.store->store(
+        0, static_cast<std::uint32_t>(total - 1), result);
+    if (!stored.isOk())
+        warn(stored.message());
+    return result.cells.size();
 }
 
 void
 SimRunner::exitOnSignal(int signal_number)
 {
-    if (activeGrid != nullptr && !checkpointPath.empty()) {
-        std::size_t done_cells = 0;
-        const std::size_t total =
-            activeGrid->rows * activeGrid->cols;
-        for (std::size_t idx = 0; idx < total; ++idx)
-            done_cells += activeGrid->done[idx].load() ? 1 : 0;
-        flushCheckpoint();
+    if (activeGrid != nullptr && activeGrid->store != nullptr) {
+        const std::size_t published = publishGrid(*activeGrid);
         std::fprintf(stderr,
                      "sim: interrupted by signal %d; %zu of %zu cells "
-                     "checkpointed to %s (rerun with --resume 1)\n",
-                     signal_number, done_cells, total,
-                     checkpointPath.c_str());
+                     "published to %s (rerun with --resume 1)\n",
+                     signal_number, published,
+                     activeGrid->rows * activeGrid->cols,
+                     resultStoreDir.c_str());
     } else {
         std::fprintf(stderr,
-                     "sim: interrupted by signal %d; no --checkpoint "
-                     "file configured, progress discarded\n",
+                     "sim: interrupted by signal %d; no --result-store "
+                     "configured, progress discarded\n",
                      signal_number);
     }
     std::exit(128 + signal_number);
@@ -714,9 +636,9 @@ SimRunner::reportStats() const
     }
     if (resumedCellCount > 0) {
         std::fprintf(stderr,
-                     "sim: %llu cells served from checkpoint %s\n",
+                     "sim: %llu cells served from result store %s\n",
                      static_cast<unsigned long long>(resumedCellCount),
-                     checkpointPath.c_str());
+                     resultStoreDir.c_str());
     }
     if (crossCheckedCellCount.load() > 0) {
         std::fprintf(stderr,
@@ -759,56 +681,48 @@ SimRunner::reportStats() const
     if (!options.getBool("stats"))
         return;
 
-    // Publish through the stats registry for uniform tooling.
-    Counter jobs_counter, job_micros, wall, captures, capture_time;
-    Counter cache_hits, cache_lookups, failed_jobs, resumed;
-    jobs_counter += jobsRun.load();
-    job_micros += jobMicros.load();
-    wall += wallMicros.load();
-    captures += capturesRun.load();
-    capture_time += captureMicros.load();
-    StatGroup group("sim_runner");
-    group.addCounter("jobs", jobs_counter, "simulation jobs executed");
-    group.addCounter("job_micros", job_micros,
-                     "summed per-job wall clock (us)");
-    group.addCounter("wall_micros", wall,
-                     "end-to-end batch wall clock (us)");
-    group.addCounter("vm_captures", captures,
-                     "workload traces captured by the VM");
-    group.addCounter("vm_capture_micros", capture_time,
-                     "wall clock spent capturing traces (us)");
-    failed_jobs += failure_report.size();
-    group.addCounter("failed_jobs", failed_jobs,
-                     "jobs that threw under --keep-going");
-    resumed += resumedCellCount;
-    group.addCounter("resumed_cells", resumed,
-                     "grid cells reloaded from the checkpoint");
-    Counter cross_checked, timed_out, invariant_checks;
-    cross_checked += crossCheckedCellCount.load();
-    group.addCounter("cross_checked_cells", cross_checked,
-                     "cells re-simulated on the reference model");
-    timed_out += timedOutJobCount.load();
-    group.addCounter("timed_out_jobs", timed_out,
-                     "jobs canceled by the --job-timeout watchdog");
-    invariant_checks += invariantChecksEvaluated();
-    group.addCounter("invariant_checks", invariant_checks,
-                     "self-check invariants evaluated");
+    // One "sim_runner.<name> <value>  # <description>" line each.
+    const auto counter = [](const char *name, std::uint64_t value,
+                            const char *description) {
+        std::fprintf(stderr, "sim_runner.%-32s %14llu  # %s\n", name,
+                     static_cast<unsigned long long>(value), description);
+    };
+    counter("jobs", jobsRun.load(), "simulation jobs executed");
+    counter("job_micros", jobMicros.load(),
+            "summed per-job wall clock (us)");
+    counter("wall_micros", wallMicros.load(),
+            "end-to-end batch wall clock (us)");
+    counter("vm_captures", capturesRun.load(),
+            "workload traces captured by the VM");
+    counter("vm_capture_micros", captureMicros.load(),
+            "wall clock spent capturing traces (us)");
+    counter("failed_jobs", failure_report.size(),
+            "jobs that threw under --keep-going");
+    counter("resumed_cells", resumedCellCount,
+            "grid cells reloaded from the result store");
+    counter("cross_checked_cells", crossCheckedCellCount.load(),
+            "cells re-simulated on the reference model");
+    counter("timed_out_jobs", timedOutJobCount.load(),
+            "jobs canceled by the --job-timeout watchdog");
+    counter("invariant_checks", invariantChecksEvaluated(),
+            "self-check invariants evaluated");
     if (cache) {
-        cache_hits += cache->hits();
-        cache_lookups += cache->hits() + cache->misses();
-        group.addCounter("trace_cache_hits", cache_hits,
-                         "captures served from the on-disk cache");
-        group.addRatio("trace_cache_hit_rate", cache_hits,
-                       cache_lookups, "hits / lookups");
+        counter("trace_cache_hits", cache->hits(),
+                "captures served from the on-disk cache");
     }
-    Counter salvaged_blocks, salvaged_records_lost;
-    salvaged_blocks += salvage.blocksQuarantined;
-    group.addCounter("salvaged_blocks", salvaged_blocks,
-                     "corrupt v3 blocks quarantined by salvage");
-    salvaged_records_lost += salvage.recordsLost;
-    group.addCounter("salvaged_records_lost", salvaged_records_lost,
-                     "trace records lost to quarantined blocks");
-    std::fputs(group.dump().c_str(), stderr);
+    counter("salvaged_blocks", salvage.blocksQuarantined,
+            "corrupt v3 blocks quarantined by salvage");
+    counter("salvaged_records_lost", salvage.recordsLost,
+            "trace records lost to quarantined blocks");
+    if (cache) {
+        const std::uint64_t lookups = cache->hits() + cache->misses();
+        std::fprintf(stderr, "sim_runner.%-32s %14.6f  # %s\n",
+                     "trace_cache_hit_rate",
+                     lookups == 0 ? 0.0
+                                  : static_cast<double>(cache->hits()) /
+                                        static_cast<double>(lookups),
+                     "hits / lookups");
+    }
 }
 
 } // namespace vpsim

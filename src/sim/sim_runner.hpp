@@ -17,19 +17,23 @@
  * binary. Corrupt cache entries are quarantined and recaptured; an
  * unusable cache directory degrades the run to uncached in-memory
  * capture with a one-line warning — faults never change results, only
- * wall clock. Wall-clock and cache hit/miss statistics are published
- * through the stats registry (reportStats()).
+ * wall clock. Wall-clock and cache hit/miss statistics go to stderr
+ * (reportStats()).
  *
  * Failure isolation (long campaigns must survive, not restart):
  *  - `--keep-going`: a throwing job is recorded as a per-job failure
  *    and its cells stay NaN; the batch completes and the failure list
  *    is reported instead of aborting the sweep.
- *  - SIGINT/SIGTERM are handled cooperatively: in-flight jobs drain,
- *    queued jobs are skipped, the grid's finished cells are flushed to
- *    the `--checkpoint` file, and the process exits 128+signal.
- *  - `--resume`: finished cells (keyed by a hash of the experiment
- *    fingerprint + grid + row/col) are reloaded from the checkpoint
- *    file, so an interrupted sweep continues instead of restarting.
+ *  - `--result-store DIR`: each grid publishes its finished cells to a
+ *    ResultStore (sim/result_store.hpp) when it completes. SIGINT and
+ *    SIGTERM are handled cooperatively: in-flight jobs drain, queued
+ *    jobs are skipped, the active grid's finished cells are published,
+ *    and the process exits 128+signal.
+ *  - `--resume 1`: each grid merges its intact store files (corrupt
+ *    ones are quarantined) and computes only the missing cells. A
+ *    grid's store identity hashes the result fingerprint, the binary's
+ *    name, the grid ordinal and its shape, so a resumed run may change
+ *    --jobs or --csv, but never reuses cells of another experiment.
  *  - `--fault-inject`: arms the deterministic fault injector
  *    (common/io.hpp) for soak-testing all of the above.
  *
@@ -73,6 +77,8 @@
 namespace vpsim
 {
 
+class ResultStore;
+
 /**
  * One schedulable simulation point.
  *
@@ -100,7 +106,7 @@ class SimRunner
   public:
     /**
      * @param options Parsed options; reads --jobs, --trace-cache-dir,
-     *        --keep-going, --checkpoint, --resume and --fault-inject
+     *        --keep-going, --result-store, --resume and --fault-inject
      *        (declared by declareRunnerOptions()). The runner keeps a
      *        reference, so @p options must outlive it. Installs
      *        cooperative SIGINT/SIGTERM handlers (restored by the
@@ -127,7 +133,8 @@ class SimRunner
      * by a job is rethrown here after the batch drains; with it, the
      * failure is recorded (failures()) and the batch completes. If a
      * SIGINT/SIGTERM arrived, queued jobs are skipped, the active
-     * grid's checkpoint is flushed, and the process exits 128+signal.
+     * grid's finished cells are published to --result-store, and the
+     * process exits 128+signal.
      */
     void run(std::vector<SimJob> batch);
 
@@ -135,11 +142,12 @@ class SimRunner
      * Declare-and-run a dense rows × cols grid.
      *
      * Cells start as NaN; a job that fails under --keep-going leaves
-     * NaN in its cell. With --resume, cells recorded in the
-     * --checkpoint file are loaded and their jobs never run.
+     * NaN in its cell. With --result-store, the finished cells are
+     * published when the grid completes; with --resume 1, cells already
+     * in the store are loaded and their jobs never run.
      *
      * When the bench supplies @p reference and --cross-check N is
-     * given, a deterministic sample of N cells (chosen by checkpoint
+     * given, a deterministic sample of N cells (chosen by per-cell
      * key, so the sample is stable across --jobs values and reruns) is
      * re-simulated on the golden-reference model after the primary
      * result is computed; any divergence beyond 1e-9 relative error is
@@ -186,7 +194,7 @@ class SimRunner
      */
     std::vector<JobFailure> failures() const EXCLUDES(failuresMutex);
 
-    /** Grid cells served from the checkpoint file by --resume. */
+    /** Grid cells served from the result store by --resume. */
     std::uint64_t resumedCells() const { return resumedCellCount; }
 
     /** Cells re-simulated (and agreeing) on the reference model. */
@@ -205,26 +213,26 @@ class SimRunner
      * Print the runtime's summary to stderr: jobs run, threads, wall
      * and cpu time, trace-cache hits/misses when a cache is
      * configured, and the per-job failure report when --keep-going
-     * recorded any. With --stats, additionally dump the full stats
-     * registry group. stdout is never touched, so tables and --csv
-     * stay byte-identical across --jobs values.
+     * recorded any. With --stats, additionally print every counter as
+     * a `sim_runner.<name>` line. stdout is never touched, so tables
+     * and --csv stay byte-identical across --jobs values.
      */
     void reportStats() const;
 
   private:
-    /** Per-grid checkpoint bookkeeping, alive during runGrid()'s run(). */
+    /** Per-grid resume bookkeeping, alive during runGrid()'s run(). */
     struct GridState
     {
         std::size_t rows = 0;
         std::size_t cols = 0;
-        std::vector<std::uint64_t> keys;
         std::vector<std::vector<double>> *cells = nullptr;
         std::unique_ptr<std::atomic<bool>[]> done;
+        /** This grid's store namespace (null without --result-store). */
+        const ResultStore *store = nullptr;
     };
 
-    std::uint64_t cellKey(std::uint64_t grid, std::size_t row,
-                          std::size_t col) const;
-    void flushCheckpoint() const;
+    /** Publish @p grid's finished cells; returns how many. */
+    std::size_t publishGrid(const GridState &grid) const;
     [[noreturn]] void exitOnSignal(int signal_number);
     void recordFailure(const std::string &label,
                        const std::string &error)
@@ -236,14 +244,16 @@ class SimRunner
     std::unique_ptr<TraceCacheStore> cache;
 
     bool keepGoing = false;
-    std::string checkpointPath;
+    /** --result-store directory (empty = no publishing or resume). */
+    std::string resultStoreDir;
     bool resumeRequested = false;
     /** --cross-check N: reference-model cells per grid (0 = off). */
     std::uint64_t crossCheckCells = 0;
     /** --job-timeout in seconds (0 = watchdog disabled). */
     double jobTimeoutSeconds = 0.0;
-    /** Hash of the experiment-defining options (checkpoint keying). */
-    std::uint64_t configHash = 0;
+    /** Hash of the result fingerprint and the binary's name; each
+     *  grid's store hash folds its ordinal and shape into it. */
+    std::uint64_t runHash = 0;
     std::uint64_t gridOrdinal = 0;
     GridState *activeGrid = nullptr;
     std::uint64_t resumedCellCount = 0;

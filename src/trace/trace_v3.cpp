@@ -215,10 +215,7 @@ void
 SalvageRegistry::addTotals(const Totals &other)
 {
     MutexLock lock(mutex);
-    sums.files += other.files;
-    sums.blocksQuarantined += other.blocksQuarantined;
-    sums.recordsLost += other.recordsLost;
-    sums.bytesSkipped += other.bytesSkipped;
+    sums += other;
 }
 
 SalvageRegistry::Totals

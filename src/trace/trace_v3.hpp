@@ -85,6 +85,15 @@ class SalvageRegistry
         std::uint64_t blocksQuarantined = 0;
         std::uint64_t recordsLost = 0;
         std::uint64_t bytesSkipped = 0;
+
+        Totals &operator+=(const Totals &other)
+        {
+            files += other.files;
+            blocksQuarantined += other.blocksQuarantined;
+            recordsLost += other.recordsLost;
+            bytesSkipped += other.bytesSkipped;
+            return *this;
+        }
     };
 
     /** Fold one damaged file's report in (no-op when report.clean()). */
@@ -94,7 +103,7 @@ class SalvageRegistry
      * Fold another process's totals in. The registry is process-global,
      * so a fleet worker's salvage damage would otherwise vanish with
      * the worker: workers serialize their totals into their shard
-     * result files (src/fleet/result_store.hpp) and the supervisor
+     * result files (src/sim/result_store.hpp) and the supervisor
      * merges them here, making fleet --stats and manifests report the
      * same salvaged_blocks / salvaged_records_lost as a single-process
      * run.

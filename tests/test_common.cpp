@@ -11,13 +11,13 @@
 #include <gtest/gtest.h>
 
 #include "common/crc32.hpp"
+#include "common/fnv1a.hpp"
 #include "common/histogram.hpp"
 #include "common/io.hpp"
 #include "common/options.hpp"
 #include "common/rng.hpp"
 #include "common/status.hpp"
 #include "common/sat_counter.hpp"
-#include "common/stats.hpp"
 #include "common/table_printer.hpp"
 
 namespace vpsim
@@ -228,39 +228,21 @@ TEST(Rng, ChanceIsRoughlyCalibrated)
     EXPECT_LT(hits, 2900);
 }
 
-TEST(Stats, CounterBasics)
+TEST(Fnv1a, MatchesTheStandardTestVectors)
 {
-    Counter counter;
-    ++counter;
-    counter += 4;
-    counter.increment();
-    EXPECT_EQ(counter.value(), 6u);
-    counter.reset();
-    EXPECT_EQ(counter.value(), 0u);
+    // Published FNV-1a 64-bit vectors: the empty string hashes to the
+    // offset basis itself.
+    EXPECT_EQ(fnv1a(""), 0xcbf29ce484222325ull);
+    EXPECT_EQ(fnv1a("a"), 0xaf63dc4c8601ec8cull);
+    EXPECT_EQ(fnv1a("foobar"), 0x85944171f73967e8ull);
 }
 
-TEST(Stats, GroupDumpContainsEntries)
+TEST(Fnv1a, FoldHashesTheLittleEndianBytesOfAnInteger)
 {
-    Counter hits;
-    Counter total;
-    hits += 3;
-    total += 4;
-    StatGroup group("vp");
-    group.addCounter("hits", hits, "correct predictions");
-    group.addRatio("accuracy", hits, total);
-    const std::string dump = group.dump();
-    EXPECT_NE(dump.find("vp.hits"), std::string::npos);
-    EXPECT_NE(dump.find("3"), std::string::npos);
-    EXPECT_NE(dump.find("0.75"), std::string::npos);
-}
-
-TEST(Stats, RatioWithZeroDenominator)
-{
-    Counter n;
-    Counter d;
-    StatGroup group("g");
-    group.addRatio("ratio", n, d);
-    EXPECT_NE(group.dump().find("0.0"), std::string::npos);
+    const std::string bytes("\x34\x12\0\0\0\0\0\0", 8);
+    EXPECT_EQ(fnv1aFold(fnv1aBasis, 0x1234), fnv1a(bytes));
+    EXPECT_EQ(fnv1aFold(fnv1a("x"), 7), fnv1a(std::string("x\x07") +
+                                               std::string(7, '\0')));
 }
 
 TEST(TablePrinterTest, RendersAlignedTable)

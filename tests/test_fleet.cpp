@@ -25,10 +25,10 @@
 
 #include "common/cancellation.hpp"
 #include "common/rng.hpp"
-#include "fleet/result_store.hpp"
 #include "fleet/retry_policy.hpp"
 #include "fleet/shard_planner.hpp"
 #include "fleet/worker_handle.hpp"
+#include "sim/result_store.hpp"
 
 namespace vpsim
 {

@@ -12,6 +12,7 @@
 #include <cmath>
 #include <csignal>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -311,57 +312,202 @@ TEST(SimRunner, ConcurrentFailureSnapshotsStayConsistent)
         << "a snapshot saw more failures than ever existed";
 }
 
-TEST(SimRunner, ResumeWithoutCheckpointDies)
+TEST(SimRunner, ResumeWithoutResultStoreDies)
 {
     // The combination is rejected at parse time (option validators),
     // before a SimRunner is ever constructed.
     EXPECT_DEATH(parsedOptions({"--resume", "1"}),
-                 "--resume 1 requires --checkpoint");
+                 "--resume 1 requires --result-store");
 }
 
-TEST(SimRunner, SigintFlushesACheckpointAndResumeFinishes)
+double
+gridValue(std::size_t row, std::size_t col)
 {
-    const std::string ckpt = "/tmp/vpsim_test_ckpt_" +
-                             std::to_string(::getpid()) + ".txt";
-    std::remove(ckpt.c_str());
+    return static_cast<double>(10 * row + col);
+}
 
+/** A fresh result-store directory, removed on destruction. */
+struct TempStore
+{
+    explicit TempStore(const std::string &name)
+        : dir(std::filesystem::temp_directory_path() /
+              (name + "_" + std::to_string(::getpid())))
+    {
+        std::filesystem::remove_all(dir);
+    }
+    ~TempStore() { std::filesystem::remove_all(dir); }
+
+    /** Files in the store whose name starts with @p prefix. */
+    std::size_t count(const std::string &prefix) const
+    {
+        std::size_t files = 0;
+        for (const auto &entry : std::filesystem::directory_iterator(dir))
+            files += entry.path().filename().string().rfind(prefix, 0) == 0;
+        return files;
+    }
+
+    std::filesystem::path dir;
+};
+
+/** What one runner did: cells computed per grid, cells resumed. */
+struct StoreRun
+{
+    std::vector<int> calls;
+    std::uint64_t resumed = 0;
+};
+
+/**
+ * Run @p grids 2×2 grids of gridValue() + @p offset in a binary named
+ * @p program with @p args plus --result-store @p store; every cell
+ * must come out at its uninterrupted value.
+ */
+StoreRun
+storeRun(const TempStore &store, std::vector<const char *> args,
+         std::size_t grids = 1, const char *program = "bench",
+         double offset = 0.0)
+{
+    const std::string dir = store.dir.string();
+    args.insert(args.end(), {"--result-store", dir.c_str()});
+    args.insert(args.begin(), program);
+    Options options;
+    declareStandardOptions(options, 5000);
+    options.parse(static_cast<int>(args.size()), args.data(), "test");
+    SimRunner runner(options);
+    StoreRun run;
+    for (std::size_t grid = 0; grid < grids; ++grid) {
+        std::atomic<int> calls{0};
+        const auto cells = runner.runGrid(
+            2, 2, [&calls, offset](std::size_t row, std::size_t col) {
+                ++calls;
+                return offset + gridValue(row, col);
+            });
+        for (std::size_t r = 0; r < 2; ++r)
+            for (std::size_t c = 0; c < 2; ++c)
+                EXPECT_EQ(cells[r][c], offset + gridValue(r, c));
+        run.calls.push_back(calls.load());
+    }
+    run.resumed = runner.resumedCells();
+    return run;
+}
+
+TEST(SimRunner, SigintPublishesToTheResultStoreAndResumeFinishes)
+{
     // Interrupted sweep, in a death-test child: with --jobs 1 the grid
     // runs in submission order, so `job:2:sigint` lands after exactly
-    // one finished cell. The runner must drain, flush the checkpoint,
-    // and exit 128+SIGINT.
-    const auto interrupted = [&] {
-        const Options options = parsedOptions(
-            {"--jobs", "1", "--checkpoint", ckpt.c_str(),
-             "--fault-inject", "job:2:sigint"});
-        SimRunner runner(options);
-        runner.runGrid(2, 2, [](std::size_t row, std::size_t col) {
-            return static_cast<double>(10 * row + col);
-        });
-    };
-    EXPECT_EXIT(interrupted(), ::testing::ExitedWithCode(128 + SIGINT),
-                "interrupted by signal 2.*1 of 4 cells checkpointed");
-    ASSERT_TRUE(std::ifstream(ckpt).good())
-        << "the interrupted run must leave a checkpoint behind";
+    // one finished cell. The runner must drain, publish that cell, and
+    // exit 128+SIGINT.
+    const TempStore store("vpsim_store_sigint");
+    EXPECT_EXIT(storeRun(store, {"--jobs", "1", "--fault-inject",
+                                 "job:2:sigint"}),
+                ::testing::ExitedWithCode(128 + SIGINT),
+                "interrupted by signal 2.*1 of 4 cells published");
+    ASSERT_EQ(store.count("shard-"), 1u);
 
-    // Resume: the finished cell is served from the checkpoint (its job
-    // never runs again), the rest compute, and values are identical to
-    // an uninterrupted sweep.
-    const Options options = parsedOptions(
-        {"--jobs", "1", "--checkpoint", ckpt.c_str(), "--resume", "1"});
+    // Resume: the stored cell's job never runs again.
+    const StoreRun resumed = storeRun(store, {"--jobs", "1", "--resume", "1"});
+    EXPECT_EQ(resumed.resumed, 1u);
+    EXPECT_EQ(resumed.calls, std::vector<int>{3});
+}
+
+TEST(SimRunner, BitFlippedStoreFileIsQuarantinedAndRecomputed)
+{
+    const TempStore store("vpsim_store_bitflip");
+    storeRun(store, {});
+    for (const auto &entry : std::filesystem::directory_iterator(store.dir)) {
+        std::fstream file(entry.path(), std::ios::in | std::ios::out |
+                                            std::ios::binary);
+        file.seekg(60);
+        const int byte = file.get();
+        file.seekp(60);
+        file.put(static_cast<char>(byte ^ 0x01));
+    }
+    const StoreRun resumed = storeRun(store, {"--resume", "1"});
+    EXPECT_EQ(resumed.resumed, 0u);
+    EXPECT_EQ(resumed.calls, std::vector<int>{4});
+    EXPECT_EQ(store.count(".corrupt-shard-"), 1u);
+    EXPECT_EQ(store.count("shard-"), 1u) << "the grid republishes intact";
+}
+
+TEST(SimRunner, ResumeServesFinishedGridsWholeAndTheInterruptedOnePartly)
+{
+    // Grid 1 finishes (jobs 1-4); grid 2 is interrupted at job 6,
+    // after one finished cell.
+    const TempStore store("vpsim_store_twogrids");
+    EXPECT_EXIT(storeRun(store, {"--jobs", "1", "--fault-inject",
+                                 "job:6:sigint"},
+                         2),
+                ::testing::ExitedWithCode(128 + SIGINT),
+                "1 of 4 cells published");
+    const StoreRun resumed =
+        storeRun(store, {"--jobs", "1", "--resume", "1"}, 2);
+    EXPECT_EQ(resumed.calls, (std::vector<int>{0, 3}));
+    EXPECT_EQ(resumed.resumed, 5u);
+}
+
+TEST(SimRunner, ResumeReusesCellsAcrossExecutionOptionsOnly)
+{
+    const TempStore store("vpsim_store_identity");
+    const std::string csv = store.dir.string() + ".csv";
+    storeRun(store, {"--insts", "5000"});
+    // --insts defines the experiment: nothing may be reused.
+    EXPECT_EQ(storeRun(store, {"--resume", "1", "--insts", "6000"}).resumed,
+              0u);
+    // --jobs and --csv change how the sweep runs, not what it computes.
+    EXPECT_EQ(storeRun(store, {"--resume", "1", "--insts", "5000",
+                               "--jobs", "3", "--csv", csv.c_str()})
+                  .resumed,
+              4u);
+}
+
+TEST(SimRunner, BinariesSharingAStoreNeverServeEachOthersCells)
+{
+    // The ablations declare identical options; only the binary's file
+    // name (not its directory) tells their grids apart.
+    const TempStore store("vpsim_store_binaries");
+    EXPECT_EQ(storeRun(store, {}, 1, "./ablation_table_size", 100.0).resumed,
+              0u);
+    EXPECT_EQ(storeRun(store, {"--resume", "1"}, 1,
+                       "/bin/ablation_vp_penalty", 200.0)
+                  .resumed,
+              0u);
+    EXPECT_EQ(storeRun(store, {"--resume", "1"}, 1, "ablation_table_size",
+                       100.0)
+                  .resumed,
+              4u);
+    EXPECT_EQ(storeRun(store, {"--resume", "1"}, 1, "ablation_vp_penalty",
+                       200.0)
+                  .resumed,
+              4u);
+}
+
+TEST(Stats, ReportStatsPrintsEveryRunnerCounter)
+{
+    const Options options = parsedOptions({"--jobs", "1", "--stats", "1"});
     SimRunner runner(options);
-    std::atomic<int> cell_calls{0};
-    const auto cells =
-        runner.runGrid(2, 2, [&](std::size_t row, std::size_t col) {
-            ++cell_calls;
-            return static_cast<double>(10 * row + col);
-        });
-    EXPECT_EQ(runner.resumedCells(), 1u);
-    EXPECT_EQ(cell_calls.load(), 3)
-        << "resume must not recompute the checkpointed cell";
-    for (std::size_t r = 0; r < 2; ++r)
-        for (std::size_t c = 0; c < 2; ++c)
-            EXPECT_EQ(cells[r][c], static_cast<double>(10 * r + c));
-    std::remove(ckpt.c_str());
+    runner.runGrid(1, 3, gridValue);
+    ::testing::internal::CaptureStderr();
+    runner.reportStats();
+    const std::string err = ::testing::internal::GetCapturedStderr();
+
+    // "group.name" padded to 32, value right-aligned in 14, comment.
+    char jobs_line[128];
+    std::snprintf(jobs_line, sizeof(jobs_line),
+                  "sim_runner.%-32s %14d  # %s\n", "jobs", 3,
+                  "simulation jobs executed");
+    EXPECT_NE(err.find(jobs_line), std::string::npos) << err;
+    for (const char *name :
+         {"job_micros", "wall_micros", "vm_captures", "vm_capture_micros",
+          "failed_jobs", "resumed_cells", "cross_checked_cells",
+          "timed_out_jobs", "invariant_checks", "salvaged_blocks",
+          "salvaged_records_lost"}) {
+        EXPECT_NE(err.find("sim_runner." + std::string(name) + " "),
+                  std::string::npos)
+            << name;
+    }
+    EXPECT_NE(err.find("# grid cells reloaded from the result store"),
+              std::string::npos);
+    EXPECT_EQ(err.find("trace_cache_hit"), std::string::npos)
+        << "cache counters appear only with --trace-cache-dir";
 }
 
 } // namespace

@@ -392,10 +392,10 @@ TEST(Watchdog, HeartbeatIsANoOpOutsideJobs)
 // Parse-time option-combination validation
 // ---------------------------------------------------------------------
 
-TEST(OptionValidation, ResumeRequiresCheckpoint)
+TEST(OptionValidation, ResumeRequiresResultStore)
 {
     EXPECT_DEATH(parsedOptions({"--resume", "1"}),
-                 "--resume 1 requires --checkpoint");
+                 "--resume 1 requires --result-store");
 }
 
 TEST(OptionValidation, ExplicitNonPositiveJobTimeoutRejected)
