@@ -3,7 +3,7 @@
  * Component micro-benchmarks (google-benchmark): raw throughput of the
  * predictors, the branch predictor, the trace interpreter, the DID
  * collector, both machine models, and the experiment runtime (thread
- * pool scheduling overhead, trace-cache round trips). These guard
+ * pool scheduling overhead, trace-cache round trips, CRC-32). These guard
  * against performance regressions that would make the figure sweeps
  * impractically slow.
  */
@@ -15,6 +15,7 @@
 
 #include "analysis/did.hpp"
 #include "bpred/two_level.hpp"
+#include "common/crc32.hpp"
 #include "common/thread_pool.hpp"
 #include "core/ideal_machine.hpp"
 #include "core/pipeline_machine.hpp"
@@ -193,14 +194,19 @@ BM_ThreadPoolSubmitWait(benchmark::State &state)
 void
 BM_TraceCacheRoundTrip(benchmark::State &state)
 {
+    // 1M records: 16 default-size blocks, the shape of a figure bench's
+    // cache entry, so per-block costs in the whole-file load show up.
+    constexpr std::uint64_t insts = 1000000;
+    static const std::vector<TraceRecord> trace =
+        captureWorkloadTrace("m88ksim", insts);
     const auto dir = std::filesystem::temp_directory_path() /
         "vpsim-microbench-cache";
     std::filesystem::remove_all(dir);
     TraceCacheStore cache(dir.string());
     TraceCacheKey key;
     key.workload = "m88ksim";
-    key.insts = 100000;
-    const Status stored = cache.store(key, sharedTrace());
+    key.insts = insts;
+    const Status stored = cache.store(key, trace);
     if (!stored.isOk())
         state.SkipWithError(stored.message().c_str());
     for (auto _ : state) {
@@ -210,13 +216,28 @@ BM_TraceCacheRoundTrip(benchmark::State &state)
         benchmark::DoNotOptimize(hit);
         benchmark::DoNotOptimize(loaded.size());
     }
-    state.SetItemsProcessed(static_cast<std::int64_t>(
-        state.iterations() * sharedTrace().size()));
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(state.iterations() * trace.size()));
     std::filesystem::remove_all(dir);
+}
+
+void
+BM_Crc32(benchmark::State &state)
+{
+    // One default-size block's worth of encoded payload (~11 B/record).
+    std::vector<unsigned char> bytes(static_cast<std::size_t>(
+        state.range(0)));
+    for (std::size_t i = 0; i < bytes.size(); ++i)
+        bytes[i] = static_cast<unsigned char>(i * 131 + 7);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(crc32(bytes.data(), bytes.size()));
+    state.SetBytesProcessed(static_cast<std::int64_t>(
+        state.iterations() * bytes.size()));
 }
 
 BENCHMARK(BM_ThreadPoolSubmitWait)->Arg(1)->Arg(4);
 BENCHMARK(BM_TraceCacheRoundTrip);
+BENCHMARK(BM_Crc32)->Arg(740 * 1024);
 BENCHMARK(BM_LastValuePredictor);
 BENCHMARK(BM_StridePredictor);
 BENCHMARK(BM_StridePredictorFused);

@@ -191,44 +191,49 @@ class TraceSoa
         takens.clear();
     }
 
+    /**
+     * Resize every column to @p n elements. Blocks are written by index
+     * with set(), so a store reused for equal-sized blocks never
+     * reallocates or re-initializes.
+     */
     void
-    reserve(std::size_t n)
+    resize(std::size_t n)
     {
-        seqs.reserve(n);
-        pcs.reserve(n);
-        nextPcs.reserve(n);
-        memAddrs.reserve(n);
-        results.reserve(n);
-        ops.reserve(n);
-        rds.reserve(n);
-        rs1s.reserve(n);
-        rs2s.reserve(n);
-        takens.reserve(n);
+        seqs.resize(n);
+        pcs.resize(n);
+        nextPcs.resize(n);
+        memAddrs.resize(n);
+        results.resize(n);
+        ops.resize(n);
+        rds.resize(n);
+        rs1s.resize(n);
+        rs2s.resize(n);
+        takens.resize(n);
     }
 
+    /** Scatter @p r into element @p index (< size()). */
     void
-    push_back(const TraceRecord &r)
+    set(std::size_t index, const TraceRecord &r)
     {
-        seqs.push_back(r.seq);
-        pcs.push_back(r.pc);
-        nextPcs.push_back(r.nextPc);
-        memAddrs.push_back(r.memAddr);
-        results.push_back(r.result);
-        ops.push_back(r.op);
-        rds.push_back(r.rd);
-        rs1s.push_back(r.rs1);
-        rs2s.push_back(r.rs2);
-        takens.push_back(r.taken ? 1 : 0);
+        seqs[index] = r.seq;
+        pcs[index] = r.pc;
+        nextPcs[index] = r.nextPc;
+        memAddrs[index] = r.memAddr;
+        results[index] = r.result;
+        ops[index] = r.op;
+        rds[index] = r.rd;
+        rs1s[index] = r.rs1;
+        rs2s[index] = r.rs2;
+        takens[index] = r.taken ? 1 : 0;
     }
 
     /** Replace the contents with a transpose of @p records. */
     void
     assign(TraceSpan records)
     {
-        clear();
-        reserve(records.size());
-        for (const TraceRecord &r : records)
-            push_back(r);
+        resize(records.size());
+        for (std::size_t i = 0; i < records.size(); ++i)
+            set(i, records[i]);
     }
 
     /** Borrowed columnar view of the whole store. */

@@ -81,10 +81,9 @@ StreamingTraceSource::nextBlock(TraceSpan &out, std::size_t max_records)
         // Spans need contiguous TraceRecords: gather the AoS mirror
         // once per block, only on the span path.
         const TraceColumns cols = block.columns();
-        aos.clear();
-        aos.reserve(cols.size());
+        aos.resize(cols.size());
         for (std::size_t i = 0; i < cols.size(); ++i)
-            aos.push_back(cols.record(i));
+            aos[i] = cols.record(i);
         aosBuilt = true;
     }
     const std::size_t start = take(max_records);

@@ -24,6 +24,9 @@ constexpr char trailerMagic[4] = {'V', 'P', 'E', '3'};
 /** Upper bound on one record's encoded size (4 deltas + result + 4). */
 constexpr std::size_t maxEncodedRecordBytes = 5 * maxVarintBytes + 4;
 
+/** Lower bound on one record's encoded size (5 one-byte varints + 4). */
+constexpr std::size_t minEncodedRecordBytes = 5 + 4;
+
 /** Cap on records-per-block so a corrupt header can't balloon memory. */
 constexpr std::uint32_t maxRecordsPerBlock = 1u << 22;
 
@@ -116,70 +119,85 @@ encodeBlockPayload(std::vector<unsigned char> &out, TraceSpan records)
 }
 
 /**
- * Decode one block payload of @p count records into @p out (replaced).
- * All deltas reset at the block boundary, so this needs nothing from
- * neighbouring blocks. False on any malformed encoding.
+ * Decode one record from @p p into @p r, which holds the previous
+ * record of the block (deltas are against it) unless @p first.
+ *
+ * @tparam Checked When false, @p end is not consulted: the caller
+ *         guarantees maxEncodedRecordBytes readable bytes at @p p.
+ * @return false on a malformed varint, a truncated record or an
+ *         out-of-range opcode.
  */
+template <bool Checked>
+bool
+decodeRecord(const unsigned char *&p, const unsigned char *end,
+             bool first, TraceRecord *r)
+{
+    std::uint64_t seq = 0;
+    std::uint64_t pc = 0;
+    std::uint64_t next_pc = 0;
+    std::uint64_t mem = 0;
+    std::uint64_t result = 0;
+    if (!getVarint<Checked>(p, end, &seq) ||
+        !getVarint<Checked>(p, end, &pc) ||
+        !getVarint<Checked>(p, end, &next_pc) ||
+        !getVarint<Checked>(p, end, &mem) ||
+        !getVarint<Checked>(p, end, &result)) {
+        return false;
+    }
+    if (Checked && end - p < 4)
+        return false;
+    const unsigned char op_byte = p[0] & 0x7fu;
+    if (op_byte >= static_cast<unsigned char>(OpCode::NumOpCodes))
+        return false;
+    if (first) {
+        r->seq = seq;
+        r->pc = pc;
+        r->memAddr = mem;
+    } else {
+        r->seq += 1 + static_cast<std::uint64_t>(zigzagDecode(seq));
+        r->pc += static_cast<std::uint64_t>(zigzagDecode(pc));
+        r->memAddr += static_cast<std::uint64_t>(zigzagDecode(mem));
+    }
+    r->nextPc =
+        r->pc + instBytes + static_cast<std::uint64_t>(zigzagDecode(next_pc));
+    r->result = result;
+    r->op = static_cast<OpCode>(op_byte);
+    r->taken = (p[0] & 0x80u) != 0;
+    r->rd = p[1];
+    r->rs1 = p[2];
+    r->rs2 = p[3];
+    p += 4;
+    return true;
+}
+
+/**
+ * Decode one block payload of @p count records, handing record i to
+ * @p put(i, record). All deltas reset at the block boundary, so this
+ * needs nothing from neighbouring blocks. False on any malformed
+ * encoding.
+ */
+template <typename Put>
 bool
 decodeBlockPayload(const unsigned char *payload, std::size_t size,
-                   std::uint32_t count, TraceSoa *out)
+                   std::uint32_t count, Put put)
 {
-    out->clear();
-    out->reserve(count);
     const unsigned char *p = payload;
-    const unsigned char *end = payload + size;
-    SeqNum prev_seq = 0;
-    Addr prev_pc = 0;
-    Addr prev_mem = 0;
-    for (std::uint32_t i = 0; i < count; ++i) {
-        TraceRecord r;
-        std::uint64_t raw = 0;
-        std::int64_t delta = 0;
-        if (i == 0) {
-            if (!getVarint(p, end, &raw))
-                return false;
-            r.seq = raw;
-            if (!getVarint(p, end, &raw))
-                return false;
-            r.pc = raw;
-        } else {
-            if (!getSignedVarint(p, end, &delta))
-                return false;
-            r.seq = prev_seq + 1 + static_cast<std::uint64_t>(delta);
-            if (!getSignedVarint(p, end, &delta))
-                return false;
-            r.pc = prev_pc + static_cast<std::uint64_t>(delta);
-        }
-        if (!getSignedVarint(p, end, &delta))
+    const unsigned char *const end = payload + size;
+    TraceRecord r;
+    std::uint32_t i = 0;
+    // While a worst-case record still fits, check bounds once per
+    // record; the tail goes through the per-byte checked varints.
+    for (; i < count &&
+           static_cast<std::size_t>(end - p) >= maxEncodedRecordBytes;
+         ++i) {
+        if (!decodeRecord<false>(p, end, i == 0, &r))
             return false;
-        r.nextPc = r.pc + instBytes + static_cast<std::uint64_t>(delta);
-        if (i == 0) {
-            if (!getVarint(p, end, &raw))
-                return false;
-            r.memAddr = raw;
-        } else {
-            if (!getSignedVarint(p, end, &delta))
-                return false;
-            r.memAddr = prev_mem + static_cast<std::uint64_t>(delta);
-        }
-        if (!getVarint(p, end, &raw))
+        put(i, r);
+    }
+    for (; i < count; ++i) {
+        if (!decodeRecord<true>(p, end, i == 0, &r))
             return false;
-        r.result = raw;
-        if (end - p < 4)
-            return false;
-        const unsigned char op_taken = *p++;
-        const unsigned char op_byte = op_taken & 0x7fu;
-        if (op_byte >= static_cast<unsigned char>(OpCode::NumOpCodes))
-            return false;
-        r.op = static_cast<OpCode>(op_byte);
-        r.taken = (op_taken & 0x80u) != 0;
-        r.rd = *p++;
-        r.rs1 = *p++;
-        r.rs2 = *p++;
-        out->push_back(r);
-        prev_seq = r.seq;
-        prev_pc = r.pc;
-        prev_mem = r.memAddr;
+        put(i, r);
     }
     // A valid block's payload is consumed exactly; slack means the
     // declared count or the payload length lied.
@@ -256,6 +274,7 @@ TraceV3Writer::open(const std::string &path,
     totalRecords = 0;
     totalBlocks = 0;
     pending.clear();
+    scratch.reserve(std::size_t{recordsPerBlock} * maxEncodedRecordBytes);
 
     unsigned char header[v3HeaderBytes] = {};
     std::memcpy(header, v3Magic, 4);
@@ -285,23 +304,39 @@ TraceV3Writer::append(TraceSpan records)
                                  ": " + std::strerror(err) +
                                  " (injected)");
     }
-    pending.insert(pending.end(), records.begin(), records.end());
-    while (pending.size() >= recordsPerBlock) {
-        if (Status put = flushBlock(); !put.isOk())
-            return put;
+    const std::size_t appended = records.size();
+    if (!pending.empty()) {
+        // Top up the buffered tail first; write it once it is a block.
+        const TraceSpan head =
+            records.first(recordsPerBlock - pending.size());
+        pending.insert(pending.end(), head.begin(), head.end());
+        records = records.subspan(head.size());
+        if (pending.size() == recordsPerBlock) {
+            if (Status put = flushBlock(TraceSpan(pending)); !put.isOk())
+                return put;
+            pending.clear();
+        }
     }
-    totalRecords += records.size();
+    for (; records.size() >= recordsPerBlock;
+         records = records.subspan(recordsPerBlock)) {
+        if (Status put = flushBlock(records.first(recordsPerBlock));
+            !put.isOk()) {
+            return put;
+        }
+    }
+    pending.insert(pending.end(), records.begin(), records.end());
+    totalRecords += appended;
     return Status::ok();
 }
 
+/** Encode and write @p block (1..recordsPerBlock records) as one block. */
 Status
-TraceV3Writer::flushBlock()
+TraceV3Writer::flushBlock(TraceSpan block)
 {
-    const std::size_t count = std::min<std::size_t>(pending.size(),
-                                                    recordsPerBlock);
-    panicIf(count == 0, "flushBlock with no pending records");
+    const std::size_t count = block.size();
+    panicIf(count == 0, "flushBlock with no records");
     scratch.clear();
-    encodeBlockPayload(scratch, TraceSpan(pending.data(), count));
+    encodeBlockPayload(scratch, block);
 
     unsigned char frame_header[v3BlockFrameBytes];
     std::memcpy(frame_header, blockMagic, 4);
@@ -326,8 +361,6 @@ TraceV3Writer::flushBlock()
     if (Status put = file.writeAll(footer, sizeof(footer)); !put.isOk())
         return Status::error(put.code(),
                              "trace block footer: " + put.message());
-    pending.erase(pending.begin(),
-                  pending.begin() + static_cast<std::ptrdiff_t>(count));
     ++totalBlocks;
     return Status::ok();
 }
@@ -336,9 +369,10 @@ Status
 TraceV3Writer::finish()
 {
     panicIf(!isOpen(), "finish on closed TraceV3Writer");
-    while (!pending.empty()) {
-        if (Status put = flushBlock(); !put.isOk())
+    if (!pending.empty()) {
+        if (Status put = flushBlock(TraceSpan(pending)); !put.isOk())
             return put;
+        pending.clear();
     }
     unsigned char trailer[v3TrailerBytes];
     std::memcpy(trailer, trailerMagic, 4);
@@ -378,6 +412,7 @@ TraceV3Reader::open(const std::string &path, const Options &options)
     done = false;
     cursor = 0;
     declaredRecords = 0;
+    hint = 0;
     report = BlockSalvageReport();
 
     if (opts.preferMapped) {
@@ -413,6 +448,20 @@ TraceV3Reader::open(const std::string &path, const Options &options)
     if (blockRecords == 0 || blockRecords > maxRecordsPerBlock) {
         return corrupt("bad records-per-block " +
                        std::to_string(blockRecords) + " in " + filePath);
+    }
+    // A mapped file's trailer is in reach before any block is read.
+    // Its count is only a size hint, capped by what the file's bytes
+    // can hold so a lying trailer cannot balloon memory; it is
+    // validated against the decoded blocks at the end as usual.
+    if (mapped.isMapped() &&
+        mapped.size() >= v3HeaderBytes + v3TrailerBytes) {
+        const unsigned char *t =
+            mapped.data() + mapped.size() - v3TrailerBytes;
+        if (std::memcmp(t, trailerMagic, 4) == 0 &&
+            unpackU32(t + 20) == crc32(t, 20)) {
+            hint = std::min<std::uint64_t>(
+                unpackU64(t + 4), mapped.size() / minEncodedRecordBytes);
+        }
     }
     opened = true;
     return Status::ok();
@@ -532,11 +581,8 @@ TraceV3Reader::handleCorrupt(const Status &why,
 }
 
 Status
-TraceV3Reader::nextBlock(TraceSoa *out, Block *outcome)
+TraceV3Reader::nextPayload(Payload *out, Block *outcome)
 {
-    panicIf(!opened, "nextBlock on closed TraceV3Reader");
-    panicIf(out == nullptr || outcome == nullptr,
-            "nextBlock needs output parameters");
     if (done) {
         *outcome = Block::kEnd;
         return Status::ok();
@@ -662,7 +708,7 @@ TraceV3Reader::nextBlock(TraceSoa *out, Block *outcome)
         const std::uint32_t payload_bytes = unpackU32(frame_header + 8);
         const bool sane =
             count >= 1 && count <= blockRecords &&
-            payload_bytes >= count * 9 &&
+            payload_bytes >= count * minEncodedRecordBytes &&
             payload_bytes <= static_cast<std::uint64_t>(count) *
                                  maxEncodedRecordBytes;
         if (!sane) {
@@ -726,22 +772,84 @@ TraceV3Reader::nextBlock(TraceSoa *out, Block *outcome)
             continue;
         }
 
-        if (!decodeBlockPayload(payload, payload_bytes, count, out)) {
+        out->data = payload;
+        out->bytes = payload_bytes;
+        out->count = count;
+        *outcome = Block::kDelivered;
+        return Status::ok();
+    }
+}
+
+/**
+ * Frame, check and decode the next intact block through @p decode
+ * (payload -> bool). A payload that fails to decode is one more
+ * damaged block: strict mode fails the file, salvage mode moves on.
+ */
+template <typename Decode>
+Status
+TraceV3Reader::readBlock(Decode decode, Block *outcome)
+{
+    panicIf(!opened, "block read on closed TraceV3Reader");
+    panicIf(outcome == nullptr, "block read needs an outcome parameter");
+    for (;;) {
+        Payload payload;
+        if (Status got = nextPayload(&payload, outcome);
+            !got.isOk() || *outcome == Block::kEnd) {
+            return got;
+        }
+        if (!decode(payload)) {
             if (Status handled = handleCorrupt(
                     corrupt("corrupt record encoding in block " +
                             std::to_string(report.blocksDelivered) +
                             " of " + filePath),
-                    count);
+                    payload.count);
                 !handled.isOk()) {
                 return handled;
             }
             continue;
         }
         report.blocksDelivered += 1;
-        report.recordsDelivered += count;
-        *outcome = Block::kDelivered;
+        report.recordsDelivered += payload.count;
         return Status::ok();
     }
+}
+
+Status
+TraceV3Reader::nextBlock(TraceSoa *out, Block *outcome)
+{
+    panicIf(out == nullptr, "nextBlock needs an output block");
+    return readBlock(
+        [out](const Payload &block) {
+            out->resize(block.count);
+            return decodeBlockPayload(
+                block.data, block.bytes, block.count,
+                [out](std::uint32_t i, const TraceRecord &r) {
+                    out->set(i, r);
+                });
+        },
+        outcome);
+}
+
+Status
+TraceV3Reader::appendBlock(std::vector<TraceRecord> *out, Block *outcome)
+{
+    panicIf(out == nullptr, "appendBlock needs an output vector");
+    return readBlock(
+        [out](const Payload &block) {
+            const std::size_t base = out->size();
+            out->resize(base + block.count);
+            TraceRecord *const dest = out->data() + base;
+            if (decodeBlockPayload(
+                    block.data, block.bytes, block.count,
+                    [dest](std::uint32_t i, const TraceRecord &r) {
+                        dest[i] = r;
+                    })) {
+                return true;
+            }
+            out->resize(base);
+            return false;
+        },
+        outcome);
 }
 
 void
@@ -788,19 +896,13 @@ readTraceV3(const std::string &path, std::vector<TraceRecord> *out,
     options.preferMapped = true;
     if (Status opened = reader.open(path, options); !opened.isOk())
         return opened;
-    TraceSoa block;
+    out->reserve(reader.recordsHint());
     for (;;) {
         TraceV3Reader::Block outcome = TraceV3Reader::Block::kEnd;
-        if (Status got = reader.nextBlock(&block, &outcome);
-            !got.isOk()) {
+        if (Status got = reader.appendBlock(out, &outcome); !got.isOk())
             return got;
-        }
         if (outcome == TraceV3Reader::Block::kEnd)
             break;
-        const TraceColumns cols = block.columns();
-        out->reserve(out->size() + cols.size());
-        for (std::size_t i = 0; i < cols.size(); ++i)
-            out->push_back(cols.record(i));
     }
     if (report_out)
         *report_out = reader.salvageReport();

@@ -127,8 +127,9 @@ SalvageRegistry &salvageRegistry();
 /**
  * Streaming, append-only v3 trace writer.
  *
- * append() buffers records and flushes every full block; finish()
- * flushes the partial tail block, the trailer, and fsyncs, so a
+ * append() encodes every full block straight from the caller's span
+ * and buffers only the partial tail (less than one block); finish()
+ * flushes that tail block, the trailer, and fsyncs, so a
  * successful finish() means the bytes survive a crash. The writer never
  * seeks — publishing atomically is the caller's job (write to a
  * temporary name, then io::renameFile; see TraceCacheStore).
@@ -148,7 +149,7 @@ class TraceV3Writer
                               std::uint32_t records_per_block =
                                   defaultRecordsPerBlock);
 
-    /** Buffer @p records, flushing every completed block. */
+    /** Write every block @p records completes; buffer the rest. */
     [[nodiscard]] Status append(TraceSpan records);
 
     /** Flush the tail block + trailer, then fsync. Closes the file. */
@@ -163,10 +164,10 @@ class TraceV3Writer
     void close();
 
   private:
-    [[nodiscard]] Status flushBlock();
+    [[nodiscard]] Status flushBlock(TraceSpan block);
 
     io::File file;
-    std::vector<TraceRecord> pending;
+    std::vector<TraceRecord> pending; ///< The partial tail block.
     std::vector<unsigned char> scratch;
     std::uint32_t recordsPerBlock = defaultRecordsPerBlock;
     std::uint64_t totalRecords = 0;
@@ -190,6 +191,9 @@ class TraceV3Writer
  * for arbitrarily large traces). Block CRC checks consult the fault
  * injector's "block" counter (`block:N:block-crc` forces a mismatch),
  * and the mapped backend honors open/mmap/read faults via MappedFile.
+ * The framing and CRC loop is also shared by the two destinations:
+ * nextBlock() decodes a block into a TraceSoa, appendBlock() straight
+ * onto a record vector, through one decoder.
  */
 class TraceV3Reader
 {
@@ -222,6 +226,24 @@ class TraceV3Reader
      */
     [[nodiscard]] Status nextBlock(TraceSoa *out, Block *outcome);
 
+    /**
+     * Decode the next block onto the end of @p out, with nextBlock()'s
+     * status contract. A block that fails to decode leaves @p out as it
+     * was.
+     */
+    [[nodiscard]] Status appendBlock(std::vector<TraceRecord> *out,
+                                     Block *outcome);
+
+    /**
+     * Records a whole read is expected to deliver, for reserving its
+     * destination once (valid after open()): a mapped file's trailer
+     * count when the trailer's magic and CRC are intact, capped at
+     * fileBytes / 9 since no record encodes in fewer than 9 bytes;
+     * 0 when there is no intact trailer or the file is read buffered.
+     * Only a hint: the trailer is still checked against the blocks.
+     */
+    std::uint64_t recordsHint() const { return hint; }
+
     /** Damage tally so far (all-zero in strict mode). */
     const BlockSalvageReport &salvageReport() const { return report; }
 
@@ -237,6 +259,17 @@ class TraceV3Reader
     void close();
 
   private:
+    /** A block whose framing and CRC checked out, not yet decoded. */
+    struct Payload
+    {
+        const unsigned char *data = nullptr;
+        std::uint32_t bytes = 0;
+        std::uint32_t count = 0;
+    };
+
+    [[nodiscard]] Status nextPayload(Payload *out, Block *outcome);
+    template <typename Decode>
+    [[nodiscard]] Status readBlock(Decode decode, Block *outcome);
     [[nodiscard]] Status readFrame(std::size_t size, bool *at_end);
     [[nodiscard]] Status resync();
     [[nodiscard]] Status handleCorrupt(const Status &why,
@@ -256,6 +289,7 @@ class TraceV3Reader
 
     std::uint32_t blockRecords = 0;
     std::uint64_t declaredRecords = 0;
+    std::uint64_t hint = 0;
     BlockSalvageReport report;
 };
 

@@ -378,6 +378,60 @@ TEST(Crc32Test, IncrementalEqualsOneShot)
               crc32(data.data(), data.size() - 1));
 }
 
+/** The textbook bit-at-a-time CRC-32, independent of the tables. */
+std::uint32_t
+referenceCrc32(const unsigned char *data, std::size_t size)
+{
+    std::uint32_t crc = 0xffffffffu;
+    for (std::size_t i = 0; i < size; ++i) {
+        crc ^= data[i];
+        for (int bit = 0; bit < 8; ++bit)
+            crc = (crc >> 1) ^ ((crc & 1u) ? 0xedb88320u : 0u);
+    }
+    return crc ^ 0xffffffffu;
+}
+
+/** @p size pseudo-random bytes (fixed seed, so failures reproduce). */
+std::vector<unsigned char>
+noiseBytes(std::size_t size)
+{
+    std::vector<unsigned char> bytes(size);
+    std::uint32_t x = 0x12345678u;
+    for (unsigned char &b : bytes) {
+        x = x * 1664525u + 1013904223u;
+        b = static_cast<unsigned char>(x >> 24);
+    }
+    return bytes;
+}
+
+TEST(Crc32Test, MatchesTheBitwiseReferenceAtEveryLengthAndAlignment)
+{
+    // Lengths 0-257 from every start offset 0-7 cover: the all-tail
+    // path, every tail length after whole 8-byte steps, and 8-byte
+    // steps at every misalignment.
+    const std::vector<unsigned char> bytes = noiseBytes(8 + 257);
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+        for (std::size_t length = 0; length <= 257; ++length) {
+            ASSERT_EQ(crc32(bytes.data() + offset, length),
+                      referenceCrc32(bytes.data() + offset, length))
+                << "offset " << offset << ", length " << length;
+        }
+    }
+}
+
+TEST(Crc32Test, SplitUpdatesEqualOneShotAtEverySplitPoint)
+{
+    const std::vector<unsigned char> bytes = noiseBytes(300);
+    const std::uint32_t whole = crc32(bytes.data(), bytes.size());
+    EXPECT_EQ(whole, referenceCrc32(bytes.data(), bytes.size()));
+    for (std::size_t split = 0; split <= bytes.size(); ++split) {
+        Crc32 incremental;
+        incremental.update(bytes.data(), split);
+        incremental.update(bytes.data() + split, bytes.size() - split);
+        ASSERT_EQ(incremental.value(), whole) << "split at " << split;
+    }
+}
+
 /** Restores a clean (inactive) global fault injector on scope exit. */
 struct InjectorGuard
 {

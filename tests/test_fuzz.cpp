@@ -16,9 +16,11 @@
 
 #include "analysis/did.hpp"
 #include "analysis/predictability.hpp"
+#include "common/crc32.hpp"
 #include "common/rng.hpp"
 #include "core/ideal_machine.hpp"
 #include "core/pipeline_machine.hpp"
+#include "trace/streaming_source.hpp"
 #include "trace/trace_v3.hpp"
 #include "vm/interpreter.hpp"
 #include "vm/program_builder.hpp"
@@ -472,6 +474,79 @@ TEST_P(FuzzSweep, CorruptTraceFilesNeverCrashTheReader)
     rewrite(pristine);
     EXPECT_TRUE(readTraceV3(path, &out).isOk());
     EXPECT_EQ(out.size(), trace.size());
+    std::remove(path.c_str());
+}
+
+TEST_P(FuzzSweep, ResealedPayloadDamageNeverCrashesTheDecoder)
+{
+    // Payload damage under a recomputed frame CRC reaches the record
+    // decoder itself, in its per-record-checked bulk and its per-byte
+    // checked tail alike. Any answer is fine except a crash or an
+    // out-of-bounds read (run under the sanitizers): a strict read
+    // either decodes every record or fails kCorrupt, and salvage and
+    // streaming reads never fail.
+    const auto trace = fuzzTrace(GetParam());
+    const std::string path = "/tmp/vpsim_fuzz_resealed_" +
+                             std::to_string(GetParam()) + ".vptrace";
+    ASSERT_TRUE(writeTraceV3(path, trace, 64).isOk());
+    std::vector<unsigned char> pristine;
+    {
+        std::FILE *file = std::fopen(path.c_str(), "rb");
+        ASSERT_NE(file, nullptr);
+        std::fseek(file, 0, SEEK_END);
+        pristine.resize(static_cast<std::size_t>(std::ftell(file)));
+        std::fseek(file, 0, SEEK_SET);
+        ASSERT_EQ(std::fread(pristine.data(), 1, pristine.size(), file),
+                  pristine.size());
+        std::fclose(file);
+    }
+    const auto blocks = walkV3Blocks(pristine);
+    ASSERT_FALSE(blocks.empty());
+
+    Rng rng(GetParam() * 104729 + 3);
+    std::vector<TraceRecord> out;
+    for (int trial = 0; trial < 40; ++trial) {
+        auto mutated = pristine;
+        const V3BlockInfo &block =
+            blocks[rng.nextBelow(blocks.size())];
+        const std::size_t payload = block.offset + v3BlockFrameBytes;
+        const auto flips = 1 + rng.nextBelow(3);
+        for (std::uint64_t f = 0; f < flips; ++f) {
+            mutated[payload + rng.nextBelow(block.payloadBytes)] ^=
+                static_cast<unsigned char>(1 + rng.nextBelow(255));
+        }
+        const std::uint32_t crc = crc32(
+            mutated.data() + block.offset,
+            v3BlockFrameBytes + block.payloadBytes);
+        for (int i = 0; i < 4; ++i) {
+            mutated[payload + block.payloadBytes + i] =
+                static_cast<unsigned char>(crc >> (8 * i));
+        }
+        std::FILE *file = std::fopen(path.c_str(), "wb");
+        ASSERT_NE(file, nullptr);
+        ASSERT_EQ(std::fwrite(mutated.data(), 1, mutated.size(), file),
+                  mutated.size());
+        std::fclose(file);
+
+        const Status strict = readTraceV3(path, &out);
+        if (strict.isOk())
+            EXPECT_EQ(out.size(), trace.size());
+        else
+            EXPECT_EQ(strict.code(), StatusCode::kCorrupt)
+                << strict.message();
+        EXPECT_TRUE(readTraceV3(path, &out, /*salvage=*/true).isOk());
+        EXPECT_LE(out.size(), trace.size());
+
+        StreamingTraceSource source;
+        ASSERT_TRUE(source.open(path, /*salvage=*/true).isOk());
+        std::size_t streamed = 0;
+        TraceColumns cols;
+        while (source.nextColumns(cols))
+            streamed += cols.size();
+        EXPECT_TRUE(source.status().isOk()) << source.status().message();
+        EXPECT_EQ(streamed, out.size());
+    }
+    salvageRegistry().reset();
     std::remove(path.c_str());
 }
 

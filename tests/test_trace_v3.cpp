@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/crc32.hpp"
 #include "common/io.hpp"
 #include "trace/streaming_source.hpp"
 #include "trace/trace_v3.hpp"
@@ -634,6 +635,194 @@ TEST(TraceV3, SalvageRegistryAccumulatesAndResets)
     EXPECT_EQ(totals.bytesSkipped, 198u);
     salvageRegistry().reset();
     EXPECT_EQ(salvageRegistry().totals().files, 0u);
+}
+
+/** Little-endian store of the low @p width bytes of @p value. */
+void
+putLe(std::vector<unsigned char> &bytes, std::size_t at, std::uint64_t value,
+      int width)
+{
+    for (int i = 0; i < width; ++i)
+        bytes[at + i] = static_cast<unsigned char>(value >> (8 * i));
+}
+
+TEST(TraceV3Load, IntactFileReservesItsDestinationOnce)
+{
+    // 20 blocks: the parent's per-block reserve reallocated at each.
+    const auto original = captureWorkloadTrace("go", 20000);
+    const std::string path = tempPath("vpsim_v3_reserve.vptrace");
+    ASSERT_TRUE(writeTraceV3(path, original, 1024).isOk());
+
+    TraceV3Reader reader;
+    TraceV3Reader::Options options;
+    options.preferMapped = true;
+    ASSERT_TRUE(reader.open(path, options).isOk());
+    EXPECT_EQ(reader.recordsHint(), original.size());
+    reader.close();
+    options.preferMapped = false;
+    ASSERT_TRUE(reader.open(path, options).isOk());
+    EXPECT_EQ(reader.recordsHint(), 0u) << "buffered reads get no hint";
+    reader.close();
+
+    std::vector<TraceRecord> loaded;
+    ASSERT_TRUE(readTraceV3(path, &loaded).isOk());
+    expectSameRecords(loaded, original);
+    EXPECT_EQ(loaded.capacity(), loaded.size())
+        << "one reservation from the trailer, no growth";
+    std::remove(path.c_str());
+}
+
+TEST(TraceV3Load, LyingTrailerCountIsCappedAndStillRejected)
+{
+    const auto original = captureWorkloadTrace("go", 3000);
+    const std::string path = tempPath("vpsim_v3_lying_trailer.vptrace");
+    ASSERT_TRUE(writeTraceV3(path, original, 512).isOk());
+    std::vector<unsigned char> bytes = slurp(path);
+    const std::size_t trailer = bytes.size() - v3TrailerBytes;
+    putLe(bytes, trailer + 4, std::uint64_t{1} << 40, 8);
+    putLe(bytes, trailer + 20, crc32(bytes.data() + trailer, 20), 4);
+    spit(path, bytes);
+    const std::size_t cap = bytes.size() / 9;
+
+    TraceV3Reader reader;
+    TraceV3Reader::Options options;
+    options.preferMapped = true;
+    ASSERT_TRUE(reader.open(path, options).isOk());
+    EXPECT_EQ(reader.recordsHint(), cap);
+    reader.close();
+
+    std::vector<TraceRecord> out;
+    const Status strict = readTraceV3(path, &out);
+    ASSERT_FALSE(strict.isOk());
+    EXPECT_EQ(strict.code(), StatusCode::kCorrupt);
+    EXPECT_NE(strict.message().find("trailer mismatch"),
+              std::string::npos)
+        << strict.message();
+    EXPECT_LE(out.capacity(), cap);
+
+    std::vector<TraceRecord> salvaged;
+    ASSERT_TRUE(readTraceV3(path, &salvaged, /*salvage=*/true).isOk());
+    expectSameRecords(salvaged, original);
+    EXPECT_LE(salvaged.capacity(), cap);
+    std::remove(path.c_str());
+}
+
+/**
+ * Records whose encodings run from the 9-byte minimum to the 54-byte
+ * maximum: every fourth one has 10-byte varints in all five fields
+ * (huge seq jumps, PC and address swings across the whole address
+ * space, result ~0), the rest only a 10-byte result or nothing long.
+ */
+std::vector<TraceRecord>
+extremeRecords(std::size_t n)
+{
+    std::vector<TraceRecord> records(n);
+    SeqNum seq = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        TraceRecord &r = records[i];
+        const bool wild = i % 4 == 1;
+        seq += wild ? (std::uint64_t{1} << 62) + i : 1;
+        r.seq = seq;
+        r.pc = wild ? (std::uint64_t{1} << 63) + 8 * i : 0x1000 + 4 * i;
+        r.nextPc = wild ? 4 * i : r.pc + instBytes;
+        r.memAddr = wild ? (std::uint64_t{1} << 63) + i : 0;
+        r.result = i % 2 == 1 ? ~std::uint64_t{0} : i;
+        r.op = wild ? OpCode::Ld : OpCode::Add;
+        r.taken = i % 3 == 0;
+        r.rd = static_cast<RegIndex>(i % 32);
+        r.rs1 = static_cast<RegIndex>((i + 1) % 32);
+        r.rs2 = static_cast<RegIndex>((i + 2) % 32);
+    }
+    return records;
+}
+
+TEST(TraceV3Load, TenByteVarintsRoundTripAcrossTheBoundsCheckSwitch)
+{
+    // Block sizes 1-24 move the point where fewer than a worst-case
+    // record's bytes remain (and decoding switches to per-byte bounds
+    // checks) across records of every length, long ones included.
+    const auto original = extremeRecords(97);
+    const std::string path = tempPath("vpsim_v3_varint10.vptrace");
+    for (std::uint32_t per_block = 1; per_block <= 24; ++per_block) {
+        SCOPED_TRACE("records per block " + std::to_string(per_block));
+        ASSERT_TRUE(writeTraceV3(path, original, per_block).isOk());
+        std::vector<TraceRecord> loaded;
+        ASSERT_TRUE(readTraceV3(path, &loaded).isOk());
+        expectSameRecords(loaded, original);
+
+        TraceV3Reader reader;
+        ASSERT_TRUE(reader.open(path, TraceV3Reader::Options()).isOk());
+        std::vector<TraceRecord> appended;
+        for (;;) {
+            TraceV3Reader::Block outcome = TraceV3Reader::Block::kEnd;
+            ASSERT_TRUE(reader.appendBlock(&appended, &outcome).isOk());
+            if (outcome == TraceV3Reader::Block::kEnd)
+                break;
+        }
+        expectSameRecords(appended, original);
+
+        StreamingTraceSource source;
+        ASSERT_TRUE(source.open(path).isOk());
+        std::vector<TraceRecord> streamed;
+        TraceColumns cols;
+        while (source.nextColumns(cols))
+            for (std::size_t i = 0; i < cols.size(); ++i)
+                streamed.push_back(cols.record(i));
+        EXPECT_TRUE(source.status().isOk());
+        expectSameRecords(streamed, original);
+    }
+    std::remove(path.c_str());
+}
+
+TEST(TraceV3Load, ElevenByteVarintInTheBulkIsCorrupt)
+{
+    // Record 0 of block 0 is all zero fields but a 10-byte result, so
+    // its payload bytes 4..13 are that varint. Lengthening it to 11
+    // bytes and re-framing (payload length, CRC) leaves the decoder as
+    // the only check that can see it, 4 bytes into a 64-record payload.
+    auto original = extremeRecords(128);
+    original[0].seq = 0;
+    original[0].pc = 0;
+    original[0].nextPc = instBytes;
+    original[0].memAddr = 0;
+    original[0].result = ~std::uint64_t{0};
+    const std::string path = tempPath("vpsim_v3_varint11.vptrace");
+    ASSERT_TRUE(writeTraceV3(path, original, 64).isOk());
+    std::vector<unsigned char> bytes = slurp(path);
+    const std::size_t frame = blockOffset(bytes, 0);
+    const std::size_t payload = frame + v3BlockFrameBytes;
+    ASSERT_EQ(bytes[payload + 12], 0xff);
+    ASSERT_EQ(bytes[payload + 13], 0x01);
+    bytes[payload + 13] = 0x81;
+    bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(payload + 14),
+                 0x00);
+    std::uint32_t payload_bytes = 0;
+    for (int i = 0; i < 4; ++i)
+        payload_bytes |= static_cast<std::uint32_t>(bytes[frame + 8 + i])
+                         << (8 * i);
+    ++payload_bytes;
+    putLe(bytes, frame + 8, payload_bytes, 4);
+    putLe(bytes, payload + payload_bytes,
+          crc32(bytes.data() + frame, v3BlockFrameBytes + payload_bytes),
+          4);
+    spit(path, bytes);
+
+    std::vector<TraceRecord> out;
+    const Status strict = readTraceV3(path, &out);
+    ASSERT_FALSE(strict.isOk());
+    EXPECT_EQ(strict.code(), StatusCode::kCorrupt);
+    EXPECT_NE(strict.message().find("corrupt record encoding in block 0"),
+              std::string::npos)
+        << strict.message();
+
+    BlockSalvageReport report;
+    ASSERT_TRUE(readTraceV3(path, &out, /*salvage=*/true, &report)
+                    .isOk());
+    EXPECT_EQ(report.blocksQuarantined, 1u);
+    expectSameRecords(
+        out, std::vector<TraceRecord>(original.begin() + 64,
+                                      original.end()));
+    std::remove(path.c_str());
 }
 
 TEST(StreamingSource, DeliversTheWholeTraceInOrder)
