@@ -52,12 +52,11 @@ main(int argc, char **argv)
     // One job per (configuration, benchmark); each owns the three
     // metric cells for that pair, averaged per configuration below.
     const std::size_t n_configs = configs.size();
-    std::vector<std::vector<double>> gain(
-        n_configs, std::vector<double>(bench.size()));
-    std::vector<std::vector<double>> acc(
-        n_configs, std::vector<double>(bench.size()));
-    std::vector<std::vector<double>> missed(
-        n_configs, std::vector<double>(bench.size()));
+    std::vector<std::vector<double>> gain =
+        unsetCells(n_configs, bench.size());
+    std::vector<std::vector<double>> acc = unsetCells(n_configs, bench.size());
+    std::vector<std::vector<double>> missed =
+        unsetCells(n_configs, bench.size());
     std::vector<SimJob> batch;
     for (std::size_t c = 0; c < n_configs; ++c) {
         for (std::size_t i = 0; i < bench.size(); ++i) {

@@ -76,12 +76,9 @@ main(int argc, char **argv)
     // One job per (front end, benchmark); each owns the base-IPC,
     // VP-IPC and gain cells for that pair.
     const std::size_t n_fes = front_ends.size();
-    std::vector<std::vector<double>> base(
-        n_fes, std::vector<double>(bench.size()));
-    std::vector<std::vector<double>> vp(
-        n_fes, std::vector<double>(bench.size()));
-    std::vector<std::vector<double>> gain(
-        n_fes, std::vector<double>(bench.size()));
+    std::vector<std::vector<double>> base = unsetCells(n_fes, bench.size());
+    std::vector<std::vector<double>> vp = unsetCells(n_fes, bench.size());
+    std::vector<std::vector<double>> gain = unsetCells(n_fes, bench.size());
     std::vector<SimJob> batch;
     for (std::size_t f = 0; f < n_fes; ++f) {
         for (std::size_t i = 0; i < bench.size(); ++i) {

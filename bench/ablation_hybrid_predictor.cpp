@@ -41,12 +41,12 @@ main(int argc, char **argv)
 
     // One job per (predictor kind, benchmark); each owns the gain,
     // accuracy and distributor-adds cells for that pair.
-    std::vector<std::vector<double>> gain(
-        kinds.size(), std::vector<double>(bench.size()));
-    std::vector<std::vector<double>> acc(
-        kinds.size(), std::vector<double>(bench.size()));
-    std::vector<std::vector<double>> adds(
-        kinds.size(), std::vector<double>(bench.size()));
+    std::vector<std::vector<double>> gain =
+        unsetCells(kinds.size(), bench.size());
+    std::vector<std::vector<double>> acc =
+        unsetCells(kinds.size(), bench.size());
+    std::vector<std::vector<double>> adds =
+        unsetCells(kinds.size(), bench.size());
     std::vector<SimJob> batch;
     for (std::size_t k = 0; k < kinds.size(); ++k) {
         for (std::size_t i = 0; i < bench.size(); ++i) {
@@ -63,6 +63,7 @@ main(int argc, char **argv)
                      probe.useValuePrediction = true;
                      const IdealMachineResult run =
                          runIdealMachine(bench.trace(i), probe);
+                     acc[k][i] = 0.0;
                      if (run.predictionsMade > 0) {
                          acc[k][i] =
                              static_cast<double>(

@@ -48,8 +48,8 @@ main(int argc, char **argv)
     // One job per (input set, benchmark). Each job captures its own
     // scaled/reseeded trace through the runner (and hence through the
     // trace cache, if one is configured) and owns one gain cell.
-    std::vector<std::vector<double>> gain(
-        sets.size(), std::vector<double>(names.size()));
+    std::vector<std::vector<double>> gain =
+        unsetCells(sets.size(), names.size());
     std::vector<SimJob> batch;
     for (std::size_t s = 0; s < sets.size(); ++s) {
         for (std::size_t i = 0; i < names.size(); ++i) {

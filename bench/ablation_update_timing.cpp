@@ -38,10 +38,10 @@ main(int argc, char **argv)
 
     // One job per (limit, benchmark, timing); each owns one cell in
     // the matching dispatch/retire matrix.
-    std::vector<std::vector<double>> dispatch(
-        taken_limits.size(), std::vector<double>(bench.size()));
-    std::vector<std::vector<double>> retire(
-        taken_limits.size(), std::vector<double>(bench.size()));
+    std::vector<std::vector<double>> dispatch =
+        unsetCells(taken_limits.size(), bench.size());
+    std::vector<std::vector<double>> retire =
+        unsetCells(taken_limits.size(), bench.size());
     std::vector<SimJob> batch;
     for (std::size_t l = 0; l < taken_limits.size(); ++l) {
         for (std::size_t i = 0; i < bench.size(); ++i) {

@@ -36,10 +36,10 @@ main(int argc, char **argv)
 
     // One job per (rate, benchmark, scope); each owns one cell of the
     // matching all-instructions/loads-only matrix.
-    std::vector<std::vector<double>> all_gain(
-        rates.size(), std::vector<double>(bench.size()));
-    std::vector<std::vector<double>> loads_gain(
-        rates.size(), std::vector<double>(bench.size()));
+    std::vector<std::vector<double>> all_gain =
+        unsetCells(rates.size(), bench.size());
+    std::vector<std::vector<double>> loads_gain =
+        unsetCells(rates.size(), bench.size());
     std::vector<SimJob> batch;
     for (std::size_t r = 0; r < rates.size(); ++r) {
         for (std::size_t i = 0; i < bench.size(); ++i) {

@@ -36,15 +36,15 @@ main(int argc, char **argv)
     // Jobs: one per (bank count, benchmark) plus one unconstrained
     // reference job per benchmark; each owns its cells in the four
     // metric matrices below.
-    std::vector<std::vector<double>> gain(
-        bank_counts.size(), std::vector<double>(bench.size()));
-    std::vector<std::vector<double>> denied(
-        bank_counts.size(), std::vector<double>(bench.size()));
-    std::vector<std::vector<double>> merged(
-        bank_counts.size(), std::vector<double>(bench.size()));
-    std::vector<std::vector<double>> adds(
-        bank_counts.size(), std::vector<double>(bench.size()));
-    std::vector<double> unconstrained(bench.size());
+    std::vector<std::vector<double>> gain =
+        unsetCells(bank_counts.size(), bench.size());
+    std::vector<std::vector<double>> denied =
+        unsetCells(bank_counts.size(), bench.size());
+    std::vector<std::vector<double>> merged =
+        unsetCells(bank_counts.size(), bench.size());
+    std::vector<std::vector<double>> adds =
+        unsetCells(bank_counts.size(), bench.size());
+    std::vector<double> unconstrained(bench.size(), unsetCell);
     std::vector<SimJob> batch;
     for (std::size_t i = 0; i < bench.size(); ++i) {
         batch.push_back({"no-limit:" + bench.names[i], [&, i] {
@@ -74,6 +74,8 @@ main(int argc, char **argv)
                      probe.useValuePrediction = true;
                      const PipelineResult run =
                          runPipelineMachine(bench.trace(i), probe);
+                     denied[b][i] = 0.0;
+                     merged[b][i] = 0.0;
                      if (run.vptRequests > 0) {
                          denied[b][i] =
                              static_cast<double>(run.vptDeniedRequests) /

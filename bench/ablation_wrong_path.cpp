@@ -36,9 +36,9 @@ main(int argc, char **argv)
 
     // One job per benchmark; each rebuilds its workload (for the
     // wrong-path program image) and owns the three cells of its row.
-    std::vector<double> stall(bench.size());
-    std::vector<double> wrong_path(bench.size());
-    std::vector<double> wp_per_k(bench.size());
+    std::vector<double> stall(bench.size(), unsetCell);
+    std::vector<double> wrong_path(bench.size(), unsetCell);
+    std::vector<double> wp_per_k(bench.size(), unsetCell);
     std::vector<SimJob> batch;
     for (std::size_t i = 0; i < bench.size(); ++i) {
         batch.push_back({"wrong-path:" + bench.names[i], [&, i] {

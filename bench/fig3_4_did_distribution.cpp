@@ -34,7 +34,8 @@ main(int argc, char **argv)
         columns.push_back("DID " + prototype.bucketLabel(bucket));
 
     // One job per benchmark: a single DFG walk fills the whole row.
-    std::vector<std::vector<double>> cells(bench.size());
+    std::vector<std::vector<double>> cells =
+        unsetCells(bench.size(), columns.size());
     std::vector<SimJob> batch;
     for (std::size_t i = 0; i < bench.size(); ++i) {
         batch.push_back({"did:" + bench.names[i], [&cells, &bench, i] {
@@ -43,9 +44,8 @@ main(int argc, char **argv)
                              for (std::size_t bucket = 0;
                                   bucket < did.distribution.numBuckets();
                                   ++bucket) {
-                                 cells[i].push_back(
-                                     did.distribution.bucketFraction(
-                                         bucket));
+                                 cells[i][bucket] =
+                                     did.distribution.bucketFraction(bucket);
                              }
                          }});
     }

@@ -35,7 +35,8 @@ main(int argc, char **argv)
         "pred DID>=4",
     };
     // One job per benchmark: a single analysis pass fills the row.
-    std::vector<std::vector<double>> cells(bench.size());
+    std::vector<std::vector<double>> cells =
+        unsetCells(bench.size(), columns.size());
     std::vector<SimJob> batch;
     for (std::size_t i = 0; i < bench.size(); ++i) {
         batch.push_back(

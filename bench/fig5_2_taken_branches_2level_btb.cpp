@@ -37,9 +37,9 @@ main(int argc, char **argv)
 
     // Each (benchmark, limit) job owns one gains cell; the n=4 jobs
     // additionally own that benchmark's BTB-accuracy slot.
-    std::vector<std::vector<double>> gains(
-        bench.size(), std::vector<double>(taken_limits.size()));
-    std::vector<double> accuracies(bench.size());
+    std::vector<std::vector<double>> gains =
+        unsetCells(bench.size(), taken_limits.size());
+    std::vector<double> accuracies(bench.size(), unsetCell);
     std::vector<SimJob> batch;
     for (std::size_t i = 0; i < bench.size(); ++i) {
         for (std::size_t col = 0; col < taken_limits.size(); ++col) {

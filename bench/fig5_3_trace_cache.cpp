@@ -32,10 +32,8 @@ main(int argc, char **argv)
     const std::vector<std::string> columns = {"TC+2levelBTB",
                                               "TC+idealBTB"};
     // Each (benchmark, BTB) job owns one gains and one hit-rate cell.
-    std::vector<std::vector<double>> gains(bench.size(),
-                                           std::vector<double>(2));
-    std::vector<std::vector<double>> hit_rates(bench.size(),
-                                               std::vector<double>(2));
+    std::vector<std::vector<double>> gains = unsetCells(bench.size(), 2);
+    std::vector<std::vector<double>> hit_rates = unsetCells(bench.size(), 2);
     std::vector<SimJob> batch;
     for (std::size_t i = 0; i < bench.size(); ++i) {
         for (std::size_t col = 0; col < 2; ++col) {

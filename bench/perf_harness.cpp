@@ -191,13 +191,6 @@ main(int argc, char **argv)
     for (std::size_t b = 0; b < bench.size(); ++b)
         total_insts += bench.trace(b).size();
 
-    // One SoA transpose per benchmark, done once at capture time (a
-    // storage-layout decision, like the capture itself): the span
-    // models then stream columns zero-copy on every repeat.
-    std::vector<TraceSoa> soa(bench.size());
-    for (std::size_t b = 0; b < bench.size(); ++b)
-        soa[b].assign(TraceSpan(bench.trace(b)));
-
     IdealMachineConfig ideal_config;
     ideal_config.useValuePrediction = true;
     // The pure scheduling loop: no predictor tables, so delivery and
@@ -220,11 +213,8 @@ main(int argc, char **argv)
                                 const IdealMachineConfig &config) {
         return measureModel(name, total_insts, repeats, sampler, [&] {
             std::uint64_t digest = 0;
-            for (std::size_t b = 0; b < bench.size(); ++b) {
-                BorrowedTraceSource source{TraceSpan(bench.trace(b)),
-                                           soa[b].columns()};
-                digest += runIdealMachine(source, config).cycles;
-            }
+            for (std::size_t b = 0; b < bench.size(); ++b)
+                digest += runIdealMachine(bench.trace(b), config).cycles;
             return digest;
         });
     };

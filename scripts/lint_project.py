@@ -38,15 +38,6 @@ raw-mutex
     thread-safety analysis sees every acquire/release. Raw std::mutex
     and friends are allowed only inside the wrapper header itself.
 
-trace-materialize
-    materializeTrace() and VectorTraceSource::records() buffer the
-    entire trace in memory — fine for unit-test inputs, fatal for the
-    bounded-memory streaming pipeline (docs/TRACE_FORMAT.md), where a
-    1B-instruction trace must never fully materialize. Production code
-    iterates nextBlock()/nextColumns() spans; the legacy TraceSource
-    convenience overloads that still materialize carry justified
-    suppressions. Tests are not linted for this rule.
-
 Suppression: append `// lint:allow <rule>` (plus a justification) to
 the offending line.
 
@@ -70,16 +61,12 @@ SOURCE_SUFFIXES = {".cpp", ".hpp", ".h", ".cc"}
 EXEMPT = {
     "raw-mutex": {"src/common/thread_annotations.hpp"},
     "sim-determinism": {"src/common/rng.hpp"},
-    # The declaration/definition of materializeTrace and the records()
-    # accessor live here; the rule targets their callers.
-    "trace-materialize": {"src/trace/source.hpp",
-                          "src/trace/source.cpp"},
 }
 
 ALLOW_RE = re.compile(r"lint:allow\s+([\w-]+)")
 
 RULES = ["status-discard", "sim-determinism", "unordered-iter",
-         "raw-mutex", "trace-materialize"]
+         "raw-mutex"]
 
 
 def strip_comments_and_strings(text):
@@ -359,29 +346,6 @@ def check_raw_mutex(path, text, raw_lines, report):
                "analysis sees the acquire/release" % match.group(0))
 
 
-# Whole-trace materialization: the free function plus the
-# records() accessor (a member call — bare `records(` would hit
-# locals named `records`, which the core machines use for spans).
-MATERIALIZE_RE = re.compile(
-    r"\bmaterializeTrace\s*\(|(?:\.|->)\s*records\s*\(")
-
-
-def check_trace_materialize(path, text, raw_lines, report):
-    for match in MATERIALIZE_RE.finditer(text):
-        lineno = text.count("\n", 0, match.start()) + 1
-        if neighborhood_allows(raw_lines, lineno, "trace-materialize"):
-            continue
-        what = ("materializeTrace()"
-                if "materializeTrace" in match.group(0)
-                else "records()")
-        report(path, lineno, "trace-materialize",
-               "whole-trace materialization via %s holds every record "
-               "in memory and defeats the bounded-window streaming "
-               "path (docs/TRACE_FORMAT.md): iterate nextBlock() "
-               "spans, or suppress with a justification for a "
-               "known-small input" % what)
-
-
 def lint_file(path, rel, status_functions, report):
     raw = path.read_text(encoding="utf-8")
     raw_lines = raw.splitlines()
@@ -401,8 +365,6 @@ def lint_file(path, rel, status_functions, report):
         check_unordered_iter(path, text, raw_lines, report)
     if gate("raw-mutex"):
         check_raw_mutex(path, text, raw_lines, report)
-    if gate("trace-materialize"):
-        check_trace_materialize(path, text, raw_lines, report)
 
 
 def run_lint(paths, root):

@@ -30,9 +30,10 @@ class SatCounter
      * @param initial Initial counter value (clamped to the legal range).
      */
     explicit SatCounter(unsigned bits = 2, unsigned initial = 0)
-        : maxValue((1u << bits) - 1),
-          threshold(1u << (bits - 1)),
-          count(initial > maxValue ? maxValue : initial)
+        : maxValue(static_cast<std::uint16_t>((1u << bits) - 1)),
+          threshold(static_cast<std::uint16_t>(1u << (bits - 1))),
+          count(static_cast<std::uint16_t>(
+              initial > maxValue ? maxValue : initial))
     {
         panicIf(bits == 0 || bits > 16, "SatCounter width out of range");
     }

@@ -15,45 +15,6 @@ namespace
 {
 
 /**
- * Field accessors over an AoS block (a TraceSpan). The engine's block
- * worker is templated over this interface so the same loop body
- * compiles once against record gathers and once against columnar
- * array loads.
- */
-struct SpanBlockView
-{
-    const TraceRecord *records;
-    std::size_t count;
-
-    std::size_t size() const { return count; }
-    Addr pc(std::size_t k) const { return records[k].pc; }
-    Value result(std::size_t k) const { return records[k].result; }
-    OpCode op(std::size_t k) const { return records[k].op; }
-    RegIndex rd(std::size_t k) const { return records[k].rd; }
-    RegIndex rs1(std::size_t k) const { return records[k].rs1; }
-    RegIndex rs2(std::size_t k) const { return records[k].rs2; }
-};
-
-/**
- * Field accessors over a SoA block (TraceColumns): each field is a
- * sequential stream over its own contiguous array, so the block loop
- * touches only the ~20 bytes per instruction it actually uses instead
- * of pulling whole 48-byte records through the cache.
- */
-struct ColumnsBlockView
-{
-    TraceColumns cols;
-
-    std::size_t size() const { return cols.count; }
-    Addr pc(std::size_t k) const { return cols.pc[k]; }
-    Value result(std::size_t k) const { return cols.result[k]; }
-    OpCode op(std::size_t k) const { return cols.op[k]; }
-    RegIndex rd(std::size_t k) const { return cols.rd[k]; }
-    RegIndex rs1(std::size_t k) const { return cols.rs1[k]; }
-    RegIndex rs2(std::size_t k) const { return cols.rs2[k]; }
-};
-
-/**
  * The span-iterating ideal-machine engine.
  *
  * All loop state lives here so the per-block worker can be specialized
@@ -88,7 +49,7 @@ struct IdealEngine
     std::vector<Addr> probePcs;
 
     Cycle maxExec = 0;
-    std::uint64_t i = 0;
+    std::uint64_t insts = 0;
     std::size_t windowSlot = 0;
     Cycle fetchCycle = 1;
     unsigned fetchSlot = 0;
@@ -109,8 +70,8 @@ struct IdealEngine
     {
     }
 
-    template <typename Block> void
-    dispatchBlock(const Block &block, bool full_checks)
+    void
+    dispatchBlock(TraceSpan block, bool full_checks)
     {
         if (config.useValuePrediction) {
             if (full_checks)
@@ -136,13 +97,13 @@ struct IdealEngine
      * walk below probes them one by one.
      */
     void
-    probeBlockTables(const SpanBlockView &block)
+    probeBlockTables(TraceSpan block)
     {
         probePcs.clear();
         const std::size_t n = block.size();
         for (std::size_t k = 0; k < n; ++k) {
-            const OpCode op = block.op(k);
-            const RegIndex rd = block.rd(k);
+            const OpCode op = block[k].op;
+            const RegIndex rd = block[k].rd;
             const bool produces_value =
                 writesDest(op) && rd != invalidReg && rd != 0;
             if (!produces_value)
@@ -150,26 +111,15 @@ struct IdealEngine
             if (config.vpScope != VpScope::AllInstructions &&
                 instClassOf(op) != InstClass::Load)
                 continue;
-            probePcs.push_back(block.pc(k));
+            probePcs.push_back(block[k].pc);
         }
         if (!probePcs.empty())
             predictor->probeBlock(probePcs.data(), probePcs.size());
     }
 
+    template <bool UseVp, bool FullChecks, bool KeepSchedule>
     void
-    probeBlockTables(const ColumnsBlockView &block)
-    {
-        // The pc column is already contiguous: hand it to the tables
-        // whole instead of paying a gather pass. The few non-value-
-        // producing pcs prefetch a line that goes unused; that costs
-        // less than filtering them out.
-        if (block.cols.count != 0)
-            predictor->probeBlock(block.cols.pc, block.cols.count);
-    }
-
-    template <bool UseVp, bool FullChecks, bool KeepSchedule,
-              typename Block> void
-    processBlock(const Block &block)
+    processBlock(TraceSpan block)
     {
         const unsigned window_size = config.windowSize;
         const unsigned fetch_rate = config.fetchRate;
@@ -182,7 +132,7 @@ struct IdealEngine
         // is written back once at the end: in the <false, false, false>
         // instantiation the inner loop then makes no opaque calls at
         // all, so everything below stays in registers.
-        std::uint64_t i = this->i;
+        std::uint64_t i = this->insts;
         std::size_t window_slot = this->windowSlot;
         Cycle fetch_cycle = this->fetchCycle;
         unsigned fetch_slot = this->fetchSlot;
@@ -218,8 +168,8 @@ struct IdealEngine
         // branch misprediction per dependent instruction. A missing
         // operand (no writer, r0, invalid) reads as ready == 0, which
         // every max/compare treats as "imposes nothing".
-        const Writer &wr1 = writers[block.rs1(k)];
-        const Writer &wr2 = writers[block.rs2(k)];
+        const Writer &wr1 = writers[block[k].rs1];
+        const Writer &wr2 = writers[block[k].rs2];
         const Cycle ready1 = wr1.exists ? wr1.execCycle + 1 : 0;
         const Cycle ready2 = wr2.exists ? wr2.execCycle + 1 : 0;
         stalling_uses += ready1 > earliest ? 1 : 0;
@@ -254,7 +204,7 @@ struct IdealEngine
             // otherwise have delayed the consumer past its actual
             // execute.
             correctly_predicted_uses +=
-                (kind1 == 1 ? 1 : 0) + (kind2 == 1 ? 1 : 0);
+                (kind1 == 1 ? 1u : 0u) + (kind2 == 1 ? 1u : 0u);
             useful_predictions += (kind1 == 1 && ready1 > exec) ? 1 : 0;
             useful_predictions += (kind2 == 1 && ready2 > exec) ? 1 : 0;
         } else {
@@ -296,8 +246,8 @@ struct IdealEngine
 
         // Record this instruction as the new last writer of rd, with
         // its own prediction outcome for downstream consumers.
-        const OpCode op = block.op(k);
-        const RegIndex rd = block.rd(k);
+        const OpCode op = block[k].op;
+        const RegIndex rd = block[k].rd;
         const bool produces_value =
             writesDest(op) && rd != invalidReg && rd != 0;
         if (produces_value) {
@@ -314,9 +264,9 @@ struct IdealEngine
                         writer.correct = true;
                         ++perfect_predictions;
                     } else {
-                        const Value actual = block.result(k);
+                        const Value actual = block[k].result;
                         const ClassifiedPrediction prediction =
-                            predictor->predictAndTrain(block.pc(k),
+                            predictor->predictAndTrain(block[k].pc,
                                                        actual);
                         writer.predicted = prediction.predicted;
                         writer.correct = prediction.predicted &&
@@ -336,7 +286,7 @@ struct IdealEngine
         }
         }
 
-        this->i = i;
+        this->insts = i;
         this->windowSlot = window_slot;
         this->fetchCycle = fetch_cycle;
         this->fetchSlot = fetch_slot;
@@ -371,36 +321,20 @@ runIdealMachine(TraceSource &source, const IdealMachineConfig &config,
     engine.predictor = predictor.get();
 
     source.reset();
-    if (source.supportsColumns()) {
-        // Columnar fast path: the block loop streams per-field arrays
-        // (SoA) instead of gathering from 48-byte records.
-        TraceColumns cols;
-        while (source.nextColumns(cols)) {
-            simHeartbeat(engine.i);
-            const ColumnsBlockView view{cols};
-            if (predictor)
-                engine.probeBlockTables(view);
-            engine.dispatchBlock(view,
-                                 invariantsActive(InvariantLevel::Full));
-        }
-    } else {
-        TraceSpan block;
-        while (source.nextBlock(block)) {
-            // Progress heartbeat for the --job-timeout watchdog and the
-            // self-check level poll, hoisted to block granularity: one
-            // thread-local store and one relaxed atomic load per <= 4096
-            // records instead of per instruction.
-            simHeartbeat(engine.i);
-            const SpanBlockView view{block.data(), block.size()};
-            if (predictor)
-                engine.probeBlockTables(view);
-            engine.dispatchBlock(view,
-                                 invariantsActive(InvariantLevel::Full));
-        }
+    TraceSpan block;
+    while (source.nextBlock(block)) {
+        // Progress heartbeat for the --job-timeout watchdog and the
+        // self-check level poll, hoisted to block granularity: one
+        // thread-local store and one relaxed atomic load per <= 4096
+        // records instead of per instruction.
+        simHeartbeat(engine.insts);
+        if (predictor)
+            engine.probeBlockTables(block);
+        engine.dispatchBlock(block, invariantsActive(InvariantLevel::Full));
     }
 
-    result.instructions = engine.i;
-    if (engine.i == 0)
+    result.instructions = engine.insts;
+    if (engine.insts == 0)
         return result;
 
     const Cycle max_exec = engine.maxExec;

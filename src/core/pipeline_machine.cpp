@@ -174,7 +174,7 @@ runPipelineLoop(TraceSpan records, const PipelineConfig &config,
         if (invariantsActive(InvariantLevel::Full)) {
             unsigned not_executed = 0;
             for (std::uint64_t slot = robHead; slot != robTail; ++slot)
-                not_executed += rob[slot & robMask].executed ? 0 : 1;
+                not_executed += rob[slot & robMask].executed ? 0u : 1u;
             checkInvariant(InvariantLevel::Full,
                            not_executed == unexec.size(),
                            "pipeline.unexecuted_bookkeeping", [&] {
@@ -344,10 +344,10 @@ runPipelineLoop(TraceSpan records, const PipelineConfig &config,
             : static_cast<unsigned>(robTail - robHead);
         if (!engine.done() && window_load < windowSize &&
             robTail - robHead < robCapacity) {
-            const unsigned budget = std::min<std::size_t>(
-                std::min<std::size_t>(issueWidth,
-                                      windowSize - window_load),
-                robCapacity - (robTail - robHead));
+            const std::size_t room = std::min<std::size_t>(
+                windowSize - window_load, robCapacity - (robTail - robHead));
+            const unsigned budget =
+                issueWidth < room ? issueWidth : static_cast<unsigned>(room);
             bundle.clear();
             engine.fetch(now, budget, bundle);
             checkInvariant(InvariantLevel::Cheap,

@@ -192,9 +192,8 @@ struct PipelineResult
  * Takes a span: the cycle-driven model's front ends need random access
  * into the dynamic trace (trace-cache line construction, wrong-path
  * navigation), so block-at-a-time delivery does not fit it. Callers
- * with a TraceSource materialize explicitly (materializeTrace) so the
- * allocation is visible at the call site. A
- * std::vector<TraceRecord> converts implicitly.
+ * pass the whole trace they already hold; a std::vector<TraceRecord>
+ * converts implicitly.
  */
 PipelineResult runPipelineMachine(TraceSpan records,
                                   const PipelineConfig &config);

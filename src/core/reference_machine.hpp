@@ -37,8 +37,8 @@ namespace vpsim
  * Naive re-simulation of runIdealMachine() (same result contract).
  * Takes a span: the two-phase algorithm needs random access to the
  * whole trace (exec[producer] lookups), so block-at-a-time delivery
- * does not fit it. Callers with a TraceSource materialize explicitly
- * (materializeTrace) so the allocation is visible at the call site.
+ * does not fit it. Callers pass the whole trace they already hold
+ * (a captured or loaded record vector).
  */
 IdealMachineResult runReferenceIdealMachine(
     TraceSpan records, const IdealMachineConfig &config);

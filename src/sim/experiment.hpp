@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -108,6 +109,21 @@ void validateBenchmarkNames(const std::vector<std::string> &names);
  * pool and one cache.
  */
 BenchmarkTraces captureBenchmarks(const Options &options);
+
+/**
+ * Value of a result cell no job has written. A job that fails under
+ * --keep-going leaves its cells at this, so the failure shows as nan in
+ * the table and the CSV, never as a silent zero.
+ */
+inline constexpr double unsetCell = std::numeric_limits<double>::quiet_NaN();
+
+/** A rows x cols result table with every cell unset. */
+inline std::vector<std::vector<double>>
+unsetCells(std::size_t rows, std::size_t cols)
+{
+    return std::vector<std::vector<double>>(
+        rows, std::vector<double>(cols, unsetCell));
+}
 
 /**
  * Build a figure-shaped table: one row per benchmark, one column per

@@ -293,9 +293,7 @@ SimRunner::runGrid(
         fnv1aFold(fnv1aFold(runHash, ++gridOrdinal), rows), cols);
     // NaN until a job writes the cell: failed (--keep-going) and
     // signal-skipped cells are visibly absent, never silently zero.
-    std::vector<std::vector<double>> cells(
-        rows, std::vector<double>(
-                  cols, std::numeric_limits<double>::quiet_NaN()));
+    std::vector<std::vector<double>> cells = unsetCells(rows, cols);
 
     GridState grid;
     grid.rows = rows;

@@ -13,7 +13,6 @@ StreamingTraceSource::open(const std::string &path, bool salvage)
     endOfTrace = false;
     streamStatus = Status::ok();
     block.clear();
-    aosBuilt = false;
     posInBlock = 0;
     deliveredRecords = 0;
 
@@ -44,8 +43,9 @@ StreamingTraceSource::ensureBlock()
         return false;
     // The served block is only recycled here, on the way to another
     // delivery, which is when the span contract lets it go.
+    block.clear();
     TraceV3Reader::Block outcome = TraceV3Reader::Block::kEnd;
-    if (Status got = reader.nextBlock(&block, &outcome); !got.isOk()) {
+    if (Status got = reader.appendBlock(&block, &outcome); !got.isOk()) {
         streamStatus = got;
         endOfTrace = true;
         return false;
@@ -54,20 +54,8 @@ StreamingTraceSource::ensureBlock()
         endOfTrace = true;
         return false;
     }
-    aosBuilt = false;
     posInBlock = 0;
     return true;
-}
-
-/** Claim up to @p max_records of the block; returns the start index. */
-std::size_t
-StreamingTraceSource::take(std::size_t max_records)
-{
-    const std::size_t start = posInBlock;
-    const std::size_t remaining = block.size() - start;
-    posInBlock += max_records < remaining ? max_records : remaining;
-    deliveredRecords += posInBlock - start;
-    return start;
 }
 
 bool
@@ -77,30 +65,12 @@ StreamingTraceSource::nextBlock(TraceSpan &out, std::size_t max_records)
         out = TraceSpan();
         return false;
     }
-    if (!aosBuilt) {
-        // Spans need contiguous TraceRecords: gather the AoS mirror
-        // once per block, only on the span path.
-        const TraceColumns cols = block.columns();
-        aos.resize(cols.size());
-        for (std::size_t i = 0; i < cols.size(); ++i)
-            aos[i] = cols.record(i);
-        aosBuilt = true;
-    }
-    const std::size_t start = take(max_records);
-    out = TraceSpan(aos.data() + start, posInBlock - start);
-    return true;
-}
-
-bool
-StreamingTraceSource::nextColumns(TraceColumns &out,
-                                  std::size_t max_records)
-{
-    if (!ensureBlock()) {
-        out = TraceColumns();
-        return false;
-    }
-    const std::size_t start = take(max_records);
-    out = block.columns(start, posInBlock - start);
+    const std::size_t remaining = block.size() - posInBlock;
+    const std::size_t count =
+        max_records < remaining ? max_records : remaining;
+    out = TraceSpan(block.data() + posInBlock, count);
+    posInBlock += count;
+    deliveredRecords += count;
     return true;
 }
 

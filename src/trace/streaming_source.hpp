@@ -2,15 +2,18 @@
  * @file
  * StreamingTraceSource: bounded-memory TraceSource over a v3 trace file.
  *
- * Serves the standard nextBlock()/nextColumns() span contract from one
- * decoded v3 block, so a 1B-instruction trace file is simulated with
- * the memory footprint of a single block (a few MB) instead of the
- * whole trace. The block is decoded into one reused TraceSoa when the
- * previous one is fully served; spans are served from a lazily built
- * AoS mirror of it, so the columnar path never pays for the mirror.
+ * Serves the standard nextBlock() span contract from one decoded v3
+ * block, so a 1B-instruction trace file is simulated with the memory
+ * footprint of a single block (a few MB) instead of the whole trace.
+ * When the previous block is fully served, the next one is decoded
+ * into the same reused TraceRecord vector (clear, then
+ * TraceV3Reader::appendBlock) and spans point straight into it.
  * Delivered spans never cross a block boundary, and a span stays valid
  * until the next successful delivery, exactly as the TraceSource
- * lifetime rules allow for a recycling source.
+ * lifetime rules allow for a recycling source. The one exception is a
+ * block whose checksum passes but whose records fail to decode: it is
+ * decoded over the served block before the damage shows, so a span
+ * held across that failed delivery must not be read again.
  *
  * Corrupt blocks are handled per the reader's mode: strict mode ends
  * the stream with a sticky error Status; salvage mode
@@ -51,12 +54,6 @@ class StreamingTraceSource : public TraceSource
                    std::size_t max_records =
                        defaultBlockRecords) override;
 
-    bool supportsColumns() const override { return true; }
-
-    bool nextColumns(TraceColumns &out,
-                     std::size_t max_records =
-                         defaultBlockRecords) override;
-
     /** Rewind to the first block (reopens the underlying file). */
     void reset() override;
 
@@ -79,7 +76,6 @@ class StreamingTraceSource : public TraceSource
 
   private:
     bool ensureBlock();
-    std::size_t take(std::size_t max_records);
 
     std::string filePath;
     bool salvageMode = false;
@@ -87,9 +83,7 @@ class StreamingTraceSource : public TraceSource
     Status streamStatus = Status::ok();
     bool endOfTrace = false;
 
-    TraceSoa block;               ///< The decoded block being served.
-    std::vector<TraceRecord> aos; ///< Lazy AoS mirror for spans.
-    bool aosBuilt = false;
+    std::vector<TraceRecord> block; ///< The decoded block being served.
     std::size_t posInBlock = 0;
     std::uint64_t deliveredRecords = 0;
 };

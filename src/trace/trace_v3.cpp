@@ -171,15 +171,13 @@ decodeRecord(const unsigned char *&p, const unsigned char *end,
 }
 
 /**
- * Decode one block payload of @p count records, handing record i to
- * @p put(i, record). All deltas reset at the block boundary, so this
- * needs nothing from neighbouring blocks. False on any malformed
- * encoding.
+ * Decode one block payload of @p count records into @p dest[0..count).
+ * All deltas reset at the block boundary, so this needs nothing from
+ * neighbouring blocks. False on any malformed encoding.
  */
-template <typename Put>
 bool
 decodeBlockPayload(const unsigned char *payload, std::size_t size,
-                   std::uint32_t count, Put put)
+                   std::uint32_t count, TraceRecord *dest)
 {
     const unsigned char *p = payload;
     const unsigned char *const end = payload + size;
@@ -192,12 +190,12 @@ decodeBlockPayload(const unsigned char *payload, std::size_t size,
          ++i) {
         if (!decodeRecord<false>(p, end, i == 0, &r))
             return false;
-        put(i, r);
+        dest[i] = r;
     }
     for (; i < count; ++i) {
         if (!decodeRecord<true>(p, end, i == 0, &r))
             return false;
-        put(i, r);
+        dest[i] = r;
     }
     // A valid block's payload is consumed exactly; slack means the
     // declared count or the payload length lied.
@@ -780,16 +778,11 @@ TraceV3Reader::nextPayload(Payload *out, Block *outcome)
     }
 }
 
-/**
- * Frame, check and decode the next intact block through @p decode
- * (payload -> bool). A payload that fails to decode is one more
- * damaged block: strict mode fails the file, salvage mode moves on.
- */
-template <typename Decode>
 Status
-TraceV3Reader::readBlock(Decode decode, Block *outcome)
+TraceV3Reader::appendBlock(std::vector<TraceRecord> *out, Block *outcome)
 {
     panicIf(!opened, "block read on closed TraceV3Reader");
+    panicIf(out == nullptr, "appendBlock needs an output vector");
     panicIf(outcome == nullptr, "block read needs an outcome parameter");
     for (;;) {
         Payload payload;
@@ -797,7 +790,13 @@ TraceV3Reader::readBlock(Decode decode, Block *outcome)
             !got.isOk() || *outcome == Block::kEnd) {
             return got;
         }
-        if (!decode(payload)) {
+        const std::size_t base = out->size();
+        out->resize(base + payload.count);
+        if (!decodeBlockPayload(payload.data, payload.bytes,
+                                payload.count, out->data() + base)) {
+            // A payload that fails to decode is one more damaged
+            // block: strict mode fails the file, salvage mode moves on.
+            out->resize(base);
             if (Status handled = handleCorrupt(
                     corrupt("corrupt record encoding in block " +
                             std::to_string(report.blocksDelivered) +
@@ -812,44 +811,6 @@ TraceV3Reader::readBlock(Decode decode, Block *outcome)
         report.recordsDelivered += payload.count;
         return Status::ok();
     }
-}
-
-Status
-TraceV3Reader::nextBlock(TraceSoa *out, Block *outcome)
-{
-    panicIf(out == nullptr, "nextBlock needs an output block");
-    return readBlock(
-        [out](const Payload &block) {
-            out->resize(block.count);
-            return decodeBlockPayload(
-                block.data, block.bytes, block.count,
-                [out](std::uint32_t i, const TraceRecord &r) {
-                    out->set(i, r);
-                });
-        },
-        outcome);
-}
-
-Status
-TraceV3Reader::appendBlock(std::vector<TraceRecord> *out, Block *outcome)
-{
-    panicIf(out == nullptr, "appendBlock needs an output vector");
-    return readBlock(
-        [out](const Payload &block) {
-            const std::size_t base = out->size();
-            out->resize(base + block.count);
-            TraceRecord *const dest = out->data() + base;
-            if (decodeBlockPayload(
-                    block.data, block.bytes, block.count,
-                    [dest](std::uint32_t i, const TraceRecord &r) {
-                        dest[i] = r;
-                    })) {
-                return true;
-            }
-            out->resize(base);
-            return false;
-        },
-        outcome);
 }
 
 void

@@ -191,9 +191,10 @@ class TraceV3Writer
  * for arbitrarily large traces). Block CRC checks consult the fault
  * injector's "block" counter (`block:N:block-crc` forces a mismatch),
  * and the mapped backend honors open/mmap/read faults via MappedFile.
- * The framing and CRC loop is also shared by the two destinations:
- * nextBlock() decodes a block into a TraceSoa, appendBlock() straight
- * onto a record vector, through one decoder.
+ * Every block is decoded straight onto the end of a TraceRecord
+ * vector (appendBlock()): the whole-file load appends into one vector
+ * reserved up front, the streaming source clears and refills one
+ * reused block vector.
  */
 class TraceV3Reader
 {
@@ -204,10 +205,10 @@ class TraceV3Reader
         bool preferMapped = false; ///< Try mmap first, else buffered.
     };
 
-    /** Outcome of one nextBlock() call. */
+    /** Outcome of one appendBlock() call. */
     enum class Block
     {
-        kDelivered, ///< @p out holds the next decoded block.
+        kDelivered, ///< @p out gained the next decoded block.
         kEnd,       ///< Clean end of trace (trailer validated).
     };
 
@@ -218,18 +219,12 @@ class TraceV3Reader
                               const Options &options);
 
     /**
-     * Decode the next block into @p out (replaced, not appended).
+     * Decode the next block onto the end of @p out. A block that fails
+     * to decode leaves @p out as it was.
      *
      * @return ok with *outcome = kDelivered/kEnd, kCorrupt on damage in
      *         strict mode (or unsalvageable damage in salvage mode),
      *         kIo on read errors. Every message names the path.
-     */
-    [[nodiscard]] Status nextBlock(TraceSoa *out, Block *outcome);
-
-    /**
-     * Decode the next block onto the end of @p out, with nextBlock()'s
-     * status contract. A block that fails to decode leaves @p out as it
-     * was.
      */
     [[nodiscard]] Status appendBlock(std::vector<TraceRecord> *out,
                                      Block *outcome);
@@ -268,8 +263,6 @@ class TraceV3Reader
     };
 
     [[nodiscard]] Status nextPayload(Payload *out, Block *outcome);
-    template <typename Decode>
-    [[nodiscard]] Status readBlock(Decode decode, Block *outcome);
     [[nodiscard]] Status readFrame(std::size_t size, bool *at_end);
     [[nodiscard]] Status resync();
     [[nodiscard]] Status handleCorrupt(const Status &why,

@@ -121,28 +121,4 @@ class SeededRawMutex
     std::mutex rawMutex; // lint:expect raw-mutex
 };
 
-std::uint64_t
-seededWholeTraceMaterialization(vpsim::TraceSource &source)
-{
-    // [trace-materialize] Buffering the whole trace: on the streaming
-    // pipeline this is the difference between a bounded window and an
-    // OOM on a 1B-instruction input.
-    std::vector<vpsim::TraceRecord> storage;
-    const vpsim::TraceSpan all = vpsim::materializeTrace(source, storage); // lint:expect trace-materialize
-
-    // The records() accessor materializes just the same.
-    vpsim::VectorTraceSource vec({});
-    std::uint64_t count = vec.records().size(); // lint:expect trace-materialize
-
-    // A local named `records` holding a span must NOT fire: only the
-    // member call and the free function count as materialization.
-    const vpsim::TraceSpan records = all;
-    count += records.size();
-
-    // Suppressed, justified materialization must NOT fire.
-    // lint:allow trace-materialize — fixture input is known-small.
-    const vpsim::TraceSpan again = vpsim::materializeTrace(source, storage);
-    return count + again.size();
-}
-
 } // namespace vpsim_lint_fixture

@@ -6,15 +6,25 @@
  * value-misprediction semantics).
  */
 
+#include <cstdio>
+#include <cstdlib>
+#include <string>
+
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
+#include "analysis/did.hpp"
 #include "core/ideal_machine.hpp"
 #include "core/pipeline_machine.hpp"
 #include "core/reference_machine.hpp"
 #include "core/speedup.hpp"
+#include "trace/streaming_source.hpp"
+#include "trace/trace_v3.hpp"
 #include "vm/interpreter.hpp"
 #include "vm/program_builder.hpp"
 #include "workloads/regs.hpp"
+#include "workloads/workload.hpp"
 
 namespace vpsim
 {
@@ -653,76 +663,77 @@ expectSameIdealResult(const IdealMachineResult &a,
     EXPECT_EQ(a.execCycle, b.execCycle);
 }
 
-/** Long enough to cross several defaultBlockRecords boundaries. */
-std::vector<TraceRecord>
-longMixedTrace()
+/**
+ * A real workload trace written as a v3 file with 257-record blocks, so
+ * streamed spans end at odd offsets that never line up with the
+ * in-memory 4096-record blocks.
+ */
+struct StreamedTrace
 {
-    std::vector<TraceRecord> trace = serialChain(6000);
-    const auto extra = independent(4500);
-    trace.insert(trace.end(), extra.begin(), extra.end());
-    for (SeqNum seq = 0; seq < trace.size(); ++seq)
-        trace[seq].seq = seq;
-    return trace;
-}
+    std::vector<TraceRecord> records =
+        captureWorkloadTrace("compress", 12000);
+    std::string path;
+
+    StreamedTrace()
+    {
+        const char *dir = std::getenv("TMPDIR");
+        path = std::string(dir ? dir : "/tmp") + "/vpsim_core_stream_" +
+               std::to_string(::getpid()) + ".vptrace";
+        EXPECT_TRUE(writeTraceV3(path, records, 257).isOk());
+    }
+    ~StreamedTrace() { std::remove(path.c_str()); }
+};
 
 TEST(IdealMachine, SourceOverloadMatchesVectorOverload)
 {
-    const auto trace = longMixedTrace();
-    for (const bool vp : {false, true}) {
+    const StreamedTrace trace;
+    StreamingTraceSource source;
+    ASSERT_TRUE(source.open(trace.path).isOk());
+    for (const int mode : {0, 1, 2}) {
+        SCOPED_TRACE("mode " + std::to_string(mode));
         IdealMachineConfig config;
-        config.useValuePrediction = vp;
+        config.useValuePrediction = mode != 0;
+        config.perfectValuePrediction = mode == 2;
         const IdealMachineResult from_vector =
-            runIdealMachine(trace, config, /*keep_schedule=*/true);
-        VectorTraceSource source{trace};
+            runIdealMachine(trace.records, config, /*keep_schedule=*/true);
         const IdealMachineResult from_source =
             runIdealMachine(source, config, /*keep_schedule=*/true);
+        EXPECT_TRUE(source.status().isOk());
         expectSameIdealResult(from_vector, from_source);
     }
 }
 
 TEST(IdealMachine, SpeedupOverloadsAgree)
 {
-    const auto trace = serialChain(5000);
+    const StreamedTrace trace;
+    StreamingTraceSource source;
+    ASSERT_TRUE(source.open(trace.path).isOk());
     IdealMachineConfig config;
-    VectorTraceSource source{trace};
-    EXPECT_DOUBLE_EQ(idealVpSpeedup(trace, config),
+    EXPECT_DOUBLE_EQ(idealVpSpeedup(trace.records, config),
                      idealVpSpeedup(source, config));
+    EXPECT_TRUE(source.status().isOk());
 }
 
-// The reference and pipeline machines take spans only; a caller
-// holding a TraceSource materializes explicitly. These tests pin the
-// contract that an explicitly materialized source is equivalent to
-// handing the machine the vector directly.
-TEST(ReferenceMachine, MaterializedSourceMatchesSpanOverload)
+TEST(Did, StreamedSourceMatchesInMemory)
 {
-    const auto trace = figure32();
-    IdealMachineConfig config;
-    config.useValuePrediction = true;
-    const IdealMachineResult from_span =
-        runReferenceIdealMachine(TraceSpan(trace), config);
-    VectorTraceSource source{trace};
-    std::vector<TraceRecord> storage;
-    const IdealMachineResult from_source = runReferenceIdealMachine(
-        materializeTrace(source, storage), config);
-    expectSameIdealResult(from_span, from_source);
-}
-
-TEST(PipelineMachine, MaterializedSourceMatchesSpanOverload)
-{
-    const auto trace = loopTrace(200, 4);
-    PipelineConfig config;
-    config.useValuePrediction = true;
-    const PipelineResult from_span = runPipelineMachine(trace, config);
-    VectorTraceSource source{trace};
-    std::vector<TraceRecord> storage;
-    const PipelineResult from_source = runPipelineMachine(
-        materializeTrace(source, storage), config);
-    EXPECT_EQ(from_span.cycles, from_source.cycles);
-    EXPECT_EQ(from_span.instructions, from_source.instructions);
-    EXPECT_EQ(from_span.branchMispredicts,
-              from_source.branchMispredicts);
-    EXPECT_EQ(from_span.vpPredictionsMade,
-              from_source.vpPredictionsMade);
+    const StreamedTrace trace;
+    StreamingTraceSource source;
+    ASSERT_TRUE(source.open(trace.path).isOk());
+    const DidAnalysis from_span = analyzeDid(trace.records);
+    const DidAnalysis from_source = analyzeDid(source);
+    EXPECT_TRUE(source.status().isOk());
+    EXPECT_GT(from_span.totalArcs, 0u);
+    EXPECT_EQ(from_span.totalArcs, from_source.totalArcs);
+    EXPECT_DOUBLE_EQ(from_span.averageDid, from_source.averageDid);
+    EXPECT_DOUBLE_EQ(from_span.averageDidTrimmed,
+                     from_source.averageDidTrimmed);
+    EXPECT_DOUBLE_EQ(from_span.fracDidAtLeast4,
+                     from_source.fracDidAtLeast4);
+    ASSERT_EQ(from_span.distribution.numBuckets(),
+              from_source.distribution.numBuckets());
+    for (std::size_t b = 0; b < from_span.distribution.numBuckets(); ++b)
+        EXPECT_EQ(from_span.distribution.bucketCount(b),
+                  from_source.distribution.bucketCount(b));
 }
 
 } // namespace

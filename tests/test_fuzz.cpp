@@ -540,9 +540,9 @@ TEST_P(FuzzSweep, ResealedPayloadDamageNeverCrashesTheDecoder)
         StreamingTraceSource source;
         ASSERT_TRUE(source.open(path, /*salvage=*/true).isOk());
         std::size_t streamed = 0;
-        TraceColumns cols;
-        while (source.nextColumns(cols))
-            streamed += cols.size();
+        TraceSpan span;
+        while (source.nextBlock(span))
+            streamed += span.size();
         EXPECT_TRUE(source.status().isOk()) << source.status().message();
         EXPECT_EQ(streamed, out.size());
     }

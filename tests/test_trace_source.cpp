@@ -1,11 +1,9 @@
 /**
  * @file
  * Tests for the batched trace-delivery API (TraceSpan, TraceSource
- * block iteration, materializeTrace) and for trace statistics and
- * slicing.
+ * block iteration) and for trace statistics and slicing.
  */
 
-#include <algorithm>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -38,47 +36,6 @@ syntheticTrace(std::size_t count)
         records.push_back(syntheticRecord(n));
     return records;
 }
-
-/**
- * A streaming source that recycles one internal block buffer per
- * delivery (the lifetime contract's worst case): spans from earlier
- * nextBlock() calls are clobbered by the next successful call, and the
- * backing store is never contiguous across blocks.
- */
-class ChunkedTraceSource : public TraceSource
-{
-  public:
-    ChunkedTraceSource(std::vector<TraceRecord> trace_records,
-                       std::size_t chunk)
-        : all(std::move(trace_records)), chunkSize(chunk)
-    {}
-
-    bool
-    nextBlock(TraceSpan &out,
-              std::size_t max_records = defaultBlockRecords) override
-    {
-        const std::size_t remaining = all.size() - position;
-        if (remaining == 0) {
-            out = TraceSpan();
-            return false;
-        }
-        const std::size_t count =
-            std::min({chunkSize, max_records, remaining});
-        buffer.assign(all.begin() + position,
-                      all.begin() + position + count);
-        position += count;
-        out = TraceSpan(buffer);
-        return true;
-    }
-
-    void reset() override { position = 0; }
-
-  private:
-    std::vector<TraceRecord> all;
-    std::vector<TraceRecord> buffer;
-    std::size_t chunkSize;
-    std::size_t position = 0;
-};
 
 TEST(TraceSpan, DefaultIsEmpty)
 {
@@ -116,18 +73,17 @@ TEST(TraceSpan, SubspanAndFirstSlice)
 
 TEST(TraceSource, EmptyTraceExhaustsImmediately)
 {
-    VectorTraceSource source{std::vector<TraceRecord>{}};
+    BorrowedTraceSource source{TraceSpan()};
     TraceSpan block;
     EXPECT_FALSE(source.nextBlock(block));
     EXPECT_TRUE(block.empty());
-    TraceColumns cols;
-    EXPECT_FALSE(source.nextColumns(cols));
-    EXPECT_EQ(cols.size(), 0u);
+    EXPECT_FALSE(source.supportsColumns());
 }
 
 TEST(TraceSource, DeliversTailSmallerThanRequest)
 {
-    VectorTraceSource source{syntheticTrace(10)};
+    const auto records = syntheticTrace(10);
+    BorrowedTraceSource source{TraceSpan(records)};
     TraceSpan block;
     ASSERT_TRUE(source.nextBlock(block, 4));
     EXPECT_EQ(block.size(), 4u);
@@ -148,7 +104,8 @@ TEST(TraceSource, DeliversTailSmallerThanRequest)
 
 TEST(TraceSource, NoLimitDeliversEverythingContiguously)
 {
-    VectorTraceSource source{syntheticTrace(1000)};
+    const auto records = syntheticTrace(1000);
+    BorrowedTraceSource source{TraceSpan(records)};
     TraceSpan block;
     ASSERT_TRUE(source.nextBlock(block, TraceSpan::noLimit));
     EXPECT_EQ(block.size(), 1000u);
@@ -157,7 +114,8 @@ TEST(TraceSource, NoLimitDeliversEverythingContiguously)
 
 TEST(TraceSource, ResetMidBlockRestartsFromTheTop)
 {
-    VectorTraceSource source{syntheticTrace(10)};
+    const auto records = syntheticTrace(10);
+    BorrowedTraceSource source{TraceSpan(records)};
     TraceSpan block;
     ASSERT_TRUE(source.nextBlock(block, 4));
     ASSERT_TRUE(source.nextBlock(block, 4));
@@ -165,30 +123,6 @@ TEST(TraceSource, ResetMidBlockRestartsFromTheTop)
     ASSERT_TRUE(source.nextBlock(block, TraceSpan::noLimit));
     EXPECT_EQ(block.size(), 10u);
     EXPECT_EQ(block.front().seq, 0u);
-}
-
-TEST(TraceSource, VectorSourceServesSpansZeroCopy)
-{
-    auto records = syntheticTrace(100);
-    const TraceRecord *const data = records.data();
-    VectorTraceSource source{std::move(records)};
-    TraceSpan block;
-    ASSERT_TRUE(source.nextBlock(block, 64));
-    EXPECT_EQ(block.data(), data);
-    ASSERT_TRUE(source.nextBlock(block, 64));
-    EXPECT_EQ(block.data(), data + 64);
-    EXPECT_EQ(block.size(), 36u);
-}
-
-TEST(TraceSource, RecordsAccessorIsIndependentOfTheCursor)
-{
-    VectorTraceSource source{syntheticTrace(20)};
-    TraceSpan block;
-    ASSERT_TRUE(source.nextBlock(block, 15));
-    EXPECT_EQ(source.size(), 20u);
-    EXPECT_EQ(source.records().size(), 20u);
-    EXPECT_EQ(source.records().data(), block.data());
-    EXPECT_EQ(source.at(19).seq, 19u);
 }
 
 TEST(TraceSource, BorrowedSourceViewsForeignStorage)
@@ -204,38 +138,6 @@ TEST(TraceSource, BorrowedSourceViewsForeignStorage)
     source.reset();
     ASSERT_TRUE(source.nextBlock(block, TraceSpan::noLimit));
     EXPECT_EQ(block.size(), 50u);
-}
-
-TEST(TraceSource, MaterializeIsZeroCopyForContiguousSources)
-{
-    VectorTraceSource source{syntheticTrace(200)};
-    std::vector<TraceRecord> storage;
-    const TraceSpan span = materializeTrace(source, storage);
-    EXPECT_EQ(span.size(), 200u);
-    EXPECT_TRUE(storage.empty());
-    EXPECT_EQ(span.data(), source.records().data());
-}
-
-TEST(TraceSource, MaterializeCopiesFromStreamingSources)
-{
-    const auto records = syntheticTrace(200);
-    ChunkedTraceSource source{records, 32};
-    std::vector<TraceRecord> storage;
-    const TraceSpan span = materializeTrace(source, storage);
-    ASSERT_EQ(span.size(), 200u);
-    EXPECT_EQ(storage.size(), 200u);
-    EXPECT_EQ(span.data(), storage.data());
-    for (std::size_t i = 0; i < records.size(); ++i)
-        EXPECT_EQ(span[i].seq, records[i].seq);
-}
-
-TEST(TraceSource, MaterializeEmptySourceYieldsEmptySpan)
-{
-    VectorTraceSource source{std::vector<TraceRecord>{}};
-    std::vector<TraceRecord> storage;
-    const TraceSpan span = materializeTrace(source, storage);
-    EXPECT_TRUE(span.empty());
-    EXPECT_TRUE(storage.empty());
 }
 
 TEST(TraceStatsTest, CountsAreConsistent)
@@ -271,7 +173,7 @@ TEST(TraceStatsTest, SourceOverloadMatchesSpanOverload)
 {
     const auto trace = captureWorkloadTrace("compress", 3000);
     const TraceStats from_span = computeTraceStats(trace);
-    VectorTraceSource source{trace};
+    BorrowedTraceSource source{TraceSpan(trace)};
     const TraceStats from_source = computeTraceStats(source);
     EXPECT_EQ(from_span.totalInsts, from_source.totalInsts);
     EXPECT_EQ(from_span.distinctPcs, from_source.distinctPcs);

@@ -116,16 +116,12 @@ readWithBackend(const std::string &path, bool mapped,
     options.preferMapped = mapped;
     if (Status opened = reader.open(path, options); !opened.isOk())
         return opened;
-    TraceSoa block;
     for (;;) {
         TraceV3Reader::Block outcome = TraceV3Reader::Block::kEnd;
-        if (Status got = reader.nextBlock(&block, &outcome); !got.isOk())
+        if (Status got = reader.appendBlock(out, &outcome); !got.isOk())
             return got;
         if (outcome == TraceV3Reader::Block::kEnd)
             return Status::ok();
-        const TraceColumns cols = block.columns();
-        for (std::size_t i = 0; i < cols.size(); ++i)
-            out->push_back(cols.record(i));
     }
 }
 
@@ -333,48 +329,6 @@ TEST(TraceIo, MappedAndBufferedCorruptionMessagesAgree)
     bytes = pristine;
     bytes[4] = 1; // stale version byte
     corrupt_then_compare(bytes);
-    std::remove(path.c_str());
-}
-
-TEST(TraceIo, SpanIterationMatchesColumnsAfterRoundTrip)
-{
-    const auto original = captureWorkloadTrace("go", 4000);
-    const std::string path = tempPath("vpsim_span_roundtrip.vptrace");
-    ASSERT_TRUE(writeTraceV3(path, original, 512).isOk());
-
-    // The file must deliver identically through both halves of the
-    // TraceSource API, record for record: spans of one size against
-    // columns of another, so the two cursors cross block boundaries
-    // at different points.
-    StreamingTraceSource span_source;
-    StreamingTraceSource column_source;
-    ASSERT_TRUE(span_source.open(path).isOk());
-    ASSERT_TRUE(column_source.open(path).isOk());
-    std::size_t index = 0;
-    std::size_t column_index = 0;
-    TraceSpan block;
-    TraceColumns cols;
-    while (span_source.nextBlock(block, 123)) {
-        for (const TraceRecord &from_span : block) {
-            if (column_index == cols.size()) {
-                ASSERT_TRUE(column_source.nextColumns(cols, 77));
-                column_index = 0;
-            }
-            const TraceRecord from_columns = cols.record(column_index++);
-            ASSERT_LT(index, original.size());
-            EXPECT_EQ(from_span.seq, from_columns.seq);
-            EXPECT_EQ(from_span.pc, original[index].pc);
-            EXPECT_EQ(from_columns.pc, original[index].pc);
-            EXPECT_EQ(from_span.result, from_columns.result);
-            EXPECT_EQ(from_columns.taken, original[index].taken);
-            ++index;
-        }
-    }
-    EXPECT_EQ(column_index, cols.size());
-    EXPECT_FALSE(column_source.nextColumns(cols));
-    EXPECT_TRUE(span_source.status().isOk());
-    EXPECT_TRUE(column_source.status().isOk());
-    EXPECT_EQ(index, original.size());
     std::remove(path.c_str());
 }
 
@@ -764,10 +718,9 @@ TEST(TraceV3Load, TenByteVarintsRoundTripAcrossTheBoundsCheckSwitch)
         StreamingTraceSource source;
         ASSERT_TRUE(source.open(path).isOk());
         std::vector<TraceRecord> streamed;
-        TraceColumns cols;
-        while (source.nextColumns(cols))
-            for (std::size_t i = 0; i < cols.size(); ++i)
-                streamed.push_back(cols.record(i));
+        TraceSpan block;
+        while (source.nextBlock(block))
+            streamed.insert(streamed.end(), block.begin(), block.end());
         EXPECT_TRUE(source.status().isOk());
         expectSameRecords(streamed, original);
     }
@@ -852,26 +805,6 @@ TEST(StreamingSource, DeliversTheWholeTraceInOrder)
     std::remove(path.c_str());
 }
 
-TEST(StreamingSource, ColumnarPathMatchesTheSpanPath)
-{
-    const auto original = captureWorkloadTrace("go", 3000);
-    const std::string path = tempPath("vpsim_v3_stream_cols.vptrace");
-    ASSERT_TRUE(writeTraceV3(path, original, 256).isOk());
-
-    StreamingTraceSource source;
-    ASSERT_TRUE(source.open(path).isOk());
-    ASSERT_TRUE(source.supportsColumns());
-    std::vector<TraceRecord> got;
-    TraceColumns cols;
-    while (source.nextColumns(cols, 100)) {
-        for (std::size_t i = 0; i < cols.size(); ++i)
-            got.push_back(cols.record(i));
-    }
-    EXPECT_TRUE(source.status().isOk());
-    expectSameRecords(got, original);
-    std::remove(path.c_str());
-}
-
 TEST(StreamingSource, SpansNeverCrossBlockBoundaries)
 {
     const auto original = captureWorkloadTrace("go", 2000);
@@ -932,34 +865,28 @@ TEST(StreamingSource, ResetReusesTheDecodedBlockBuffer)
 
     StreamingTraceSource source;
     ASSERT_TRUE(source.open(path).isOk());
-    // A partial columnar read that crosses into the second block, so
-    // the one block buffer has already been decoded over once.
-    TraceColumns cols;
-    ASSERT_TRUE(source.nextColumns(cols, 200));
-    const SeqNum *const buffer = cols.seq;
-    ASSERT_TRUE(source.nextColumns(cols, 200));
-    ASSERT_TRUE(source.nextColumns(cols, 200));
-    EXPECT_EQ(cols.seq[0], original[256].seq)
+    // A partial read that crosses into the second block, so the one
+    // block buffer has already been decoded over once.
+    TraceSpan block;
+    ASSERT_TRUE(source.nextBlock(block, 200));
+    const TraceRecord *const buffer = block.data();
+    ASSERT_TRUE(source.nextBlock(block, 200));
+    ASSERT_TRUE(source.nextBlock(block, 200));
+    EXPECT_EQ(block[0].seq, original[256].seq)
         << "the third delivery starts the second block";
-    EXPECT_EQ(cols.seq, buffer)
+    EXPECT_EQ(block.data(), buffer)
         << "the second block is decoded into the first block's buffer";
 
     source.reset();
     std::vector<TraceRecord> got;
-    ASSERT_TRUE(source.nextColumns(cols, 100));
-    EXPECT_EQ(cols.seq, buffer) << "reset keeps the buffer";
+    ASSERT_TRUE(source.nextBlock(block, 100));
+    EXPECT_EQ(block.data(), buffer) << "reset keeps the buffer";
     do {
-        for (std::size_t i = 0; i < cols.size(); ++i)
-            got.push_back(cols.record(i));
-    } while (source.nextColumns(cols, 100));
-    EXPECT_TRUE(source.status().isOk());
-    expectSameRecords(got, original);
-
-    source.reset();
-    got.clear();
-    TraceSpan block;
-    while (source.nextBlock(block, 300))
+        EXPECT_GE(block.data(), buffer);
+        EXPECT_LE(block.data() + block.size(), buffer + 256)
+            << "every span lies inside the one block buffer";
         got.insert(got.end(), block.begin(), block.end());
+    } while (source.nextBlock(block, 100));
     EXPECT_TRUE(source.status().isOk());
     EXPECT_EQ(source.recordsDelivered(), original.size());
     expectSameRecords(got, original);
