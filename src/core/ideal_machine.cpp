@@ -45,8 +45,6 @@ struct IdealEngine
     std::vector<Writer> lastWriter;
     /** Ring buffer of the last windowSize execute cycles. */
     std::vector<Cycle> windowExec;
-    /** Scratch for the per-block batched table probe. */
-    std::vector<Addr> probePcs;
 
     Cycle maxExec = 0;
     std::uint64_t insts = 0;
@@ -88,33 +86,6 @@ struct IdealEngine
                 keepSchedule ? processBlock<false, false, true>(block)
                              : processBlock<false, false, false>(block);
         }
-    }
-
-    /**
-     * Batched predictor-table probe (one call per delivered block):
-     * gathers the in-scope value-producing pcs and lets every table on
-     * the predictor's path prefetch its slots before the sequential
-     * walk below probes them one by one.
-     */
-    void
-    probeBlockTables(TraceSpan block)
-    {
-        probePcs.clear();
-        const std::size_t n = block.size();
-        for (std::size_t k = 0; k < n; ++k) {
-            const OpCode op = block[k].op;
-            const RegIndex rd = block[k].rd;
-            const bool produces_value =
-                writesDest(op) && rd != invalidReg && rd != 0;
-            if (!produces_value)
-                continue;
-            if (config.vpScope != VpScope::AllInstructions &&
-                instClassOf(op) != InstClass::Load)
-                continue;
-            probePcs.push_back(block[k].pc);
-        }
-        if (!probePcs.empty())
-            predictor->probeBlock(probePcs.data(), probePcs.size());
     }
 
     template <bool UseVp, bool FullChecks, bool KeepSchedule>
@@ -328,8 +299,6 @@ runIdealMachine(TraceSource &source, const IdealMachineConfig &config,
         // thread-local store and one relaxed atomic load per <= 4096
         // records instead of per instruction.
         simHeartbeat(engine.insts);
-        if (predictor)
-            engine.probeBlockTables(block);
         engine.dispatchBlock(block, invariantsActive(InvariantLevel::Full));
     }
 

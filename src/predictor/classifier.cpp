@@ -12,7 +12,6 @@ ClassifiedPredictor::ClassifiedPredictor(
       counters(counter_capacity)
 {
     panicIf(!rawPredictor, "ClassifiedPredictor needs a raw predictor");
-    rawClass = rawPredictor->fusedClass();
     // Mirror SatCounter(counterBits)'s geometry for the co-located
     // fast path (the SatCounter ctor validates the width).
     const SatCounter reference(counterBits);
@@ -111,6 +110,7 @@ ClassifiedPredictor::reset()
     numCorrect = 0;
     numWrong = 0;
     numMissed = 0;
+    numAbandoned = 0;
 }
 
 } // namespace vpsim

@@ -15,10 +15,7 @@
 #include <memory>
 
 #include "common/sat_counter.hpp"
-#include "predictor/last_value.hpp"
-#include "predictor/stride.hpp"
 #include "predictor/table_storage.hpp"
-#include "predictor/two_delta.hpp"
 #include "predictor/value_predictor.hpp"
 
 namespace vpsim
@@ -70,19 +67,6 @@ class ClassifiedPredictor
     ClassifiedPrediction predict(Addr pc);
 
     /**
-     * Batched probe warm-up for a whole trace span / fetch bundle of
-     * upcoming predict() pcs: prefetches the confidence-counter slots
-     * and the raw predictor's table slots. Pure cache hint, no state
-     * change; machines call it once per delivered block.
-     */
-    void
-    probeBlock(const Addr *pcs, std::size_t n)
-    {
-        counters.probeBlock(pcs, n);
-        rawPredictor->prefetchBlock(pcs, n);
-    }
-
-    /**
      * Train with the actual outcome. Must be called exactly once per
      * predict(), with the ClassifiedPrediction that predict() returned.
      */
@@ -93,42 +77,21 @@ class ClassifiedPredictor
      * Fused predict() + update() for callers that verify immediately
      * (the ideal machine knows the actual value in the same step).
      * Produces exactly the predict() result and applies exactly the
-     * update() training, but touches the confidence table once and
-     * reaches the raw predictor through a single fused call
-     * (ValuePredictor::lookupTrain) — devirtualized via fusedClass()
-     * for the stock predictors, so the whole prediction step inlines
-     * into the machine's block loop. Defined inline for that reason.
+     * update() training, but touches the confidence table at most once
+     * and reaches the raw predictor through a single virtual call
+     * (ValuePredictor::lookupTrain). Defined inline so the classifier
+     * half inlines into the machine's block loop.
      */
     ClassifiedPrediction
     predictAndTrain(Addr pc, Value actual)
     {
         ++numLookups;
         ClassifiedPrediction result;
-        // rawClass is constant for the predictor's lifetime, so this
-        // switch costs one perfectly predicted branch and buys the
-        // concrete lookupTrain body inlined here (no virtual call, no
-        // spilled registers around an opaque boundary). The co-located
-        // classifier slot (cls) rides back on the same table walk.
-        RawPrediction raw_result;
+        // The co-located classifier slot (cls) rides back on the raw
+        // predictor's table probe.
         ClassifierState *cls = nullptr;
-        switch (rawClass) {
-        case ValuePredictor::FusedClass::LastValue:
-            raw_result = static_cast<LastValuePredictor &>(*rawPredictor)
-                             .lookupTrain(pc, actual, cls);
-            break;
-        case ValuePredictor::FusedClass::Stride:
-            raw_result = static_cast<StridePredictor &>(*rawPredictor)
-                             .lookupTrain(pc, actual, cls);
-            break;
-        case ValuePredictor::FusedClass::TwoDeltaStride:
-            raw_result =
-                static_cast<TwoDeltaStridePredictor &>(*rawPredictor)
-                    .lookupTrain(pc, actual, cls);
-            break;
-        case ValuePredictor::FusedClass::Generic:
-            raw_result = rawPredictor->lookupTrain(pc, actual, cls);
-            break;
-        }
+        const RawPrediction raw_result =
+            rawPredictor->lookupTrain(pc, actual, cls);
         if (!raw_result.hasPrediction)
             return result;
         result.rawAvailable = true;
@@ -136,11 +99,11 @@ class ClassifiedPredictor
 
         // Confidence probe. The fast path reads the classifier state
         // embedded in the raw predictor's entry (the paper stores the
-        // counter in the VP table entry too) — no second hash, no
-        // second slot walk. Predictors that cannot co-locate (finite
-        // tables: distinct eviction interleavings) return cls ==
-        // nullptr and use the separate counter table exactly as the
-        // split predict()/update() path does.
+        // counter in the VP table entry too) — no second table probe.
+        // Predictors that cannot co-locate (finite tables: distinct
+        // eviction interleavings) return cls == nullptr and use the
+        // separate counter table exactly as the split predict()/
+        // update() path does.
         std::uint16_t count;
         CounterEntry *entry = nullptr;
         if (cls) {
@@ -225,9 +188,6 @@ class ClassifiedPredictor
     std::unique_ptr<ValuePredictor> rawPredictor;
     unsigned counterBits;
     MissPolicy missPolicy;
-    /** Cached rawPredictor->fusedClass() for the devirtualized path. */
-    ValuePredictor::FusedClass rawClass =
-        ValuePredictor::FusedClass::Generic;
     /** @name Cached counter geometry (from counterBits / missPolicy) */
     /// @{
     std::uint16_t counterThreshold = 2;

@@ -1,5 +1,7 @@
 #include "predictor/factory.hpp"
 
+#include <algorithm>
+
 #include "common/logging.hpp"
 #include "predictor/fcm.hpp"
 #include "predictor/hybrid.hpp"
@@ -39,9 +41,11 @@ makePredictor(PredictorKind kind, std::size_t capacity)
         return std::make_unique<TwoDeltaStridePredictor>(capacity);
       case PredictorKind::Hybrid:
         // The hybrid's stride table is deliberately small relative to the
-        // last-value table (paper §4.2).
+        // last-value table (paper §4.2). A finite table keeps at least one
+        // stride entry: capacity / 8 == 0 would mean "infinite".
         return std::make_unique<HybridPredictor>(
-            capacity, capacity == 0 ? 0 : capacity / 8);
+            capacity,
+            capacity == 0 ? 0 : std::max<std::size_t>(capacity / 8, 1));
       case PredictorKind::Fcm:
         return std::make_unique<FcmPredictor>(2, capacity);
     }

@@ -42,12 +42,6 @@ class FcmPredictor : public ValuePredictor
     void train(Addr pc, Value actual,
                bool spec_was_correct = false) override;
     StrideInfo strideInfo(Addr pc) const override;
-    void prefetchBlock(const Addr *pcs, std::size_t n) override
-    {
-        // Only the first level is pc-indexed; the shared value table's
-        // index needs the context hash, which the probe itself builds.
-        contexts.probeBlock(pcs, n);
-    }
     std::string name() const override;
     void reset() override;
 

@@ -43,11 +43,6 @@ class HybridPredictor : public ValuePredictor
                bool spec_was_correct = false) override;
     void abandon(Addr pc) override;
     StrideInfo strideInfo(Addr pc) const override;
-    void prefetchBlock(const Addr *pcs, std::size_t n) override
-    {
-        lastTable.probeBlock(pcs, n);
-        strideTable.probeBlock(pcs, n);
-    }
     std::string name() const override { return "hybrid"; }
     void reset() override;
 

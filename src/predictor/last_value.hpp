@@ -30,20 +30,12 @@ class LastValuePredictor : public ValuePredictor
      * Fused lookup() + train() on one probe. A fresh allocation reads
      * as "no history" exactly like lookup()'s find() miss (including
      * the finite-table eviction case: the evicted victim had a
-     * different tag, so lookup() would have missed too). Inline for
-     * the fusedClass() devirtualized path.
+     * different tag, so lookup() would have missed too).
      */
-    RawPrediction
-    lookupTrain(Addr pc, Value actual) override
-    {
-        ClassifierState *ignored;
-        return lookupTrain(pc, actual, ignored);
-    }
-
     RawPrediction
     lookupTrain(Addr pc, Value actual, ClassifierState *&cls) override
     {
-        Entry &entry = table.findOrAllocateFused(pc);
+        Entry &entry = table.findOrAllocate(pc);
         cls = table.isInfinite() ? &entry.cls : nullptr;
         RawPrediction raw;
         if (entry.seen)
@@ -53,17 +45,7 @@ class LastValuePredictor : public ValuePredictor
         return raw;
     }
 
-    FusedClass
-    fusedClass() const override
-    {
-        return FusedClass::LastValue;
-    }
-
     StrideInfo strideInfo(Addr pc) const override;
-    void prefetchBlock(const Addr *pcs, std::size_t n) override
-    {
-        table.probeBlock(pcs, n);
-    }
     std::string name() const override { return "last-value"; }
     void reset() override { table.clear(); }
 

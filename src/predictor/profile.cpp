@@ -83,12 +83,6 @@ ProfileHints::hintFor(Addr pc) const
     return entry == nullptr ? ValueHint::NotPredictable : entry->hint;
 }
 
-void
-ProfileHints::prefetchHints(const Addr *pcs, std::size_t n) const
-{
-    hints.probeBlock(pcs, n);
-}
-
 HintedHybridPredictor::HintedHybridPredictor(
     const ProfileHints &profile_hints, std::size_t last_capacity,
     std::size_t stride_capacity)
@@ -194,18 +188,6 @@ HintedHybridPredictor::strideInfo(Addr pc) const
       }
     }
     panic("invalid value hint");
-}
-
-void
-HintedHybridPredictor::prefetchBlock(const Addr *pcs, std::size_t n)
-{
-    // The hint decides which component table a pc will touch, but the
-    // hint probe itself is the first dependent load — warm it, plus
-    // both component tables (over-prefetching a small table is cheaper
-    // than a second classification pass).
-    profile.prefetchHints(pcs, n);
-    lastTable.probeBlock(pcs, n);
-    strideTable.probeBlock(pcs, n);
 }
 
 void

@@ -62,9 +62,6 @@ class ProfileHints
     /** Hint for @p pc; unseen instructions are NotPredictable. */
     ValueHint hintFor(Addr pc) const;
 
-    /** Warm the hint-table slots for a block of upcoming pcs. */
-    void prefetchHints(const Addr *pcs, std::size_t n) const;
-
     /** @name Summary statistics */
     /// @{
     std::uint64_t staticInstructions() const { return hints.size(); }
@@ -74,8 +71,8 @@ class ProfileHints
     /// @}
 
   private:
-    /** One hint per static pc; open-addressed (hintFor() runs on the
-     *  per-instruction path of the hinted hybrid predictor). */
+    /** One hint per static pc (hintFor() runs on the per-instruction
+     *  path of the hinted hybrid predictor). */
     struct HintEntry
     {
         ValueHint hint = ValueHint::NotPredictable;
@@ -109,7 +106,6 @@ class HintedHybridPredictor : public ValuePredictor
                bool spec_was_correct = false) override;
     void abandon(Addr pc) override;
     StrideInfo strideInfo(Addr pc) const override;
-    void prefetchBlock(const Addr *pcs, std::size_t n) override;
     std::string name() const override { return "hinted-hybrid"; }
     void reset() override;
 

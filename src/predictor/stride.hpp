@@ -49,23 +49,14 @@ class StridePredictor : public ValuePredictor
      * read but never written. The data-dependent decisions are ternary
      * selects rather than branches: prediction correctness flips with
      * the simulated values, and a mispredicted branch per instruction
-     * would dominate this whole path. Defined inline so callers that
-     * devirtualize via fusedClass() absorb the body into their loop.
-     *
-     * The three-argument form also hands out the entry's co-located
-     * classifier slot (infinite tables only — see the base class).
+     * would dominate this whole path. It also hands out the entry's
+     * co-located classifier slot (infinite tables only — see the base
+     * class).
      */
-    RawPrediction
-    lookupTrain(Addr pc, Value actual) override
-    {
-        ClassifierState *ignored;
-        return lookupTrain(pc, actual, ignored);
-    }
-
     RawPrediction
     lookupTrain(Addr pc, Value actual, ClassifierState *&cls) override
     {
-        Entry &entry = table.findOrAllocateFused(pc);
+        Entry &entry = table.findOrAllocate(pc);
         cls = table.isInfinite() ? &entry.cls : nullptr;
         const bool has_history = entry.timesSeen != 0;
         const Value predicted = entry.specValue + entry.stride;
@@ -94,13 +85,8 @@ class StridePredictor : public ValuePredictor
         return raw;
     }
 
-    FusedClass fusedClass() const override { return FusedClass::Stride; }
     void abandon(Addr pc) override;
     StrideInfo strideInfo(Addr pc) const override;
-    void prefetchBlock(const Addr *pcs, std::size_t n) override
-    {
-        table.probeBlock(pcs, n);
-    }
     std::string name() const override { return "stride"; }
     void reset() override { table.clear(); }
 

@@ -2,34 +2,37 @@
  * @file
  * Prediction-table storage shared by all predictors.
  *
- * capacity == 0 models the paper's "infinite table" assumption (§3.1);
- * a nonzero capacity models a real direct-mapped, tagged table (entries
- * are evicted on index conflicts), used by the finite configurations in
- * Section 5 style experiments and the hybrid predictor's "relatively
- * small stride table".
+ * capacity == 0 models the paper's "infinite table" assumption (§3.1):
+ * one entry per static instruction. A nonzero capacity models a real
+ * direct-mapped, tagged table (entries are evicted on index conflicts),
+ * used by the finite configurations in Section 5 style experiments and
+ * the hybrid predictor's "relatively small stride table".
  *
- * The infinite table is an open-addressed, linearly probed hash table
- * with inline tags (it grows, it never evicts). It replaced a
- * std::unordered_map: the per-probe pointer chase and per-insert node
- * allocation of the map dominated the whole value-prediction hot path
- * (see docs/PERF.md). Every probe now touches one contiguous slot
- * array, a repeated probe of the same pc (the predict/update pairs all
- * predictors issue) is served by a one-entry memo without re-hashing,
- * and probeBlock() lets machines prefetch a whole span's slots ahead
- * of the scheduling loop.
+ * The infinite table is a dense array indexed by static instruction:
+ * the slot for pc is pc / instBytes - lo, where the window [lo, lo +
+ * size) covers every pc allocated so far. The benchmarks have at most a
+ * few hundred static instructions, so the whole table sits in L1 and a
+ * probe is one subtract, one compare and one load. findOrAllocate()
+ * widens the window (doubling it upwards, extending it down to a lower
+ * pc); find() never does, and misses outside it. Allocating an
+ * unaligned pc, or a window wider than maxDenseSpan static
+ * instructions (a salvaged or fuzzed trace can carry any pc), is a
+ * fatal error rather than a silent fallback.
  *
  * Pointer/reference validity: a pointer returned by find()/
  * findOrAllocate() stays valid only until the next findOrAllocate()
- * on the same table (the open-addressed array may grow). All callers
- * in this repository finish with an entry before the next probe; new
- * callers must do the same. (The old map kept pointers stable forever
- * — code relying on that was never written, and must not be.)
+ * on the same table (the window may be reallocated). All callers in
+ * this repository finish with an entry before the next probe; new
+ * callers must do the same.
  */
 
 #ifndef VPSIM_PREDICTOR_TABLE_STORAGE_HPP
 #define VPSIM_PREDICTOR_TABLE_STORAGE_HPP
 
-#include <cstdint>
+#include <algorithm>
+#include <cstddef>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/logging.hpp"
@@ -39,16 +42,12 @@
 namespace vpsim
 {
 
-/** Portable best-effort cache prefetch of the line holding @p addr. */
-inline void
-prefetchForRead(const void *addr)
-{
-#if defined(__GNUC__) || defined(__clang__)
-    __builtin_prefetch(addr, 0 /*read*/, 3 /*high locality*/);
-#else
-    (void)addr;
-#endif
-}
+/**
+ * Widest pc range, in static instructions, an infinite table may cover:
+ * at the cap a stride table's 48-byte slots take 3 MiB, an FCM context
+ * table's 80-byte slots 5 MiB.
+ */
+inline constexpr std::size_t maxDenseSpan = std::size_t{1} << 16;
 
 /**
  * Keyed storage for per-static-instruction predictor state.
@@ -70,36 +69,14 @@ class PredictionTable
             fatalIf((capacity & (capacity - 1)) != 0,
                     "prediction table capacity must be a power of two");
             slots.resize(capacity);
-        } else {
-            open.resize(initialOpenSlots);
-            openMask = initialOpenSlots - 1;
         }
     }
 
     /** Find the entry for @p pc, or nullptr on a miss. */
-    Entry *
-    find(Addr pc)
-    {
-        if (capacity == 0) {
-            if (pc == memoKey)
-                return &open[memoIndex].entry;
-            const std::size_t index = probe(pc);
-            if (open[index].key != pc)
-                return nullptr;
-            memoKey = pc;
-            memoIndex = index;
-            return &open[index].entry;
-        }
-        Slot &slot = slots[indexOf(pc)];
-        return (slot.valid && slot.tag == pc) ? &slot.entry : nullptr;
-    }
+    Entry *find(Addr pc) { return findIn(*this, pc); }
 
     /** Const find. */
-    const Entry *
-    find(Addr pc) const
-    {
-        return const_cast<PredictionTable *>(this)->find(pc);
-    }
+    const Entry *find(Addr pc) const { return findIn(*this, pc); }
 
     /**
      * Return the entry for @p pc, allocating (and possibly evicting the
@@ -110,30 +87,21 @@ class PredictionTable
     findOrAllocate(Addr pc, bool *allocated = nullptr)
     {
         if (capacity == 0) {
-            if (pc == memoKey) {
-                if (allocated)
-                    *allocated = false;
-                return open[memoIndex].entry;
-            }
-            std::size_t index = probe(pc);
-            const bool fresh = open[index].key != pc;
+            if (pc % instBytes != 0) [[unlikely]]
+                rejectPc(pc, "is not instruction aligned");
+            std::size_t index = denseIndex(pc);
+            if (index >= dense.size())
+                index = cover(pc);
+            DenseSlot &slot = dense[index];
+            const bool fresh = !slot.valid;
             if (fresh) {
-                fatalIf(pc == emptyKey,
-                        "prediction table key collides with the empty "
-                        "sentinel");
-                if ((numLive + 1) * 4 > (openMask + 1) * 3) {
-                    grow();
-                    index = probe(pc);
-                }
-                open[index].key = pc;
-                open[index].entry = Entry{};
+                slot.valid = true;
+                slot.entry = Entry{};
                 ++numLive;
             }
             if (allocated)
                 *allocated = fresh;
-            memoKey = pc;
-            memoIndex = index;
-            return open[index].entry;
+            return slot.entry;
         }
         Slot &slot = slots[indexOf(pc)];
         const bool fresh = !slot.valid || slot.tag != pc;
@@ -145,82 +113,6 @@ class PredictionTable
         if (allocated)
             *allocated = fresh;
         return slot.entry;
-    }
-
-    /**
-     * findOrAllocate() for straight-line fused paths (lookupTrain):
-     * identical semantics, but skips the one-entry memo. Fused callers
-     * probe each pc exactly once per dynamic event, so the memo never
-     * hits for them and its read-compare-update is pure overhead on
-     * the hottest loop in the simulator. Any memo left behind by other
-     * paths stays valid: entries only move in grow(), which resets it.
-     */
-    Entry &
-    findOrAllocateFused(Addr pc)
-    {
-        if (capacity == 0) {
-            std::size_t index = probe(pc);
-            if (open[index].key != pc) {
-                fatalIf(pc == emptyKey,
-                        "prediction table key collides with the empty "
-                        "sentinel");
-                if ((numLive + 1) * 4 > (openMask + 1) * 3) {
-                    grow();
-                    index = probe(pc);
-                }
-                open[index].key = pc;
-                open[index].entry = Entry{};
-                ++numLive;
-            }
-            return open[index].entry;
-        }
-        return findOrAllocate(pc);
-    }
-
-    /**
-     * Warm the cache lines @p pc's probe would touch. Best effort: a
-     * prefetched slot may still move before the probe (growth), and the
-     * memo is untouched.
-     */
-    void
-    prefetch(Addr pc) const
-    {
-        if (capacity == 0) {
-            prefetchForRead(&open[hashOf(pc) & openMask]);
-        } else {
-            prefetchForRead(&slots[indexOf(pc)]);
-        }
-    }
-
-    /**
-     * Batched probe warm-up: prefetch the slots for a whole block of
-     * upcoming lookups (one call per trace span / fetch bundle, see
-     * docs/PERF.md) so the scheduling loop's probes hit warm lines
-     * instead of paying a dependent-load miss per instruction.
-     *
-     * Self-gating: when the whole slot array fits comfortably in L1
-     * (small working sets keep these tables at their initial size),
-     * every probe already hits cache and the prefetch pass is pure
-     * overhead — one hash and one load-port slot per pc for nothing —
-     * so it is skipped.
-     */
-    void
-    probeBlock(const Addr *pcs, std::size_t n) const
-    {
-        if (!prefetchWorthwhile())
-            return;
-        for (std::size_t i = 0; i < n; ++i)
-            prefetch(pcs[i]);
-    }
-
-    /** True when the resident slot array exceeds ~L1 capacity. */
-    bool
-    prefetchWorthwhile() const
-    {
-        const std::size_t resident = capacity == 0
-            ? (openMask + 1) * sizeof(OpenSlot)
-            : capacity * sizeof(Slot);
-        return resident > prefetchResidencyBytes;
     }
 
     /** True for the capacity == 0 "infinite table" configuration. */
@@ -238,15 +130,13 @@ class PredictionTable
         return live;
     }
 
-    /** Drop all state. */
+    /** Drop all state (the infinite table keeps its window). */
     void
     clear()
     {
-        for (OpenSlot &slot : open)
-            slot.key = emptyKey;
+        for (DenseSlot &slot : dense)
+            slot.valid = false;
         numLive = 0;
-        memoKey = emptyKey;
-        memoIndex = 0;
         for (Slot &slot : slots)
             slot.valid = false;
     }
@@ -260,28 +150,30 @@ class PredictionTable
         Entry entry{};
     };
 
-    /**
-     * Never a valid instruction address (instructions are word
-     * aligned); marks unoccupied open-addressed slots.
-     */
-    static constexpr Addr emptyKey = ~Addr{0};
-
-    /** Initial open-addressed size; must be a power of two. */
-    static constexpr std::size_t initialOpenSlots = 1024;
-
-    /**
-     * Tables whose slots fit under this many bytes are assumed cache
-     * resident and skip prefetch passes (typical L1d is 32-48 KiB;
-     * stay under half so the trace stream keeps its share).
-     */
-    static constexpr std::size_t prefetchResidencyBytes = 16 * 1024;
-
-    /** Open-addressed slot: inline tag, no indirection. */
-    struct OpenSlot
+    /** Infinite-table slot: the index is the tag. */
+    struct DenseSlot
     {
-        Addr key = emptyKey;
+        bool valid = false;
         Entry entry{};
     };
+
+    /** find() for both constnesses (Self is this class, maybe const). */
+    template <typename Self>
+    static auto
+    findIn(Self &self, Addr pc) -> decltype(&self.slots[0].entry)
+    {
+        if (self.capacity == 0) {
+            // An unaligned pc was never allocated (findOrAllocate()
+            // rejects it), so it is a plain miss here.
+            const std::size_t index = self.denseIndex(pc);
+            if (pc % instBytes != 0 || index >= self.dense.size() ||
+                !self.dense[index].valid)
+                return nullptr;
+            return &self.dense[index].entry;
+        }
+        auto &slot = self.slots[self.indexOf(pc)];
+        return (slot.valid && slot.tag == pc) ? &slot.entry : nullptr;
+    }
 
     std::size_t
     indexOf(Addr pc) const
@@ -290,66 +182,67 @@ class PredictionTable
         return (pc / instBytes) & (capacity - 1);
     }
 
-    /** Fibonacci hash of the word-aligned pc, full 64-bit mix. */
-    static std::size_t
-    hashOf(Addr pc)
-    {
-        std::uint64_t h =
-            (pc / instBytes) * 0x9E3779B97F4A7C15ull;
-        h ^= h >> 29;
-        return static_cast<std::size_t>(h);
-    }
-
     /**
-     * Linear probe: the slot holding @p pc, or the empty slot where it
-     * would be inserted. The load factor stays <= 3/4, so an empty
-     * slot always terminates the walk.
+     * Dense slot of @p pc relative to the window. A pc below the window
+     * wraps to an index past its end, so one compare catches both
+     * sides.
      */
     std::size_t
-    probe(Addr pc) const
+    denseIndex(Addr pc) const
     {
-        std::size_t index = hashOf(pc) & openMask;
-        while (open[index].key != pc && open[index].key != emptyKey)
-            index = (index + 1) & openMask;
-        return index;
+        return static_cast<std::size_t>(pc / instBytes - lo);
     }
 
-    void
-    grow()
+    /** Widen the window to cover @p pc; returns its slot index. */
+    std::size_t
+    cover(Addr pc)
     {
-        std::vector<OpenSlot> old;
-        old.swap(open);
-        const std::size_t new_size = (openMask + 1) * 2;
-        open.resize(new_size);
-        openMask = new_size - 1;
-        memoKey = emptyKey;
-        memoIndex = 0;
-        for (OpenSlot &slot : old) {
-            if (slot.key == emptyKey)
-                continue;
-            std::size_t index = hashOf(slot.key) & openMask;
-            while (open[index].key != emptyKey)
-                index = (index + 1) & openMask;
-            open[index].key = slot.key;
-            open[index].entry = slot.entry;
+        const Addr word = pc / instBytes;
+        if (dense.empty()) {
+            lo = word;
+            dense.resize(1);
+            return 0;
         }
+        const Addr new_lo = std::min(lo, word);
+        const auto span = static_cast<std::size_t>(
+            std::max<Addr>(lo + dense.size(), word + 1) - new_lo);
+        if (span > maxDenseSpan) [[unlikely]] {
+            std::ostringstream oss;
+            oss << "would widen the infinite prediction table to " << span
+                << " static instructions (limit " << maxDenseSpan << ")";
+            rejectPc(pc, oss.str());
+        }
+        if (word < lo) {
+            std::vector<DenseSlot> widened(span);
+            std::move(dense.begin(), dense.end(),
+                      widened.begin() +
+                          static_cast<std::ptrdiff_t>(lo - word));
+            dense.swap(widened);
+            lo = word;
+        } else {
+            dense.resize(
+                std::min(std::max(span, 2 * dense.size()), maxDenseSpan));
+        }
+        return static_cast<std::size_t>(word - lo);
+    }
+
+    [[noreturn]] static void
+    rejectPc(Addr pc, const std::string &why)
+    {
+        std::ostringstream oss;
+        oss << "prediction table pc 0x" << std::hex << pc << std::dec
+            << ' ' << why;
+        fatal(oss.str());
     }
 
     std::size_t capacity;
 
-    /** @name Infinite (capacity == 0) open-addressed storage */
+    /** @name Infinite (capacity == 0) dense storage */
     /// @{
-    std::vector<OpenSlot> open;
-    std::size_t openMask = 0;
+    std::vector<DenseSlot> dense;
+    /** Static-instruction index (pc / instBytes) of dense[0]. */
+    Addr lo = 0;
     std::size_t numLive = 0;
-    /**
-     * One-entry memo of the last probe: predictors probe the same pc
-     * 2-4 times per dynamic instruction (lookup + classifier counter +
-     * train), and every repeat skips the hash and walk entirely.
-     * mutable: a const find() is still a cache-warming event.
-     */
-    mutable Addr memoKey = emptyKey;
-    mutable std::size_t memoIndex = 0;
     /// @}
 
     /** Finite direct-mapped storage. */

@@ -35,20 +35,12 @@ class TwoDeltaStridePredictor : public ValuePredictor
     /**
      * Fusion of lookup() + train() on one table probe, with the same
      * algebraic simplifications and branch-to-select conversions as
-     * StridePredictor::lookupTrain (see the comment there). Inline for
-     * the fusedClass() devirtualized path.
+     * StridePredictor::lookupTrain (see the comment there).
      */
-    RawPrediction
-    lookupTrain(Addr pc, Value actual) override
-    {
-        ClassifierState *ignored;
-        return lookupTrain(pc, actual, ignored);
-    }
-
     RawPrediction
     lookupTrain(Addr pc, Value actual, ClassifierState *&cls) override
     {
-        Entry &entry = table.findOrAllocateFused(pc);
+        Entry &entry = table.findOrAllocate(pc);
         cls = table.isInfinite() ? &entry.cls : nullptr;
         const bool has_history = entry.timesSeen != 0;
         const Value predicted = entry.specValue + entry.stride1;
@@ -76,18 +68,8 @@ class TwoDeltaStridePredictor : public ValuePredictor
         return raw;
     }
 
-    FusedClass
-    fusedClass() const override
-    {
-        return FusedClass::TwoDeltaStride;
-    }
-
     void abandon(Addr pc) override;
     StrideInfo strideInfo(Addr pc) const override;
-    void prefetchBlock(const Addr *pcs, std::size_t n) override
-    {
-        table.probeBlock(pcs, n);
-    }
     std::string name() const override { return "2-delta-stride"; }
     void reset() override { table.clear(); }
 

@@ -14,7 +14,6 @@
 #ifndef VPSIM_PREDICTOR_VALUE_PREDICTOR_HPP
 #define VPSIM_PREDICTOR_VALUE_PREDICTOR_HPP
 
-#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -47,7 +46,7 @@ struct StrideInfo
  * value-prediction table entry, not a separate structure. Predictors
  * reserve this slot in their entries and hand it to the classifier via
  * lookupTrain()'s @c cls output so the classification probe rides on
- * the table walk the raw prediction already paid for. The predictor
+ * the table probe the raw prediction already paid for. The predictor
  * itself never reads or writes the field; the counter geometry (width,
  * threshold, miss policy) lives in the classifier.
  *
@@ -69,25 +68,7 @@ struct ClassifierState
 class ValuePredictor
 {
   public:
-    /**
-     * Concrete identity for devirtualized hot paths. A caller holding a
-     * ValuePredictor* may switch on fusedClass() and static_cast to the
-     * named type so the fused lookupTrain() body inlines into its loop;
-     * Generic means "stay on the virtual interface". The tag is
-     * per-class constant, so the switch branch predicts perfectly.
-     */
-    enum class FusedClass
-    {
-        Generic,
-        LastValue,
-        Stride,
-        TwoDeltaStride,
-    };
-
     virtual ~ValuePredictor() = default;
-
-    /** Which concrete fused fast path this predictor supports. */
-    virtual FusedClass fusedClass() const { return FusedClass::Generic; }
 
     /** Predict the destination value of the instruction at @p pc. */
     virtual RawPrediction lookup(Addr pc) = 0;
@@ -119,22 +100,10 @@ class ValuePredictor
      *   return raw;
      *
      * but table-backed predictors override it to do both halves on a
-     * single table probe, which halves the hot-loop hash work and
-     * drops one virtual call per predicted instruction.
-     */
-    virtual RawPrediction
-    lookupTrain(Addr pc, Value actual)
-    {
-        const RawPrediction raw = lookup(pc);
-        train(pc, actual, raw.hasPrediction && raw.value == actual);
-        return raw;
-    }
-
-    /**
-     * lookupTrain() that additionally exposes the classifier scratch
+     * single table probe. It also exposes the classifier scratch
      * co-located in this pc's table entry (see ClassifierState), so the
      * classifier's confidence probe shares the raw prediction's table
-     * walk instead of paying its own hash and slot load.
+     * probe instead of paying its own.
      *
      * @p cls is set to the entry's classifier slot, or nullptr when
      * this predictor cannot co-locate — no table, or a *finite* table:
@@ -148,7 +117,9 @@ class ValuePredictor
     lookupTrain(Addr pc, Value actual, ClassifierState *&cls)
     {
         cls = nullptr;
-        return lookupTrain(pc, actual);
+        const RawPrediction raw = lookup(pc);
+        train(pc, actual, raw.hasPrediction && raw.value == actual);
+        return raw;
     }
 
     /**
@@ -166,18 +137,6 @@ class ValuePredictor
      * predictors report a zero stride.
      */
     virtual StrideInfo strideInfo(Addr pc) const = 0;
-
-    /**
-     * Batched probe warm-up: prefetch the table slots the given block
-     * of upcoming lookup pcs will touch (one call per trace span or
-     * fetch bundle). Purely a cache hint — no predictor state changes,
-     * and the default is a no-op.
-     */
-    virtual void prefetchBlock(const Addr *pcs, std::size_t n)
-    {
-        (void)pcs;
-        (void)n;
-    }
 
     /** Human-readable predictor name. */
     virtual std::string name() const = 0;

@@ -5,7 +5,12 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <mutex>
 #include <stdexcept>
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include "common/crc32.hpp"
 #include "common/logging.hpp"
@@ -29,6 +34,31 @@ constexpr std::size_t minEncodedRecordBytes = 5 + 4;
 
 /** Cap on records-per-block so a corrupt header can't balloon memory. */
 constexpr std::uint32_t maxRecordsPerBlock = 1u << 22;
+
+/**
+ * Allocations this large get their own mapping (see below): whole
+ * traces, but not the 3 MiB block buffers of the writer and readers.
+ */
+constexpr int ownMappingBytes = 4 << 20;
+
+/**
+ * Give every decoded trace its own mapping, so freeing it hands the
+ * pages back. A sweep decodes its traces on worker threads and frees
+ * them on another, once per round. Left to itself, glibc raises its
+ * mmap threshold past the first large buffer freed, and later traces
+ * land in the decoding thread's malloc arena. Which worker decodes
+ * which trace varies from run to run, and an arena keeps its
+ * high-water mark, so peak RSS wandered by a trace or more between
+ * identical runs.
+ */
+void
+keepTracesMapped()
+{
+#if defined(__GLIBC__)
+    static std::once_flag once;
+    std::call_once(once, [] { ::mallopt(M_MMAP_THRESHOLD, ownMappingBytes); });
+#endif
+}
 
 void
 packU32(unsigned char *out, std::uint32_t value)
@@ -857,6 +887,7 @@ readTraceV3(const std::string &path, std::vector<TraceRecord> *out,
     options.preferMapped = true;
     if (Status opened = reader.open(path, options); !opened.isOk())
         return opened;
+    keepTracesMapped();
     out->reserve(reader.recordsHint());
     for (;;) {
         TraceV3Reader::Block outcome = TraceV3Reader::Block::kEnd;

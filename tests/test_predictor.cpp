@@ -205,6 +205,32 @@ TEST(Hybrid, StrideTableIsSmall)
     EXPECT_FALSE(raw.hasPrediction) << "unknown pc has no prediction";
 }
 
+TEST(Hybrid, SmallFiniteCapacityKeepsAFiniteStrideTable)
+{
+    // Capacity 4 leaves the stride table one entry (not capacity / 8 ==
+    // 0, which would mean "infinite"). Two alternating striding pcs then
+    // evict each other's promotion before it can serve a lookup.
+    const auto predictor = makePredictor(PredictorKind::Hybrid, 4);
+    auto &hybrid = static_cast<HybridPredictor &>(*predictor);
+    const Addr first = 0x1000;
+    const Addr second = first + instBytes;
+    const auto step = [&](Addr pc, Value value) {
+        const RawPrediction raw = hybrid.lookup(pc);
+        hybrid.train(pc, value, raw.hasPrediction && raw.value == value);
+    };
+    for (Value i = 0; i < 8; ++i) {
+        step(first, 10 * i);
+        step(second, 7 * i);
+    }
+    const std::uint64_t warm = hybrid.strideServed();
+    for (Value i = 8; i < 64; ++i) {
+        step(first, 10 * i);
+        step(second, 7 * i);
+    }
+    EXPECT_EQ(hybrid.strideServed(), warm)
+        << "a one-entry stride table cannot serve two alternating pcs";
+}
+
 TEST(Classifier, RequiresConfidenceBeforePredicting)
 {
     ClassifiedPredictor classifier(std::make_unique<StridePredictor>());
@@ -286,8 +312,11 @@ TEST(Classifier, ResetClearsEverything)
         const ClassifiedPrediction p = classifier.predict(pcA);
         classifier.update(pcA, p, v);
     }
+    classifier.abandon(pcA);
+    EXPECT_EQ(classifier.abandonedLookups(), 1u);
     classifier.reset();
     EXPECT_EQ(classifier.lookups(), 0u);
+    EXPECT_EQ(classifier.abandonedLookups(), 0u);
     EXPECT_FALSE(classifier.predict(pcA).rawAvailable);
 }
 
@@ -298,6 +327,37 @@ TEST(TableStorage, InfiniteModeKeepsEverything)
         table.findOrAllocate(pc) = static_cast<int>(pc);
     EXPECT_EQ(table.size(), 1024u);
     EXPECT_EQ(*table.find(400), 400);
+}
+
+TEST(TableStorage, InfiniteFindOutsideTheWindowMisses)
+{
+    PredictionTable<int> table(0);
+    table.findOrAllocate(pcA) = 1;
+    table.findOrAllocate(pcA + 8 * instBytes) = 2;
+    EXPECT_EQ(table.find(pcA - instBytes), nullptr) << "below the window";
+    EXPECT_EQ(table.find(pcB), nullptr) << "above the window";
+    EXPECT_EQ(table.find(pcA + instBytes), nullptr) << "unallocated slot";
+    EXPECT_EQ(table.size(), 2u) << "find() never allocates";
+    EXPECT_EQ(*table.find(pcA + 8 * instBytes), 2);
+}
+
+TEST(TableStorage, InfiniteRejectsAnUnalignedPc)
+{
+    PredictionTable<int> table(0);
+    EXPECT_EXIT(table.findOrAllocate(pcA + 1),
+                ::testing::ExitedWithCode(1), "not instruction aligned");
+}
+
+TEST(TableStorage, InfiniteRejectsASpanOverTheCap)
+{
+    PredictionTable<int> table(0);
+    table.findOrAllocate(pcA);
+    table.findOrAllocate(pcA + (maxDenseSpan - 1) * instBytes);
+    EXPECT_EQ(table.size(), 2u) << "a span of exactly the cap fits";
+    EXPECT_EXIT(table.findOrAllocate(pcA + maxDenseSpan * instBytes),
+                ::testing::ExitedWithCode(1),
+                "0x41000 would widen the infinite prediction table to "
+                "65537 static instructions");
 }
 
 TEST(TableStorage, DirectMappedEvicts)

@@ -1,7 +1,7 @@
 /**
  * @file
- * Parity tests pinning the open-addressed PredictionTable to the
- * semantics of the std::unordered_map implementation it replaced.
+ * Parity tests pinning the dense PredictionTable to the semantics of
+ * the std::unordered_map implementation it replaced.
  *
  * The reference table below reimplements the legacy storage exactly:
  * a hash map for the capacity == 0 "infinite table" (grows, never
@@ -9,12 +9,15 @@
  * (evicts on index conflict). A seeded random operation stream is
  * applied to both tables and every observable — hit/miss, the
  * allocated flag, entry contents, live size — must agree at every
- * step, across all three capacity classes the experiments use.
+ * step, across all three capacity classes the experiments use. The pc
+ * pool spans two regions with a gap between them, and pcs arrive in
+ * random order, so the infinite table's window grows both upwards and
+ * downwards, and across the gap.
  *
  * A second suite drives every predictor kind through the classified
  * stack twice — once via the split predict()/update() pair and once
- * via the fused predictAndTrain() added for the de-virtualized
- * pipeline loop — asserting identical predictions and statistics, on
+ * via the fused predictAndTrain() — asserting identical predictions and
+ * statistics, on
  * infinite and finite (evicting) tables alike.
  */
 
@@ -44,7 +47,7 @@ struct ParityEntry
 
 /**
  * The legacy PredictionTable semantics, verbatim: what the class did
- * before the open-addressed rewrite (unordered_map when unbounded,
+ * before the dense rewrite (unordered_map when unbounded,
  * direct-mapped tagged slots otherwise).
  */
 template <typename Entry>
@@ -137,10 +140,14 @@ TEST_P(TableParity, RandomizedOpsMatchTheLegacyHashMap)
     LegacyPredictionTable<ParityEntry> legacy(capacity);
 
     // Word-aligned pc pool sized to exercise direct-mapped conflicts at
-    // capacity 16 (4x aliasing) and open-table growth at capacity 0.
+    // capacity 16 (4x aliasing) and window growth at capacity 0: a
+    // second, smaller region sits well below the first, so its first
+    // allocation extends the window down across the gap.
     Rng rng(0x7a617269ull + capacity);
     std::vector<Addr> pool;
     for (std::size_t i = 0; i < 4096; ++i)
+        pool.push_back(0x20000 + i * instBytes);
+    for (std::size_t i = 0; i < 512; ++i)
         pool.push_back(0x1000 + i * instBytes);
 
     std::uint64_t stamp = 0;
@@ -169,18 +176,11 @@ TEST_P(TableParity, RandomizedOpsMatchTheLegacyHashMap)
           default: { // Allocate (possibly evicting) and mutate.
             bool mine_fresh = false;
             bool ref_fresh = false;
-            const bool use_fused = rng.nextBelow(2) == 0;
-            ParityEntry &mine = use_fused
-                ? table.findOrAllocateFused(pc)
-                : table.findOrAllocate(pc, &mine_fresh);
+            ParityEntry &mine = table.findOrAllocate(pc, &mine_fresh);
             ParityEntry &ref = legacy.findOrAllocate(pc, &ref_fresh);
-            // The fused variant reports no allocated flag; compare
-            // eviction decisions only when both were collected.
-            if (!use_fused) {
-                ASSERT_EQ(mine_fresh, ref_fresh)
-                    << "eviction decision diverged on pc " << pc
-                    << " at op " << op;
-            }
+            ASSERT_EQ(mine_fresh, ref_fresh)
+                << "eviction decision diverged on pc " << pc << " at op "
+                << op;
             EXPECT_EQ(mine.stamp, ref.stamp)
                 << "resident state diverged on pc " << pc << " at op "
                 << op;
