@@ -49,55 +49,41 @@ main(int argc, char **argv)
             configs.push_back({bits, policy});
     }
 
-    // One job per (configuration, benchmark); each owns the three
-    // metric cells for that pair, averaged per configuration below.
+    // One cell per (configuration, benchmark) carrying the three
+    // metrics of that pair, averaged per configuration below.
     const std::size_t n_configs = configs.size();
-    std::vector<std::vector<double>> gain =
-        unsetCells(n_configs, bench.size());
-    std::vector<std::vector<double>> acc = unsetCells(n_configs, bench.size());
-    std::vector<std::vector<double>> missed =
-        unsetCells(n_configs, bench.size());
-    std::vector<SimJob> batch;
-    for (std::size_t c = 0; c < n_configs; ++c) {
-        for (std::size_t i = 0; i < bench.size(); ++i) {
-            batch.push_back(
-                {std::to_string(configs[c].bits) + "-bit:" +
-                     bench.names[i],
-                 [&, c, i] {
-                     IdealMachineConfig config;
-                     config.fetchRate = 16;
-                     config.counterBits = configs[c].bits;
-                     config.missPolicy = configs[c].policy;
-                     gain[c][i] =
-                         idealVpSpeedup(bench.trace(i), config) - 1.0;
+    const auto cells = runner.runGrid(
+        n_configs, bench.size(), 3,
+        [&](std::size_t row, std::size_t col, std::span<double> out) {
+            const ClassifierConfig &cc = configs[row];
+            IdealMachineConfig config;
+            config.fetchRate = 16;
+            config.counterBits = cc.bits;
+            config.missPolicy = cc.policy;
+            out[0] = idealVpSpeedup(bench.trace(col), config) - 1.0;
 
-                     // Accuracy probe via a stand-alone classifier
-                     // replay.
-                     auto classifier = makeClassifiedPredictor(
-                         PredictorKind::Stride, 0, configs[c].bits,
-                         configs[c].policy);
-                     std::uint64_t raw_correct_total = 0;
-                     for (const TraceRecord &record : bench.trace(i)) {
-                         if (!record.producesValue())
-                             continue;
-                         const ClassifiedPrediction p =
-                             classifier->predict(record.pc);
-                         if (p.rawAvailable &&
-                             p.rawValue == record.result) {
-                             ++raw_correct_total;
-                         }
-                         classifier->update(record.pc, p, record.result);
-                     }
-                     acc[c][i] = classifier->accuracy();
-                     missed[c][i] = raw_correct_total == 0
-                         ? 0.0
-                         : static_cast<double>(
-                               classifier->missedOpportunities()) /
-                             static_cast<double>(raw_correct_total);
-                 }});
-        }
-    }
-    runner.run(std::move(batch));
+            // Accuracy probe via a stand-alone classifier replay.
+            auto classifier = makeClassifiedPredictor(
+                PredictorKind::Stride, 0, cc.bits, cc.policy);
+            std::uint64_t raw_correct_total = 0;
+            for (const TraceRecord &record : bench.trace(col)) {
+                if (!record.producesValue())
+                    continue;
+                const ClassifiedPrediction p =
+                    classifier->predict(record.pc);
+                if (p.rawAvailable && p.rawValue == record.result)
+                    ++raw_correct_total;
+                classifier->update(record.pc, p, record.result);
+            }
+            out[1] = classifier->accuracy();
+            out[2] = raw_correct_total == 0
+                ? 0.0
+                : static_cast<double>(classifier->missedOpportunities()) /
+                    static_cast<double>(raw_correct_total);
+        });
+    const auto gain = gridValues(cells, 3, 0);
+    const auto acc = gridValues(cells, 3, 1);
+    const auto missed = gridValues(cells, 3, 2);
 
     TablePrinter table(
         "Classifier ablation - stride predictor on the ideal machine "

@@ -73,35 +73,26 @@ main(int argc, char **argv)
     for (FrontEnd &fe : front_ends)
         fe.config.perfectBranchPredictor = true;
 
-    // One job per (front end, benchmark); each owns the base-IPC,
-    // VP-IPC and gain cells for that pair.
+    // One cell per (front end, benchmark) carrying the base IPC, the
+    // VP IPC and the gain of that pair.
     const std::size_t n_fes = front_ends.size();
-    std::vector<std::vector<double>> base = unsetCells(n_fes, bench.size());
-    std::vector<std::vector<double>> vp = unsetCells(n_fes, bench.size());
-    std::vector<std::vector<double>> gain = unsetCells(n_fes, bench.size());
-    std::vector<SimJob> batch;
-    for (std::size_t f = 0; f < n_fes; ++f) {
-        for (std::size_t i = 0; i < bench.size(); ++i) {
-            batch.push_back(
-                {front_ends[f].label + ":" + bench.names[i],
-                 [&, f, i] {
-                     PipelineConfig off = front_ends[f].config;
-                     off.useValuePrediction = false;
-                     PipelineConfig on = front_ends[f].config;
-                     on.useValuePrediction = true;
-                     const PipelineResult r_off =
-                         runPipelineMachine(bench.trace(i), off);
-                     const PipelineResult r_on =
-                         runPipelineMachine(bench.trace(i), on);
-                     base[f][i] = r_off.ipc;
-                     vp[f][i] = r_on.ipc;
-                     gain[f][i] = static_cast<double>(r_off.cycles) /
-                             static_cast<double>(r_on.cycles) -
-                         1.0;
-                 }});
-        }
-    }
-    runner.run(std::move(batch));
+    const auto cells = runner.runGrid(
+        n_fes, bench.size(), 3,
+        [&](std::size_t row, std::size_t col, std::span<double> out) {
+            PipelineConfig config = front_ends[row].config;
+            config.useValuePrediction = false;
+            const PipelineResult off =
+                runPipelineMachine(bench.trace(col), config);
+            config.useValuePrediction = true;
+            const PipelineResult on =
+                runPipelineMachine(bench.trace(col), config);
+            out[0] = off.ipc;
+            out[1] = on.ipc;
+            out[2] = vpSpeedup(off.cycles, on.cycles) - 1.0;
+        });
+    const auto base = gridValues(cells, 3, 0);
+    const auto vp = gridValues(cells, 3, 1);
+    const auto gain = gridValues(cells, 3, 2);
 
     TablePrinter table(
         "Front-end ablation (perfect branch prediction, averages over "

@@ -39,56 +39,42 @@ main(int argc, char **argv)
         {PredictorKind::Fcm, "fcm (order 2)"},
     };
 
-    // One job per (predictor kind, benchmark); each owns the gain,
-    // accuracy and distributor-adds cells for that pair.
-    std::vector<std::vector<double>> gain =
-        unsetCells(kinds.size(), bench.size());
-    std::vector<std::vector<double>> acc =
-        unsetCells(kinds.size(), bench.size());
-    std::vector<std::vector<double>> adds =
-        unsetCells(kinds.size(), bench.size());
-    std::vector<SimJob> batch;
-    for (std::size_t k = 0; k < kinds.size(); ++k) {
-        for (std::size_t i = 0; i < bench.size(); ++i) {
-            batch.push_back(
-                {kinds[k].second + ":" + bench.names[i], [&, k, i] {
-                     const PredictorKind kind = kinds[k].first;
-                     IdealMachineConfig config;
-                     config.fetchRate = 16;
-                     config.predictorKind = kind;
-                     gain[k][i] =
-                         idealVpSpeedup(bench.trace(i), config) - 1.0;
+    // One cell per (predictor kind, benchmark) carrying the gain and
+    // accuracy of the ideal machine and the distributor adds of the
+    // banked table.
+    const auto cells = runner.runGrid(
+        kinds.size(), bench.size(), 3,
+        [&](std::size_t row, std::size_t col, std::span<double> out) {
+            const PredictorKind kind = kinds[row].first;
+            const auto &trace = bench.trace(col);
+            IdealMachineConfig config;
+            config.fetchRate = 16;
+            config.predictorKind = kind;
+            const IdealMachineResult off = runIdealMachine(trace, config);
+            config.useValuePrediction = true;
+            const IdealMachineResult on = runIdealMachine(trace, config);
+            out[0] = vpSpeedup(off.cycles, on.cycles) - 1.0;
+            out[1] = 0.0;
+            if (on.predictionsMade > 0) {
+                out[1] = static_cast<double>(on.predictionsCorrect) /
+                         static_cast<double>(on.predictionsMade);
+            }
 
-                     IdealMachineConfig probe = config;
-                     probe.useValuePrediction = true;
-                     const IdealMachineResult run =
-                         runIdealMachine(bench.trace(i), probe);
-                     acc[k][i] = 0.0;
-                     if (run.predictionsMade > 0) {
-                         acc[k][i] =
-                             static_cast<double>(
-                                 run.predictionsCorrect) /
-                             static_cast<double>(run.predictionsMade);
-                     }
-
-                     // Distributor arithmetic behind the banked table.
-                     PipelineConfig pipe;
-                     pipe.frontEnd = FrontEndKind::TraceCache;
-                     pipe.perfectBranchPredictor = true;
-                     pipe.useValuePrediction = true;
-                     pipe.useInterleavedVpTable = true;
-                     pipe.predictorKind = kind;
-                     const PipelineResult pres =
-                         runPipelineMachine(bench.trace(i), pipe);
-                     adds[k][i] =
-                         1000.0 *
-                         static_cast<double>(
-                             pres.vptDistributorAdditions) /
-                         static_cast<double>(pres.instructions);
-                 }});
-        }
-    }
-    runner.run(std::move(batch));
+            // Distributor arithmetic behind the banked table.
+            PipelineConfig pipe;
+            pipe.frontEnd = FrontEndKind::TraceCache;
+            pipe.perfectBranchPredictor = true;
+            pipe.useValuePrediction = true;
+            pipe.useInterleavedVpTable = true;
+            pipe.predictorKind = kind;
+            const PipelineResult pres = runPipelineMachine(trace, pipe);
+            out[2] = 1000.0 *
+                     static_cast<double>(pres.vptDistributorAdditions) /
+                     static_cast<double>(pres.instructions);
+        });
+    const auto gain = gridValues(cells, 3, 0);
+    const auto acc = gridValues(cells, 3, 1);
+    const auto adds = gridValues(cells, 3, 2);
 
     TablePrinter table(
         "Section 4.2 ablation - predictor kinds "

@@ -45,30 +45,20 @@ main(int argc, char **argv)
             sets.push_back({scale, seed});
     }
 
-    // One job per (input set, benchmark). Each job captures its own
+    // One cell per (input set, benchmark). Each cell captures its own
     // scaled/reseeded trace through the runner (and hence through the
-    // trace cache, if one is configured) and owns one gain cell.
-    std::vector<std::vector<double>> gain =
-        unsetCells(sets.size(), names.size());
-    std::vector<SimJob> batch;
-    for (std::size_t s = 0; s < sets.size(); ++s) {
-        for (std::size_t i = 0; i < names.size(); ++i) {
-            batch.push_back(
-                {"scale" + std::to_string(sets[s].scale) + "-seed" +
-                     std::to_string(sets[s].seed) + ":" + names[i],
-                 [&, s, i] {
-                     WorkloadParams params;
-                     params.scale = sets[s].scale;
-                     params.seed = sets[s].seed;
-                     const TraceHandle trace =
-                         runner.captureTrace(names[i], insts, 0, params);
-                     IdealMachineConfig config;
-                     config.fetchRate = 16;
-                     gain[s][i] = idealVpSpeedup(*trace, config) - 1.0;
-                 }});
-        }
-    }
-    runner.run(std::move(batch));
+    // trace cache, if one is configured).
+    const auto gain = runner.runGrid(
+        sets.size(), names.size(), [&](std::size_t row, std::size_t col) {
+            WorkloadParams params;
+            params.scale = sets[row].scale;
+            params.seed = sets[row].seed;
+            const TraceHandle trace =
+                runner.captureTrace(names[col], insts, 0, params);
+            IdealMachineConfig config;
+            config.fetchRate = 16;
+            return idealVpSpeedup(*trace, config) - 1.0;
+        });
 
     TablePrinter table(
         "Input-set robustness - Figure 3.1 BW=16 average VP speedup",

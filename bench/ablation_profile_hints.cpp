@@ -59,15 +59,14 @@ scorePredictor(ValuePredictor &predictor,
     return score;
 }
 
-/** Per-benchmark measurements, filled by one job each. */
-struct HintRow
+/** @p num / @p denom, or 0 when @p denom is 0. */
+double
+share(std::uint64_t num, std::uint64_t denom)
 {
-    std::uint64_t producers = 0;
-    PredictorScore hintScore;
-    double hwAccuracy = 0.0;
-    std::uint64_t denialsPlain = 0;
-    std::uint64_t denialsHinted = 0;
-};
+    return denom == 0 ? 0.0
+                      : static_cast<double>(num) /
+                            static_cast<double>(denom);
+}
 
 } // namespace
 
@@ -86,31 +85,33 @@ main(int argc, char **argv)
     const auto train_insts =
         static_cast<std::uint64_t>(options.getInt("train-insts"));
 
-    // One job per benchmark; each captures its own profiling trace
-    // through the runner (cache-aware) and fills one HintRow.
-    std::vector<HintRow> rows(bench.size());
-    std::vector<SimJob> batch;
-    for (std::size_t i = 0; i < bench.size(); ++i) {
-        batch.push_back({"hints:" + bench.names[i], [&, i] {
-            const auto &trace = bench.trace(i);
+    // One cell per benchmark; each captures its own profiling trace
+    // through the runner (cache-aware) and carries one table row.
+    const auto rows = runner.runGrid(
+        bench.size(), 1, 5,
+        [&](std::size_t row, std::size_t, std::span<double> out) {
+            const auto &trace = bench.trace(row);
             const TraceHandle training = runner.captureTrace(
-                bench.names[i], train_insts, 0, WorkloadParams{});
+                bench.names[row], train_insts, 0, WorkloadParams{});
             const ProfileHints hints = ProfileHints::profile(*training);
-            HintRow &row = rows[i];
 
             // (a) prediction behaviour: hinted hybrid vs hardware
             // classifier.
             auto hinted = makeHintedHybridPredictor(hints);
-            row.hintScore = scorePredictor(*hinted, trace);
+            const PredictorScore hint_score =
+                scorePredictor(*hinted, trace);
             auto hw = makeClassifiedPredictor(PredictorKind::Stride);
+            std::uint64_t producers = 0;
             for (const TraceRecord &record : trace) {
                 if (!record.producesValue())
                     continue;
-                ++row.producers;
+                ++producers;
                 const ClassifiedPrediction p = hw->predict(record.pc);
                 hw->update(record.pc, p, record.result);
             }
-            row.hwAccuracy = hw->accuracy();
+            out[0] = share(hint_score.made, producers);
+            out[1] = share(hint_score.correct, hint_score.made);
+            out[2] = hw->accuracy();
 
             // (b) router pressure with few banks, with and without
             // hints.
@@ -126,13 +127,11 @@ main(int argc, char **argv)
                     pipe.vpTableConfig = config;
                     const PipelineResult run =
                         runPipelineMachine(trace, pipe);
-                    return run.vptDeniedRequests;
+                    return static_cast<double>(run.vptDeniedRequests);
                 };
-            row.denialsPlain = routerDenials(nullptr);
-            row.denialsHinted = routerDenials(&hints);
-        }});
-    }
-    runner.run(std::move(batch));
+            out[3] = routerDenials(nullptr);
+            out[4] = routerDenials(&hints);
+        });
 
     TablePrinter table(
         "Profile-hint ablation ([9], Section 4.2)",
@@ -140,19 +139,12 @@ main(int argc, char **argv)
          "hw-classifier accuracy", "router denials (no hints)",
          "router denials (hints)"});
     for (std::size_t i = 0; i < bench.size(); ++i) {
-        const HintRow &row = rows[i];
-        const auto pct = [](std::uint64_t num, std::uint64_t denom) {
-            return TablePrinter::percentCell(
-                denom == 0 ? 0.0
-                           : static_cast<double>(num) /
-                                 static_cast<double>(denom));
-        };
-        table.addRow(
-            {bench.names[i], pct(row.hintScore.made, row.producers),
-             pct(row.hintScore.correct, row.hintScore.made),
-             TablePrinter::percentCell(row.hwAccuracy),
-             std::to_string(row.denialsPlain),
-             std::to_string(row.denialsHinted)});
+        const std::vector<double> &row = rows[i];
+        table.addRow({bench.names[i], TablePrinter::percentCell(row[0]),
+                      TablePrinter::percentCell(row[1]),
+                      TablePrinter::percentCell(row[2]),
+                      TablePrinter::numberCell(row[3], 0),
+                      TablePrinter::numberCell(row[4], 0)});
     }
 
     std::fputs(table.render().c_str(), stdout);

@@ -36,35 +36,21 @@ main(int argc, char **argv)
 
     const std::vector<unsigned> taken_limits = {1, 4, 0};
 
-    // One job per (limit, benchmark, timing); each owns one cell in
-    // the matching dispatch/retire matrix.
-    std::vector<std::vector<double>> dispatch =
-        unsetCells(taken_limits.size(), bench.size());
-    std::vector<std::vector<double>> retire =
-        unsetCells(taken_limits.size(), bench.size());
-    std::vector<SimJob> batch;
-    for (std::size_t l = 0; l < taken_limits.size(); ++l) {
-        for (std::size_t i = 0; i < bench.size(); ++i) {
-            for (const bool at_retire : {false, true}) {
-                batch.push_back(
-                    {"n=" + std::to_string(taken_limits[l]) + ":" +
-                         bench.names[i] +
-                         (at_retire ? ":retire" : ":dispatch"),
-                     [&, l, i, at_retire] {
-                         PipelineConfig config;
-                         config.perfectBranchPredictor = true;
-                         config.maxTakenBranches = taken_limits[l];
-                         config.vpUpdateTiming = at_retire
-                             ? VpUpdateTiming::Retire
-                             : VpUpdateTiming::Dispatch;
-                         (at_retire ? retire : dispatch)[l][i] =
-                             pipelineVpSpeedup(bench.trace(i), config) -
-                             1.0;
-                     }});
-            }
-        }
-    }
-    runner.run(std::move(batch));
+    // One cell per (limit, benchmark) carrying the gain with
+    // dispatch-time and with retire-time predictor update.
+    const auto cells = runner.runGrid(
+        taken_limits.size(), bench.size(), 2,
+        [&](std::size_t row, std::size_t col, std::span<double> out) {
+            PipelineConfig config;
+            config.perfectBranchPredictor = true;
+            config.maxTakenBranches = taken_limits[row];
+            config.vpUpdateTiming = VpUpdateTiming::Dispatch;
+            out[0] = pipelineVpSpeedup(bench.trace(col), config) - 1.0;
+            config.vpUpdateTiming = VpUpdateTiming::Retire;
+            out[1] = pipelineVpSpeedup(bench.trace(col), config) - 1.0;
+        });
+    const auto dispatch = gridValues(cells, 2, 0);
+    const auto retire = gridValues(cells, 2, 1);
 
     TablePrinter table(
         "Predictor update timing (VP speedup, averages over the "

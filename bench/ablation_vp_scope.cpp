@@ -34,35 +34,21 @@ main(int argc, char **argv)
 
     const std::vector<unsigned> rates = {4, 16, 40};
 
-    // One job per (rate, benchmark, scope); each owns one cell of the
-    // matching all-instructions/loads-only matrix.
-    std::vector<std::vector<double>> all_gain =
-        unsetCells(rates.size(), bench.size());
-    std::vector<std::vector<double>> loads_gain =
-        unsetCells(rates.size(), bench.size());
-    std::vector<SimJob> batch;
-    for (std::size_t r = 0; r < rates.size(); ++r) {
-        for (std::size_t i = 0; i < bench.size(); ++i) {
-            for (const bool loads_only : {false, true}) {
-                batch.push_back(
-                    {"BW=" + std::to_string(rates[r]) + ":" +
-                         bench.names[i] +
-                         (loads_only ? ":loads" : ":all"),
-                     [&, r, i, loads_only] {
-                         IdealMachineConfig config;
-                         config.fetchRate = rates[r];
-                         config.predictorKind = predictor;
-                         config.vpScope = loads_only
-                             ? VpScope::LoadsOnly
-                             : VpScope::AllInstructions;
-                         (loads_only ? loads_gain : all_gain)[r][i] =
-                             idealVpSpeedup(bench.trace(i), config) -
-                             1.0;
-                     }});
-            }
-        }
-    }
-    runner.run(std::move(batch));
+    // One cell per (rate, benchmark) carrying the gain with
+    // all-instruction and with loads-only prediction.
+    const auto cells = runner.runGrid(
+        rates.size(), bench.size(), 2,
+        [&](std::size_t row, std::size_t col, std::span<double> out) {
+            IdealMachineConfig config;
+            config.fetchRate = rates[row];
+            config.predictorKind = predictor;
+            config.vpScope = VpScope::AllInstructions;
+            out[0] = idealVpSpeedup(bench.trace(col), config) - 1.0;
+            config.vpScope = VpScope::LoadsOnly;
+            out[1] = idealVpSpeedup(bench.trace(col), config) - 1.0;
+        });
+    const auto all_gain = gridValues(cells, 2, 0);
+    const auto loads_gain = gridValues(cells, 2, 1);
 
     TablePrinter table(
         "Prediction-scope ablation - ideal machine VP speedup "

@@ -33,66 +33,47 @@ main(int argc, char **argv)
 
     const std::vector<unsigned> bank_counts = {1, 2, 4, 8, 16, 32};
 
-    // Jobs: one per (bank count, benchmark) plus one unconstrained
-    // reference job per benchmark; each owns its cells in the four
-    // metric matrices below.
-    std::vector<std::vector<double>> gain =
-        unsetCells(bank_counts.size(), bench.size());
-    std::vector<std::vector<double>> denied =
-        unsetCells(bank_counts.size(), bench.size());
-    std::vector<std::vector<double>> merged =
-        unsetCells(bank_counts.size(), bench.size());
-    std::vector<std::vector<double>> adds =
-        unsetCells(bank_counts.size(), bench.size());
-    std::vector<double> unconstrained(bench.size(), unsetCell);
-    std::vector<SimJob> batch;
-    for (std::size_t i = 0; i < bench.size(); ++i) {
-        batch.push_back({"no-limit:" + bench.names[i], [&, i] {
+    // One unconstrained reference cell per benchmark, then one cell per
+    // (bank count, benchmark) carrying the gain, the denied and merged
+    // request shares and the distributor additions of its VP-on run.
+    const std::vector<double> unconstrained =
+        runner.runGrid(1, bench.size(), [&](std::size_t, std::size_t col) {
             PipelineConfig config;
             config.frontEnd = FrontEndKind::TraceCache;
             config.perfectBranchPredictor = true;
-            unconstrained[i] =
-                pipelineVpSpeedup(bench.trace(i), config) - 1.0;
-        }});
-    }
-    for (std::size_t b = 0; b < bank_counts.size(); ++b) {
-        for (std::size_t i = 0; i < bench.size(); ++i) {
-            batch.push_back(
-                {std::to_string(bank_counts[b]) + "-banks:" +
-                     bench.names[i],
-                 [&, b, i] {
-                     PipelineConfig config;
-                     config.frontEnd = FrontEndKind::TraceCache;
-                     config.perfectBranchPredictor = true;
-                     config.useInterleavedVpTable = true;
-                     config.vpTableConfig.banks = bank_counts[b];
-                     config.vpTableConfig.portsPerBank = 1;
-                     gain[b][i] =
-                         pipelineVpSpeedup(bench.trace(i), config) - 1.0;
-
-                     PipelineConfig probe = config;
-                     probe.useValuePrediction = true;
-                     const PipelineResult run =
-                         runPipelineMachine(bench.trace(i), probe);
-                     denied[b][i] = 0.0;
-                     merged[b][i] = 0.0;
-                     if (run.vptRequests > 0) {
-                         denied[b][i] =
-                             static_cast<double>(run.vptDeniedRequests) /
-                             static_cast<double>(run.vptRequests);
-                         merged[b][i] =
-                             static_cast<double>(run.vptMergedRequests) /
-                             static_cast<double>(run.vptRequests);
-                     }
-                     adds[b][i] =
-                         1000.0 *
-                         static_cast<double>(
-                             run.vptDistributorAdditions) /
-                         static_cast<double>(run.instructions);
-                 }});
-        }
-    }
-    runner.run(std::move(batch));
+            return pipelineVpSpeedup(bench.trace(col), config) - 1.0;
+        })[0];
+    const auto cells = runner.runGrid(
+        bank_counts.size(), bench.size(), 4,
+        [&](std::size_t row, std::size_t col, std::span<double> out) {
+            PipelineConfig config;
+            config.frontEnd = FrontEndKind::TraceCache;
+            config.perfectBranchPredictor = true;
+            config.useInterleavedVpTable = true;
+            config.vpTableConfig.banks = bank_counts[row];
+            config.vpTableConfig.portsPerBank = 1;
+            const PipelineResult off =
+                runPipelineMachine(bench.trace(col), config);
+            config.useValuePrediction = true;
+            const PipelineResult on =
+                runPipelineMachine(bench.trace(col), config);
+            out[0] = vpSpeedup(off.cycles, on.cycles) - 1.0;
+            out[1] = 0.0;
+            out[2] = 0.0;
+            if (on.vptRequests > 0) {
+                out[1] = static_cast<double>(on.vptDeniedRequests) /
+                         static_cast<double>(on.vptRequests);
+                out[2] = static_cast<double>(on.vptMergedRequests) /
+                         static_cast<double>(on.vptRequests);
+            }
+            out[3] = 1000.0 *
+                     static_cast<double>(on.vptDistributorAdditions) /
+                     static_cast<double>(on.instructions);
+        });
+    const auto gain = gridValues(cells, 4, 0);
+    const auto denied = gridValues(cells, 4, 1);
+    const auto merged = gridValues(cells, 4, 2);
+    const auto adds = gridValues(cells, 4, 3);
 
     TablePrinter table(
         "Section 4 ablation - interleaved VP table behind a trace "

@@ -34,35 +34,31 @@ main(int argc, char **argv)
     const auto insts =
         static_cast<std::uint64_t>(options.getInt("insts"));
 
-    // One job per benchmark; each rebuilds its workload (for the
-    // wrong-path program image) and owns the three cells of its row.
-    std::vector<double> stall(bench.size(), unsetCell);
-    std::vector<double> wrong_path(bench.size(), unsetCell);
-    std::vector<double> wp_per_k(bench.size(), unsetCell);
-    std::vector<SimJob> batch;
-    for (std::size_t i = 0; i < bench.size(); ++i) {
-        batch.push_back({"wrong-path:" + bench.names[i], [&, i] {
-            Workload workload = buildWorkload(bench.names[i]);
+    // One cell per benchmark; each rebuilds its workload (for the
+    // wrong-path program image) and carries the stall gain, the
+    // wrong-path gain and the wrong-path fetches of its VP-on run.
+    const auto cells = runner.runGrid(
+        1, bench.size(), 3,
+        [&](std::size_t, std::size_t col, std::span<double> out) {
+            const auto &trace = bench.trace(col);
+            Workload workload = buildWorkload(bench.names[col]);
             PipelineConfig config;
             config.perfectBranchPredictor = false;
             config.maxTakenBranches = 4;
-            stall[i] = pipelineVpSpeedup(bench.trace(i), config) - 1.0;
+            out[0] = pipelineVpSpeedup(trace, config) - 1.0;
 
             config.modelWrongPath = true;
             config.program = &workload.program;
-            wrong_path[i] =
-                pipelineVpSpeedup(bench.trace(i), config) - 1.0;
-
-            PipelineConfig probe = config;
-            probe.useValuePrediction = true;
-            const PipelineResult run =
-                runPipelineMachine(bench.trace(i), probe);
-            wp_per_k[i] = 1000.0 *
-                static_cast<double>(run.wrongPathFetched) /
-                static_cast<double>(insts);
-        }});
-    }
-    runner.run(std::move(batch));
+            const PipelineResult off = runPipelineMachine(trace, config);
+            config.useValuePrediction = true;
+            const PipelineResult on = runPipelineMachine(trace, config);
+            out[1] = vpSpeedup(off.cycles, on.cycles) - 1.0;
+            out[2] = 1000.0 * static_cast<double>(on.wrongPathFetched) /
+                     static_cast<double>(insts);
+        });
+    const std::vector<double> stall = gridValues(cells, 3, 0)[0];
+    const std::vector<double> wrong_path = gridValues(cells, 3, 1)[0];
+    const std::vector<double> wp_per_k = gridValues(cells, 3, 2)[0];
 
     TablePrinter table(
         "Wrong-path ablation - VP speedup with the 2-level BTB, "

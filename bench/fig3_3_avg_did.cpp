@@ -14,6 +14,7 @@
 
 #include "analysis/did.hpp"
 #include "common/table_printer.hpp"
+#include "core/speedup.hpp"
 #include "sim/sim_runner.hpp"
 
 int
@@ -27,36 +28,32 @@ main(int argc, char **argv)
     SimRunner runner(options);
     const BenchmarkTraces bench = runner.captureBenchmarks();
 
-    // One job per benchmark; each owns its DidAnalysis slot.
-    std::vector<DidAnalysis> dids(bench.size());
-    std::vector<SimJob> batch;
-    for (std::size_t i = 0; i < bench.size(); ++i) {
-        batch.push_back({"did:" + bench.names[i], [&dids, &bench, i] {
-                             dids[i] = analyzeDid(bench.trace(i));
-                         }});
-    }
-    runner.run(std::move(batch));
+    // One cell per benchmark carrying its four DID measurements.
+    const auto dids = runner.runGrid(
+        bench.size(), 1, 4,
+        [&](std::size_t row, std::size_t, std::span<double> out) {
+            const DidAnalysis did = analyzeDid(bench.trace(row));
+            out[0] = did.averageDid;
+            out[1] = did.averageDidTrimmed;
+            out[2] = static_cast<double>(did.totalArcs);
+            out[3] = did.fracDidAtLeast4;
+        });
 
     TablePrinter table(
         "Figure 3.3 - average dynamic instruction distance (DID)",
         {"benchmark", "avg DID", "avg DID (<=256)", "arcs", "DID>=4"});
     std::vector<double> averages;
     for (std::size_t i = 0; i < bench.size(); ++i) {
-        const DidAnalysis &did = dids[i];
-        averages.push_back(did.averageDidTrimmed);
-        table.addRow({bench.names[i],
-                      TablePrinter::numberCell(did.averageDid, 1),
-                      TablePrinter::numberCell(did.averageDidTrimmed, 1),
-                      std::to_string(did.totalArcs),
-                      TablePrinter::percentCell(did.fracDidAtLeast4)});
+        const std::vector<double> &did = dids[i];
+        averages.push_back(did[1]);
+        table.addRow({bench.names[i], TablePrinter::numberCell(did[0], 1),
+                      TablePrinter::numberCell(did[1], 1),
+                      TablePrinter::numberCell(did[2], 0),
+                      TablePrinter::percentCell(did[3])});
     }
     table.addSeparator();
-    double sum = 0.0;
-    for (const double avg : averages)
-        sum += avg;
     table.addRow({"avg", "-",
-                  TablePrinter::numberCell(
-                      sum / static_cast<double>(averages.size()), 1),
+                  TablePrinter::numberCell(arithmeticMean(averages), 1),
                   "-", "-"});
     std::fputs(table.render().c_str(), stdout);
     std::puts("\npaper reference: all benchmarks have average DID > 4 "

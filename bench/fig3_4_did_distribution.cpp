@@ -33,23 +33,14 @@ main(int argc, char **argv)
     for (std::size_t bucket = 0; bucket < prototype.numBuckets(); ++bucket)
         columns.push_back("DID " + prototype.bucketLabel(bucket));
 
-    // One job per benchmark: a single DFG walk fills the whole row.
-    std::vector<std::vector<double>> cells =
-        unsetCells(bench.size(), columns.size());
-    std::vector<SimJob> batch;
-    for (std::size_t i = 0; i < bench.size(); ++i) {
-        batch.push_back({"did:" + bench.names[i], [&cells, &bench, i] {
-                             const DidAnalysis did =
-                                 analyzeDid(bench.trace(i));
-                             for (std::size_t bucket = 0;
-                                  bucket < did.distribution.numBuckets();
-                                  ++bucket) {
-                                 cells[i][bucket] =
-                                     did.distribution.bucketFraction(bucket);
-                             }
-                         }});
-    }
-    runner.run(std::move(batch));
+    // One cell per benchmark: a single DFG walk fills the whole row.
+    const auto cells = runner.runGrid(
+        bench.size(), 1, columns.size(),
+        [&](std::size_t row, std::size_t, std::span<double> out) {
+            const DidAnalysis did = analyzeDid(bench.trace(row));
+            for (std::size_t bucket = 0; bucket < out.size(); ++bucket)
+                out[bucket] = did.distribution.bucketFraction(bucket);
+        });
 
     std::fputs(renderPercentTable(
                    "Figure 3.4 - distribution of dependencies by DID",

@@ -34,23 +34,18 @@ main(int argc, char **argv)
         "unpredictable", "pred DID=1", "pred DID=2", "pred DID=3",
         "pred DID>=4",
     };
-    // One job per benchmark: a single analysis pass fills the row.
-    std::vector<std::vector<double>> cells =
-        unsetCells(bench.size(), columns.size());
-    std::vector<SimJob> batch;
-    for (std::size_t i = 0; i < bench.size(); ++i) {
-        batch.push_back(
-            {"predictability:" + bench.names[i], [&cells, &bench, i] {
-                 const PredictabilityAnalysis pa =
-                     analyzePredictability(bench.trace(i));
-                 cells[i] = {pa.fracUnpredictable,
-                             pa.fracPredictableDid1,
-                             pa.fracPredictableDid2,
-                             pa.fracPredictableDid3,
-                             pa.fracPredictableDid4Plus};
-             }});
-    }
-    runner.run(std::move(batch));
+    // One cell per benchmark: a single analysis pass fills the row.
+    const auto cells = runner.runGrid(
+        bench.size(), 1, columns.size(),
+        [&](std::size_t row, std::size_t, std::span<double> out) {
+            const PredictabilityAnalysis pa =
+                analyzePredictability(bench.trace(row));
+            out[0] = pa.fracUnpredictable;
+            out[1] = pa.fracPredictableDid1;
+            out[2] = pa.fracPredictableDid2;
+            out[3] = pa.fracPredictableDid3;
+            out[4] = pa.fracPredictableDid4Plus;
+        });
 
     std::fputs(renderPercentTable(
                    "Figure 3.5 - dependencies by value predictability "

@@ -34,36 +34,29 @@ main(int argc, char **argv)
     const std::vector<unsigned> taken_limits = {1, 2, 3, 4, 0};
     std::vector<std::string> columns = {"n=1", "n=2", "n=3", "n=4",
                                         "unlimited"};
+    const std::size_t n4_column = 3;
 
-    // Each (benchmark, limit) job owns one gains cell; the n=4 jobs
-    // additionally own that benchmark's BTB-accuracy slot.
-    std::vector<std::vector<double>> gains =
-        unsetCells(bench.size(), taken_limits.size());
-    std::vector<double> accuracies(bench.size(), unsetCell);
-    std::vector<SimJob> batch;
-    for (std::size_t i = 0; i < bench.size(); ++i) {
-        for (std::size_t col = 0; col < taken_limits.size(); ++col) {
-            const unsigned limit = taken_limits[col];
-            batch.push_back(
-                {bench.names[i] + ":n=" + std::to_string(limit),
-                 [&, i, col, limit] {
-                     PipelineConfig config;
-                     config.frontEnd = FrontEndKind::Sequential;
-                     config.maxTakenBranches = limit;
-                     config.perfectBranchPredictor = false;
-                     gains[i][col] =
-                         pipelineVpSpeedup(bench.trace(i), config) - 1.0;
-                     if (limit == 4) {
-                         PipelineConfig probe = config;
-                         probe.useValuePrediction = true;
-                         accuracies[i] =
-                             runPipelineMachine(bench.trace(i), probe)
-                                 .branchAccuracy;
-                     }
-                 }});
-        }
-    }
-    runner.run(std::move(batch));
+    // One cell per (benchmark, limit): the VP gain and, at n=4, the
+    // BTB accuracy of the VP-on run (0 in the other columns).
+    const auto cells = runner.runGrid(
+        bench.size(), taken_limits.size(), 2,
+        [&](std::size_t row, std::size_t col, std::span<double> out) {
+            PipelineConfig config;
+            config.frontEnd = FrontEndKind::Sequential;
+            config.maxTakenBranches = taken_limits[col];
+            config.perfectBranchPredictor = false;
+            const PipelineResult off =
+                runPipelineMachine(bench.trace(row), config);
+            config.useValuePrediction = true;
+            const PipelineResult on =
+                runPipelineMachine(bench.trace(row), config);
+            out[0] = vpSpeedup(off.cycles, on.cycles) - 1.0;
+            out[1] = col == n4_column ? on.branchAccuracy : 0.0;
+        });
+    const auto gains = gridValues(cells, 2, 0);
+    std::vector<double> accuracies;
+    for (const std::vector<double> &row : gridValues(cells, 2, 1))
+        accuracies.push_back(row[n4_column]);
 
     std::fputs(renderPercentTable(
                    "Figure 5.2 - VP speedup vs max taken branches per "

@@ -15,6 +15,7 @@
 #include <cstdio>
 
 #include "core/pipeline_machine.hpp"
+#include "core/speedup.hpp"
 #include "sim/sim_runner.hpp"
 
 int
@@ -31,29 +32,24 @@ main(int argc, char **argv)
 
     const std::vector<std::string> columns = {"TC+2levelBTB",
                                               "TC+idealBTB"};
-    // Each (benchmark, BTB) job owns one gains and one hit-rate cell.
-    std::vector<std::vector<double>> gains = unsetCells(bench.size(), 2);
-    std::vector<std::vector<double>> hit_rates = unsetCells(bench.size(), 2);
-    std::vector<SimJob> batch;
-    for (std::size_t i = 0; i < bench.size(); ++i) {
-        for (std::size_t col = 0; col < 2; ++col) {
-            batch.push_back(
-                {bench.names[i] + ":" + columns[col], [&, i, col] {
-                     PipelineConfig config;
-                     config.frontEnd = FrontEndKind::TraceCache;
-                     config.perfectBranchPredictor = col == 1;
-                     gains[i][col] =
-                         pipelineVpSpeedup(bench.trace(i), config) - 1.0;
-
-                     PipelineConfig probe = config;
-                     probe.useValuePrediction = true;
-                     hit_rates[i][col] =
-                         runPipelineMachine(bench.trace(i), probe)
-                             .tcHitRate;
-                 }});
-        }
-    }
-    runner.run(std::move(batch));
+    // One cell per (benchmark, BTB): the VP gain and the trace cache
+    // hit rate of the VP-on run.
+    const auto cells = runner.runGrid(
+        bench.size(), columns.size(), 2,
+        [&](std::size_t row, std::size_t col, std::span<double> out) {
+            PipelineConfig config;
+            config.frontEnd = FrontEndKind::TraceCache;
+            config.perfectBranchPredictor = col == 1;
+            const PipelineResult off =
+                runPipelineMachine(bench.trace(row), config);
+            config.useValuePrediction = true;
+            const PipelineResult on =
+                runPipelineMachine(bench.trace(row), config);
+            out[0] = vpSpeedup(off.cycles, on.cycles) - 1.0;
+            out[1] = on.tcHitRate;
+        });
+    const auto gains = gridValues(cells, 2, 0);
+    const auto hit_rates = gridValues(cells, 2, 1);
 
     std::fputs(renderPercentTable(
                    "Figure 5.3 - VP speedup with a trace cache "

@@ -174,7 +174,7 @@ void
 BM_ThreadPoolSubmitWait(benchmark::State &state)
 {
     // Scheduling overhead per (trivial) task: dominated by queue and
-    // wakeup costs, the fixed tax every SimJob pays.
+    // wakeup costs, the fixed tax every grid cell pays.
     ThreadPool pool(static_cast<unsigned>(state.range(0)));
     constexpr int tasksPerBatch = 256;
     for (auto _ : state) {

@@ -29,33 +29,31 @@ main(int argc, char **argv)
     SimRunner runner(options);
     const BenchmarkTraces bench = runner.captureBenchmarks();
 
-    std::vector<TraceStats> all_stats(bench.size());
-    std::vector<SimJob> batch;
-    for (std::size_t i = 0; i < bench.size(); ++i) {
-        batch.push_back(
-            {"stats:" + bench.names[i], [&all_stats, &bench, i] {
-                 all_stats[i] = computeTraceStats(bench.trace(i));
-             }});
-    }
-    runner.run(std::move(batch));
+    // One cell per benchmark carrying its five table columns.
+    const auto rows = runner.runGrid(
+        bench.size(), 1, 5,
+        [&](std::size_t row, std::size_t, std::span<double> out) {
+            const TraceStats stats = computeTraceStats(bench.trace(row));
+            const double denom = static_cast<double>(stats.totalInsts);
+            out[0] = static_cast<double>(stats.distinctPcs);
+            out[1] = stats.avgBasicBlock;
+            out[2] = static_cast<double>(stats.condBranches + stats.jumps) /
+                     denom;
+            out[3] = static_cast<double>(stats.loads + stats.stores) / denom;
+            out[4] = stats.takenTransferRate;
+        });
 
     TablePrinter table(
         "Table 3.1 - benchmark suite (mini stand-ins for SPECint95)",
         {"benchmark", "static pcs", "avg BB", "branches", "loads+stores",
          "taken/inst"});
     for (std::size_t i = 0; i < bench.size(); ++i) {
-        const TraceStats &stats = all_stats[i];
-        const double denom = static_cast<double>(stats.totalInsts);
-        table.addRow(
-            {bench.names[i], std::to_string(stats.distinctPcs),
-             TablePrinter::numberCell(stats.avgBasicBlock, 1),
-             TablePrinter::percentCell(
-                 static_cast<double>(stats.condBranches + stats.jumps) /
-                 denom),
-             TablePrinter::percentCell(
-                 static_cast<double>(stats.loads + stats.stores) /
-                 denom),
-             TablePrinter::numberCell(stats.takenTransferRate, 3)});
+        const std::vector<double> &row = rows[i];
+        table.addRow({bench.names[i], TablePrinter::numberCell(row[0], 0),
+                      TablePrinter::numberCell(row[1], 1),
+                      TablePrinter::percentCell(row[2]),
+                      TablePrinter::percentCell(row[3]),
+                      TablePrinter::numberCell(row[4], 3)});
     }
     std::fputs(table.render().c_str(), stdout);
     std::puts("");

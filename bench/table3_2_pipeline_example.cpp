@@ -69,23 +69,16 @@ main(int argc, char **argv)
 
     const auto trace = figure32Trace();
 
-    // The two machine runs (perfect VP on / off) are the worked
-    // example's only simulation points; run them as a 2-job batch.
-    IdealMachineResult with_vp, without_vp;
-    runner.run(
-        {{"perfect-vp", [&trace, &with_vp] {
-              IdealMachineConfig config;
-              config.fetchRate = 4;
-              config.useValuePrediction = true;
-              config.perfectValuePrediction = true;
-              with_vp = runIdealMachine(trace, config, true);
-          }},
-         {"no-vp", [&trace, &without_vp] {
-              IdealMachineConfig config;
-              config.fetchRate = 4;
-              config.useValuePrediction = false;
-              without_vp = runIdealMachine(trace, config, true);
-          }}});
+    // The worked example's only simulation points: two 8-instruction
+    // runs, too small to schedule. The runner still parses and applies
+    // the shared options (--check-invariants, --fault-inject, --jobs).
+    IdealMachineConfig config;
+    config.fetchRate = 4;
+    const IdealMachineResult without_vp =
+        runIdealMachine(trace, config, true);
+    config.useValuePrediction = true;
+    config.perfectValuePrediction = true;
+    const IdealMachineResult with_vp = runIdealMachine(trace, config, true);
 
     TablePrinter table(
         "Table 3.2 - Figure 3.2's DFG on a 4-wide machine "

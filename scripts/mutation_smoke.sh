@@ -8,9 +8,10 @@
 # (predictions made == correct + wrong) must then fire: under
 # --keep-going the affected cells become NaN and the failure list shows
 # a [internal] invariant violation. If the mutant runs cleanly, the
-# self-checks are dead and this script fails. A bench that fills its
-# own result table from SimRunner::run() (fig5_2) must then write every
-# failed cell to its --csv as nan, never as a silent zero.
+# self-checks are dead and this script fails. A bench whose runGrid
+# cells carry more than one value (fig5_2: the gain, plus the BTB
+# accuracy at n=4) must then write every failed cell to its --csv as
+# nan, never as a silent zero.
 #
 # Usage: scripts/mutation_smoke.sh [mutant-build-dir]
 set -euo pipefail

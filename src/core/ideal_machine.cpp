@@ -6,6 +6,7 @@
 #include "common/cancellation.hpp"
 #include "common/invariant.hpp"
 #include "common/logging.hpp"
+#include "core/speedup.hpp"
 #include "isa/instruction.hpp"
 
 namespace vpsim
@@ -388,10 +389,7 @@ idealVpSpeedup(TraceSource &source, const IdealMachineConfig &config)
 
     const IdealMachineResult base_result = runIdealMachine(source, base);
     const IdealMachineResult vp_result = runIdealMachine(source, vp);
-    if (vp_result.cycles == 0)
-        return 1.0;
-    return static_cast<double>(base_result.cycles) /
-           static_cast<double>(vp_result.cycles);
+    return vpSpeedup(base_result.cycles, vp_result.cycles);
 }
 
 double

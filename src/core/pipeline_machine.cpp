@@ -9,6 +9,7 @@
 #include "common/cancellation.hpp"
 #include "common/invariant.hpp"
 #include "common/logging.hpp"
+#include "core/speedup.hpp"
 #include "fetch/sequential_fetch.hpp"
 #include "isa/instruction.hpp"
 
@@ -728,10 +729,7 @@ pipelineVpSpeedup(TraceSpan records, const PipelineConfig &config)
 
     const PipelineResult base_result = runPipelineMachine(records, base);
     const PipelineResult vp_result = runPipelineMachine(records, vp);
-    if (vp_result.cycles == 0)
-        return 1.0;
-    return static_cast<double>(base_result.cycles) /
-           static_cast<double>(vp_result.cycles);
+    return vpSpeedup(base_result.cycles, vp_result.cycles);
 }
 
 } // namespace vpsim

@@ -1,9 +1,5 @@
 #include "core/speedup.hpp"
 
-#include <cmath>
-
-#include "common/logging.hpp"
-
 namespace vpsim
 {
 
@@ -19,22 +15,12 @@ arithmeticMean(const std::vector<double> &values)
 }
 
 double
-geometricMean(const std::vector<double> &values)
+vpSpeedup(Cycle base_cycles, Cycle vp_cycles)
 {
-    if (values.empty())
-        return 0.0;
-    double log_sum = 0.0;
-    for (const double value : values) {
-        panicIf(value <= 0.0, "geometric mean needs positive values");
-        log_sum += std::log(value);
-    }
-    return std::exp(log_sum / static_cast<double>(values.size()));
-}
-
-double
-speedupToGain(double speedup_ratio)
-{
-    return speedup_ratio - 1.0;
+    if (vp_cycles == 0)
+        return 1.0;
+    return static_cast<double>(base_cycles) /
+           static_cast<double>(vp_cycles);
 }
 
 } // namespace vpsim

@@ -12,17 +12,20 @@
 
 #include <vector>
 
+#include "common/types.hpp"
+
 namespace vpsim
 {
 
 /** Arithmetic mean of @p values (0 when empty). */
 double arithmeticMean(const std::vector<double> &values);
 
-/** Geometric mean of @p values (0 when empty; values must be > 0). */
-double geometricMean(const std::vector<double> &values);
-
-/** Convert a speedup ratio (e.g. 1.33) to a gain fraction (0.33). */
-double speedupToGain(double speedup_ratio);
+/**
+ * Speedup of value prediction from the cycle counts of the VP-off and
+ * VP-on runs of one machine: base / vp, or 1.0 when @p vp_cycles is 0
+ * (an empty trace).
+ */
+double vpSpeedup(Cycle base_cycles, Cycle vp_cycles);
 
 } // namespace vpsim
 

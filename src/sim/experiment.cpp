@@ -243,6 +243,20 @@ maybeWriteCsv(const Options &options, const std::string &figure_id,
     writeRunManifest(options, path);
 }
 
+std::vector<std::vector<double>>
+gridValues(const std::vector<std::vector<double>> &cells, std::size_t width,
+           std::size_t k)
+{
+    std::vector<std::vector<double>> plane;
+    plane.reserve(cells.size());
+    for (const std::vector<double> &row : cells) {
+        std::vector<double> &values = plane.emplace_back();
+        for (std::size_t at = k; at < row.size(); at += width)
+            values.push_back(row[at]);
+    }
+    return plane;
+}
+
 std::string
 renderPercentTable(const std::string &title,
                    const std::vector<std::string> &row_names,

@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -111,19 +110,12 @@ void validateBenchmarkNames(const std::vector<std::string> &names);
 BenchmarkTraces captureBenchmarks(const Options &options);
 
 /**
- * Value of a result cell no job has written. A job that fails under
- * --keep-going leaves its cells at this, so the failure shows as nan in
- * the table and the CSV, never as a silent zero.
+ * Value @p k of every cell of a SimRunner::runGrid() result whose cells
+ * carry @p width values: a rows × cols table, NaN where a cell failed.
  */
-inline constexpr double unsetCell = std::numeric_limits<double>::quiet_NaN();
-
-/** A rows x cols result table with every cell unset. */
-inline std::vector<std::vector<double>>
-unsetCells(std::size_t rows, std::size_t cols)
-{
-    return std::vector<std::vector<double>>(
-        rows, std::vector<double>(cols, unsetCell));
-}
+std::vector<std::vector<double>>
+gridValues(const std::vector<std::vector<double>> &cells, std::size_t width,
+           std::size_t k);
 
 /**
  * Build a figure-shaped table: one row per benchmark, one column per

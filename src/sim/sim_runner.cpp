@@ -44,6 +44,9 @@ resolveJobCount(const Options &options)
                      : static_cast<unsigned>(jobs);
 }
 
+/** Value of a grid cell no job has written. */
+constexpr double unsetCell = std::numeric_limits<double>::quiet_NaN();
+
 /**
  * The signal last caught by the cooperative handler (0 = none). Global
  * because signal handlers cannot carry state; consumed by the runner
@@ -286,22 +289,43 @@ SimRunner::runGrid(
     const std::function<double(std::size_t, std::size_t)> &cell,
     const std::function<double(std::size_t, std::size_t)> &reference)
 {
+    const auto scalar =
+        [](const std::function<double(std::size_t, std::size_t)> &one) {
+            return CellFill([&one](std::size_t row, std::size_t col,
+                                   std::span<double> out) {
+                out[0] = one(row, col);
+            });
+        };
+    return runGrid(rows, cols, 1, scalar(cell),
+                   reference ? scalar(reference) : CellFill{});
+}
+
+std::vector<std::vector<double>>
+SimRunner::runGrid(std::size_t rows, std::size_t cols, std::size_t width,
+                   const CellFill &fill, const CellFill &reference)
+{
+    fatalIf(width == 0, "runGrid: a cell needs at least one value");
     const std::size_t total = rows * cols;
     // One store namespace per grid of this run: grid ordinal and shape
     // folded into the run's identity.
     const std::uint64_t grid_hash = fnv1aFold(
-        fnv1aFold(fnv1aFold(runHash, ++gridOrdinal), rows), cols);
-    // NaN until a job writes the cell: failed (--keep-going) and
-    // signal-skipped cells are visibly absent, never silently zero.
-    std::vector<std::vector<double>> cells = unsetCells(rows, cols);
+        fnv1aFold(fnv1aFold(fnv1aFold(runHash, ++gridOrdinal), rows),
+                  cols),
+        width);
 
     GridState grid;
-    grid.rows = rows;
-    grid.cols = cols;
-    grid.cells = &cells;
+    grid.cells = total;
+    grid.width = width;
+    // NaN until a job writes the cell: failed (--keep-going) and
+    // signal-skipped cells are visibly absent, never silently zero.
+    grid.values.assign(total * width, unsetCell);
     grid.done = std::make_unique<std::atomic<bool>[]>(total);
     for (std::size_t idx = 0; idx < total; ++idx)
         grid.done[idx].store(false, std::memory_order_relaxed);
+    const auto cellValues = [&grid](std::size_t idx) {
+        return std::span<double>(grid.values).subspan(idx * grid.width,
+                                                      grid.width);
+    };
 
     std::unique_ptr<ResultStore> store;
     std::size_t resumed = 0;
@@ -316,12 +340,21 @@ SimRunner::runGrid(
             std::map<std::uint32_t, double> saved;
             SalvageRegistry::Totals ignored;
             (void)store->mergeAll(&saved, &ignored);
+            std::vector<std::size_t> present(total, 0);
             for (const auto &[index, value] : saved) {
-                if (index >= total)
+                if (index >= grid.values.size())
                     continue;
-                cells[index / cols][index % cols] = value;
-                grid.done[index].store(true, std::memory_order_relaxed);
-                ++resumed;
+                grid.values[index] = value;
+                ++present[index / width];
+            }
+            // Only whole cells are served; a partial one is recomputed.
+            for (std::size_t idx = 0; idx < total; ++idx) {
+                if (present[idx] == width) {
+                    grid.done[idx].store(true, std::memory_order_relaxed);
+                    ++resumed;
+                } else if (present[idx] > 0) {
+                    std::ranges::fill(cellValues(idx), unsetCell);
+                }
             }
             if (resumed > 0) {
                 std::fprintf(stderr,
@@ -362,45 +395,51 @@ SimRunner::runGrid(
             const std::size_t idx = row * cols + col;
             if (grid.done[idx].load(std::memory_order_relaxed))
                 continue;
+            const std::string label = "cell[" + std::to_string(row) +
+                                      "][" + std::to_string(col) + "]";
             batch.push_back(
-                {"cell[" + std::to_string(row) + "][" +
-                     std::to_string(col) + "]",
-                 [this, &cells, &cell, &reference, &grid, &crossChecked,
-                  idx, row, col] {
-                     const double value = cell(row, col);
-                     cells[row][col] = value;
+                {label, [this, &fill, &reference, &grid, &crossChecked,
+                         &cellValues, label, idx, row, col, width] {
+                     // The cell is written only once the fill returns,
+                     // so a throwing fill leaves all of it NaN.
+                     std::vector<double> values(width, unsetCell);
+                     fill(row, col, values);
+                     std::ranges::copy(values, cellValues(idx).begin());
                      grid.done[idx].store(true,
                                           std::memory_order_release);
                      if (!crossChecked[idx])
                          return;
                      // Differential check: re-simulate on the naive
-                     // reference model. Divergence means one of the two
-                     // models is wrong — poison the cell and fail the
-                     // job as an internal error rather than publish a
-                     // number we cannot trust.
-                     const double ref = reference(row, col);
-                     const bool both_nan =
-                         std::isnan(value) && std::isnan(ref);
-                     const double tolerance =
-                         1e-9 *
-                         std::max(std::abs(value), std::abs(ref));
-                     if (both_nan ||
-                         std::abs(value - ref) <= tolerance) {
-                         ++crossCheckedCellCount;
-                         return;
+                     // reference model. Divergence in any value means
+                     // one of the two models is wrong — poison the
+                     // whole cell and fail the job as an internal
+                     // error rather than publish numbers we cannot
+                     // trust.
+                     std::vector<double> refs(width, unsetCell);
+                     reference(row, col, refs);
+                     for (std::size_t k = 0; k < width; ++k) {
+                         const double value = values[k];
+                         const double ref = refs[k];
+                         const bool both_nan =
+                             std::isnan(value) && std::isnan(ref);
+                         const double tolerance =
+                             1e-9 *
+                             std::max(std::abs(value), std::abs(ref));
+                         if (both_nan ||
+                             std::abs(value - ref) <= tolerance)
+                             continue;
+                         std::ranges::fill(cellValues(idx), unsetCell);
+                         grid.done[idx].store(false,
+                                              std::memory_order_release);
+                         invariantFailed(
+                             "cross-check",
+                             label + " value " + std::to_string(k) +
+                                 " diverges from the reference model: "
+                                 "primary " +
+                                 std::to_string(value) +
+                                 " vs reference " + std::to_string(ref));
                      }
-                     cells[row][col] =
-                         std::numeric_limits<double>::quiet_NaN();
-                     grid.done[idx].store(false,
-                                          std::memory_order_release);
-                     invariantFailed(
-                         "cross-check",
-                         "cell[" + std::to_string(row) + "][" +
-                             std::to_string(col) +
-                             "] diverges from the reference model: "
-                             "primary " +
-                             std::to_string(value) + " vs reference " +
-                             std::to_string(ref));
+                     ++crossCheckedCellCount;
                  }});
         }
     }
@@ -409,29 +448,40 @@ SimRunner::runGrid(
     activeGrid = nullptr;
     if (grid.store != nullptr)
         publishGrid(grid);
+
+    const std::size_t row_values = cols * width;
+    std::vector<std::vector<double>> cells(rows);
+    for (std::size_t row = 0; row < rows; ++row) {
+        const auto first = grid.values.begin() +
+                           static_cast<std::ptrdiff_t>(row * row_values);
+        cells[row].assign(first,
+                          first + static_cast<std::ptrdiff_t>(row_values));
+    }
     return cells;
 }
 
 std::size_t
 SimRunner::publishGrid(const GridState &grid) const
 {
-    // One sparse file over the whole grid: the finished cells only,
-    // with zero salvage totals (a resumed bench reloads its traces and
-    // reports their salvage itself).
-    const std::size_t total = grid.rows * grid.cols;
+    // One sparse file over the whole grid: every value of the finished
+    // cells only, with zero salvage totals (a resumed bench reloads its
+    // traces and reports their salvage itself).
     ShardResult result;
-    for (std::size_t idx = 0; idx < total; ++idx) {
+    std::size_t published = 0;
+    for (std::size_t idx = 0; idx < grid.cells; ++idx) {
         if (!grid.done[idx].load(std::memory_order_acquire))
             continue;
-        result.cells.emplace_back(
-            static_cast<std::uint32_t>(idx),
-            (*grid.cells)[idx / grid.cols][idx % grid.cols]);
+        ++published;
+        for (std::size_t at = idx * grid.width;
+             at < (idx + 1) * grid.width; ++at)
+            result.cells.emplace_back(static_cast<std::uint32_t>(at),
+                                      grid.values[at]);
     }
     const Status stored = grid.store->store(
-        0, static_cast<std::uint32_t>(total - 1), result);
+        0, static_cast<std::uint32_t>(grid.values.size() - 1), result);
     if (!stored.isOk())
         warn(stored.message());
-    return result.cells.size();
+    return published;
 }
 
 void
@@ -442,8 +492,7 @@ SimRunner::exitOnSignal(int signal_number)
         std::fprintf(stderr,
                      "sim: interrupted by signal %d; %zu of %zu cells "
                      "published to %s (rerun with --resume 1)\n",
-                     signal_number, published,
-                     activeGrid->rows * activeGrid->cols,
+                     signal_number, published, activeGrid->cells,
                      resultStoreDir.c_str());
     } else {
         std::fprintf(stderr,

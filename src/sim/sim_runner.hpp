@@ -3,13 +3,16 @@
  * The experiment runtime: a fault-tolerant job-scheduling driver for
  * figure sweeps.
  *
- * Every figure/ablation bench is a grid of independent simulation
- * points — (benchmark × configuration) closures, each a pure function
- * of an immutable trace returning one numeric cell. SimRunner executes
- * such grids on a work-stealing thread pool (--jobs, default: hardware
- * concurrency) with deterministic cell placement: each job writes only
- * its own preassigned slot, so parallel output is bit-identical to
- * `--jobs 1`.
+ * Every figure, table and ablation bench is a grid of independent
+ * simulation points — (benchmark × configuration) closures, each a
+ * pure function of an immutable trace returning a fixed number of
+ * values (one speedup, or a speedup plus the metrics of the same runs).
+ * SimRunner::runGrid executes such grids on a work-stealing thread
+ * pool (--jobs, default: hardware concurrency) with deterministic cell
+ * placement: each job writes only its own cell, so parallel output is
+ * bit-identical to `--jobs 1`. It is the one way a bench runs a sweep,
+ * so cell ownership, NaN-on-failure, publishing, resume and
+ * cross-checking act the same in every bench.
  *
  * Trace capture goes through the same pool and, when --trace-cache-dir
  * is given, through an on-disk TraceCacheStore, so the eight workload
@@ -50,6 +53,15 @@
  *       });
  *   ... render cells ...
  *   runner.reportStats();
+ *
+ * A cell whose runs yield several values (a speedup and the IPC of the
+ * same runs, say) uses the width form and fills them together:
+ *
+ *   const auto cells = runner.runGrid(bench.size(), configs.size(), 2,
+ *       [&](std::size_t row, std::size_t col, std::span<double> out) {
+ *           out[0] = ...; out[1] = ...;
+ *       });
+ *   const auto ipcs = gridValues(cells, 2, 1);
  */
 
 #ifndef VPSIM_SIM_SIM_RUNNER_HPP
@@ -62,6 +74,7 @@
 #include <functional>
 #include <list>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -138,30 +151,49 @@ class SimRunner
      */
     void run(std::vector<SimJob> batch);
 
+    /** Fills value k of cell (row, col) into out[k], k < out.size(). */
+    using CellFill = std::function<void(std::size_t row, std::size_t col,
+                                        std::span<double> out)>;
+
     /**
-     * Declare-and-run a dense rows × cols grid.
+     * Declare-and-run a dense rows × cols grid whose every cell
+     * carries @p width values.
      *
      * Cells start as NaN; a job that fails under --keep-going leaves
-     * NaN in its cell. With --result-store, the finished cells are
-     * published when the grid completes; with --resume 1, cells already
-     * in the store are loaded and their jobs never run.
+     * NaN in every value of its cell. With --result-store, the finished
+     * cells are published when the grid completes; with --resume 1,
+     * cells already in the store are loaded and their jobs never run.
+     * The store identity folds in the grid's ordinal and its shape,
+     * width included, so a store written under another shape is never
+     * served.
      *
      * When the bench supplies @p reference and --cross-check N is
      * given, a deterministic sample of N cells (chosen by per-cell
      * key, so the sample is stable across --jobs values and reruns) is
      * re-simulated on the golden-reference model after the primary
-     * result is computed; any divergence beyond 1e-9 relative error is
-     * an internal-consistency failure — the cell reverts to NaN and the
-     * job fails like any other model bug (NaN cell under --keep-going,
-     * abort otherwise). Benches with no reference model simply omit the
-     * argument and --cross-check is a no-op for them.
+     * result is computed; a divergence beyond 1e-9 relative error in
+     * any value is an internal-consistency failure — the whole cell
+     * reverts to NaN and the job fails like any other model bug (NaN
+     * cell under --keep-going, abort otherwise). Benches with no
+     * reference model simply omit the argument and --cross-check is a
+     * no-op for them.
      *
-     * @param cell Invoked once per (row, col), possibly concurrently;
-     *        must be pure (see SimJob).
-     * @param reference Optional naive re-computation of @p cell on an
+     * @param fill Invoked once per (row, col), possibly concurrently,
+     *        with a span of @p width NaNs to overwrite; must be a pure
+     *        function of state shared-const before the call.
+     * @param reference Optional naive re-computation of @p fill on an
      *        independent model (core/reference_machine.hpp).
-     * @return cells[row][col] — identical for any --jobs value.
+     * @return rows × (cols · width) values: value k of cell (row, col)
+     *         at [row][col · width + k] — identical for any --jobs
+     *         value. gridValues() splits out one value per cell.
      */
+    std::vector<std::vector<double>> runGrid(std::size_t rows,
+                                             std::size_t cols,
+                                             std::size_t width,
+                                             const CellFill &fill,
+                                             const CellFill &reference = {});
+
+    /** The width-1 grid: each cell returns its one value. */
     std::vector<std::vector<double>> runGrid(
         std::size_t rows, std::size_t cols,
         const std::function<double(std::size_t row, std::size_t col)>
@@ -223,9 +255,11 @@ class SimRunner
     /** Per-grid resume bookkeeping, alive during runGrid()'s run(). */
     struct GridState
     {
-        std::size_t rows = 0;
-        std::size_t cols = 0;
-        std::vector<std::vector<double>> *cells = nullptr;
+        std::size_t cells = 0;
+        std::size_t width = 0;
+        /** cells × width values, cell-major: the row-major flattening
+         *  of runGrid()'s result and the result store's cell indices. */
+        std::vector<double> values;
         std::unique_ptr<std::atomic<bool>[]> done;
         /** This grid's store namespace (null without --result-store). */
         const ResultStore *store = nullptr;

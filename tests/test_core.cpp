@@ -245,8 +245,6 @@ TEST(SpeedupHelpers, Means)
 {
     EXPECT_DOUBLE_EQ(arithmeticMean({1.0, 2.0, 3.0}), 2.0);
     EXPECT_DOUBLE_EQ(arithmeticMean({}), 0.0);
-    EXPECT_NEAR(geometricMean({1.0, 4.0}), 2.0, 1e-9);
-    EXPECT_DOUBLE_EQ(speedupToGain(1.33), 0.33);
 }
 
 // ---------------------------------------------------------------------

@@ -14,6 +14,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -167,9 +169,31 @@ TEST(Harness, StallingUsesGrowWithBandwidth)
     EXPECT_GT(r_wide.stallingUses, r_narrow.stallingUses);
 }
 
-/** Figure 3.1-shaped grid under a given --jobs count. */
+/**
+ * A rows × cols grid whose cells carry @p width values, value k of
+ * cell (row, col) being cell(row, col) + 100·k. Width 1 runs the
+ * scalar form; the wider form first scribbles on value 0, so a
+ * throwing cell has already written part of its span.
+ */
 std::vector<std::vector<double>>
-fig31Grid(const char *jobs)
+widthGrid(SimRunner &runner, std::size_t rows, std::size_t cols,
+          std::size_t width,
+          const std::function<double(std::size_t, std::size_t)> &cell)
+{
+    if (width == 1)
+        return runner.runGrid(rows, cols, cell);
+    return runner.runGrid(
+        rows, cols, width,
+        [&cell](std::size_t row, std::size_t col, std::span<double> out) {
+            out[0] = -1.0;
+            for (std::size_t k = 0; k < out.size(); ++k)
+                out[k] = cell(row, col) + 100.0 * static_cast<double>(k);
+        });
+}
+
+/** Figure 3.1-shaped grid of @p width values under a --jobs count. */
+std::vector<std::vector<double>>
+fig31Grid(const char *jobs, std::size_t width)
 {
     const Options options = parsedOptions(
         {"--insts", "4000", "--benchmarks", "go,compress,m88ksim",
@@ -177,27 +201,32 @@ fig31Grid(const char *jobs)
     SimRunner runner(options);
     const BenchmarkTraces bench = runner.captureBenchmarks();
     const std::vector<unsigned> rates = {4, 8, 16};
-    return runner.runGrid(bench.size(), rates.size(),
-                          [&](std::size_t row, std::size_t col) {
-                              IdealMachineConfig config;
-                              config.fetchRate = rates[col];
-                              return idealVpSpeedup(bench.trace(row),
-                                                    config);
-                          });
+    return widthGrid(runner, bench.size(), rates.size(), width,
+                     [&](std::size_t row, std::size_t col) {
+                         IdealMachineConfig config;
+                         config.fetchRate = rates[col];
+                         return idealVpSpeedup(bench.trace(row), config);
+                     });
 }
 
 TEST(SimRunner, GridIsDeterministicAcrossJobCounts)
 {
     // The acceptance property of the parallel runtime: cell placement is
-    // preassigned, so the grid is bit-identical for any worker count.
-    const auto serial = fig31Grid("1");
-    const auto parallel = fig31Grid("8");
-    ASSERT_EQ(serial.size(), parallel.size());
-    for (std::size_t r = 0; r < serial.size(); ++r) {
-        ASSERT_EQ(serial[r].size(), parallel[r].size());
-        for (std::size_t c = 0; c < serial[r].size(); ++c)
-            EXPECT_EQ(serial[r][c], parallel[r][c])
-                << "cell (" << r << "," << c << ")";
+    // preassigned, so the grid is bit-identical for any worker count,
+    // however many values a cell carries.
+    for (const std::size_t width : {1u, 3u}) {
+        const auto serial = fig31Grid("1", width);
+        const auto parallel = fig31Grid("4", width);
+        ASSERT_EQ(serial.size(), 3u);
+        ASSERT_EQ(serial.size(), parallel.size());
+        for (std::size_t r = 0; r < serial.size(); ++r) {
+            ASSERT_EQ(serial[r].size(), 3 * width);
+            ASSERT_EQ(serial[r].size(), parallel[r].size());
+            for (std::size_t c = 0; c < serial[r].size(); ++c)
+                EXPECT_EQ(serial[r][c], parallel[r][c])
+                    << "width " << width << " value (" << r << "," << c
+                    << ")";
+        }
     }
 }
 
@@ -241,19 +270,31 @@ TEST(SimRunner, ThrowingJobAbortsTheSweepByDefault)
 
 TEST(SimRunner, KeepGoingIsolatesTheFailureAsNan)
 {
-    const Options options =
-        parsedOptions({"--jobs", "2", "--keep-going", "1"});
-    SimRunner runner(options);
-    const auto cells = runner.runGrid(2, 2, faultyCell);
-    EXPECT_TRUE(std::isnan(cells[1][0]))
-        << "the failed cell must be visibly absent, not silently zero";
-    EXPECT_EQ(cells[0][0], 0.0);
-    EXPECT_EQ(cells[0][1], 1.0);
-    EXPECT_EQ(cells[1][1], 11.0);
-    ASSERT_EQ(runner.failures().size(), 1u);
-    EXPECT_EQ(runner.failures()[0].label, "cell[1][0]");
-    EXPECT_NE(runner.failures()[0].error.find("injected cell failure"),
-              std::string::npos);
+    for (const std::size_t width : {1u, 3u}) {
+        const Options options =
+            parsedOptions({"--jobs", "2", "--keep-going", "1"});
+        SimRunner runner(options);
+        const auto cells = widthGrid(runner, 2, 2, width, faultyCell);
+        for (std::size_t r = 0; r < 2; ++r) {
+            for (std::size_t c = 0; c < 2; ++c) {
+                for (std::size_t k = 0; k < width; ++k) {
+                    const double value = cells[r][c * width + k];
+                    if (r == 1 && c == 0) {
+                        EXPECT_TRUE(std::isnan(value))
+                            << "every value of the failed cell must be "
+                               "visibly absent, not silently zero";
+                    } else {
+                        EXPECT_EQ(value,
+                                  static_cast<double>(10 * r + c + 100 * k));
+                    }
+                }
+            }
+        }
+        ASSERT_EQ(runner.failures().size(), 1u);
+        EXPECT_EQ(runner.failures()[0].label, "cell[1][0]");
+        EXPECT_NE(runner.failures()[0].error.find("injected cell failure"),
+                  std::string::npos);
+    }
 }
 
 TEST(SimRunner, ConcurrentFailureSnapshotsStayConsistent)
@@ -357,14 +398,15 @@ struct StoreRun
 };
 
 /**
- * Run @p grids 2×2 grids of gridValue() + @p offset in a binary named
- * @p program with @p args plus --result-store @p store; every cell
- * must come out at its uninterrupted value.
+ * Run @p grids 2×2 grids of @p width values, gridValue() + @p offset
+ * in value 0 (see widthGrid()), in a binary named @p program with
+ * @p args plus --result-store @p store; every value must come out at
+ * its uninterrupted value.
  */
 StoreRun
 storeRun(const TempStore &store, std::vector<const char *> args,
          std::size_t grids = 1, const char *program = "bench",
-         double offset = 0.0)
+         double offset = 0.0, std::size_t width = 1)
 {
     const std::string dir = store.dir.string();
     args.insert(args.end(), {"--result-store", dir.c_str()});
@@ -376,15 +418,20 @@ storeRun(const TempStore &store, std::vector<const char *> args,
     StoreRun run;
     for (std::size_t grid = 0; grid < grids; ++grid) {
         std::atomic<int> calls{0};
-        const auto cells = runner.runGrid(
-            2, 2, [&calls, offset](std::size_t row, std::size_t col) {
+        const auto cells = widthGrid(
+            runner, 2, 2, width,
+            [&calls, offset](std::size_t row, std::size_t col) {
                 ++calls;
                 return offset + gridValue(row, col);
             });
         for (std::size_t r = 0; r < 2; ++r)
             for (std::size_t c = 0; c < 2; ++c)
-                EXPECT_EQ(cells[r][c], offset + gridValue(r, c));
-        run.calls.push_back(calls.load());
+                for (std::size_t k = 0; k < width; ++k)
+                    EXPECT_EQ(cells[r][c * width + k],
+                              offset + gridValue(r, c) +
+                                  100.0 * static_cast<double>(k));
+        // widthGrid asks @p cell once per value of a computed cell.
+        run.calls.push_back(calls.load() / static_cast<int>(width));
     }
     run.resumed = runner.resumedCells();
     return run;
@@ -394,19 +441,25 @@ TEST(SimRunner, SigintPublishesToTheResultStoreAndResumeFinishes)
 {
     // Interrupted sweep, in a death-test child: with --jobs 1 the grid
     // runs in submission order, so `job:2:sigint` lands after exactly
-    // one finished cell. The runner must drain, publish that cell, and
-    // exit 128+SIGINT.
-    const TempStore store("vpsim_store_sigint");
-    EXPECT_EXIT(storeRun(store, {"--jobs", "1", "--fault-inject",
-                                 "job:2:sigint"}),
-                ::testing::ExitedWithCode(128 + SIGINT),
-                "interrupted by signal 2.*1 of 4 cells published");
-    ASSERT_EQ(store.count("shard-"), 1u);
+    // one finished cell. The runner must drain, publish every value of
+    // that cell, and exit 128+SIGINT.
+    for (const std::size_t width : {1u, 3u}) {
+        const TempStore store("vpsim_store_sigint" + std::to_string(width));
+        EXPECT_EXIT(storeRun(store,
+                             {"--jobs", "1", "--fault-inject",
+                              "job:2:sigint"},
+                             1, "bench", 0.0, width),
+                    ::testing::ExitedWithCode(128 + SIGINT),
+                    "interrupted by signal 2.*1 of 4 cells published");
+        ASSERT_EQ(store.count("shard-"), 1u);
 
-    // Resume: the stored cell's job never runs again.
-    const StoreRun resumed = storeRun(store, {"--jobs", "1", "--resume", "1"});
-    EXPECT_EQ(resumed.resumed, 1u);
-    EXPECT_EQ(resumed.calls, std::vector<int>{3});
+        // Resume: the stored cell's job never runs again, and all of
+        // its values come back.
+        const StoreRun resumed = storeRun(
+            store, {"--jobs", "1", "--resume", "1"}, 1, "bench", 0.0, width);
+        EXPECT_EQ(resumed.resumed, 1u);
+        EXPECT_EQ(resumed.calls, std::vector<int>{3});
+    }
 }
 
 TEST(SimRunner, BitFlippedStoreFileIsQuarantinedAndRecomputed)
@@ -457,6 +510,11 @@ TEST(SimRunner, ResumeReusesCellsAcrossExecutionOptionsOnly)
                                "--jobs", "3", "--csv", csv.c_str()})
                   .resumed,
               4u);
+    // The same 2×2 grid with two values per cell is another grid.
+    EXPECT_EQ(storeRun(store, {"--resume", "1", "--insts", "5000"}, 1,
+                       "bench", 0.0, 2)
+                  .resumed,
+              0u);
 }
 
 TEST(SimRunner, BinariesSharingAStoreNeverServeEachOthersCells)

@@ -9,10 +9,12 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -290,24 +292,44 @@ TEST(CrossCheck, AgreementPassesAndIsCounted)
 
 TEST(CrossCheck, DivergencePoisonsTheCellUnderKeepGoing)
 {
-    const Options options =
-        parsedOptions({"--cross-check", "1", "--keep-going", "1"});
-    SimRunner runner(options);
-    const auto cells = runner.runGrid(
-        2, 2, [](std::size_t, std::size_t) { return 1.0; },
-        [](std::size_t, std::size_t) { return 2.0; });
-    std::size_t nan_cells = 0;
-    for (const auto &row : cells)
-        for (const double value : row)
-            nan_cells += std::isnan(value) ? 1 : 0;
-    EXPECT_EQ(nan_cells, 1u)
-        << "exactly the sampled cell must be poisoned";
-    ASSERT_EQ(runner.failures().size(), 1u);
-    EXPECT_NE(runner.failures()[0].error.find("cross-check"),
-              std::string::npos);
-    EXPECT_NE(runner.failures()[0].error.find("internal"),
-              std::string::npos);
-    EXPECT_EQ(runner.crossCheckedCells(), 0u);
+    // The reference disagrees only in a cell's last value, yet the
+    // sampled cell must lose every value it carries.
+    for (const std::size_t width : {1u, 3u}) {
+        const Options options =
+            parsedOptions({"--cross-check", "1", "--keep-going", "1"});
+        SimRunner runner(options);
+        const auto cells = runner.runGrid(
+            2, 2, width,
+            [](std::size_t, std::size_t, std::span<double> out) {
+                std::ranges::fill(out, 1.0);
+            },
+            [](std::size_t, std::size_t, std::span<double> out) {
+                std::ranges::fill(out, 1.0);
+                out.back() = 2.0;
+            });
+        std::size_t nan_cells = 0;
+        for (const auto &row : cells) {
+            for (std::size_t c = 0; c < 2; ++c) {
+                std::size_t nans = 0;
+                for (std::size_t k = 0; k < width; ++k)
+                    nans += std::isnan(row[c * width + k]) ? 1 : 0;
+                EXPECT_TRUE(nans == 0 || nans == width)
+                    << nans << " of " << width << " values poisoned";
+                nan_cells += nans == width ? 1 : 0;
+            }
+        }
+        EXPECT_EQ(nan_cells, 1u)
+            << "exactly the sampled cell must be poisoned";
+        ASSERT_EQ(runner.failures().size(), 1u);
+        const std::string error = runner.failures()[0].error;
+        EXPECT_NE(error.find("cross-check"), std::string::npos);
+        EXPECT_NE(error.find("internal"), std::string::npos);
+        EXPECT_NE(error.find("value " + std::to_string(width - 1) +
+                             " diverges"),
+                  std::string::npos)
+            << error;
+        EXPECT_EQ(runner.crossCheckedCells(), 0u);
+    }
 }
 
 TEST(CrossCheck, DivergenceAbortsWithoutKeepGoing)
