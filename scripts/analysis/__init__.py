@@ -12,7 +12,7 @@ linting cannot see (docs/STATIC_ANALYSIS.md, "Layer 4"):
   lock-order        Global Mutex acquisition graph from MutexLock
                     nesting + ACQUIRE/REQUIRES/EXCLUDES annotations;
                     cycles and EXCLUDES violations.
-  taxonomy          Fleet worker exit-code constants vs. the StatusCode
+  taxonomy          Worker-process exit-code constants vs. the StatusCode
                     enum and the classification switches: round-trip
                     consistency so the two can never drift.
 

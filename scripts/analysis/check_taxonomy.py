@@ -1,12 +1,13 @@
 """taxonomy: exit-code constants, StatusCode, and the classification
 switches must agree.
 
-The fleet protocol has three artifacts that must stay in lockstep:
+The worker-process protocol of runGrid's process executor has three
+artifacts that must stay in lockstep:
 
   - the StatusCode enum (src/common/status.hpp);
   - the WorkerExitCode constants the worker process exits with
-    (src/fleet/worker_handle.hpp);
-  - the supervisor's classification switch classifyExit() and the
+    (src/sim/worker_handle.hpp);
+  - the parent's classification switch classifyExit() and the
     worker-side encoder exitCodeForStatus().
 
 A drift between them is invisible to the compiler (both directions
@@ -26,9 +27,10 @@ checks:
   4. every WorkerExitCode enumerator is classified by an explicit
      classifyExit case (default-sink is for unknown codes, not for
      forgetting a declared one);
-  5. exit()/_exit() calls in fleet code must pass a declared
-     enumerator, not an integer literal (the 128+signal convention is
-     recognized and exempt).
+  5. exit()/_exit() calls in the files that end a worker or its parent
+     (EXIT_SCOPE) must pass a declared enumerator, not an integer
+     literal (the 128+signal convention is recognized and exempt as an
+     expression, not by file).
 
 The checker keys off the names StatusCode / WorkerExitCode /
 classifyExit / exitCodeForStatus; a model containing none of them
@@ -41,6 +43,11 @@ ID = "taxonomy"
 
 EXIT_RANGE = (40, 125)
 SINK = "kInternal"
+# Path fragments of the files whose exit calls end a worker process or
+# the parent that forks it: the worker protocol (worker_handle), the
+# worker body (process_executor) and SimRunner's signal exits.
+EXIT_SCOPE = ("/sim/worker_handle.", "/sim/process_executor.",
+              "/sim/sim_runner.")
 
 
 def run(model, report):
@@ -106,13 +113,13 @@ def _check_ranges(exit_enum, exit_values, report):
     for name, value, line in _resolved(exit_enum):
         if value != 0 and not lo <= value <= hi:
             report(exit_enum.file, line, ID,
-                   "exit code %s = %d is outside the reserved fleet "
+                   "exit code %s = %d is outside the reserved worker "
                    "range [%d, %d] (0 is success; below %d collides "
                    "with errno-style codes, above %d with shell/"
                    "signal encodings)" % (name, value, lo, hi, lo, hi))
         if value in seen:
             report(exit_enum.file, line, ID,
-                   "exit code %s = %d duplicates %s: the supervisor "
+                   "exit code %s = %d duplicates %s: the parent "
                    "cannot distinguish the two failure classes"
                    % (name, value, seen[value]))
         else:
@@ -248,7 +255,7 @@ def _check_round_trip(status_enum, exit_values,
             report(encode.file, enc_line, ID,
                    "round-trip broken: StatusCode::%s encodes to "
                    "exit code %d but classifyExit(%d) yields %s — "
-                   "the supervisor will mis-triage this failure "
+                   "the parent will mis-triage this failure "
                    "class" % (name, code, code, got))
 
 
@@ -281,7 +288,7 @@ def _check_classify_covers(exit_enum, exit_values, classify,
 def _check_exit_literals(model, exit_values, report):
     known = set(exit_values.values()) | {0}
     for sm in model.files.values():
-        if "/fleet/" not in "/" + sm.path:
+        if not any(part in "/" + sm.path for part in EXIT_SCOPE):
             continue
         for fn in sm.functions:
             if fn.body is None:
@@ -311,6 +318,6 @@ def _scan_exit_calls(sm, block, known, report):
                 continue
             if value not in known:
                 report(sm.path, tok.line, ID,
-                       "%s(%d) in fleet code: exit codes must be "
+                       "%s(%d) in worker exit code: exit codes must be "
                        "declared WorkerExitCode enumerators, not "
                        "magic integers" % (call.name, value))

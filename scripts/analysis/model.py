@@ -61,7 +61,7 @@ class FunctionDef:
     def __init__(self, name, qualname, class_name, file, line,
                  return_tokens, param_tokens, body, annotations):
         self.name = name
-        self.qualname = qualname          # e.g. "vpsim::fleet::classifyExit"
+        self.qualname = qualname          # e.g. "vpsim::classifyExit"
         self.class_name = class_name      # innermost class, or None
         self.file = file
         self.line = line

@@ -16,7 +16,7 @@ from .cppsem import find_calls
 from .model import Block, Stmt
 
 _QUALIFIERS = {"const", "static", "mutable", "constexpr", "inline",
-               "volatile", "std", "vpsim", "io", "fleet", "trace",
+               "volatile", "std", "vpsim", "io", "trace",
                "sim"}
 
 

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Smoke-test every bench binary: run each with a tiny instruction count
-# serially, then again with --jobs 4 against a shared trace cache, and
-# require the two stdouts to be byte-identical (the SimRunner
-# determinism contract). Wired into ctest as `bench_smoke`.
+# serially, then with --jobs 4 and with --fleet-workers 3 against a
+# shared trace cache, and require all three stdouts to be byte-identical
+# (the runGrid determinism contract, across both executors). Wired into
+# ctest as `bench_smoke`.
 #
 # Usage: scripts/smoke_bench.sh [build-dir]
 set -euo pipefail
@@ -49,25 +50,6 @@ for bench in "$build"/bench/*; do
                 2> /dev/null ||
                 { echo "FAIL: $name" >&2; failed=1; }
             continue ;;
-        fleet_sweep|fleet_soak)
-            # Fleet drivers: the determinism axis is worker count, not
-            # --jobs. A small grid in-process (--fleet-workers 0) must
-            # match the same grid sharded across two worker processes
-            # byte for byte (fleet_soak's soak-sized default axes are
-            # overridden down to smoke scale).
-            echo "== $name (in-process vs 2 workers)"
-            fargs=(--insts 2000 --benchmarks go,compress
-                   --predictors stride --table-sizes 0,1024
-                   --window-sizes 40 --fetch-rates 4,8
-                   --vp-penalties 1 --fleet-shard-cells 4
-                   --trace-cache-dir "$cache")
-            "$bench" "${fargs[@]}" --fleet-workers 0 \
-                > "$work/$name.serial" 2> /dev/null ||
-                { echo "FAIL: $name (in-process)" >&2; failed=1; continue; }
-            "$bench" "${fargs[@]}" --fleet-workers 2 \
-                > "$work/$name.parallel" 2> /dev/null ||
-                { echo "FAIL: $name (--fleet-workers 2)" >&2; failed=1; continue; }
-            ;;
         table3_2_pipeline_example)
             # Fixed 8-instruction worked example: no --insts/--benchmarks.
             echo "== $name"
@@ -75,6 +57,8 @@ for bench in "$build"/bench/*; do
                 { echo "FAIL: $name (serial)" >&2; failed=1; continue; }
             "$bench" --jobs 4 > "$work/$name.parallel" 2> /dev/null ||
                 { echo "FAIL: $name (--jobs 4)" >&2; failed=1; continue; }
+            "$bench" --fleet-workers 3 > "$work/$name.workers" 2> /dev/null ||
+                { echo "FAIL: $name (--fleet-workers 3)" >&2; failed=1; continue; }
             ;;
         *)
             echo "== $name"
@@ -84,17 +68,24 @@ for bench in "$build"/bench/*; do
             "$bench" "${args[@]}" --jobs 4 --trace-cache-dir "$cache" \
                 > "$work/$name.parallel" 2> /dev/null ||
                 { echo "FAIL: $name (--jobs 4)" >&2; failed=1; continue; }
+            "$bench" "${args[@]}" --fleet-workers 3 --trace-cache-dir "$cache" \
+                > "$work/$name.workers" 2> /dev/null ||
+                { echo "FAIL: $name (--fleet-workers 3)" >&2; failed=1; continue; }
             ;;
     esac
-    if ! cmp -s "$work/$name.serial" "$work/$name.parallel"; then
-        echo "FAIL: $name stdout differs between --jobs 1 and --jobs 4" >&2
-        diff "$work/$name.serial" "$work/$name.parallel" | head -20 >&2
-        failed=1
-    fi
+    for run in parallel workers; do
+        if ! cmp -s "$work/$name.serial" "$work/$name.$run"; then
+            echo "FAIL: $name stdout differs between --jobs 1 and the" \
+                 "$run run" >&2
+            diff "$work/$name.serial" "$work/$name.$run" | head -20 >&2
+            failed=1
+        fi
+    done
 done
 
 if [ "$failed" -ne 0 ]; then
     echo "bench smoke test FAILED" >&2
     exit 1
 fi
-echo "bench smoke test OK (all benches deterministic across job counts)"
+echo "bench smoke test OK (all benches deterministic across job counts" \
+     "and executors)"

@@ -16,8 +16,9 @@ set -u -o pipefail
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD_DIR="$ROOT/build-tsan"
 # The suites that exercise the multithreaded runtime: the work-stealing
-# pool, SimRunner's watchdog/signal-publish/failure paths, and the
-# validation harness that drives them end to end.
+# pool, SimRunner's watchdog/signal-publish/failure paths (test_sim also
+# forks the process executor's workers from the threaded parent), and
+# the validation harness that drives them end to end.
 SUITES=(test_thread_pool test_sim test_validation)
 
 while [ $# -gt 0 ]; do

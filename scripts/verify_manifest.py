@@ -1,10 +1,8 @@
 #!/usr/bin/env python3
-"""Verify vpsim run and fleet manifests (sidecar files next to a CSV).
+"""Verify vpsim run manifests (sidecar files next to a CSV).
 
 Every bench that writes `--csv FILE` also writes `FILE.manifest.json`
-(see src/sim/run_manifest.hpp and docs/VALIDATION.md), and the fleet
-driver writes `FILE.fleet-manifest.json` instead (see
-src/fleet/fleet_manifest.hpp and docs/FLEET.md). This checker
+(see src/sim/run_manifest.hpp and docs/VALIDATION.md). This checker
 re-derives, for each manifest given on the command line (or found under
 a directory):
 
@@ -13,12 +11,7 @@ a directory):
      its byte count, compared against csvCrc32 / csvBytes;
   2. the manifest's own signature: CRC-32 over the canonical signing
      string rebuilt byte-for-byte from the parsed JSON fields, compared
-     against the stored "crc32:XXXXXXXX" signature;
-  3. for fleet manifests, the structural invariants of the signed
-     lineage: every `id:first:last:attempts:outcome` shard line parses,
-     outcomes are from the known set, quarantined cells are strictly
-     ascending, in range, and consistent with the quarantined shard
-     lines.
+     against the stored "crc32:XXXXXXXX" signature.
 
 Exit status 0 when every manifest passes, 1 otherwise. Only the Python
 standard library is used.
@@ -39,18 +32,6 @@ REQUIRED_FIELDS = [
 
 SCHEMA = "vpsim-run-manifest 2"
 MANIFEST_SUFFIX = ".manifest.json"
-
-FLEET_REQUIRED_FIELDS = [
-    "schema", "gitDescribe", "fleetHash", "rows", "cols", "cells",
-    "retries", "bisections", "reusedCells", "quarantinedCells",
-    "shards", "salvagedFiles", "salvagedBlocks", "salvagedRecordsLost",
-    "fingerprint", "csvFile", "csvBytes", "csvCrc32", "signature",
-]
-
-FLEET_SCHEMA = "vpsim-fleet-manifest 1"
-FLEET_MANIFEST_SUFFIX = ".fleet-manifest.json"
-FLEET_SHARD_OUTCOMES = {"ok", "bisected", "quarantined"}
-
 
 def signing_string(manifest):
     """The canonical signing string (see run_manifest.cpp)."""
@@ -73,93 +54,12 @@ def signing_string(manifest):
     )
 
 
-def fleet_signing_string(manifest):
-    """The canonical fleet signing string (see fleet_manifest.cpp)."""
-    lines = [
-        "vpsim-fleet-signing-v1",
-        f"schema={manifest['schema']}",
-        f"gitDescribe={manifest['gitDescribe']}",
-        f"fleetHash={manifest['fleetHash']}",
-        f"rows={manifest['rows']}",
-        f"cols={manifest['cols']}",
-        f"cells={manifest['cells']}",
-        f"retries={manifest['retries']}",
-        f"bisections={manifest['bisections']}",
-        f"reusedCells={manifest['reusedCells']}",
-        "quarantinedCells="
-        + ",".join(str(cell) for cell in manifest["quarantinedCells"]),
-    ]
-    lines.extend(f"shard={shard}" for shard in manifest["shards"])
-    lines.extend([
-        f"salvagedFiles={manifest['salvagedFiles']}",
-        f"salvagedBlocks={manifest['salvagedBlocks']}",
-        f"salvagedRecordsLost={manifest['salvagedRecordsLost']}",
-        f"fingerprint={manifest['fingerprint']}",
-        f"csvFile={manifest['csvFile']}",
-        f"csvBytes={manifest['csvBytes']}",
-        f"csvCrc32={manifest['csvCrc32']}",
-    ])
-    return "\n".join(lines) + "\n"
-
-
-def check_fleet_lineage(manifest):
-    """Structural checks on the signed shard lineage; returns problems."""
-    problems = []
-    cells = manifest["cells"]
-    covered = set()
-    quarantined_shard_cells = set()
-    for line in manifest["shards"]:
-        parts = line.split(":")
-        if len(parts) != 5:
-            problems.append(
-                f"shard line '{line}' is not id:first:last:attempts:"
-                "outcome")
-            continue
-        try:
-            first, last, attempts = (
-                int(parts[1]), int(parts[2]), int(parts[3]))
-        except ValueError:
-            problems.append(f"shard line '{line}' has non-numeric fields")
-            continue
-        outcome = parts[4]
-        if outcome not in FLEET_SHARD_OUTCOMES:
-            problems.append(
-                f"shard line '{line}' has unknown outcome '{outcome}'")
-        if not 0 <= first <= last < cells:
-            problems.append(
-                f"shard line '{line}' spans cells outside [0, {cells})")
-        if attempts < 1:
-            problems.append(
-                f"shard line '{line}' claims {attempts} attempt(s)")
-        covered.update(range(first, last + 1))
-        if outcome == "quarantined":
-            quarantined_shard_cells.update(range(first, last + 1))
-    reused = manifest["reusedCells"]
-    if len(covered) + reused < cells:
-        problems.append(
-            f"shard lineage covers {len(covered)} cell(s) plus "
-            f"{reused} reused, grid has {cells}")
-    quarantined = manifest["quarantinedCells"]
-    if quarantined != sorted(set(quarantined)):
-        problems.append("quarantinedCells is not strictly ascending")
-    for cell in quarantined:
-        if not 0 <= cell < cells:
-            problems.append(
-                f"quarantined cell {cell} outside [0, {cells})")
-    if set(quarantined) != quarantined_shard_cells:
-        problems.append(
-            "quarantinedCells disagrees with the quarantined shard "
-            "lines")
-    return problems
-
-
-def check_csv(manifest, manifest_path, suffix, problems):
-    """CSV checks shared by both schemas: the data file next to the
-    manifest must match the checksum taken when it was written. The
-    stored csvFile is the path the bench was invoked with (possibly
-    relative to a different cwd), so locate the CSV from the manifest's
-    own name instead."""
-    csv_path = manifest_path[: -len(suffix)]
+def check_csv(manifest, manifest_path, problems):
+    """The data file next to the manifest must match the checksum taken
+    when it was written. The stored csvFile is the path the bench was
+    invoked with (possibly relative to a different cwd), so locate the
+    CSV from the manifest's own name instead."""
+    csv_path = manifest_path[: -len(MANIFEST_SUFFIX)]
     if os.path.basename(manifest["csvFile"]) != os.path.basename(csv_path):
         problems.append(
             f"csvFile '{manifest['csvFile']}' does not name '"
@@ -190,32 +90,24 @@ def verify(manifest_path):
     except (OSError, json.JSONDecodeError) as error:
         return [f"unreadable manifest: {error}"]
 
-    is_fleet = manifest_path.endswith(FLEET_MANIFEST_SUFFIX)
-    required = FLEET_REQUIRED_FIELDS if is_fleet else REQUIRED_FIELDS
-    missing = [f for f in required if f not in manifest]
+    missing = [f for f in REQUIRED_FIELDS if f not in manifest]
     if missing:
         return [f"missing fields: {', '.join(missing)}"]
-    schema = FLEET_SCHEMA if is_fleet else SCHEMA
-    if manifest["schema"] != schema:
+    if manifest["schema"] != SCHEMA:
         return [f"unknown schema '{manifest['schema']}'"]
 
     # Signature: the manifest body must not have been edited.
-    build = fleet_signing_string if is_fleet else signing_string
-    body = build(manifest).encode("utf-8")
+    body = signing_string(manifest).encode("utf-8")
     expected = f"crc32:{zlib.crc32(body) & 0xFFFFFFFF:08x}"
     if manifest["signature"] != expected:
         problems.append(
             f"signature mismatch: manifest says {manifest['signature']},"
             f" body hashes to {expected}")
 
-    if is_fleet:
-        problems.extend(check_fleet_lineage(manifest))
-
-    suffix = FLEET_MANIFEST_SUFFIX if is_fleet else MANIFEST_SUFFIX
-    if not manifest_path.endswith(suffix):
-        problems.append(f"manifest name should end with {suffix}")
+    if not manifest_path.endswith(MANIFEST_SUFFIX):
+        problems.append(f"manifest name should end with {MANIFEST_SUFFIX}")
         return problems
-    check_csv(manifest, manifest_path, suffix, problems)
+    check_csv(manifest, manifest_path, problems)
     return problems
 
 
@@ -228,8 +120,7 @@ def collect(paths):
                 manifests.extend(
                     os.path.join(root, name)
                     for name in sorted(files)
-                    if name.endswith(MANIFEST_SUFFIX)
-                    or name.endswith(FLEET_MANIFEST_SUFFIX))
+                    if name.endswith(MANIFEST_SUFFIX))
         else:
             manifests.append(path)
     return manifests

@@ -25,6 +25,19 @@ makeNonBlocking(int fd)
 } // namespace
 
 void
+CancellationToken::forwardBeat(std::uint64_t progress_units)
+{
+    if (progress_units == lastForwarded)
+        return;
+    const auto now = std::chrono::steady_clock::now();
+    if (now - lastForwardTime < forwardInterval)
+        return;
+    lastForwarded = progress_units;
+    lastForwardTime = now;
+    forwardWriter->beat(progress_units);
+}
+
+void
 HeartbeatWriter::attach(int fd)
 {
     close();
@@ -43,8 +56,8 @@ HeartbeatWriter::beat(std::uint64_t progress_units)
         frame[i] = static_cast<unsigned char>(
             (progress_units >> (8 * i)) & 0xff);
     // One 8-byte write is atomic on a pipe (PIPE_BUF >> 8), so frames
-    // never interleave. EAGAIN (pipe full: the supervisor is behind)
-    // and EPIPE (supervisor gone) both drop the frame on purpose.
+    // never interleave. EAGAIN (pipe full: the parent is behind) and
+    // EPIPE (parent gone) both drop the frame on purpose.
     for (;;) {
         const ssize_t wrote = ::write(pipeFd, frame, sizeof(frame));
         if (wrote >= 0 || errno != EINTR)

@@ -15,13 +15,17 @@
  * The current token is carried in a thread-local so the models' deep
  * call stacks need no plumbing; jobs that never heartbeat (no machine
  * loop) are still *detected* by the watchdog but can only be reported,
- * not stopped.
+ * not stopped. In a worker process of runGrid's process executor the
+ * token also forwards its beats to the parent through a heartbeat pipe
+ * (forwardTo()); there the parent is the watchdog, and it can stop any
+ * job by killing the process.
  *
  * Thread safety: the token is deliberately lock-free — a heartbeat
  * sits on every machine model's inner loop, so it must cost two
  * relaxed atomic accesses, not a mutex. There is therefore nothing
  * here for GUARDED_BY (thread_annotations.hpp) to guard; the
- * shared-state contract is the two std::atomic members below, and the
+ * shared-state contract is the two std::atomic members below (the
+ * forwarding fields are touched only by the job's own thread), and the
  * watchdog tolerates the staleness relaxed ordering allows (it only
  * ever compares successive progress samples).
  */
@@ -30,6 +34,7 @@
 #define VPSIM_COMMON_CANCELLATION_HPP
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
@@ -41,10 +46,23 @@
 namespace vpsim
 {
 
+class HeartbeatWriter;
+
 /** Shared flag + progress counter between one job and the watchdog. */
 class CancellationToken
 {
   public:
+    /**
+     * Also publish beats to @p writer (a worker process's heartbeat
+     * pipe): at most one frame per forwardInterval, and only when the
+     * progress value changed, so a pipe write costs a vanishing share
+     * of a cell. Single-threaded use only (no watchdog reads a
+     * forwarding token).
+     */
+    void forwardTo(HeartbeatWriter *writer) { forwardWriter = writer; }
+
+    static constexpr std::chrono::milliseconds forwardInterval{50};
+
     /** Ask the job to stop at its next heartbeat. */
     void requestCancel() { cancelRequested.store(true); }
 
@@ -59,6 +77,8 @@ class CancellationToken
     {
         progressCounter.store(progress_units,
                               std::memory_order_relaxed);
+        if (forwardWriter != nullptr)
+            forwardBeat(progress_units);
     }
 
     /** Last published progress value. */
@@ -68,8 +88,13 @@ class CancellationToken
     }
 
   private:
+    void forwardBeat(std::uint64_t progress_units);
+
     std::atomic<bool> cancelRequested{false};
     std::atomic<std::uint64_t> progressCounter{0};
+    HeartbeatWriter *forwardWriter = nullptr;
+    std::uint64_t lastForwarded = 0;
+    std::chrono::steady_clock::time_point lastForwardTime{};
 };
 
 /** Thrown by a heartbeat once the job's token was canceled. */
@@ -93,12 +118,13 @@ class JobCanceledError : public std::runtime_error
  * Worker end of a cross-process heartbeat pipe.
  *
  * The in-process watchdog above reads a CancellationToken's progress
- * counter directly; a fleet worker process (src/fleet) publishes the
- * same monotonic counter to its supervisor by writing 8-byte frames to
- * an inherited pipe fd. Writes are non-blocking and best-effort: a full
- * pipe drops the frame (a later beat supersedes it) and a closed read
- * end (supervisor died) is ignored — the worker must never be killed by
- * SIGPIPE just because nobody is listening anymore.
+ * counter directly; a forked worker process of runGrid's process
+ * executor (sim/worker_handle.hpp) publishes progress to its parent by
+ * writing 8-byte frames to an inherited pipe fd. Writes are
+ * non-blocking and best-effort: a full pipe drops the frame (a later
+ * beat supersedes it) and a closed read end (parent died) is ignored —
+ * the worker must never be killed by SIGPIPE just because nobody is
+ * listening anymore.
  */
 class HeartbeatWriter
 {
@@ -114,7 +140,7 @@ class HeartbeatWriter
 
     bool attached() const { return pipeFd >= 0; }
 
-    /** Publish @p progress_units (monotonic) to the supervisor. */
+    /** Publish @p progress_units (monotonic) to the parent. */
     void beat(std::uint64_t progress_units);
 
     /** Close the fd (idempotent). */
@@ -125,12 +151,11 @@ class HeartbeatWriter
 };
 
 /**
- * Supervisor end of a worker heartbeat pipe.
+ * Parent end of a worker heartbeat pipe.
  *
  * poll() drains every frame currently buffered and keeps the latest
- * progress value; the supervisor's hang detector compares successive
- * values exactly like the in-process watchdog compares token progress
- * samples.
+ * progress value; the process executor's hang detector treats any
+ * new frame as progress.
  */
 class HeartbeatReader
 {
@@ -141,7 +166,7 @@ class HeartbeatReader
     HeartbeatReader(const HeartbeatReader &) = delete;
     HeartbeatReader &operator=(const HeartbeatReader &) = delete;
 
-    /** Movable so owners (fleet worker handles) can live in vectors. */
+    /** Movable so owners (worker handles) can live in vectors. */
     HeartbeatReader(HeartbeatReader &&other) noexcept { swap(other); }
     HeartbeatReader &operator=(HeartbeatReader &&other) noexcept
     {

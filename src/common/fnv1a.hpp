@@ -1,8 +1,8 @@
 /**
  * @file
- * FNV-1a, 64-bit: the hash behind result-store identities (fleet and
- * per-grid store hashes), per-cell keys, and the streaming soak's
- * record digest.
+ * FNV-1a, 64-bit: the hash behind result-store identities (per-grid
+ * store hashes), per-cell keys, retry jitter seeds, and the streaming
+ * soak's record digest.
  *
  * The standard offset basis and prime (Fowler/Noll/Vo) keep values
  * checkable with any external FNV-1a implementation.

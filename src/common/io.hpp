@@ -48,7 +48,7 @@ enum class FaultKind
     BlockCrc,      ///< A v3 block CRC check sees a mismatch (bit rot).
     EnospcCapture, ///< ENOSPC mid-capture on a streaming trace writer.
     Kill9,         ///< raise(SIGKILL) — an unannounced process death.
-    Hang,          ///< Stop making progress (fleet workers: stop
+    Hang,          ///< Stop making progress (worker processes: stop
                    ///< heartbeating and sleep until killed).
 };
 
@@ -68,10 +68,11 @@ enum class FaultKind
  *
  * The mmap op is counted once per MappedFile::map(); block once per v3
  * block-CRC validation; capture once per streaming-capture append; the
- * worker op once per fleet worker-process launch (the fleet supervisor
- * imposes the drawn kind — kill9, hang, or enospc — on that worker, see
- * src/fleet/supervisor.hpp). kill9 on any other op raises SIGKILL at
- * that operation; hang is only meaningful for workers.
+ * worker op once per worker-process launch under --fleet-workers (the
+ * parent draws the kind and the forked worker applies kill9, hang or
+ * enospc after its first cell, see src/sim/process_executor.cpp; the
+ * worker itself disarms the injector). kill9 on any other op raises
+ * SIGKILL at that operation; hang is only meaningful for workers.
  *
  * Operation counters are global to the process and thread-safe, so the
  * n-th write is the n-th write the whole run performs, wherever it

@@ -137,16 +137,6 @@ Options::fingerprint(const std::vector<std::string> &exclude) const
     return out;
 }
 
-std::vector<std::pair<std::string, std::string>>
-Options::items() const
-{
-    std::vector<std::pair<std::string, std::string>> out;
-    out.reserve(decls.size());
-    for (const auto &[name, decl] : decls)
-        out.emplace_back(name, getString(name));
-    return out;
-}
-
 std::vector<std::string>
 Options::getList(const std::string &name) const
 {

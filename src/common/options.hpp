@@ -85,14 +85,6 @@ class Options
     std::string fingerprint(
         const std::vector<std::string> &exclude = {}) const;
 
-    /**
-     * Every declared option with its effective value (defaults
-     * applied), sorted by name. The fleet supervisor re-materializes a
-     * worker process's command line from this — an explicit replay of
-     * the parsed configuration, not a forward of raw argv.
-     */
-    std::vector<std::pair<std::string, std::string>> items() const;
-
     /** argv[0] as given to parse() (empty before parsing). */
     const std::string &program() const { return programName; }
 

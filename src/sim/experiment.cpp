@@ -28,11 +28,15 @@ declareRunnerOptions(Options &options)
     options.declare("keep-going", "0",
                     "record failing jobs (cells become NaN) and finish "
                     "the sweep instead of aborting on the first error");
+    options.declare("fleet-workers", "0",
+                    "run grid cells in N forked worker processes "
+                    "(crash and hang isolation, bit-identical results; "
+                    "0 = the --jobs thread pool)");
     options.declare("result-store", "",
                     "directory of content-addressed result files: "
                     "finished grid cells are published here when a grid "
-                    "completes or SIGINT/SIGTERM interrupts it (a fleet "
-                    "without one uses a private temporary store)");
+                    "completes or SIGINT/SIGTERM interrupts it (process "
+                    "mode without one uses a private temporary store)");
     options.declare("resume", "0",
                     "reuse finished cells already present in "
                     "--result-store instead of starting fresh");
@@ -48,16 +52,17 @@ declareRunnerOptions(Options &options)
                     "on the naive golden-reference model and fail on "
                     "divergence (0 = off)");
     options.declare("job-timeout", "0",
-                    "seconds without job progress before the watchdog "
-                    "cancels it (cell becomes a timeout NaN; 0 = off)");
+                    "seconds without simulation progress before a job "
+                    "is canceled, or its worker process killed (cell "
+                    "becomes a timeout NaN; 0 = off)");
     options.declare("salvage-blocks", "0",
                     "quarantine and skip corrupt v3 trace blocks "
                     "(loss reported in stats and the run manifest) "
                     "instead of failing the whole file");
     options.declare("mem-budget", "0",
                     "soft process-RSS budget in MB: warns once when a "
-                    "trace capture leaves the process above it, and "
-                    "sizes the fleet's worker count (0 = unlimited)");
+                    "trace capture leaves the process above it "
+                    "(0 = unlimited)");
     options.declare("cache-gc-days", "7",
                     "age in days after which quarantined .corrupt-* "
                     "trace cache files are garbage-collected "
@@ -97,6 +102,8 @@ declareRunnerOptions(Options &options)
         return "";
     });
     options.addValidator([](const Options &parsed) -> std::string {
+        if (parsed.getInt("fleet-workers") < 0)
+            return "--fleet-workers N must be >= 0 (0 = thread pool)";
         if (parsed.getInt("mem-budget") < 0)
             return "--mem-budget MB must be >= 0 (0 = unlimited)";
         if (parsed.getInt("cache-gc-days") < 0)
@@ -109,16 +116,13 @@ declareRunnerOptions(Options &options)
 std::string
 resultFingerprint(const Options &options)
 {
-    // Names a binary does not declare never match, so one list serves
-    // figure benches and fleets alike.
+    // The executor is an execution option too: thread-mode and
+    // process-mode runs share one store namespace.
     static const std::vector<std::string> executionOptions = {
         "jobs", "trace-cache-dir", "stats", "keep-going", "result-store",
         "resume", "fault-inject", "check-invariants", "cross-check",
         "job-timeout", "salvage-blocks", "mem-budget", "cache-gc-days",
-        "csv", "fleet-workers", "fleet-shard-cells",
-        "fleet-worker-timeout", "fleet-max-attempts",
-        "fleet-retry-base-ms", "fleet-worker-mem-mb", "fleet-worker",
-        "fleet-cells", "fleet-heartbeat-fd", "fleet-fault"};
+        "csv", "fleet-workers"};
     return options.fingerprint(executionOptions);
 }
 

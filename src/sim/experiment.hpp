@@ -51,11 +51,11 @@ struct BenchmarkTraces
 
 /**
  * Declare the experiment-runtime options every SimRunner user shares:
- * --jobs (worker threads), --trace-cache-dir (on-disk capture cache),
- * --stats (dump the runtime's counters to stderr), and the
- * fault-tolerance flags --keep-going (isolate failing jobs as NaN
- * cells), --result-store / --resume (publish finished cells so an
- * interrupted sweep continues; shared by figure benches and fleets),
+ * --jobs (worker threads), --fleet-workers (worker processes instead),
+ * --trace-cache-dir (on-disk capture cache), --stats (dump the
+ * runtime's counters to stderr), and the fault-tolerance flags
+ * --keep-going (isolate failing jobs as NaN cells), --result-store /
+ * --resume (publish finished cells so an interrupted sweep continues),
  * and --fault-inject (arm the deterministic I/O fault injector for
  * soak tests).
  *
@@ -67,11 +67,11 @@ void declareRunnerOptions(Options &options);
 /**
  * The result-defining fingerprint of a parsed experiment: every
  * declared option except those that change how a sweep executes but
- * not what any cell computes (threads, caches, stores, fault specs,
- * self-checks, the CSV path, and the fleet's worker knobs). Both sweep
- * runtimes hash it into their result-store identity, so a resumed run
- * with different parallelism reuses every cell and a run with a
- * different experiment reuses none.
+ * not what any cell computes (threads, worker processes, caches,
+ * stores, fault specs, self-checks, the CSV path). runGrid hashes it
+ * into its result-store identity, so a resumed run with a different
+ * executor or parallelism reuses every cell and a run with a different
+ * experiment reuses none.
  */
 std::string resultFingerprint(const Options &options);
 

@@ -1,19 +1,19 @@
 /**
  * @file
- * Content-addressed store of finished grid cells: the one resume
- * mechanism of both sweep runtimes (`--result-store DIR`,
- * `--resume 1`).
+ * Content-addressed store of finished grid cells: runGrid's resume
+ * mechanism (`--result-store DIR`, `--resume 1`).
  *
  * A producer publishes one small text file per range of cells — the
  * cell values plus the producer's salvage totals — named by the
  * owning sweep's hash and the cell range, written through the
  * fault-injectable io layer to a temporary and renamed into place (the
- * same torn-write-proof publish protocol the trace cache uses). Fleet
- * workers publish one file per shard; SimRunner publishes one sparse
- * file per grid, when the grid completes and when a signal interrupts
- * it. A CRC-32 footer covers every byte above it, so a truncated or
- * bit-flipped file is never merged: corrupt files are quarantined to
- * `.corrupt-*` for post-mortem and their cells simply recomputed.
+ * same torn-write-proof publish protocol the trace cache uses). Worker
+ * processes (--fleet-workers) publish one file per shard; the thread
+ * pool publishes one sparse file per grid, when the grid completes and
+ * when a signal interrupts it. A CRC-32 footer covers every byte above
+ * it, so a truncated or bit-flipped file is never merged: corrupt
+ * files are quarantined to `.corrupt-*` for post-mortem and their
+ * cells simply recomputed.
  *
  * Resume: a restarted sweep scans the directory, merges every intact
  * file carrying its hash — regardless of how ranges were drawn when the
@@ -42,8 +42,8 @@ struct ShardResult
 {
     /** (global cell index, value) pairs in ascending index order. */
     std::vector<std::pair<std::uint32_t, double>> cells;
-    /** The producing process's salvage totals (merged by the fleet
-     *  supervisor into the global registry; zero from SimRunner). */
+    /** A worker process's salvage totals since its fork (added to the
+     *  parent's registry; zero in the thread pool's grid files). */
     SalvageRegistry::Totals salvage;
 };
 
@@ -80,7 +80,7 @@ class ResultStore
      * Strict-parse the result file for cells [first, last]. kCorrupt
      * on any framing, checksum, hash or count anomaly; kIo when the
      * file cannot be read. The file is not quarantined here — the
-     * caller decides (the fleet supervisor retries the shard).
+     * caller decides (the process executor retries the shard).
      */
     [[nodiscard]] Status load(std::uint32_t first_cell,
                               std::uint32_t last_cell,

@@ -3,15 +3,15 @@
  * Bounded retry with exponential backoff and deterministic jitter.
  *
  * The policy is pure arithmetic over (attempt, Rng) — no clock, no
- * sleeping — so the supervisor owns *when* to act (it turns a delay
+ * sleeping — so the process executor owns *when* to act (it turns a delay
  * into a steady_clock deadline) and tests can verify the cap, the
  * jitter bounds, and the give-up point without ever waiting. Jitter
  * comes from the project's seeded Rng, keeping retry schedules
  * reproducible run to run like everything else in the simulator.
  */
 
-#ifndef VPSIM_FLEET_RETRY_POLICY_HPP
-#define VPSIM_FLEET_RETRY_POLICY_HPP
+#ifndef VPSIM_SIM_RETRY_POLICY_HPP
+#define VPSIM_SIM_RETRY_POLICY_HPP
 
 #include <chrono>
 #include <cstdint>
@@ -19,8 +19,6 @@
 #include "common/rng.hpp"
 
 namespace vpsim
-{
-namespace fleet
 {
 
 /** Backoff schedule for failed shards. */
@@ -72,7 +70,6 @@ struct RetryPolicy
     }
 };
 
-} // namespace fleet
 } // namespace vpsim
 
-#endif // VPSIM_FLEET_RETRY_POLICY_HPP
+#endif // VPSIM_SIM_RETRY_POLICY_HPP

@@ -1,10 +1,8 @@
-#include "fleet/shard_planner.hpp"
+#include "sim/shard_planner.hpp"
 
 #include "common/logging.hpp"
 
 namespace vpsim
-{
-namespace fleet
 {
 
 std::vector<Shard>
@@ -16,7 +14,6 @@ ShardPlanner::plan(const std::vector<std::uint32_t> &missing_cells,
     std::size_t i = 0;
     while (i < missing_cells.size()) {
         Shard shard;
-        shard.id = shards.size();
         shard.firstCell = missing_cells[i];
         std::uint32_t last = missing_cells[i];
         std::size_t j = i + 1;
@@ -48,5 +45,4 @@ ShardPlanner::bisect(const Shard &shard)
     return {low, high};
 }
 
-} // namespace fleet
 } // namespace vpsim

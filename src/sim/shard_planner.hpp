@@ -6,11 +6,8 @@
  * A shard is an inclusive range of *global* cell indices. The planner
  * only ever emits contiguous runs of cells that still need computing —
  * after a resume, the missing set can be fragmented, and every gap
- * simply starts a new shard. Plans depend on the grid and the
- * requested shard size alone (never on worker count), so a fleet and
- * its in-process reference mode produce identical shard lineage, and a
- * resumed fleet under a different --fleet-workers still recognizes its
- * own result files.
+ * simply starts a new shard. Resume never depends on the plan: the
+ * result store merges files however their ranges were drawn.
  *
  * Bisection is the poisoned-shard recovery step: a shard that keeps
  * dying is split in half and each half retried fresh, recursively,
@@ -18,8 +15,8 @@
  * quarantined as one NaN cell. One bad cell costs one cell.
  */
 
-#ifndef VPSIM_FLEET_SHARD_PLANNER_HPP
-#define VPSIM_FLEET_SHARD_PLANNER_HPP
+#ifndef VPSIM_SIM_SHARD_PLANNER_HPP
+#define VPSIM_SIM_SHARD_PLANNER_HPP
 
 #include <cstdint>
 #include <utility>
@@ -27,14 +24,10 @@
 
 namespace vpsim
 {
-namespace fleet
-{
 
 /** One contiguous, inclusive range of global cell indices. */
 struct Shard
 {
-    /** Stable identity for logs and manifest lineage. */
-    std::uint64_t id = 0;
     std::uint32_t firstCell = 0;
     std::uint32_t lastCell = 0;
 
@@ -47,20 +40,16 @@ class ShardPlanner
     /**
      * Plan shards over @p missing_cells (sorted, deduplicated global
      * indices): contiguous runs, split so no shard exceeds
-     * @p shard_cells. Ids are assigned 0..n-1 in cell order.
+     * @p shard_cells, in cell order.
      */
     static std::vector<Shard> plan(
         const std::vector<std::uint32_t> &missing_cells,
         std::uint32_t shard_cells);
 
-    /**
-     * Split @p shard into two halves (@p shard must span >= 2 cells).
-     * The caller assigns fresh ids to both halves.
-     */
+    /** Split @p shard into two halves (@p shard must span >= 2 cells). */
     static std::pair<Shard, Shard> bisect(const Shard &shard);
 };
 
-} // namespace fleet
 } // namespace vpsim
 
-#endif // VPSIM_FLEET_SHARD_PLANNER_HPP
+#endif // VPSIM_SIM_SHARD_PLANNER_HPP

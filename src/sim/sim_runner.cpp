@@ -80,6 +80,8 @@ SimRunner::SimRunner(const Options &options_in)
     crossCheckCells = static_cast<std::uint64_t>(cross_check);
     jobTimeoutSeconds = options.getDouble("job-timeout");
     fatalIf(jobTimeoutSeconds < 0, "--job-timeout must be >= 0");
+    // Validated >= 0 at parse time (declareRunnerOptions).
+    fleetWorkers = static_cast<unsigned>(options.getInt("fleet-workers"));
 
     salvageBlocksEnabled = options.getBool("salvage-blocks");
     memBudget = static_cast<std::uint64_t>(options.getInt("mem-budget"))
@@ -110,7 +112,9 @@ SimRunner::SimRunner(const Options &options_in)
     previousSigint = std::signal(SIGINT, simRunnerSignalHandler);
     previousSigterm = std::signal(SIGTERM, simRunnerSignalHandler);
 
-    if (jobTimeoutSeconds > 0.0)
+    // In process mode the parent's worker loop is the hang detector,
+    // and no watchdog thread may be running when it forks.
+    if (jobTimeoutSeconds > 0.0 && fleetWorkers == 0)
         watchdogThread = std::thread([this] { watchdogLoop(); });
 }
 
@@ -278,7 +282,7 @@ SimRunner::run(std::vector<SimJob> batch)
     pool.wait();
     wallMicros += microsSince(wall_start);
 
-    const int signal_number = g_caughtSignal.load();
+    const int signal_number = caughtSignal();
     if (signal_number != 0)
         exitOnSignal(signal_number);
 }
@@ -388,66 +392,47 @@ SimRunner::runGrid(std::size_t rows, std::size_t cols, std::size_t width,
             crossChecked[candidates[i].second] = 1;
     }
 
-    std::vector<SimJob> batch;
-    batch.reserve(total - resumed);
-    for (std::size_t row = 0; row < rows; ++row) {
-        for (std::size_t col = 0; col < cols; ++col) {
-            const std::size_t idx = row * cols + col;
-            if (grid.done[idx].load(std::memory_order_relaxed))
-                continue;
-            const std::string label = "cell[" + std::to_string(row) +
-                                      "][" + std::to_string(col) + "]";
-            batch.push_back(
-                {label, [this, &fill, &reference, &grid, &crossChecked,
-                         &cellValues, label, idx, row, col, width] {
-                     // The cell is written only once the fill returns,
-                     // so a throwing fill leaves all of it NaN.
-                     std::vector<double> values(width, unsetCell);
-                     fill(row, col, values);
-                     std::ranges::copy(values, cellValues(idx).begin());
-                     grid.done[idx].store(true,
-                                          std::memory_order_release);
-                     if (!crossChecked[idx])
-                         return;
-                     // Differential check: re-simulate on the naive
-                     // reference model. Divergence in any value means
-                     // one of the two models is wrong — poison the
-                     // whole cell and fail the job as an internal
-                     // error rather than publish numbers we cannot
-                     // trust.
-                     std::vector<double> refs(width, unsetCell);
-                     reference(row, col, refs);
-                     for (std::size_t k = 0; k < width; ++k) {
-                         const double value = values[k];
-                         const double ref = refs[k];
-                         const bool both_nan =
-                             std::isnan(value) && std::isnan(ref);
-                         const double tolerance =
-                             1e-9 *
-                             std::max(std::abs(value), std::abs(ref));
-                         if (both_nan ||
-                             std::abs(value - ref) <= tolerance)
-                             continue;
-                         std::ranges::fill(cellValues(idx), unsetCell);
-                         grid.done[idx].store(false,
-                                              std::memory_order_release);
-                         invariantFailed(
-                             "cross-check",
-                             label + " value " + std::to_string(k) +
-                                 " diverges from the reference model: "
-                                 "primary " +
-                                 std::to_string(value) +
-                                 " vs reference " + std::to_string(ref));
-                     }
-                     ++crossCheckedCellCount;
-                 }});
-        }
-    }
+    // Reset even when a job's exception escapes: a later signal must
+    // not publish a grid that no longer exists.
+    struct ActiveGridScope
+    {
+        GridState *&active;
+        ~ActiveGridScope() { active = nullptr; }
+    } active_scope{activeGrid};
     activeGrid = &grid;
-    run(std::move(batch));
-    activeGrid = nullptr;
-    if (grid.store != nullptr)
-        publishGrid(grid);
+    if (fleetWorkers > 0) {
+        runCellsInWorkers(grid, cols, grid_hash, fill, reference,
+                          crossChecked);
+    } else {
+        std::vector<SimJob> batch;
+        batch.reserve(total - resumed);
+        for (std::size_t row = 0; row < rows; ++row) {
+            for (std::size_t col = 0; col < cols; ++col) {
+                const std::size_t idx = row * cols + col;
+                if (grid.done[idx].load(std::memory_order_relaxed))
+                    continue;
+                batch.push_back(
+                    {"cell[" + std::to_string(row) + "][" +
+                         std::to_string(col) + "]",
+                     [this, &fill, &reference, &grid, &crossChecked,
+                      &cellValues, idx, row, col, width] {
+                         const std::vector<double> values =
+                             computeCell(fill, reference,
+                                         crossChecked[idx] != 0, row,
+                                         col, width);
+                         std::ranges::copy(values,
+                                           cellValues(idx).begin());
+                         grid.done[idx].store(true,
+                                              std::memory_order_release);
+                         if (crossChecked[idx])
+                             ++crossCheckedCellCount;
+                     }});
+            }
+        }
+        run(std::move(batch));
+        if (grid.store != nullptr)
+            publishGrid(grid);
+    }
 
     const std::size_t row_values = cols * width;
     std::vector<std::vector<double>> cells(rows);
@@ -458,6 +443,41 @@ SimRunner::runGrid(std::size_t rows, std::size_t cols, std::size_t width,
                           first + static_cast<std::ptrdiff_t>(row_values));
     }
     return cells;
+}
+
+std::vector<double>
+SimRunner::computeCell(const CellFill &fill, const CellFill &reference,
+                       bool cross_check, std::size_t row, std::size_t col,
+                       std::size_t width)
+{
+    std::vector<double> values(width, unsetCell);
+    fill(row, col, values);
+    if (!cross_check)
+        return values;
+    // Differential check: re-simulate on the naive reference model.
+    // Divergence in any value means one of the two models is wrong —
+    // fail the cell as an internal error rather than publish numbers
+    // we cannot trust.
+    std::vector<double> refs(width, unsetCell);
+    reference(row, col, refs);
+    for (std::size_t k = 0; k < width; ++k) {
+        const double value = values[k];
+        const double ref = refs[k];
+        const bool both_nan = std::isnan(value) && std::isnan(ref);
+        const double tolerance =
+            1e-9 * std::max(std::abs(value), std::abs(ref));
+        if (both_nan || std::abs(value - ref) <= tolerance)
+            continue;
+        invariantFailed("cross-check",
+                        "cell[" + std::to_string(row) + "][" +
+                            std::to_string(col) + "] value " +
+                            std::to_string(k) +
+                            " diverges from the reference model: "
+                            "primary " +
+                            std::to_string(value) + " vs reference " +
+                            std::to_string(ref));
+    }
+    return values;
 }
 
 std::size_t
@@ -484,6 +504,12 @@ SimRunner::publishGrid(const GridState &grid) const
     return published;
 }
 
+int
+SimRunner::caughtSignal()
+{
+    return g_caughtSignal.load();
+}
+
 void
 SimRunner::exitOnSignal(int signal_number)
 {
@@ -494,6 +520,12 @@ SimRunner::exitOnSignal(int signal_number)
                      "published to %s (rerun with --resume 1)\n",
                      signal_number, published, activeGrid->cells,
                      resultStoreDir.c_str());
+    } else if (!resultStoreDir.empty()) {
+        std::fprintf(stderr,
+                     "sim: interrupted by signal %d while no grid was "
+                     "running; every finished grid is already published "
+                     "to %s (rerun with --resume 1)\n",
+                     signal_number, resultStoreDir.c_str());
     } else {
         std::fprintf(stderr,
                      "sim: interrupted by signal %d; no --result-store "
@@ -751,6 +783,12 @@ SimRunner::reportStats() const
             "cells re-simulated on the reference model");
     counter("timed_out_jobs", timedOutJobCount.load(),
             "jobs canceled by the --job-timeout watchdog");
+    counter("worker_launches", workerLaunches,
+            "worker processes forked (--fleet-workers)");
+    counter("worker_retries", workerRetries,
+            "failed worker attempts retried");
+    counter("quarantined_cells", quarantinedCells,
+            "cells that failed every worker attempt (NaN)");
     counter("invariant_checks", invariantChecksEvaluated(),
             "self-check invariants evaluated");
     if (cache) {

@@ -7,12 +7,17 @@
  * simulation points — (benchmark × configuration) closures, each a
  * pure function of an immutable trace returning a fixed number of
  * values (one speedup, or a speedup plus the metrics of the same runs).
- * SimRunner::runGrid executes such grids on a work-stealing thread
- * pool (--jobs, default: hardware concurrency) with deterministic cell
- * placement: each job writes only its own cell, so parallel output is
- * bit-identical to `--jobs 1`. It is the one way a bench runs a sweep,
- * so cell ownership, NaN-on-failure, publishing, resume and
- * cross-checking act the same in every bench.
+ * SimRunner::runGrid executes such grids with deterministic cell
+ * placement: each job writes only its own cell, so the output is
+ * bit-identical for any executor and any degree of parallelism. It is
+ * the one way a bench runs a sweep, so cell ownership, NaN-on-failure,
+ * publishing, resume and cross-checking act the same in every bench.
+ * One option picks the executor:
+ *  - `--fleet-workers 0` (default): a work-stealing thread pool
+ *    (--jobs, default: hardware concurrency) — the reference;
+ *  - `--fleet-workers N`: N forked worker processes, each running a
+ *    few contiguous shards of cells (crash and hang isolation; see
+ *    runGrid()).
  *
  * Trace capture goes through the same pool and, when --trace-cache-dir
  * is given, through an on-disk TraceCacheStore, so the eight workload
@@ -24,9 +29,10 @@
  * (reportStats()).
  *
  * Failure isolation (long campaigns must survive, not restart):
- *  - `--keep-going`: a throwing job is recorded as a per-job failure
- *    and its cells stay NaN; the batch completes and the failure list
- *    is reported instead of aborting the sweep.
+ *  - `--keep-going`: a throwing job (or, in process mode, a cell that
+ *    keeps killing its worker) is recorded as a per-job failure and
+ *    its cells stay NaN; the batch completes and the failure list is
+ *    reported instead of aborting the sweep.
  *  - `--result-store DIR`: each grid publishes its finished cells to a
  *    ResultStore (sim/result_store.hpp) when it completes. SIGINT and
  *    SIGTERM are handled cooperatively: in-flight jobs drain, queued
@@ -36,7 +42,8 @@
  *    ones are quarantined) and computes only the missing cells. A
  *    grid's store identity hashes the result fingerprint, the binary's
  *    name, the grid ordinal and its shape, so a resumed run may change
- *    --jobs or --csv, but never reuses cells of another experiment.
+ *    --jobs, --fleet-workers or --csv, but never reuses cells of
+ *    another experiment.
  *  - `--fault-inject`: arms the deterministic fault injector
  *    (common/io.hpp) for soak-testing all of the above.
  *
@@ -118,12 +125,12 @@ class SimRunner
 {
   public:
     /**
-     * @param options Parsed options; reads --jobs, --trace-cache-dir,
-     *        --keep-going, --result-store, --resume and --fault-inject
-     *        (declared by declareRunnerOptions()). The runner keeps a
-     *        reference, so @p options must outlive it. Installs
-     *        cooperative SIGINT/SIGTERM handlers (restored by the
-     *        destructor).
+     * @param options Parsed options; reads --jobs, --fleet-workers,
+     *        --trace-cache-dir, --keep-going, --result-store, --resume
+     *        and --fault-inject (declared by declareRunnerOptions()).
+     *        The runner keeps a reference, so @p options must outlive
+     *        it. Installs cooperative SIGINT/SIGTERM handlers (restored
+     *        by the destructor).
      */
     explicit SimRunner(const Options &options);
     ~SimRunner();
@@ -177,6 +184,18 @@ class SimRunner
      * cell under --keep-going, abort otherwise). Benches with no
      * reference model simply omit the argument and --cross-check is a
      * no-op for them.
+     *
+     * Process executor (--fleet-workers N >= 1): the parent resumes
+     * and plans as above, then forks N workers at a time, each running
+     * a shard of contiguous cells row-major on the forking thread — it
+     * holds the traces and @p fill through copy-on-write — and
+     * publishing them to the grid's store namespace (a private
+     * temporary one without --result-store). A worker that crashes,
+     * exits with a failure code or stops heartbeating for
+     * --job-timeout seconds is retried with backoff; a shard that
+     * keeps failing is bisected, and a single cell that still fails is
+     * a failed job: NaN, listed in failures() under --keep-going,
+     * otherwise runGrid throws once the grid drains.
      *
      * @param fill Invoked once per (row, col), possibly concurrently,
      *        with a span of @p width NaNs to overwrite; must be a pure
@@ -235,7 +254,8 @@ class SimRunner
         return crossCheckedCellCount.load();
     }
 
-    /** Jobs canceled by the --job-timeout watchdog. */
+    /** Jobs canceled by the --job-timeout watchdog, or worker
+     *  processes it killed in process mode. */
     std::uint64_t timedOutJobs() const { return timedOutJobCount.load(); }
 
     /** --salvage-blocks: quarantine + skip corrupt v3 blocks. */
@@ -265,8 +285,27 @@ class SimRunner
         const ResultStore *store = nullptr;
     };
 
+    /**
+     * Value of cell (row, col): @p fill, then — when @p cross_check —
+     * @p reference, throwing an InvariantViolation on divergence in
+     * any value, so a failing cell never yields values.
+     */
+    static std::vector<double> computeCell(const CellFill &fill,
+                                           const CellFill &reference,
+                                           bool cross_check,
+                                           std::size_t row,
+                                           std::size_t col,
+                                           std::size_t width);
     /** Publish @p grid's finished cells; returns how many. */
     std::size_t publishGrid(const GridState &grid) const;
+    /** The process executor: compute @p grid's missing cells in
+     *  forked workers (process_executor.cpp). */
+    void runCellsInWorkers(GridState &grid, std::size_t cols,
+                           std::uint64_t grid_hash, const CellFill &fill,
+                           const CellFill &reference,
+                           const std::vector<char> &cross_checked);
+    /** The signal the cooperative handler caught (0 = none). */
+    static int caughtSignal();
     [[noreturn]] void exitOnSignal(int signal_number);
     void recordFailure(const std::string &label,
                        const std::string &error)
@@ -285,6 +324,8 @@ class SimRunner
     std::uint64_t crossCheckCells = 0;
     /** --job-timeout in seconds (0 = watchdog disabled). */
     double jobTimeoutSeconds = 0.0;
+    /** --fleet-workers: concurrent worker processes (0 = thread pool). */
+    unsigned fleetWorkers = 0;
     /** Hash of the result fingerprint and the binary's name; each
      *  grid's store hash folds its ordinal and shape into it. */
     std::uint64_t runHash = 0;
@@ -333,6 +374,11 @@ class SimRunner
     std::atomic<std::uint64_t> wallMicros{0};
     std::atomic<std::uint64_t> capturesRun{0};
     std::atomic<std::uint64_t> captureMicros{0};
+
+    /** Process executor counters (only the forking thread writes). */
+    std::uint64_t workerLaunches = 0;
+    std::uint64_t workerRetries = 0;
+    std::uint64_t quarantinedCells = 0;
 
     /** Previous signal dispositions, restored on destruction. */
     void (*previousSigint)(int) = nullptr;

@@ -1,4 +1,4 @@
-#include "fleet/worker_handle.hpp"
+#include "sim/worker_handle.hpp"
 
 #include <fcntl.h>
 #include <signal.h>
@@ -6,22 +6,14 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstdio>
 #include <cstring>
+#include <exception>
 
 #include "common/logging.hpp"
 
 namespace vpsim
 {
-namespace fleet
-{
-
-namespace
-{
-
-/** The descriptor the child finds its heartbeat pipe on after exec. */
-constexpr int kHeartbeatChildFd = 3;
-
-} // namespace
 
 StatusCode
 classifyExit(int wait_status)
@@ -44,7 +36,7 @@ classifyExit(int wait_status)
     }
 }
 
-int
+WorkerExitCode
 exitCodeForStatus(StatusCode code)
 {
     switch (code) {
@@ -61,7 +53,7 @@ exitCodeForStatus(StatusCode code)
 WorkerHandle::~WorkerHandle()
 {
     // A destructed handle must not leak a live child: kill and reap so
-    // a supervisor unwinding on error leaves no orphans behind.
+    // a parent unwinding on error leaves no orphans behind.
     kill9();
     if (childPid > 0) {
         int ignored = 0;
@@ -95,32 +87,20 @@ WorkerHandle::operator=(WorkerHandle &&other) noexcept
 }
 
 Status
-WorkerHandle::spawn(const std::vector<std::string> &argv_tail)
+WorkerHandle::spawn(const Body &body)
 {
-    panicIf(running(), "WorkerHandle::spawn while a child is running");
+    panicIf(childPid > 0, "WorkerHandle::spawn while a child is running");
 
     int fds[2] = {-1, -1};
-    // O_CLOEXEC on both ends: a later sibling's exec must not inherit
-    // this pipe, or the reader would never see EOF/EPIPE semantics and
-    // descriptors would leak across the whole fleet. The child re-opens
-    // its write end explicitly via dup2 (which clears CLOEXEC on the
-    // duplicate).
     if (::pipe2(fds, O_CLOEXEC) != 0) {
         return Status::error(StatusCode::kIo,
                              std::string("pipe2 failed: ") +
                                  std::strerror(errno));
     }
-
-    std::vector<std::string> argv_storage;
-    argv_storage.reserve(argv_tail.size() + 1);
-    argv_storage.push_back("/proc/self/exe");
-    for (const std::string &arg : argv_tail)
-        argv_storage.push_back(arg);
-    std::vector<char *> argv;
-    argv.reserve(argv_storage.size() + 1);
-    for (std::string &arg : argv_storage)
-        argv.push_back(arg.data());
-    argv.push_back(nullptr);
+    // Buffered output would otherwise be written twice: once by the
+    // parent and once by the child's copy of the buffer.
+    std::fflush(stdout);
+    std::fflush(stderr);
 
     const pid_t pid = ::fork();
     if (pid < 0) {
@@ -132,11 +112,22 @@ WorkerHandle::spawn(const std::vector<std::string> &argv_tail)
                                  std::strerror(fork_errno));
     }
     if (pid == 0) {
-        // Child: only async-signal-safe calls until exec.
-        if (::dup2(fds[1], kHeartbeatChildFd) < 0)
-            ::_exit(kWorkerExitInternal);
-        ::execv("/proc/self/exe", argv.data());
-        ::_exit(kWorkerExitInternal);
+        ::close(fds[0]);
+        WorkerExitCode code = kWorkerExitInternal;
+        try {
+            HeartbeatWriter heartbeat;
+            heartbeat.attach(fds[1]);
+            code = body(heartbeat);
+        } catch (const std::exception &error) {
+            std::fprintf(stderr, "worker: %s\n", error.what());
+        } catch (...) {
+            std::fprintf(stderr, "worker: unknown exception\n");
+        }
+        std::fflush(stderr);
+        // Never return into the caller: its stack belongs to the
+        // parent's grid, and exit() would run the parent's atexit
+        // handlers and static destructors in this copy.
+        ::_exit(code);
     }
 
     ::close(fds[1]);
@@ -181,5 +172,4 @@ WorkerHandle::reset()
     childPid = -1;
 }
 
-} // namespace fleet
 } // namespace vpsim

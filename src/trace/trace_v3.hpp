@@ -101,12 +101,12 @@ class SalvageRegistry
 
     /**
      * Fold another process's totals in. The registry is process-global,
-     * so a fleet worker's salvage damage would otherwise vanish with
-     * the worker: workers serialize their totals into their shard
-     * result files (src/sim/result_store.hpp) and the supervisor
-     * merges them here, making fleet --stats and manifests report the
-     * same salvaged_blocks / salvaged_records_lost as a single-process
-     * run.
+     * so a worker process's salvage damage (--fleet-workers) would
+     * otherwise vanish with the worker: workers serialize the totals
+     * accrued since their fork into their shard result files
+     * (src/sim/result_store.hpp) and the parent merges them here,
+     * making --stats and manifests report the same salvaged_blocks /
+     * salvaged_records_lost as the thread pool.
      */
     void addTotals(const Totals &other);
 

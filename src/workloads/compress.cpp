@@ -153,7 +153,8 @@ buildCompress(const WorkloadParams &params)
     Program program = b.build();
 
     Memory mem;
-    const auto corpus = makeCorpus(inputLen, params.seed);
+    const auto corpus =
+        makeCorpus(static_cast<std::size_t>(inputLen), params.seed);
     mem.writeBlock(inputBase, corpus.data(), corpus.size());
 
     return Workload{"compress", std::move(program), std::move(mem)};

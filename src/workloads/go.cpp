@@ -40,15 +40,15 @@ makeBoard(std::uint64_t seed)
     Rng rng(0x60606060 ^ seed);
     std::vector<std::uint8_t> board(cells, empty);
     for (std::int64_t i = 0; i < dim; ++i) {
-        board[i] = border;
-        board[(dim - 1) * dim + i] = border;
-        board[i * dim] = border;
-        board[i * dim + dim - 1] = border;
+        board[static_cast<std::size_t>(i)] = border;
+        board[static_cast<std::size_t>((dim - 1) * dim + i)] = border;
+        board[static_cast<std::size_t>(i * dim)] = border;
+        board[static_cast<std::size_t>(i * dim + dim - 1)] = border;
     }
     for (std::int64_t r = 1; r < dim - 1; ++r) {
         for (std::int64_t c = 1; c < dim - 1; ++c) {
             if (rng.nextChance(1, 6))
-                board[r * dim + c] =
+                board[static_cast<std::size_t>(r * dim + c)] =
                     static_cast<std::uint8_t>(1 + rng.nextBelow(2));
         }
     }
@@ -64,7 +64,7 @@ makeWeights()
         for (std::int64_t c = 0; c < dim; ++c) {
             const std::int64_t dr = r < dim / 2 ? r : dim - 1 - r;
             const std::int64_t dc = c < dim / 2 ? c : dim - 1 - c;
-            weights[r * dim + c] =
+            weights[static_cast<std::size_t>(r * dim + c)] =
                 static_cast<Value>(dr < dc ? dr : dc);
         }
     }

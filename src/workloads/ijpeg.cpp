@@ -37,7 +37,8 @@ std::vector<std::uint8_t>
 makeImage(std::int64_t imageDim, std::uint64_t seed)
 {
     Rng rng(0x1Ca6e5 ^ seed);
-    std::vector<std::uint8_t> image(imageDim * imageDim);
+    std::vector<std::uint8_t> image(
+        static_cast<std::size_t>(imageDim * imageDim));
     for (std::int64_t y = 0; y < imageDim; ++y) {
         for (std::int64_t x = 0; x < imageDim; ++x) {
             const std::int64_t base =
@@ -49,7 +50,8 @@ makeImage(std::int64_t imageDim, std::uint64_t seed)
                 v = 0;
             if (v > 255)
                 v = 255;
-            image[y * imageDim + x] = static_cast<std::uint8_t>(v);
+            image[static_cast<std::size_t>(y * imageDim + x)] =
+                static_cast<std::uint8_t>(v);
         }
     }
     return image;
@@ -63,7 +65,8 @@ makeQuant()
     for (std::int64_t i = 0; i < 64; ++i) {
         const std::int64_t row = i / 8;
         const std::int64_t col = i % 8;
-        quant[i] = 2 + row + col + ((row * col) / 3);
+        quant[static_cast<std::size_t>(i)] =
+            static_cast<Value>(2 + row + col + ((row * col) / 3));
     }
     return quant;
 }

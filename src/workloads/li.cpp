@@ -183,15 +183,17 @@ buildLi(const WorkloadParams &params)
     for (std::int64_t i = 0; i < numCells; ++i)
         chain.push_back(i);
     for (int swaps = 0; swaps < 6; ++swaps) {
-        const std::size_t a = 1 + rng.nextBelow(numCells - 1);
-        const std::size_t b_idx = 1 + rng.nextBelow(numCells - 1);
+        const auto span = static_cast<std::uint64_t>(numCells - 1);
+        const std::size_t a = 1 + rng.nextBelow(span);
+        const std::size_t b_idx = 1 + rng.nextBelow(span);
         std::swap(chain[a], chain[b_idx]);
     }
     for (std::size_t i = 0; i < chain.size(); ++i) {
-        const Addr cell = heapBase + chain[i] * cellBytes;
+        const Addr cell =
+            heapBase + static_cast<Addr>(chain[i] * cellBytes);
         const Value car = 10 + (rng.nextBelow(90));
         const Value cdr = i + 1 < chain.size()
-            ? heapBase + chain[i + 1] * cellBytes
+            ? heapBase + static_cast<Addr>(chain[i + 1] * cellBytes)
             : 0;
         mem.write64(cell, car);
         mem.write64(cell + 8, cdr);

@@ -40,20 +40,22 @@ std::vector<std::uint8_t>
 makeDictionary(std::int64_t numWords, std::uint64_t seed)
 {
     Rng rng(0x9e71a6 ^ seed);
-    std::vector<std::uint8_t> dict(numWords * wordBytes);
+    std::vector<std::uint8_t> dict(
+        static_cast<std::size_t>(numWords * wordBytes));
     for (std::int64_t w = 0; w < numWords; ++w) {
         for (std::int64_t i = 0; i < wordBytes; ++i) {
-            dict[w * wordBytes + i] =
+            dict[static_cast<std::size_t>(w * wordBytes + i)] =
                 static_cast<std::uint8_t>('a' + rng.nextBelow(8));
         }
     }
     // Plant some exact anagrams: copies of earlier words with two letters
     // swapped.
     for (std::int64_t w = 16; w < numWords; w += 16) {
-        const std::int64_t src = w - 16;
-        for (std::int64_t i = 0; i < wordBytes; ++i)
-            dict[w * wordBytes + i] = dict[src * wordBytes + i];
-        std::swap(dict[w * wordBytes + 1], dict[w * wordBytes + 5]);
+        const auto word = static_cast<std::size_t>(w * wordBytes);
+        const auto src = static_cast<std::size_t>((w - 16) * wordBytes);
+        for (std::size_t i = 0; i < static_cast<std::size_t>(wordBytes); ++i)
+            dict[word + i] = dict[src + i];
+        std::swap(dict[word + 1], dict[word + 5]);
     }
     return dict;
 }

@@ -1,7 +1,8 @@
 // Seeded violations for the taxonomy checker (vpsim-analyze): a
-// mini fleet-exit taxonomy with deliberate drift. Parsed, never
-// compiled. Lives under src/fleet/ inside this fixture tree so the
-// magic-exit-literal rule (fleet files only) is active.
+// mini worker-exit taxonomy with deliberate drift. Parsed, never
+// compiled. Lives at src/sim/worker_handle.cpp inside this fixture
+// tree so the magic-exit-literal rule (worker exit files only) is
+// active.
 
 enum class StatusCode {
     kOk,

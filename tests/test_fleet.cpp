@@ -1,11 +1,12 @@
 /**
  * @file
- * Tests for the fleet subsystem's deterministic building blocks: the
- * retry/backoff policy (cap, jitter bounds, give-up point — all pure
- * arithmetic, no sleeping), shard planning and bisection, the
- * content-addressed result store (round trip plus a corruption fuzzer
- * over truncated / bit-flipped / garbage files), the heartbeat pipe
- * framing, and the worker exit-code taxonomy.
+ * Tests for the deterministic building blocks of runGrid's process
+ * executor (--fleet-workers): the retry/backoff policy (cap, jitter
+ * bounds, give-up point — all pure arithmetic, no sleeping), shard
+ * planning and bisection, the content-addressed result store (round
+ * trip plus a corruption fuzzer over truncated / bit-flipped / garbage
+ * files), the heartbeat pipe framing, and the worker exit-code
+ * taxonomy.
  */
 
 #include <sys/wait.h>
@@ -25,14 +26,12 @@
 
 #include "common/cancellation.hpp"
 #include "common/rng.hpp"
-#include "fleet/retry_policy.hpp"
-#include "fleet/shard_planner.hpp"
-#include "fleet/worker_handle.hpp"
 #include "sim/result_store.hpp"
+#include "sim/retry_policy.hpp"
+#include "sim/shard_planner.hpp"
+#include "sim/worker_handle.hpp"
 
 namespace vpsim
-{
-namespace fleet
 {
 namespace
 {
@@ -113,7 +112,6 @@ TEST(ShardPlanner, PlanCarvesContiguousRunsIntoBoundedShards)
         missing.push_back(c);
     const auto shards = ShardPlanner::plan(missing, 4);
     ASSERT_EQ(shards.size(), 3u);
-    EXPECT_EQ(shards[0].id, 0u);
     EXPECT_EQ(shards[0].firstCell, 0u);
     EXPECT_EQ(shards[0].lastCell, 3u);
     EXPECT_EQ(shards[1].firstCell, 4u);
@@ -487,5 +485,4 @@ TEST(WorkerExit, UnknownExitCodeIsInternal)
 }
 
 } // namespace
-} // namespace fleet
 } // namespace vpsim

@@ -3,12 +3,14 @@
  * Tests for the experiment harness: standard options, trace capture
  * (benchmark subsets, scale/seed/skip), figure-table rendering, the
  * CSV exporter, benchmark-name validation, and SimRunner's deterministic
- * parallel grid execution.
+ * grid execution on both executors (thread pool and forked workers).
  */
 
+#include <signal.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <csignal>
 #include <cstdio>
@@ -25,6 +27,7 @@
 
 #include "core/ideal_machine.hpp"
 #include "sim/sim_runner.hpp"
+#include "trace/trace_v3.hpp"
 
 namespace vpsim
 {
@@ -191,13 +194,13 @@ widthGrid(SimRunner &runner, std::size_t rows, std::size_t cols,
         });
 }
 
-/** Figure 3.1-shaped grid of @p width values under a --jobs count. */
+/** Figure 3.1-shaped grid of @p width values under executor @p args. */
 std::vector<std::vector<double>>
-fig31Grid(const char *jobs, std::size_t width)
+fig31Grid(std::vector<const char *> args, std::size_t width)
 {
-    const Options options = parsedOptions(
-        {"--insts", "4000", "--benchmarks", "go,compress,m88ksim",
-         "--jobs", jobs});
+    args.insert(args.end(),
+                {"--insts", "4000", "--benchmarks", "go,compress,m88ksim"});
+    const Options options = parsedOptions(args);
     SimRunner runner(options);
     const BenchmarkTraces bench = runner.captureBenchmarks();
     const std::vector<unsigned> rates = {4, 8, 16};
@@ -212,20 +215,24 @@ fig31Grid(const char *jobs, std::size_t width)
 TEST(SimRunner, GridIsDeterministicAcrossJobCounts)
 {
     // The acceptance property of the parallel runtime: cell placement is
-    // preassigned, so the grid is bit-identical for any worker count,
-    // however many values a cell carries.
+    // preassigned, so the grid is bit-identical for any worker count of
+    // either executor, however many values a cell carries.
     for (const std::size_t width : {1u, 3u}) {
-        const auto serial = fig31Grid("1", width);
-        const auto parallel = fig31Grid("4", width);
+        const auto serial = fig31Grid({"--jobs", "1"}, width);
         ASSERT_EQ(serial.size(), 3u);
-        ASSERT_EQ(serial.size(), parallel.size());
-        for (std::size_t r = 0; r < serial.size(); ++r) {
-            ASSERT_EQ(serial[r].size(), 3 * width);
-            ASSERT_EQ(serial[r].size(), parallel[r].size());
-            for (std::size_t c = 0; c < serial[r].size(); ++c)
-                EXPECT_EQ(serial[r][c], parallel[r][c])
-                    << "width " << width << " value (" << r << "," << c
-                    << ")";
+        for (const auto &executor :
+             {std::vector<const char *>{"--jobs", "4"},
+              std::vector<const char *>{"--fleet-workers", "2"}}) {
+            const auto parallel = fig31Grid(executor, width);
+            ASSERT_EQ(serial.size(), parallel.size());
+            for (std::size_t r = 0; r < serial.size(); ++r) {
+                ASSERT_EQ(serial[r].size(), 3 * width);
+                ASSERT_EQ(serial[r].size(), parallel[r].size());
+                for (std::size_t c = 0; c < serial[r].size(); ++c)
+                    EXPECT_EQ(serial[r][c], parallel[r][c])
+                        << executor[0] << " width " << width << " value ("
+                        << r << "," << c << ")";
+            }
         }
     }
 }
@@ -510,6 +517,18 @@ TEST(SimRunner, ResumeReusesCellsAcrossExecutionOptionsOnly)
                                "--jobs", "3", "--csv", csv.c_str()})
                   .resumed,
               4u);
+    // So does the executor: a store written by the thread pool serves
+    // worker processes, and the reverse.
+    EXPECT_EQ(storeRun(store, {"--resume", "1", "--insts", "5000",
+                               "--fleet-workers", "2"})
+                  .resumed,
+              4u);
+    const TempStore process_store("vpsim_store_identity_process");
+    storeRun(process_store, {"--insts", "5000", "--fleet-workers", "2"});
+    EXPECT_EQ(process_store.count("shard-"), 4u) << "one file per worker shard";
+    EXPECT_EQ(storeRun(process_store, {"--resume", "1", "--insts", "5000"})
+                  .resumed,
+              4u);
     // The same 2×2 grid with two values per cell is another grid.
     EXPECT_EQ(storeRun(store, {"--resume", "1", "--insts", "5000"}, 1,
                        "bench", 0.0, 2)
@@ -538,6 +557,209 @@ TEST(SimRunner, BinariesSharingAStoreNeverServeEachOthersCells)
               4u);
 }
 
+TEST(SimRunner, SignalBeforeAnyGridSaysTheStoreHasNothingToAdd)
+{
+    // Job 1 is the capture, so the signal lands before the first grid.
+    const TempStore store("vpsim_store_early_sigint");
+    const std::string dir = store.dir.string();
+    const Options options = parsedOptions(
+        {"--jobs", "1", "--benchmarks", "go", "--insts", "2000",
+         "--result-store", dir.c_str(), "--fault-inject", "job:1:sigint"});
+    EXPECT_EXIT(capture(options), ::testing::ExitedWithCode(128 + SIGINT),
+                "signal 2 while no grid was running; every finished grid "
+                "is already published to .*vpsim_store_early_sigint");
+}
+
+/** Every value of @p cells equals @p expected's, except those of cell
+ *  (@p bad_row, @p bad_col), which are all NaN. */
+void
+expectGridEqualsExceptCell(const std::vector<std::vector<double>> &cells,
+                           const std::vector<std::vector<double>> &expected,
+                           std::size_t width, std::size_t bad_row,
+                           std::size_t bad_col)
+{
+    ASSERT_EQ(cells.size(), expected.size());
+    for (std::size_t r = 0; r < cells.size(); ++r) {
+        ASSERT_EQ(cells[r].size(), expected[r].size());
+        for (std::size_t at = 0; at < cells[r].size(); ++at) {
+            if (r == bad_row && at / width == bad_col)
+                EXPECT_TRUE(std::isnan(cells[r][at])) << r << "," << at;
+            else
+                EXPECT_EQ(cells[r][at], expected[r][at]) << r << "," << at;
+        }
+    }
+}
+
+TEST(SimRunner, ProcessModeQuarantinesACellThatKillsItsWorker)
+{
+    // Cell (1,0) aborts whichever worker runs it: after the attempt
+    // budget it is a failed job, NaN in every value, and every other
+    // cell still equals the thread-pool grid.
+    const auto aborting = [](std::size_t row, std::size_t col) {
+        if (row == 1 && col == 0)
+            std::abort();
+        return gridValue(row, col);
+    };
+    for (const std::size_t width : {1u, 3u}) {
+        SimRunner threads(parsedOptions({"--jobs", "1"}));
+        const auto golden = widthGrid(threads, 2, 2, width, gridValue);
+        SimRunner runner(
+            parsedOptions({"--fleet-workers", "2", "--keep-going", "1"}));
+        const auto cells = widthGrid(runner, 2, 2, width, aborting);
+        expectGridEqualsExceptCell(cells, golden, width, 1, 0);
+        ASSERT_EQ(runner.failures().size(), 1u);
+        EXPECT_EQ(runner.failures()[0].label, "cell[1][0]");
+    }
+    // Without --keep-going the grid drains, then fails.
+    SimRunner strict(parsedOptions({"--fleet-workers", "2"}));
+    EXPECT_THROW(strict.runGrid(2, 2, aborting), std::runtime_error);
+}
+
+TEST(SimRunner, ProcessModeCrossChecksItsSampleInTheWorkers)
+{
+    // The sample is the thread pool's; a worker fails a divergent cell
+    // like any other failing cell, and only agreeing merged cells count.
+    const auto shifted = [](std::size_t row, std::size_t col) {
+        return gridValue(row, col) + 1.0;
+    };
+    for (const bool agree : {true, false}) {
+        SimRunner runner(parsedOptions({"--fleet-workers", "2", "--keep-going",
+                                        "1", "--cross-check", "1"}));
+        const auto cells = runner.runGrid(
+            2, 2, gridValue,
+            agree ? std::function<double(std::size_t, std::size_t)>(gridValue)
+                  : shifted);
+        std::size_t nan_cells = 0;
+        for (const auto &row : cells)
+            for (const double value : row)
+                nan_cells += std::isnan(value) ? 1 : 0;
+        EXPECT_EQ(nan_cells, agree ? 0u : 1u);
+        EXPECT_EQ(runner.crossCheckedCells(), agree ? 1u : 0u);
+        EXPECT_EQ(runner.failures().size(), agree ? 0u : 1u);
+    }
+}
+
+TEST(SimRunner, ProcessModeKillsAWorkerThatStopsHeartbeating)
+{
+    // Cell (1,0) goes silent; cell (0,1) outlasts the timeout three
+    // times over but keeps beating like a machine model does, and the
+    // forwarded beats keep its worker alive.
+    SimRunner runner(parsedOptions({"--fleet-workers", "2", "--keep-going",
+                                    "1", "--job-timeout", "0.5"}));
+    const auto cells =
+        runner.runGrid(2, 2, [](std::size_t row, std::size_t col) {
+            while (row == 1 && col == 0)
+                std::this_thread::sleep_for(std::chrono::hours(1));
+            if (row == 0 && col == 1) {
+                const auto until = std::chrono::steady_clock::now() +
+                                   std::chrono::milliseconds(1500);
+                for (std::uint64_t beat = 1;
+                     std::chrono::steady_clock::now() < until; ++beat) {
+                    simHeartbeat(beat);
+                    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+                }
+            }
+            return gridValue(row, col);
+        });
+    expectGridEqualsExceptCell(cells, {{0.0, 1.0}, {10.0, 11.0}}, 1, 1, 0);
+    ASSERT_EQ(runner.failures().size(), 1u);
+    EXPECT_NE(runner.failures()[0].error.find("timeout"), std::string::npos)
+        << runner.failures()[0].error;
+    EXPECT_EQ(runner.timedOutJobs(), 3u) << "one kill per attempt";
+}
+
+TEST(SimRunner, ProcessModeReportsTheSalvageItsCellsAccrue)
+{
+    // A cached trace with a rotted block, loaded inside every cell under
+    // --salvage-blocks: each worker reports the salvage accrued since
+    // its fork, so the totals match the thread pool's — neither the
+    // parent's inherited totals counted again nor the workers' lost.
+    const TempStore cache("vpsim_salvage_cache");
+    std::filesystem::create_directories(cache.dir);
+    const std::string dir = cache.dir.string();
+    const std::string path =
+        TraceCacheStore(dir).pathFor(TraceCacheKey{"go", 2000, 0, 1, 0});
+    ASSERT_TRUE(
+        writeTraceV3(path, captureWorkloadTrace("go", 2000), 100).isOk());
+    {
+        std::fstream file(path, std::ios::in | std::ios::out |
+                                    std::ios::binary);
+        const auto middle =
+            static_cast<std::streamoff>(std::filesystem::file_size(path) / 2);
+        file.seekg(middle);
+        const int byte = file.get();
+        file.seekp(middle);
+        file.put(static_cast<char>(byte ^ 0x40));
+    }
+
+    const auto salvageOf = [&dir](const char *workers) {
+        salvageRegistry().reset();
+        SimRunner runner(parsedOptions(
+            {"--jobs", "1", "--trace-cache-dir", dir.c_str(),
+             "--salvage-blocks", "1", "--fleet-workers", workers}));
+        const auto cells =
+            runner.runGrid(2, 2, [&runner](std::size_t, std::size_t) {
+                return static_cast<double>(
+                    runner.captureTrace("go", 2000, 0, WorkloadParams{})
+                        ->size());
+            });
+        const SalvageRegistry::Totals totals = salvageRegistry().totals();
+        salvageRegistry().reset();
+        return std::make_pair(cells, totals);
+    };
+    const auto [thread_cells, thread_salvage] = salvageOf("0");
+    const auto [process_cells, process_salvage] = salvageOf("2");
+    EXPECT_EQ(thread_salvage.files, 4u) << "one damaged load per cell";
+    EXPECT_GT(thread_salvage.blocksQuarantined, 0u);
+    EXPECT_EQ(process_salvage.files, thread_salvage.files);
+    EXPECT_EQ(process_salvage.blocksQuarantined,
+              thread_salvage.blocksQuarantined);
+    EXPECT_EQ(process_salvage.recordsLost, thread_salvage.recordsLost);
+    EXPECT_EQ(process_salvage.bytesSkipped, thread_salvage.bytesSkipped);
+    EXPECT_EQ(process_cells, thread_cells);
+}
+
+TEST(SimRunner, ProcessModeFiresAnIoFaultClauseAtMostOnce)
+{
+    // Workers disarm the fault spec they inherit. Write 1 is the
+    // parent's store probe; write 2 would be the shard file of every
+    // worker if the clause lived on in each child, and no cell would
+    // ever publish intact.
+    const TempStore store("vpsim_store_torn");
+    storeRun(store, {"--fleet-workers", "2", "--fault-inject",
+                     "write:2:torn"});
+    const StoreRun resumed = storeRun(store, {"--resume", "1"});
+    EXPECT_EQ(resumed.resumed, 4u);
+    EXPECT_LE(store.count(".corrupt-"), 1u);
+}
+
+TEST(SimRunner, ProcessModeSigintKillsWorkersAndPublishesTheMergedCells)
+{
+    // One worker at a time, one cell per shard: the worker of the last
+    // cell signals the parent and hangs. The parent kills it, publishes
+    // the three merged cells and exits 128+SIGINT; a resume finishes.
+    const TempStore store("vpsim_store_process_sigint");
+    const std::string dir = store.dir.string();
+    const auto run = [&dir](bool resume) {
+        SimRunner runner(parsedOptions(
+            {"--fleet-workers", "1", "--result-store", dir.c_str(),
+             "--resume", resume ? "1" : "0"}));
+        return runner.runGrid(2, 2, [resume](std::size_t row,
+                                             std::size_t col) {
+            while (!resume && row == 1 && col == 1) {
+                ::kill(::getppid(), SIGINT);
+                std::this_thread::sleep_for(std::chrono::hours(1));
+            }
+            return gridValue(row, col);
+        });
+    };
+    EXPECT_EXIT(run(false), ::testing::ExitedWithCode(128 + SIGINT),
+                "interrupted by signal 2; 3 of 4 cells published");
+    const auto cells = run(true);
+    EXPECT_EQ(cells, (std::vector<std::vector<double>>{{0.0, 1.0},
+                                                       {10.0, 11.0}}));
+}
+
 TEST(Stats, ReportStatsPrintsEveryRunnerCounter)
 {
     const Options options = parsedOptions({"--jobs", "1", "--stats", "1"});
@@ -556,7 +778,8 @@ TEST(Stats, ReportStatsPrintsEveryRunnerCounter)
     for (const char *name :
          {"job_micros", "wall_micros", "vm_captures", "vm_capture_micros",
           "failed_jobs", "resumed_cells", "cross_checked_cells",
-          "timed_out_jobs", "invariant_checks", "salvaged_blocks",
+          "timed_out_jobs", "worker_launches", "worker_retries",
+          "quarantined_cells", "invariant_checks", "salvaged_blocks",
           "salvaged_records_lost"}) {
         EXPECT_NE(err.find("sim_runner." + std::string(name) + " "),
                   std::string::npos)
