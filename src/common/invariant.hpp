@@ -12,7 +12,11 @@
  * the offending cell becomes a visible NaN instead of a wrong number.
  *
  * Checks come in two tiers, selected by `--check-invariants`:
- *  - cheap: O(1) per run or per coarse step; always on by default.
+ *  - cheap: always on by default. O(1) checks, most once per run;
+ *    three run once per event of the Section 5 front end:
+ *    `fetch.delivered_matches_consumed` per fetched instruction,
+ *    `fetch.bundle_le_budget` per fetch cycle and `tc.line_geometry`
+ *    per trace-cache line fill.
  *  - full:  per-cycle / per-record bookkeeping audits (window
  *    occupancy, per-cycle retire width, predictor counter balance,
  *    histogram mass). Off by default; CI runs the benches with
@@ -20,13 +24,16 @@
  *
  * The catalog of registered checks is documented in docs/VALIDATION.md;
  * every check evaluated and every violation raised is counted so the
- * runtime can report coverage (`--stats`).
+ * runtime can report coverage (`--stats`). Evaluations are tallied per
+ * thread: a cheap check on the per-instruction path writes only its
+ * own thread's counter, never a cache line shared by the pool.
  */
 
 #ifndef VPSIM_COMMON_INVARIANT_HPP
 #define VPSIM_COMMON_INVARIANT_HPP
 
 #include <atomic>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -40,7 +47,7 @@ namespace vpsim
 enum class InvariantLevel
 {
     Off,   ///< No checks (shaves the last few % off hot loops).
-    Cheap, ///< O(1) end-of-run and coarse-grained checks (default).
+    Cheap, ///< O(1) checks, per run or per front-end event (default).
     Full,  ///< Per-cycle/per-record bookkeeping audits.
 };
 
@@ -100,13 +107,44 @@ class InvariantViolation : public std::runtime_error
 namespace detail
 {
 
-struct InvariantCounters
+/**
+ * One thread's count of evaluated checks.
+ *
+ * Only the owning thread writes @c evaluated, with a relaxed load and
+ * store (no lock prefix); invariantChecksEvaluated() sums every tally.
+ * Tallies live in a lock-free list that never shrinks: an exiting
+ * thread gives its tally back with the count still in it, and the next
+ * new thread continues counting in it, so exited threads are never
+ * dropped from the total. Claiming, counting and summing take no lock
+ * (a new tally comes from the allocator, which stays usable in a
+ * forked child), so a child forked while other threads start or exit
+ * can still count and read.
+ */
+struct alignas(64) CheckTally
 {
-    std::atomic<std::uint64_t> checksEvaluated{0};
-    std::atomic<std::uint64_t> violations{0};
+    std::atomic<std::uint64_t> evaluated{0};
+    /** A live thread counts in this tally. */
+    std::atomic<bool> owned{false};
+    /** The next tally in the list (immutable once published). */
+    CheckTally *next = nullptr;
 };
 
-InvariantCounters &invariantCounters();
+/** The calling thread's tally, or null before its first check. */
+extern constinit thread_local CheckTally *t_checkTally;
+
+/** Bind a tally to the calling thread (first check of a thread). */
+CheckTally *claimCheckTally();
+
+inline void
+countCheckEvaluated()
+{
+    CheckTally *tally = t_checkTally;
+    if (tally == nullptr) [[unlikely]]
+        tally = claimCheckTally();
+    tally->evaluated.store(
+        tally->evaluated.load(std::memory_order_relaxed) + 1,
+        std::memory_order_relaxed);
+}
 
 extern std::atomic<int> g_invariantLevel;
 
@@ -137,8 +175,7 @@ checkInvariant(InvariantLevel tier, bool holds, const char *check,
 {
     if (!invariantsActive(tier))
         return;
-    detail::invariantCounters().checksEvaluated.fetch_add(
-        1, std::memory_order_relaxed);
+    detail::countCheckEvaluated();
     if (!holds)
         invariantFailed(check, detail_text);
 }
@@ -152,13 +189,16 @@ checkInvariant(InvariantLevel tier, bool holds, const char *check,
 {
     if (!invariantsActive(tier))
         return;
-    detail::invariantCounters().checksEvaluated.fetch_add(
-        1, std::memory_order_relaxed);
+    detail::countCheckEvaluated();
     if (!holds)
         invariantFailed(check, detail_fn());
 }
 
-/** Checks evaluated process-wide since start (for --stats). */
+/**
+ * Checks evaluated process-wide since start (for --stats): the sum
+ * over live and exited threads. Exact once the counting threads are
+ * joined; a read racing live threads sees each tally's latest store.
+ */
 std::uint64_t invariantChecksEvaluated();
 
 /** Violations raised process-wide since start. */

@@ -5,6 +5,7 @@
 #include <sstream>
 #include <limits>
 #include <memory>
+#include <span>
 
 #include "common/cancellation.hpp"
 #include "common/invariant.hpp"
@@ -141,9 +142,8 @@ runPipelineLoop(TraceSpan records, const PipelineConfig &config,
     };
 
     std::vector<FetchedInst> bundle;
-    std::vector<VpGrant> grants;
+    std::span<const VpGrant> grants;
     std::vector<Addr> bundlePcs;
-    std::vector<std::size_t> bundleValueIdx;
 
     Cycle now = 0;
     Cycle lastCommit = 0;
@@ -365,15 +365,12 @@ runPipelineLoop(TraceSpan records, const PipelineConfig &config,
             // Interleaved-table arbitration happens once per bundle.
             if constexpr (Vp == VpPath::Table) {
                 bundlePcs.clear();
-                bundleValueIdx.clear();
-                for (std::size_t i = 0; i < bundle.size(); ++i) {
-                    const TraceRecord &rec = bundle[i].record;
+                for (const FetchedInst &fetched : bundle) {
+                    const TraceRecord &rec = fetched.record;
                     const bool in_scope =
                         scopeAll || rec.instClass() == InstClass::Load;
-                    if (rec.producesValue() && in_scope) {
+                    if (rec.producesValue() && in_scope)
                         bundlePcs.push_back(rec.pc);
-                        bundleValueIdx.push_back(i);
-                    }
                 }
                 grants = vpTable->processBundle(bundlePcs);
             }

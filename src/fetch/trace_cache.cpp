@@ -85,9 +85,10 @@ TraceCacheFetch::fetch(Cycle now, unsigned max_insts,
         // Snapshot the path first: the fill unit can overwrite this
         // very line mid-delivery (hardware reads the whole line at hit
         // time), and assigning line.path would invalidate iterators.
-        const std::vector<Addr> path = line.path;
+        // The snapshot is a copy into a reused buffer, never a view.
+        hitPath.assign(line.path.begin(), line.path.end());
         unsigned delivered = 0;
-        for (const Addr expected_pc : path) {
+        for (const Addr expected_pc : hitPath) {
             if (delivered >= max_insts || done())
                 break;
             const TraceRecord &record = trace[cursor];

@@ -75,6 +75,9 @@ class TraceCacheFetch : public TraceFetchBase
     TraceCacheConfig cfg;
     std::vector<Line> lines;
 
+    /** The hit line's path as read at hit time (reused per hit). */
+    std::vector<Addr> hitPath;
+
     /** Fill unit state: the line under construction. */
     std::vector<Addr> pendingPath;
     Addr pendingStart = 0;

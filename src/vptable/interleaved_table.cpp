@@ -1,6 +1,6 @@
 #include "vptable/interleaved_table.hpp"
 
-#include <map>
+#include <algorithm>
 
 #include "common/logging.hpp"
 #include "isa/instruction.hpp"
@@ -26,22 +26,18 @@ InterleavedVpTable::bankOf(Addr pc) const
     return static_cast<unsigned>((pc / instBytes) % cfg.banks);
 }
 
-std::vector<VpGrant>
+const std::vector<VpGrant> &
 InterleavedVpTable::processBundle(const std::vector<Addr> &pcs)
 {
-    std::vector<VpGrant> grants(pcs.size());
+    grants.assign(pcs.size(), VpGrant{});
     numRequests += pcs.size();
 
     // Router step 1: merge copies of the same instruction. Groups are
     // ordered by the first (lead) occurrence, which also defines the
-    // priority used for conflict resolution.
-    struct Group
-    {
-        Addr pc = 0;
-        std::vector<std::size_t> members;
-    };
-    std::vector<Group> groups;
-    std::map<Addr, std::size_t> groupOf;
+    // priority used for conflict resolution. A bundle holds at most an
+    // issue width of requests, so a scan of the leads finds the group.
+    groups.clear();
+    nextCopy.resize(pcs.size());
     for (std::size_t i = 0; i < pcs.size(); ++i) {
         // §4.2: opcode hints tell the router which instructions are
         // prediction candidates at all; hinted-off requests never reach
@@ -51,22 +47,29 @@ InterleavedVpTable::processBundle(const std::vector<Addr> &pcs)
             ++numHintFiltered;
             continue;
         }
-        const auto [it, fresh] = groupOf.try_emplace(pcs[i], groups.size());
-        if (fresh)
-            groups.push_back({pcs[i], {}});
-        groups[it->second].members.push_back(i);
+        auto group = std::find_if(
+            groups.begin(), groups.end(),
+            [&](const Group &g) { return pcs[g.lead] == pcs[i]; });
+        if (group == groups.end()) {
+            groups.push_back({i, i, 1});
+        } else {
+            nextCopy[group->tail] = i;
+            group->tail = i;
+            ++group->copies;
+        }
     }
 
     // Router step 2: per-bank port arbitration in priority order.
-    std::vector<unsigned> bankLoad(cfg.banks, 0);
+    bankLoad.assign(cfg.banks, 0);
     for (const Group &group : groups) {
+        const Addr pc = pcs[group.lead];
         ++numAccesses;
-        numMerged += group.members.size() - 1;
-        unsigned &load = bankLoad[bankOf(group.pc)];
+        numMerged += group.copies - 1;
+        unsigned &load = bankLoad[bankOf(pc)];
         if (load >= cfg.portsPerBank) {
             // Denied: every copy is informed its prediction is invalid.
             ++numDeniedAccesses;
-            numDeniedRequests += group.members.size();
+            numDeniedRequests += group.copies;
             continue;
         }
         ++load;
@@ -75,17 +78,16 @@ InterleavedVpTable::processBundle(const std::vector<Addr> &pcs)
         // speculative update advances the stride sequence per copy, so
         // successive copies of the same instruction receive
         // X, X+stride, X+2*stride, ... (Figure 4.2).
-        const StrideInfo info =
-            classified->raw().strideInfo(group.pc);
-        bool lead = true;
-        for (const std::size_t member : group.members) {
+        const StrideInfo info = classified->raw().strideInfo(pc);
+        std::size_t member = group.lead;
+        for (std::size_t copy = 0; copy < group.copies; ++copy) {
             VpGrant &grant = grants[member];
             grant.granted = true;
-            grant.merged = !lead;
-            grant.prediction = classified->predict(group.pc);
-            if (!lead && info.valid && info.stride != 0)
+            grant.merged = copy != 0;
+            grant.prediction = classified->predict(pc);
+            if (copy != 0 && info.valid && info.stride != 0)
                 ++numAdditions; // distributor computes X + k*stride
-            lead = false;
+            member = nextCopy[member];
         }
     }
     return grants;

@@ -74,11 +74,16 @@ class InterleavedVpTable
     /**
      * Route one fetch bundle's value-producer PCs through the table.
      *
+     * Allocation-free once the table has seen its widest bundle: the
+     * router's scratch and the grants are reused across bundles.
+     *
      * @param pcs PCs in trace order (one per value-producing
      *        instruction of the bundle).
-     * @return One VpGrant per input pc, same order.
+     * @return One VpGrant per input pc, same order; valid until the
+     *         next processBundle() call.
      */
-    std::vector<VpGrant> processBundle(const std::vector<Addr> &pcs);
+    const std::vector<VpGrant> &
+    processBundle(const std::vector<Addr> &pcs);
 
     /** Train the underlying predictor when an instruction resolves. */
     void update(Addr pc, const ClassifiedPrediction &prediction,
@@ -109,10 +114,30 @@ class InterleavedVpTable
     /// @}
 
   private:
+    /** A merged request: every copy of one pc in the bundle. */
+    struct Group
+    {
+        /** Index of the lead (first) copy. */
+        std::size_t lead;
+        /** Index of the last copy so far. */
+        std::size_t tail;
+        std::size_t copies;
+    };
+
     unsigned bankOf(Addr pc) const;
 
     std::unique_ptr<ClassifiedPredictor> classified;
     VpTableConfig cfg;
+
+    /** @name Per-bundle scratch, reused across bundles */
+    /// @{
+    std::vector<VpGrant> grants;
+    /** Groups in lead order (the router's priority order). */
+    std::vector<Group> groups;
+    /** Per request: index of the next copy of the same pc. */
+    std::vector<std::size_t> nextCopy;
+    std::vector<unsigned> bankLoad;
+    /// @}
 
     std::uint64_t numRequests = 0;
     std::uint64_t numAccesses = 0;

@@ -252,6 +252,58 @@ TEST(TraceCache, StaleLineTruncatesWithoutPenaltyWhenPredicted)
     EXPECT_EQ(engine.mispredicts(), 0u);
 }
 
+TEST(TraceCache, HitDeliversTheLineAsReadAtHitTime)
+{
+    // One line, four instructions: the fill unit installs every line
+    // into the slot being delivered. Cycle 1 misses and fills
+    // {0x100: 100 104 108 10c}; cycle 2 misses on the taken branch at
+    // 0x200, leaving it pending; cycle 3 hits 0x100, and after its
+    // third delivered instruction the fill unit overwrites the line
+    // with {0x200: 200 100 104 108}. Hardware read the whole line at
+    // hit time, so the fourth instruction (0x10c) is still delivered.
+    auto make = [](SeqNum seq, Addr pc, OpCode op) {
+        TraceRecord record;
+        record.seq = seq;
+        record.pc = pc;
+        record.op = op;
+        record.nextPc = pc + instBytes;
+        return record;
+    };
+    std::vector<TraceRecord> trace;
+    for (const Addr pc : {0x100, 0x104, 0x108, 0x10c})
+        trace.push_back(make(trace.size(), pc, OpCode::Addi));
+    TraceRecord jump = make(trace.size(), 0x200, OpCode::Jal);
+    jump.taken = true;
+    jump.nextPc = 0x100;
+    trace.push_back(jump);
+    for (const Addr pc : {0x100, 0x104, 0x108, 0x10c, 0x110})
+        trace.push_back(make(trace.size(), pc, OpCode::Addi));
+
+    TraceCacheConfig config;
+    config.lines = 1;
+    config.maxLineInsts = 4;
+    config.missFetchWidth = 4;
+    PerfectBranchPredictor oracle;
+    TraceCacheFetch engine(trace, oracle, config);
+    std::vector<FetchedInst> out;
+    engine.fetch(1, 8, out);
+    engine.fetch(2, 8, out);
+    ASSERT_EQ(out.size(), 5u);
+    ASSERT_EQ(engine.hits(), 0u);
+    ASSERT_EQ(engine.linesFilled(), 1u);
+
+    out.clear();
+    engine.fetch(3, 8, out);
+    EXPECT_EQ(engine.hits(), 1u);
+    EXPECT_EQ(engine.linesFilled(), 2u)
+        << "the fill unit overwrote the line mid-delivery";
+    std::vector<Addr> delivered;
+    for (const FetchedInst &inst : out)
+        delivered.push_back(inst.record.pc);
+    EXPECT_EQ(delivered, (std::vector<Addr>{0x100, 0x104, 0x108, 0x10c}));
+    EXPECT_EQ(engine.lineInstsDelivered(), 4u);
+}
+
 TEST(CollapsingBuffer, CollapsesShortForwardBranch)
 {
     // A taken forward branch whose target is in the same 32-byte line

@@ -7,16 +7,20 @@
  * validation, and the signed run manifests written next to --csv files.
  */
 
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
+#include <csignal>
 #include <cstdio>
 #include <fstream>
 #include <span>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -158,6 +162,140 @@ TEST(Invariants, LazyDetailOnlyBuiltOnFailure)
                                 }),
                  InvariantViolation);
     EXPECT_TRUE(built);
+}
+
+/** Evaluate @p count passing Cheap checks on the calling thread. */
+void
+evaluateChecks(std::uint64_t count)
+{
+    for (std::uint64_t i = 0; i < count; ++i)
+        checkInvariant(InvariantLevel::Cheap, true, "t.tally",
+                       [] { return std::string(); });
+}
+
+TEST(Invariants, ChecksEvaluatedSumsAcrossThreads)
+{
+    LevelGuard guard;
+    setInvariantLevel(InvariantLevel::Cheap);
+    constexpr unsigned kPerGroup = 4;
+    constexpr std::uint64_t kChecks = 20000;
+    constexpr std::uint64_t kTotal = 3 * kPerGroup * kChecks;
+    const std::uint64_t before = invariantChecksEvaluated();
+
+    // A reader races every counting thread: the sum may lag them, but
+    // it never goes backwards and never overshoots.
+    std::atomic<bool> stopReader{false};
+    std::atomic<bool> monotonic{true};
+    std::atomic<bool> bounded{true};
+    std::thread reader([&] {
+        std::uint64_t last = before;
+        while (!stopReader.load()) {
+            const std::uint64_t now = invariantChecksEvaluated();
+            if (now < last)
+                monotonic = false;
+            if (now > before + kTotal)
+                bounded = false;
+            last = now;
+        }
+    });
+
+    // Early threads exit before the others start, so later threads
+    // take over their tallies; exiting threads run alongside live ones;
+    // live threads are still running when the total is read.
+    std::vector<std::thread> early, exiting, live;
+    for (unsigned t = 0; t < kPerGroup; ++t)
+        early.emplace_back([] { evaluateChecks(kChecks); });
+    for (std::thread &thread : early)
+        thread.join();
+    std::atomic<unsigned> liveCounted{0};
+    std::atomic<bool> releaseLive{false};
+    for (unsigned t = 0; t < kPerGroup; ++t) {
+        exiting.emplace_back([] { evaluateChecks(kChecks); });
+        live.emplace_back([&] {
+            evaluateChecks(kChecks);
+            liveCounted.fetch_add(1);
+            while (!releaseLive.load())
+                std::this_thread::yield();
+        });
+    }
+    for (std::thread &thread : exiting)
+        thread.join();
+    while (liveCounted.load() < kPerGroup)
+        std::this_thread::yield();
+    EXPECT_EQ(invariantChecksEvaluated(), before + kTotal)
+        << "live and exited threads must both be counted";
+
+    releaseLive = true;
+    for (std::thread &thread : live)
+        thread.join();
+    stopReader = true;
+    reader.join();
+    EXPECT_EQ(invariantChecksEvaluated(), before + kTotal);
+    EXPECT_TRUE(monotonic.load());
+    EXPECT_TRUE(bounded.load());
+}
+
+TEST(Invariants, ChecksEvaluatedIsForkSafe)
+{
+    LevelGuard guard;
+    setInvariantLevel(InvariantLevel::Cheap);
+    // Parent threads keep starting, counting and exiting, and others
+    // keep reading the total, so forks land while tallies are claimed,
+    // given back and summed. Anything on those paths that a fork can
+    // leave locked hangs the child.
+    struct Churn
+    {
+        std::atomic<bool> stop{false};
+        std::vector<std::thread> threads;
+        ~Churn()
+        {
+            stop = true;
+            for (std::thread &thread : threads)
+                thread.join();
+        }
+    } churn;
+    for (int t = 0; t < 2; ++t) {
+        churn.threads.emplace_back([&stop = churn.stop] {
+            while (!stop.load())
+                std::thread([] { evaluateChecks(16); }).join();
+        });
+        churn.threads.emplace_back([&stop = churn.stop] {
+            while (!stop.load())
+                static_cast<void>(invariantChecksEvaluated());
+        });
+    }
+
+    for (int round = 0; round < 50; ++round) {
+        SCOPED_TRACE(round);
+        // Fork from a fresh thread: the child's first check has to
+        // claim a tally after the fork.
+        pid_t pid = -1;
+        std::thread([&pid] {
+            pid = ::fork();
+            if (pid == 0) {
+                const std::uint64_t before = invariantChecksEvaluated();
+                evaluateChecks(1000);
+                ::_exit(invariantChecksEvaluated() == before + 1000 ? 0
+                                                                    : 1);
+            }
+        }).join();
+        ASSERT_GT(pid, 0);
+
+        int status = 0;
+        pid_t reaped = 0;
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while ((reaped = ::waitpid(pid, &status, WNOHANG)) == 0 &&
+               std::chrono::steady_clock::now() < deadline)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        if (reaped == 0) {
+            ::kill(pid, SIGKILL);
+            ::waitpid(pid, &status, 0);
+        }
+        ASSERT_EQ(reaped, pid) << "forked child hung counting checks";
+        EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+            << "child's total was not its snapshot plus its own checks";
+    }
 }
 
 TEST(Invariants, LevelNamesRoundTrip)

@@ -205,6 +205,84 @@ TEST(Config, ZeroBanksDies)
                 ::testing::ExitedWithCode(1), "bank count");
 }
 
+TEST(Router, InterleavedDuplicatesAcrossBanksWithHints)
+{
+    // Profile: 0x100 strides by 8, 0x104 is constant, 0x110 strides by
+    // 3, 0x120 strides by 1, 0x108 is noise (hinted NotPredictable).
+    std::vector<TraceRecord> training;
+    Value noise = 7;
+    for (int i = 0; i < 16; ++i) {
+        noise = noise * 6364136223846793005ull + 1442695040888963407ull;
+        const Value v = static_cast<Value>(i);
+        for (const auto &[pc, result] :
+             {std::pair<Addr, Value>{0x100, 1000 + 8 * v},
+              {0x104, 9},
+              {0x108, noise},
+              {0x110, 50 + 3 * v},
+              {0x120, 7 + v}}) {
+            TraceRecord record;
+            record.seq = training.size();
+            record.pc = pc;
+            record.op = OpCode::Addi;
+            record.rd = 1;
+            record.result = result;
+            training.push_back(record);
+        }
+    }
+    const ProfileHints hints = ProfileHints::profile(training);
+    ASSERT_EQ(hints.hintFor(0x108), ValueHint::NotPredictable);
+
+    VpTableConfig config;
+    config.banks = 4; // bank 0: 0x100 0x110 0x120; bank 1: 0x104
+    config.portsPerBank = 2;
+    config.hints = &hints;
+    InterleavedVpTable table(
+        makeClassifiedPredictor(PredictorKind::Stride), config);
+    for (const TraceRecord &record : training) {
+        const auto warm = table.processBundle({record.pc});
+        if (warm[0].granted)
+            table.update(record.pc, warm[0].prediction, record.result);
+    }
+    const std::uint64_t requests = table.requests();
+    const std::uint64_t merged = table.mergedRequests();
+    const std::uint64_t denied = table.deniedRequests();
+    const std::uint64_t additions = table.distributorAdditions();
+    const std::uint64_t filtered = table.hintFilteredRequests();
+
+    const auto grants = table.processBundle({0x100, 0x104, 0x108, 0x100,
+                                             0x110, 0x120, 0x104, 0x100,
+                                             0x120, 0x108, 0x110});
+    ASSERT_EQ(grants.size(), 11u);
+    struct Expected
+    {
+        bool granted;
+        bool merged;
+        Value value;
+    };
+    // Lead order 0x100, 0x104, 0x110, 0x120; bank 0's two ports go to
+    // 0x100 and 0x110, so both 0x120 copies are denied. Merged copies
+    // of a striding pc receive X, X+stride, X+2*stride.
+    const Expected expected[] = {
+        {true, false, 1128}, {true, false, 9}, {false, false, 0},
+        {true, true, 1136},  {true, false, 98}, {false, false, 0},
+        {true, true, 9},     {true, true, 1144}, {false, false, 0},
+        {false, false, 0},   {true, true, 101},
+    };
+    for (std::size_t i = 0; i < grants.size(); ++i) {
+        SCOPED_TRACE(i);
+        EXPECT_EQ(grants[i].granted, expected[i].granted);
+        EXPECT_EQ(grants[i].merged, expected[i].merged);
+        EXPECT_EQ(grants[i].prediction.predicted, expected[i].granted);
+        EXPECT_EQ(grants[i].prediction.value, expected[i].value);
+    }
+    EXPECT_EQ(table.requests() - requests, 11u);
+    EXPECT_EQ(table.mergedRequests() - merged, 5u);
+    EXPECT_EQ(table.deniedRequests() - denied, 2u);
+    EXPECT_EQ(table.distributorAdditions() - additions, 3u)
+        << "two for 0x100's copies, one for 0x110's; 0x104 has stride 0";
+    EXPECT_EQ(table.hintFilteredRequests() - filtered, 2u);
+}
+
 /** Property: across random bundles, grants preserve order and size. */
 class RouterProperty : public ::testing::TestWithParam<unsigned>
 {
