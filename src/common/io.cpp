@@ -84,10 +84,12 @@ errnoDetail()
 
 /**
  * Apply a fault that is not an error return: Sigint raises and lets
- * the operation proceed; Throw throws. Returns the remaining kind.
+ * the operation proceed; Throw throws "injected fault: <op> <path>".
+ * Returns the remaining kind. This runs on every read and write, so
+ * the message is built only when it is thrown.
  */
 FaultKind
-applyControlFaults(FaultKind kind, const std::string &where)
+applyControlFaults(FaultKind kind, const char *op, const std::string &path)
 {
     if (kind == FaultKind::Sigint) {
         std::raise(SIGINT);
@@ -98,7 +100,8 @@ applyControlFaults(FaultKind kind, const std::string &where)
         return FaultKind::None;
     }
     if (kind == FaultKind::Throw)
-        throw std::runtime_error("injected fault: " + where);
+        throw std::runtime_error(std::string("injected fault: ") + op +
+                                 " " + path);
     return kind;
 }
 
@@ -187,7 +190,7 @@ File::openForRead(const std::string &file_path)
 {
     panicIf(isOpen(), "io::File reopened while open: " + file_path);
     const FaultKind fault = applyControlFaults(
-        faultInjector().next("open"), "open " + file_path);
+        faultInjector().next("open"), "open", file_path);
     if (fault != FaultKind::None) {
         return Status::error(StatusCode::kIo,
                              "cannot open " + file_path + ": " +
@@ -208,7 +211,7 @@ File::openForWrite(const std::string &file_path)
 {
     panicIf(isOpen(), "io::File reopened while open: " + file_path);
     const FaultKind fault = applyControlFaults(
-        faultInjector().next("open"), "open " + file_path);
+        faultInjector().next("open"), "open", file_path);
     if (fault != FaultKind::None) {
         return Status::error(StatusCode::kIo,
                              "cannot open " + file_path + ": " +
@@ -229,7 +232,7 @@ File::readExact(void *buffer, std::size_t size)
 {
     panicIf(!isOpen(), "read on closed io::File");
     const FaultKind fault = applyControlFaults(
-        faultInjector().next("read"), "read " + filePath);
+        faultInjector().next("read"), "read", filePath);
     if (fault != FaultKind::None) {
         return Status::error(StatusCode::kIo,
                              "read error on " + filePath + ": " +
@@ -252,7 +255,7 @@ File::writeAll(const void *buffer, std::size_t size)
 {
     panicIf(!isOpen(), "write on closed io::File");
     const FaultKind fault = applyControlFaults(
-        faultInjector().next("write"), "write " + filePath);
+        faultInjector().next("write"), "write", filePath);
     if (fault == FaultKind::Eio || fault == FaultKind::Enospc) {
         return Status::error(StatusCode::kIo,
                              "write error on " + filePath + ": " +
@@ -280,7 +283,7 @@ File::flush()
 {
     panicIf(!isOpen(), "flush on closed io::File");
     const FaultKind fault = applyControlFaults(
-        faultInjector().next("flush"), "flush " + filePath);
+        faultInjector().next("flush"), "flush", filePath);
     if (fault != FaultKind::None) {
         return Status::error(StatusCode::kIo,
                              "flush error on " + filePath + ": " +
@@ -336,14 +339,14 @@ MappedFile::map(const std::string &file_path)
     panicIf(isMapped(), "io::MappedFile remapped while mapped: " +
                             file_path);
     const FaultKind open_fault = applyControlFaults(
-        faultInjector().next("open"), "open " + file_path);
+        faultInjector().next("open"), "open", file_path);
     if (open_fault != FaultKind::None) {
         return Status::error(StatusCode::kIo,
                              "cannot open " + file_path + ": " +
                                  injectedErrnoDetail(open_fault));
     }
     const FaultKind mmap_fault = applyControlFaults(
-        faultInjector().next("mmap"), "mmap " + file_path);
+        faultInjector().next("mmap"), "mmap", file_path);
     if (mmap_fault != FaultKind::None) {
         return Status::error(StatusCode::kIo,
                              "cannot map " + file_path + ": " +
@@ -354,7 +357,7 @@ MappedFile::map(const std::string &file_path)
     // of silently skipping the mmap path (torn reads don't exist, so a
     // torn kind degrades to a plain read error).
     const FaultKind read_fault = applyControlFaults(
-        faultInjector().next("read"), "read " + file_path);
+        faultInjector().next("read"), "read", file_path);
     if (read_fault != FaultKind::None) {
         return Status::error(StatusCode::kIo,
                              "read error on " + file_path + ": " +
@@ -408,7 +411,7 @@ Status
 removeFile(const std::string &path)
 {
     const FaultKind fault = applyControlFaults(
-        faultInjector().next("remove"), "remove " + path);
+        faultInjector().next("remove"), "remove", path);
     if (fault != FaultKind::None) {
         return Status::error(StatusCode::kIo, "cannot remove " + path +
                                                   ": " +
@@ -426,7 +429,7 @@ Status
 renameFile(const std::string &from, const std::string &to)
 {
     const FaultKind fault = applyControlFaults(
-        faultInjector().next("rename"), "rename " + from);
+        faultInjector().next("rename"), "rename", from);
     if (fault != FaultKind::None) {
         return Status::error(StatusCode::kIo,
                              "cannot rename " + from + " to " + to +

@@ -12,7 +12,7 @@ StreamingTraceSource::open(const std::string &path, bool salvage)
     salvageMode = salvage;
     endOfTrace = false;
     streamStatus = Status::ok();
-    block.clear();
+    liveRecords = 0;
     posInBlock = 0;
     deliveredRecords = 0;
 
@@ -37,24 +37,27 @@ StreamingTraceSource::open(const std::string &path, bool salvage)
 bool
 StreamingTraceSource::ensureBlock()
 {
-    if (posInBlock < block.size())
+    if (posInBlock < liveRecords)
         return true;
     if (endOfTrace || !reader.isOpen()) // never opened: exhausted
         return false;
     // The served block is only recycled here, on the way to another
     // delivery, which is when the span contract lets it go.
-    block.clear();
+    liveRecords = 0;
+    posInBlock = 0;
     TraceV3Reader::Block outcome = TraceV3Reader::Block::kEnd;
-    if (Status got = reader.appendBlock(&block, &outcome); !got.isOk()) {
+    std::size_t count = 0;
+    if (Status got = reader.readBlock(&block, 0, &count, &outcome);
+        !got.isOk()) {
         streamStatus = got;
         endOfTrace = true;
         return false;
     }
-    if (outcome == TraceV3Reader::Block::kEnd || block.empty()) {
+    if (outcome == TraceV3Reader::Block::kEnd) {
         endOfTrace = true;
         return false;
     }
-    posInBlock = 0;
+    liveRecords = count;
     return true;
 }
 
@@ -65,7 +68,7 @@ StreamingTraceSource::nextBlock(TraceSpan &out, std::size_t max_records)
         out = TraceSpan();
         return false;
     }
-    const std::size_t remaining = block.size() - posInBlock;
+    const std::size_t remaining = liveRecords - posInBlock;
     const std::size_t count =
         max_records < remaining ? max_records : remaining;
     out = TraceSpan(block.data() + posInBlock, count);

@@ -6,8 +6,10 @@
  * block, so a 1B-instruction trace file is simulated with the memory
  * footprint of a single block (a few MB) instead of the whole trace.
  * When the previous block is fully served, the next one is decoded
- * into the same reused TraceRecord vector (clear, then
- * TraceV3Reader::appendBlock) and spans point straight into it.
+ * over the same reused TraceRecord vector (TraceV3Reader::readBlock at
+ * offset 0; the vector is sized once and never cleared or
+ * re-initialised, and the source tracks how many of its records are
+ * live) and spans point straight into it.
  * Delivered spans never cross a block boundary, and a span stays valid
  * until the next successful delivery, exactly as the TraceSource
  * lifetime rules allow for a recycling source. The one exception is a
@@ -83,7 +85,9 @@ class StreamingTraceSource : public TraceSource
     Status streamStatus = Status::ok();
     bool endOfTrace = false;
 
-    std::vector<TraceRecord> block; ///< The decoded block being served.
+    /** Storage of the block being served; only liveRecords are its. */
+    std::vector<TraceRecord> block;
+    std::size_t liveRecords = 0;
     std::size_t posInBlock = 0;
     std::uint64_t deliveredRecords = 0;
 };

@@ -150,31 +150,28 @@ encodeBlockPayload(std::vector<unsigned char> &out, TraceSpan records)
 
 /**
  * Decode one record from @p p into @p r, which holds the previous
- * record of the block (deltas are against it) unless @p first.
+ * record of the block (deltas are against it) unless @p first. Every
+ * byte is bounds-checked against @p end: this decodes a block's first
+ * record and its tail, where a worst-case record may not fit.
  *
- * @tparam Checked When false, @p end is not consulted: the caller
- *         guarantees maxEncodedRecordBytes readable bytes at @p p.
  * @return false on a malformed varint, a truncated record or an
  *         out-of-range opcode.
  */
-template <bool Checked>
 bool
-decodeRecord(const unsigned char *&p, const unsigned char *end,
-             bool first, TraceRecord *r)
+decodeRecordChecked(const unsigned char *&p, const unsigned char *end,
+                    bool first, TraceRecord *r)
 {
     std::uint64_t seq = 0;
     std::uint64_t pc = 0;
     std::uint64_t next_pc = 0;
     std::uint64_t mem = 0;
     std::uint64_t result = 0;
-    if (!getVarint<Checked>(p, end, &seq) ||
-        !getVarint<Checked>(p, end, &pc) ||
-        !getVarint<Checked>(p, end, &next_pc) ||
-        !getVarint<Checked>(p, end, &mem) ||
-        !getVarint<Checked>(p, end, &result)) {
+    if (!getVarint(p, end, &seq) || !getVarint(p, end, &pc) ||
+        !getVarint(p, end, &next_pc) || !getVarint(p, end, &mem) ||
+        !getVarint(p, end, &result)) {
         return false;
     }
-    if (Checked && end - p < 4)
+    if (end - p < 4)
         return false;
     const unsigned char op_byte = p[0] & 0x7fu;
     if (op_byte >= static_cast<unsigned char>(OpCode::NumOpCodes))
@@ -201,9 +198,42 @@ decodeRecord(const unsigned char *&p, const unsigned char *end,
 }
 
 /**
- * Decode one block payload of @p count records into @p dest[0..count).
- * All deltas reset at the block boundary, so this needs nothing from
- * neighbouring blocks. False on any malformed encoding.
+ * One varint with no bounds check: the caller guarantees
+ * maxVarintBytes readable bytes at @p p. Most trace fields are one
+ * byte, which takes the first branch. An encoding longer than
+ * maxVarintBytes sets @p bad and stops after maxVarintBytes bytes, so
+ * the caller's bounds guarantee still holds for what follows.
+ */
+inline std::uint64_t
+takeVarint(const unsigned char *&p, unsigned &bad)
+{
+    const unsigned char first = *p++;
+    if (first < 0x80u)
+        return first;
+    std::uint64_t result = first & 0x7fu;
+    unsigned shift = 7;
+    for (std::size_t i = 1; i < maxVarintBytes; ++i, shift += 7) {
+        const unsigned char byte = *p++;
+        result |= static_cast<std::uint64_t>(byte & 0x7fu) << shift;
+        if ((byte & 0x80u) == 0)
+            return result;
+    }
+    bad = 1;
+    return result;
+}
+
+/**
+ * Decode one block payload of @p count >= 1 records (nextPayload's
+ * frame check) into @p dest[0..count). All deltas reset at the block
+ * boundary, so this needs nothing from neighbouring blocks. False on any malformed encoding; @p dest then
+ * holds garbage that must not be delivered.
+ *
+ * The first record (absolute fields) and the tail, where a worst-case
+ * record may no longer fit, go through the per-byte checked decoder.
+ * In between, bounds are checked once per record, the running
+ * seq/pc/memAddr are locals, each record is written in place, and
+ * over-long varints and out-of-range opcodes only raise a flag that is
+ * checked once for the whole block.
  */
 bool
 decodeBlockPayload(const unsigned char *payload, std::size_t size,
@@ -211,21 +241,44 @@ decodeBlockPayload(const unsigned char *payload, std::size_t size,
 {
     const unsigned char *p = payload;
     const unsigned char *const end = payload + size;
-    TraceRecord r;
-    std::uint32_t i = 0;
-    // While a worst-case record still fits, check bounds once per
-    // record; the tail goes through the per-byte checked varints.
+    if (!decodeRecordChecked(p, end, true, &dest[0]))
+        return false;
+    SeqNum seq = dest[0].seq;
+    Addr pc = dest[0].pc;
+    Addr mem = dest[0].memAddr;
+    unsigned bad = 0;
+    std::uint32_t i = 1;
     for (; i < count &&
            static_cast<std::size_t>(end - p) >= maxEncodedRecordBytes;
          ++i) {
-        if (!decodeRecord<false>(p, end, i == 0, &r))
-            return false;
-        dest[i] = r;
+        seq += 1 + static_cast<std::uint64_t>(
+                       zigzagDecode(takeVarint(p, bad)));
+        pc += static_cast<std::uint64_t>(zigzagDecode(takeVarint(p, bad)));
+        const std::uint64_t next_pc = takeVarint(p, bad);
+        mem += static_cast<std::uint64_t>(zigzagDecode(takeVarint(p, bad)));
+        const std::uint64_t result = takeVarint(p, bad);
+        const unsigned char op_byte = p[0] & 0x7fu;
+        bad |= op_byte >= static_cast<unsigned char>(OpCode::NumOpCodes);
+        TraceRecord &r = dest[i];
+        r.seq = seq;
+        r.pc = pc;
+        r.nextPc =
+            pc + instBytes + static_cast<std::uint64_t>(zigzagDecode(next_pc));
+        r.memAddr = mem;
+        r.result = result;
+        r.op = static_cast<OpCode>(op_byte);
+        r.rd = p[1];
+        r.rs1 = p[2];
+        r.rs2 = p[3];
+        r.taken = (p[0] & 0x80u) != 0;
+        p += 4;
     }
+    if (bad)
+        return false;
     for (; i < count; ++i) {
-        if (!decodeRecord<true>(p, end, i == 0, &r))
+        dest[i] = dest[i - 1];
+        if (!decodeRecordChecked(p, end, false, &dest[i]))
             return false;
-        dest[i] = r;
     }
     // A valid block's payload is consumed exactly; slack means the
     // declared count or the payload length lied.
@@ -517,8 +570,14 @@ TraceV3Reader::readFrame(std::size_t size, bool *at_end)
         cursor += size;
         return Status::ok();
     }
-    if (frame.size() < size)
+    if (frame.size() < size) {
+        // Twice what is asked: the block payloads of one file differ by
+        // far less than 2x, so after its first block a stream never
+        // reallocates the frame buffer.
+        if (frame.capacity() < size)
+            frame.reserve(2 * size);
         frame.resize(size);
+    }
     std::size_t have = 0;
     // Drain bytes resync() pushed back before touching the file.
     while (have < size && !pendback.empty()) {
@@ -809,24 +868,28 @@ TraceV3Reader::nextPayload(Payload *out, Block *outcome)
 }
 
 Status
-TraceV3Reader::appendBlock(std::vector<TraceRecord> *out, Block *outcome)
+TraceV3Reader::readBlock(std::vector<TraceRecord> *out, std::size_t offset,
+                         std::size_t *count, Block *outcome)
 {
     panicIf(!opened, "block read on closed TraceV3Reader");
-    panicIf(out == nullptr, "appendBlock needs an output vector");
+    panicIf(out == nullptr || count == nullptr,
+            "readBlock needs an output vector and a count");
     panicIf(outcome == nullptr, "block read needs an outcome parameter");
+    *count = 0;
     for (;;) {
         Payload payload;
         if (Status got = nextPayload(&payload, outcome);
             !got.isOk() || *outcome == Block::kEnd) {
             return got;
         }
-        const std::size_t base = out->size();
-        out->resize(base + payload.count);
+        // Grow only: a reused buffer is decoded over in place, never
+        // cleared or value-initialised again.
+        if (out->size() < offset + payload.count)
+            out->resize(offset + payload.count);
         if (!decodeBlockPayload(payload.data, payload.bytes,
-                                payload.count, out->data() + base)) {
+                                payload.count, out->data() + offset)) {
             // A payload that fails to decode is one more damaged
             // block: strict mode fails the file, salvage mode moves on.
-            out->resize(base);
             if (Status handled = handleCorrupt(
                     corrupt("corrupt record encoding in block " +
                             std::to_string(report.blocksDelivered) +
@@ -839,6 +902,7 @@ TraceV3Reader::appendBlock(std::vector<TraceRecord> *out, Block *outcome)
         }
         report.blocksDelivered += 1;
         report.recordsDelivered += payload.count;
+        *count = payload.count;
         return Status::ok();
     }
 }
@@ -889,13 +953,21 @@ readTraceV3(const std::string &path, std::vector<TraceRecord> *out,
         return opened;
     keepTracesMapped();
     out->reserve(reader.recordsHint());
+    std::size_t loaded = 0;
     for (;;) {
         TraceV3Reader::Block outcome = TraceV3Reader::Block::kEnd;
-        if (Status got = reader.appendBlock(out, &outcome); !got.isOk())
+        std::size_t count = 0;
+        const Status got = reader.readBlock(out, loaded, &count, &outcome);
+        if (!got.isOk()) {
+            out->resize(loaded);
             return got;
+        }
         if (outcome == TraceV3Reader::Block::kEnd)
             break;
+        loaded += count;
     }
+    // Drops what a quarantined last block decoded past the intact ones.
+    out->resize(loaded);
     if (report_out)
         *report_out = reader.salvageReport();
     reader.close();

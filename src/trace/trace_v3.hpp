@@ -48,7 +48,10 @@ namespace vpsim
 /** Version byte written by the v3 writer. */
 inline constexpr std::uint32_t traceFormatVersionV3 = 3;
 
-/** Default records per v3 block (~1 MiB encoded, ~6 MiB decoded). */
+/**
+ * Default records per v3 block: ~1 MiB encoded, 65,536 x 48 B = 3 MiB
+ * decoded.
+ */
 inline constexpr std::uint32_t defaultRecordsPerBlock = 65536;
 
 /** Fixed sizes of the v3 framing structures, in bytes. */
@@ -191,10 +194,10 @@ class TraceV3Writer
  * for arbitrarily large traces). Block CRC checks consult the fault
  * injector's "block" counter (`block:N:block-crc` forces a mismatch),
  * and the mapped backend honors open/mmap/read faults via MappedFile.
- * Every block is decoded straight onto the end of a TraceRecord
- * vector (appendBlock()): the whole-file load appends into one vector
- * reserved up front, the streaming source clears and refills one
- * reused block vector.
+ * Every block is decoded straight into caller-owned storage
+ * (readBlock()): the whole-file load decodes each block after the last
+ * into one vector reserved up front, the streaming source decodes
+ * every block over the same reused block vector.
  */
 class TraceV3Reader
 {
@@ -205,10 +208,10 @@ class TraceV3Reader
         bool preferMapped = false; ///< Try mmap first, else buffered.
     };
 
-    /** Outcome of one appendBlock() call. */
+    /** Outcome of one readBlock() call. */
     enum class Block
     {
-        kDelivered, ///< @p out gained the next decoded block.
+        kDelivered, ///< The next block was decoded into @p out.
         kEnd,       ///< Clean end of trace (trailer validated).
     };
 
@@ -219,15 +222,22 @@ class TraceV3Reader
                               const Options &options);
 
     /**
-     * Decode the next block onto the end of @p out. A block that fails
-     * to decode leaves @p out as it was.
+     * Decode the next block into (*out)[offset, offset + *count).
+     * @p out is resized only when it is shorter than that, so a reused
+     * buffer is decoded over in place, not cleared or re-initialised.
+     * Elements before @p offset are untouched; those from
+     * offset + *count on are unspecified (a quarantined block may
+     * have been decoded there first). A block that fails to decode is
+     * never reported as delivered.
      *
-     * @return ok with *outcome = kDelivered/kEnd, kCorrupt on damage in
-     *         strict mode (or unsalvageable damage in salvage mode),
-     *         kIo on read errors. Every message names the path.
+     * @return ok with *outcome = kDelivered (*count >= 1) or kEnd
+     *         (*count = 0), kCorrupt on damage in strict mode (or
+     *         unsalvageable damage in salvage mode), kIo on read
+     *         errors. Every message names the path.
      */
-    [[nodiscard]] Status appendBlock(std::vector<TraceRecord> *out,
-                                     Block *outcome);
+    [[nodiscard]] Status readBlock(std::vector<TraceRecord> *out,
+                                   std::size_t offset, std::size_t *count,
+                                   Block *outcome);
 
     /**
      * Records a whole read is expected to deliver, for reserving its

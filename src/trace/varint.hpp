@@ -63,18 +63,13 @@ putSignedVarint(std::vector<unsigned char> &out, std::int64_t value)
 }
 
 /**
- * Decode one varint from [@p p, @p end).
+ * Decode one varint from [@p p, @p end), checking bounds at every byte.
  *
- * @tparam Checked When false, @p end is not consulted: the caller
- *         guarantees at least maxVarintBytes readable bytes at @p p,
- *         which lets a block decoder check bounds once per record
- *         instead of once per byte.
  * @param p Advanced past the varint on success; unspecified on failure.
  * @return false on a truncated varint or one longer than
  *         maxVarintBytes (corrupt data — a valid encoder never emits
  *         either).
  */
-template <bool Checked = true>
 inline bool
 getVarint(const unsigned char *&p, const unsigned char *end,
           std::uint64_t *value)
@@ -82,7 +77,7 @@ getVarint(const unsigned char *&p, const unsigned char *end,
     std::uint64_t result = 0;
     unsigned shift = 0;
     for (std::size_t i = 0; i < maxVarintBytes; ++i) {
-        if (Checked && p == end)
+        if (p == end)
             return false;
         const unsigned char byte = *p++;
         result |= static_cast<std::uint64_t>(byte & 0x7fu) << shift;

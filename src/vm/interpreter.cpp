@@ -40,8 +40,12 @@ Interpreter::run(std::uint64_t max_insts, std::vector<TraceRecord> *out)
     };
 
     while (max_insts == 0 || result.executed < max_insts) {
-        panicIf(pcIndex >= program.size(),
-                "pc ran off the end of program '" + program.name() + "'");
+        // Both checks in this loop run once per instruction, so each
+        // builds its message only once it has failed.
+        if (pcIndex >= program.size()) [[unlikely]] {
+            panicIf(true,
+                    "pc ran off the end of program '" + program.name() + "'");
+        }
         const Instruction &inst = program.at(pcIndex);
         const Addr pc = program.pcOf(pcIndex);
 
@@ -157,8 +161,10 @@ Interpreter::run(std::uint64_t max_insts, std::vector<TraceRecord> *out)
             dest_value = pc + instBytes;
             wrote_dest = true;
             rec.taken = true;
-            panicIf(!program.contains(target),
-                    "jalr target outside program '" + program.name() + "'");
+            if (!program.contains(target)) [[unlikely]] {
+                panicIf(true, "jalr target outside program '" +
+                                  program.name() + "'");
+            }
             next_index = program.indexOf(target);
             break;
           }

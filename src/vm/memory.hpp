@@ -5,6 +5,12 @@
  * Pages are allocated lazily on first touch; unwritten memory reads as
  * zero. This keeps multi-megabyte workload heaps cheap while staying fully
  * deterministic.
+ *
+ * Every interpreted load and store goes through here, and consecutive
+ * accesses mostly hit the same page, so the last page found or touched
+ * is memoized in front of the page map. The memo is mutable (reads set
+ * it), so a Memory is never shared between threads: each capture
+ * builds its own.
  */
 
 #ifndef VPSIM_VM_MEMORY_HPP
@@ -25,6 +31,12 @@ namespace vpsim
 class Memory
 {
   public:
+    Memory() = default;
+
+    /** Moves the pages; the moved-from Memory is left empty. */
+    Memory(Memory &&other) noexcept;
+    Memory &operator=(Memory &&other) noexcept;
+
     /** Read one byte; untouched memory reads as zero. */
     std::uint8_t read8(Addr addr) const;
 
@@ -52,10 +64,16 @@ class Memory
 
     using Page = std::array<std::uint8_t, pageBytes>;
 
+    /** Page number the memo never holds: addr >> pageShift < 2^52. */
+    static constexpr Addr noPage = ~Addr{0};
+
     const Page *findPage(Addr addr) const;
     Page &touchPage(Addr addr);
+    void forgetMemo();
 
     std::unordered_map<Addr, std::unique_ptr<Page>> pages;
+    mutable Addr memoNumber = noPage; ///< Page number of memoPage.
+    mutable Page *memoPage = nullptr; ///< Last page found or touched.
 };
 
 } // namespace vpsim

@@ -404,32 +404,114 @@ noiseBytes(std::size_t size)
     return bytes;
 }
 
-TEST(Crc32Test, MatchesTheBitwiseReferenceAtEveryLengthAndAlignment)
+/** A CRC-32 kernel: raw register in, raw register out. */
+using Crc32Kernel = std::uint32_t (*)(std::uint32_t, const unsigned char *,
+                                      std::size_t);
+
+/** crc32() of @p size bytes at @p data through @p kernel alone. */
+std::uint32_t
+crc32With(Crc32Kernel kernel, const unsigned char *data, std::size_t size)
 {
-    // Lengths 0-257 from every start offset 0-7 cover: the all-tail
-    // path, every tail length after whole 8-byte steps, and 8-byte
-    // steps at every misalignment.
-    const std::vector<unsigned char> bytes = noiseBytes(8 + 257);
+    return kernel(0xffffffffu, data, size) ^ 0xffffffffu;
+}
+
+/**
+ * Lengths 0-1040 from every start offset 0-7 cover: the all-tail
+ * path, every tail length after whole 8-byte steps, 8-byte steps at
+ * every misalignment, and for the folded kernel the table-only path
+ * below 64 bytes, up to 15 fold rounds of 64 bytes, 0-3 further 16-byte
+ * folds and every 0-15-byte tail after them.
+ *
+ * @param one_shot CRC-32 of (bytes, length), as crc32() computes it.
+ */
+template <typename OneShot>
+void
+expectMatchesTheBitwiseReference(OneShot one_shot)
+{
+    const std::vector<unsigned char> bytes = noiseBytes(8 + 1040);
     for (std::size_t offset = 0; offset < 8; ++offset) {
-        for (std::size_t length = 0; length <= 257; ++length) {
-            ASSERT_EQ(crc32(bytes.data() + offset, length),
+        for (std::size_t length = 0; length <= 1040; ++length) {
+            ASSERT_EQ(one_shot(bytes.data() + offset, length),
                       referenceCrc32(bytes.data() + offset, length))
                 << "offset " << offset << ", length " << length;
         }
     }
 }
 
+/** expectMatchesTheBitwiseReference() of one kernel alone. */
+void
+expectKernelMatchesTheBitwiseReference(Crc32Kernel kernel)
+{
+    expectMatchesTheBitwiseReference(
+        [kernel](const unsigned char *data, std::size_t size) {
+            return crc32With(kernel, data, size);
+        });
+}
+
+/** Two updates split anywhere in 1040 bytes equal one update. */
+void
+expectSplitUpdatesEqualOneShot(Crc32Kernel kernel)
+{
+    const std::vector<unsigned char> bytes = noiseBytes(1040);
+    const std::uint32_t whole = crc32With(kernel, bytes.data(), bytes.size());
+    EXPECT_EQ(whole, referenceCrc32(bytes.data(), bytes.size()));
+    for (std::size_t split = 0; split <= bytes.size(); ++split) {
+        std::uint32_t crc = kernel(0xffffffffu, bytes.data(), split);
+        crc = kernel(crc, bytes.data() + split, bytes.size() - split);
+        ASSERT_EQ(crc ^ 0xffffffffu, whole) << "split at " << split;
+    }
+}
+
+/** The folded kernel, or null where this CPU cannot run it. */
+Crc32Kernel
+foldedKernel()
+{
+#if defined(__x86_64__)
+    if (detail::crc32FoldSupported())
+        return &detail::crc32Folded;
+#endif
+    return nullptr;
+}
+
+TEST(Crc32Test, MatchesTheBitwiseReferenceAtEveryLengthAndAlignment)
+{
+    // The slicing-by-8 tables, and the public crc32() as dispatched.
+    expectKernelMatchesTheBitwiseReference(&detail::crc32Table);
+    expectMatchesTheBitwiseReference(
+        [](const unsigned char *data, std::size_t size) {
+            return crc32(data, size);
+        });
+}
+
+TEST(Crc32Test, FoldedKernelMatchesTheBitwiseReference)
+{
+    const Crc32Kernel folded = foldedKernel();
+    if (folded == nullptr)
+        GTEST_SKIP() << "this CPU has no PCLMULQDQ + SSE4.1 (or is not "
+                        "x86-64): Crc32 runs the table kernel alone";
+    expectKernelMatchesTheBitwiseReference(folded);
+}
+
 TEST(Crc32Test, SplitUpdatesEqualOneShotAtEverySplitPoint)
 {
-    const std::vector<unsigned char> bytes = noiseBytes(300);
+    expectSplitUpdatesEqualOneShot(&detail::crc32Table);
+    const std::vector<unsigned char> bytes = noiseBytes(1040);
     const std::uint32_t whole = crc32(bytes.data(), bytes.size());
-    EXPECT_EQ(whole, referenceCrc32(bytes.data(), bytes.size()));
     for (std::size_t split = 0; split <= bytes.size(); ++split) {
         Crc32 incremental;
         incremental.update(bytes.data(), split);
         incremental.update(bytes.data() + split, bytes.size() - split);
         ASSERT_EQ(incremental.value(), whole) << "split at " << split;
     }
+}
+
+TEST(Crc32Test, FoldedKernelSplitUpdatesEqualOneShot)
+{
+    const Crc32Kernel folded = foldedKernel();
+    if (folded == nullptr)
+        GTEST_SKIP() << "this CPU has no PCLMULQDQ + SSE4.1 (or is not "
+                        "x86-64): Crc32 runs the table kernel alone";
+    expectSplitUpdatesEqualOneShot(folded);
 }
 
 /** Restores a clean (inactive) global fault injector on scope exit. */

@@ -16,6 +16,7 @@
 #include "common/io.hpp"
 #include "trace/streaming_source.hpp"
 #include "trace/trace_v3.hpp"
+#include "trace/varint.hpp"
 #include "workloads/workload.hpp"
 
 namespace vpsim
@@ -108,20 +109,25 @@ expectSameRecords(const std::vector<TraceRecord> &got,
 /** Read @p path whole through one TraceV3Reader backend. */
 Status
 readWithBackend(const std::string &path, bool mapped,
-                std::vector<TraceRecord> *out)
+                std::vector<TraceRecord> *out, bool salvage = false)
 {
     out->clear();
     TraceV3Reader reader;
     TraceV3Reader::Options options;
     options.preferMapped = mapped;
+    options.salvage = salvage;
     if (Status opened = reader.open(path, options); !opened.isOk())
         return opened;
+    std::size_t loaded = 0;
     for (;;) {
         TraceV3Reader::Block outcome = TraceV3Reader::Block::kEnd;
-        if (Status got = reader.appendBlock(out, &outcome); !got.isOk())
+        std::size_t count = 0;
+        const Status got = reader.readBlock(out, loaded, &count, &outcome);
+        if (!got.isOk() || outcome == TraceV3Reader::Block::kEnd) {
+            out->resize(loaded);
             return got;
-        if (outcome == TraceV3Reader::Block::kEnd)
-            return Status::ok();
+        }
+        loaded += count;
     }
 }
 
@@ -600,6 +606,99 @@ putLe(std::vector<unsigned char> &bytes, std::size_t at, std::uint64_t value,
         bytes[at + i] = static_cast<unsigned char>(value >> (8 * i));
 }
 
+/** Little-endian u32 at @p at. */
+std::uint32_t
+getLe32(const std::vector<unsigned char> &bytes, std::size_t at)
+{
+    std::uint32_t value = 0;
+    for (int i = 0; i < 4; ++i)
+        value |= static_cast<std::uint32_t>(bytes[at + i]) << (8 * i);
+    return value;
+}
+
+/**
+ * Payload offsets at which each record of the block framed at
+ * @p frame starts, plus the payload's end.
+ */
+std::vector<std::size_t>
+recordStarts(const std::vector<unsigned char> &bytes, std::size_t frame)
+{
+    const std::uint32_t count = getLe32(bytes, frame + 4);
+    std::vector<std::size_t> starts;
+    std::size_t p = frame + v3BlockFrameBytes;
+    for (std::uint32_t i = 0; i < count; ++i) {
+        starts.push_back(p);
+        for (int field = 0; field < 5; ++field) {
+            while (bytes[p] & 0x80u)
+                ++p;
+            ++p;
+        }
+        p += 4;
+    }
+    starts.push_back(p);
+    return starts;
+}
+
+/** Recompute the frame CRC of the block framed at @p frame. */
+void
+resealBlock(std::vector<unsigned char> &bytes, std::size_t frame)
+{
+    const std::uint32_t payload_bytes = getLe32(bytes, frame + 8);
+    putLe(bytes, frame + v3BlockFrameBytes + payload_bytes,
+          crc32(bytes.data() + frame, v3BlockFrameBytes + payload_bytes),
+          4);
+}
+
+/** Give record @p index of the block at @p frame an opcode >= NumOpCodes. */
+void
+breakOpcode(std::vector<unsigned char> &bytes, std::size_t frame,
+            std::size_t index)
+{
+    const std::vector<std::size_t> starts = recordStarts(bytes, frame);
+    unsigned char &op = bytes[starts[index + 1] - 4];
+    op = static_cast<unsigned char>(
+        (op & 0x80u) | static_cast<unsigned char>(OpCode::NumOpCodes));
+    resealBlock(bytes, frame);
+}
+
+/**
+ * Make the first varint of record @p index of the block at @p frame
+ * over-long: pad it to maxVarintBytes groups and set the continuation
+ * bit on every one, so it claims an 11th byte. A decoder that stopped
+ * after maxVarintBytes without rejecting would read the original value
+ * and stay aligned, so only the length check can catch this.
+ */
+void
+overlongVarint(std::vector<unsigned char> &bytes, std::size_t frame,
+               std::size_t index)
+{
+    const std::size_t first = recordStarts(bytes, frame)[index];
+    std::size_t last = first;
+    while (bytes[last] & 0x80u)
+        ++last;
+    const std::size_t extra = maxVarintBytes - (last + 1 - first);
+    bytes[last] |= 0x80u;
+    bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(last + 1),
+                 extra, 0x80u);
+    const std::uint32_t payload_bytes = getLe32(bytes, frame + 8);
+    putLe(bytes, frame + 8, payload_bytes + extra, 4);
+    resealBlock(bytes, frame);
+}
+
+/** Append @p slack zero bytes to the payload of the block at @p frame. */
+void
+addSlack(std::vector<unsigned char> &bytes, std::size_t frame,
+         std::size_t slack)
+{
+    const std::uint32_t payload_bytes = getLe32(bytes, frame + 8);
+    bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(
+                                     frame + v3BlockFrameBytes +
+                                     payload_bytes),
+                 slack, 0x00);
+    putLe(bytes, frame + 8, payload_bytes + slack, 4);
+    resealBlock(bytes, frame);
+}
+
 TEST(TraceV3Load, IntactFileReservesItsDestinationOnce)
 {
     // 20 blocks: the parent's per-block reserve reallocated at each.
@@ -704,16 +803,10 @@ TEST(TraceV3Load, TenByteVarintsRoundTripAcrossTheBoundsCheckSwitch)
         ASSERT_TRUE(readTraceV3(path, &loaded).isOk());
         expectSameRecords(loaded, original);
 
-        TraceV3Reader reader;
-        ASSERT_TRUE(reader.open(path, TraceV3Reader::Options()).isOk());
-        std::vector<TraceRecord> appended;
-        for (;;) {
-            TraceV3Reader::Block outcome = TraceV3Reader::Block::kEnd;
-            ASSERT_TRUE(reader.appendBlock(&appended, &outcome).isOk());
-            if (outcome == TraceV3Reader::Block::kEnd)
-                break;
-        }
-        expectSameRecords(appended, original);
+        std::vector<TraceRecord> buffered;
+        ASSERT_TRUE(readWithBackend(path, /*mapped=*/false, &buffered)
+                        .isOk());
+        expectSameRecords(buffered, original);
 
         StreamingTraceSource source;
         ASSERT_TRUE(source.open(path).isOk());
@@ -729,35 +822,19 @@ TEST(TraceV3Load, TenByteVarintsRoundTripAcrossTheBoundsCheckSwitch)
 
 TEST(TraceV3Load, ElevenByteVarintInTheBulkIsCorrupt)
 {
-    // Record 0 of block 0 is all zero fields but a 10-byte result, so
-    // its payload bytes 4..13 are that varint. Lengthening it to 11
-    // bytes and re-framing (payload length, CRC) leaves the decoder as
-    // the only check that can see it, 4 bytes into a 64-record payload.
-    auto original = extremeRecords(128);
-    original[0].seq = 0;
-    original[0].pc = 0;
-    original[0].nextPc = instBytes;
-    original[0].memAddr = 0;
-    original[0].result = ~std::uint64_t{0};
+    // Record 1 of block 0 starts with a 10-byte seq delta. Setting the
+    // continuation bit of its last byte makes it claim an 11th byte;
+    // re-framing (payload length, CRC) leaves the decoder as the only
+    // check that can see it, in the bulk loop of a 64-record payload.
+    const auto original = extremeRecords(128);
     const std::string path = tempPath("vpsim_v3_varint11.vptrace");
     ASSERT_TRUE(writeTraceV3(path, original, 64).isOk());
     std::vector<unsigned char> bytes = slurp(path);
     const std::size_t frame = blockOffset(bytes, 0);
-    const std::size_t payload = frame + v3BlockFrameBytes;
-    ASSERT_EQ(bytes[payload + 12], 0xff);
-    ASSERT_EQ(bytes[payload + 13], 0x01);
-    bytes[payload + 13] = 0x81;
-    bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(payload + 14),
-                 0x00);
-    std::uint32_t payload_bytes = 0;
-    for (int i = 0; i < 4; ++i)
-        payload_bytes |= static_cast<std::uint32_t>(bytes[frame + 8 + i])
-                         << (8 * i);
-    ++payload_bytes;
-    putLe(bytes, frame + 8, payload_bytes, 4);
-    putLe(bytes, payload + payload_bytes,
-          crc32(bytes.data() + frame, v3BlockFrameBytes + payload_bytes),
-          4);
+    const std::vector<std::size_t> starts = recordStarts(bytes, frame);
+    ASSERT_GE(starts.back() - starts[1], 5 * maxVarintBytes + 4)
+        << "record 1 must be decoded in the bulk loop";
+    overlongVarint(bytes, frame, 1);
     spit(path, bytes);
 
     std::vector<TraceRecord> out;
@@ -775,6 +852,125 @@ TEST(TraceV3Load, ElevenByteVarintInTheBulkIsCorrupt)
     expectSameRecords(
         out, std::vector<TraceRecord>(original.begin() + 64,
                                       original.end()));
+    std::remove(path.c_str());
+}
+
+/**
+ * @p path holds @p original with block @p bad (of @p per_block records)
+ * damaged under a valid CRC. Every reader must reject exactly that
+ * block: strict mode fails naming it, salvage mode quarantines it and
+ * delivers everything else, and no record of it is ever delivered.
+ */
+void
+expectOnlyTheDecoderRejectsBlock(const std::string &path,
+                                 const std::vector<TraceRecord> &original,
+                                 std::size_t bad, std::size_t per_block)
+{
+    const std::string named =
+        "corrupt record encoding in block " + std::to_string(bad);
+    const auto first_bad =
+        original.begin() + static_cast<std::ptrdiff_t>(bad * per_block);
+    const auto after_bad = first_bad + static_cast<std::ptrdiff_t>(per_block);
+    const std::vector<TraceRecord> before(original.begin(), first_bad);
+    std::vector<TraceRecord> salvaged = before;
+    salvaged.insert(salvaged.end(), after_bad, original.end());
+
+    for (const bool mapped : {true, false}) {
+        SCOPED_TRACE(mapped ? "mapped" : "buffered");
+        std::vector<TraceRecord> out;
+        const Status strict = mapped ? readTraceV3(path, &out)
+                                     : readWithBackend(path, false, &out);
+        ASSERT_FALSE(strict.isOk());
+        EXPECT_EQ(strict.code(), StatusCode::kCorrupt);
+        EXPECT_NE(strict.message().find(named), std::string::npos)
+            << strict.message();
+
+        BlockSalvageReport report;
+        const Status salvage =
+            mapped ? readTraceV3(path, &out, /*salvage=*/true, &report)
+                   : readWithBackend(path, false, &out, /*salvage=*/true);
+        ASSERT_TRUE(salvage.isOk()) << salvage.message();
+        if (mapped) {
+            EXPECT_EQ(report.blocksQuarantined, 1u);
+            EXPECT_EQ(report.recordsLost, per_block);
+        }
+        expectSameRecords(out, salvaged);
+    }
+
+    for (const bool salvage : {false, true}) {
+        SCOPED_TRACE(salvage ? "streamed salvage" : "streamed strict");
+        StreamingTraceSource source;
+        ASSERT_TRUE(source.open(path, salvage).isOk());
+        std::vector<TraceRecord> streamed;
+        TraceSpan span;
+        while (source.nextBlock(span))
+            streamed.insert(streamed.end(), span.begin(), span.end());
+        if (salvage) {
+            EXPECT_TRUE(source.status().isOk());
+            EXPECT_EQ(source.salvageReport().blocksQuarantined, 1u);
+            expectSameRecords(streamed, salvaged);
+        } else {
+            EXPECT_EQ(source.status().code(), StatusCode::kCorrupt);
+            EXPECT_NE(source.status().message().find(named),
+                      std::string::npos)
+                << source.status().message();
+            expectSameRecords(streamed, before);
+        }
+    }
+}
+
+/**
+ * The decoder-only rejections: an opcode >= NumOpCodes, slack after the
+ * declared records and an over-long varint, each once where the bulk
+ * loop decodes it (a worst-case record still fits) and once in the
+ * checked tail.
+ */
+TEST(TraceV3Load, DecoderRejectsBadOpcodesAndSlackInBulkAndTail)
+{
+    constexpr std::size_t perBlock = 64;
+    constexpr std::size_t bad = 1;
+    const auto original = captureWorkloadTrace("go", 3 * perBlock + 5);
+    const std::string path = tempPath("vpsim_v3_decoder_rejects.vptrace");
+    ASSERT_TRUE(writeTraceV3(path, original, perBlock).isOk());
+    const std::vector<unsigned char> clean = slurp(path);
+    const std::size_t frame = blockOffset(clean, bad);
+    const std::vector<std::size_t> starts = recordStarts(clean, frame);
+    const std::size_t end = starts.back();
+    const auto in_bulk = [&](std::size_t start, std::size_t slack) {
+        return end + slack - start >= 5 * maxVarintBytes + 4;
+    };
+    // Record 1 is the bulk loop's first; the last one is in the tail,
+    // unless enough slack follows it to keep the bulk loop going.
+    ASSERT_TRUE(in_bulk(starts[1], 0));
+    ASSERT_FALSE(in_bulk(starts[perBlock - 1], 0));
+    ASSERT_FALSE(in_bulk(starts[perBlock - 1], 1));
+    ASSERT_TRUE(in_bulk(starts[perBlock - 1], 64));
+
+    struct Damage
+    {
+        const char *name;
+        std::vector<unsigned char> bytes;
+    };
+    std::vector<Damage> cases = {{"opcode in the bulk", clean},
+                                 {"opcode in the tail", clean},
+                                 {"slack after the bulk", clean},
+                                 {"slack after the tail", clean},
+                                 {"over-long varint in the bulk", clean},
+                                 {"over-long varint in the tail", clean}};
+    breakOpcode(cases[0].bytes, frame, 1);
+    breakOpcode(cases[1].bytes, frame, perBlock - 1);
+    addSlack(cases[2].bytes, frame, 64);
+    addSlack(cases[3].bytes, frame, 1);
+    overlongVarint(cases[4].bytes, frame, 1);
+    overlongVarint(cases[5].bytes, frame, perBlock - 1);
+    ASSERT_FALSE(in_bulk(starts[perBlock - 1], maxVarintBytes))
+        << "an over-long varint must not pull the last record into the "
+           "bulk";
+    for (const Damage &damage : cases) {
+        SCOPED_TRACE(damage.name);
+        spit(path, damage.bytes);
+        expectOnlyTheDecoderRejectsBlock(path, original, bad, perBlock);
+    }
     std::remove(path.c_str());
 }
 
@@ -889,6 +1085,36 @@ TEST(StreamingSource, ResetReusesTheDecodedBlockBuffer)
     } while (source.nextBlock(block, 100));
     EXPECT_TRUE(source.status().isOk());
     EXPECT_EQ(source.recordsDelivered(), original.size());
+    expectSameRecords(got, original);
+    std::remove(path.c_str());
+}
+
+TEST(StreamingSource, ShortLastBlockDeliversOnlyItsOwnRecords)
+{
+    // The last block is decoded over the storage of a full one; only
+    // its own 5 records may come out, none of the previous block's.
+    const auto original = captureWorkloadTrace("compress", 3 * 256 + 5);
+    const std::string path = tempPath("vpsim_v3_stream_short.vptrace");
+    ASSERT_TRUE(writeTraceV3(path, original, 256).isOk());
+
+    StreamingTraceSource source;
+    ASSERT_TRUE(source.open(path).isOk());
+    std::vector<TraceRecord> got;
+    std::vector<std::size_t> sizes;
+    TraceSpan span;
+    while (source.nextBlock(span, TraceSpan::noLimit)) {
+        sizes.push_back(span.size());
+        got.insert(got.end(), span.begin(), span.end());
+    }
+    EXPECT_TRUE(source.status().isOk());
+    EXPECT_EQ(sizes, (std::vector<std::size_t>{256, 256, 256, 5}));
+    expectSameRecords(got, original);
+
+    // The same after a rewind, when the storage already holds a block.
+    source.reset();
+    got.clear();
+    while (source.nextBlock(span, 100))
+        got.insert(got.end(), span.begin(), span.end());
     expectSameRecords(got, original);
     std::remove(path.c_str());
 }

@@ -71,6 +71,92 @@ TEST(Memory, WriteWordsBulk)
     EXPECT_EQ(mem.read64(0x210), 3u);
 }
 
+TEST(Memory, AlternatingPagesThroughTheMemo)
+{
+    // Every access switches page, so each one replaces the memo.
+    Memory mem;
+    const Addr a = 0x10000;
+    const Addr b = 0x20008;
+    for (Value i = 0; i < 16; ++i) {
+        mem.write64(a + 8 * i, 0xa000 + i);
+        mem.write64(b + 8 * i, 0xb000 + i);
+        EXPECT_EQ(mem.read64(a + 8 * i), 0xa000 + i);
+        EXPECT_EQ(mem.read64(b + 8 * i), 0xb000 + i);
+        mem.write8(a + 200 + i, static_cast<std::uint8_t>(i));
+        EXPECT_EQ(mem.read8(b + 8 * i), (0xb000 + i) & 0xff);
+        EXPECT_EQ(mem.read8(a + 200 + i), i);
+    }
+    for (Value i = 0; i < 16; ++i) {
+        EXPECT_EQ(mem.read64(a + 8 * i), 0xa000 + i);
+        EXPECT_EQ(mem.read64(b + 8 * i), 0xb000 + i);
+    }
+    EXPECT_EQ(mem.residentPages(), 2u);
+}
+
+TEST(Memory, UntouchedPageReadsZeroWithoutAllocatingOrMovingTheMemo)
+{
+    Memory mem;
+    mem.write64(0x5000, 0x1122334455667788ull); // the memo: page 5
+    EXPECT_EQ(mem.read64(0x9000), 0u);
+    EXPECT_EQ(mem.read8(0x9abc), 0u);
+    EXPECT_EQ(mem.read64(0x9ff9), 0u) << "cross-page, both untouched";
+    EXPECT_EQ(mem.residentPages(), 1u);
+    EXPECT_EQ(mem.read64(0x5000), 0x1122334455667788ull);
+    EXPECT_EQ(mem.read64(0x9000), 0u);
+    EXPECT_EQ(mem.residentPages(), 1u);
+}
+
+TEST(Memory, WordsAtEveryOffsetNearThePageEnd)
+{
+    // Offsets 4088 (the last word inside the page) to 4095 (seven of
+    // its bytes on the next page), with the memo on either page.
+    for (Addr offset = 4088; offset <= 4095; ++offset) {
+        SCOPED_TRACE("offset " + std::to_string(offset));
+        const Addr addr = 0x40000 + offset;
+        const Value word = 0x0102030405060708ull * (offset - 4087);
+        Memory mem;
+        mem.write64(addr, word);
+        EXPECT_EQ(mem.read64(addr), word);
+        for (unsigned i = 0; i < 8; ++i) {
+            EXPECT_EQ(mem.read8(addr + i),
+                      static_cast<std::uint8_t>(word >> (8 * i)));
+        }
+        EXPECT_EQ(mem.residentPages(), offset == 4088 ? 1u : 2u);
+        mem.read8(0x41000); // memo on the next page (or untouched)
+        EXPECT_EQ(mem.read64(addr), word);
+        EXPECT_EQ(mem.read64(addr - 8), 0u);
+        EXPECT_EQ(mem.read64(addr + 8), 0u);
+    }
+}
+
+TEST(Memory, MovedMemoryDropsTheMemoOfItsOldPages)
+{
+    Memory source;
+    source.write64(0x3000, 0xfeedfacecafebeefull); // memo: page 3
+    EXPECT_EQ(source.read64(0x3000), 0xfeedfacecafebeefull);
+
+    Memory moved(std::move(source));
+    EXPECT_EQ(moved.read64(0x3000), 0xfeedfacecafebeefull);
+    EXPECT_EQ(moved.residentPages(), 1u);
+
+    // The moved-from Memory is empty and must not reach through its
+    // old memo into the pages it gave away.
+    EXPECT_EQ(source.residentPages(), 0u); // NOLINT(bugprone-use-after-move)
+    EXPECT_EQ(source.read64(0x3000), 0u);
+    source.write64(0x3000, 1);
+    EXPECT_EQ(source.read64(0x3000), 1u);
+    EXPECT_EQ(moved.read64(0x3000), 0xfeedfacecafebeefull);
+
+    Memory assigned;
+    assigned.write64(0x7000, 7); // a memo of its own, then replaced
+    assigned = std::move(moved);
+    EXPECT_EQ(assigned.read64(0x3000), 0xfeedfacecafebeefull);
+    EXPECT_EQ(assigned.read64(0x7000), 0u);
+    EXPECT_EQ(moved.read64(0x3000), 0u); // NOLINT(bugprone-use-after-move)
+    moved.write64(0x3000, 2);
+    EXPECT_EQ(assigned.read64(0x3000), 0xfeedfacecafebeefull);
+}
+
 TEST(Interpreter, AluArithmetic)
 {
     ProgramBuilder b("t");
