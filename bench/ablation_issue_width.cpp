@@ -39,7 +39,6 @@ main(int argc, char **argv)
         [&](std::size_t row, std::size_t col) {
             PipelineConfig config;
             config.issueWidth = widths[row / takens.size()];
-            config.commitWidth = widths[row / takens.size()];
             config.maxTakenBranches = takens[row % takens.size()];
             return pipelineVpSpeedup(bench.trace(col), config) - 1.0;
         });

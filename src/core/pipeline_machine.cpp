@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <sstream>
-#include <limits>
 #include <memory>
 #include <span>
 
@@ -113,20 +112,18 @@ runPipelineLoop(TraceSpan records, const PipelineConfig &config,
     const unsigned issueWidth = config.issueWidth;
     const unsigned frontendLatency = config.frontendLatency;
     const unsigned vpPenalty = config.vpPenalty;
-    const bool freeAtExecute =
-        config.windowFreePolicy == WindowFreePolicy::AtExecute;
     const bool scopeAll = config.vpScope == VpScope::AllInstructions;
     const bool dispatchTiming =
         config.vpUpdateTiming == VpUpdateTiming::Dispatch;
 
     std::vector<WriterInfo> lastWriter(numArchRegs);
 
-    // Retired entries must outlive any dispatched consumer's wakeup, so
-    // the ring also buffers executed entries until they reach the head;
-    // this bounds its growth when the head stalls on a long chain.
-    const std::size_t robCapacity = freeAtExecute
-        ? static_cast<std::size_t>(windowSize) * 8
-        : windowSize;
+    // Window slots free at execute, but executed entries must outlive
+    // any dispatched consumer's wakeup, so the ring also buffers them
+    // until they reach the head; this bounds its growth when the head
+    // stalls on a long chain.
+    const std::size_t robCapacity =
+        static_cast<std::size_t>(windowSize) * 8;
     const std::size_t robRingSize = std::bit_ceil(robCapacity);
     const std::uint64_t robMask = robRingSize - 1;
     std::vector<RobEntry> rob(robRingSize);
@@ -185,28 +182,20 @@ runPipelineLoop(TraceSpan records, const PipelineConfig &config,
                                       ", recount finds " +
                                       std::to_string(not_executed);
                            });
-            const unsigned occupancy = freeAtExecute
-                ? not_executed
-                : static_cast<unsigned>(robTail - robHead);
             checkInvariant(InvariantLevel::Full,
-                           occupancy <= windowSize,
+                           not_executed <= windowSize,
                            "pipeline.window_occupancy", [&] {
                                return "cycle " + std::to_string(now) +
-                                      ": " + std::to_string(occupancy) +
+                                      ": " + std::to_string(not_executed) +
                                       " in flight exceeds window " +
                                       std::to_string(windowSize);
                            });
         }
 
-        // --- Commit: in order, executed in a previous cycle. With the
-        // scheduling-window policy the retire width is unconstrained
-        // (slots were recycled at execute); with the ROB policy it is
-        // the commit width. ---
-        unsigned commits_left = freeAtExecute
-            ? std::numeric_limits<unsigned>::max()
-            : config.commitWidth;
-        unsigned committed_this_cycle = 0;
-        while (robTail != robHead && commits_left > 0) {
+        // --- Commit: in order, executed in a previous cycle. The retire
+        // width is unconstrained: window slots were recycled at
+        // execute. ---
+        while (robTail != robHead) {
             const RobEntry &head = rob[robHead & robMask];
             if (!head.executed || head.execCycle >= now)
                 break;
@@ -228,22 +217,8 @@ runPipelineLoop(TraceSpan records, const PipelineConfig &config,
                     "a wrong-path entry survived to commit");
             lastCommit = now;
             ++committed;
-            ++committed_this_cycle;
-            --commits_left;
             ++robHead;
             progress = true;
-        }
-        if (!freeAtExecute) {
-            checkInvariant(InvariantLevel::Full,
-                           committed_this_cycle <= config.commitWidth,
-                           "pipeline.retire_le_commit_width", [&] {
-                               return "cycle " + std::to_string(now) +
-                                      ": retired " +
-                                      std::to_string(
-                                          committed_this_cycle) +
-                                      " > commit width " +
-                                      std::to_string(config.commitWidth);
-                           });
         }
 
         // --- Execute: dataflow issue, oldest first. Operand wakeup runs
@@ -340,9 +315,7 @@ runPipelineLoop(TraceSpan records, const PipelineConfig &config,
         unexec.resize(survivors);
 
         // --- Fetch/dispatch. ---
-        const unsigned window_load = freeAtExecute
-            ? static_cast<unsigned>(unexec.size())
-            : static_cast<unsigned>(robTail - robHead);
+        const unsigned window_load = static_cast<unsigned>(unexec.size());
         if (!engine.done() && window_load < windowSize &&
             robTail - robHead < robCapacity) {
             const std::size_t room = std::min<std::size_t>(
@@ -563,17 +536,13 @@ runPipelineMachine(TraceSpan records, const PipelineConfig &config)
 
     // Front end.
     std::unique_ptr<TraceFetchBase> engine;
-    std::unique_ptr<InstructionCache> icache;
     TraceCacheFetch *tc = nullptr;
     BranchAddressCacheFetch *bac = nullptr;
     CollapsingBufferFetch *cb = nullptr;
     SequentialFetch *seq_fetch = nullptr;
     if (config.frontEnd == FrontEndKind::Sequential) {
-        if (config.useInstructionCache)
-            icache = std::make_unique<InstructionCache>(
-                config.icacheConfig);
         auto seq_engine = std::make_unique<SequentialFetch>(
-            records, *bpred, config.maxTakenBranches, icache.get(),
+            records, *bpred, config.maxTakenBranches,
             config.modelWrongPath ? config.program : nullptr);
         seq_fetch = seq_engine.get();
         engine = std::move(seq_engine);
@@ -641,8 +610,6 @@ runPipelineMachine(TraceSpan records, const PipelineConfig &config)
     }
     if (cb)
         result.cbCollapsedBranches = cb->collapsedBranches();
-    if (icache)
-        result.icacheHitRate = icache->hitRate();
     if (seq_fetch)
         result.wrongPathFetched = seq_fetch->wrongPathFetched();
     if (vpTable) {

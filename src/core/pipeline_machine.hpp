@@ -9,10 +9,11 @@
  *
  * The model is a cycle-by-cycle structural simulation: fetch (through a
  * pluggable front end: multi-branch sequential fetch or a trace cache),
- * dispatch into a reorder buffer, dataflow issue/execute with unit
- * latency, and in-order commit. Branch mispredictions stall fetch until
- * the cycle after the branch executes, which with the 2-cycle front end
- * realizes the paper's 3-cycle penalty.
+ * dispatch into a scheduling window whose slots free at execute,
+ * dataflow issue/execute with unit latency, and in-order commit. Branch
+ * mispredictions stall fetch until the cycle after the branch executes,
+ * which with the 2-cycle front end realizes the paper's 3-cycle
+ * penalty.
  */
 
 #ifndef VPSIM_CORE_PIPELINE_MACHINE_HPP
@@ -27,7 +28,6 @@
 #include "common/types.hpp"
 #include "fetch/branch_address_cache.hpp"
 #include "fetch/collapsing_buffer.hpp"
-#include "fetch/icache.hpp"
 #include "fetch/trace_cache.hpp"
 #include "vm/program.hpp"
 #include "predictor/factory.hpp"
@@ -48,23 +48,6 @@ enum class FrontEndKind
     BranchAddressCache,
     /** Two-line fetch with intra-line branch collapsing ([1], §2.2). */
     CollapsingBuffer,
-};
-
-/** When an instruction's window slot becomes reusable. */
-enum class WindowFreePolicy
-{
-    /**
-     * At execute — the window is a scheduling window, matching the
-     * paper's Section 3 ideal model which Section 5 builds on ("a
-     * finite instruction window of 40 instructions").
-     */
-    AtExecute,
-    /**
-     * At in-order commit — the window is a reorder buffer. Little's law
-     * then caps IPC near windowSize / pipeline depth regardless of
-     * value prediction; kept as an ablation knob.
-     */
-    AtCommit,
 };
 
 /** When the value predictor's tables are trained. */
@@ -88,14 +71,14 @@ enum class VpUpdateTiming
 /** Configuration of one pipeline-machine run. */
 struct PipelineConfig
 {
-    /** Instruction window entries (paper: 40). */
+    /**
+     * Instruction window entries (paper: 40). A slot frees when its
+     * instruction executes: the window is a scheduling window, not a
+     * reorder buffer (DESIGN.md, modeling decision 2).
+     */
     unsigned windowSize = 40;
-    /** Window slot reuse policy (paper: scheduling window). */
-    WindowFreePolicy windowFreePolicy = WindowFreePolicy::AtExecute;
     /** Decode/issue width (paper: 40). */
     unsigned issueWidth = 40;
-    /** Commit width. */
-    unsigned commitWidth = 40;
     /** Cycles from fetch to earliest execute (fetch + decode/issue). */
     unsigned frontendLatency = 2;
     /** Extra cycles a dependent loses on a value misprediction. */
@@ -125,9 +108,6 @@ struct PipelineConfig
     TraceCacheConfig traceCacheConfig{};
     BacConfig bacConfig{};
     CollapsingBufferConfig collapsingBufferConfig{};
-    /** Model instruction-cache misses on the Sequential front end. */
-    bool useInstructionCache = false;
-    ICacheConfig icacheConfig{};
     /**
      * Fetch down the mispredicted path while a branch resolves
      * (Sequential front end only; requires @c program). Wrong-path
@@ -170,9 +150,6 @@ struct PipelineResult
     /** Collapsing-buffer statistics (CollapsingBuffer front end). */
     std::uint64_t cbCollapsedBranches = 0;
 
-    /** Instruction cache statistics (when enabled). */
-    double icacheHitRate = 1.0;
-
     /** Wrong-path instructions fetched then squashed (when modelled). */
     std::uint64_t wrongPathFetched = 0;
 
@@ -189,11 +166,11 @@ struct PipelineResult
 /**
  * Run the Section 5 machine over @p records.
  *
- * Takes a span: the cycle-driven model's front ends need random access
- * into the dynamic trace (trace-cache line construction, wrong-path
- * navigation), so block-at-a-time delivery does not fit it. Callers
- * pass the whole trace they already hold; a std::vector<TraceRecord>
- * converts implicitly.
+ * Takes a span of the whole trace; a std::vector<TraceRecord> converts
+ * implicitly. Nothing here needs random access: every front end reads
+ * the trace through one forward-only cursor, and wrong-path fetch walks
+ * the static Program image (@c PipelineConfig::program), not the trace.
+ * Block-at-a-time delivery would fit.
  */
 PipelineResult runPipelineMachine(TraceSpan records,
                                   const PipelineConfig &config);

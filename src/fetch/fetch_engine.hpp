@@ -1,6 +1,6 @@
 /**
  * @file
- * Front-end fetch engine interface shared by the Section 5 experiments.
+ * Front-end fetch engine base class shared by the Section 5 experiments.
  *
  * A fetch engine walks the dynamic trace (the correct path) and decides,
  * cycle by cycle, which prefix of the remaining trace the machine gets to
@@ -42,11 +42,24 @@ struct FetchedInst
     bool wrongPath = false;
 };
 
-/** Abstract per-cycle fetch engine. */
-class FetchEngine
+/**
+ * Per-cycle fetch engine: a trace cursor, a branch predictor, and the
+ * mispredict stall state machine shared by every front end. Each front
+ * end supplies its bandwidth rules in fetch().
+ */
+class TraceFetchBase
 {
   public:
-    virtual ~FetchEngine() = default;
+    /**
+     * @param trace_records Borrowed view of the dynamic trace; the
+     *        viewed storage must outlive the engine. A
+     *        std::vector<TraceRecord> converts implicitly.
+     */
+    TraceFetchBase(TraceSpan trace_records,
+                   BranchPredictor &branch_predictor);
+    virtual ~TraceFetchBase() = default;
+    TraceFetchBase(const TraceFetchBase &) = delete;
+    TraceFetchBase &operator=(const TraceFetchBase &) = delete;
 
     /**
      * Fetch the bundle for cycle @p now.
@@ -59,36 +72,17 @@ class FetchEngine
     virtual void fetch(Cycle now, unsigned max_insts,
                        std::vector<FetchedInst> &out) = 0;
 
+    /** Engine name for reports. */
+    virtual std::string name() const = 0;
+
     /** All trace records have been fetched. */
-    virtual bool done() const = 0;
+    bool done() const { return cursor >= trace.size(); }
 
     /**
      * The machine resolved the mispredicted branch @p seq in cycle
      * @p resolve_cycle; fetch may resume the following cycle.
      */
-    virtual void branchResolved(SeqNum seq, Cycle resolve_cycle) = 0;
-
-    /** Engine name for reports. */
-    virtual std::string name() const = 0;
-};
-
-/**
- * Common machinery: a trace cursor, a branch predictor, and the
- * mispredict stall state machine.
- */
-class TraceFetchBase : public FetchEngine
-{
-  public:
-    /**
-     * @param trace_records Borrowed view of the dynamic trace; the
-     *        viewed storage must outlive the engine. A
-     *        std::vector<TraceRecord> converts implicitly.
-     */
-    TraceFetchBase(TraceSpan trace_records,
-                   BranchPredictor &branch_predictor);
-
-    bool done() const override { return cursor >= trace.size(); }
-    void branchResolved(SeqNum seq, Cycle resolve_cycle) override;
+    virtual void branchResolved(SeqNum seq, Cycle resolve_cycle);
 
     /** Dynamic instructions fetched so far. */
     std::uint64_t fetchedInsts() const { return numFetched; }

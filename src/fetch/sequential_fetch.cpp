@@ -8,11 +8,9 @@ namespace vpsim
 SequentialFetch::SequentialFetch(
     TraceSpan trace_records,
     BranchPredictor &branch_predictor, unsigned max_taken_branches,
-    InstructionCache *instruction_cache,
     const Program *wrong_path_program)
     : TraceFetchBase(trace_records, branch_predictor),
       maxTaken(max_taken_branches),
-      icache(instruction_cache),
       wpProgram(wrong_path_program)
 {
 }
@@ -106,12 +104,6 @@ SequentialFetch::fetch(Cycle now, unsigned max_insts,
     unsigned fetched = 0;
     while (fetched < max_insts && !done()) {
         const TraceRecord &record = trace[cursor];
-        // Instruction cache: a missing line ends the bundle and stalls
-        // fetch while the line fills (it is resident afterwards).
-        if (icache && !icache->access(record.pc)) {
-            resumeCycle = now + icache->missPenalty();
-            break;
-        }
         const bool mispredicted = consumeRecord(out);
         ++fetched;
         if (mispredicted) {

@@ -10,7 +10,6 @@
 #define VPSIM_FETCH_SEQUENTIAL_FETCH_HPP
 
 #include "fetch/fetch_engine.hpp"
-#include "fetch/icache.hpp"
 #include "vm/program.hpp"
 
 namespace vpsim
@@ -25,8 +24,6 @@ class SequentialFetch : public TraceFetchBase
      * @param branch_predictor Consulted for every control instruction.
      * @param max_taken_branches Taken transfers allowed per cycle;
      *        0 means unlimited.
-     * @param instruction_cache Optional icache; a miss ends the bundle
-     *        and stalls fetch for the miss penalty (not owned).
      * @param wrong_path_program When non-null, fetch continues down the
      *        mispredicted path (navigated through this static program
      *        image and the branch predictor) while the machine resolves
@@ -36,7 +33,6 @@ class SequentialFetch : public TraceFetchBase
     SequentialFetch(TraceSpan trace_records,
                     BranchPredictor &branch_predictor,
                     unsigned max_taken_branches,
-                    InstructionCache *instruction_cache = nullptr,
                     const Program *wrong_path_program = nullptr);
 
     void fetch(Cycle now, unsigned max_insts,
@@ -54,7 +50,6 @@ class SequentialFetch : public TraceFetchBase
                         std::vector<FetchedInst> &out);
 
     unsigned maxTaken;
-    InstructionCache *icache;
     const Program *wpProgram;
 
     bool wpActive = false;

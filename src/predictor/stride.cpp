@@ -10,13 +10,10 @@ StridePredictor::lookup(Addr pc)
     ++entry.inFlight;
     if (entry.timesSeen == 0)
         return {};
-    const Value predicted = entry.specValue + entry.stride;
-    if (speculativeUpdate) {
-        // Advance the table so a second in-flight copy of the same
-        // instruction receives the next value in the sequence (§3.1, §4).
-        entry.specValue = predicted;
-    }
-    return {true, predicted};
+    // Advance the table so a second in-flight copy of the same
+    // instruction receives the next value in the sequence (§3.1, §4).
+    entry.specValue += entry.stride;
+    return {true, entry.specValue};
 }
 
 void

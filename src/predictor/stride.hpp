@@ -4,8 +4,8 @@
  * last value + stride, where the stride is the delta between the two most
  * recent outcomes.
  *
- * Following the paper (§3.1), the predictor is by default updated
- * *speculatively* right after the lookup (the table's last-value advances
+ * Following the paper (§3.1), the predictor is updated *speculatively*
+ * right after the lookup (the table's last-value advances
  * by the stride, so back-to-back copies of the same instruction each get
  * the next value in the sequence), and the correct value is repaired in at
  * train() time if the speculation was wrong.
@@ -24,15 +24,9 @@ namespace vpsim
 class StridePredictor : public ValuePredictor
 {
   public:
-    /**
-     * @param table_capacity 0 = infinite, else power-of-two entries.
-     * @param speculative_update Advance table state at lookup (paper
-     *        default); when false, state changes only at train().
-     */
-    explicit StridePredictor(std::size_t table_capacity = 0,
-                             bool speculative_update = true)
-        : table(table_capacity),
-          speculativeUpdate(speculative_update)
+    /** @param table_capacity 0 = infinite, else power-of-two entries. */
+    explicit StridePredictor(std::size_t table_capacity = 0)
+        : table(table_capacity)
     {}
 
     RawPrediction lookup(Addr pc) override;
@@ -63,7 +57,6 @@ class StridePredictor : public ValuePredictor
         RawPrediction raw;
         raw.hasPrediction = has_history;
         raw.value = has_history ? predicted : Value{0};
-        const bool spec_advance = speculativeUpdate && has_history;
         const bool spec_was_correct = has_history && predicted == actual;
 
         const Value observed = actual - entry.lastValue;
@@ -73,12 +66,9 @@ class StridePredictor : public ValuePredictor
         const Value repaired = stable
             ? actual + entry.stride * static_cast<Value>(entry.inFlight)
             : actual;
-        // Wrong speculation → repair; correct speculation keeps lookup's
-        // advance (specValue = predicted); no history → specValue would
-        // only be touched by train's plain repair.
-        entry.specValue = spec_was_correct
-            ? (spec_advance ? predicted : entry.specValue)
-            : repaired;
+        // Wrong speculation (or no history) → repair; correct
+        // speculation keeps lookup's advance (specValue = predicted).
+        entry.specValue = spec_was_correct ? predicted : repaired;
         entry.timesSeen = entry.timesSeen < 2
             ? static_cast<std::uint8_t>(entry.timesSeen + 1)
             : entry.timesSeen;
@@ -115,7 +105,6 @@ class StridePredictor : public ValuePredictor
     };
 
     PredictionTable<Entry> table;
-    bool speculativeUpdate;
 };
 
 } // namespace vpsim

@@ -10,10 +10,8 @@ TwoDeltaStridePredictor::lookup(Addr pc)
     ++entry.inFlight;
     if (entry.timesSeen == 0)
         return {};
-    const Value predicted = entry.specValue + entry.stride1;
-    if (speculativeUpdate)
-        entry.specValue = predicted;
-    return {true, predicted};
+    entry.specValue += entry.stride1;
+    return {true, entry.specValue};
 }
 
 void

@@ -22,10 +22,8 @@ namespace vpsim
 class TwoDeltaStridePredictor : public ValuePredictor
 {
   public:
-    explicit TwoDeltaStridePredictor(std::size_t table_capacity = 0,
-                                     bool speculative_update = true)
-        : table(table_capacity),
-          speculativeUpdate(speculative_update)
+    explicit TwoDeltaStridePredictor(std::size_t table_capacity = 0)
+        : table(table_capacity)
     {}
 
     RawPrediction lookup(Addr pc) override;
@@ -47,7 +45,6 @@ class TwoDeltaStridePredictor : public ValuePredictor
         RawPrediction raw;
         raw.hasPrediction = has_history;
         raw.value = has_history ? predicted : Value{0};
-        const bool spec_advance = speculativeUpdate && has_history;
         const bool spec_was_correct = has_history && predicted == actual;
 
         const Value observed = actual - entry.lastValue;
@@ -59,9 +56,7 @@ class TwoDeltaStridePredictor : public ValuePredictor
         const Value repaired = stable
             ? actual + entry.stride1 * static_cast<Value>(entry.inFlight)
             : actual;
-        entry.specValue = spec_was_correct
-            ? (spec_advance ? predicted : entry.specValue)
-            : repaired;
+        entry.specValue = spec_was_correct ? predicted : repaired;
         entry.timesSeen = entry.timesSeen < 2
             ? static_cast<std::uint8_t>(entry.timesSeen + 1)
             : entry.timesSeen;
@@ -92,7 +87,6 @@ class TwoDeltaStridePredictor : public ValuePredictor
     };
 
     PredictionTable<Entry> table;
-    bool speculativeUpdate;
 };
 
 } // namespace vpsim

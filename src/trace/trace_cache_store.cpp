@@ -237,37 +237,12 @@ Status
 TraceCacheStore::store(const TraceCacheKey &key,
                        const std::vector<TraceRecord> &records) const
 {
-    const std::string path = pathFor(key);
-    // Unique temporary per process: concurrent bench processes sharing
-    // the cache dir race benignly (last rename wins, both files valid).
-    const std::string temp =
-        path + ".tmp." + std::to_string(::getpid());
-
-    // The v3 writer fsyncs in finish(), so the rename below publishes
-    // a fully durable entry even if the machine dies right after — and
-    // an ENOSPC mid-write fails here, on the temporary, never the
-    // published name.
-    Status result = Status::ok();
-    for (int attempt = 1; attempt <= maxIoAttempts; ++attempt) {
-        result = writeTraceV3(temp, records);
-        if (result.isOk()) {
-            result = io::renameFile(temp, path);
-            if (result.isOk())
-                return result;
-            result = Status::error(result.code(),
-                                   "cannot publish trace cache entry: " +
-                                       result.message());
-        }
-        // Best-effort cleanup of our own temporary; the reaper catches
-        // anything a failed remove leaves behind.
-        (void)io::removeFile(temp);
-        if (result.code() != StatusCode::kIo)
-            break;
-        if (attempt < maxIoAttempts)
-            backoff(attempt);
-    }
-    noteError(result);
-    return result;
+    return storeStreaming(
+        key,
+        [&records](const std::function<Status(
+                       const std::vector<TraceRecord> &)> &append) {
+            return append(records);
+        });
 }
 
 Status
@@ -278,9 +253,15 @@ TraceCacheStore::storeStreaming(
             &)> &produce) const
 {
     const std::string path = pathFor(key);
+    // Unique temporary per process: concurrent bench processes sharing
+    // the cache dir race benignly (last rename wins, both files valid).
     const std::string temp =
         path + ".tmp." + std::to_string(::getpid());
 
+    // The v3 writer fsyncs in finish(), so the rename below publishes
+    // a fully durable entry even if the machine dies right after — and
+    // an ENOSPC mid-write fails here, on the temporary, never the
+    // published name.
     Status result = Status::ok();
     for (int attempt = 1; attempt <= maxIoAttempts; ++attempt) {
         TraceV3Writer writer;
@@ -306,6 +287,8 @@ TraceCacheStore::storeStreaming(
                                    "cannot publish trace cache entry: " +
                                        result.message());
         }
+        // Best-effort cleanup of our own temporary; the reaper catches
+        // anything a failed remove leaves behind.
         (void)io::removeFile(temp);
         if (result.code() != StatusCode::kIo)
             break;

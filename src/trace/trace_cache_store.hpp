@@ -135,8 +135,9 @@ class TraceCacheStore
                                Status *error) const;
 
     /**
-     * Store @p records under @p key (atomic rename into place).
-     * Transient failures are retried with backoff before giving up.
+     * Store @p records under @p key: storeStreaming() with one chunk,
+     * so the entry is published by atomic rename and transient
+     * failures are retried with backoff before giving up.
      */
     [[nodiscard]] Status store(
         const TraceCacheKey &key,

@@ -300,7 +300,7 @@ class TraceV3Reader
  * Write @p records to @p path as one complete v3 file.
  *
  * Convenience wrapper over TraceV3Writer for whole-in-memory traces
- * (tests, the trace cache's capture path for cache-sized workloads).
+ * (tests, tools, the perf harness).
  */
 [[nodiscard]] Status writeTraceV3(const std::string &path,
                                   const std::vector<TraceRecord> &records,

@@ -68,8 +68,10 @@ class Interpreter
 };
 
 /**
- * Convenience: run @p target_program on @p initial_memory and return the
- * trace (fatal()s if the program neither halts nor reaches @p max_insts).
+ * Convenience: run @p target_program on @p initial_memory until it halts
+ * or retires @p max_insts instructions (0 means unlimited) and return
+ * the trace. A program that halts early yields a shorter trace; that is
+ * not an error.
  */
 std::vector<TraceRecord> captureTrace(const Program &target_program,
                                       Memory initial_memory,

@@ -1,9 +1,8 @@
 /**
  * @file
  * Tests for the library extensions beyond the paper's evaluated
- * configuration: the FCM predictor ([22]), profile-guided hints ([9]),
- * the branch address cache front end ([28]), and the instruction cache
- * model.
+ * configuration: the FCM predictor ([22]), profile-guided hints ([9])
+ * and the branch address cache front end ([28]).
  */
 
 #include <gtest/gtest.h>
@@ -11,7 +10,6 @@
 #include "bpred/branch_predictor.hpp"
 #include "core/pipeline_machine.hpp"
 #include "fetch/branch_address_cache.hpp"
-#include "fetch/icache.hpp"
 #include "fetch/sequential_fetch.hpp"
 #include "predictor/factory.hpp"
 #include "predictor/fcm.hpp"
@@ -207,79 +205,6 @@ TEST(HintedHybrid, SuppressionSavesTableBandwidth)
 }
 
 // ---------------------------------------------------------------------
-// Instruction cache
-// ---------------------------------------------------------------------
-
-TEST(ICache, ColdMissThenHit)
-{
-    InstructionCache icache;
-    EXPECT_FALSE(icache.access(0x1000));
-    EXPECT_TRUE(icache.access(0x1000));
-    EXPECT_TRUE(icache.access(0x1004)) << "same 32-byte line";
-    EXPECT_FALSE(icache.access(0x1020)) << "next line";
-    EXPECT_EQ(icache.misses(), 2u);
-    EXPECT_EQ(icache.accesses(), 4u);
-}
-
-TEST(ICache, LruReplacementWithinSet)
-{
-    ICacheConfig config;
-    config.capacityBytes = 128; // 2 sets x 2 ways x 32B
-    config.lineBytes = 32;
-    config.ways = 2;
-    InstructionCache icache(config);
-    // Three lines mapping to set 0 (line addresses even).
-    icache.access(0x000);
-    icache.access(0x080);
-    icache.access(0x100); // evicts 0x000
-    EXPECT_FALSE(icache.access(0x000));
-    EXPECT_TRUE(icache.access(0x100));
-}
-
-TEST(ICache, TinyCacheThrashesBigLoop)
-{
-    // A loop bigger than the cache must keep missing.
-    ICacheConfig config;
-    config.capacityBytes = 64;
-    config.lineBytes = 32;
-    config.ways = 1;
-    InstructionCache icache(config);
-    for (int pass = 0; pass < 4; ++pass)
-        for (Addr pc = 0; pc < 256; pc += 4)
-            icache.access(pc);
-    EXPECT_LT(icache.hitRate(), 0.95);
-}
-
-TEST(ICache, SequentialFetchStallsOnMisses)
-{
-    // Drive a big-footprint trace through a 64-byte icache: fetch must
-    // take many more cycles than with no icache at all.
-    const auto trace = captureWorkloadTrace("gcc", 5000);
-    PerfectBranchPredictor oracle;
-
-    ICacheConfig tiny;
-    tiny.capacityBytes = 64;
-    tiny.lineBytes = 32;
-    tiny.ways = 1;
-    tiny.missPenalty = 10;
-    InstructionCache icache(tiny);
-    SequentialFetch with_cache(trace, oracle, 0, &icache);
-    SequentialFetch without(trace, oracle, 0);
-
-    const auto drain = [](SequentialFetch &engine) {
-        std::vector<FetchedInst> out;
-        Cycle now = 0;
-        while (!engine.done())
-            engine.fetch(++now, 16, out);
-        return now;
-    };
-    const Cycle cycles_with = drain(with_cache);
-    const Cycle cycles_without = drain(without);
-    EXPECT_GT(cycles_with, cycles_without * 2);
-    EXPECT_LT(icache.hitRate(), 1.0);
-}
-
-// ---------------------------------------------------------------------
 // Branch address cache
 // ---------------------------------------------------------------------
 
@@ -408,7 +333,7 @@ TEST(WrongPath, FetchWalksThePredictedPath)
     Workload workload = buildWorkload("gcc");
     const auto trace = captureWorkloadTrace("gcc", 5000);
     TwoLevelPApPredictor bpred;
-    SequentialFetch engine(trace, bpred, 0, nullptr, &workload.program);
+    SequentialFetch engine(trace, bpred, 0, &workload.program);
 
     std::vector<FetchedInst> out;
     Cycle now = 0;
@@ -510,35 +435,6 @@ TEST(WrongPath, AbandonReleasesInFlightSlots)
     // copies, i.e. behave exactly like the sequential case.
     predictor.train(0x1000, 30, false);
     EXPECT_EQ(predictor.lookup(0x1000).value, 40u);
-}
-
-TEST(PipelineIntegration, TinyICacheSlowsTheMachine)
-{
-    const auto trace = captureWorkloadTrace("gcc", 20000);
-    PipelineConfig config;
-    config.maxTakenBranches = 4;
-    const Cycle perfect = runPipelineMachine(trace, config).cycles;
-    config.useInstructionCache = true;
-    config.icacheConfig.capacityBytes = 128;
-    config.icacheConfig.lineBytes = 32;
-    config.icacheConfig.ways = 1;
-    const PipelineResult tiny = runPipelineMachine(trace, config);
-    EXPECT_GT(tiny.cycles, perfect);
-    EXPECT_LT(tiny.icacheHitRate, 1.0);
-}
-
-TEST(PipelineIntegration, BigICacheIsTransparent)
-{
-    const auto trace = captureWorkloadTrace("perl", 20000);
-    PipelineConfig config;
-    config.maxTakenBranches = 4;
-    const Cycle no_cache = runPipelineMachine(trace, config).cycles;
-    config.useInstructionCache = true; // default 16 KiB
-    const PipelineResult cached = runPipelineMachine(trace, config);
-    EXPECT_GT(cached.icacheHitRate, 0.999)
-        << "the mini benchmarks fit a 16 KiB icache";
-    EXPECT_LT(static_cast<double>(cached.cycles),
-              static_cast<double>(no_cache) * 1.05);
 }
 
 } // namespace

@@ -44,7 +44,7 @@ loopTrace(int iterations)
 }
 
 std::vector<FetchedInst>
-fetchAll(FetchEngine &engine, unsigned width, Cycle max_cycles,
+fetchAll(TraceFetchBase &engine, unsigned width, Cycle max_cycles,
          std::vector<unsigned> *bundle_sizes = nullptr)
 {
     std::vector<FetchedInst> out;

@@ -46,7 +46,7 @@ randomProgram(std::uint64_t seed)
         return static_cast<RegIndex>(3 + rng.nextBelow(9));
     };
 
-    const unsigned num_functions = 1 + rng.nextBelow(3);
+    const unsigned num_functions = static_cast<unsigned>(1 + rng.nextBelow(3));
     std::vector<Label> functions;
     for (unsigned i = 0; i < num_functions; ++i)
         functions.push_back(b.newLabel());
@@ -56,7 +56,7 @@ randomProgram(std::uint64_t seed)
     // Leaf functions: straight-line arithmetic on a0.
     for (unsigned f = 0; f < num_functions; ++f) {
         b.bind(functions[f]);
-        const unsigned body = 1 + rng.nextBelow(6);
+        const unsigned body = static_cast<unsigned>(1 + rng.nextBelow(6));
         for (unsigned i = 0; i < body; ++i) {
             switch (rng.nextBelow(4)) {
               case 0:
@@ -80,7 +80,7 @@ randomProgram(std::uint64_t seed)
 
     b.bind(main_entry);
     b.li(2, 0x80000); // stack
-    const unsigned num_loops = 1 + rng.nextBelow(3);
+    const unsigned num_loops = static_cast<unsigned>(1 + rng.nextBelow(3));
     for (unsigned loop_i = 0; loop_i < num_loops; ++loop_i) {
         const auto counter = static_cast<RegIndex>(12 + loop_i);
         const auto iterations =
@@ -89,7 +89,7 @@ randomProgram(std::uint64_t seed)
         b.li(counter, iterations);
         b.bind(top);
         // Random loop body.
-        const unsigned body = 2 + rng.nextBelow(8);
+        const unsigned body = static_cast<unsigned>(2 + rng.nextBelow(8));
         for (unsigned i = 0; i < body; ++i) {
             const RegIndex rd = scratch();
             switch (rng.nextBelow(6)) {

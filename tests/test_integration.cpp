@@ -106,7 +106,9 @@ TEST_P(BenchmarkIntegration, TraceCacheRunsAndHits)
 
 INSTANTIATE_TEST_SUITE_P(AllBenchmarks, BenchmarkIntegration,
                          ::testing::ValuesIn(workloadNames()),
-                         [](const auto &info) { return info.param; });
+                         [](const auto &param_info) {
+                             return param_info.param;
+                         });
 
 TEST(PaperClaims, MostPredictableLongDistanceBenchmarksAreM88kAndVortex)
 {

@@ -144,16 +144,6 @@ TEST(Stride, WrongTrainRepairsWithInFlightProjection)
         << "lookup sees spec (380) + stride (90)";
 }
 
-TEST(Stride, NonSpeculativeModeHoldsState)
-{
-    StridePredictor predictor(0, false);
-    predictor.train(pcA, 10);
-    predictor.train(pcA, 20);
-    EXPECT_EQ(predictor.lookup(pcA).value, 30u);
-    EXPECT_EQ(predictor.lookup(pcA).value, 30u)
-        << "without speculative update both copies see the same value";
-}
-
 TEST(TwoDelta, IgnoresOneOffDiscontinuity)
 {
     TwoDeltaStridePredictor predictor;

@@ -204,11 +204,11 @@ INSTANTIATE_TEST_SUITE_P(Capacities, TableParity,
                          ::testing::Values(std::size_t{0},
                                            std::size_t{16},
                                            std::size_t{1024}),
-                         [](const auto &info) {
-                             return info.param == 0
+                         [](const auto &param_info) {
+                             return param_info.param == 0
                                  ? std::string("infinite")
                                  : "finite" +
-                                       std::to_string(info.param);
+                                       std::to_string(param_info.param);
                          });
 
 struct PredictorParityCase
@@ -280,13 +280,12 @@ INSTANTIATE_TEST_SUITE_P(
         PredictorParityCase{PredictorKind::TwoDeltaStride, "2-delta"},
         PredictorParityCase{PredictorKind::Hybrid, "hybrid"},
         PredictorParityCase{PredictorKind::Fcm, "fcm"}),
-    [](const auto &info) { return std::string(info.param.name) ==
-                                  "2-delta"
-                               ? std::string("two_delta")
-                               : std::string(info.param.name) ==
-                                     "last-value"
-                                   ? std::string("last_value")
-                                   : std::string(info.param.name); });
+    [](const auto &param_info) {
+        const std::string name(param_info.param.name);
+        return name == "2-delta"      ? std::string("two_delta")
+               : name == "last-value" ? std::string("last_value")
+                                      : name;
+    });
 
 } // namespace
 } // namespace vpsim

@@ -91,7 +91,9 @@ TEST_P(WorkloadTest, HasSpecIntLikeMix)
 
 INSTANTIATE_TEST_SUITE_P(AllWorkloads, WorkloadTest,
                          ::testing::ValuesIn(workloadNames()),
-                         [](const auto &info) { return info.param; });
+                         [](const auto &param_info) {
+                             return param_info.param;
+                         });
 
 class WorkloadParamsTest : public ::testing::TestWithParam<std::string>
 {
@@ -145,7 +147,9 @@ TEST_P(WorkloadParamsTest, DefaultParamsMatchLegacyBuilder)
 
 INSTANTIATE_TEST_SUITE_P(AllWorkloads, WorkloadParamsTest,
                          ::testing::ValuesIn(workloadNames()),
-                         [](const auto &info) { return info.param; });
+                         [](const auto &param_info) {
+                             return param_info.param;
+                         });
 
 TEST(WorkloadRegistry, ZeroScaleDies)
 {
