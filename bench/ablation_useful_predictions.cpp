@@ -24,6 +24,7 @@ main(int argc, char **argv)
 
     Options options;
     declareStandardOptions(options, 200000);
+    declareCsvOption(options);
     options.parse(argc, argv,
                   "ablation: useful fraction of correct predictions");
     SimRunner runner(options);

@@ -25,6 +25,7 @@ main(int argc, char **argv)
 
     Options options;
     declareStandardOptions(options, 200000);
+    declareCsvOption(options);
     declarePredictorOption(options);
     options.parse(argc, argv,
                   "ablation: value-misprediction penalty sweep");

@@ -25,6 +25,7 @@ main(int argc, char **argv)
 
     Options options;
     declareStandardOptions(options, 200000);
+    declareCsvOption(options);
     declarePredictorOption(options);
     options.parse(argc, argv,
                   "ablation: Figure 3.1 vs instruction window size");
@@ -68,6 +69,8 @@ main(int argc, char **argv)
               "baseline and exposes more wrong speculations to the "
               "1-cycle penalty; only the 16 -> 256 average trend is "
               "robustly upward");
+    maybeWriteCsv(options, "ablation.window_size", bench.names, columns,
+                  gains);
     runner.reportStats();
     return 0;
 }

@@ -27,6 +27,7 @@ main(int argc, char **argv)
 
     Options options;
     declareStandardOptions(options, 400000);
+    declareCsvOption(options);
     declarePredictorOption(options);
     options.parse(argc, argv,
                   "Figure 3.1: VP speedup vs fetch rate, ideal machine");

@@ -11,6 +11,8 @@
  */
 
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "analysis/did.hpp"
 #include "common/table_printer.hpp"
@@ -24,6 +26,7 @@ main(int argc, char **argv)
 
     Options options;
     declareStandardOptions(options, 1000000);
+    declareCsvOption(options);
     options.parse(argc, argv, "Figure 3.3: average DID per benchmark");
     SimRunner runner(options);
     const BenchmarkTraces bench = runner.captureBenchmarks();
@@ -39,9 +42,12 @@ main(int argc, char **argv)
             out[3] = did.fracDidAtLeast4;
         });
 
+    const std::vector<std::string> columns = {"avg DID", "avg DID (<=256)",
+                                              "arcs", "DID>=4"};
+    std::vector<std::string> header = {"benchmark"};
+    header.insert(header.end(), columns.begin(), columns.end());
     TablePrinter table(
-        "Figure 3.3 - average dynamic instruction distance (DID)",
-        {"benchmark", "avg DID", "avg DID (<=256)", "arcs", "DID>=4"});
+        "Figure 3.3 - average dynamic instruction distance (DID)", header);
     std::vector<double> averages;
     for (std::size_t i = 0; i < bench.size(); ++i) {
         const std::vector<double> &did = dids[i];
@@ -58,6 +64,7 @@ main(int argc, char **argv)
     std::fputs(table.render().c_str(), stdout);
     std::puts("\npaper reference: all benchmarks have average DID > 4 "
               "(the fetch width of 1998-era processors)");
+    maybeWriteCsv(options, "fig3.3", bench.names, columns, dids);
     runner.reportStats();
     return 0;
 }

@@ -23,6 +23,7 @@ main(int argc, char **argv)
 
     Options options;
     declareStandardOptions(options, 1000000);
+    declareCsvOption(options);
     options.parse(argc, argv, "Figure 3.4: DID distribution histograms");
     SimRunner runner(options);
     const BenchmarkTraces bench = runner.captureBenchmarks();

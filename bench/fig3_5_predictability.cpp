@@ -25,6 +25,7 @@ main(int argc, char **argv)
 
     Options options;
     declareStandardOptions(options, 1000000);
+    declareCsvOption(options);
     options.parse(argc, argv,
                   "Figure 3.5: predictability x DID distribution");
     SimRunner runner(options);

@@ -24,6 +24,7 @@ main(int argc, char **argv)
 
     Options options;
     declareStandardOptions(options, 200000);
+    declareCsvOption(options);
     options.parse(argc, argv,
                   "Figure 5.1: VP speedup vs taken branches/cycle, "
                   "perfect branch prediction");

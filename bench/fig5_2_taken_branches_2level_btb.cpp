@@ -25,6 +25,7 @@ main(int argc, char **argv)
 
     Options options;
     declareStandardOptions(options, 200000);
+    declareCsvOption(options);
     options.parse(argc, argv,
                   "Figure 5.2: VP speedup vs taken branches/cycle, "
                   "2-level PAp BTB");

@@ -25,6 +25,7 @@ main(int argc, char **argv)
 
     Options options;
     declareStandardOptions(options, 200000);
+    declareCsvOption(options);
     options.parse(argc, argv,
                   "Figure 5.3: VP speedup with a trace cache");
     SimRunner runner(options);

@@ -10,6 +10,8 @@
  */
 
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "common/table_printer.hpp"
 #include "sim/sim_runner.hpp"
@@ -23,6 +25,7 @@ main(int argc, char **argv)
 
     Options options;
     declareStandardOptions(options, 200000);
+    declareCsvOption(options);
     options.parse(argc, argv,
                   "Table 3.1: the benchmark suite and its trace "
                   "characteristics");
@@ -43,10 +46,13 @@ main(int argc, char **argv)
             out[4] = stats.takenTransferRate;
         });
 
+    const std::vector<std::string> columns = {
+        "static pcs", "avg BB", "branches", "loads+stores", "taken/inst"};
+    std::vector<std::string> header = {"benchmark"};
+    header.insert(header.end(), columns.begin(), columns.end());
     TablePrinter table(
         "Table 3.1 - benchmark suite (mini stand-ins for SPECint95)",
-        {"benchmark", "static pcs", "avg BB", "branches", "loads+stores",
-         "taken/inst"});
+        header);
     for (std::size_t i = 0; i < bench.size(); ++i) {
         const std::vector<double> &row = rows[i];
         table.addRow({bench.names[i], TablePrinter::numberCell(row[0], 0),
@@ -61,6 +67,7 @@ main(int argc, char **argv)
         std::printf("  %-9s %s\n", name.c_str(),
                     workloadDescription(name).c_str());
     }
+    maybeWriteCsv(options, "table3.1", bench.names, columns, rows);
     runner.reportStats();
     return 0;
 }

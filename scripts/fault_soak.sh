@@ -12,8 +12,9 @@
 #   6. v3 cache:   populate a block-framed v3 cache, then force a block
 #                  CRC mismatch (`block:N:block-crc`); strict mode must
 #                  quarantine the entry and recapture.
-#   7. mmap fail:  `mmap:N:mmap-fail` degrades the v3 reader from mmap
-#                  to buffered reads without changing a byte of output.
+#   7. load EIO:   `read:4:eio` on the warm v3 cache fails the first
+#                  entry's block read mid-load; the cache's retry loop
+#                  absorbs it, so both entries still hit.
 #   8. capture ENOSPC: `capture:N:enospc-capture` fails one capture
 #                  append; the tmp-then-rename store retries and never
 #                  publishes a torn entry.
@@ -141,13 +142,23 @@ else
     failed=1
 fi
 
-echo "== mmap failure (v3 reader degrades to buffered reads)"
+echo "== transient read error inside a warm v3 cache load (retried)"
+# Reads 1-3 of a load are the header, the trailer and the first block
+# frame, so read 4 is the first entry's block payload.
 "$bench" "${args[@]}" --jobs 1 --trace-cache-dir "$cache_v3" \
-    --fault-inject "mmap:1:mmap-fail" \
-    > "$work/mmapfail" 2> "$work/mmapfail.err" ||
-    { echo "FAIL: mmap-fail run crashed" >&2;
-      cat "$work/mmapfail.err" >&2; exit 1; }
-check_golden "mmap failure" "$work/mmapfail"
+    --fault-inject "read:4:eio" \
+    > "$work/loadeio" 2> "$work/loadeio.err" ||
+    { echo "FAIL: load-EIO run crashed" >&2;
+      cat "$work/loadeio.err" >&2; exit 1; }
+check_golden "load EIO" "$work/loadeio"
+if grep -q "retrying trace cache load" "$work/loadeio.err" &&
+    grep -q "trace cache: 2 hits, 0 misses" "$work/loadeio.err"; then
+    echo "ok: the read error was retried and both entries hit"
+else
+    echo "FAIL: the load read error was not absorbed by a retry" >&2
+    cat "$work/loadeio.err" >&2
+    failed=1
+fi
 
 cache_cap="$work/trace-cache-capture"
 echo "== capture ENOSPC (tmp-then-rename store retries, never torn)"

@@ -20,18 +20,25 @@ ctest --test-dir build --output-on-failure | tee "$out/tests.txt"
 cache="$out/trace-cache"
 mkdir -p "$cache"
 
+failed=0
 for bench in build/bench/*; do
     [ -f "$bench" ] && [ -x "$bench" ] || continue
     name="$(basename "$bench")"
     echo "== $name"
-    if [ "$name" = "microbench_components" ]; then
-        "$bench" > "$out/$name.txt" 2>&1
-    else
-        # Some binaries (the worked-example tables) take no options.
-        "$bench" --csv "$out/figures.csv" --trace-cache-dir "$cache" \
-                "$@" > "$out/$name.txt" 2>&1 ||
-            "$bench" > "$out/$name.txt" 2>&1
-    fi
+    case "$name" in
+        microbench_components|streaming_soak|table3_2_pipeline_example)
+            # Own CLIs: no benchmark captures, so no shared bench args.
+            cmd=("$bench") ;;
+        *)
+            cmd=("$bench" --trace-cache-dir "$cache" "$@")
+            # Only the benches that write figure cells declare --csv.
+            if grep -q -- '--csv' <<<"$("$bench" --help 2>&1 || true)"; then
+                cmd+=(--csv "$out/figures.csv")
+            fi ;;
+    esac
+    "${cmd[@]}" > "$out/$name.txt" 2>&1 ||
+        { echo "FAIL: $name (see $out/$name.txt)" >&2; failed=1; }
 done
 
 echo "reproduction artifacts written to $out/"
+exit "$failed"

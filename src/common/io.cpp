@@ -1,7 +1,5 @@
 #include "common/io.hpp"
 
-#include <fcntl.h>
-#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -29,14 +27,13 @@ faultKindFromString(const std::string &text)
     if (text == "torn") return FaultKind::Torn;
     if (text == "sigint") return FaultKind::Sigint;
     if (text == "throw") return FaultKind::Throw;
-    if (text == "mmap-fail") return FaultKind::MmapFail;
     if (text == "block-crc") return FaultKind::BlockCrc;
     if (text == "enospc-capture") return FaultKind::EnospcCapture;
     if (text == "kill9") return FaultKind::Kill9;
     if (text == "hang") return FaultKind::Hang;
     fatal("unknown fault kind '" + text +
-          "' (expected eio/enospc/torn/sigint/throw/mmap-fail/"
-          "block-crc/enospc-capture/kill9/hang)");
+          "' (expected eio/enospc/torn/sigint/throw/block-crc/"
+          "enospc-capture/kill9/hang)");
 }
 
 bool
@@ -44,7 +41,7 @@ isKnownOp(const std::string &op)
 {
     return op == "open" || op == "read" || op == "write" ||
            op == "flush" || op == "rename" || op == "remove" ||
-           op == "job" || op == "mmap" || op == "block" ||
+           op == "job" || op == "block" ||
            op == "capture" || op == "worker";
 }
 
@@ -105,6 +102,18 @@ applyControlFaults(FaultKind kind, const char *op, const std::string &path)
     return kind;
 }
 
+/** Count one read of @p path; the error an injected fault makes of it. */
+Status
+injectedReadFault(const std::string &path)
+{
+    const FaultKind fault = applyControlFaults(
+        faultInjector().next("read"), "read", path);
+    if (fault == FaultKind::None)
+        return Status::ok();
+    return Status::error(StatusCode::kIo, "read error on " + path + ": " +
+                                              injectedErrnoDetail(fault));
+}
+
 } // namespace
 
 void
@@ -129,7 +138,7 @@ FaultInjector::configure(const std::string &spec)
         fatalIf(!isKnownOp(fields[0]),
                 "unknown fault-inject op '" + fields[0] +
                     "' (expected open/read/write/flush/rename/remove/"
-                    "job)");
+                    "job/block/capture/worker)");
         Clause clause;
         clause.op = fields[0];
         char *end = nullptr;
@@ -231,13 +240,8 @@ Status
 File::readExact(void *buffer, std::size_t size)
 {
     panicIf(!isOpen(), "read on closed io::File");
-    const FaultKind fault = applyControlFaults(
-        faultInjector().next("read"), "read", filePath);
-    if (fault != FaultKind::None) {
-        return Status::error(StatusCode::kIo,
-                             "read error on " + filePath + ": " +
-                                 injectedErrnoDetail(fault));
-    }
+    if (Status fault = injectedReadFault(filePath); !fault.isOk())
+        return fault;
     const std::size_t got = std::fread(buffer, 1, size, file);
     if (got == size)
         return Status::ok();
@@ -248,6 +252,46 @@ File::readExact(void *buffer, std::size_t size)
     }
     return Status::error(StatusCode::kIo, "read error on " + filePath +
                                               ": " + errnoDetail());
+}
+
+Status
+File::readExactAt(std::uint64_t offset, void *buffer, std::size_t size)
+{
+    panicIf(!isOpen(), "read on closed io::File");
+    if (Status fault = injectedReadFault(filePath); !fault.isOk())
+        return fault;
+    auto *bytes = static_cast<unsigned char *>(buffer);
+    std::size_t have = 0;
+    while (have < size) {
+        const ssize_t got =
+            ::pread(::fileno(file), bytes + have, size - have,
+                    static_cast<off_t>(offset + have));
+        if (got > 0) {
+            have += static_cast<std::size_t>(got);
+        } else if (got == 0) {
+            return Status::error(StatusCode::kCorrupt,
+                                 "unexpected end of file in " + filePath +
+                                     " (truncated?)");
+        } else if (errno != EINTR) {
+            return Status::error(StatusCode::kIo, "read error on " +
+                                                      filePath + ": " +
+                                                      errnoDetail());
+        }
+    }
+    return Status::ok();
+}
+
+Status
+File::sizeBytes(std::uint64_t *bytes)
+{
+    panicIf(!isOpen(), "size of closed io::File");
+    struct stat info = {};
+    if (::fstat(::fileno(file), &info) != 0) {
+        return Status::error(StatusCode::kIo, "cannot stat " + filePath +
+                                                  ": " + errnoDetail());
+    }
+    *bytes = static_cast<std::uint64_t>(info.st_size);
+    return Status::ok();
 }
 
 Status
@@ -312,17 +356,6 @@ File::sync()
     return Status::ok();
 }
 
-bool
-File::atEof()
-{
-    panicIf(!isOpen(), "atEof on closed io::File");
-    const int ch = std::fgetc(file);
-    if (ch == EOF)
-        return true;
-    std::ungetc(ch, file);
-    return false;
-}
-
 void
 File::close()
 {
@@ -330,80 +363,6 @@ File::close()
         return;
     std::fclose(file);
     file = nullptr;
-    filePath.clear();
-}
-
-Status
-MappedFile::map(const std::string &file_path)
-{
-    panicIf(isMapped(), "io::MappedFile remapped while mapped: " +
-                            file_path);
-    const FaultKind open_fault = applyControlFaults(
-        faultInjector().next("open"), "open", file_path);
-    if (open_fault != FaultKind::None) {
-        return Status::error(StatusCode::kIo,
-                             "cannot open " + file_path + ": " +
-                                 injectedErrnoDetail(open_fault));
-    }
-    const FaultKind mmap_fault = applyControlFaults(
-        faultInjector().next("mmap"), "mmap", file_path);
-    if (mmap_fault != FaultKind::None) {
-        return Status::error(StatusCode::kIo,
-                             "cannot map " + file_path + ": " +
-                                 injectedErrnoDetail(mmap_fault));
-    }
-    // The mapping is one bulk read of the whole file: count it on the
-    // "read" counter so read-class fault specs fire here too, instead
-    // of silently skipping the mmap path (torn reads don't exist, so a
-    // torn kind degrades to a plain read error).
-    const FaultKind read_fault = applyControlFaults(
-        faultInjector().next("read"), "read", file_path);
-    if (read_fault != FaultKind::None) {
-        return Status::error(StatusCode::kIo,
-                             "read error on " + file_path + ": " +
-                                 injectedErrnoDetail(read_fault));
-    }
-    const int fd = ::open(file_path.c_str(), O_RDONLY | O_CLOEXEC);
-    if (fd < 0) {
-        return Status::error(StatusCode::kIo,
-                             "cannot open " + file_path +
-                                 " for reading: " + errnoDetail());
-    }
-    struct stat info = {};
-    if (::fstat(fd, &info) != 0 || !S_ISREG(info.st_mode)) {
-        const std::string detail = errnoDetail();
-        ::close(fd);
-        return Status::error(StatusCode::kIo,
-                             "cannot stat " + file_path + ": " + detail);
-    }
-    if (info.st_size == 0) {
-        // mmap rejects zero-length mappings; an empty file has nothing
-        // to parse in place anyway, so let the caller fall back.
-        ::close(fd);
-        return Status::error(StatusCode::kIo,
-                             "cannot map empty file " + file_path);
-    }
-    void *mapping = ::mmap(nullptr, static_cast<std::size_t>(info.st_size),
-                           PROT_READ, MAP_PRIVATE, fd, 0);
-    ::close(fd); // The mapping keeps its own reference to the file.
-    if (mapping == MAP_FAILED) {
-        return Status::error(StatusCode::kIo, "cannot map " + file_path +
-                                                  ": " + errnoDetail());
-    }
-    base = mapping;
-    length = static_cast<std::uint64_t>(info.st_size);
-    filePath = file_path;
-    return Status::ok();
-}
-
-void
-MappedFile::unmap()
-{
-    if (!base)
-        return;
-    ::munmap(base, static_cast<std::size_t>(length));
-    base = nullptr;
-    length = 0;
     filePath.clear();
 }
 

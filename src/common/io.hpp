@@ -44,7 +44,6 @@ enum class FaultKind
     Torn,   ///< Write only a prefix of the bytes, then report success.
     Sigint, ///< raise(SIGINT) — simulates Ctrl-C at this exact point.
     Throw,  ///< Throw std::runtime_error — simulates a crashing job.
-    MmapFail,      ///< mmap() itself fails; callers must fall back.
     BlockCrc,      ///< A v3 block CRC check sees a mismatch (bit rot).
     EnospcCapture, ///< ENOSPC mid-capture on a streaming trace writer.
     Kill9,         ///< raise(SIGKILL) — an unannounced process death.
@@ -61,17 +60,18 @@ enum class FaultKind
  *   seed:<n>           seed the RNG used for torn-write cut points
  *
  * where <op> is one of open, read, write, flush, rename, remove, job,
- * mmap, block, capture, worker and <kind> is eio, enospc, torn, sigint,
- * throw, mmap-fail, block-crc, enospc-capture, kill9, hang. Example:
+ * block, capture, worker and <kind> is eio, enospc, torn, sigint,
+ * throw, block-crc, enospc-capture, kill9, hang. Example:
  *
  *   --fault-inject write:3:torn,block:2:block-crc,capture:4:enospc-capture
  *
- * The mmap op is counted once per MappedFile::map(); block once per v3
- * block-CRC validation; capture once per streaming-capture append; the
- * worker op once per worker-process launch under --fleet-workers (the
- * parent draws the kind and the forked worker applies kill9, hang or
- * enospc after its first cell, see src/sim/process_executor.cpp; the
- * worker itself disarms the injector). kill9 on any other op raises
+ * The read op is counted once per File::readExact() or readExactAt();
+ * block once per v3 block-CRC validation; capture once per
+ * streaming-capture append; the worker op once per worker-process
+ * launch under --fleet-workers (the parent draws the kind and the
+ * forked worker applies kill9, hang or enospc after its first cell, see
+ * src/sim/process_executor.cpp; the worker itself disarms the
+ * injector). kill9 on any other op raises
  * SIGKILL at that operation; hang is only meaningful for workers.
  *
  * Operation counters are global to the process and thread-safe, so the
@@ -160,6 +160,17 @@ class File
      */
     [[nodiscard]] Status readExact(void *buffer, std::size_t size);
 
+    /**
+     * Read exactly @p size bytes at byte @p offset without moving the
+     * read position (pread(2)). Fault-counted and classed like
+     * readExact().
+     */
+    [[nodiscard]] Status readExactAt(std::uint64_t offset, void *buffer,
+                                     std::size_t size);
+
+    /** Store the file's size in bytes in @p bytes (kIo on failure). */
+    [[nodiscard]] Status sizeBytes(std::uint64_t *bytes);
+
     /** Write all @p size bytes of @p buffer (kIo on failure). */
     [[nodiscard]] Status writeAll(const void *buffer, std::size_t size);
 
@@ -174,65 +185,11 @@ class File
      */
     [[nodiscard]] Status sync();
 
-    /** True when the read position is at end of file. */
-    bool atEof();
-
     /** Close the handle (idempotent; errors ignored). */
     void close();
 
   private:
     std::FILE *file = nullptr;
-    std::string filePath;
-};
-
-/**
- * Read-only memory mapping of a whole file.
- *
- * The mapping is the bulk-read counterpart of File::readExact: callers
- * that validate and decode a complete file (the trace reader) map it
- * once and parse in place instead of issuing one buffered read per
- * record. map() consults the global FaultInjector's "open" counter like
- * File::openForRead, then the "mmap" counter (for mmap-fail clauses),
- * then records exactly one "read" occurrence — the bulk read of the
- * whole file — and honors read-class kinds on it, so `read:` specs fire
- * on the mmap path too instead of silently skipping it. The whole-file
- * v3 reader uses the mapping under injection directly.
- *
- * Any map() failure (open error, injected fault, empty or unmappable
- * file) is reported as a Status and leaves the object unmapped; callers
- * are expected to fall back to File rather than treat it as fatal.
- */
-class MappedFile
-{
-  public:
-    MappedFile() = default;
-    ~MappedFile() { unmap(); }
-
-    MappedFile(const MappedFile &) = delete;
-    MappedFile &operator=(const MappedFile &) = delete;
-
-    /** Map @p file_path read-only in its entirety (kIo on failure). */
-    [[nodiscard]] Status map(const std::string &file_path);
-
-    bool isMapped() const { return base != nullptr; }
-
-    /** First byte of the mapping (nullptr when not mapped). */
-    const unsigned char *data() const
-    {
-        return static_cast<const unsigned char *>(base);
-    }
-
-    /** File size in bytes (0 when not mapped). */
-    std::uint64_t size() const { return length; }
-
-    const std::string &path() const { return filePath; }
-
-    /** Release the mapping (idempotent). */
-    void unmap();
-
-  private:
-    void *base = nullptr;
-    std::uint64_t length = 0;
     std::string filePath;
 };
 

@@ -133,9 +133,6 @@ declareStandardOptions(Options &options, std::uint64_t default_insts)
                     "dynamic instructions captured per benchmark");
     options.declare("benchmarks", "",
                     "comma-separated benchmark subset (default: all 8)");
-    options.declare("csv", "",
-                    "append the figure data to this CSV file "
-                    "(figure,benchmark,configuration,value)");
     options.declare("scale", "1",
                     "workload input-set scale factor (SPEC-style "
                     "test/train/ref sizing)");
@@ -144,6 +141,14 @@ declareStandardOptions(Options &options, std::uint64_t default_insts)
                     "warm-up instructions to execute and discard before "
                     "the measured window");
     declareRunnerOptions(options);
+}
+
+void
+declareCsvOption(Options &options)
+{
+    options.declare("csv", "",
+                    "append the figure data to this CSV file "
+                    "(figure,benchmark,configuration,value)");
 }
 
 void

@@ -77,7 +77,7 @@ std::string resultFingerprint(const Options &options);
 
 /**
  * Declare the options every figure bench shares: --insts (trace length
- * per benchmark), --benchmarks (subset filter), --csv, --scale, --seed,
+ * per benchmark), --benchmarks (subset filter), --scale, --seed,
  * --skip, plus the runner options above.
  *
  * @param default_insts Default per-benchmark trace length; figure benches
@@ -85,6 +85,12 @@ std::string resultFingerprint(const Options &options);
  */
 void declareStandardOptions(Options &options,
                             std::uint64_t default_insts);
+
+/**
+ * Declare --csv for benches that write their cells with maybeWriteCsv();
+ * the others reject the option at parse time.
+ */
+void declareCsvOption(Options &options);
 
 /**
  * Declare --predictor for benches whose machine configuration exposes
@@ -140,7 +146,7 @@ std::string renderPercentTable(
     const std::vector<std::vector<double>> &cells);
 
 /**
- * If the standard --csv option was given, append the figure's data to
+ * If --csv (declareCsvOption()) was given, append the figure's data to
  * that file in tidy long form: figure,benchmark,configuration,value.
  * Values are written raw (fractions, not percentages). No-op when the
  * option is empty.

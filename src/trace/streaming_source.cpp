@@ -16,9 +16,6 @@ StreamingTraceSource::open(const std::string &path, bool salvage)
     posInBlock = 0;
     deliveredRecords = 0;
 
-    // Buffered reads, never a mapping: a mapped multi-GB trace keeps
-    // every touched page resident until memory pressure, which defeats
-    // the bounded-RSS contract this source exists for.
     TraceV3Reader::Options reader_options;
     reader_options.salvage = salvage;
     Status opened = reader.open(path, reader_options);

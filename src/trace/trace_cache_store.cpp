@@ -206,8 +206,10 @@ TraceCacheStore::tryLoad(const TraceCacheKey &key,
         }
         if (read.code() != StatusCode::kIo)
             break;
-        if (attempt < maxIoAttempts)
+        if (attempt < maxIoAttempts) {
+            warn("retrying trace cache load: " + read.message());
             backoff(attempt);
+        }
     }
 
     if (read.code() == StatusCode::kCorrupt) {

@@ -491,21 +491,15 @@ TraceV3Reader::open(const std::string &path, const Options &options)
     opts = options;
     filePath = path;
     done = false;
-    cursor = 0;
     declaredRecords = 0;
     hint = 0;
     report = BlockSalvageReport();
 
-    if (opts.preferMapped) {
-        // Any map() failure (including injected open/mmap/read faults)
-        // degrades to buffered reads rather than failing the file.
-        if (!mapped.map(path).isOk())
-            mapped.unmap();
-    }
-    if (!mapped.isMapped()) {
-        if (Status got = file.openForRead(path); !got.isOk())
-            return got;
-    }
+    if (Status got = file.openForRead(path); !got.isOk())
+        return got;
+    fileOffset = 0;
+    if (Status got = file.sizeBytes(&fileBytes); !got.isOk())
+        return got;
 
     bool at_end = false;
     if (Status got = readFrame(v3HeaderBytes, &at_end); !got.isOk())
@@ -530,18 +524,22 @@ TraceV3Reader::open(const std::string &path, const Options &options)
         return corrupt("bad records-per-block " +
                        std::to_string(blockRecords) + " in " + filePath);
     }
-    // A mapped file's trailer is in reach before any block is read.
-    // Its count is only a size hint, capped by what the file's bytes
-    // can hold so a lying trailer cannot balloon memory; it is
-    // validated against the decoded blocks at the end as usual.
-    if (mapped.isMapped() &&
-        mapped.size() >= v3HeaderBytes + v3TrailerBytes) {
-        const unsigned char *t =
-            mapped.data() + mapped.size() - v3TrailerBytes;
-        if (std::memcmp(t, trailerMagic, 4) == 0 &&
+    // The trailer is one positioned read away before any block is
+    // read. Its count is only a size hint, capped by what the file's
+    // bytes can hold so a lying trailer cannot balloon memory; it is
+    // validated against the decoded blocks at the end as usual. A
+    // missing or damaged trailer is data, not an I/O error: no hint.
+    if (fileBytes >= v3HeaderBytes + v3TrailerBytes) {
+        unsigned char t[v3TrailerBytes];
+        const Status got = file.readExactAt(fileBytes - v3TrailerBytes,
+                                            t, sizeof(t));
+        if (got.code() == StatusCode::kIo)
+            return Status::error(got.code(),
+                                 "trace trailer: " + got.message());
+        if (got.isOk() && std::memcmp(t, trailerMagic, 4) == 0 &&
             unpackU32(t + 20) == crc32(t, 20)) {
             hint = std::min<std::uint64_t>(
-                unpackU64(t + 4), mapped.size() / minEncodedRecordBytes);
+                unpackU64(t + 4), fileBytes / minEncodedRecordBytes);
         }
     }
     opened = true;
@@ -557,17 +555,9 @@ Status
 TraceV3Reader::readFrame(std::size_t size, bool *at_end)
 {
     *at_end = false;
-    if (mapped.isMapped()) {
-        if (cursor == mapped.size()) {
-            *at_end = true;
-            return Status::ok();
-        }
-        if (mapped.size() - cursor < size) {
-            return corrupt("unexpected end of file in " + filePath +
-                           " (truncated?)");
-        }
-        frameData = mapped.data() + cursor;
-        cursor += size;
+    const std::uint64_t left = pendback.size() + (fileBytes - fileOffset);
+    if (left == 0) {
+        *at_end = true;
         return Status::ok();
     }
     if (frame.size() < size) {
@@ -578,24 +568,41 @@ TraceV3Reader::readFrame(std::size_t size, bool *at_end)
             frame.reserve(2 * size);
         frame.resize(size);
     }
+    if (left < size) {
+        // Fewer bytes than a block frame hold neither a block nor the
+        // trailer: they are dropped. More stay for resync() to scan, as
+        // a damaged payload length can run past the end of the file
+        // over intact blocks; a frame was consumed just before such a
+        // read, so the scan always makes progress.
+        if (left < v3BlockFrameBytes) {
+            if (Status got = take(frame.data(), left); !got.isOk())
+                return got;
+            if (opts.salvage)
+                report.bytesSkipped += left;
+        }
+        return corrupt("unexpected end of file in " + filePath +
+                       " (truncated?)");
+    }
+    if (Status got = take(frame.data(), size); !got.isOk())
+        return got;
+    frameData = frame.data();
+    return Status::ok();
+}
+
+/** Move the next @p size stream bytes, pushed-back ones first, to @p out. */
+Status
+TraceV3Reader::take(unsigned char *out, std::size_t size)
+{
     std::size_t have = 0;
-    // Drain bytes resync() pushed back before touching the file.
     while (have < size && !pendback.empty()) {
-        frame[have++] = pendback.front();
+        out[have++] = pendback.front();
         pendback.erase(pendback.begin());
     }
-    if (have < size) {
-        if (have == 0 && file.atEof()) {
-            *at_end = true;
-            return Status::ok();
-        }
-        if (Status got = file.readExact(frame.data() + have,
-                                        size - have);
-            !got.isOk()) {
-            return got;
-        }
-    }
-    frameData = frame.data();
+    if (have == size)
+        return Status::ok();
+    if (Status got = file.readExact(out + have, size - have); !got.isOk())
+        return got;
+    fileOffset += size - have;
     return Status::ok();
 }
 
@@ -607,38 +614,17 @@ TraceV3Reader::readFrame(std::size_t size, bool *at_end)
 Status
 TraceV3Reader::resync()
 {
-    if (mapped.isMapped()) {
-        const unsigned char *base = mapped.data();
-        const std::uint64_t size = mapped.size();
-        std::uint64_t pos = cursor;
-        while (size - pos >= 4) {
-            if (std::memcmp(base + pos, blockMagic, 4) == 0 ||
-                std::memcmp(base + pos, trailerMagic, 4) == 0) {
-                report.bytesSkipped += pos - cursor;
-                cursor = pos;
-                return Status::ok();
-            }
-            ++pos;
-        }
-        report.bytesSkipped += size - cursor;
-        cursor = size;
-        return Status::ok();
-    }
     unsigned char window[4];
     std::size_t filled = 0;
-    // Any pushed-back bytes rejoin the scan first.
-    while (filled < 4 && !pendback.empty()) {
-        window[filled++] = pendback.front();
-        pendback.erase(pendback.begin());
-    }
     for (;;) {
         while (filled < 4) {
-            if (file.atEof())
-                return Status::ok(); // Partial window: skipped bytes.
-            unsigned char byte = 0;
-            if (Status got = file.readExact(&byte, 1); !got.isOk())
+            if (pendback.empty() && fileOffset == fileBytes) {
+                report.bytesSkipped += filled; // A partial window.
+                return Status::ok();
+            }
+            if (Status got = take(window + filled, 1); !got.isOk())
                 return got;
-            window[filled++] = byte;
+            ++filled;
         }
         if (std::memcmp(window, blockMagic, 4) == 0 ||
             std::memcmp(window, trailerMagic, 4) == 0) {
@@ -755,13 +741,7 @@ TraceV3Reader::nextPayload(Payload *out, Block *outcome)
                         " in " + std::to_string(report.blocksDelivered) +
                         ")");
                 }
-                bool trailing = false;
-                if (mapped.isMapped()) {
-                    trailing = cursor != mapped.size();
-                } else {
-                    trailing = !pendback.empty() || !file.atEof();
-                }
-                if (trailing) {
+                if (!pendback.empty() || fileOffset != fileBytes) {
                     return corrupt("trailing bytes after trailer in "
                                    "trace file: " +
                                    filePath);
@@ -914,7 +894,6 @@ TraceV3Reader::close()
         return;
     if (opts.salvage)
         salvageRegistry().note(filePath, report);
-    mapped.unmap();
     file.close();
     pendback.clear();
     frame.clear();
@@ -948,7 +927,6 @@ readTraceV3(const std::string &path, std::vector<TraceRecord> *out,
     TraceV3Reader reader;
     TraceV3Reader::Options options;
     options.salvage = salvage;
-    options.preferMapped = true;
     if (Status opened = reader.open(path, options); !opened.isOk())
         return opened;
     keepTracesMapped();

@@ -188,13 +188,11 @@ class TraceV3Writer
  * available via salvageReport() and is noted in salvageRegistry() when
  * the file closes with losses.
  *
- * Two framing backends share all validation and decoding: a mapped one
- * (one MappedFile over the file; fastest for cache-sized traces) and a
- * buffered one (io::File with a reusable frame buffer; bounded memory
- * for arbitrarily large traces). Block CRC checks consult the fault
- * injector's "block" counter (`block:N:block-crc` forces a mismatch),
- * and the mapped backend honors open/mmap/read faults via MappedFile.
- * Every block is decoded straight into caller-owned storage
+ * Every read goes through one io::File and a reusable frame buffer, so
+ * memory stays bounded for arbitrarily large traces and every read is
+ * fault-counted (`open:`, `read:` specs). Block CRC checks consult the
+ * fault injector's "block" counter (`block:N:block-crc` forces a
+ * mismatch). Every block is decoded straight into caller-owned storage
  * (readBlock()): the whole-file load decodes each block after the last
  * into one vector reserved up front, the streaming source decodes
  * every block over the same reused block vector.
@@ -204,8 +202,7 @@ class TraceV3Reader
   public:
     struct Options
     {
-        bool salvage = false;      ///< Skip-resync corrupt blocks.
-        bool preferMapped = false; ///< Try mmap first, else buffered.
+        bool salvage = false; ///< Skip-resync corrupt blocks.
     };
 
     /** Outcome of one readBlock() call. */
@@ -217,7 +214,10 @@ class TraceV3Reader
 
     ~TraceV3Reader() { close(); }
 
-    /** Open @p path and validate the v3 header. */
+    /**
+     * Open @p path, validate the v3 header and read the trailer for
+     * recordsHint(). A read error on either is kIo naming the path.
+     */
     [[nodiscard]] Status open(const std::string &path,
                               const Options &options);
 
@@ -241,11 +241,11 @@ class TraceV3Reader
 
     /**
      * Records a whole read is expected to deliver, for reserving its
-     * destination once (valid after open()): a mapped file's trailer
-     * count when the trailer's magic and CRC are intact, capped at
-     * fileBytes / 9 since no record encodes in fewer than 9 bytes;
-     * 0 when there is no intact trailer or the file is read buffered.
-     * Only a hint: the trailer is still checked against the blocks.
+     * destination once (valid after open()): the trailer's count when
+     * its magic and CRC are intact, capped at fileBytes / 9 since no
+     * record encodes in fewer than 9 bytes; 0 when there is no intact
+     * trailer. Only a hint: the trailer is still checked against the
+     * blocks.
      */
     std::uint64_t recordsHint() const { return hint; }
 
@@ -274,6 +274,7 @@ class TraceV3Reader
 
     [[nodiscard]] Status nextPayload(Payload *out, Block *outcome);
     [[nodiscard]] Status readFrame(std::size_t size, bool *at_end);
+    [[nodiscard]] Status take(unsigned char *out, std::size_t size);
     [[nodiscard]] Status resync();
     [[nodiscard]] Status handleCorrupt(const Status &why,
                                        std::uint64_t declared_count);
@@ -283,10 +284,10 @@ class TraceV3Reader
     bool opened = false;
     bool done = false;
 
-    io::MappedFile mapped;
-    std::uint64_t cursor = 0; ///< Mapped-mode read offset.
     io::File file;
-    std::vector<unsigned char> frame;    ///< Buffered-mode frame bytes.
+    std::uint64_t fileBytes = 0;  ///< The file's size at open().
+    std::uint64_t fileOffset = 0; ///< Bytes taken from the file so far.
+    std::vector<unsigned char> frame;    ///< The current frame's bytes.
     std::vector<unsigned char> pendback; ///< Bytes resync() un-read.
     const unsigned char *frameData = nullptr;
 

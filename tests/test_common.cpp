@@ -541,6 +541,11 @@ TEST(FaultInjector, BadSpecDies)
                 ::testing::ExitedWithCode(1), "unknown fault-inject op");
     EXPECT_EXIT(io::configureFaultInjection("write:zero:eio"),
                 ::testing::ExitedWithCode(1), "bad fault-inject");
+    // Retired specs die rather than silently becoming no-ops.
+    EXPECT_EXIT(io::configureFaultInjection("mmap:1:eio"),
+                ::testing::ExitedWithCode(1), "unknown fault-inject op");
+    EXPECT_EXIT(io::configureFaultInjection("open:1:mmap-fail"),
+                ::testing::ExitedWithCode(1), "unknown fault kind");
 }
 
 TEST(IoFile, InjectedWriteFailureCarriesErrnoDetail)
@@ -584,127 +589,39 @@ TEST(IoFile, TornWriteLosesTheTailSilently)
     std::remove(path.c_str());
 }
 
-TEST(MappedFile, MapsWholeFileContents)
-{
-    const std::string path = "/tmp/vpsim_io_mapped.bin";
-    const std::string payload = "mapped file payload bytes";
-    {
-        io::File file;
-        ASSERT_TRUE(file.openForWrite(path).isOk());
-        ASSERT_TRUE(
-            file.writeAll(payload.data(), payload.size()).isOk());
-    }
-    io::MappedFile mapped;
-    ASSERT_TRUE(mapped.map(path).isOk());
-    EXPECT_TRUE(mapped.isMapped());
-    ASSERT_EQ(mapped.size(), payload.size());
-    EXPECT_EQ(std::string(reinterpret_cast<const char *>(mapped.data()),
-                          mapped.size()),
-              payload);
-    mapped.unmap();
-    EXPECT_FALSE(mapped.isMapped());
-    EXPECT_EQ(mapped.size(), 0u);
-    std::remove(path.c_str());
-}
-
-TEST(MappedFile, MissingFileIsAnIoError)
-{
-    io::MappedFile mapped;
-    const Status got = mapped.map("/tmp/vpsim_io_mapped_missing.bin");
-    ASSERT_FALSE(got.isOk());
-    EXPECT_EQ(got.code(), StatusCode::kIo);
-    EXPECT_FALSE(mapped.isMapped());
-    EXPECT_NE(got.message().find("vpsim_io_mapped_missing"),
-              std::string::npos)
-        << got.message();
-}
-
-TEST(MappedFile, EmptyFileDeclinesSoCallersFallBack)
-{
-    const std::string path = "/tmp/vpsim_io_mapped_empty.bin";
-    {
-        io::File file;
-        ASSERT_TRUE(file.openForWrite(path).isOk());
-    }
-    io::MappedFile mapped;
-    const Status got = mapped.map(path);
-    ASSERT_FALSE(got.isOk());
-    EXPECT_EQ(got.code(), StatusCode::kIo);
-    EXPECT_FALSE(mapped.isMapped());
-    std::remove(path.c_str());
-}
-
-TEST(MappedFile, InjectedOpenFaultFails)
+TEST(IoFile, PositionedReadKeepsTheReadPositionAndIsFaultCounted)
 {
     InjectorGuard guard;
-    const std::string path = "/tmp/vpsim_io_mapped_fault.bin";
+    const std::string path = "/tmp/vpsim_io_pread.bin";
     {
         io::File file;
         ASSERT_TRUE(file.openForWrite(path).isOk());
-        ASSERT_TRUE(file.writeAll("abc", 3).isOk());
+        ASSERT_TRUE(file.writeAll("0123456789", 10).isOk());
     }
-    io::configureFaultInjection("open:1:eio");
-    io::MappedFile mapped;
-    const Status got = mapped.map(path);
-    ASSERT_FALSE(got.isOk());
-    EXPECT_EQ(got.code(), StatusCode::kIo);
-    EXPECT_NE(got.message().find("(injected)"), std::string::npos)
-        << got.message();
-    std::remove(path.c_str());
-}
+    io::File file;
+    ASSERT_TRUE(file.openForRead(path).isOk());
+    std::uint64_t bytes = 0;
+    ASSERT_TRUE(file.sizeBytes(&bytes).isOk());
+    EXPECT_EQ(bytes, 10u);
 
-TEST(MappedFile, InjectedReadFaultFiresOnTheMmapPath)
-{
-    // Regression: map() used to consult only the "open" counter, so
-    // `read:` fault specs silently skipped the mmap path. The mapping
-    // counts as exactly one bulk read.
-    InjectorGuard guard;
-    const std::string path = "/tmp/vpsim_io_mapped_read_fault.bin";
-    {
-        io::File file;
-        ASSERT_TRUE(file.openForWrite(path).isOk());
-        ASSERT_TRUE(file.writeAll("abc", 3).isOk());
-    }
     io::configureFaultInjection("read:1:eio");
-    io::MappedFile mapped;
-    const Status got = mapped.map(path);
-    ASSERT_FALSE(got.isOk());
-    EXPECT_EQ(got.code(), StatusCode::kIo);
-    EXPECT_NE(got.message().find("read error"), std::string::npos)
-        << got.message();
-    EXPECT_FALSE(mapped.isMapped());
+    char tail[3] = {};
+    const Status faulted = file.readExactAt(7, tail, sizeof(tail));
+    ASSERT_FALSE(faulted.isOk());
+    EXPECT_EQ(faulted.code(), StatusCode::kIo);
+    EXPECT_NE(faulted.message().find(path), std::string::npos)
+        << faulted.message();
+    ASSERT_TRUE(file.readExactAt(7, tail, sizeof(tail)).isOk());
+    EXPECT_EQ(std::string(tail, sizeof(tail)), "789");
 
-    // The clause fired on the mapping, so a retry succeeds and the
-    // read counter advanced exactly once.
-    ASSERT_TRUE(mapped.map(path).isOk());
-    EXPECT_EQ(mapped.size(), 3u);
-    std::remove(path.c_str());
-}
-
-TEST(MappedFile, InjectedMmapFailLeavesBufferedFallbackWorking)
-{
-    InjectorGuard guard;
-    const std::string path = "/tmp/vpsim_io_mapped_mmap_fail.bin";
-    {
-        io::File file;
-        ASSERT_TRUE(file.openForWrite(path).isOk());
-        ASSERT_TRUE(file.writeAll("abc", 3).isOk());
-    }
-    io::configureFaultInjection("mmap:1:mmap-fail");
-    io::MappedFile mapped;
-    const Status got = mapped.map(path);
-    ASSERT_FALSE(got.isOk());
-    EXPECT_EQ(got.code(), StatusCode::kIo);
-    EXPECT_NE(got.message().find("cannot map"), std::string::npos)
-        << got.message();
-
-    // The buffered path is untouched by mmap clauses — exactly the
-    // degradation callers rely on.
-    io::File fallback;
-    ASSERT_TRUE(fallback.openForRead(path).isOk());
-    char buffer[3];
-    EXPECT_TRUE(fallback.readExact(buffer, sizeof(buffer)).isOk());
-    fallback.close();
+    char head[4] = {};
+    ASSERT_TRUE(file.readExact(head, sizeof(head)).isOk());
+    EXPECT_EQ(std::string(head, sizeof(head)), "0123")
+        << "a positioned read must not move the read position";
+    const Status past_end = file.readExactAt(8, tail, sizeof(tail));
+    ASSERT_FALSE(past_end.isOk());
+    EXPECT_EQ(past_end.code(), StatusCode::kCorrupt);
+    file.close();
     std::remove(path.c_str());
 }
 

@@ -40,6 +40,7 @@ parsedOptions(std::vector<const char *> args)
     args.insert(args.begin(), "bench");
     Options options;
     declareStandardOptions(options, 5000);
+    declareCsvOption(options);
     options.parse(static_cast<int>(args.size()), args.data(), "test");
     return options;
 }
@@ -420,6 +421,7 @@ storeRun(const TempStore &store, std::vector<const char *> args,
     args.insert(args.begin(), program);
     Options options;
     declareStandardOptions(options, 5000);
+    declareCsvOption(options);
     options.parse(static_cast<int>(args.size()), args.data(), "test");
     SimRunner runner(options);
     StoreRun run;

@@ -106,31 +106,6 @@ expectSameRecords(const std::vector<TraceRecord> &got,
     }
 }
 
-/** Read @p path whole through one TraceV3Reader backend. */
-Status
-readWithBackend(const std::string &path, bool mapped,
-                std::vector<TraceRecord> *out, bool salvage = false)
-{
-    out->clear();
-    TraceV3Reader reader;
-    TraceV3Reader::Options options;
-    options.preferMapped = mapped;
-    options.salvage = salvage;
-    if (Status opened = reader.open(path, options); !opened.isOk())
-        return opened;
-    std::size_t loaded = 0;
-    for (;;) {
-        TraceV3Reader::Block outcome = TraceV3Reader::Block::kEnd;
-        std::size_t count = 0;
-        const Status got = reader.readBlock(out, loaded, &count, &outcome);
-        if (!got.isOk() || outcome == TraceV3Reader::Block::kEnd) {
-            out->resize(loaded);
-            return got;
-        }
-        loaded += count;
-    }
-}
-
 // TraceIo: the whole-file readTraceV3()/writeTraceV3() contract at the
 // default block size, the configuration every trace-cache entry uses.
 
@@ -278,63 +253,52 @@ TEST(TraceIo, MissingFooterIsCorrupt)
     std::remove(path.c_str());
 }
 
-TEST(TraceIo, MappedAndBufferedReadsAgree)
+TEST(TraceIo, CorruptionCodesAndMessagesArePinned)
 {
-    const auto original = captureWorkloadTrace("li", 3000);
-    const std::string path = tempPath("vpsim_mmap_parity.vptrace");
-    ASSERT_TRUE(writeTraceV3(path, original, 512).isOk());
-
-    std::vector<TraceRecord> via_mapped;
-    ASSERT_TRUE(readWithBackend(path, true, &via_mapped).isOk());
-    std::vector<TraceRecord> via_buffered;
-    ASSERT_TRUE(readWithBackend(path, false, &via_buffered).isOk());
-    expectSameRecords(via_mapped, original);
-    expectSameRecords(via_buffered, original);
-    std::remove(path.c_str());
-}
-
-TEST(TraceIo, MappedAndBufferedCorruptionMessagesAgree)
-{
-    // Every block-level corruption must fail identically on both
-    // backends: the trace cache quarantines on code and message, and
-    // the streaming source reads buffered while readTraceV3() maps.
+    // The trace cache quarantines on code and message, and the
+    // streaming source reads through the same reader, so each
+    // block-level corruption has one exact diagnosis.
     const auto trace = captureWorkloadTrace("go", 1200);
-    const std::string path = tempPath("vpsim_mmap_corrupt.vptrace");
+    const std::string path = tempPath("vpsim_v3_corrupt.vptrace");
     ASSERT_TRUE(writeTraceV3(path, trace, 256).isOk());
     const std::vector<unsigned char> pristine = slurp(path);
     const std::size_t second = blockOffset(pristine, 1);
-    const auto corrupt_then_compare =
-        [&](const std::vector<unsigned char> &bytes) {
-            spit(path, bytes);
-            std::vector<TraceRecord> out;
-            const Status mapped = readWithBackend(path, true, &out);
-            const Status buffered = readWithBackend(path, false, &out);
-            ASSERT_FALSE(mapped.isOk());
-            EXPECT_EQ(mapped.code(), buffered.code());
-            EXPECT_EQ(mapped.message(), buffered.message());
-        };
+    const auto expect_corrupt = [&](const std::vector<unsigned char> &bytes,
+                                    const std::string &message) {
+        spit(path, bytes);
+        std::vector<TraceRecord> out;
+        const Status read = readTraceV3(path, &out);
+        ASSERT_FALSE(read.isOk());
+        EXPECT_EQ(read.code(), StatusCode::kCorrupt);
+        EXPECT_EQ(read.message(), message);
+    };
 
     std::vector<unsigned char> bytes = pristine;
     bytes[second + v3BlockFrameBytes + 5] ^= 0x10; // payload bit rot
-    corrupt_then_compare(bytes);
+    expect_corrupt(bytes, "block checksum mismatch at block 1 in " + path +
+                              " (stored 6d54b472, computed 753621d8)");
     bytes = pristine;
     bytes[second] = 'X'; // frame magic
-    corrupt_then_compare(bytes);
+    expect_corrupt(bytes, "bad block magic at block 1 in " + path);
     bytes = pristine;
     bytes.resize(second + v3BlockFrameBytes + 7); // cut mid-block
-    corrupt_then_compare(bytes);
+    expect_corrupt(bytes, "trace block 1: unexpected end of file in " +
+                              path + " (truncated?)");
     bytes = pristine;
     bytes.resize(pristine.size() - 3); // torn trailer
-    corrupt_then_compare(bytes);
+    expect_corrupt(bytes, "trace trailer: unexpected end of file in " +
+                              path + " (truncated?)");
     bytes = pristine;
     bytes.insert(bytes.end(), {'?', '?'}); // trailing junk
-    corrupt_then_compare(bytes);
+    expect_corrupt(bytes,
+                   "trailing bytes after trailer in trace file: " + path);
     bytes = pristine;
     bytes[0] = 'J'; // file magic
-    corrupt_then_compare(bytes);
+    expect_corrupt(bytes, "bad trace file magic: " + path);
     bytes = pristine;
     bytes[4] = 1; // stale version byte
-    corrupt_then_compare(bytes);
+    expect_corrupt(bytes, "unsupported trace file version 1 in " + path +
+                              " (expected 3)");
     std::remove(path.c_str());
 }
 
@@ -707,14 +671,9 @@ TEST(TraceV3Load, IntactFileReservesItsDestinationOnce)
     ASSERT_TRUE(writeTraceV3(path, original, 1024).isOk());
 
     TraceV3Reader reader;
-    TraceV3Reader::Options options;
-    options.preferMapped = true;
-    ASSERT_TRUE(reader.open(path, options).isOk());
-    EXPECT_EQ(reader.recordsHint(), original.size());
-    reader.close();
-    options.preferMapped = false;
-    ASSERT_TRUE(reader.open(path, options).isOk());
-    EXPECT_EQ(reader.recordsHint(), 0u) << "buffered reads get no hint";
+    ASSERT_TRUE(reader.open(path, TraceV3Reader::Options()).isOk());
+    EXPECT_EQ(reader.recordsHint(), original.size())
+        << "the hint is the trailer's count";
     reader.close();
 
     std::vector<TraceRecord> loaded;
@@ -738,9 +697,7 @@ TEST(TraceV3Load, LyingTrailerCountIsCappedAndStillRejected)
     const std::size_t cap = bytes.size() / 9;
 
     TraceV3Reader reader;
-    TraceV3Reader::Options options;
-    options.preferMapped = true;
-    ASSERT_TRUE(reader.open(path, options).isOk());
+    ASSERT_TRUE(reader.open(path, TraceV3Reader::Options()).isOk());
     EXPECT_EQ(reader.recordsHint(), cap);
     reader.close();
 
@@ -757,6 +714,74 @@ TEST(TraceV3Load, LyingTrailerCountIsCappedAndStillRejected)
     ASSERT_TRUE(readTraceV3(path, &salvaged, /*salvage=*/true).isOk());
     expectSameRecords(salvaged, original);
     EXPECT_LE(salvaged.capacity(), cap);
+    std::remove(path.c_str());
+}
+
+TEST(TraceV3Load, TrailerReadErrorFailsTheOpen)
+{
+    // Reads 1 and 2 of an open are the header and the trailer. An I/O
+    // error on the trailer fails the open (the cache retries kIo), it
+    // does not degrade to a load without a hint.
+    InjectorGuard guard;
+    const auto original = captureWorkloadTrace("go", 3000);
+    const std::string path = tempPath("vpsim_v3_trailer_eio.vptrace");
+    ASSERT_TRUE(writeTraceV3(path, original, 512).isOk());
+    io::configureFaultInjection("read:2:eio");
+    std::vector<TraceRecord> out;
+    const Status read = readTraceV3(path, &out);
+    ASSERT_FALSE(read.isOk());
+    EXPECT_EQ(read.code(), StatusCode::kIo);
+    EXPECT_NE(read.message().find("trace trailer: read error on " + path),
+              std::string::npos)
+        << read.message();
+
+    ASSERT_TRUE(readTraceV3(path, &out).isOk()) << "the clause fired once";
+    expectSameRecords(out, original);
+    EXPECT_EQ(out.capacity(), out.size());
+    std::remove(path.c_str());
+}
+
+TEST(TraceV3Load, SalvageEndsOnTruncatedFramesAndRescansPastALongLength)
+{
+    const auto original = captureWorkloadTrace("go", 3072);
+    const std::string path = tempPath("vpsim_v3_salvage_tail.vptrace");
+    ASSERT_TRUE(writeTraceV3(path, original, 512).isOk());
+    const std::vector<unsigned char> clean = slurp(path);
+
+    // A file cut 7 bytes into its first frame, right after the block
+    // magic: the load ends, skipping those 7 bytes.
+    spit(path, std::vector<unsigned char>(clean.begin(),
+                                          clean.begin() + v3HeaderBytes + 7));
+    std::vector<TraceRecord> out;
+    BlockSalvageReport report;
+    ASSERT_TRUE(readTraceV3(path, &out, /*salvage=*/true, &report).isOk());
+    EXPECT_TRUE(out.empty());
+    EXPECT_EQ(report.blocksQuarantined, 1u);
+    EXPECT_EQ(report.bytesSkipped, 7u);
+
+    // Block 3's payload length now runs past the end of the file: the
+    // rescan finds blocks 4 and 5 inside what it claimed.
+    std::vector<unsigned char> bytes = clean;
+    const std::size_t frame = blockOffset(bytes, 3);
+    ASSERT_GT(frame + 27000, bytes.size());
+    putLe(bytes, frame + 8, 27000, 4);
+    spit(path, bytes);
+    std::vector<TraceRecord> salvaged(original.begin(),
+                                      original.begin() + 3 * 512);
+    salvaged.insert(salvaged.end(), original.begin() + 4 * 512,
+                    original.end());
+    ASSERT_TRUE(readTraceV3(path, &out, /*salvage=*/true, &report).isOk());
+    expectSameRecords(out, salvaged);
+    EXPECT_EQ(report.recordsLost, 512u);
+
+    StreamingTraceSource source;
+    ASSERT_TRUE(source.open(path, /*salvage=*/true).isOk());
+    std::vector<TraceRecord> streamed;
+    TraceSpan span;
+    while (source.nextBlock(span))
+        streamed.insert(streamed.end(), span.begin(), span.end());
+    EXPECT_TRUE(source.status().isOk());
+    expectSameRecords(streamed, salvaged);
     std::remove(path.c_str());
 }
 
@@ -802,11 +827,6 @@ TEST(TraceV3Load, TenByteVarintsRoundTripAcrossTheBoundsCheckSwitch)
         std::vector<TraceRecord> loaded;
         ASSERT_TRUE(readTraceV3(path, &loaded).isOk());
         expectSameRecords(loaded, original);
-
-        std::vector<TraceRecord> buffered;
-        ASSERT_TRUE(readWithBackend(path, /*mapped=*/false, &buffered)
-                        .isOk());
-        expectSameRecords(buffered, original);
 
         StreamingTraceSource source;
         ASSERT_TRUE(source.open(path).isOk());
@@ -875,27 +895,20 @@ expectOnlyTheDecoderRejectsBlock(const std::string &path,
     std::vector<TraceRecord> salvaged = before;
     salvaged.insert(salvaged.end(), after_bad, original.end());
 
-    for (const bool mapped : {true, false}) {
-        SCOPED_TRACE(mapped ? "mapped" : "buffered");
-        std::vector<TraceRecord> out;
-        const Status strict = mapped ? readTraceV3(path, &out)
-                                     : readWithBackend(path, false, &out);
-        ASSERT_FALSE(strict.isOk());
-        EXPECT_EQ(strict.code(), StatusCode::kCorrupt);
-        EXPECT_NE(strict.message().find(named), std::string::npos)
-            << strict.message();
+    std::vector<TraceRecord> out;
+    const Status strict = readTraceV3(path, &out);
+    ASSERT_FALSE(strict.isOk());
+    EXPECT_EQ(strict.code(), StatusCode::kCorrupt);
+    EXPECT_NE(strict.message().find(named), std::string::npos)
+        << strict.message();
 
-        BlockSalvageReport report;
-        const Status salvage =
-            mapped ? readTraceV3(path, &out, /*salvage=*/true, &report)
-                   : readWithBackend(path, false, &out, /*salvage=*/true);
-        ASSERT_TRUE(salvage.isOk()) << salvage.message();
-        if (mapped) {
-            EXPECT_EQ(report.blocksQuarantined, 1u);
-            EXPECT_EQ(report.recordsLost, per_block);
-        }
-        expectSameRecords(out, salvaged);
-    }
+    BlockSalvageReport report;
+    const Status salvage =
+        readTraceV3(path, &out, /*salvage=*/true, &report);
+    ASSERT_TRUE(salvage.isOk()) << salvage.message();
+    EXPECT_EQ(report.blocksQuarantined, 1u);
+    EXPECT_EQ(report.recordsLost, per_block);
+    expectSameRecords(out, salvaged);
 
     for (const bool salvage : {false, true}) {
         SCOPED_TRACE(salvage ? "streamed salvage" : "streamed strict");

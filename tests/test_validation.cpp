@@ -52,6 +52,7 @@ parsedOptions(std::vector<const char *> args)
     args.insert(args.begin(), "bench");
     Options options;
     declareStandardOptions(options, 5000);
+    declareCsvOption(options);
     options.parse(static_cast<int>(args.size()), args.data(), "test");
     return options;
 }
