@@ -16,6 +16,7 @@
 
 #include "common/table_printer.hpp"
 #include "core/pipeline_machine.hpp"
+#include "core/reference_machine.hpp"
 #include "core/speedup.hpp"
 #include "sim/sim_runner.hpp"
 
@@ -74,21 +75,27 @@ main(int argc, char **argv)
         fe.config.perfectBranchPredictor = true;
 
     // One cell per (front end, benchmark) carrying the base IPC, the
-    // VP IPC and the gain of that pair.
+    // VP IPC and the gain of that pair. The reference pipeline
+    // recomputes all three values of a sampled cell.
     const std::size_t n_fes = front_ends.size();
+    const auto cell = [&](PipelineMachineFn run, std::size_t row,
+                          std::size_t col, std::span<double> out) {
+        PipelineConfig config = front_ends[row].config;
+        config.useValuePrediction = false;
+        const PipelineResult off = run(bench.trace(col), config);
+        config.useValuePrediction = true;
+        const PipelineResult on = run(bench.trace(col), config);
+        out[0] = off.ipc;
+        out[1] = on.ipc;
+        out[2] = vpSpeedup(off.cycles, on.cycles) - 1.0;
+    };
     const auto cells = runner.runGrid(
         n_fes, bench.size(), 3,
         [&](std::size_t row, std::size_t col, std::span<double> out) {
-            PipelineConfig config = front_ends[row].config;
-            config.useValuePrediction = false;
-            const PipelineResult off =
-                runPipelineMachine(bench.trace(col), config);
-            config.useValuePrediction = true;
-            const PipelineResult on =
-                runPipelineMachine(bench.trace(col), config);
-            out[0] = off.ipc;
-            out[1] = on.ipc;
-            out[2] = vpSpeedup(off.cycles, on.cycles) - 1.0;
+            cell(runPipelineMachine, row, col, out);
+        },
+        [&](std::size_t row, std::size_t col, std::span<double> out) {
+            cell(runReferencePipelineMachine, row, col, out);
         });
     const auto base = gridValues(cells, 3, 0);
     const auto vp = gridValues(cells, 3, 1);

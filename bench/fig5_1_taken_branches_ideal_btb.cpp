@@ -15,6 +15,7 @@
 #include <cstdio>
 
 #include "core/pipeline_machine.hpp"
+#include "core/reference_machine.hpp"
 #include "sim/sim_runner.hpp"
 
 int
@@ -35,14 +36,23 @@ main(int argc, char **argv)
     std::vector<std::string> columns = {"n=1", "n=2", "n=3", "n=4",
                                         "unlimited"};
 
+    const auto pointConfig = [&](std::size_t col) {
+        PipelineConfig config;
+        config.frontEnd = FrontEndKind::Sequential;
+        config.maxTakenBranches = taken_limits[col];
+        config.perfectBranchPredictor = true;
+        return config;
+    };
     const auto gains = runner.runGrid(
         bench.size(), taken_limits.size(),
         [&](std::size_t row, std::size_t col) {
-            PipelineConfig config;
-            config.frontEnd = FrontEndKind::Sequential;
-            config.maxTakenBranches = taken_limits[col];
-            config.perfectBranchPredictor = true;
-            return pipelineVpSpeedup(bench.trace(row), config) - 1.0;
+            return pipelineVpSpeedup(bench.trace(row), pointConfig(col)) -
+                   1.0;
+        },
+        [&](std::size_t row, std::size_t col) {
+            return referencePipelineVpSpeedup(bench.trace(row),
+                                              pointConfig(col)) -
+                   1.0;
         });
 
     std::fputs(renderPercentTable(

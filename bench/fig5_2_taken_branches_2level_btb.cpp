@@ -15,6 +15,7 @@
 #include <cstdio>
 
 #include "core/pipeline_machine.hpp"
+#include "core/reference_machine.hpp"
 #include "core/speedup.hpp"
 #include "sim/sim_runner.hpp"
 
@@ -39,20 +40,26 @@ main(int argc, char **argv)
 
     // One cell per (benchmark, limit): the VP gain and, at n=4, the
     // BTB accuracy of the VP-on run (0 in the other columns).
+    // The reference pipeline recomputes both values of a sampled cell.
+    const auto cell = [&](PipelineMachineFn run, std::size_t row,
+                          std::size_t col, std::span<double> out) {
+        PipelineConfig config;
+        config.frontEnd = FrontEndKind::Sequential;
+        config.maxTakenBranches = taken_limits[col];
+        config.perfectBranchPredictor = false;
+        const PipelineResult off = run(bench.trace(row), config);
+        config.useValuePrediction = true;
+        const PipelineResult on = run(bench.trace(row), config);
+        out[0] = vpSpeedup(off.cycles, on.cycles) - 1.0;
+        out[1] = col == n4_column ? on.branchAccuracy : 0.0;
+    };
     const auto cells = runner.runGrid(
         bench.size(), taken_limits.size(), 2,
         [&](std::size_t row, std::size_t col, std::span<double> out) {
-            PipelineConfig config;
-            config.frontEnd = FrontEndKind::Sequential;
-            config.maxTakenBranches = taken_limits[col];
-            config.perfectBranchPredictor = false;
-            const PipelineResult off =
-                runPipelineMachine(bench.trace(row), config);
-            config.useValuePrediction = true;
-            const PipelineResult on =
-                runPipelineMachine(bench.trace(row), config);
-            out[0] = vpSpeedup(off.cycles, on.cycles) - 1.0;
-            out[1] = col == n4_column ? on.branchAccuracy : 0.0;
+            cell(runPipelineMachine, row, col, out);
+        },
+        [&](std::size_t row, std::size_t col, std::span<double> out) {
+            cell(runReferencePipelineMachine, row, col, out);
         });
     const auto gains = gridValues(cells, 2, 0);
     std::vector<double> accuracies;

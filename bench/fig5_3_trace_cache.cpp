@@ -15,6 +15,7 @@
 #include <cstdio>
 
 #include "core/pipeline_machine.hpp"
+#include "core/reference_machine.hpp"
 #include "core/speedup.hpp"
 #include "sim/sim_runner.hpp"
 
@@ -34,20 +35,26 @@ main(int argc, char **argv)
     const std::vector<std::string> columns = {"TC+2levelBTB",
                                               "TC+idealBTB"};
     // One cell per (benchmark, BTB): the VP gain and the trace cache
-    // hit rate of the VP-on run.
+    // hit rate of the VP-on run. The reference pipeline recomputes both
+    // values of a sampled cell.
+    const auto cell = [&](PipelineMachineFn run, std::size_t row,
+                          std::size_t col, std::span<double> out) {
+        PipelineConfig config;
+        config.frontEnd = FrontEndKind::TraceCache;
+        config.perfectBranchPredictor = col == 1;
+        const PipelineResult off = run(bench.trace(row), config);
+        config.useValuePrediction = true;
+        const PipelineResult on = run(bench.trace(row), config);
+        out[0] = vpSpeedup(off.cycles, on.cycles) - 1.0;
+        out[1] = on.tcHitRate;
+    };
     const auto cells = runner.runGrid(
         bench.size(), columns.size(), 2,
         [&](std::size_t row, std::size_t col, std::span<double> out) {
-            PipelineConfig config;
-            config.frontEnd = FrontEndKind::TraceCache;
-            config.perfectBranchPredictor = col == 1;
-            const PipelineResult off =
-                runPipelineMachine(bench.trace(row), config);
-            config.useValuePrediction = true;
-            const PipelineResult on =
-                runPipelineMachine(bench.trace(row), config);
-            out[0] = vpSpeedup(off.cycles, on.cycles) - 1.0;
-            out[1] = on.tcHitRate;
+            cell(runPipelineMachine, row, col, out);
+        },
+        [&](std::size_t row, std::size_t col, std::span<double> out) {
+            cell(runReferencePipelineMachine, row, col, out);
         });
     const auto gains = gridValues(cells, 2, 0);
     const auto hit_rates = gridValues(cells, 2, 1);

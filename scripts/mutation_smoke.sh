@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Mutation smoke test: prove the self-checking machinery actually
 # detects a model bug, not just that it stays quiet on correct code.
+# Two mutants, each in a tree of its own:
 #
-# Builds a separate tree with -DVPSIM_MUTATION=classifier-drop-correct,
+# 1. -DVPSIM_MUTATION=classifier-drop-correct,
 # which deletes the classifier's correct-prediction increment (see
 # src/predictor/classifier.cpp). The vp.hit_miss_balance invariant
 # (predictions made == correct + wrong) must then fire: under
@@ -13,11 +14,21 @@
 # accuracy at n=4) must then write every failed cell to its --csv as
 # nan, never as a silent zero.
 #
-# Usage: scripts/mutation_smoke.sh [mutant-build-dir]
+# 2. -DVPSIM_MUTATION=pipeline-late-wakeup, which makes the Section 5
+# scheduler hand every woken operand its value one cycle late (see
+# src/core/pipeline_machine.cpp). No invariant can see that; the
+# reference pipeline can: fig5_3 under --cross-check 8 must report a
+# cross-check violation, while the unmutated build (the second
+# argument, default build/) must report none and 8 cells
+# cross-checked.
+#
+# Usage: scripts/mutation_smoke.sh [mutant-build-dir] [clean-build-dir]
 set -euo pipefail
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
 build="${1:-$root/build-mutation-smoke}"
+wakeup_build="$build-late-wakeup"
+clean_build="${2:-$root/build}"
 
 echo "mutation-smoke: building mutant (classifier-drop-correct)"
 cmake -B "$build" -S "$root" -DCMAKE_BUILD_TYPE=Release \
@@ -72,3 +83,40 @@ if [[ -z "$failed" || "$failed" -eq 0 || "$nan_cells" -ne "$failed" ]]; then
     exit 1
 fi
 echo "mutation-smoke: PASS ($failed failed cells written as nan)"
+
+echo "mutation-smoke: building mutant (pipeline-late-wakeup)"
+cmake -B "$wakeup_build" -S "$root" -DCMAKE_BUILD_TYPE=Release \
+    -DVPSIM_MUTATION=pipeline-late-wakeup >/dev/null
+cmake --build "$wakeup_build" -j"$(nproc)" \
+    --target fig5_3_trace_cache >/dev/null
+
+echo "mutation-smoke: running the mutant under --cross-check 8"
+out_wakeup="$("$wakeup_build/bench/fig5_3_trace_cache" --insts 2000 \
+    --cross-check 8 --keep-going 1 2>&1 || true)"
+if ! grep -q "invariant 'cross-check' violated" <<<"$out_wakeup"; then
+    echo "mutation-smoke: FAIL - the late-wakeup mutant agreed with the" \
+         "reference pipeline; --cross-check is not protecting the" \
+         "Section 5 scheduler"
+    echo "---- mutant output ----"
+    echo "$out_wakeup"
+    exit 1
+fi
+echo "mutation-smoke: PASS (reference pipeline caught the mutant)"
+
+echo "mutation-smoke: checking the unmutated scheduler agrees"
+if [[ ! -f "$clean_build/CMakeCache.txt" ]]; then
+    cmake -B "$clean_build" -S "$root" -DCMAKE_BUILD_TYPE=Release >/dev/null
+fi
+cmake --build "$clean_build" -j"$(nproc)" \
+    --target fig5_3_trace_cache >/dev/null
+out_clean="$("$clean_build/bench/fig5_3_trace_cache" --insts 2000 \
+    --cross-check 8 --keep-going 1 --stats 1 2>&1 || true)"
+if grep -q "invariant 'cross-check' violated" <<<"$out_clean" ||
+    ! grep -q "8 cells cross-checked" <<<"$out_clean"; then
+    echo "mutation-smoke: FAIL - the unmutated build did not cross-check" \
+         "8 cells cleanly"
+    echo "---- output ----"
+    echo "$out_clean"
+    exit 1
+fi
+echo "mutation-smoke: PASS (unmutated: 8 cells cross-checked, all agree)"

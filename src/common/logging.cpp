@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <sstream>
 #include <utility>
 
 #include "common/thread_annotations.hpp"
@@ -55,6 +56,14 @@ panic(const std::string &message)
 {
     emitLine("panic", message);
     std::abort();
+}
+
+void
+panicAt(std::string_view message, const char *file, int line)
+{
+    std::ostringstream oss;
+    oss << message << " (" << file << ":" << line << ")";
+    panic(oss.str());
 }
 
 void

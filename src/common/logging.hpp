@@ -47,21 +47,24 @@ void warn(const std::string &message);
 /** Print "info: <message>" to stderr and continue. */
 void inform(const std::string &message);
 
+/** panic() with " (file:line)" appended: panicIf()'s failure path. */
+[[noreturn]] void panicAt(std::string_view message, const char *file,
+                          int line);
+
 /**
  * Check an internal invariant; panics with location info when violated.
  *
  * Unlike assert(), the check is always compiled in: simulator results must
- * not silently change between debug and release builds.
+ * not silently change between debug and release builds. The message is
+ * formatted out of line, so the check inlines to a compare and a branch
+ * even on per-instruction paths.
  */
 inline void
 panicIf(bool condition, std::string_view message,
         const char *file = __builtin_FILE(), int line = __builtin_LINE())
 {
-    if (condition) {
-        std::ostringstream oss;
-        oss << message << " (" << file << ":" << line << ")";
-        panic(oss.str());
-    }
+    if (condition) [[unlikely]]
+        panicAt(message, file, line);
 }
 
 /** Check a user-facing precondition; fatal()s when violated. */

@@ -3,14 +3,13 @@
 #include <algorithm>
 #include <bit>
 #include <sstream>
-#include <memory>
 #include <span>
 
 #include "common/cancellation.hpp"
 #include "common/invariant.hpp"
 #include "common/logging.hpp"
+#include "core/pipeline_components.hpp"
 #include "core/speedup.hpp"
-#include "fetch/sequential_fetch.hpp"
 #include "isa/instruction.hpp"
 
 namespace vpsim
@@ -19,56 +18,105 @@ namespace vpsim
 namespace
 {
 
-/** One reorder-buffer entry. */
-struct RobEntry
+/** A pending operand on its producer's waiter list: 2 × ring position +
+ *  operand index. */
+using WaiterRef = std::uint32_t;
+constexpr WaiterRef noWaiter = ~WaiterRef{0};
+
+/**
+ * Cycles from a producer's execute to a woken consumer's use of the
+ * real value. -DVPSIM_MUTATION=pipeline-late-wakeup adds one, a
+ * scheduling bug only the reference pipeline can see
+ * (scripts/mutation_smoke.sh).
+ */
+#ifdef VPSIM_MUTATION_PIPELINE_LATE_WAKEUP
+constexpr Cycle wakeLatency = 2;
+#else
+constexpr Cycle wakeLatency = 1;
+#endif
+
+/**
+ * The scheduler's half of a reorder-buffer entry: everything issue,
+ * execute, wakeup and commit touch, on one cache line.
+ */
+struct alignas(64) HotEntry
+{
+    /**
+     * Earliest issue cycle: the front end's latency and every resolved
+     * plain operand's ready cycle, folded in as they resolve.
+     */
+    Cycle issueAt;
+    Cycle issueCycle;
+    Cycle execCycle;
+    /** Ready cycle of each wrong-speculation operand's real value. */
+    Cycle specReadyAt[2];
+    /** Head of this producer's list of pending consumer operands. */
+    WaiterRef waiters;
+    /** Next waiter on the same producer, per operand of this entry. */
+    WaiterRef nextWaiter[2];
+    /** Operands still waiting on an in-flight producer, by kind. */
+    std::uint8_t pendingPlain;
+    std::uint8_t pendingSpec;
+    /**
+     * Bit k: operand k's producer was (wrongly) value-predicted, so the
+     * entry may issue speculatively but must reissue after the real
+     * value arrives.
+     */
+    std::uint8_t specMask;
+    bool executed;
+    bool issued;
+    /** Wrong-path bubble: occupies resources, never commits. */
+    bool wrongPath;
+    bool mispredictedBranch;
+    /** Prediction made for this instruction's own output. */
+    bool vpPredicted;
+    bool vpCorrect;
+    bool vpTracked; //!< update() owed to the classifier at retire
+};
+static_assert(sizeof(HotEntry) == 64, "one cache line per hot entry");
+
+/** The rest of an entry: read only at commit and branch resolution. */
+struct ColdEntry
 {
     SeqNum seq = 0;
-    /** Window slot id: monotone per dispatch, reused after a squash. */
-    std::uint64_t robSlot = 0;
-    /** Wrong-path bubble: occupies resources, never commits. */
-    bool wrongPath = false;
-    Cycle fetchCycle = 0;
-    bool executed = false;
-    Cycle execCycle = 0;
-
-    bool isControl = false;
-    bool mispredictedBranch = false;
-
-    bool producesValue = false;
     Addr pc = 0;
     Value result = 0;
-
-    /** Prediction made for this instruction's own output. */
-    bool vpPredicted = false;
-    bool vpCorrect = false;
-    bool vpTracked = false; //!< update() owed to the classifier
     ClassifiedPrediction vpPrediction;
-
-    /** Issued (possibly speculatively); awaiting final completion. */
-    bool issued = false;
-    Cycle issueCycle = 0;
-
-    /** Source operand constraint. */
-    struct Operand
-    {
-        /** Still waiting on an in-flight producer. */
-        bool pending = false;
-        std::uint64_t producerSlot = 0;
-        /** Producer's value was (wrongly) predicted: the consumer may
-         *  issue speculatively but must reissue after the real value. */
-        bool wrongSpeculation = false;
-        /** Cycle the real value becomes usable (when !pending). */
-        Cycle readyAt = 0;
-    };
-    Operand operands[2];
-    unsigned numOperands = 0;
 };
 
-/** Last architectural writer of each register. */
-struct WriterInfo
+/**
+ * Ring positions as bits, one bitmap per set: the entries ready to act
+ * this cycle, and one per future cycle of the event calendar.
+ */
+class SlotBitmaps
 {
-    /** Window slot of the writer, or invalid when none dispatched. */
-    std::uint64_t slot = ~std::uint64_t{0};
+  public:
+    SlotBitmaps(std::size_t maps, std::size_t ring_size)
+        : words(std::max<std::size_t>(1, ring_size / 64)),
+          bits(maps * words, 0)
+    {
+    }
+
+    std::uint64_t *map(std::size_t index) { return &bits[index * words]; }
+    std::size_t wordsPerMap() const { return words; }
+
+    void set(std::size_t index, std::uint64_t pos)
+    {
+        map(index)[pos >> 6] |= std::uint64_t{1} << (pos & 63);
+    }
+    void clear(std::size_t index, std::uint64_t pos)
+    {
+        map(index)[pos >> 6] &= ~(std::uint64_t{1} << (pos & 63));
+    }
+    bool test(std::size_t index, std::uint64_t pos) const
+    {
+        return (bits[index * words + (pos >> 6)] >> (pos & 63)) & 1;
+    }
+    std::size_t maps() const { return bits.size() / words; }
+
+  private:
+    std::size_t words;
+    std::vector<std::uint64_t> bits;
 };
 
 /**
@@ -93,10 +141,22 @@ enum class VpPath
  * The reorder buffer is a power-of-two ring indexed directly by window
  * slot id (slot & mask): entries never move, commit advances the head,
  * dispatch advances the tail, and a wrong-path squash rolls the tail
- * back. This replaced a std::deque whose segmented operator[] was the
- * hottest address computation in the simulator — the wakeup scan
- * re-derives an entry address per in-flight instruction per cycle, and
- * a producer lookup does it again per pending operand.
+ * back. Each entry is split hot/cold: the scheduler's fields share one
+ * cache line (HotEntry); the PC, result, prediction and sequence number
+ * sit in a parallel cold ring that only dispatch, commit and branch
+ * resolution touch.
+ *
+ * Nothing polls. At dispatch, an operand whose producer has not
+ * executed links itself into the producer's intrusive waiter list
+ * (HotEntry::waiters / nextWaiter, ring positions, no allocation). At
+ * execute, the producer walks its list and hands each waiter its ready
+ * cycle. An entry enters the event calendar only once it can act: to
+ * issue, when its last plain operand and the front-end latency allow;
+ * to finish, when its last wrong-speculation operand's reissue cycle is
+ * known. Each cycle, that cycle's calendar bitmap joins the ready
+ * bitmap, and the ready entries are visited oldest first, so issue
+ * stays oldest-first under the issue width and a resolving mispredicted
+ * branch still stops the cycle and squashes everything younger.
  *
  * Fills @p result's cycle count and (for the Perfect path) the oracle
  * prediction counters; the caller owns every other statistic.
@@ -116,7 +176,9 @@ runPipelineLoop(TraceSpan records, const PipelineConfig &config,
     const bool dispatchTiming =
         config.vpUpdateTiming == VpUpdateTiming::Dispatch;
 
-    std::vector<WriterInfo> lastWriter(numArchRegs);
+    // Last architectural writer of each register (window slot id).
+    constexpr std::uint64_t noWriter = ~std::uint64_t{0};
+    std::vector<std::uint64_t> lastWriter(numArchRegs, noWriter);
 
     // Window slots free at execute, but executed entries must outlive
     // any dispatched consumer's wakeup, so the ring also buffers them
@@ -126,7 +188,10 @@ runPipelineLoop(TraceSpan records, const PipelineConfig &config,
         static_cast<std::size_t>(windowSize) * 8;
     const std::size_t robRingSize = std::bit_ceil(robCapacity);
     const std::uint64_t robMask = robRingSize - 1;
-    std::vector<RobEntry> rob(robRingSize);
+    panicIf(robRingSize > (std::size_t{1} << 30),
+            "window too large for 32-bit waiter links");
+    std::vector<HotEntry> hot(robRingSize);
+    std::vector<ColdEntry> cold(robRingSize);
     // Live slots are [robHead, robTail): monotone as entries dispatch,
     // advanced at the head as they commit, and rolled back at the tail
     // when a wrong path squashes. Squashed slots are reused by later
@@ -138,6 +203,39 @@ runPipelineLoop(TraceSpan records, const PipelineConfig &config,
         return slot >= robHead && slot < robTail;
     };
 
+    // Event calendar: every event lands 1 .. horizon cycles after the
+    // cycle that schedules it (a front-end latency, a wakeup, or a
+    // wakeup plus the reissue penalty), so a ring of calendarSize
+    // bitmaps covers the future. Bitmap 0 holds the entries ready now;
+    // bitmap 1 + (t & calendarMask) those that become ready at cycle t.
+    const Cycle horizon = std::max<Cycle>(
+        {Cycle{frontendLatency}, wakeLatency + Cycle{vpPenalty}, 1});
+    const std::size_t calendarSize = std::bit_ceil(horizon + 1);
+    const std::size_t calendarMask = calendarSize - 1;
+    SlotBitmaps queues(1 + calendarSize, robRingSize);
+    constexpr std::size_t readyNow = 0;
+    const auto schedule = [&](std::uint64_t pos, Cycle at, Cycle now) {
+        panicIf(at <= now || at - now > horizon,
+                "pipeline event outside the calendar");
+        queues.set(1 + (at & calendarMask), pos);
+    };
+    // Cycle at which an issued entry's wrong speculations are repaired:
+    // each reissues one penalty after its real value arrives, unless the
+    // real value was already available when the entry issued (then it
+    // simply used it and the prediction was merely useless).
+    const auto finishCycle = [vpPenalty](const HotEntry &entry) {
+        Cycle done = entry.issueCycle;
+        for (unsigned op = 0; op < 2; ++op) {
+            if (!((entry.specMask >> op) & 1))
+                continue;
+            const Cycle ready = entry.specReadyAt[op];
+            done = std::max(done, ready <= entry.issueCycle
+                                      ? ready
+                                      : ready + vpPenalty);
+        }
+        return done;
+    };
+
     std::vector<FetchedInst> bundle;
     std::span<const VpGrant> grants;
     std::vector<Addr> bundlePcs;
@@ -146,18 +244,8 @@ runPipelineLoop(TraceSpan records, const PipelineConfig &config,
     Cycle lastCommit = 0;
     std::uint64_t committed = 0;
     Cycle idleCycles = 0;
-    // Dispatched-but-not-executed slots, ascending (= dispatch order).
-    // This is the scheduling window's load AND the wakeup scan's work
-    // list: executed entries need no wakeup (they resolved all their
-    // operands to execute) and cannot issue again, so the per-cycle
-    // scan visits only these slots instead of every live ring entry —
-    // when the commit head stalls on a long dependency chain the ring
-    // buffers up to 8x windowSize executed entries that the old
-    // deque-walk re-skipped every cycle. Dispatch appends (slots are
-    // monotone), execution compacts, and a wrong-path squash truncates
-    // the tail, so the list stays sorted.
-    std::vector<std::uint64_t> unexec;
-    unexec.reserve(robRingSize);
+    // Dispatched-but-not-executed entries: the scheduling window's load.
+    unsigned windowLoad = 0;
 
     while (committed < records.size()) {
         ++now;
@@ -168,19 +256,35 @@ runPipelineLoop(TraceSpan records, const PipelineConfig &config,
         // Deep audit: the occupancy and unexecuted bookkeeping that the
         // fetch gate below relies on. A drifted counter here admits
         // more in-flight instructions than the window allows and
-        // silently inflates every IPC the machine reports.
+        // silently inflates every IPC the machine reports; an entry
+        // that neither waits on a producer nor sits in a queue would
+        // never issue.
         if (invariantsActive(InvariantLevel::Full)) {
             unsigned not_executed = 0;
-            for (std::uint64_t slot = robHead; slot != robTail; ++slot)
-                not_executed += rob[slot & robMask].executed ? 0u : 1u;
+            unsigned unqueued = 0;
+            for (std::uint64_t slot = robHead; slot != robTail; ++slot) {
+                const std::uint64_t pos = slot & robMask;
+                const HotEntry &entry = hot[pos];
+                if (entry.executed)
+                    continue;
+                ++not_executed;
+                const bool waiting = entry.issued ? entry.pendingSpec != 0
+                                                  : entry.pendingPlain != 0;
+                bool queued = false;
+                for (std::size_t m = 0; m < queues.maps(); ++m)
+                    queued = queued || queues.test(m, pos);
+                unqueued += waiting || queued ? 0u : 1u;
+            }
             checkInvariant(InvariantLevel::Full,
-                           not_executed == unexec.size(),
+                           not_executed == windowLoad && unqueued == 0,
                            "pipeline.unexecuted_bookkeeping", [&] {
                                return "cycle " + std::to_string(now) +
-                                      ": work list says " +
-                                      std::to_string(unexec.size()) +
+                                      ": window load says " +
+                                      std::to_string(windowLoad) +
                                       ", recount finds " +
-                                      std::to_string(not_executed);
+                                      std::to_string(not_executed) +
+                                      ", " + std::to_string(unqueued) +
+                                      " neither waiting nor queued";
                            });
             checkInvariant(InvariantLevel::Full,
                            not_executed <= windowSize,
@@ -196,7 +300,8 @@ runPipelineLoop(TraceSpan records, const PipelineConfig &config,
         // width is unconstrained: window slots were recycled at
         // execute. ---
         while (robTail != robHead) {
-            const RobEntry &head = rob[robHead & robMask];
+            const std::uint64_t pos = robHead & robMask;
+            const HotEntry &head = hot[pos];
             if (!head.executed || head.execCycle >= now)
                 break;
             // Train the value predictor in program order at retire; the
@@ -204,14 +309,16 @@ runPipelineLoop(TraceSpan records, const PipelineConfig &config,
             // (paper §3.1: the correct value is stored in the table "as
             // soon as it is known", and retire order keeps the stride
             // state consistent).
-            if constexpr (Vp == VpPath::Table) {
-                if (head.vpTracked)
-                    vpTable->update(head.pc, head.vpPrediction,
-                                    head.result);
-            } else if constexpr (Vp == VpPath::Plain) {
-                if (head.vpTracked)
-                    plainPredictor->update(head.pc, head.vpPrediction,
-                                           head.result);
+            if constexpr (Vp == VpPath::Table || Vp == VpPath::Plain) {
+                if (head.vpTracked) {
+                    const ColdEntry &info = cold[pos];
+                    if constexpr (Vp == VpPath::Table)
+                        vpTable->update(info.pc, info.vpPrediction,
+                                        info.result);
+                    else
+                        plainPredictor->update(info.pc, info.vpPrediction,
+                                               info.result);
+                }
             }
             panicIf(head.wrongPath,
                     "a wrong-path entry survived to commit");
@@ -221,105 +328,122 @@ runPipelineLoop(TraceSpan records, const PipelineConfig &config,
             progress = true;
         }
 
-        // --- Execute: dataflow issue, oldest first. Operand wakeup runs
-        // for every entry each cycle (a consumer must capture its
-        // producer's ready time before the producer can commit); actual
-        // issue is bounded by the issue width. ---
-        unsigned issues_left = issueWidth;
-        std::size_t survivors = 0;
-        for (std::size_t k = 0; k < unexec.size(); ++k) {
-            const std::uint64_t slot = unexec[k];
-            RobEntry &entry = rob[slot & robMask];
-
-            // Operand wakeup: capture producers' ready times. A consumer
-            // must do this before its producer can commit, so wakeup is
-            // not gated by the issue width.
-            bool plain_ready = true;
-            for (unsigned op = 0; op < entry.numOperands; ++op) {
-                RobEntry::Operand &operand = entry.operands[op];
-                if (operand.pending) {
-                    panicIf(!inRob(operand.producerSlot),
-                            "pending operand lost its producer");
-                    const RobEntry &producer =
-                        rob[operand.producerSlot & robMask];
-                    if (producer.executed) {
-                        operand.pending = false;
-                        operand.readyAt = producer.execCycle + 1;
-                    }
-                }
-                if (operand.wrongSpeculation)
-                    continue; // does not gate issue: we speculate
-                if (operand.pending || operand.readyAt > now)
-                    plain_ready = false;
+        // --- Execute: this cycle's events join the entries still ready
+        // from earlier cycles (held back by the issue width), then the
+        // ready entries act oldest first. ---
+        {
+            std::uint64_t *ready = queues.map(readyNow);
+            std::uint64_t *due = queues.map(1 + (now & calendarMask));
+            for (std::size_t w = 0; w < queues.wordsPerMap(); ++w) {
+                ready[w] |= due[w];
+                due[w] = 0;
             }
+        }
+        unsigned issues_left = issueWidth;
+        const std::uint64_t headPos = robHead & robMask;
+        // Act on the ready entry at ring position @p pos; false when a
+        // resolving mispredicted branch ends the cycle's execute phase.
+        const auto act = [&](std::uint64_t pos) {
+            HotEntry &entry = hot[pos];
 
-            // Issue: non-predicted operands ready, front end done.
+            // Issue: plain operands ready, front end done (both implied
+            // by being ready), subject to the issue width.
             if (!entry.issued) {
-                if (!plain_ready || issues_left == 0 ||
-                    now < entry.fetchCycle + frontendLatency) {
-                    unexec[survivors++] = slot;
-                    continue;
-                }
+                if (issues_left == 0)
+                    return true; // stays ready for the next cycle
                 entry.issued = true;
                 entry.issueCycle = now;
                 --issues_left;
                 progress = true;
-            }
-
-            // Completion: wrong speculations reissue one penalty after
-            // the real value arrives, unless the real value was already
-            // available when the consumer issued (then it simply used
-            // it and the prediction was merely useless).
-            bool complete = true;
-            for (unsigned op = 0; op < entry.numOperands; ++op) {
-                const RobEntry::Operand &operand = entry.operands[op];
-                if (!operand.wrongSpeculation)
-                    continue;
-                if (operand.pending) {
-                    complete = false;
-                    continue;
+                queues.clear(readyNow, pos);
+                if (entry.pendingSpec != 0)
+                    return true; // a producer's wakeup schedules it
+                const Cycle done = finishCycle(entry);
+                if (done > now) {
+                    schedule(pos, done, now);
+                    return true;
                 }
-                const Cycle needed =
-                    operand.readyAt <= entry.issueCycle
-                        ? operand.readyAt
-                        : operand.readyAt + vpPenalty;
-                if (needed > now)
-                    complete = false;
-            }
-            if (!complete) {
-                unexec[survivors++] = slot;
-                continue;
             }
 
+            // Execute: every wrong speculation has been repaired.
+            queues.clear(readyNow, pos);
             entry.executed = true;
             entry.execCycle = now;
+            --windowLoad;
             progress = true;
 
-            // A mispredicted branch redirects fetch as it resolves,
-            // and every younger entry (all wrong-path bubbles, since
-            // correct-path fetch was stalled) squashes. Every later
-            // slot in the work list is younger than the branch, so the
-            // unscanned remainder is exactly the squashed set: stop
-            // here and let the resize below drop it.
-            if (entry.isControl && entry.mispredictedBranch) {
-                engine.branchResolved(entry.seq, now);
-                while (robTail > slot + 1) {
-                    RobEntry &victim = rob[(robTail - 1) & robMask];
-                    panicIf(!victim.wrongPath,
-                            "squashed a correct-path entry");
-                    --robTail;
+            // Wakeup: each waiting operand learns its ready cycle; a
+            // consumer whose last blocker this was is scheduled.
+            const Cycle readyAt = now + wakeLatency;
+            for (WaiterRef ref = entry.waiters; ref != noWaiter;) {
+                const std::uint64_t consumerPos = ref >> 1;
+                const unsigned op = ref & 1;
+                HotEntry &consumer = hot[consumerPos];
+                ref = consumer.nextWaiter[op];
+                if ((consumer.specMask >> op) & 1) {
+                    consumer.specReadyAt[op] = readyAt;
+                    if (--consumer.pendingSpec == 0 && consumer.issued)
+                        schedule(consumerPos, finishCycle(consumer), now);
+                } else {
+                    consumer.issueAt = std::max(consumer.issueAt, readyAt);
+                    if (--consumer.pendingPlain == 0)
+                        schedule(consumerPos, consumer.issueAt, now);
                 }
-                break;
             }
-        }
-        unexec.resize(survivors);
+
+            // A mispredicted branch redirects fetch as it resolves, and
+            // every younger entry (all wrong-path bubbles, since
+            // correct-path fetch was stalled) squashes. Every ready
+            // entry not yet visited is younger than the branch, so the
+            // cycle's execute phase ends here.
+            if (!entry.mispredictedBranch)
+                return true;
+            engine.branchResolved(cold[pos].seq, now);
+            const std::uint64_t slot = robHead + ((pos - headPos) & robMask);
+            while (robTail > slot + 1) {
+                const std::uint64_t victimPos = (robTail - 1) & robMask;
+                const HotEntry &victim = hot[victimPos];
+                panicIf(!victim.wrongPath, "squashed a correct-path entry");
+                if (!victim.executed)
+                    --windowLoad;
+                for (std::size_t m = 0; m < queues.maps(); ++m)
+                    queues.clear(m, victimPos);
+                --robTail;
+            }
+            return false;
+        };
+        // Visit the ready positions in [lo, hi) in ascending order.
+        const auto actOn = [&](std::uint64_t lo, std::uint64_t hi) {
+            const std::uint64_t *ready = queues.map(readyNow);
+            for (std::uint64_t w = lo >> 6; w << 6 < hi; ++w) {
+                std::uint64_t bits = ready[w];
+                if (w << 6 < lo)
+                    bits &= ~std::uint64_t{0} << (lo & 63);
+                if ((w + 1) << 6 > hi)
+                    bits &= ~(~std::uint64_t{0} << (hi & 63));
+                while (bits != 0) {
+                    const auto bit =
+                        static_cast<unsigned>(std::countr_zero(bits));
+                    bits &= bits - 1;
+                    if (!act((w << 6) + bit))
+                        return false;
+                }
+            }
+            return true;
+        };
+        // Live slots occupy ring positions from the head's onwards,
+        // wrapping at most once, so these two ranges visit the ready
+        // entries oldest first.
+        const std::uint64_t liveEnd = headPos + (robTail - robHead);
+        if (actOn(headPos, std::min<std::uint64_t>(liveEnd, robRingSize)) &&
+            liveEnd > robRingSize)
+            actOn(0, liveEnd - robRingSize);
 
         // --- Fetch/dispatch. ---
-        const unsigned window_load = static_cast<unsigned>(unexec.size());
-        if (!engine.done() && window_load < windowSize &&
+        if (!engine.done() && windowLoad < windowSize &&
             robTail - robHead < robCapacity) {
             const std::size_t room = std::min<std::size_t>(
-                windowSize - window_load, robCapacity - (robTail - robHead));
+                windowSize - windowLoad, robCapacity - (robTail - robHead));
             const unsigned budget =
                 issueWidth < room ? issueWidth : static_cast<unsigned>(room);
             bundle.clear();
@@ -351,21 +475,31 @@ runPipelineLoop(TraceSpan records, const PipelineConfig &config,
             std::size_t grant_cursor = 0;
             for (const FetchedInst &fetched : bundle) {
                 const TraceRecord &record = fetched.record;
-                // Build the entry directly in its ring slot (the slot
-                // is reused, so reset it first). Producers looked up
+                // Build the entry in its ring slot. Producers looked up
                 // below live in [robHead, robTail) and can never alias
                 // slot robTail: the live span is capped below the ring
                 // size by the fetch gate's budget.
-                RobEntry &entry = rob[robTail & robMask];
-                entry = RobEntry{};
-                entry.seq = record.seq;
+                const std::uint64_t pos = robTail & robMask;
+                HotEntry &entry = hot[pos];
+                ColdEntry &info = cold[pos];
+                entry.issueAt = now + frontendLatency;
+                entry.waiters = noWaiter;
+                entry.pendingPlain = 0;
+                entry.pendingSpec = 0;
+                entry.specMask = 0;
+                entry.executed = false;
+                entry.issued = false;
                 entry.wrongPath = fetched.wrongPath;
-                entry.pc = record.pc;
-                entry.fetchCycle = now;
-                entry.isControl = record.isControlFlow();
-                entry.mispredictedBranch = fetched.mispredicted;
-                entry.producesValue = record.producesValue();
-                entry.result = record.result;
+                entry.mispredictedBranch =
+                    record.isControlFlow() && fetched.mispredicted;
+                entry.vpPredicted = false;
+                entry.vpCorrect = false;
+                entry.vpTracked = false;
+                if (entry.mispredictedBranch)
+                    info.seq = record.seq;
+                const bool produces_value = record.producesValue();
+                const bool in_scope =
+                    scopeAll || record.instClass() == InstClass::Load;
 
                 // Wrong-path bubbles: poll (and pollute) the value
                 // predictor, then release the lookup immediately; no
@@ -373,10 +507,7 @@ runPipelineLoop(TraceSpan records, const PipelineConfig &config,
                 if (entry.wrongPath) {
                     if constexpr (Vp == VpPath::Table ||
                                   Vp == VpPath::Plain) {
-                        const bool wp_in_scope =
-                            scopeAll ||
-                            record.instClass() == InstClass::Load;
-                        if (entry.producesValue && wp_in_scope) {
+                        if (produces_value && in_scope) {
                             if constexpr (Vp == VpPath::Table) {
                                 const VpGrant &grant =
                                     grants[grant_cursor++];
@@ -388,8 +519,8 @@ runPipelineLoop(TraceSpan records, const PipelineConfig &config,
                             }
                         }
                     }
-                    entry.robSlot = robTail;
-                    unexec.push_back(robTail);
+                    schedule(pos, std::max(entry.issueAt, now + 1), now);
+                    ++windowLoad;
                     ++robTail;
                     progress = true;
                     continue;
@@ -397,96 +528,96 @@ runPipelineLoop(TraceSpan records, const PipelineConfig &config,
 
                 // Value prediction for this instruction's own output.
                 if constexpr (Vp != VpPath::None) {
-                    const bool vp_in_scope =
-                        scopeAll ||
-                        record.instClass() == InstClass::Load;
-                    if (entry.producesValue && vp_in_scope) {
+                    if (produces_value && in_scope) {
                         if constexpr (Vp == VpPath::Perfect) {
                             entry.vpPredicted = true;
                             entry.vpCorrect = true;
                             ++result.vpPredictionsMade;
                             ++result.vpPredictionsCorrect;
-                        } else if constexpr (Vp == VpPath::Table) {
-                            const VpGrant &grant =
-                                grants[grant_cursor++];
-                            if (grant.granted) {
-                                entry.vpPrediction = grant.prediction;
-                                entry.vpPredicted =
-                                    grant.prediction.predicted;
-                                entry.vpCorrect =
-                                    entry.vpPredicted &&
-                                    grant.prediction.value ==
-                                        record.result;
-                                if (dispatchTiming) {
-                                    vpTable->update(record.pc,
-                                                    entry.vpPrediction,
+                        } else {
+                            ClassifiedPrediction prediction;
+                            bool looked_up = true;
+                            if constexpr (Vp == VpPath::Table) {
+                                const VpGrant &grant =
+                                    grants[grant_cursor++];
+                                looked_up = grant.granted;
+                                prediction = grant.prediction;
+                                if (looked_up && dispatchTiming)
+                                    vpTable->update(record.pc, prediction,
                                                     record.result);
-                                } else {
+                            } else if (dispatchTiming) {
+                                // predict() immediately followed by
+                                // update() collapses into the
+                                // classifier's fused single-probe path
+                                // (identical state machine; see
+                                // ClassifiedPredictor).
+                                prediction =
+                                    plainPredictor->predictAndTrain(
+                                        record.pc, record.result);
+                            } else {
+                                prediction =
+                                    plainPredictor->predict(record.pc);
+                            }
+                            if (looked_up) {
+                                entry.vpPredicted = prediction.predicted;
+                                entry.vpCorrect =
+                                    prediction.predicted &&
+                                    prediction.value == record.result;
+                                if (!dispatchTiming) {
                                     entry.vpTracked = true;
+                                    info.pc = record.pc;
+                                    info.result = record.result;
+                                    info.vpPrediction = prediction;
                                 }
                             }
-                        } else if (dispatchTiming) {
-                            // predict() immediately followed by
-                            // update() collapses into the classifier's
-                            // fused single-probe path (identical state
-                            // machine; see ClassifiedPredictor).
-                            entry.vpPrediction =
-                                plainPredictor->predictAndTrain(
-                                    record.pc, record.result);
-                            entry.vpPredicted =
-                                entry.vpPrediction.predicted;
-                            entry.vpCorrect =
-                                entry.vpPredicted &&
-                                entry.vpPrediction.value ==
-                                    record.result;
-                        } else {
-                            entry.vpPrediction =
-                                plainPredictor->predict(record.pc);
-                            entry.vpPredicted =
-                                entry.vpPrediction.predicted;
-                            entry.vpCorrect =
-                                entry.vpPredicted &&
-                                entry.vpPrediction.value ==
-                                    record.result;
-                            entry.vpTracked = true;
                         }
                     }
                 }
 
-                // Resolve source operands against in-flight producers.
+                // Resolve source operands against in-flight producers:
+                // a resolved one folds its ready cycle in now, a pending
+                // one joins its producer's waiter list.
+                unsigned num_operands = 0;
                 const auto addOperand = [&](RegIndex reg) {
                     if (reg == invalidReg || reg == 0)
                         return;
-                    const WriterInfo &writer = lastWriter[reg];
-                    if (!inRob(writer.slot))
+                    const std::uint64_t writer = lastWriter[reg];
+                    if (!inRob(writer))
                         return; // architecturally ready
-                    const RobEntry &producer =
-                        rob[writer.slot & robMask];
+                    HotEntry &producer = hot[writer & robMask];
+                    bool wrong_speculation = false;
                     if constexpr (Vp != VpPath::None) {
                         if (producer.vpPredicted && producer.vpCorrect)
                             return; // speculate on the predicted value
+                        wrong_speculation = producer.vpPredicted;
                     }
-                    RobEntry::Operand operand;
-                    if constexpr (Vp != VpPath::None) {
-                        operand.wrongSpeculation =
-                            producer.vpPredicted && !producer.vpCorrect;
-                    }
+                    const unsigned op = num_operands++;
+                    if (wrong_speculation)
+                        entry.specMask |= static_cast<std::uint8_t>(1u << op);
                     if (producer.executed) {
-                        operand.readyAt = producer.execCycle + 1;
-                    } else {
-                        operand.pending = true;
-                        operand.producerSlot = producer.robSlot;
+                        const Cycle ready = producer.execCycle + 1;
+                        if (wrong_speculation)
+                            entry.specReadyAt[op] = ready;
+                        else
+                            entry.issueAt = std::max(entry.issueAt, ready);
+                        return;
                     }
-                    entry.operands[entry.numOperands++] = operand;
+                    if (wrong_speculation)
+                        ++entry.pendingSpec;
+                    else
+                        ++entry.pendingPlain;
+                    entry.nextWaiter[op] = producer.waiters;
+                    producer.waiters = static_cast<WaiterRef>(pos * 2 + op);
                 };
                 addOperand(record.rs1);
                 addOperand(record.rs2);
 
-                entry.robSlot = robTail;
-                unexec.push_back(robTail);
+                if (entry.pendingPlain == 0)
+                    schedule(pos, std::max(entry.issueAt, now + 1), now);
+                ++windowLoad;
+                if (produces_value)
+                    lastWriter[record.rd] = robTail;
                 ++robTail;
-                if (entry.producesValue)
-                    lastWriter[record.rd].slot = entry.robSlot;
                 progress = true;
             }
         }
@@ -508,125 +639,32 @@ runPipelineLoop(TraceSpan records, const PipelineConfig &config,
 PipelineResult
 runPipelineMachine(TraceSpan records, const PipelineConfig &config)
 {
-    fatalIf(config.windowSize == 0, "window size must be positive");
-    fatalIf(config.issueWidth == 0, "issue width must be positive");
-
-    fatalIf(config.modelWrongPath &&
-                (config.frontEnd != FrontEndKind::Sequential ||
-                 config.program == nullptr),
-            "wrong-path modelling needs the Sequential front end and a "
-            "program image");
-
+    checkPipelineConfig(config);
     PipelineResult result;
     result.instructions = records.size();
     if (records.empty())
         return result;
 
-    // Branch predictor.
-    std::unique_ptr<BranchPredictor> bpred;
-    TwoLevelPApPredictor *btb = nullptr;
-    if (config.perfectBranchPredictor) {
-        bpred = std::make_unique<PerfectBranchPredictor>();
-    } else {
-        auto two_level =
-            std::make_unique<TwoLevelPApPredictor>(config.btbConfig);
-        btb = two_level.get();
-        bpred = std::move(two_level);
-    }
-
-    // Front end.
-    std::unique_ptr<TraceFetchBase> engine;
-    TraceCacheFetch *tc = nullptr;
-    BranchAddressCacheFetch *bac = nullptr;
-    CollapsingBufferFetch *cb = nullptr;
-    SequentialFetch *seq_fetch = nullptr;
-    if (config.frontEnd == FrontEndKind::Sequential) {
-        auto seq_engine = std::make_unique<SequentialFetch>(
-            records, *bpred, config.maxTakenBranches,
-            config.modelWrongPath ? config.program : nullptr);
-        seq_fetch = seq_engine.get();
-        engine = std::move(seq_engine);
-    } else if (config.frontEnd == FrontEndKind::TraceCache) {
-        auto tc_engine = std::make_unique<TraceCacheFetch>(
-            records, *bpred, config.traceCacheConfig);
-        tc = tc_engine.get();
-        engine = std::move(tc_engine);
-    } else if (config.frontEnd == FrontEndKind::BranchAddressCache) {
-        auto bac_engine = std::make_unique<BranchAddressCacheFetch>(
-            records, *bpred, config.bacConfig);
-        bac = bac_engine.get();
-        engine = std::move(bac_engine);
-    } else {
-        auto cb_engine = std::make_unique<CollapsingBufferFetch>(
-            records, *bpred, config.collapsingBufferConfig);
-        cb = cb_engine.get();
-        engine = std::move(cb_engine);
-    }
-
-    // Value predictor (plain classified, or behind the §4 banked table).
-    std::unique_ptr<ClassifiedPredictor> plainPredictor;
-    std::unique_ptr<InterleavedVpTable> vpTable;
-    if (config.useValuePrediction && !config.perfectValuePrediction) {
-        auto classified = makeClassifiedPredictor(
-            config.predictorKind, config.tableCapacity,
-            config.counterBits, config.missPolicy);
-        if (config.useInterleavedVpTable) {
-            vpTable = std::make_unique<InterleavedVpTable>(
-                std::move(classified), config.vpTableConfig);
-        } else {
-            plainPredictor = std::move(classified);
-        }
-    }
-
+    PipelineComponents parts(records, config);
+    TraceFetchBase &engine = parts.engine();
     // One cycle-loop instantiation per value-prediction flavour.
     if (!config.useValuePrediction) {
-        runPipelineLoop<VpPath::None>(records, config, *engine, nullptr,
+        runPipelineLoop<VpPath::None>(records, config, engine, nullptr,
                                       nullptr, result);
     } else if (config.perfectValuePrediction) {
-        runPipelineLoop<VpPath::Perfect>(records, config, *engine,
-                                         nullptr, nullptr, result);
-    } else if (vpTable) {
-        runPipelineLoop<VpPath::Table>(records, config, *engine,
-                                       vpTable.get(), nullptr, result);
+        runPipelineLoop<VpPath::Perfect>(records, config, engine, nullptr,
+                                         nullptr, result);
+    } else if (parts.vpTable() != nullptr) {
+        runPipelineLoop<VpPath::Table>(records, config, engine,
+                                       parts.vpTable(), nullptr, result);
     } else {
-        runPipelineLoop<VpPath::Plain>(records, config, *engine,
-                                       nullptr, plainPredictor.get(),
-                                       result);
+        runPipelineLoop<VpPath::Plain>(records, config, engine, nullptr,
+                                       parts.plainPredictor(), result);
     }
 
     result.ipc = static_cast<double>(result.instructions) /
                  static_cast<double>(result.cycles);
-    result.branchMispredicts = engine->mispredicts();
-    if (btb)
-        result.branchAccuracy = btb->accuracy();
-    if (tc) {
-        result.tcHitRate = tc->hitRate();
-        result.tcLookups = tc->lookups();
-        result.tcLineInsts = tc->lineInstsDelivered();
-    }
-    if (bac) {
-        result.bacHitRate = bac->hitRate();
-        result.bacBankConflicts = bac->bankConflicts();
-    }
-    if (cb)
-        result.cbCollapsedBranches = cb->collapsedBranches();
-    if (seq_fetch)
-        result.wrongPathFetched = seq_fetch->wrongPathFetched();
-    if (vpTable) {
-        ClassifiedPredictor &classified = vpTable->predictor();
-        result.vpPredictionsMade = classified.predictionsMade();
-        result.vpPredictionsCorrect = classified.predictionsCorrect();
-        result.vpPredictionsWrong = classified.predictionsWrong();
-        result.vptRequests = vpTable->requests();
-        result.vptMergedRequests = vpTable->mergedRequests();
-        result.vptDeniedRequests = vpTable->deniedRequests();
-        result.vptDistributorAdditions = vpTable->distributorAdditions();
-    } else if (plainPredictor) {
-        result.vpPredictionsMade = plainPredictor->predictionsMade();
-        result.vpPredictionsCorrect =
-            plainPredictor->predictionsCorrect();
-        result.vpPredictionsWrong = plainPredictor->predictionsWrong();
-    }
+    parts.collectStats(result);
 
     // Always-on O(1) audits mirroring the ideal machine's bounds.
     checkInvariant(InvariantLevel::Cheap,

@@ -179,6 +179,14 @@ PipelineResult runPipelineMachine(TraceSpan records,
 double pipelineVpSpeedup(TraceSpan records,
                          const PipelineConfig &config);
 
+/**
+ * A Section 5 machine: runPipelineMachine() or its reference,
+ * runReferencePipelineMachine() (core/reference_machine.hpp). Benches
+ * write a grid cell once against this and run it on both.
+ */
+using PipelineMachineFn = PipelineResult (*)(TraceSpan records,
+                                             const PipelineConfig &config);
+
 } // namespace vpsim
 
 #endif // VPSIM_CORE_PIPELINE_MACHINE_HPP

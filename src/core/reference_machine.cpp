@@ -1,8 +1,12 @@
 #include "core/reference_machine.hpp"
 
 #include <algorithm>
+#include <deque>
+#include <span>
 
 #include "common/logging.hpp"
+#include "core/pipeline_components.hpp"
+#include "core/speedup.hpp"
 #include "isa/instruction.hpp"
 
 namespace vpsim
@@ -22,9 +26,9 @@ struct PredictionReplay
 };
 
 bool
-inVpScope(const IdealMachineConfig &config, const TraceRecord &record)
+inVpScope(VpScope scope, const TraceRecord &record)
 {
-    return config.vpScope == VpScope::AllInstructions ||
+    return scope == VpScope::AllInstructions ||
            record.instClass() == InstClass::Load;
 }
 
@@ -52,7 +56,7 @@ replayPredictions(TraceSpan records, const IdealMachineConfig &config)
 
     for (std::size_t i = 0; i < records.size(); ++i) {
         const TraceRecord &record = records[i];
-        if (!record.producesValue() || !inVpScope(config, record))
+        if (!record.producesValue() || !inVpScope(config.vpScope, record))
             continue;
         if (config.perfectValuePrediction) {
             replay.predicted[i] = 1;
@@ -192,6 +196,293 @@ referenceIdealVpSpeedup(TraceSpan records,
         return 1.0;
     return static_cast<double>(base_result.cycles) /
            static_cast<double>(vp_result.cycles);
+}
+
+namespace
+{
+
+/** One in-flight instruction of the reference pipeline. */
+struct RefEntry
+{
+    SeqNum seq = 0;
+    Addr pc = 0;
+    Value result = 0;
+    bool wrongPath = false;
+    bool mispredictedBranch = false;
+    Cycle fetchCycle = 0;
+    bool issued = false;
+    Cycle issueCycle = 0;
+    bool executed = false;
+    Cycle execCycle = 0;
+    bool vpPredicted = false;
+    bool vpCorrect = false;
+    bool vpTracked = false;
+    ClassifiedPrediction vpPrediction;
+
+    /** A source operand whose producer was in flight at dispatch. */
+    struct Source
+    {
+        std::uint64_t producer = 0; //!< the producer's dispatch number
+        bool known = false;         //!< readyAt has been captured
+        Cycle readyAt = 0;
+        bool wrongSpeculation = false;
+    };
+    std::vector<Source> sources;
+};
+
+} // namespace
+
+PipelineResult
+runReferencePipelineMachine(TraceSpan records, const PipelineConfig &config)
+{
+    checkPipelineConfig(config);
+    PipelineResult result;
+    result.instructions = records.size();
+    if (records.empty())
+        return result;
+
+    PipelineComponents parts(records, config);
+    TraceFetchBase &engine = parts.engine();
+    ClassifiedPredictor *plain = parts.plainPredictor();
+    InterleavedVpTable *table = parts.vpTable();
+    const bool vpOn = config.useValuePrediction;
+    const bool perfect = vpOn && config.perfectValuePrediction;
+    const bool retireTraining =
+        config.vpUpdateTiming == VpUpdateTiming::Retire;
+    const std::size_t robCapacity =
+        static_cast<std::size_t>(config.windowSize) * 8;
+
+    // The in-flight instructions in program order. window[i] has
+    // dispatch number firstNumber + i; a squash pops the back, so
+    // numbers are reused exactly like the production ring's slots.
+    std::deque<RefEntry> window;
+    std::uint64_t firstNumber = 0;
+    constexpr std::uint64_t none = ~std::uint64_t{0};
+    std::vector<std::uint64_t> writerOf(numArchRegs, none);
+    const auto inFlight = [&](std::uint64_t number) {
+        return number != none && number >= firstNumber &&
+               number < firstNumber + window.size();
+    };
+
+    std::vector<FetchedInst> bundle;
+    Cycle now = 0;
+    Cycle lastCommit = 0;
+    std::uint64_t committed = 0;
+    Cycle idle = 0;
+    while (committed < records.size()) {
+        ++now;
+        bool progress = false;
+
+        // Commit the executed prefix, training a retire-time predictor.
+        while (!window.empty() && window.front().executed &&
+               window.front().execCycle < now) {
+            const RefEntry &head = window.front();
+            panicIf(head.wrongPath, "reference: wrong path committed");
+            if (head.vpTracked && table != nullptr)
+                table->update(head.pc, head.vpPrediction, head.result);
+            else if (head.vpTracked)
+                plain->update(head.pc, head.vpPrediction, head.result);
+            window.pop_front();
+            ++firstNumber;
+            ++committed;
+            lastCommit = now;
+            progress = true;
+        }
+
+        // Scan the whole window oldest first: capture ready times, then
+        // issue (width-limited) and finish what can.
+        unsigned issued = 0;
+        for (std::size_t i = 0; i < window.size(); ++i) {
+            RefEntry &entry = window[i];
+            if (entry.executed)
+                continue;
+            bool operandsReady = true;
+            bool repaired = true;
+            for (RefEntry::Source &source : entry.sources) {
+                if (!source.known) {
+                    panicIf(!inFlight(source.producer),
+                            "reference: producer left before its consumer "
+                            "saw it execute");
+                    const RefEntry &producer =
+                        window[source.producer - firstNumber];
+                    if (producer.executed) {
+                        source.known = true;
+                        source.readyAt = producer.execCycle + 1;
+                    }
+                }
+                const bool ready = source.known && source.readyAt <= now;
+                if (!source.wrongSpeculation && !ready)
+                    operandsReady = false;
+            }
+            if (!entry.issued) {
+                if (!operandsReady || issued == config.issueWidth ||
+                    now < entry.fetchCycle + config.frontendLatency)
+                    continue;
+                entry.issued = true;
+                entry.issueCycle = now;
+                ++issued;
+                progress = true;
+            }
+            for (const RefEntry::Source &source : entry.sources) {
+                if (!source.wrongSpeculation)
+                    continue;
+                if (!source.known) {
+                    repaired = false;
+                    continue;
+                }
+                const Cycle reissue = source.readyAt <= entry.issueCycle
+                                          ? source.readyAt
+                                          : source.readyAt + config.vpPenalty;
+                if (reissue > now)
+                    repaired = false;
+            }
+            if (!repaired)
+                continue;
+            entry.executed = true;
+            entry.execCycle = now;
+            progress = true;
+            if (entry.mispredictedBranch) {
+                engine.branchResolved(entry.seq, now);
+                while (window.size() > i + 1) {
+                    panicIf(!window.back().wrongPath,
+                            "reference: squashed a correct-path entry");
+                    window.pop_back();
+                }
+                break;
+            }
+        }
+
+        // Fetch into the free window slots, bounded by the ROB.
+        std::size_t waiting = 0;
+        for (const RefEntry &entry : window)
+            waiting += entry.executed ? 0 : 1;
+        if (!engine.done() && waiting < config.windowSize &&
+            window.size() < robCapacity) {
+            const std::size_t budget = std::min<std::size_t>(
+                {config.issueWidth, config.windowSize - waiting,
+                 robCapacity - window.size()});
+            bundle.clear();
+            engine.fetch(now, static_cast<unsigned>(budget), bundle);
+            panicIf(bundle.size() > budget,
+                    "reference: front end overfilled its budget");
+
+            std::vector<Addr> lookupPcs;
+            for (const FetchedInst &fetched : bundle) {
+                const TraceRecord &record = fetched.record;
+                if (record.producesValue() &&
+                    inVpScope(config.vpScope, record))
+                    lookupPcs.push_back(record.pc);
+            }
+            std::vector<VpGrant> grants;
+            if (table != nullptr) {
+                const std::span<const VpGrant> granted =
+                    table->processBundle(lookupPcs);
+                grants.assign(granted.begin(), granted.end());
+            }
+
+            std::size_t nextGrant = 0;
+            for (const FetchedInst &fetched : bundle) {
+                const TraceRecord &record = fetched.record;
+                RefEntry entry;
+                entry.seq = record.seq;
+                entry.pc = record.pc;
+                entry.result = record.result;
+                entry.wrongPath = fetched.wrongPath;
+                entry.mispredictedBranch =
+                    record.isControlFlow() && fetched.mispredicted;
+                entry.fetchCycle = now;
+                const bool looksUp = vpOn && record.producesValue() &&
+                                     inVpScope(config.vpScope, record);
+
+                if (entry.wrongPath) {
+                    // Pollute the predictor, then drop the lookup.
+                    if (looksUp && table != nullptr) {
+                        if (grants[nextGrant++].granted)
+                            table->abandon(record.pc);
+                    } else if (looksUp && plain != nullptr) {
+                        plain->predict(record.pc);
+                        plain->abandon(record.pc);
+                    }
+                    window.push_back(entry);
+                    progress = true;
+                    continue;
+                }
+
+                if (looksUp && perfect) {
+                    entry.vpPredicted = true;
+                    entry.vpCorrect = true;
+                    ++result.vpPredictionsMade;
+                    ++result.vpPredictionsCorrect;
+                } else if (looksUp) {
+                    bool granted = true;
+                    if (table != nullptr) {
+                        const VpGrant &grant = grants[nextGrant++];
+                        granted = grant.granted;
+                        entry.vpPrediction = grant.prediction;
+                    } else {
+                        entry.vpPrediction = plain->predict(record.pc);
+                    }
+                    if (granted) {
+                        entry.vpPredicted = entry.vpPrediction.predicted;
+                        entry.vpCorrect = entry.vpPredicted &&
+                                          entry.vpPrediction.value ==
+                                              record.result;
+                        if (retireTraining) {
+                            entry.vpTracked = true;
+                        } else if (table != nullptr) {
+                            table->update(record.pc, entry.vpPrediction,
+                                          record.result);
+                        } else {
+                            plain->update(record.pc, entry.vpPrediction,
+                                          record.result);
+                        }
+                    }
+                }
+
+                for (const RegIndex reg : {record.rs1, record.rs2}) {
+                    if (reg == invalidReg || reg == 0 ||
+                        !inFlight(writerOf[reg]))
+                        continue;
+                    const RefEntry &producer =
+                        window[writerOf[reg] - firstNumber];
+                    if (producer.vpPredicted && producer.vpCorrect)
+                        continue;
+                    RefEntry::Source source;
+                    source.producer = writerOf[reg];
+                    source.wrongSpeculation = producer.vpPredicted;
+                    // Capture now: the producer may commit before the
+                    // next cycle's scan reaches this entry.
+                    source.known = producer.executed;
+                    source.readyAt = producer.execCycle + 1;
+                    entry.sources.push_back(source);
+                }
+                if (record.producesValue())
+                    writerOf[record.rd] = firstNumber + window.size();
+                window.push_back(std::move(entry));
+                progress = true;
+            }
+        }
+
+        idle = progress ? 0 : idle + 1;
+        panicIf(idle > 1000000, "reference pipeline deadlocked");
+    }
+
+    result.cycles = lastCommit;
+    result.ipc = static_cast<double>(result.instructions) /
+                 static_cast<double>(result.cycles);
+    parts.collectStats(result);
+    return result;
+}
+
+double
+referencePipelineVpSpeedup(TraceSpan records, const PipelineConfig &config)
+{
+    PipelineConfig base = config;
+    base.useValuePrediction = false;
+    PipelineConfig vp = config;
+    vp.useValuePrediction = true;
+    return vpSpeedup(runReferencePipelineMachine(records, base).cycles,
+                     runReferencePipelineMachine(records, vp).cycles);
 }
 
 } // namespace vpsim

@@ -1,13 +1,16 @@
 /**
  * @file
- * Golden-reference model for the Section 3 ideal machine.
+ * Golden-reference models for the Section 3 ideal machine and the
+ * Section 5 pipeline.
  *
- * A deliberately naive, single-purpose re-implementation of the ideal
- * execution environment, used by the `--cross-check` differential mode:
- * a deterministic sample of grid cells is re-simulated here and any
- * cycle-count or statistic divergence fails the run. The value of the
+ * Deliberately naive, single-purpose re-implementations, used by the
+ * `--cross-check` differential mode and by differential fuzzing: a
+ * deterministic sample of grid cells is re-simulated here and any
+ * cycle-count or statistic divergence fails the run. The value of a
  * reference is its *independence from the optimized implementation's
- * structure*, not its speed:
+ * structure*, not its speed.
+ *
+ * The ideal-machine reference:
  *
  *  - two phases instead of one interleaved loop: phase 1 replays the
  *    classified predictor over the trace and records each producer's
@@ -23,12 +26,34 @@
  * cross-checking targets scheduling and bookkeeping bugs; predictor
  * counter bugs are covered by the invariant engine instead
  * (docs/VALIDATION.md).
+ *
+ * The pipeline reference is the polling cycle loop the event-driven
+ * scheduler replaced, kept naive:
+ *
+ *  - one loop for every value-prediction flavour, chosen by runtime
+ *    `if`s (no VpPath template);
+ *  - the in-flight instructions live in a std::deque in program order,
+ *    and every cycle scans all of them: each unexecuted entry re-reads
+ *    its producers to capture ready times, then tries to issue and to
+ *    finish (no waiter lists, no event calendar, no hot/cold split);
+ *  - the window load is recounted every cycle (no counter);
+ *  - the dispatch-time predictor update is predict() then update(), not
+ *    the classifier's fused predictAndTrain().
+ *
+ * Memory is O(window), not O(trace), so a cross-check at default sizes
+ * stays inside the figure's own footprint. Like the ideal reference, it
+ * shares the components with the primary model
+ * (core/pipeline_components.hpp): the front ends, the BTB, the value
+ * predictors and the §4 InterleavedVpTable. It checks scheduling —
+ * wakeup, issue width, reissue penalties, squash, the fetch gate and
+ * commit — not those components.
  */
 
 #ifndef VPSIM_CORE_REFERENCE_MACHINE_HPP
 #define VPSIM_CORE_REFERENCE_MACHINE_HPP
 
 #include "core/ideal_machine.hpp"
+#include "core/pipeline_machine.hpp"
 
 namespace vpsim
 {
@@ -46,6 +71,14 @@ IdealMachineResult runReferenceIdealMachine(
 /** Naive re-computation of idealVpSpeedup(). */
 double referenceIdealVpSpeedup(TraceSpan records,
                                const IdealMachineConfig &config);
+
+/** Naive re-simulation of runPipelineMachine() (same result contract). */
+PipelineResult runReferencePipelineMachine(TraceSpan records,
+                                           const PipelineConfig &config);
+
+/** Naive re-computation of pipelineVpSpeedup(). */
+double referencePipelineVpSpeedup(TraceSpan records,
+                                  const PipelineConfig &config);
 
 } // namespace vpsim
 

@@ -590,10 +590,10 @@ SimRunner::captureTrace(const std::string &name, std::uint64_t insts,
                     });
             });
         if (streamed.isOk()) {
-            // Read the entry back directly (not tryLoad: this is our
-            // own just-published file, not a cache lookup, so it must
-            // not perturb the hit/miss counters or quarantine logic).
-            const Status read = readTraceV3(cache->pathFor(key), &trace);
+            // Read the entry back (not tryLoad: this is our own
+            // just-published file, not a cache lookup, so it must not
+            // perturb the hit/miss counters or quarantine logic).
+            const Status read = cache->readBack(key, &trace);
             if (read.isOk()) {
                 have_trace = true;
             } else {

@@ -42,6 +42,27 @@ backoff(int attempt)
     std::this_thread::sleep_for(ioBackoffStep * attempt);
 }
 
+/**
+ * Read the v3 entry at @p path, retrying transient (kIo) failures with
+ * backoff and a "retrying <what>: ..." warning before each retry.
+ */
+Status
+readRetrying(const std::string &path, std::vector<TraceRecord> *out,
+             bool salvage, const char *what)
+{
+    Status read = Status::ok();
+    for (int attempt = 1; attempt <= maxIoAttempts; ++attempt) {
+        read = readTraceV3(path, out, salvage);
+        if (read.code() != StatusCode::kIo)
+            break;
+        if (attempt < maxIoAttempts) {
+            warn(std::string("retrying ") + what + ": " + read.message());
+            backoff(attempt);
+        }
+    }
+    return read;
+}
+
 } // namespace
 
 TraceCacheStore::TraceCacheStore(std::string cache_dir,
@@ -197,19 +218,11 @@ TraceCacheStore::tryLoad(const TraceCacheKey &key,
         return false;
     }
 
-    Status read = Status::ok();
-    for (int attempt = 1; attempt <= maxIoAttempts; ++attempt) {
-        read = readTraceV3(path, out, salvageBlocks);
-        if (read.isOk()) {
-            ++hitCount;
-            return true;
-        }
-        if (read.code() != StatusCode::kIo)
-            break;
-        if (attempt < maxIoAttempts) {
-            warn("retrying trace cache load: " + read.message());
-            backoff(attempt);
-        }
+    const Status read =
+        readRetrying(path, out, salvageBlocks, "trace cache load");
+    if (read.isOk()) {
+        ++hitCount;
+        return true;
     }
 
     if (read.code() == StatusCode::kCorrupt) {
@@ -233,6 +246,13 @@ TraceCacheStore::tryLoad(const TraceCacheKey &key,
     noteError(*error);
     ++missCount;
     return false;
+}
+
+Status
+TraceCacheStore::readBack(const TraceCacheKey &key,
+                          std::vector<TraceRecord> *out) const
+{
+    return readRetrying(pathFor(key), out, false, "trace cache read-back");
 }
 
 Status

@@ -135,6 +135,15 @@ class TraceCacheStore
                                Status *error) const;
 
     /**
+     * Read back the entry this process just published under @p key,
+     * with tryLoad()'s retries, backoff and `retrying ...` warning for
+     * transient (kIo) failures. It is not a lookup: it touches neither
+     * the hit/miss counters nor quarantine.
+     */
+    [[nodiscard]] Status readBack(const TraceCacheKey &key,
+                                  std::vector<TraceRecord> *out) const;
+
+    /**
      * Store @p records under @p key: storeStreaming() with one chunk,
      * so the entry is published by atomic rename and transient
      * failures are retried with backoff before giving up.

@@ -495,6 +495,19 @@ TraceV3Reader::open(const std::string &path, const Options &options)
     hint = 0;
     report = BlockSalvageReport();
 
+    // Every failure leaves the reader closed, so it can open again.
+    const Status got = openAndValidate(path);
+    if (!got.isOk()) {
+        file.close();
+        pendback.clear();
+        frame.clear();
+    }
+    return got;
+}
+
+Status
+TraceV3Reader::openAndValidate(const std::string &path)
+{
     if (Status got = file.openForRead(path); !got.isOk())
         return got;
     fileOffset = 0;

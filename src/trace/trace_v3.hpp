@@ -272,6 +272,8 @@ class TraceV3Reader
         std::uint32_t count = 0;
     };
 
+    /** open() minus the cleanup: on failure the file may still be open. */
+    [[nodiscard]] Status openAndValidate(const std::string &path);
     [[nodiscard]] Status nextPayload(Payload *out, Block *outcome);
     [[nodiscard]] Status readFrame(std::size_t size, bool *at_end);
     [[nodiscard]] Status take(unsigned char *out, std::size_t size);

@@ -20,6 +20,7 @@
 #include "common/rng.hpp"
 #include "core/ideal_machine.hpp"
 #include "core/pipeline_machine.hpp"
+#include "core/reference_machine.hpp"
 #include "trace/streaming_source.hpp"
 #include "trace/trace_v3.hpp"
 #include "vm/interpreter.hpp"
@@ -210,6 +211,92 @@ TEST_P(FuzzSweep, VpNeverBreaksCorrectness)
     config.useValuePrediction = true;
     const PipelineResult on = runPipelineMachine(trace, config);
     EXPECT_EQ(off.instructions, on.instructions);
+}
+
+/**
+ * A random Section 5 configuration: window, widths, latencies, every
+ * front end and BTB, every value-prediction flavour, scope and update
+ * timing, and wrong-path fetch on the Sequential front end.
+ */
+PipelineConfig
+randomPipelineConfig(Rng &rng, const Program &program)
+{
+    PipelineConfig config;
+    config.windowSize = static_cast<unsigned>(rng.nextRange(4, 128));
+    config.issueWidth = static_cast<unsigned>(rng.nextRange(1, 40));
+    config.frontendLatency = static_cast<unsigned>(rng.nextRange(0, 6));
+    config.vpPenalty = static_cast<unsigned>(rng.nextRange(0, 4));
+    config.frontEnd = static_cast<FrontEndKind>(rng.nextBelow(4));
+    config.maxTakenBranches = static_cast<unsigned>(rng.nextRange(0, 4));
+    config.perfectBranchPredictor = rng.nextChance(1, 2);
+    switch (rng.nextBelow(4)) {
+      case 0:
+        break;
+      case 1:
+        config.useValuePrediction = true;
+        break;
+      case 2:
+        config.useValuePrediction = true;
+        config.perfectValuePrediction = true;
+        break;
+      default:
+        config.useValuePrediction = true;
+        config.useInterleavedVpTable = true;
+        config.vpTableConfig.banks =
+            static_cast<unsigned>(rng.nextRange(1, 8));
+        break;
+    }
+    config.predictorKind = rng.nextChance(1, 2) ? PredictorKind::Stride
+                                                : PredictorKind::LastValue;
+    config.vpScope = rng.nextChance(1, 3) ? VpScope::LoadsOnly
+                                          : VpScope::AllInstructions;
+    config.vpUpdateTiming = rng.nextChance(1, 3) ? VpUpdateTiming::Retire
+                                                 : VpUpdateTiming::Dispatch;
+    if (config.frontEnd == FrontEndKind::Sequential && rng.nextChance(1, 2)) {
+        config.modelWrongPath = true;
+        config.program = &program;
+    }
+    return config;
+}
+
+TEST_P(FuzzSweep, PipelineMatchesReference)
+{
+    // Differential fuzzing of the event-driven scheduler against the
+    // polling reference pipeline: every result field must match.
+    const Program program = randomProgram(GetParam());
+    Interpreter interp(program, Memory{});
+    std::vector<TraceRecord> trace;
+    ASSERT_TRUE(interp.run(200000, &trace).halted);
+    Rng rng(GetParam() * 7919 + 1);
+    for (int round = 0; round < 24; ++round) {
+        const PipelineConfig config = randomPipelineConfig(rng, program);
+        SCOPED_TRACE("round " + std::to_string(round) + ": window " +
+                     std::to_string(config.windowSize) + ", width " +
+                     std::to_string(config.issueWidth) + ", front end " +
+                     std::to_string(static_cast<int>(config.frontEnd)));
+        const PipelineResult fast = runPipelineMachine(trace, config);
+        const PipelineResult ref = runReferencePipelineMachine(trace, config);
+        EXPECT_EQ(fast.cycles, ref.cycles);
+        EXPECT_EQ(fast.instructions, ref.instructions);
+        EXPECT_EQ(fast.ipc, ref.ipc);
+        EXPECT_EQ(fast.branchAccuracy, ref.branchAccuracy);
+        EXPECT_EQ(fast.branchMispredicts, ref.branchMispredicts);
+        EXPECT_EQ(fast.vpPredictionsMade, ref.vpPredictionsMade);
+        EXPECT_EQ(fast.vpPredictionsCorrect, ref.vpPredictionsCorrect);
+        EXPECT_EQ(fast.vpPredictionsWrong, ref.vpPredictionsWrong);
+        EXPECT_EQ(fast.tcHitRate, ref.tcHitRate);
+        EXPECT_EQ(fast.tcLookups, ref.tcLookups);
+        EXPECT_EQ(fast.tcLineInsts, ref.tcLineInsts);
+        EXPECT_EQ(fast.bacHitRate, ref.bacHitRate);
+        EXPECT_EQ(fast.bacBankConflicts, ref.bacBankConflicts);
+        EXPECT_EQ(fast.cbCollapsedBranches, ref.cbCollapsedBranches);
+        EXPECT_EQ(fast.wrongPathFetched, ref.wrongPathFetched);
+        EXPECT_EQ(fast.vptRequests, ref.vptRequests);
+        EXPECT_EQ(fast.vptMergedRequests, ref.vptMergedRequests);
+        EXPECT_EQ(fast.vptDeniedRequests, ref.vptDeniedRequests);
+        EXPECT_EQ(fast.vptDistributorAdditions,
+                  ref.vptDistributorAdditions);
+    }
 }
 
 TEST_P(FuzzSweep, TraceFilesRoundTrip)

@@ -1,8 +1,8 @@
 /**
  * @file
- * The streamed path's per-instruction and per-record loops allocate
- * nothing in steady state: an interpreted instruction (VM capture) and
- * a streamed v3 block after the first (decode into the reused block).
+ * The hot loops allocate nothing in steady state: an interpreted
+ * instruction (VM capture), a streamed v3 block after the first (decode
+ * into the reused block) and a simulated Section 5 cycle.
  *
  * Global operator new is replaced here by a counting forwarder to
  * malloc, which is why these tests have a binary of their own. Each
@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/pipeline_machine.hpp"
 #include "trace/streaming_source.hpp"
 #include "trace/trace_v3.hpp"
 #include "vm/interpreter.hpp"
@@ -129,6 +130,54 @@ TEST(HotPathAllocs, StreamedBlocksAfterTheFirstAllocateNothing)
     EXPECT_EQ(blocks, 6u);
     EXPECT_EQ(seen, records.size());
     std::remove(path.c_str());
+}
+
+/** operator new calls made by one runPipelineMachine() over @p records. */
+std::size_t
+pipelineAllocations(TraceSpan records, const PipelineConfig &config)
+{
+    const std::size_t before = allocationCount();
+    const PipelineResult result = runPipelineMachine(records, config);
+    const std::size_t during = allocationCount() - before;
+    EXPECT_EQ(result.instructions, records.size());
+    return during;
+}
+
+/**
+ * Allocation growth of the Section 5 machine from 20k to 80k records
+ * of go. Building the machine allocates a fixed amount; what the cycle
+ * loop allocates scales with the run. Each bound is the growth measured
+ * on the polling scheduler the event-driven one replaced (16 with the
+ * trace cache, 6 with wrong-path fetch): predictor and front-end tables
+ * that fill in as new PCs appear, nothing per simulated cycle.
+ */
+std::size_t
+pipelineAllocationGrowth(const PipelineConfig &config)
+{
+    const auto records = captureWorkloadTrace("go", 80000);
+    return pipelineAllocations(records, config) -
+           pipelineAllocations(TraceSpan(records.data(), 20000), config);
+}
+
+TEST(HotPathAllocs, PipelineCyclesAllocateNothing)
+{
+    PipelineConfig config;
+    config.frontEnd = FrontEndKind::TraceCache;
+    config.useValuePrediction = true;
+    config.useInterleavedVpTable = true;
+    EXPECT_LE(pipelineAllocationGrowth(config), 16u);
+}
+
+TEST(HotPathAllocs, WrongPathPipelineCyclesAllocateNothing)
+{
+    const Workload go = buildWorkload("go");
+    PipelineConfig config;
+    config.perfectBranchPredictor = false;
+    config.modelWrongPath = true;
+    config.program = &go.program;
+    config.useValuePrediction = true;
+    config.useInterleavedVpTable = true;
+    EXPECT_LE(pipelineAllocationGrowth(config), 6u);
 }
 
 } // namespace

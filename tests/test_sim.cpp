@@ -25,6 +25,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/io.hpp"
 #include "core/ideal_machine.hpp"
 #include "sim/sim_runner.hpp"
 #include "trace/trace_v3.hpp"
@@ -94,6 +95,41 @@ TEST(Harness, SkipDropsWarmup)
     // seqs are renumbered densely.
     EXPECT_EQ(warm.trace(0)[0].seq, 0u);
     EXPECT_EQ(warm.trace(0)[2999].seq, 2999u);
+}
+
+TEST(Harness, StreamedCaptureReadBackRetriesATransientReadError)
+{
+    // On a cold cache, the capture streams into its entry and reads it
+    // back; read 2 is the read-back's trailer. One EIO there costs a
+    // retry with a warning, not a recapture in memory and a second
+    // store, and the trace is the one a fault-free run captures.
+    const auto dir = std::filesystem::temp_directory_path() /
+                     "vpsim_readback_retry";
+    std::filesystem::remove_all(dir);
+    const BenchmarkTraces clean = capture(
+        parsedOptions({"--benchmarks", "go", "--insts", "2000"}));
+    ::testing::internal::CaptureStderr();
+    const BenchmarkTraces faulted = capture(parsedOptions(
+        {"--benchmarks", "go", "--insts", "2000", "--jobs", "1",
+         "--trace-cache-dir", dir.c_str(), "--fault-inject",
+         "read:2:eio"}));
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    io::configureFaultInjection("");
+    std::filesystem::remove_all(dir);
+
+    EXPECT_NE(err.find("retrying trace cache read-back"), std::string::npos)
+        << err;
+    EXPECT_EQ(err.find("recapturing in memory"), std::string::npos) << err;
+    ASSERT_EQ(faulted.trace(0).size(), clean.trace(0).size());
+    for (std::size_t i = 0; i < clean.trace(0).size(); ++i) {
+        const TraceRecord &got = faulted.trace(0)[i];
+        const TraceRecord &want = clean.trace(0)[i];
+        ASSERT_EQ(got.seq, want.seq) << "record " << i;
+        ASSERT_EQ(got.pc, want.pc) << "record " << i;
+        ASSERT_EQ(got.nextPc, want.nextPc) << "record " << i;
+        ASSERT_EQ(got.memAddr, want.memAddr) << "record " << i;
+        ASSERT_EQ(got.result, want.result) << "record " << i;
+    }
 }
 
 TEST(Harness, ScaleAndSeedReachTheWorkloads)

@@ -741,6 +741,59 @@ TEST(TraceV3Load, TrailerReadErrorFailsTheOpen)
     std::remove(path.c_str());
 }
 
+TEST(TraceV3Load, FailedOpenLeavesTheReaderReusable)
+{
+    // A junk file fails the open on its magic, and an injected trailer
+    // read error fails it after the header checked out; either way the
+    // next open() on the same reader, or the same streaming source,
+    // must succeed and deliver every record.
+    InjectorGuard guard;
+    const auto original = captureWorkloadTrace("go", 3000);
+    const std::string good = tempPath("vpsim_v3_reopen_good.vptrace");
+    const std::string junk = tempPath("vpsim_v3_reopen_junk.vptrace");
+    ASSERT_TRUE(writeTraceV3(good, original, 512).isOk());
+    spit(junk, std::vector<unsigned char>(64, 'x'));
+
+    for (const bool trailer_eio : {false, true}) {
+        SCOPED_TRACE(trailer_eio ? "trailer read error" : "junk file");
+        const std::string &bad = trailer_eio ? good : junk;
+
+        TraceV3Reader reader;
+        if (trailer_eio)
+            io::configureFaultInjection("read:2:eio");
+        ASSERT_FALSE(reader.open(bad, {}).isOk());
+        EXPECT_FALSE(reader.isOpen());
+        ASSERT_TRUE(reader.open(good, {}).isOk());
+        std::vector<TraceRecord> records;
+        std::size_t delivered = 0;
+        TraceV3Reader::Block outcome = TraceV3Reader::Block::kDelivered;
+        while (outcome == TraceV3Reader::Block::kDelivered) {
+            std::size_t count = 0;
+            ASSERT_TRUE(
+                reader.readBlock(&records, delivered, &count, &outcome)
+                    .isOk());
+            delivered += count;
+        }
+        records.resize(delivered);
+        expectSameRecords(records, original);
+        reader.close();
+
+        StreamingTraceSource source;
+        if (trailer_eio)
+            io::configureFaultInjection("read:2:eio");
+        ASSERT_FALSE(source.open(bad).isOk());
+        ASSERT_TRUE(source.open(good).isOk());
+        std::vector<TraceRecord> streamed;
+        TraceSpan block;
+        while (source.nextBlock(block))
+            streamed.insert(streamed.end(), block.begin(), block.end());
+        EXPECT_TRUE(source.status().isOk()) << source.status().message();
+        expectSameRecords(streamed, original);
+    }
+    std::remove(good.c_str());
+    std::remove(junk.c_str());
+}
+
 TEST(TraceV3Load, SalvageEndsOnTruncatedFramesAndRescansPastALongLength)
 {
     const auto original = captureWorkloadTrace("go", 3072);
