@@ -15,7 +15,7 @@
 # nan, never as a silent zero.
 #
 # 2. -DVPSIM_MUTATION=pipeline-late-wakeup, which makes the Section 5
-# scheduler hand every woken operand its value one cycle late (see
+# scheduler see every produced value one cycle late (see wakeLatency in
 # src/core/pipeline_machine.cpp). No invariant can see that; the
 # reference pipeline can: fig5_3 under --cross-check 8 must report a
 # cross-check violation, while the unmutated build (the second

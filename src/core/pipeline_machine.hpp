@@ -13,7 +13,8 @@
  * dataflow issue/execute with unit latency, and in-order commit. Branch
  * mispredictions stall fetch until the cycle after the branch executes,
  * which with the 2-cycle front end realizes the paper's 3-cycle
- * penalty.
+ * penalty. Issue is oldest first, so dispatch can fix each
+ * instruction's issue, execute and commit cycles in program order.
  */
 
 #ifndef VPSIM_CORE_PIPELINE_MACHINE_HPP

@@ -264,7 +264,6 @@ runReferencePipelineMachine(TraceSpan records, const PipelineConfig &config)
                number < firstNumber + window.size();
     };
 
-    std::vector<FetchedInst> bundle;
     Cycle now = 0;
     Cycle lastCommit = 0;
     std::uint64_t committed = 0;
@@ -361,14 +360,13 @@ runReferencePipelineMachine(TraceSpan records, const PipelineConfig &config)
             const std::size_t budget = std::min<std::size_t>(
                 {config.issueWidth, config.windowSize - waiting,
                  robCapacity - window.size()});
-            bundle.clear();
-            engine.fetch(now, static_cast<unsigned>(budget), bundle);
-            panicIf(bundle.size() > budget,
+            const FetchBundle bundle =
+                engine.fetch(now, static_cast<unsigned>(budget));
+            panicIf(bundle.records.size() > budget,
                     "reference: front end overfilled its budget");
 
             std::vector<Addr> lookupPcs;
-            for (const FetchedInst &fetched : bundle) {
-                const TraceRecord &record = fetched.record;
+            for (const TraceRecord &record : bundle.records) {
                 if (record.producesValue() &&
                     inVpScope(config.vpScope, record))
                     lookupPcs.push_back(record.pc);
@@ -381,15 +379,14 @@ runReferencePipelineMachine(TraceSpan records, const PipelineConfig &config)
             }
 
             std::size_t nextGrant = 0;
-            for (const FetchedInst &fetched : bundle) {
-                const TraceRecord &record = fetched.record;
+            for (const TraceRecord &record : bundle.records) {
                 RefEntry entry;
                 entry.seq = record.seq;
                 entry.pc = record.pc;
                 entry.result = record.result;
-                entry.wrongPath = fetched.wrongPath;
-                entry.mispredictedBranch =
-                    record.isControlFlow() && fetched.mispredicted;
+                entry.wrongPath = bundle.wrongPath;
+                entry.mispredictedBranch = bundle.endsInMispredict &&
+                                           &record == &bundle.records.back();
                 entry.fetchCycle = now;
                 const bool looksUp = vpOn && record.producesValue() &&
                                      inVpScope(config.vpScope, record);

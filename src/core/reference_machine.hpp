@@ -27,16 +27,19 @@
  * counter bugs are covered by the invariant engine instead
  * (docs/VALIDATION.md).
  *
- * The pipeline reference is the polling cycle loop the event-driven
- * scheduler replaced, kept naive:
+ * The pipeline reference is a polling cycle loop, kept naive. The
+ * primary model fixes each instruction's issue, execute and commit
+ * cycles at dispatch, in program order; this one discovers them cycle
+ * by cycle:
  *
  *  - one loop for every value-prediction flavour, chosen by runtime
  *    `if`s (no VpPath template);
  *  - the in-flight instructions live in a std::deque in program order,
  *    and every cycle scans all of them: each unexecuted entry re-reads
  *    its producers to capture ready times, then tries to issue and to
- *    finish (no waiter lists, no event calendar, no hot/cold split);
- *  - the window load is recounted every cycle (no counter);
+ *    finish (no per-cycle issue counts, no precomputed cycles);
+ *  - the window load is recounted every cycle (no counter), and a
+ *    squash pops the wrong-path entries it finds behind the branch;
  *  - the dispatch-time predictor update is predict() then update(), not
  *    the classifier's fused predictAndTrain().
  *

@@ -16,7 +16,8 @@ BranchAddressCacheFetch::BranchAddressCacheFetch(
             "BAC entry count must be a power of two");
     fatalIf(cfg.maxBlocksPerCycle == 0,
             "BAC must fetch at least one block per cycle");
-    fatalIf(cfg.icacheBanks == 0, "icache bank count must be positive");
+    fatalIf(cfg.icacheBanks == 0 || cfg.icacheBanks > 64,
+            "icache bank count must be in 1..64");
     entries.resize(cfg.entries);
 }
 
@@ -32,29 +33,28 @@ BranchAddressCacheFetch::bankOf(Addr pc) const
     return static_cast<unsigned>((pc / cfg.lineBytes) % cfg.icacheBanks);
 }
 
-void
-BranchAddressCacheFetch::fetch(Cycle now, unsigned max_insts,
-                               std::vector<FetchedInst> &out)
+FetchBundle
+BranchAddressCacheFetch::fetch(Cycle now, unsigned max_insts)
 {
     if (stalled(now) || done())
-        return;
+        return {};
 
-    std::vector<bool> bank_busy(cfg.icacheBanks, false);
+    const std::size_t first = cursor;
+    std::uint64_t banks_busy = 0; // bit b: bank b already read
     unsigned blocks = 0;
-    unsigned fetched = 0;
 
-    while (blocks < cfg.maxBlocksPerCycle && fetched < max_insts &&
+    while (blocks < cfg.maxBlocksPerCycle && cursor - first < max_insts &&
            !done()) {
         const Addr block_start = trace[cursor].pc;
 
         // Interleaved icache constraint: the block's starting line bank
         // must be free this cycle.
-        const unsigned bank = bankOf(block_start);
-        if (bank_busy[bank]) {
+        const std::uint64_t bank = std::uint64_t{1} << bankOf(block_start);
+        if (banks_busy & bank) {
             ++numBankConflicts;
             break;
         }
-        bank_busy[bank] = true;
+        banks_busy |= bank;
 
         // The first block of a cycle always fetches (the fetch address
         // itself needs no BAC entry); continuing to FURTHER blocks
@@ -79,12 +79,10 @@ BranchAddressCacheFetch::fetch(Cycle now, unsigned max_insts,
         // Deliver the block: instructions up to and including the next
         // control transfer (or the width limit).
         bool block_ended = false;
-        while (fetched < max_insts && !done() && !block_ended) {
+        while (cursor - first < max_insts && !done() && !block_ended) {
             const TraceRecord &record = trace[cursor];
-            const bool mispredicted = consumeRecord(out);
-            ++fetched;
-            if (mispredicted)
-                return; // stall armed inside consumeRecord
+            if (consumeRecord())
+                return delivered(first, true); // stall armed
             if (record.isControlFlow())
                 block_ended = true;
         }
@@ -92,6 +90,7 @@ BranchAddressCacheFetch::fetch(Cycle now, unsigned max_insts,
         if (!block_ended)
             break; // width limit hit inside the block
     }
+    return delivered(first, false);
 }
 
 double

@@ -36,7 +36,7 @@ struct BacConfig
     std::size_t entries = 1024;
     /** Maximum basic blocks fetched per cycle (the BAC's fanout). */
     unsigned maxBlocksPerCycle = 3;
-    /** Interleaved instruction cache banks. */
+    /** Interleaved instruction cache banks (1..64). */
     unsigned icacheBanks = 8;
     /** Instruction cache line size in bytes. */
     std::size_t lineBytes = 32;
@@ -50,8 +50,7 @@ class BranchAddressCacheFetch : public TraceFetchBase
                             BranchPredictor &branch_predictor,
                             const BacConfig &config = {});
 
-    void fetch(Cycle now, unsigned max_insts,
-               std::vector<FetchedInst> &out) override;
+    FetchBundle fetch(Cycle now, unsigned max_insts) override;
 
     std::string name() const override { return "branch-address-cache"; }
 

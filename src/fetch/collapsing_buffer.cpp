@@ -16,7 +16,8 @@ CollapsingBufferFetch::CollapsingBufferFetch(
                 (cfg.lineBytes & (cfg.lineBytes - 1)) != 0,
             "collapsing buffer line size must be a power of two");
     fatalIf(cfg.linesPerCycle == 0, "need at least one line per cycle");
-    fatalIf(cfg.banks == 0, "icache bank count must be positive");
+    fatalIf(cfg.banks == 0 || cfg.banks > 64,
+            "icache bank count must be in 1..64");
 }
 
 unsigned
@@ -25,20 +26,19 @@ CollapsingBufferFetch::bankOf(Addr pc) const
     return static_cast<unsigned>(lineOf(pc) % cfg.banks);
 }
 
-void
-CollapsingBufferFetch::fetch(Cycle now, unsigned max_insts,
-                             std::vector<FetchedInst> &out)
+FetchBundle
+CollapsingBufferFetch::fetch(Cycle now, unsigned max_insts)
 {
     if (stalled(now) || done())
-        return;
+        return {};
 
-    std::vector<bool> bank_busy(cfg.banks, false);
+    const std::size_t first = cursor;
+    std::uint64_t banks_busy = 0; // bit b: bank b already read
     unsigned lines_used = 0;
     Addr current_line = 0;
     bool have_line = false;
-    unsigned fetched = 0;
 
-    while (fetched < max_insts && !done()) {
+    while (cursor - first < max_insts && !done()) {
         const TraceRecord &record = trace[cursor];
         const Addr record_line = lineOf(record.pc);
 
@@ -46,21 +46,19 @@ CollapsingBufferFetch::fetch(Cycle now, unsigned max_insts,
             // Need a (new) line window.
             if (lines_used >= cfg.linesPerCycle)
                 break;
-            const unsigned bank = bankOf(record.pc);
-            if (bank_busy[bank]) {
+            const std::uint64_t bank = std::uint64_t{1} << bankOf(record.pc);
+            if (banks_busy & bank) {
                 ++numBankConflicts;
                 break;
             }
-            bank_busy[bank] = true;
+            banks_busy |= bank;
             current_line = record_line;
             have_line = true;
             ++lines_used;
         }
 
-        const bool mispredicted = consumeRecord(out);
-        ++fetched;
-        if (mispredicted)
-            return;
+        if (consumeRecord())
+            return delivered(first, true);
 
         if (record.isControlFlow() && record.taken) {
             const Addr target_line = lineOf(record.nextPc);
@@ -76,6 +74,7 @@ CollapsingBufferFetch::fetch(Cycle now, unsigned max_insts,
             }
         }
     }
+    return delivered(first, false);
 }
 
 } // namespace vpsim

@@ -32,7 +32,7 @@ struct CollapsingBufferConfig
     std::size_t lineBytes = 32;
     /** Cache lines fetchable per cycle (the paper's mechanism uses 2). */
     unsigned linesPerCycle = 2;
-    /** Interleaved instruction cache banks. */
+    /** Interleaved instruction cache banks (1..64). */
     unsigned banks = 8;
 };
 
@@ -44,8 +44,7 @@ class CollapsingBufferFetch : public TraceFetchBase
                           BranchPredictor &branch_predictor,
                           const CollapsingBufferConfig &config = {});
 
-    void fetch(Cycle now, unsigned max_insts,
-               std::vector<FetchedInst> &out) override;
+    FetchBundle fetch(Cycle now, unsigned max_insts) override;
 
     std::string name() const override { return "collapsing-buffer"; }
 

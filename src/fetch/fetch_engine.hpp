@@ -17,7 +17,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "bpred/branch_predictor.hpp"
 #include "common/invariant.hpp"
@@ -29,15 +28,23 @@
 namespace vpsim
 {
 
-/** One fetched instruction plus its front-end fate. */
-struct FetchedInst
+/**
+ * What one fetch cycle delivered, as a view: no record is copied.
+ *
+ * Correct-path fetch is always a contiguous slice of the trace, and
+ * only its last record can be a mispredicted branch (a misprediction
+ * ends the bundle). Wrong-path fetch never mixes with the correct path:
+ * it views a buffer the engine owns, valid until its next fetch().
+ */
+struct FetchBundle
 {
-    TraceRecord record;
-    /** The branch predictor got this control instruction wrong. */
-    bool mispredicted = false;
+    TraceSpan records;
+    /** The last record is a control transfer the predictor got wrong. */
+    bool endsInMispredict = false;
     /**
-     * Fetched down the mispredicted path (synthetic record from the
-     * static program image, values unknown); squashed at resolution.
+     * The records were fetched down the mispredicted path (synthetic
+     * records from the static program image, values unknown); they are
+     * squashed at resolution.
      */
     bool wrongPath = false;
 };
@@ -67,10 +74,9 @@ class TraceFetchBase
      * @param now Current cycle.
      * @param max_insts Bundle budget for this cycle (machine width and
      *        free window slots).
-     * @param out Fetched instructions are appended here.
+     * @return A view of the fetched records, valid until the next call.
      */
-    virtual void fetch(Cycle now, unsigned max_insts,
-                       std::vector<FetchedInst> &out) = 0;
+    virtual FetchBundle fetch(Cycle now, unsigned max_insts) = 0;
 
     /** Engine name for reports. */
     virtual std::string name() const = 0;
@@ -96,7 +102,8 @@ class TraceFetchBase
     /**
      * Consume the record at the cursor: consult/train the predictor for
      * control instructions and arm the stall machine on a misprediction.
-     * Appends to @p out and advances the cursor.
+     * Advances the cursor: the bundle is the slice the cursor passed
+     * (delivered()).
      *
      * Inline: every front end calls this once per fetched instruction,
      * and as an out-of-line routine it was ~10% of the pipeline-machine
@@ -106,22 +113,17 @@ class TraceFetchBase
      * @retval true The consumed instruction mispredicted (bundle over).
      */
     bool
-    consumeRecord(std::vector<FetchedInst> &out)
+    consumeRecord()
     {
         panicIf(cursor >= trace.size(),
                 "fetch past the end of the trace");
         const TraceRecord &record = trace[cursor];
-        // Build the instruction in place: a local FetchedInst would be
-        // copied wholesale into the bundle once per fetched
-        // instruction.
-        FetchedInst &inst = out.emplace_back();
-        inst.record = record;
+        bool mispredicted = false;
         if (record.isControlFlow()) {
             const BranchPrediction prediction = bpred.predict(record);
             bpred.update(record, prediction);
-            inst.mispredicted =
-                !BranchPredictor::correct(record, prediction);
-            if (inst.mispredicted) {
+            mispredicted = !BranchPredictor::correct(record, prediction);
+            if (mispredicted) {
                 pendingBranch = record.seq;
                 pendingPrediction = prediction;
                 ++numMispredicts;
@@ -137,7 +139,15 @@ class TraceFetchBase
                                   " fetched but trace cursor at " +
                                   std::to_string(cursor);
                        });
-        return inst.mispredicted;
+        return mispredicted;
+    }
+
+    /** The correct-path bundle of the records consumed since @p first. */
+    FetchBundle
+    delivered(std::size_t first, bool mispredicted) const
+    {
+        return {TraceSpan(trace.data() + first, cursor - first),
+                mispredicted, false};
     }
 
     const TraceSpan trace;

@@ -23,13 +23,12 @@ SequentialFetch::branchResolved(SeqNum seq, Cycle resolve_cycle)
     TraceFetchBase::branchResolved(seq, resolve_cycle);
 }
 
-void
-SequentialFetch::fetchWrongPath(unsigned max_insts,
-                                std::vector<FetchedInst> &out)
+FetchBundle
+SequentialFetch::fetchWrongPath(unsigned max_insts)
 {
+    wpBundle.clear();
     unsigned taken_seen = 0;
-    unsigned fetched = 0;
-    while (wpActive && fetched < max_insts) {
+    while (wpActive && wpBundle.size() < max_insts) {
         if (!wpProgram->contains(wpPc)) {
             wpActive = false; // walked off the image: fetch goes idle
             break;
@@ -41,7 +40,7 @@ SequentialFetch::fetchWrongPath(unsigned max_insts,
             break;
         }
 
-        TraceRecord rec;
+        TraceRecord &rec = wpBundle.emplace_back();
         rec.seq = wpNextSeq++;
         rec.pc = wpPc;
         rec.op = inst.op;
@@ -69,12 +68,6 @@ SequentialFetch::fetchWrongPath(unsigned max_insts,
                 next = wpProgram->pcOf(inst.target);
         }
         rec.nextPc = next;
-
-        FetchedInst fetched_inst;
-        fetched_inst.record = rec;
-        fetched_inst.wrongPath = true;
-        out.push_back(fetched_inst);
-        ++fetched;
         ++numWrongPath;
 
         if (!wpActive)
@@ -86,27 +79,25 @@ SequentialFetch::fetchWrongPath(unsigned max_insts,
         }
         wpPc = next;
     }
+    return {TraceSpan(wpBundle.data(), wpBundle.size()), false, true};
 }
 
-void
-SequentialFetch::fetch(Cycle now, unsigned max_insts,
-                       std::vector<FetchedInst> &out)
+FetchBundle
+SequentialFetch::fetch(Cycle now, unsigned max_insts)
 {
     if (stalled(now) || done()) {
         // While a misprediction resolves, a wrong-path-enabled front
         // end keeps fetching down the predicted path.
         if (wpProgram && wpActive && pendingBranch != invalidSeqNum)
-            fetchWrongPath(max_insts, out);
-        return;
+            return fetchWrongPath(max_insts);
+        return {};
     }
 
+    const std::size_t first = cursor;
     unsigned taken_seen = 0;
-    unsigned fetched = 0;
-    while (fetched < max_insts && !done()) {
+    while (cursor - first < max_insts && !done()) {
         const TraceRecord &record = trace[cursor];
-        const bool mispredicted = consumeRecord(out);
-        ++fetched;
-        if (mispredicted) {
+        if (consumeRecord()) {
             if (wpProgram) {
                 // Arm the wrong-path walker at the predicted target.
                 wpPc = pendingPrediction.taken
@@ -114,7 +105,7 @@ SequentialFetch::fetch(Cycle now, unsigned max_insts,
                     : record.fallThrough();
                 wpActive = true;
             }
-            break;
+            return delivered(first, true);
         }
         if (record.isControlFlow() && record.taken) {
             ++taken_seen;
@@ -122,6 +113,7 @@ SequentialFetch::fetch(Cycle now, unsigned max_insts,
                 break;
         }
     }
+    return delivered(first, false);
 }
 
 std::string

@@ -9,6 +9,8 @@
 #ifndef VPSIM_FETCH_SEQUENTIAL_FETCH_HPP
 #define VPSIM_FETCH_SEQUENTIAL_FETCH_HPP
 
+#include <vector>
+
 #include "fetch/fetch_engine.hpp"
 #include "vm/program.hpp"
 
@@ -35,8 +37,7 @@ class SequentialFetch : public TraceFetchBase
                     unsigned max_taken_branches,
                     const Program *wrong_path_program = nullptr);
 
-    void fetch(Cycle now, unsigned max_insts,
-               std::vector<FetchedInst> &out) override;
+    FetchBundle fetch(Cycle now, unsigned max_insts) override;
 
     void branchResolved(SeqNum seq, Cycle resolve_cycle) override;
 
@@ -46,8 +47,7 @@ class SequentialFetch : public TraceFetchBase
     std::uint64_t wrongPathFetched() const { return numWrongPath; }
 
   private:
-    void fetchWrongPath(unsigned max_insts,
-                        std::vector<FetchedInst> &out);
+    FetchBundle fetchWrongPath(unsigned max_insts);
 
     unsigned maxTaken;
     const Program *wpProgram;
@@ -57,6 +57,8 @@ class SequentialFetch : public TraceFetchBase
     /** Synthetic sequence numbers, far above any real trace. */
     SeqNum wpNextSeq = SeqNum{1} << 62;
     std::uint64_t numWrongPath = 0;
+    /** The last wrong-path bundle; capacity is kept across cycles. */
+    std::vector<TraceRecord> wpBundle;
 };
 
 } // namespace vpsim

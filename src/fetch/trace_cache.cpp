@@ -66,17 +66,17 @@ TraceCacheFetch::feedFillUnit(const TraceRecord &record)
     }
 }
 
-void
-TraceCacheFetch::fetch(Cycle now, unsigned max_insts,
-                       std::vector<FetchedInst> &out)
+FetchBundle
+TraceCacheFetch::fetch(Cycle now, unsigned max_insts)
 {
     if (stalled(now) || done())
-        return;
+        return {};
 
     const Addr fetch_pc = trace[cursor].pc;
     ++numLookups;
     const Line &line = lines[lineIndex(fetch_pc)];
     const bool hit = line.valid && line.startPc == fetch_pc;
+    const std::size_t first = cursor;
 
     if (hit) {
         ++numHits;
@@ -87,37 +87,34 @@ TraceCacheFetch::fetch(Cycle now, unsigned max_insts,
         // time), and assigning line.path would invalidate iterators.
         // The snapshot is a copy into a reused buffer, never a view.
         hitPath.assign(line.path.begin(), line.path.end());
-        unsigned delivered = 0;
         for (const Addr expected_pc : hitPath) {
-            if (delivered >= max_insts || done())
+            if (cursor - first >= max_insts || done())
                 break;
             const TraceRecord &record = trace[cursor];
             if (record.pc != expected_pc)
                 break; // execution diverged from the stored trace
-            const bool mispredicted = consumeRecord(out);
+            const bool mispredicted = consumeRecord();
             feedFillUnit(record);
-            ++delivered;
             ++numLineInsts;
             if (mispredicted)
-                break;
+                return delivered(first, true);
         }
-        return;
+        return delivered(first, false);
     }
 
     // Miss path: conventional contiguous fetch up to the first taken
     // transfer (or the miss-fetch width), feeding the fill unit.
-    unsigned fetched = 0;
     const unsigned budget = std::min(max_insts, cfg.missFetchWidth);
-    while (fetched < budget && !done()) {
+    while (cursor - first < budget && !done()) {
         const TraceRecord &record = trace[cursor];
-        const bool mispredicted = consumeRecord(out);
+        const bool mispredicted = consumeRecord();
         feedFillUnit(record);
-        ++fetched;
         if (mispredicted)
-            break;
+            return delivered(first, true);
         if (record.isControlFlow() && record.taken)
             break;
     }
+    return delivered(first, false);
 }
 
 double

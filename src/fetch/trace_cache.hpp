@@ -44,8 +44,7 @@ class TraceCacheFetch : public TraceFetchBase
                     BranchPredictor &branch_predictor,
                     const TraceCacheConfig &config = {});
 
-    void fetch(Cycle now, unsigned max_insts,
-               std::vector<FetchedInst> &out) override;
+    FetchBundle fetch(Cycle now, unsigned max_insts) override;
 
     std::string name() const override { return "trace-cache"; }
 

@@ -527,6 +527,88 @@ TEST(PipelineTiming, WrongValuePredictionCostsOneCycle)
     EXPECT_GE(real, perfect);
 }
 
+TEST(PipelineTiming, YoungerIndependentIssuesBeforeOlderDependent)
+{
+    // Issue is oldest first under the width, so a younger instruction
+    // may take a slot no older one can use, never one an older one can.
+    // Width 2, two per bundle, issue no earlier than dispatch + 2:
+    //   c1: A r1 = 1        issue 3
+    //       B r2 = r1       issue 4 (A's value at 4)
+    //   c2: C r3 = r2       issue 5 (B's value at 5)
+    //       D r4 = 2        issue 4: the younger D overtakes C
+    //   c3: E r5 = r4       issue 5 (with C; cycle 5 is full)
+    //       G r7 = r3       issue 6 (C's value at 6)
+    //   c4: H r8 = 3        issue 6 (with G; cycle 6 is full)
+    //       I r9 = r5       issue 7: ready at 6 like H, but H is older
+    // Commits A 4, B 5, C D E 6, G H 7, I 8.
+    const std::vector<TraceRecord> trace = {
+        rec(0, 1), rec(1, 2, 1), rec(2, 3, 2), rec(3, 4),
+        rec(4, 5, 4), rec(5, 7, 3), rec(6, 8), rec(7, 9, 5),
+    };
+    PipelineConfig config;
+    config.maxTakenBranches = 0;
+    config.issueWidth = 2;
+    EXPECT_EQ(runPipelineMachine(trace, config).cycles, 8u);
+    EXPECT_EQ(runReferencePipelineMachine(trace, config).cycles, 8u);
+
+    // At width 1 fetch delivers one instruction per cycle as well, so
+    // every operand is ready by dispatch + 2 and issue is in order:
+    // instruction k (from 0) issues in cycle k + 3, the last commits
+    // in cycle 11.
+    config.issueWidth = 1;
+    EXPECT_EQ(runPipelineMachine(trace, config).cycles, 11u);
+    EXPECT_EQ(runReferencePipelineMachine(trace, config).cycles, 11u);
+}
+
+TEST(PipelineTiming, LateWrongPathBubblesGiveTheirIssueSlotsBack)
+{
+    // An 8-link chain feeds a taken bne that a cold BTB mispredicts;
+    // fetch runs down the fall-through path until the bne executes.
+    // Width 2, issue no earlier than dispatch + 2:
+    //   c1-c4: chain links k = 0..7 issue in cycle k + 3
+    //   c5:    bne issues (and resolves) in cycle 11
+    //   c6:    bubbles issue in cycles 8 and 9 (1 free slot in each)
+    //   c7:    bubbles: cycle 10, then none before 11
+    //   c8-10: 6 bubbles, none before cycle 11
+    //   c11:   the bne resolves; the 7 late bubbles squash unissued
+    //   c12:   t0 t1 issue 14; c13: t2 t3 issue 15; c14: halt issues 16
+    // The halt commits in cycle 17. Had the late bubbles kept the slots
+    // they would have issued in (11, 12, 12, 13, 13, 14, 14), t0 and t1
+    // would issue in 15, t2 and t3 in 16, the halt in 17, and the run
+    // would take 18 cycles.
+    ProgramBuilder b("late_bubbles");
+    Label target = b.newLabel();
+    b.addi(s0, zero, 1);
+    for (int link = 1; link < 8; ++link)
+        b.addi(s0, s0, 1);
+    b.bne(s0, zero, target);
+    for (int k = 0; k < 16; ++k)
+        b.addi(s1, zero, k); // wrong path only
+    b.bind(target);
+    for (int k = 0; k < 4; ++k)
+        b.addi(static_cast<RegIndex>(s2 + k), zero, k);
+    b.halt();
+    const Program program = b.build();
+    std::vector<TraceRecord> trace;
+    Interpreter interp(program, Memory{});
+    ASSERT_TRUE(interp.run(0, &trace).halted);
+    ASSERT_EQ(trace.size(), 14u); // 8 links, bne, t0..t3, halt
+
+    PipelineConfig config;
+    config.maxTakenBranches = 0;
+    config.issueWidth = 2;
+    config.perfectBranchPredictor = false;
+    config.modelWrongPath = true;
+    config.program = &program;
+    for (const PipelineMachineFn machine :
+         {&runPipelineMachine, &runReferencePipelineMachine}) {
+        const PipelineResult result = machine(trace, config);
+        EXPECT_EQ(result.cycles, 17u);
+        EXPECT_EQ(result.branchMispredicts, 1u);
+        EXPECT_EQ(result.wrongPathFetched, 10u);
+    }
+}
+
 TEST(PipelineMachine, LoadsOnlyScopePredictsFewer)
 {
     const auto trace = loopTrace(200, 2);

@@ -11,6 +11,7 @@
 #include "core/pipeline_machine.hpp"
 #include "fetch/branch_address_cache.hpp"
 #include "fetch/sequential_fetch.hpp"
+#include "fetch_bundles.hpp"
 #include "predictor/factory.hpp"
 #include "predictor/fcm.hpp"
 #include "predictor/stride.hpp"
@@ -236,10 +237,10 @@ TEST(BranchAddressCache, WarmBundlesSpanMultipleBlocks)
     // consecutive iterations CONFLICT; use a 3-inst loop whose copies
     // share a bank -> expect conflicts counted but forward progress.
     BranchAddressCacheFetch engine(trace, oracle, config);
-    std::vector<FetchedInst> out;
+    std::vector<FetchedRecord> out;
     Cycle now = 0;
     while (!engine.done() && now < 10000)
-        engine.fetch(++now, 40, out);
+        fetchInto(engine, ++now, 40, out);
     EXPECT_EQ(out.size(), trace.size());
     EXPECT_GT(engine.bacHits() + engine.bankConflicts(), 0u);
 }
@@ -251,10 +252,10 @@ TEST(BranchAddressCache, HitRateGrowsWarm)
     const auto trace = captureWorkloadTrace("gcc", 20000);
     PerfectBranchPredictor oracle;
     BranchAddressCacheFetch engine(trace, oracle, {});
-    std::vector<FetchedInst> out;
+    std::vector<FetchedRecord> out;
     Cycle now = 0;
     while (!engine.done() && now < 200000)
-        engine.fetch(++now, 40, out);
+        fetchInto(engine, ++now, 40, out);
     EXPECT_EQ(out.size(), trace.size());
     EXPECT_GT(engine.hitRate(), 0.5);
 }
@@ -267,6 +268,10 @@ TEST(BranchAddressCache, BadGeometryDies)
     config.entries = 100;
     EXPECT_EXIT((BranchAddressCacheFetch{trace, oracle, config}),
                 ::testing::ExitedWithCode(1), "power of two");
+    config.entries = 1024;
+    config.icacheBanks = 65; // one bit per bank in a 64-bit mask
+    EXPECT_EXIT((BranchAddressCacheFetch{trace, oracle, config}),
+                ::testing::ExitedWithCode(1), "1..64");
 }
 
 TEST(PipelineIntegration, BacFrontEndRuns)
@@ -335,7 +340,7 @@ TEST(WrongPath, FetchWalksThePredictedPath)
     TwoLevelPApPredictor bpred;
     SequentialFetch engine(trace, bpred, 0, &workload.program);
 
-    std::vector<FetchedInst> out;
+    std::vector<FetchedRecord> out;
     Cycle now = 0;
     std::uint64_t wrong_path = 0;
     SeqNum pending_seq = invalidSeqNum;
@@ -349,7 +354,7 @@ TEST(WrongPath, FetchWalksThePredictedPath)
             pending_seq = invalidSeqNum;
         }
         const std::size_t before = out.size();
-        engine.fetch(now, 16, out);
+        fetchInto(engine, now, 16, out);
         for (std::size_t i = before; i < out.size(); ++i)
             wrong_path += out[i].wrongPath ? 1 : 0;
         if (!out.empty() && out.back().mispredicted &&
@@ -362,7 +367,7 @@ TEST(WrongPath, FetchWalksThePredictedPath)
     EXPECT_EQ(engine.wrongPathFetched(), wrong_path);
     // Every correct-path record must still be delivered in order.
     std::size_t correct = 0;
-    for (const FetchedInst &inst : out) {
+    for (const FetchedRecord &inst : out) {
         if (inst.wrongPath)
             continue;
         EXPECT_EQ(inst.record.seq, trace[correct].seq);

@@ -12,6 +12,7 @@
 #include "fetch/collapsing_buffer.hpp"
 #include "fetch/sequential_fetch.hpp"
 #include "fetch/trace_cache.hpp"
+#include "fetch_bundles.hpp"
 #include "vm/program_builder.hpp"
 #include "vm/interpreter.hpp"
 #include "workloads/regs.hpp"
@@ -43,14 +44,14 @@ loopTrace(int iterations)
     return trace;
 }
 
-std::vector<FetchedInst>
+std::vector<FetchedRecord>
 fetchAll(TraceFetchBase &engine, unsigned width, Cycle max_cycles,
          std::vector<unsigned> *bundle_sizes = nullptr)
 {
-    std::vector<FetchedInst> out;
+    std::vector<FetchedRecord> out;
     for (Cycle now = 1; now <= max_cycles && !engine.done(); ++now) {
         const std::size_t before = out.size();
-        engine.fetch(now, width, out);
+        fetchInto(engine, now, width, out);
         if (bundle_sizes)
             bundle_sizes->push_back(
                 static_cast<unsigned>(out.size() - before));
@@ -124,8 +125,8 @@ TEST(SequentialFetch, MispredictionStallsUntilResolved)
     TwoLevelPApPredictor bpred; // cold: first taken bne mispredicts
     SequentialFetch engine(trace, bpred, 0);
 
-    std::vector<FetchedInst> out;
-    engine.fetch(1, 40, out);
+    std::vector<FetchedRecord> out;
+    fetchInto(engine, 1, 40, out);
     ASSERT_FALSE(out.empty());
     EXPECT_TRUE(out.back().mispredicted)
         << "cold BTB mispredicts the first taken branch";
@@ -133,14 +134,14 @@ TEST(SequentialFetch, MispredictionStallsUntilResolved)
     const std::size_t after_first = out.size();
 
     // Fetch is stalled until the branch resolves.
-    engine.fetch(2, 40, out);
-    engine.fetch(3, 40, out);
+    fetchInto(engine, 2, 40, out);
+    fetchInto(engine, 3, 40, out);
     EXPECT_EQ(out.size(), after_first);
 
     engine.branchResolved(bad, 5);
-    engine.fetch(5, 40, out);
+    fetchInto(engine, 5, 40, out);
     EXPECT_EQ(out.size(), after_first) << "resumes the cycle AFTER";
-    engine.fetch(6, 40, out);
+    fetchInto(engine, 6, 40, out);
     EXPECT_GT(out.size(), after_first);
     EXPECT_GE(engine.mispredicts(), 1u);
 }
@@ -150,15 +151,15 @@ TEST(SequentialFetch, ForeignResolutionIsIgnored)
     const auto trace = loopTrace(8);
     TwoLevelPApPredictor bpred;
     SequentialFetch engine(trace, bpred, 0);
-    std::vector<FetchedInst> out;
-    engine.fetch(1, 40, out);
+    std::vector<FetchedRecord> out;
+    fetchInto(engine, 1, 40, out);
     const SeqNum bad = out.back().record.seq;
     engine.branchResolved(bad + 999, 2); // not the pending branch
     const std::size_t size_before = out.size();
-    engine.fetch(3, 40, out);
+    fetchInto(engine, 3, 40, out);
     EXPECT_EQ(out.size(), size_before);
     engine.branchResolved(bad, 3);
-    engine.fetch(4, 40, out);
+    fetchInto(engine, 4, 40, out);
     EXPECT_GT(out.size(), size_before);
 }
 
@@ -167,8 +168,8 @@ TEST(TraceCache, MissPathStopsAtTakenBranch)
     const auto trace = loopTrace(20);
     PerfectBranchPredictor oracle;
     TraceCacheFetch engine(trace, oracle, {});
-    std::vector<FetchedInst> out;
-    engine.fetch(1, 40, out); // li + first iteration, cold cache
+    std::vector<FetchedRecord> out;
+    fetchInto(engine, 1, 40, out); // li + first iteration, cold cache
     EXPECT_EQ(out.size(), 4u)
         << "miss path is contiguous up to the taken bne";
     EXPECT_EQ(engine.hits(), 0u);
@@ -285,20 +286,20 @@ TEST(TraceCache, HitDeliversTheLineAsReadAtHitTime)
     config.missFetchWidth = 4;
     PerfectBranchPredictor oracle;
     TraceCacheFetch engine(trace, oracle, config);
-    std::vector<FetchedInst> out;
-    engine.fetch(1, 8, out);
-    engine.fetch(2, 8, out);
+    std::vector<FetchedRecord> out;
+    fetchInto(engine, 1, 8, out);
+    fetchInto(engine, 2, 8, out);
     ASSERT_EQ(out.size(), 5u);
     ASSERT_EQ(engine.hits(), 0u);
     ASSERT_EQ(engine.linesFilled(), 1u);
 
     out.clear();
-    engine.fetch(3, 8, out);
+    fetchInto(engine, 3, 8, out);
     EXPECT_EQ(engine.hits(), 1u);
     EXPECT_EQ(engine.linesFilled(), 2u)
         << "the fill unit overwrote the line mid-delivery";
     std::vector<Addr> delivered;
-    for (const FetchedInst &inst : out)
+    for (const FetchedRecord &inst : out)
         delivered.push_back(inst.record.pc);
     EXPECT_EQ(delivered, (std::vector<Addr>{0x100, 0x104, 0x108, 0x10c}));
     EXPECT_EQ(engine.lineInstsDelivered(), 4u);
@@ -326,8 +327,8 @@ TEST(CollapsingBuffer, CollapsesShortForwardBranch)
 
     PerfectBranchPredictor oracle;
     CollapsingBufferFetch engine(trace, oracle, {});
-    std::vector<FetchedInst> out;
-    engine.fetch(1, 40, out);
+    std::vector<FetchedRecord> out;
+    fetchInto(engine, 1, 40, out);
     EXPECT_GE(engine.collapsedBranches(), 1u);
     EXPECT_GE(out.size(), 4u)
         << "fetch continued past the collapsed branch in one cycle";
@@ -362,6 +363,10 @@ TEST(CollapsingBuffer, BadGeometryDies)
     config.lineBytes = 24;
     EXPECT_EXIT((CollapsingBufferFetch{trace, oracle, config}),
                 ::testing::ExitedWithCode(1), "power of two");
+    config.lineBytes = 32;
+    config.banks = 65; // one bit per bank in a 64-bit mask
+    EXPECT_EXIT((CollapsingBufferFetch{trace, oracle, config}),
+                ::testing::ExitedWithCode(1), "1..64");
 }
 
 TEST(TraceCache, BadGeometryDies)

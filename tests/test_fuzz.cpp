@@ -215,8 +215,9 @@ TEST_P(FuzzSweep, VpNeverBreaksCorrectness)
 
 /**
  * A random Section 5 configuration: window, widths, latencies, every
- * front end and BTB, every value-prediction flavour, scope and update
- * timing, and wrong-path fetch on the Sequential front end.
+ * front end (with 1..64 instruction-cache banks) and BTB, every
+ * value-prediction flavour, scope and update timing, and wrong-path
+ * fetch on the Sequential front end.
  */
 PipelineConfig
 randomPipelineConfig(Rng &rng, const Program &program)
@@ -227,6 +228,8 @@ randomPipelineConfig(Rng &rng, const Program &program)
     config.frontendLatency = static_cast<unsigned>(rng.nextRange(0, 6));
     config.vpPenalty = static_cast<unsigned>(rng.nextRange(0, 4));
     config.frontEnd = static_cast<FrontEndKind>(rng.nextBelow(4));
+    config.bacConfig.icacheBanks = static_cast<unsigned>(rng.nextRange(1, 64));
+    config.collapsingBufferConfig.banks = config.bacConfig.icacheBanks;
     config.maxTakenBranches = static_cast<unsigned>(rng.nextRange(0, 4));
     config.perfectBranchPredictor = rng.nextChance(1, 2);
     switch (rng.nextBelow(4)) {
@@ -261,41 +264,48 @@ randomPipelineConfig(Rng &rng, const Program &program)
 
 TEST_P(FuzzSweep, PipelineMatchesReference)
 {
-    // Differential fuzzing of the event-driven scheduler against the
-    // polling reference pipeline: every result field must match.
-    const Program program = randomProgram(GetParam());
-    Interpreter interp(program, Memory{});
-    std::vector<TraceRecord> trace;
-    ASSERT_TRUE(interp.run(200000, &trace).halted);
-    Rng rng(GetParam() * 7919 + 1);
-    for (int round = 0; round < 24; ++round) {
-        const PipelineConfig config = randomPipelineConfig(rng, program);
-        SCOPED_TRACE("round " + std::to_string(round) + ": window " +
-                     std::to_string(config.windowSize) + ", width " +
-                     std::to_string(config.issueWidth) + ", front end " +
-                     std::to_string(static_cast<int>(config.frontEnd)));
-        const PipelineResult fast = runPipelineMachine(trace, config);
-        const PipelineResult ref = runReferencePipelineMachine(trace, config);
-        EXPECT_EQ(fast.cycles, ref.cycles);
-        EXPECT_EQ(fast.instructions, ref.instructions);
-        EXPECT_EQ(fast.ipc, ref.ipc);
-        EXPECT_EQ(fast.branchAccuracy, ref.branchAccuracy);
-        EXPECT_EQ(fast.branchMispredicts, ref.branchMispredicts);
-        EXPECT_EQ(fast.vpPredictionsMade, ref.vpPredictionsMade);
-        EXPECT_EQ(fast.vpPredictionsCorrect, ref.vpPredictionsCorrect);
-        EXPECT_EQ(fast.vpPredictionsWrong, ref.vpPredictionsWrong);
-        EXPECT_EQ(fast.tcHitRate, ref.tcHitRate);
-        EXPECT_EQ(fast.tcLookups, ref.tcLookups);
-        EXPECT_EQ(fast.tcLineInsts, ref.tcLineInsts);
-        EXPECT_EQ(fast.bacHitRate, ref.bacHitRate);
-        EXPECT_EQ(fast.bacBankConflicts, ref.bacBankConflicts);
-        EXPECT_EQ(fast.cbCollapsedBranches, ref.cbCollapsedBranches);
-        EXPECT_EQ(fast.wrongPathFetched, ref.wrongPathFetched);
-        EXPECT_EQ(fast.vptRequests, ref.vptRequests);
-        EXPECT_EQ(fast.vptMergedRequests, ref.vptMergedRequests);
-        EXPECT_EQ(fast.vptDeniedRequests, ref.vptDeniedRequests);
-        EXPECT_EQ(fast.vptDistributorAdditions,
-                  ref.vptDistributorAdditions);
+    // Differential fuzzing of the program-order scheduler against the
+    // polling reference pipeline: every result field must match, over
+    // several random programs per seed and many configurations each.
+    for (std::uint64_t variant = 0; variant < 4; ++variant) {
+        const std::uint64_t program_seed = GetParam() + 1000 * variant;
+        const Program program = randomProgram(program_seed);
+        Interpreter interp(program, Memory{});
+        std::vector<TraceRecord> trace;
+        ASSERT_TRUE(interp.run(200000, &trace).halted);
+        Rng rng(program_seed * 7919 + 1);
+        for (int round = 0; round < 40; ++round) {
+            const PipelineConfig config = randomPipelineConfig(rng, program);
+            SCOPED_TRACE("program " + std::to_string(program_seed) +
+                         ", round " + std::to_string(round) + ": window " +
+                         std::to_string(config.windowSize) + ", width " +
+                         std::to_string(config.issueWidth) +
+                         ", front end " +
+                         std::to_string(static_cast<int>(config.frontEnd)));
+            const PipelineResult fast = runPipelineMachine(trace, config);
+            const PipelineResult ref =
+                runReferencePipelineMachine(trace, config);
+            EXPECT_EQ(fast.cycles, ref.cycles);
+            EXPECT_EQ(fast.instructions, ref.instructions);
+            EXPECT_EQ(fast.ipc, ref.ipc);
+            EXPECT_EQ(fast.branchAccuracy, ref.branchAccuracy);
+            EXPECT_EQ(fast.branchMispredicts, ref.branchMispredicts);
+            EXPECT_EQ(fast.vpPredictionsMade, ref.vpPredictionsMade);
+            EXPECT_EQ(fast.vpPredictionsCorrect, ref.vpPredictionsCorrect);
+            EXPECT_EQ(fast.vpPredictionsWrong, ref.vpPredictionsWrong);
+            EXPECT_EQ(fast.tcHitRate, ref.tcHitRate);
+            EXPECT_EQ(fast.tcLookups, ref.tcLookups);
+            EXPECT_EQ(fast.tcLineInsts, ref.tcLineInsts);
+            EXPECT_EQ(fast.bacHitRate, ref.bacHitRate);
+            EXPECT_EQ(fast.bacBankConflicts, ref.bacBankConflicts);
+            EXPECT_EQ(fast.cbCollapsedBranches, ref.cbCollapsedBranches);
+            EXPECT_EQ(fast.wrongPathFetched, ref.wrongPathFetched);
+            EXPECT_EQ(fast.vptRequests, ref.vptRequests);
+            EXPECT_EQ(fast.vptMergedRequests, ref.vptMergedRequests);
+            EXPECT_EQ(fast.vptDeniedRequests, ref.vptDeniedRequests);
+            EXPECT_EQ(fast.vptDistributorAdditions,
+                      ref.vptDistributorAdditions);
+        }
     }
 }
 

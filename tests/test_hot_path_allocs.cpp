@@ -146,10 +146,13 @@ pipelineAllocations(TraceSpan records, const PipelineConfig &config)
 /**
  * Allocation growth of the Section 5 machine from 20k to 80k records
  * of go. Building the machine allocates a fixed amount; what the cycle
- * loop allocates scales with the run. Each bound is the growth measured
- * on the polling scheduler the event-driven one replaced (16 with the
- * trace cache, 6 with wrong-path fetch): predictor and front-end tables
- * that fill in as new PCs appear, nothing per simulated cycle.
+ * loop allocates scales with the run. Each bound is the growth
+ * measured on the polling scheduler the event-driven one replaced (16
+ * with the trace cache, 6 with wrong-path fetch): predictor and
+ * front-end tables that fill in as new PCs appear, nothing per
+ * simulated cycle. The branch-address-cache and collapsing-buffer
+ * front ends grow by nothing; a bank vector built per fetch grows them
+ * by thousands (13,138 and 6,284).
  */
 std::size_t
 pipelineAllocationGrowth(const PipelineConfig &config)
@@ -178,6 +181,22 @@ TEST(HotPathAllocs, WrongPathPipelineCyclesAllocateNothing)
     config.useValuePrediction = true;
     config.useInterleavedVpTable = true;
     EXPECT_LE(pipelineAllocationGrowth(config), 6u);
+}
+
+TEST(HotPathAllocs, BranchAddressCacheCyclesAllocateNothing)
+{
+    PipelineConfig config;
+    config.frontEnd = FrontEndKind::BranchAddressCache;
+    config.useValuePrediction = true;
+    EXPECT_LE(pipelineAllocationGrowth(config), 0u);
+}
+
+TEST(HotPathAllocs, CollapsingBufferCyclesAllocateNothing)
+{
+    PipelineConfig config;
+    config.frontEnd = FrontEndKind::CollapsingBuffer;
+    config.useValuePrediction = true;
+    EXPECT_LE(pipelineAllocationGrowth(config), 0u);
 }
 
 } // namespace
