@@ -65,9 +65,9 @@ benchPredictorFused(benchmark::State &state, PredictorKind kind)
         for (const TraceRecord &rec : trace) {
             if (!rec.producesValue())
                 continue;
-            const ClassifiedPrediction p =
+            const VpOutcome outcome =
                 predictor->predictAndTrain(rec.pc, rec.result);
-            benchmark::DoNotOptimize(p.predicted);
+            benchmark::DoNotOptimize(outcome.predicted);
         }
         benchmark::DoNotOptimize(predictor->predictionsCorrect());
     }

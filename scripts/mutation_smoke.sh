@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Mutation smoke test: prove the self-checking machinery actually
 # detects a model bug, not just that it stays quiet on correct code.
-# Two mutants, each in a tree of its own:
+# Three mutants, each in a tree of its own:
 #
 # 1. -DVPSIM_MUTATION=classifier-drop-correct,
 # which deletes the classifier's correct-prediction increment (see
@@ -22,12 +22,20 @@
 # argument, default build/) must report none and 8 cells
 # cross-checked.
 #
+# 3. -DVPSIM_MUTATION=fetch-extra-taken, which lets the Sequential front
+# end fetch one taken transfer more per cycle than its limit (see
+# takenStop in src/fetch/sequential_fetch.cpp). The reference pipeline
+# builds the same front end, so only the fetch.bundle_rules invariant
+# can see it: fig5_1 under --check-invariants cheap must fail its cells
+# with that invariant.
+#
 # Usage: scripts/mutation_smoke.sh [mutant-build-dir] [clean-build-dir]
 set -euo pipefail
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
 build="${1:-$root/build-mutation-smoke}"
 wakeup_build="$build-late-wakeup"
+taken_build="$build-extra-taken"
 clean_build="${2:-$root/build}"
 
 echo "mutation-smoke: building mutant (classifier-drop-correct)"
@@ -102,6 +110,28 @@ if ! grep -q "invariant 'cross-check' violated" <<<"$out_wakeup"; then
     exit 1
 fi
 echo "mutation-smoke: PASS (reference pipeline caught the mutant)"
+
+echo "mutation-smoke: building mutant (fetch-extra-taken)"
+cmake -B "$taken_build" -S "$root" -DCMAKE_BUILD_TYPE=Release \
+    -DVPSIM_MUTATION=fetch-extra-taken >/dev/null
+cmake --build "$taken_build" -j"$(nproc)" \
+    --target fig5_1_taken_branches_ideal_btb >/dev/null
+
+echo "mutation-smoke: running the mutant with --check-invariants cheap"
+out_taken="$("$taken_build/bench/fig5_1_taken_branches_ideal_btb" \
+    --insts 2000 --benchmarks compress --check-invariants cheap \
+    --keep-going 1 2>&1 || true)"
+if grep -q "invariant 'fetch.bundle_rules' violated" <<<"$out_taken" &&
+    grep -q "\[internal\]" <<<"$out_taken"; then
+    echo "mutation-smoke: PASS (fetch.bundle_rules caught the mutant)"
+else
+    echo "mutation-smoke: FAIL - the extra-taken mutant ran without" \
+         "tripping fetch.bundle_rules; nothing checks the Sequential" \
+         "front end's taken-transfer limit"
+    echo "---- mutant output ----"
+    echo "$out_taken"
+    exit 1
+fi
 
 echo "mutation-smoke: checking the unmutated scheduler agrees"
 if [[ ! -f "$clean_build/CMakeCache.txt" ]]; then

@@ -1,6 +1,7 @@
 #include "analysis/did.hpp"
 
 #include "common/invariant.hpp"
+#include "common/logging.hpp"
 #include "isa/instruction.hpp"
 
 namespace vpsim
@@ -34,7 +35,8 @@ DidCollector::observe(const TraceRecord &record)
             ++arcsAtLeast4;
         if (did <= 256) {
             ++trimmedArcs;
-            trimmedSum += static_cast<long double>(did);
+            fatalIf(__builtin_add_overflow(trimmedSum, did, &trimmedSum),
+                    "trimmed DID sum overflows 64 bits");
         }
     };
     consume(record.rs1);
@@ -71,7 +73,8 @@ DidCollector::finish() const
     analysis.averageDid = hist.mean();
     analysis.averageDidTrimmed = trimmedArcs == 0
         ? 0.0
-        : static_cast<double>(trimmedSum / trimmedArcs);
+        : static_cast<double>(static_cast<long double>(trimmedSum) /
+                              static_cast<long double>(trimmedArcs));
     analysis.fracDidAtLeast4 = analysis.totalArcs == 0
         ? 0.0
         : static_cast<double>(arcsAtLeast4) /

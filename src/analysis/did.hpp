@@ -84,7 +84,8 @@ class DidCollector
     std::uint64_t arcsObserved = 0;
     std::uint64_t arcsAtLeast4 = 0;
     std::uint64_t trimmedArcs = 0;
-    long double trimmedSum = 0;
+    /** Exact sum of the trimmed arcs' DIDs; finish() converts it once. */
+    std::uint64_t trimmedSum = 0;
 };
 
 } // namespace vpsim

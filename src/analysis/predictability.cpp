@@ -7,14 +7,9 @@ namespace vpsim
 {
 
 PredictabilityAnalysis
-analyzePredictability(const std::vector<TraceRecord> &records,
-                      ValuePredictor *predictor)
+analyzePredictability(const std::vector<TraceRecord> &records)
 {
-    std::unique_ptr<ValuePredictor> fallback;
-    if (!predictor) {
-        fallback = std::make_unique<StridePredictor>();
-        predictor = fallback.get();
-    }
+    StridePredictor predictor;
 
     // Whether each producer instance's value was correctly predicted.
     std::vector<bool> instancePredicted(records.size(), false);
@@ -50,10 +45,13 @@ analyzePredictability(const std::vector<TraceRecord> &records,
         consume(record.rs2);
 
         if (record.producesValue()) {
-            const RawPrediction raw = predictor->lookup(record.pc);
+            // The fused lookup-and-train is the lookup() + train() pair
+            // with no copy in flight.
+            ClassifierState *unused = nullptr;
+            const RawPrediction raw =
+                predictor.lookupTrain(record.pc, record.result, unused);
             instancePredicted[record.seq] =
                 raw.hasPrediction && raw.value == record.result;
-            predictor->train(record.pc, record.result);
             lastWriter[record.rd].seq = record.seq;
         }
     }

@@ -54,15 +54,13 @@ struct PredictabilityAnalysis
 };
 
 /**
- * Run the joint analysis over @p records.
+ * Run the joint analysis over @p records, marking arcs with an
+ * infinite stride predictor (the paper's choice).
  *
  * @param records The trace, in program order.
- * @param predictor The raw predictor marking arcs; defaults to an
- *        infinite stride predictor when null (the paper's choice).
  */
 PredictabilityAnalysis
-analyzePredictability(const std::vector<TraceRecord> &records,
-                      ValuePredictor *predictor = nullptr);
+analyzePredictability(const std::vector<TraceRecord> &records);
 
 } // namespace vpsim
 

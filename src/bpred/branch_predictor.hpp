@@ -50,6 +50,12 @@ class BranchPredictor
     virtual void reset() = 0;
 
     /**
+     * True for the oracle, whose every prediction is correct: a front
+     * end asks once and then skips the predictor altogether.
+     */
+    virtual bool isOracle() const { return false; }
+
+    /**
      * Was @p prediction fully correct for @p record? Direction must match
      * and, for a taken transfer, the predicted target must equal the
      * recorded successor.
@@ -85,6 +91,7 @@ class PerfectBranchPredictor : public BranchPredictor
 
     std::string name() const override { return "perfect"; }
     void reset() override {}
+    bool isOracle() const override { return true; }
 };
 
 } // namespace vpsim

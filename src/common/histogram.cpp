@@ -17,21 +17,6 @@ Histogram::Histogram(std::vector<std::uint64_t> upper_bounds)
                 "Histogram bounds must be strictly ascending");
 }
 
-void
-Histogram::add(std::uint64_t sample, std::uint64_t weight)
-{
-    std::size_t bucket = bounds.size();
-    for (std::size_t i = 0; i < bounds.size(); ++i) {
-        if (sample <= bounds[i]) {
-            bucket = i;
-            break;
-        }
-    }
-    counts[bucket] += weight;
-    total += weight;
-    sampleSum += static_cast<long double>(sample) * weight;
-}
-
 std::uint64_t
 Histogram::bucketCount(std::size_t index) const
 {
@@ -71,7 +56,10 @@ Histogram::mean() const
 {
     if (total == 0)
         return 0.0;
-    return static_cast<double>(sampleSum / total);
+    // One rounding: the integer sum is exact, and converting it to
+    // long double is too (64-bit mantissa).
+    return static_cast<double>(static_cast<long double>(sampleSum) /
+                               static_cast<long double>(total));
 }
 
 void
@@ -82,7 +70,8 @@ Histogram::merge(const Histogram &other)
     for (std::size_t i = 0; i < counts.size(); ++i)
         counts[i] += other.counts[i];
     total += other.total;
-    sampleSum += other.sampleSum;
+    fatalIf(__builtin_add_overflow(sampleSum, other.sampleSum, &sampleSum),
+            "Histogram sample sum overflows 64 bits");
 }
 
 } // namespace vpsim

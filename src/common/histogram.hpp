@@ -10,6 +10,8 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.hpp"
+
 namespace vpsim
 {
 
@@ -28,8 +30,23 @@ class Histogram
      */
     explicit Histogram(std::vector<std::uint64_t> upper_bounds);
 
-    /** Record one sample. */
-    void add(std::uint64_t sample, std::uint64_t weight = 1);
+    /**
+     * Record one sample. Inline: the DID sweep adds one sample per
+     * dependence arc. Fatal if the exact sample sum overflows 64 bits.
+     */
+    void
+    add(std::uint64_t sample, std::uint64_t weight = 1)
+    {
+        std::size_t bucket = 0;
+        while (bucket < bounds.size() && sample > bounds[bucket])
+            ++bucket;
+        counts[bucket] += weight;
+        total += weight;
+        std::uint64_t mass = 0;
+        fatalIf(__builtin_mul_overflow(sample, weight, &mass) ||
+                    __builtin_add_overflow(sampleSum, mass, &sampleSum),
+                "Histogram sample sum overflows 64 bits");
+    }
 
     /** Number of buckets including the overflow bucket. */
     std::size_t numBuckets() const { return counts.size(); }
@@ -56,9 +73,8 @@ class Histogram
     std::vector<std::uint64_t> bounds;
     std::vector<std::uint64_t> counts;
     std::uint64_t total = 0;
-    // Sum of samples, for mean(); kept as long double to limit error on
-    // 100M-sample traces.
-    long double sampleSum = 0;
+    /** Exact sum of samples; mean() converts it once. */
+    std::uint64_t sampleSum = 0;
 };
 
 } // namespace vpsim

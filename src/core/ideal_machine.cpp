@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <type_traits>
 
 #include "common/cancellation.hpp"
 #include "common/invariant.hpp"
@@ -15,13 +16,25 @@ namespace vpsim
 namespace
 {
 
+/** Value prediction off. */
+struct NoVp
+{
+};
+
+/** Perfect value prediction: every in-scope producer, correctly. */
+struct PerfectVp
+{
+};
+
 /**
  * The span-iterating ideal-machine engine.
  *
  * All loop state lives here so the per-block worker can be specialized
- * at compile time: processBlock<UseVp, FullChecks> is instantiated per
- * (value prediction, deep-check) combination and dispatched once per
- * delivered block, so the per-instruction path of a plain baseline run
+ * at compile time: processBlock<FullChecks, KeepSchedule> is
+ * instantiated per (deep-check, schedule, value prediction: NoVp,
+ * PerfectVp or a classified predictor's kernel) combination and
+ * dispatched once per delivered block, so the per-instruction path of a
+ * plain baseline run
  * carries no dead prediction branches and no invariant polling at all.
  * Record index, window-ring slot (== i % windowSize) and fetch cycle
  * (== i / fetchRate + 1) are carried incrementally across blocks: the
@@ -41,7 +54,6 @@ struct IdealEngine
     const IdealMachineConfig &config;
     IdealMachineResult &result;
     const bool keepSchedule;
-    ClassifiedPredictor *predictor = nullptr;
 
     std::vector<Writer> lastWriter;
     /** Ring buffer of the last windowSize execute cycles. */
@@ -69,30 +81,24 @@ struct IdealEngine
     {
     }
 
+    /** Run @p block through this run's processBlock instantiation. */
+    template <typename Vp>
     void
-    dispatchBlock(TraceSpan block, bool full_checks)
+    dispatchBlock(TraceSpan block, bool full_checks, Vp &vp)
     {
-        if (config.useValuePrediction) {
-            if (full_checks)
-                keepSchedule ? processBlock<true, true, true>(block)
-                             : processBlock<true, true, false>(block);
-            else
-                keepSchedule ? processBlock<true, false, true>(block)
-                             : processBlock<true, false, false>(block);
-        } else {
-            if (full_checks)
-                keepSchedule ? processBlock<false, true, true>(block)
-                             : processBlock<false, true, false>(block);
-            else
-                keepSchedule ? processBlock<false, false, true>(block)
-                             : processBlock<false, false, false>(block);
-        }
+        if (full_checks)
+            keepSchedule ? processBlock<true, true>(block, vp)
+                         : processBlock<true, false>(block, vp);
+        else
+            keepSchedule ? processBlock<false, true>(block, vp)
+                         : processBlock<false, false>(block, vp);
     }
 
-    template <bool UseVp, bool FullChecks, bool KeepSchedule>
+    template <bool FullChecks, bool KeepSchedule, typename Vp>
     void
-    processBlock(TraceSpan block)
+    processBlock(TraceSpan block, Vp &vp)
     {
+        constexpr bool use_vp = !std::is_same_v<Vp, NoVp>;
         const unsigned window_size = config.windowSize;
         const unsigned fetch_rate = config.fetchRate;
         const Cycle frontend_latency = config.frontendLatency;
@@ -155,7 +161,7 @@ struct IdealEngine
         // imposes nothing.
         Cycle issue = earliest;
         Cycle exec;
-        if constexpr (UseVp) {
+        if constexpr (use_vp) {
             // 0 = binds at issue, 1 = predicted correct, 2 = wrong.
             const unsigned kind1 =
                 (wr1.exists && wr1.predicted) ? (wr1.correct ? 1u : 2u)
@@ -226,23 +232,20 @@ struct IdealEngine
             Writer writer;
             writer.exists = true;
             writer.execCycle = exec;
-            if (UseVp) {
+            if constexpr (use_vp) {
                 const bool in_scope =
                     config.vpScope == VpScope::AllInstructions ||
                     instClassOf(op) == InstClass::Load;
                 if (in_scope) {
-                    if (config.perfectValuePrediction) {
+                    if constexpr (std::is_same_v<Vp, PerfectVp>) {
                         writer.predicted = true;
                         writer.correct = true;
                         ++perfect_predictions;
                     } else {
-                        const Value actual = block[k].result;
-                        const ClassifiedPrediction prediction =
-                            predictor->predictAndTrain(block[k].pc,
-                                                       actual);
-                        writer.predicted = prediction.predicted;
-                        writer.correct = prediction.predicted &&
-                                         prediction.value == actual;
+                        const VpOutcome outcome = vp.predictAndTrain(
+                            block[k].pc, block[k].result);
+                        writer.predicted = outcome.predicted;
+                        writer.correct = outcome.correct;
                     }
                 }
             }
@@ -290,17 +293,29 @@ runIdealMachine(TraceSource &source, const IdealMachineConfig &config,
     }
 
     IdealEngine engine(config, result, keep_schedule);
-    engine.predictor = predictor.get();
 
     source.reset();
-    TraceSpan block;
-    while (source.nextBlock(block)) {
-        // Progress heartbeat for the --job-timeout watchdog and the
-        // self-check level poll, hoisted to block granularity: one
-        // thread-local store and one relaxed atomic load per <= 4096
-        // records instead of per instruction.
-        simHeartbeat(engine.insts);
-        engine.dispatchBlock(block, invariantsActive(InvariantLevel::Full));
+    const auto run_blocks = [&](auto &vp) {
+        TraceSpan block;
+        while (source.nextBlock(block)) {
+            // Progress heartbeat for the --job-timeout watchdog and the
+            // self-check level poll, hoisted to block granularity: one
+            // thread-local store and one relaxed atomic load per <= 4096
+            // records instead of per instruction.
+            simHeartbeat(engine.insts);
+            engine.dispatchBlock(block,
+                                 invariantsActive(InvariantLevel::Full), vp);
+        }
+    };
+    // The predictor kernel is chosen once per run.
+    if (predictor) {
+        predictor->withKernel(run_blocks);
+    } else if (config.useValuePrediction) {
+        PerfectVp perfect;
+        run_blocks(perfect);
+    } else {
+        NoVp none;
+        run_blocks(none);
     }
 
     result.instructions = engine.insts;

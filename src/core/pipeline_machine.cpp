@@ -77,8 +77,15 @@ enum class VpPath
     Table,   //!< §4 interleaved banked table in front of the predictor
 };
 
+/** The predictor kernel of the paths that have none (all but Plain). */
+struct NoKernel
+{
+};
+
 /**
- * The cycle loop of the Section 5 machine, specialized per VpPath.
+ * The cycle loop of the Section 5 machine, specialized per VpPath and,
+ * on the Plain path, per raw predictor: @p kernel is the classified
+ * predictor's inline kernel (ClassifiedPredictor::Kernel).
  *
  * Issue is oldest first, so it is causal in program order: a younger
  * instruction never takes an issue slot an older one could use, and a
@@ -106,12 +113,11 @@ enum class VpPath
  * Fills @p result's cycle count and (for the Perfect path) the oracle
  * prediction counters; the caller owns every other statistic.
  */
-template <VpPath Vp>
+template <VpPath Vp, typename Kernel>
 void
 runPipelineLoop(TraceSpan records, const PipelineConfig &config,
                 TraceFetchBase &engine, InterleavedVpTable *vpTable,
-                ClassifiedPredictor *plainPredictor,
-                PipelineResult &result)
+                Kernel &kernel, PipelineResult &result)
 {
     constexpr bool trainsPredictor =
         Vp == VpPath::Table || Vp == VpPath::Plain;
@@ -154,13 +160,25 @@ runPipelineLoop(TraceSpan records, const PipelineConfig &config,
     std::vector<std::uint32_t> issuesAt(ringSize, 0);
     std::vector<std::uint32_t> departuresAt(ringSize, 0);
     std::vector<std::uint32_t> departureRecount; // Full audits only
+    // Whatever issues in cycle c sits in the window at the end of cycle
+    // c - 1: it dispatched at least a cycle earlier and leaves at its
+    // execute, no earlier than c. So at most windowSize instructions
+    // issue in any cycle, and with windowSize <= issueWidth (the paper's
+    // 40-entry, 40-wide machine) issue slots never bind: they go
+    // uncounted.
+    const bool issueSlotsBind = issueWidth < windowSize;
     // The first cycle in [earliest, limit) with an issue slot left, or
     // limit when there is none.
     const auto firstFreeIssue = [&](Cycle earliest, Cycle limit) {
         Cycle at = earliest;
-        while (at < limit && issuesAt[at & ringMask] >= issueWidth)
+        while (issueSlotsBind && at < limit &&
+               issuesAt[at & ringMask] >= issueWidth)
             ++at;
         return at;
+    };
+    const auto takeIssueSlot = [&](Cycle at) {
+        if (issueSlotsBind)
+            ++issuesAt[at & ringMask];
     };
 
     std::span<const VpGrant> grants;
@@ -179,93 +197,100 @@ runPipelineLoop(TraceSpan records, const PipelineConfig &config,
     Cycle resolveAt = noPendingBranch;
     SeqNum resolveSeq = invalidSeqNum;
 
-    // Dispatch correct-path @p record in cycle now: value-predict its
-    // output, then fix its issue, execute and commit cycles.
-    const auto dispatch = [&](const TraceRecord &record) {
-        const bool produces_value = record.producesValue();
-        const bool in_scope =
-            scopeAll || record.instClass() == InstClass::Load;
-        RetireUpdate *retire = nullptr;
-        if constexpr (trainsPredictor) {
-            if (!dispatchTiming) {
-                retire = &retireUpdates[robTail & robMask];
-                retire->tracked = false;
-            }
-        }
-
-        bool vp_predicted = false;
-        bool vp_correct = false;
-        if constexpr (Vp != VpPath::None) {
-            if (produces_value && in_scope) {
-                if constexpr (Vp == VpPath::Perfect) {
-                    vp_predicted = true;
-                    vp_correct = true;
-                    ++result.vpPredictionsMade;
-                    ++result.vpPredictionsCorrect;
-                } else {
-                    ClassifiedPrediction prediction;
-                    bool looked_up = true;
-                    if constexpr (Vp == VpPath::Table) {
-                        const VpGrant &grant = grants[grant_cursor++];
-                        looked_up = grant.granted;
-                        prediction = grant.prediction;
-                        if (looked_up && dispatchTiming)
-                            vpTable->update(record.pc, prediction,
-                                            record.result);
-                    } else if (dispatchTiming) {
-                        // predict() immediately followed by update()
-                        // collapses into the classifier's fused
-                        // single-probe path (identical state machine;
-                        // see ClassifiedPredictor).
-                        prediction = plainPredictor->predictAndTrain(
-                            record.pc, record.result);
-                    } else {
-                        prediction = plainPredictor->predict(record.pc);
-                    }
-                    if (looked_up) {
-                        vp_predicted = prediction.predicted;
-                        vp_correct = prediction.predicted &&
-                                     prediction.value == record.result;
-                    }
-                    if (retire != nullptr)
-                        *retire = {looked_up, record.pc, record.result,
-                                   prediction};
+    // Dispatch the correct-path @p records in cycle now: value-predict
+    // each one's output, then fix its issue, execute and commit cycles.
+    // One call per bundle, so the loop body inlines into it.
+    const auto dispatch = [&](TraceSpan correct_path) {
+        for (const TraceRecord &record : correct_path) {
+            const bool produces_value = record.producesValue();
+            const bool in_scope =
+                scopeAll || record.instClass() == InstClass::Load;
+            RetireUpdate *retire = nullptr;
+            if constexpr (trainsPredictor) {
+                if (!dispatchTiming) {
+                    retire = &retireUpdates[robTail & robMask];
+                    retire->tracked = false;
                 }
             }
-        }
 
-        // Issue waits for the plain operands; a wrongly predicted one
-        // lets the instruction issue on the prediction and execute once
-        // the real value is in.
-        Cycle earliest = now + issueDelay;
-        Cycle spec_ready[2];
-        unsigned num_spec = 0;
-        for (const RegIndex reg : {record.rs1, record.rs2}) {
-            const RegisterState &source = registers[reg];
-            if (Vp != VpPath::None && source.wrongSpeculation)
-                spec_ready[num_spec++] = source.ready;
-            else
-                earliest = std::max(earliest, source.ready);
-        }
-        const Cycle issue = firstFreeIssue(earliest, ~Cycle{0});
-        ++issuesAt[issue & ringMask];
-        Cycle exec = issue;
-        for (unsigned op = 0; op < num_spec; ++op) {
-            const Cycle ready = spec_ready[op];
-            exec = std::max(exec, ready <= issue ? ready : ready + vpPenalty);
-        }
-        panicIf(exec - now > horizon, "pipeline event outside the horizon");
-        ++departuresAt[exec & ringMask];
-        ++windowLoad;
-        lastCommit = std::max(lastCommit, exec + 1);
-        rob[robTail & robMask] = {exec, lastCommit};
-        ++robTail;
+            bool vp_predicted = false;
+            bool vp_correct = false;
+            if constexpr (Vp != VpPath::None) {
+                if (produces_value && in_scope) {
+                    if constexpr (Vp == VpPath::Perfect) {
+                        vp_predicted = true;
+                        vp_correct = true;
+                        ++result.vpPredictionsMade;
+                        ++result.vpPredictionsCorrect;
+                    } else {
+                        // A lookup whose outcome trains at retire is owed
+                        // an update there.
+                        const auto predicted = [&](bool looked_up,
+                                                   const ClassifiedPrediction
+                                                       &prediction) {
+                            vp_predicted = looked_up && prediction.predicted;
+                            vp_correct = vp_predicted &&
+                                         prediction.value == record.result;
+                            if (retire != nullptr)
+                                *retire = {looked_up, record.pc,
+                                           record.result, prediction};
+                        };
+                        if constexpr (Vp == VpPath::Table) {
+                            const VpGrant &grant = grants[grant_cursor++];
+                            if (grant.granted && dispatchTiming)
+                                vpTable->update(record.pc, grant.prediction,
+                                                record.result);
+                            predicted(grant.granted, grant.prediction);
+                        } else if (dispatchTiming) {
+                            // predict() immediately followed by update()
+                            // collapses into the kernel's fused
+                            // single-probe path (identical state machine).
+                            const VpOutcome outcome = kernel.predictAndTrain(
+                                record.pc, record.result);
+                            vp_predicted = outcome.predicted;
+                            vp_correct = outcome.correct;
+                        } else {
+                            predicted(true, kernel.predict(record.pc));
+                        }
+                    }
+                }
+            }
 
-        if (produces_value) {
-            registers[record.rd] =
-                vp_predicted && vp_correct
-                    ? RegisterState{}
-                    : RegisterState{exec + wakeLatency, vp_predicted};
+            // Issue waits for the plain operands; a wrongly predicted
+            // one lets the instruction issue on the prediction and
+            // execute once the real value is in.
+            Cycle earliest = now + issueDelay;
+            Cycle spec_ready[2];
+            unsigned num_spec = 0;
+            for (const RegIndex reg : {record.rs1, record.rs2}) {
+                const RegisterState &source = registers[reg];
+                if (Vp != VpPath::None && source.wrongSpeculation)
+                    spec_ready[num_spec++] = source.ready;
+                else
+                    earliest = std::max(earliest, source.ready);
+            }
+            const Cycle issue = firstFreeIssue(earliest, ~Cycle{0});
+            takeIssueSlot(issue);
+            Cycle exec = issue;
+            for (unsigned op = 0; op < num_spec; ++op) {
+                const Cycle ready = spec_ready[op];
+                exec = std::max(exec,
+                                ready <= issue ? ready : ready + vpPenalty);
+            }
+            panicIf(exec - now > horizon,
+                    "pipeline event outside the horizon");
+            ++departuresAt[exec & ringMask];
+            ++windowLoad;
+            lastCommit = std::max(lastCommit, exec + 1);
+            rob[robTail & robMask] = {exec, lastCommit};
+            ++robTail;
+
+            if (produces_value) {
+                registers[record.rd] =
+                    vp_predicted && vp_correct
+                        ? RegisterState{}
+                        : RegisterState{exec + wakeLatency, vp_predicted};
+            }
         }
     };
 
@@ -329,12 +354,14 @@ runPipelineLoop(TraceSpan records, const PipelineConfig &config,
                 if (!dispatchTiming) {
                     const RetireUpdate &owed =
                         retireUpdates[robHead & robMask];
-                    if (owed.tracked && Vp == VpPath::Table)
-                        vpTable->update(owed.pc, owed.prediction,
-                                        owed.result);
-                    else if (owed.tracked)
-                        plainPredictor->update(owed.pc, owed.prediction,
-                                               owed.result);
+                    if (owed.tracked) {
+                        if constexpr (Vp == VpPath::Table)
+                            vpTable->update(owed.pc, owed.prediction,
+                                            owed.result);
+                        else
+                            kernel.update(owed.pc, owed.prediction,
+                                          owed.result);
+                    }
                 }
             }
             ++committed;
@@ -412,23 +439,22 @@ runPipelineLoop(TraceSpan records, const PipelineConfig &config,
                                 if (grants[grant_cursor++].granted)
                                     vpTable->abandon(record.pc);
                             } else {
-                                plainPredictor->predict(record.pc);
-                                plainPredictor->abandon(record.pc);
+                                kernel.predict(record.pc);
+                                kernel.abandon(record.pc);
                             }
                         }
                     }
                     const Cycle depart = firstFreeIssue(
                         std::min(now + issueDelay, resolveAt), resolveAt);
                     if (depart < resolveAt)
-                        ++issuesAt[depart & ringMask];
+                        takeIssueSlot(depart);
                     ++departuresAt[depart & ringMask];
                     ++windowLoad;
                     rob[robTail & robMask] = {depart, wrongPathCommit};
                     ++robTail;
                 }
             } else {
-                for (const TraceRecord &record : bundle.records)
-                    dispatch(record);
+                dispatch(bundle.records);
                 // The bundle's last record is the mispredicted branch;
                 // it resolves when it executes.
                 if (bundle.endsInMispredict) {
@@ -463,19 +489,23 @@ runPipelineMachine(TraceSpan records, const PipelineConfig &config)
 
     PipelineComponents parts(records, config);
     TraceFetchBase &engine = parts.engine();
-    // One cycle-loop instantiation per value-prediction flavour.
+    // One cycle-loop instantiation per value-prediction flavour, and
+    // on the Plain path per raw predictor (its kernel is chosen once).
+    NoKernel none;
     if (!config.useValuePrediction) {
         runPipelineLoop<VpPath::None>(records, config, engine, nullptr,
-                                      nullptr, result);
+                                      none, result);
     } else if (config.perfectValuePrediction) {
         runPipelineLoop<VpPath::Perfect>(records, config, engine, nullptr,
-                                         nullptr, result);
+                                         none, result);
     } else if (parts.vpTable() != nullptr) {
         runPipelineLoop<VpPath::Table>(records, config, engine,
-                                       parts.vpTable(), nullptr, result);
+                                       parts.vpTable(), none, result);
     } else {
-        runPipelineLoop<VpPath::Plain>(records, config, engine, nullptr,
-                                       parts.plainPredictor(), result);
+        parts.plainPredictor()->withKernel([&](auto &kernel) {
+            runPipelineLoop<VpPath::Plain>(records, config, engine,
+                                           nullptr, kernel, result);
+        });
     }
 
     result.ipc = static_cast<double>(result.instructions) /

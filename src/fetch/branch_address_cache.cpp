@@ -1,5 +1,7 @@
 #include "fetch/branch_address_cache.hpp"
 
+#include <algorithm>
+
 #include "common/logging.hpp"
 #include "isa/instruction.hpp"
 
@@ -40,12 +42,14 @@ BranchAddressCacheFetch::fetch(Cycle now, unsigned max_insts)
         return {};
 
     const std::size_t first = cursor;
+    const std::size_t limit =
+        std::min(trace.size(), first + std::size_t{max_insts});
+    std::size_t end = first;
     std::uint64_t banks_busy = 0; // bit b: bank b already read
     unsigned blocks = 0;
 
-    while (blocks < cfg.maxBlocksPerCycle && cursor - first < max_insts &&
-           !done()) {
-        const Addr block_start = trace[cursor].pc;
+    while (blocks < cfg.maxBlocksPerCycle && end < limit) {
+        const Addr block_start = trace[end].pc;
 
         // Interleaved icache constraint: the block's starting line bank
         // must be free this cycle.
@@ -79,18 +83,18 @@ BranchAddressCacheFetch::fetch(Cycle now, unsigned max_insts)
         // Deliver the block: instructions up to and including the next
         // control transfer (or the width limit).
         bool block_ended = false;
-        while (cursor - first < max_insts && !done() && !block_ended) {
-            const TraceRecord &record = trace[cursor];
-            if (consumeRecord())
-                return delivered(first, true); // stall armed
-            if (record.isControlFlow())
-                block_ended = true;
+        while (end < limit && !block_ended) {
+            const TraceRecord &record = trace[end++];
+            if (consumeRecord(record)) // stall armed
+                return delivered(first, end, true,
+                                 blocks < cfg.maxBlocksPerCycle);
+            block_ended = record.isControlFlow();
         }
         ++blocks;
         if (!block_ended)
             break; // width limit hit inside the block
     }
-    return delivered(first, false);
+    return delivered(first, end, false, blocks <= cfg.maxBlocksPerCycle);
 }
 
 double

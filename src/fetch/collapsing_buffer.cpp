@@ -1,5 +1,7 @@
 #include "fetch/collapsing_buffer.hpp"
 
+#include <algorithm>
+
 #include "common/logging.hpp"
 
 namespace vpsim
@@ -33,13 +35,16 @@ CollapsingBufferFetch::fetch(Cycle now, unsigned max_insts)
         return {};
 
     const std::size_t first = cursor;
+    const std::size_t limit =
+        std::min(trace.size(), first + std::size_t{max_insts});
+    std::size_t end = first;
     std::uint64_t banks_busy = 0; // bit b: bank b already read
     unsigned lines_used = 0;
     Addr current_line = 0;
     bool have_line = false;
 
-    while (cursor - first < max_insts && !done()) {
-        const TraceRecord &record = trace[cursor];
+    while (end < limit) {
+        const TraceRecord &record = trace[end];
         const Addr record_line = lineOf(record.pc);
 
         if (!have_line || record_line != current_line) {
@@ -57,8 +62,10 @@ CollapsingBufferFetch::fetch(Cycle now, unsigned max_insts)
             ++lines_used;
         }
 
-        if (consumeRecord())
-            return delivered(first, true);
+        ++end;
+        if (consumeRecord(record))
+            return delivered(first, end, true,
+                             lines_used <= cfg.linesPerCycle);
 
         if (record.isControlFlow() && record.taken) {
             const Addr target_line = lineOf(record.nextPc);
@@ -74,7 +81,7 @@ CollapsingBufferFetch::fetch(Cycle now, unsigned max_insts)
             }
         }
     }
-    return delivered(first, false);
+    return delivered(first, end, false, lines_used <= cfg.linesPerCycle);
 }
 
 } // namespace vpsim

@@ -63,7 +63,11 @@ class TraceFetchBase
      *        std::vector<TraceRecord> converts implicitly.
      */
     TraceFetchBase(TraceSpan trace_records,
-                   BranchPredictor &branch_predictor);
+                   BranchPredictor &branch_predictor)
+        : trace(trace_records), bpred(branch_predictor),
+          idealBtb(branch_predictor.isOracle())
+    {
+    }
     virtual ~TraceFetchBase() = default;
     TraceFetchBase(const TraceFetchBase &) = delete;
     TraceFetchBase &operator=(const TraceFetchBase &) = delete;
@@ -88,70 +92,95 @@ class TraceFetchBase
      * The machine resolved the mispredicted branch @p seq in cycle
      * @p resolve_cycle; fetch may resume the following cycle.
      */
-    virtual void branchResolved(SeqNum seq, Cycle resolve_cycle);
+    virtual void
+    branchResolved(SeqNum seq, Cycle resolve_cycle)
+    {
+        if (seq != pendingBranch)
+            return;
+        pendingBranch = invalidSeqNum;
+        resumeCycle = resolve_cycle + 1;
+    }
 
-    /** Dynamic instructions fetched so far. */
-    std::uint64_t fetchedInsts() const { return numFetched; }
     /** Mispredicted control transfers encountered. */
     std::uint64_t mispredicts() const { return numMispredicts; }
 
   protected:
     /** True while fetch is blocked on an unresolved misprediction. */
-    bool stalled(Cycle now) const;
-
-    /**
-     * Consume the record at the cursor: consult/train the predictor for
-     * control instructions and arm the stall machine on a misprediction.
-     * Advances the cursor: the bundle is the slice the cursor passed
-     * (delivered()).
-     *
-     * Inline: every front end calls this once per fetched instruction,
-     * and as an out-of-line routine it was ~10% of the pipeline-machine
-     * profile (mostly the call itself and re-loading cursor/counters
-     * each time).
-     *
-     * @retval true The consumed instruction mispredicted (bundle over).
-     */
     bool
-    consumeRecord()
+    stalled(Cycle now) const
     {
-        panicIf(cursor >= trace.size(),
-                "fetch past the end of the trace");
-        const TraceRecord &record = trace[cursor];
-        bool mispredicted = false;
-        if (record.isControlFlow()) {
-            const BranchPrediction prediction = bpred.predict(record);
-            bpred.update(record, prediction);
-            mispredicted = !BranchPredictor::correct(record, prediction);
-            if (mispredicted) {
-                pendingBranch = record.seq;
-                pendingPrediction = prediction;
-                ++numMispredicts;
-            }
-        }
-        ++cursor;
-        ++numFetched;
-        // Every fetched instruction is a trace record consumed exactly
-        // once; a drift here means duplicated or dropped delivery.
-        checkInvariant(InvariantLevel::Cheap, numFetched == cursor,
-                       "fetch.delivered_matches_consumed", [&] {
-                           return std::to_string(numFetched) +
-                                  " fetched but trace cursor at " +
-                                  std::to_string(cursor);
-                       });
-        return mispredicted;
+        return pendingBranch != invalidSeqNum || now < resumeCycle;
     }
 
-    /** The correct-path bundle of the records consumed since @p first. */
-    FetchBundle
-    delivered(std::size_t first, bool mispredicted) const
+    /**
+     * Fetch the correct-path record @p record: consult and train the
+     * branch predictor for a control instruction and arm the stall
+     * machine on a misprediction. Every front end calls this once per
+     * fetched record and keeps its own cursor in a local; delivered()
+     * closes the bundle.
+     *
+     * With the ideal BTB nothing can mispredict, so no predictor is
+     * called: the engine learns which predictor it has once, at
+     * construction.
+     *
+     * @retval true The record mispredicted (the bundle ends with it).
+     */
+    bool
+    consumeRecord(const TraceRecord &record)
     {
-        return {TraceSpan(trace.data() + first, cursor - first),
-                mispredicted, false};
+        if (idealBtb || !record.isControlFlow())
+            return false;
+        const BranchPrediction prediction = bpred.predict(record);
+        bpred.update(record, prediction);
+        if (BranchPredictor::correct(record, prediction))
+            return false;
+        pendingBranch = record.seq;
+        pendingPrediction = prediction;
+        ++numMispredicts;
+        return true;
+    }
+
+    /**
+     * Close the correct-path bundle [@p first, @p end): advance the
+     * cursor to @p end and return a view of the records.
+     *
+     * Audits the bundle against the rules every front end shares, plus
+     * the engine's own (@p within_rules: a taken-transfer, line or
+     * block limit): the bundle starts at the previous cursor, stays
+     * inside the trace, and holds a mispredicted branch only as its
+     * last record, which is the one the stall machine waits on.
+     */
+    FetchBundle
+    delivered(std::size_t first, std::size_t end, bool mispredicted,
+              bool within_rules)
+    {
+        const bool mispredict_last = mispredicted
+            ? end > first && trace[end - 1].seq == pendingBranch
+            : pendingBranch == invalidSeqNum;
+        checkInvariant(InvariantLevel::Cheap,
+                       first == cursor && first <= end &&
+                           end <= trace.size() && mispredict_last &&
+                           within_rules,
+                       "fetch.bundle_rules", [&] {
+                           return "front end '" + name() +
+                                  "' delivered records [" +
+                                  std::to_string(first) + ", " +
+                                  std::to_string(end) + ") from cursor " +
+                                  std::to_string(cursor) +
+                                  " (misprediction only last: " +
+                                  (mispredict_last ? "yes" : "no") +
+                                  ", within its own limits: " +
+                                  (within_rules ? "yes" : "no") + ")";
+                       });
+        cursor = end;
+        return {TraceSpan(trace.data() + first, end - first), mispredicted,
+                false};
     }
 
     const TraceSpan trace;
     BranchPredictor &bpred;
+    /** The predictor is the oracle (paper's ideal BTB). */
+    const bool idealBtb;
     std::size_t cursor = 0;
 
     /** Sequence number of the unresolved mispredicted branch. */
@@ -162,7 +191,6 @@ class TraceFetchBase
     /** First cycle fetch may run again after a resolved mispredict. */
     Cycle resumeCycle = 0;
 
-    std::uint64_t numFetched = 0;
     std::uint64_t numMispredicts = 0;
 };
 

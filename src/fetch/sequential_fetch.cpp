@@ -1,5 +1,6 @@
 #include "fetch/sequential_fetch.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 namespace vpsim
@@ -11,6 +12,14 @@ SequentialFetch::SequentialFetch(
     const Program *wrong_path_program)
     : TraceFetchBase(trace_records, branch_predictor),
       maxTaken(max_taken_branches),
+#ifdef VPSIM_MUTATION_FETCH_EXTRA_TAKEN
+      // Mutation target (scripts/mutation_smoke.sh): one taken transfer
+      // more than the limit per bundle, which fetch.bundle_rules must
+      // catch.
+      takenStop(max_taken_branches == 0 ? 0 : max_taken_branches + 1),
+#else
+      takenStop(max_taken_branches),
+#endif
       wpProgram(wrong_path_program)
 {
 }
@@ -94,10 +103,14 @@ SequentialFetch::fetch(Cycle now, unsigned max_insts)
     }
 
     const std::size_t first = cursor;
+    const std::size_t limit =
+        std::min(trace.size(), first + std::size_t{max_insts});
     unsigned taken_seen = 0;
-    while (cursor - first < max_insts && !done()) {
-        const TraceRecord &record = trace[cursor];
-        if (consumeRecord()) {
+    std::size_t end = first;
+    bool mispredicted = false;
+    while (end < limit) {
+        const TraceRecord &record = trace[end++];
+        if (consumeRecord(record)) {
             if (wpProgram) {
                 // Arm the wrong-path walker at the predicted target.
                 wpPc = pendingPrediction.taken
@@ -105,15 +118,15 @@ SequentialFetch::fetch(Cycle now, unsigned max_insts)
                     : record.fallThrough();
                 wpActive = true;
             }
-            return delivered(first, true);
+            mispredicted = true;
+            break;
         }
-        if (record.isControlFlow() && record.taken) {
-            ++taken_seen;
-            if (maxTaken != 0 && taken_seen >= maxTaken)
-                break;
-        }
+        if (record.isControlFlow() && record.taken &&
+            ++taken_seen == takenStop)
+            break;
     }
-    return delivered(first, false);
+    return delivered(first, end, mispredicted,
+                     maxTaken == 0 || taken_seen <= maxTaken);
 }
 
 std::string

@@ -50,6 +50,8 @@ class SequentialFetch : public TraceFetchBase
     FetchBundle fetchWrongPath(unsigned max_insts);
 
     unsigned maxTaken;
+    /** The taken transfer that ends a bundle (0: none does). */
+    unsigned takenStop;
     const Program *wpProgram;
 
     bool wpActive = false;

@@ -1,5 +1,7 @@
 #include "fetch/trace_cache.hpp"
 
+#include <algorithm>
+
 #include "common/invariant.hpp"
 #include "common/logging.hpp"
 #include "isa/instruction.hpp"
@@ -72,13 +74,14 @@ TraceCacheFetch::fetch(Cycle now, unsigned max_insts)
     if (stalled(now) || done())
         return {};
 
-    const Addr fetch_pc = trace[cursor].pc;
+    const std::size_t first = cursor;
+    const Addr fetch_pc = trace[first].pc;
     ++numLookups;
     const Line &line = lines[lineIndex(fetch_pc)];
-    const bool hit = line.valid && line.startPc == fetch_pc;
-    const std::size_t first = cursor;
+    std::size_t end = first;
+    bool mispredicted = false;
 
-    if (hit) {
+    if (line.valid && line.startPc == fetch_pc) {
         ++numHits;
         // Deliver the stored path, truncating where the actual path
         // diverges from the line (partial hit) or at a misprediction.
@@ -87,34 +90,37 @@ TraceCacheFetch::fetch(Cycle now, unsigned max_insts)
         // time), and assigning line.path would invalidate iterators.
         // The snapshot is a copy into a reused buffer, never a view.
         hitPath.assign(line.path.begin(), line.path.end());
-        for (const Addr expected_pc : hitPath) {
-            if (cursor - first >= max_insts || done())
-                break;
-            const TraceRecord &record = trace[cursor];
-            if (record.pc != expected_pc)
-                break; // execution diverged from the stored trace
-            const bool mispredicted = consumeRecord();
+        const std::size_t limit = std::min(
+            trace.size(), first + std::min<std::size_t>(max_insts,
+                                                        hitPath.size()));
+        while (end < limit && trace[end].pc == hitPath[end - first]) {
+            const TraceRecord &record = trace[end++];
+            mispredicted = consumeRecord(record);
             feedFillUnit(record);
-            ++numLineInsts;
             if (mispredicted)
-                return delivered(first, true);
+                break;
         }
-        return delivered(first, false);
+        numLineInsts += end - first;
+        return delivered(first, end, mispredicted,
+                         end - first <= cfg.maxLineInsts);
     }
 
     // Miss path: conventional contiguous fetch up to the first taken
     // transfer (or the miss-fetch width), feeding the fill unit.
-    const unsigned budget = std::min(max_insts, cfg.missFetchWidth);
-    while (cursor - first < budget && !done()) {
-        const TraceRecord &record = trace[cursor];
-        const bool mispredicted = consumeRecord();
+    const std::size_t limit = std::min(
+        trace.size(), first + std::size_t{std::min(max_insts,
+                                                   cfg.missFetchWidth)});
+    bool taken = false;
+    while (end < limit && !taken) {
+        const TraceRecord &record = trace[end++];
+        mispredicted = consumeRecord(record);
         feedFillUnit(record);
         if (mispredicted)
-            return delivered(first, true);
-        if (record.isControlFlow() && record.taken)
             break;
+        taken = record.isControlFlow() && record.taken;
     }
-    return delivered(first, false);
+    return delivered(first, end, mispredicted,
+                     end - first <= cfg.missFetchWidth);
 }
 
 double

@@ -56,9 +56,8 @@ std::unique_ptr<ClassifiedPredictor>
 makeClassifiedPredictor(PredictorKind kind, std::size_t capacity,
                         unsigned counter_bits, MissPolicy miss_policy)
 {
-    return std::make_unique<ClassifiedPredictor>(
-        makePredictor(kind, capacity), counter_bits, capacity,
-        miss_policy);
+    return std::make_unique<ClassifiedPredictor>(kind, capacity,
+                                                 counter_bits, miss_policy);
 }
 
 std::unique_ptr<ValuePredictor>

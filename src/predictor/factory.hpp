@@ -15,17 +15,6 @@
 namespace vpsim
 {
 
-/** Which raw value predictor to instantiate. */
-enum class PredictorKind
-{
-    LastValue,
-    Stride,
-    TwoDeltaStride,
-    Hybrid,
-    /** Order-2 finite context method (extension; [22]). */
-    Fcm,
-};
-
 /** Parse "last-value" / "stride" / "2-delta" / "hybrid" / "fcm". */
 PredictorKind predictorKindFromString(const std::string &text);
 

@@ -25,7 +25,7 @@ namespace vpsim
 {
 
 /** Order-N finite context method predictor. */
-class FcmPredictor : public ValuePredictor
+class FcmPredictor final : public ValuePredictor
 {
   public:
     /**

@@ -24,7 +24,7 @@ namespace vpsim
 {
 
 /** Hybrid last-value + small-stride-table predictor. */
-class HybridPredictor : public ValuePredictor
+class HybridPredictor final : public ValuePredictor
 {
   public:
     /**

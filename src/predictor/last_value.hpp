@@ -14,7 +14,7 @@ namespace vpsim
 {
 
 /** Last-value predictor with infinite or direct-mapped storage. */
-class LastValuePredictor : public ValuePredictor
+class LastValuePredictor final : public ValuePredictor
 {
   public:
     /** @param table_capacity 0 = infinite, else power-of-two entries. */
@@ -33,7 +33,7 @@ class LastValuePredictor : public ValuePredictor
      * different tag, so lookup() would have missed too).
      */
     RawPrediction
-    lookupTrain(Addr pc, Value actual, ClassifierState *&cls) override
+    lookupTrain(Addr pc, Value actual, ClassifierState *&cls)
     {
         Entry &entry = table.findOrAllocate(pc);
         cls = table.isInfinite() ? &entry.cls : nullptr;
@@ -43,6 +43,14 @@ class LastValuePredictor : public ValuePredictor
         entry.lastValue = actual;
         entry.seen = true;
         return raw;
+    }
+
+    /** @p pc's co-located classifier slot (see ClassifierState). */
+    ClassifierState *
+    classifierSlot(Addr pc)
+    {
+        Entry *entry = table.isInfinite() ? table.find(pc) : nullptr;
+        return entry ? &entry->cls : nullptr;
     }
 
     StrideInfo strideInfo(Addr pc) const override;
@@ -56,9 +64,11 @@ class LastValuePredictor : public ValuePredictor
     struct Entry
     {
         Value lastValue = 0;
-        bool seen = false;
         /** Classifier scratch (owned by ClassifiedPredictor). */
         ClassifierState cls;
+        bool seen = false;
+        /** Set by the table while the entry is allocated. */
+        bool live = false;
     };
 
     PredictionTable<Entry> table;

@@ -21,7 +21,7 @@ namespace vpsim
 {
 
 /** Classic (last + stride) predictor. */
-class StridePredictor : public ValuePredictor
+class StridePredictor final : public ValuePredictor
 {
   public:
     /** @param table_capacity 0 = infinite, else power-of-two entries. */
@@ -44,11 +44,11 @@ class StridePredictor : public ValuePredictor
      * selects rather than branches: prediction correctness flips with
      * the simulated values, and a mispredicted branch per instruction
      * would dominate this whole path. It also hands out the entry's
-     * co-located classifier slot (infinite tables only — see the base
-     * class).
+     * co-located classifier slot (infinite tables only; see
+     * ClassifierState).
      */
     RawPrediction
-    lookupTrain(Addr pc, Value actual, ClassifierState *&cls) override
+    lookupTrain(Addr pc, Value actual, ClassifierState *&cls)
     {
         Entry &entry = table.findOrAllocate(pc);
         cls = table.isInfinite() ? &entry.cls : nullptr;
@@ -75,6 +75,14 @@ class StridePredictor : public ValuePredictor
         return raw;
     }
 
+    /** @p pc's co-located classifier slot (see ClassifierState). */
+    ClassifierState *
+    classifierSlot(Addr pc)
+    {
+        Entry *entry = table.isInfinite() ? table.find(pc) : nullptr;
+        return entry ? &entry->cls : nullptr;
+    }
+
     void abandon(Addr pc) override;
     StrideInfo strideInfo(Addr pc) const override;
     std::string name() const override { return "stride"; }
@@ -90,8 +98,6 @@ class StridePredictor : public ValuePredictor
         /** Speculatively advanced last value (== lastValue when clean). */
         Value specValue = 0;
         Value stride = 0;
-        /** 0 = empty, 1 = one outcome seen, 2 = stride established. */
-        std::uint8_t timesSeen = 0;
         /**
          * Lookups whose outcomes have not trained yet (copies in
          * flight). A repair after a wrong speculation restores
@@ -102,7 +108,12 @@ class StridePredictor : public ValuePredictor
         std::uint32_t inFlight = 0;
         /** Classifier scratch (owned by ClassifiedPredictor). */
         ClassifierState cls;
+        /** 0 = empty, 1 = one outcome seen, 2 = stride established. */
+        std::uint8_t timesSeen = 0;
+        /** Set by the table while the entry is allocated. */
+        bool live = false;
     };
+    static_assert(sizeof(Entry) == 32, "one stride entry per half line");
 
     PredictionTable<Entry> table;
 };

@@ -19,6 +19,11 @@
  * instructions (a salvaged or fuzzed trace can carry any pc), is a
  * fatal error rather than a silent fallback.
  *
+ * An entry type with a `bool live` member is stored unwrapped in the
+ * infinite table: the table keeps the slot's liveness in that member
+ * (the predictor never touches it), so the flag shares the entry's
+ * padding instead of widening every slot by an alignment unit.
+ *
  * Pointer/reference validity: a pointer returned by find()/
  * findOrAllocate() stays valid only until the next findOrAllocate()
  * on the same table (the window may be reallocated). All callers in
@@ -30,9 +35,11 @@
 #define VPSIM_PREDICTOR_TABLE_STORAGE_HPP
 
 #include <algorithm>
+#include <concepts>
 #include <cstddef>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/logging.hpp"
@@ -44,10 +51,16 @@ namespace vpsim
 
 /**
  * Widest pc range, in static instructions, an infinite table may cover:
- * at the cap a stride table's 48-byte slots take 3 MiB, an FCM context
+ * at the cap a stride table's 32-byte slots take 2 MiB, an FCM context
  * table's 80-byte slots 5 MiB.
  */
 inline constexpr std::size_t maxDenseSpan = std::size_t{1} << 16;
+
+/** @p Entry carries the infinite table's liveness flag itself. */
+template <typename Entry>
+concept CarriesLiveFlag = requires(Entry &entry) {
+    requires std::same_as<decltype(entry.live), bool>;
+};
 
 /**
  * Keyed storage for per-static-instruction predictor state.
@@ -93,15 +106,15 @@ class PredictionTable
             if (index >= dense.size())
                 index = cover(pc);
             DenseSlot &slot = dense[index];
-            const bool fresh = !slot.valid;
+            const bool fresh = !slot.live;
             if (fresh) {
-                slot.valid = true;
-                slot.entry = Entry{};
+                entryOf(slot) = Entry{};
+                slot.live = true;
                 ++numLive;
             }
             if (allocated)
                 *allocated = fresh;
-            return slot.entry;
+            return entryOf(slot);
         }
         Slot &slot = slots[indexOf(pc)];
         const bool fresh = !slot.valid || slot.tag != pc;
@@ -135,7 +148,7 @@ class PredictionTable
     clear()
     {
         for (DenseSlot &slot : dense)
-            slot.valid = false;
+            slot.live = false;
         numLive = 0;
         for (Slot &slot : slots)
             slot.valid = false;
@@ -150,12 +163,26 @@ class PredictionTable
         Entry entry{};
     };
 
-    /** Infinite-table slot: the index is the tag. */
-    struct DenseSlot
+    /** Infinite-table slot of an entry without its own flag. */
+    struct WrappedSlot
     {
-        bool valid = false;
+        bool live = false;
         Entry entry{};
     };
+
+    /** Infinite-table slot: the index is the tag. */
+    using DenseSlot =
+        std::conditional_t<CarriesLiveFlag<Entry>, Entry, WrappedSlot>;
+
+    template <typename Slot>
+    static auto &
+    entryOf(Slot &slot)
+    {
+        if constexpr (CarriesLiveFlag<Entry>)
+            return slot;
+        else
+            return slot.entry;
+    }
 
     /** find() for both constnesses (Self is this class, maybe const). */
     template <typename Self>
@@ -167,9 +194,9 @@ class PredictionTable
             // rejects it), so it is a plain miss here.
             const std::size_t index = self.denseIndex(pc);
             if (pc % instBytes != 0 || index >= self.dense.size() ||
-                !self.dense[index].valid)
+                !self.dense[index].live)
                 return nullptr;
-            return &self.dense[index].entry;
+            return &entryOf(self.dense[index]);
         }
         auto &slot = self.slots[self.indexOf(pc)];
         return (slot.valid && slot.tag == pc) ? &slot.entry : nullptr;

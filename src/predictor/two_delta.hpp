@@ -19,7 +19,7 @@ namespace vpsim
 {
 
 /** Two-delta stride predictor. */
-class TwoDeltaStridePredictor : public ValuePredictor
+class TwoDeltaStridePredictor final : public ValuePredictor
 {
   public:
     explicit TwoDeltaStridePredictor(std::size_t table_capacity = 0)
@@ -36,7 +36,7 @@ class TwoDeltaStridePredictor : public ValuePredictor
      * StridePredictor::lookupTrain (see the comment there).
      */
     RawPrediction
-    lookupTrain(Addr pc, Value actual, ClassifierState *&cls) override
+    lookupTrain(Addr pc, Value actual, ClassifierState *&cls)
     {
         Entry &entry = table.findOrAllocate(pc);
         cls = table.isInfinite() ? &entry.cls : nullptr;
@@ -63,6 +63,14 @@ class TwoDeltaStridePredictor : public ValuePredictor
         return raw;
     }
 
+    /** @p pc's co-located classifier slot (see ClassifierState). */
+    ClassifierState *
+    classifierSlot(Addr pc)
+    {
+        Entry *entry = table.isInfinite() ? table.find(pc) : nullptr;
+        return entry ? &entry->cls : nullptr;
+    }
+
     void abandon(Addr pc) override;
     StrideInfo strideInfo(Addr pc) const override;
     std::string name() const override { return "2-delta-stride"; }
@@ -79,11 +87,13 @@ class TwoDeltaStridePredictor : public ValuePredictor
         Value stride1 = 0;
         /** Most recently observed stride (candidate). */
         Value stride2 = 0;
-        std::uint8_t timesSeen = 0;
         /** Lookups not yet trained (see StridePredictor::Entry). */
         std::uint32_t inFlight = 0;
         /** Classifier scratch (owned by ClassifiedPredictor). */
         ClassifierState cls;
+        std::uint8_t timesSeen = 0;
+        /** Set by the table while the entry is allocated. */
+        bool live = false;
     };
 
     PredictionTable<Entry> table;

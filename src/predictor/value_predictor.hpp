@@ -22,6 +22,17 @@
 namespace vpsim
 {
 
+/** Which raw value predictor to instantiate. */
+enum class PredictorKind
+{
+    LastValue,
+    Stride,
+    TwoDeltaStride,
+    Hybrid,
+    /** Order-2 finite context method (extension; [22]). */
+    Fcm,
+};
+
 /** Outcome of a raw predictor lookup. */
 struct RawPrediction
 {
@@ -43,12 +54,19 @@ struct StrideInfo
  * Classifier scratch co-located in a predictor's table entry.
  *
  * The paper's classifier (§3.1) is a saturating counter stored *in* the
- * value-prediction table entry, not a separate structure. Predictors
- * reserve this slot in their entries and hand it to the classifier via
- * lookupTrain()'s @c cls output so the classification probe rides on
- * the table probe the raw prediction already paid for. The predictor
- * itself never reads or writes the field; the counter geometry (width,
- * threshold, miss policy) lives in the classifier.
+ * value-prediction table entry, not a separate structure. The
+ * table-backed predictors (last-value, stride, 2-delta) reserve this
+ * slot in their entries and hand it to the classifier, from their fused
+ * lookupTrain() and from classifierSlot(), so the classification probe
+ * rides on the table probe the raw prediction already paid for. The
+ * predictor itself never reads or writes the field; the counter
+ * geometry (width, threshold, miss policy) lives in the classifier.
+ *
+ * Only infinite tables co-locate: a finite raw table evicts entries on
+ * index conflicts at lookup time, while the classifier's own finite
+ * counter table evicts at first-confidence time, so co-locating would
+ * change Section 5 eviction interleavings. There, and for the hybrid
+ * and FCM predictors, the classifier keeps its own counter table.
  *
  * Zero-initialized state is exactly a fresh counter (SatCounter's
  * initial value is 0 for every width), so allocation needs no extra
@@ -89,38 +107,6 @@ class ValuePredictor
      */
     virtual void train(Addr pc, Value actual,
                        bool spec_was_correct = false) = 0;
-
-    /**
-     * Fused lookup() + train() for callers that learn the actual value
-     * in the same step as the prediction (the ideal machine verifies
-     * each instruction immediately). Semantically identical to
-     *
-     *   raw = lookup(pc);
-     *   train(pc, actual, raw.hasPrediction && raw.value == actual);
-     *   return raw;
-     *
-     * but table-backed predictors override it to do both halves on a
-     * single table probe. It also exposes the classifier scratch
-     * co-located in this pc's table entry (see ClassifierState), so the
-     * classifier's confidence probe shares the raw prediction's table
-     * probe instead of paying its own.
-     *
-     * @p cls is set to the entry's classifier slot, or nullptr when
-     * this predictor cannot co-locate — no table, or a *finite* table:
-     * a finite raw table evicts entries on index conflicts at lookup
-     * time, while the classifier's own finite counter table evicts at
-     * first-confidence time, so co-locating would change Section-5
-     * eviction interleavings. Callers must fall back to their own
-     * counter storage when @p cls is nullptr.
-     */
-    virtual RawPrediction
-    lookupTrain(Addr pc, Value actual, ClassifierState *&cls)
-    {
-        cls = nullptr;
-        const RawPrediction raw = lookup(pc);
-        train(pc, actual, raw.hasPrediction && raw.value == actual);
-        return raw;
-    }
 
     /**
      * Abandon one outstanding lookup for @p pc without training: the

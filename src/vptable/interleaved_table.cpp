@@ -61,35 +61,37 @@ InterleavedVpTable::processBundle(const std::vector<Addr> &pcs)
 
     // Router step 2: per-bank port arbitration in priority order.
     bankLoad.assign(cfg.banks, 0);
-    for (const Group &group : groups) {
-        const Addr pc = pcs[group.lead];
-        ++numAccesses;
-        numMerged += group.copies - 1;
-        unsigned &load = bankLoad[bankOf(pc)];
-        if (load >= cfg.portsPerBank) {
-            // Denied: every copy is informed its prediction is invalid.
-            ++numDeniedAccesses;
-            numDeniedRequests += group.copies;
-            continue;
+    classified->withKernel([&](auto &kernel) {
+        for (const Group &group : groups) {
+            const Addr pc = pcs[group.lead];
+            ++numAccesses;
+            numMerged += group.copies - 1;
+            unsigned &load = bankLoad[bankOf(pc)];
+            if (load >= cfg.portsPerBank) {
+                // Denied: every copy is informed its prediction is
+                // invalid.
+                ++numDeniedAccesses;
+                numDeniedRequests += group.copies;
+                continue;
+            }
+            ++load;
+            // Table access + value distribution. The classifier's
+            // speculative update advances the stride sequence per copy,
+            // so successive copies of the same instruction receive
+            // X, X+stride, X+2*stride, ... (Figure 4.2).
+            const StrideInfo info = kernel.strideInfo(pc);
+            std::size_t member = group.lead;
+            for (std::size_t copy = 0; copy < group.copies; ++copy) {
+                VpGrant &grant = grants[member];
+                grant.granted = true;
+                grant.merged = copy != 0;
+                grant.prediction = kernel.predict(pc);
+                if (copy != 0 && info.valid && info.stride != 0)
+                    ++numAdditions; // distributor computes X + k*stride
+                member = nextCopy[member];
+            }
         }
-        ++load;
-
-        // Table access + value distribution. The classifier's
-        // speculative update advances the stride sequence per copy, so
-        // successive copies of the same instruction receive
-        // X, X+stride, X+2*stride, ... (Figure 4.2).
-        const StrideInfo info = classified->raw().strideInfo(pc);
-        std::size_t member = group.lead;
-        for (std::size_t copy = 0; copy < group.copies; ++copy) {
-            VpGrant &grant = grants[member];
-            grant.granted = true;
-            grant.merged = copy != 0;
-            grant.prediction = classified->predict(pc);
-            if (copy != 0 && info.valid && info.stride != 0)
-                ++numAdditions; // distributor computes X + k*stride
-            member = nextCopy[member];
-        }
-    }
+    });
     return grants;
 }
 

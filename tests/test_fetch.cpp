@@ -305,6 +305,45 @@ TEST(TraceCache, HitDeliversTheLineAsReadAtHitTime)
     EXPECT_EQ(engine.lineInstsDelivered(), 4u);
 }
 
+TEST(TraceCache, TwoLevelBtbDeliversTheTraceInOrder)
+{
+    // The hit and miss loops consult a real predictor: every record
+    // arrives once, in order, and each misprediction ends its bundle.
+    const auto trace = loopTrace(300);
+    TwoLevelPApPredictor btb;
+    TraceCacheFetch engine(trace, btb, {});
+    const auto fetched = fetchAll(engine, 40, 100000);
+    ASSERT_EQ(fetched.size(), trace.size());
+    std::uint64_t mispredicted = 0;
+    for (std::size_t i = 0; i < fetched.size(); ++i) {
+        EXPECT_EQ(fetched[i].record.seq, trace[i].seq);
+        mispredicted += fetched[i].mispredicted ? 1 : 0;
+    }
+    EXPECT_GT(engine.mispredicts(), 0u) << "cold BTB, loop exit";
+    EXPECT_EQ(mispredicted, engine.mispredicts());
+    EXPECT_GT(engine.hits(), 0u);
+}
+
+TEST(TraceCache, MispredictionStallsUntilResolved)
+{
+    const auto trace = loopTrace(50);
+    TwoLevelPApPredictor btb;
+    TraceCacheFetch engine(trace, btb, {});
+    std::vector<FetchedRecord> out;
+    Cycle now = 1;
+    while (!engine.done() && (out.empty() || !out.back().mispredicted))
+        fetchInto(engine, now++, 40, out);
+    ASSERT_TRUE(out.back().mispredicted) << "the cold BTB must miss";
+    const std::size_t before = out.size();
+    EXPECT_EQ(fetchInto(engine, now, 40, out), 0u)
+        << "fetch waits for the branch to resolve";
+    engine.branchResolved(out.back().record.seq, now);
+    EXPECT_EQ(fetchInto(engine, now, 40, out), 0u)
+        << "fetch resumes the cycle after resolution";
+    EXPECT_GT(fetchInto(engine, now + 1, 40, out), 0u);
+    EXPECT_EQ(out[before].record.seq, out[before - 1].record.seq + 1);
+}
+
 TEST(CollapsingBuffer, CollapsesShortForwardBranch)
 {
     // A taken forward branch whose target is in the same 32-byte line

@@ -223,7 +223,7 @@ TEST(Hybrid, SmallFiniteCapacityKeepsAFiniteStrideTable)
 
 TEST(Classifier, RequiresConfidenceBeforePredicting)
 {
-    ClassifiedPredictor classifier(std::make_unique<StridePredictor>());
+    ClassifiedPredictor classifier(PredictorKind::Stride);
     std::vector<ClassifiedPrediction> preds;
     for (const Value v : {10, 20, 30, 40, 50}) {
         const ClassifiedPrediction p = classifier.predict(pcA);
@@ -240,8 +240,8 @@ TEST(Classifier, RequiresConfidenceBeforePredicting)
 
 TEST(Classifier, ResetPolicySuppressesOscillators)
 {
-    ClassifiedPredictor classifier(std::make_unique<StridePredictor>(),
-                                   2, 0, MissPolicy::Reset);
+    ClassifiedPredictor classifier(PredictorKind::Stride,
+                                   0, 2, MissPolicy::Reset);
     // Alternating values defeat the stride predictor; the reset policy
     // must keep the classifier from ever issuing two wrong predictions
     // in a row.
@@ -258,10 +258,10 @@ TEST(Classifier, DecrementPolicyIsMoreForgiving)
     // Last-value stream with a rare glitch: mostly-correct raw
     // predictions. A decrementing counter shrugs the glitch off; the
     // reset policy re-earns confidence from zero each time.
-    ClassifiedPredictor reset_cls(std::make_unique<LastValuePredictor>(),
-                                  2, 0, MissPolicy::Reset);
-    ClassifiedPredictor dec_cls(std::make_unique<LastValuePredictor>(),
-                                2, 0, MissPolicy::Decrement);
+    ClassifiedPredictor reset_cls(PredictorKind::LastValue,
+                                  0, 2, MissPolicy::Reset);
+    ClassifiedPredictor dec_cls(PredictorKind::LastValue,
+                                0, 2, MissPolicy::Decrement);
     for (int i = 0; i < 120; ++i) {
         const Value v = (i % 8 == 7) ? 1000u + i : 7u;
         for (ClassifiedPredictor *cls : {&reset_cls, &dec_cls}) {
@@ -274,7 +274,7 @@ TEST(Classifier, DecrementPolicyIsMoreForgiving)
 
 TEST(Classifier, TracksMissedOpportunities)
 {
-    ClassifiedPredictor classifier(std::make_unique<StridePredictor>());
+    ClassifiedPredictor classifier(PredictorKind::Stride);
     // Second and third sightings of a constant are raw-correct but the
     // counter (0 -> 1 -> 2) only arms for the fourth.
     for (const Value v : {5, 5, 5, 5}) {
@@ -286,7 +286,7 @@ TEST(Classifier, TracksMissedOpportunities)
 
 TEST(Classifier, AccuracyComputation)
 {
-    ClassifiedPredictor classifier(std::make_unique<StridePredictor>());
+    ClassifiedPredictor classifier(PredictorKind::Stride);
     EXPECT_DOUBLE_EQ(classifier.accuracy(), 1.0) << "vacuous accuracy";
     for (const Value v : {5, 5, 5, 5, 5, 5}) {
         const ClassifiedPrediction p = classifier.predict(pcA);
@@ -297,7 +297,7 @@ TEST(Classifier, AccuracyComputation)
 
 TEST(Classifier, ResetClearsEverything)
 {
-    ClassifiedPredictor classifier(std::make_unique<StridePredictor>());
+    ClassifiedPredictor classifier(PredictorKind::Stride);
     for (const Value v : {5, 5, 5, 5}) {
         const ClassifiedPrediction p = classifier.predict(pcA);
         classifier.update(pcA, p, v);

@@ -252,23 +252,23 @@ TEST_P(PredictorParity, FusedAndSplitPathsAgreeAcrossCapacities)
 
             const ClassifiedPrediction via_split = split->predict(pc);
             split->update(pc, via_split, value);
-            const ClassifiedPrediction via_fused =
-                fused->predictAndTrain(pc, value);
+            const VpOutcome via_fused = fused->predictAndTrain(pc, value);
 
             ASSERT_EQ(via_split.predicted, via_fused.predicted)
                 << GetParam().name << " capacity " << capacity
                 << " diverged at event " << i;
-            if (via_split.predicted) {
-                ASSERT_EQ(via_split.value, via_fused.value)
-                    << GetParam().name << " capacity " << capacity
-                    << " at event " << i;
-            }
-            ASSERT_EQ(via_split.rawAvailable, via_fused.rawAvailable);
+            ASSERT_EQ(via_split.predicted && via_split.value == value,
+                      via_fused.correct)
+                << GetParam().name << " capacity " << capacity
+                << " at event " << i;
         }
         EXPECT_EQ(split->lookups(), fused->lookups());
         EXPECT_EQ(split->predictionsMade(), fused->predictionsMade());
         EXPECT_EQ(split->predictionsCorrect(),
                   fused->predictionsCorrect());
+        EXPECT_EQ(split->predictionsWrong(), fused->predictionsWrong());
+        EXPECT_EQ(split->missedOpportunities(),
+                  fused->missedOpportunities());
     }
 }
 
