@@ -206,7 +206,8 @@ BM_TraceCacheRoundTrip(benchmark::State &state)
     TraceCacheKey key;
     key.workload = "m88ksim";
     key.insts = insts;
-    const Status stored = cache.store(key, trace);
+    const Status stored = cache.storeStreaming(
+        key, [](const auto &append) { return append(trace); });
     if (!stored.isOk())
         state.SkipWithError(stored.message().c_str());
     for (auto _ : state) {

@@ -24,10 +24,6 @@
 #                  recompute, and still produce the golden bytes.
 #   8. tamper:     the run manifest of the clean run verifies; after the
 #                  CSV is edited, scripts/verify_manifest.py must fail.
-#   9. salvage parity: ablation_input_sets captures its traces inside
-#                  its cells. With every cached v3 trace damaged and
-#                  --salvage-blocks 1, the workers' salvage totals must
-#                  equal the thread pool's, and so must stdout.
 #
 # Wired into ctest as `fleet_chaos`. The all-benchmark soak under three
 # worker faults is scripts/fleet_soak.sh (ctest `fleet_soak`).
@@ -37,13 +33,9 @@ set -euo pipefail
 
 build="${1:-build}"
 bench="$build/bench/fig3_1_fetch_rate"
-inputs="$build/bench/ablation_input_sets"
-for binary in "$bench" "$inputs"; do
-    [ -x "$binary" ] || { echo "no bench binary at '$binary'" >&2; exit 1; }
-done
+[ -x "$bench" ] || { echo "no bench binary at '$bench'" >&2; exit 1; }
 scripts="$(cd "$(dirname "$0")" && pwd)"
 bench="$(cd "$(dirname "$bench")" && pwd)/$(basename "$bench")"
-inputs="$(cd "$(dirname "$inputs")" && pwd)/$(basename "$inputs")"
 
 work="$(mktemp -d "${TMPDIR:-/tmp}/vpsim-fleet-chaos.XXXXXX")"
 trap 'rm -rf "$work"' EXIT
@@ -165,40 +157,6 @@ if python3 "$scripts/verify_manifest.py" "$manifest" > /dev/null 2>&1; then
     failed=1
 else
     echo "ok: tampered CSV rejected by verify_manifest.py"
-fi
-
-echo "== salvage parity (ablation_input_sets, damaged v3 cache)"
-cache="$work/salvage-cache"
-# 150000 instructions: three 65536-record blocks per entry, so one
-# flipped byte costs a block, not the whole trace.
-sargs=(--insts 150000 --benchmarks go,compress --trace-cache-dir "$cache")
-"$inputs" "${sargs[@]}" --jobs 1 > /dev/null 2> /dev/null
-for entry in "$cache"/*-v3.vptrace; do
-    size="$(stat -c %s "$entry")"
-    printf 'X' | dd of="$entry" bs=1 seek=$((size / 2)) \
-        conv=notrunc 2> /dev/null
-done
-mkdir -p "$work/sal_threads" "$work/sal_workers"
-"$inputs" "${sargs[@]}" --salvage-blocks 1 --jobs 1 \
-    > "$work/sal_threads/stdout.txt" 2> "$work/sal_threads/stderr.txt"
-"$inputs" "${sargs[@]}" --salvage-blocks 1 --fleet-workers 3 \
-    > "$work/sal_workers/stdout.txt" 2> "$work/sal_workers/stderr.txt"
-threads_line="$(grep "sim: salvage" "$work/sal_threads/stderr.txt" || true)"
-workers_line="$(grep "sim: salvage" "$work/sal_workers/stderr.txt" || true)"
-if [ -z "$threads_line" ]; then
-    echo "FAIL: thread-pool salvage run reported no salvage" >&2
-    failed=1
-elif [ "$threads_line" != "$workers_line" ]; then
-    echo "FAIL: salvage totals differ:" >&2
-    echo "  threads: $threads_line" >&2
-    echo "  workers: $workers_line" >&2
-    failed=1
-else
-    echo "ok: worker salvage totals match the thread pool"
-fi
-if ! cmp -s "$work/sal_threads/stdout.txt" "$work/sal_workers/stdout.txt"; then
-    echo "FAIL: salvage-mode stdout differs between executors" >&2
-    failed=1
 fi
 
 if [ "$failed" -ne 0 ]; then

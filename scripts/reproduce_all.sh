@@ -15,11 +15,6 @@ cmake -B build -G Ninja
 cmake --build build
 ctest --test-dir build --output-on-failure | tee "$out/tests.txt"
 
-# Shared trace cache: the workload captures happen once, not once per
-# bench binary (see docs/RUNNING.md).
-cache="$out/trace-cache"
-mkdir -p "$cache"
-
 failed=0
 for bench in build/bench/*; do
     [ -f "$bench" ] && [ -x "$bench" ] || continue
@@ -30,7 +25,7 @@ for bench in build/bench/*; do
             # Own CLIs: no benchmark captures, so no shared bench args.
             cmd=("$bench") ;;
         *)
-            cmd=("$bench" --trace-cache-dir "$cache" "$@")
+            cmd=("$bench" "$@")
             # Only the benches that write figure cells declare --csv.
             if grep -q -- '--csv' <<<"$("$bench" --help 2>&1 || true)"; then
                 cmd+=(--csv "$out/figures.csv")

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Smoke-test every bench binary: run each with a tiny instruction count
-# serially, then with --jobs 4 and with --fleet-workers 3 against a
-# shared trace cache, and require all three stdouts to be byte-identical
+# serially, then with --jobs 4 and with --fleet-workers 3, and require
+# all three stdouts to be byte-identical
 # (the runGrid determinism contract, across both executors). Wired into
 # ctest as `bench_smoke`.
 #
@@ -13,7 +13,6 @@ build="${1:-build}"
 
 work="$(mktemp -d "${TMPDIR:-/tmp}/vpsim-smoke.XXXXXX")"
 trap 'rm -rf "$work"' EXIT
-cache="$work/trace-cache"
 
 args=(--insts 2000 --benchmarks go,compress,m88ksim)
 failed=0
@@ -34,8 +33,7 @@ for bench in "$build"/bench/*; do
             # validate the JSON schema instead (docs/PERF.md).
             echo "== $name (JSON schema)"
             "$bench" --insts 2000 --benchmarks go,compress --repeats 1 \
-                --trace-cache-dir "$cache" > "$work/$name.json" \
-                2> /dev/null ||
+                > "$work/$name.json" 2> /dev/null ||
                 { echo "FAIL: $name" >&2; failed=1; continue; }
             python3 "$(dirname "$0")/perf_report.py" --validate \
                 "$work/$name.json" ||
@@ -62,13 +60,13 @@ for bench in "$build"/bench/*; do
             ;;
         *)
             echo "== $name"
-            "$bench" "${args[@]}" --jobs 1 --trace-cache-dir "$cache" \
+            "$bench" "${args[@]}" --jobs 1 \
                 > "$work/$name.serial" 2> /dev/null ||
                 { echo "FAIL: $name (serial)" >&2; failed=1; continue; }
-            "$bench" "${args[@]}" --jobs 4 --trace-cache-dir "$cache" \
+            "$bench" "${args[@]}" --jobs 4 \
                 > "$work/$name.parallel" 2> /dev/null ||
                 { echo "FAIL: $name (--jobs 4)" >&2; failed=1; continue; }
-            "$bench" "${args[@]}" --fleet-workers 3 --trace-cache-dir "$cache" \
+            "$bench" "${args[@]}" --fleet-workers 3 \
                 > "$work/$name.workers" 2> /dev/null ||
                 { echo "FAIL: $name (--fleet-workers 3)" >&2; failed=1; continue; }
             ;;

@@ -24,29 +24,23 @@ import sys
 import zlib
 
 REQUIRED_FIELDS = [
-    "schema", "gitDescribe", "traceFormatVersion", "checkInvariants",
-    "crossCheck", "jobTimeout", "salvageBlocks", "salvagedFiles",
-    "salvagedBlocks", "salvagedRecordsLost", "fingerprint", "csvFile",
-    "csvBytes", "csvCrc32", "signature",
+    "schema", "gitDescribe", "checkInvariants", "crossCheck",
+    "jobTimeout", "fingerprint", "csvFile", "csvBytes", "csvCrc32",
+    "signature",
 ]
 
-SCHEMA = "vpsim-run-manifest 2"
+SCHEMA = "vpsim-run-manifest 3"
 MANIFEST_SUFFIX = ".manifest.json"
 
 def signing_string(manifest):
     """The canonical signing string (see run_manifest.cpp)."""
     return (
-        "vpsim-manifest-signing-v2\n"
+        "vpsim-manifest-signing-v3\n"
         f"schema={manifest['schema']}\n"
         f"gitDescribe={manifest['gitDescribe']}\n"
-        f"traceFormatVersion={manifest['traceFormatVersion']}\n"
         f"checkInvariants={manifest['checkInvariants']}\n"
         f"crossCheck={manifest['crossCheck']}\n"
         f"jobTimeout={manifest['jobTimeout']}\n"
-        f"salvageBlocks={manifest['salvageBlocks']}\n"
-        f"salvagedFiles={manifest['salvagedFiles']}\n"
-        f"salvagedBlocks={manifest['salvagedBlocks']}\n"
-        f"salvagedRecordsLost={manifest['salvagedRecordsLost']}\n"
         f"fingerprint={manifest['fingerprint']}\n"
         f"csvFile={manifest['csvFile']}\n"
         f"csvBytes={manifest['csvBytes']}\n"
@@ -90,11 +84,13 @@ def verify(manifest_path):
     except (OSError, json.JSONDecodeError) as error:
         return [f"unreadable manifest: {error}"]
 
+    # Schema first: an older schema is rejected as such, whatever
+    # fields it carries.
+    if manifest.get("schema") != SCHEMA:
+        return [f"unknown schema '{manifest.get('schema')}'"]
     missing = [f for f in REQUIRED_FIELDS if f not in manifest]
     if missing:
         return [f"missing fields: {', '.join(missing)}"]
-    if manifest["schema"] != SCHEMA:
-        return [f"unknown schema '{manifest['schema']}'"]
 
     # Signature: the manifest body must not have been edited.
     body = signing_string(manifest).encode("utf-8")

@@ -19,9 +19,6 @@ declareRunnerOptions(Options &options)
     options.declare("jobs", "0",
                     "worker threads for the simulation grid "
                     "(0 = hardware concurrency; 1 = serial)");
-    options.declare("trace-cache-dir", "",
-                    "cache captured workload traces in this directory "
-                    "(reused across bench binaries and runs)");
     options.declare("stats", "0",
                     "dump the experiment runtime's stats registry to "
                     "stderr");
@@ -55,18 +52,10 @@ declareRunnerOptions(Options &options)
                     "seconds without simulation progress before a job "
                     "is canceled, or its worker process killed (cell "
                     "becomes a timeout NaN; 0 = off)");
-    options.declare("salvage-blocks", "0",
-                    "quarantine and skip corrupt v3 trace blocks "
-                    "(loss reported in stats and the run manifest) "
-                    "instead of failing the whole file");
     options.declare("mem-budget", "0",
                     "soft process-RSS budget in MB: warns once when a "
                     "trace capture leaves the process above it "
                     "(0 = unlimited)");
-    options.declare("cache-gc-days", "7",
-                    "age in days after which quarantined .corrupt-* "
-                    "trace cache files are garbage-collected "
-                    "(0 = keep forever)");
 
     // Bad option *combinations* should fail at parse time with a usage
     // hint, not forty minutes into a sweep.
@@ -106,9 +95,6 @@ declareRunnerOptions(Options &options)
             return "--fleet-workers N must be >= 0 (0 = thread pool)";
         if (parsed.getInt("mem-budget") < 0)
             return "--mem-budget MB must be >= 0 (0 = unlimited)";
-        if (parsed.getInt("cache-gc-days") < 0)
-            return "--cache-gc-days DAYS must be >= 0 (0 = keep "
-                   "quarantined files forever)";
         return "";
     });
 }
@@ -119,10 +105,9 @@ resultFingerprint(const Options &options)
     // The executor is an execution option too: thread-mode and
     // process-mode runs share one store namespace.
     static const std::vector<std::string> executionOptions = {
-        "jobs", "trace-cache-dir", "stats", "keep-going", "result-store",
-        "resume", "fault-inject", "check-invariants", "cross-check",
-        "job-timeout", "salvage-blocks", "mem-budget", "cache-gc-days",
-        "csv", "fleet-workers"};
+        "jobs", "stats", "keep-going", "result-store", "resume",
+        "fault-inject", "check-invariants", "cross-check", "job-timeout",
+        "mem-budget", "csv", "fleet-workers"};
     return options.fingerprint(executionOptions);
 }
 

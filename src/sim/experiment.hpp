@@ -52,12 +52,11 @@ struct BenchmarkTraces
 /**
  * Declare the experiment-runtime options every SimRunner user shares:
  * --jobs (worker threads), --fleet-workers (worker processes instead),
- * --trace-cache-dir (on-disk capture cache), --stats (dump the
- * runtime's counters to stderr), and the fault-tolerance flags
- * --keep-going (isolate failing jobs as NaN cells), --result-store /
- * --resume (publish finished cells so an interrupted sweep continues),
- * and --fault-inject (arm the deterministic I/O fault injector for
- * soak tests).
+ * --stats (dump the runtime's counters to stderr), and the
+ * fault-tolerance flags --keep-going (isolate failing jobs as NaN
+ * cells), --result-store / --resume (publish finished cells so an
+ * interrupted sweep continues), and --fault-inject (arm the
+ * deterministic I/O fault injector for soak tests).
  *
  * declareStandardOptions() calls this; benches with no benchmark
  * capture of their own (worked examples) can call it directly.
@@ -67,8 +66,8 @@ void declareRunnerOptions(Options &options);
 /**
  * The result-defining fingerprint of a parsed experiment: every
  * declared option except those that change how a sweep executes but
- * not what any cell computes (threads, worker processes, caches,
- * stores, fault specs, self-checks, the CSV path). runGrid hashes it
+ * not what any cell computes (threads, worker processes, stores,
+ * fault specs, self-checks, the CSV path). runGrid hashes it
  * into its result-store identity, so a resumed run with a different
  * executor or parallelism reuses every cell and a run with a different
  * experiment reuses none.

@@ -29,7 +29,6 @@
 #include "sim/shard_planner.hpp"
 #include "sim/sim_runner.hpp"
 #include "sim/worker_handle.hpp"
-#include "trace/trace_v3.hpp"
 
 namespace vpsim
 {
@@ -154,9 +153,6 @@ SimRunner::runCellsInWorkers(GridState &grid, std::size_t cols,
             (void)std::signal(SIGTERM, SIG_DFL);
             (void)std::signal(SIGPIPE, SIG_IGN);
             io::faultInjector().configure("");
-            // Salvage accrued since the fork only: the inherited totals
-            // are already counted in the parent.
-            salvageRegistry().reset();
             CancellationToken token;
             token.forwardTo(&heartbeat);
             setCurrentCancellationToken(&token);
@@ -185,7 +181,6 @@ SimRunner::runCellsInWorkers(GridState &grid, std::size_t cols,
                 if (idx == shard.firstCell)
                     strikeWorkerFault(fault, heartbeat);
             }
-            result.salvage = salvageRegistry().totals();
             const auto [first, last] = valueRange(shard);
             const Status stored = store.store(first, last, result);
             if (!stored.isOk()) {
@@ -274,7 +269,6 @@ SimRunner::runCellsInWorkers(GridState &grid, std::size_t cols,
                 ++crossCheckedCellCount;
         }
         jobsRun += shard.size();
-        salvageRegistry().addTotals(result.salvage);
         return Status::ok();
     };
 

@@ -11,6 +11,7 @@
 #include <system_error>
 
 #include "common/crc32.hpp"
+#include "common/fnv1a.hpp"
 #include "common/io.hpp"
 #include "common/logging.hpp"
 
@@ -20,7 +21,13 @@ namespace vpsim
 namespace
 {
 
-constexpr char shardMagic[] = "vpsim-shard-result 1";
+/**
+ * Layout version of the shard files, folded into every store hash.
+ * Version 1 carried a line of trace-salvage totals after the cells.
+ */
+constexpr std::uint64_t shardFormatVersion = 2;
+/** First line of every shard file; its number is the version above. */
+constexpr char shardMagic[] = "vpsim-shard-result 2";
 
 std::string
 hex16(std::uint64_t value)
@@ -102,7 +109,8 @@ splitWords(const std::string &line)
 } // namespace
 
 ResultStore::ResultStore(std::string store_dir, std::uint64_t hash)
-    : dir(std::move(store_dir)), storeHash(hash)
+    : dir(std::move(store_dir)),
+      storeHash(fnv1aFold(hash, shardFormatVersion))
 {
     fatalIf(dir.empty(), "result store directory must not be empty");
     std::error_code ec;
@@ -150,10 +158,6 @@ ResultStore::store(std::uint32_t first_cell, std::uint32_t last_cell,
         body += std::to_string(index) + ' ' +
                 hex16(doubleBits(value)) + '\n';
     }
-    body += "salvage " + std::to_string(result.salvage.files) + ' ' +
-            std::to_string(result.salvage.blocksQuarantined) + ' ' +
-            std::to_string(result.salvage.recordsLost) + ' ' +
-            std::to_string(result.salvage.bytesSkipped) + '\n';
     char footer[24];
     std::snprintf(footer, sizeof(footer), "crc32 %08x\n",
                   crc32(body.data(), body.size()));
@@ -235,7 +239,7 @@ ResultStore::parseFile(const std::string &path, ShardResult *out) const
     if (lines[2].rfind("cells ", 0) != 0 ||
         !parseDecField(lines[2].substr(6), &cell_count))
         return corrupt("bad cell count line");
-    if (lines.size() != cell_count + 5)
+    if (lines.size() != cell_count + 4)
         return corrupt("line count does not match cell count");
 
     ShardResult result;
@@ -255,25 +259,6 @@ ResultStore::parseFile(const std::string &path, ShardResult *out) const
         result.cells.emplace_back(static_cast<std::uint32_t>(index),
                                   bitsToDouble(bits));
     }
-
-    const std::string &salvage_line = lines[3 + cell_count];
-    if (salvage_line.rfind("salvage ", 0) != 0)
-        return corrupt("missing salvage line");
-    const std::vector<std::string> fields =
-        splitWords(salvage_line.substr(8));
-    std::uint64_t files = 0;
-    std::uint64_t blocks = 0;
-    std::uint64_t lost = 0;
-    std::uint64_t skipped = 0;
-    if (fields.size() != 4 || !parseDecField(fields[0], &files) ||
-        !parseDecField(fields[1], &blocks) ||
-        !parseDecField(fields[2], &lost) ||
-        !parseDecField(fields[3], &skipped))
-        return corrupt("bad salvage line");
-    result.salvage.files = files;
-    result.salvage.blocksQuarantined = blocks;
-    result.salvage.recordsLost = lost;
-    result.salvage.bytesSkipped = skipped;
 
     *out = std::move(result);
     return Status::ok();
@@ -302,11 +287,9 @@ ResultStore::load(std::uint32_t first_cell, std::uint32_t last_cell,
 }
 
 ResultStore::ScanReport
-ResultStore::mergeAll(std::map<std::uint32_t, double> *cells,
-                      SalvageRegistry::Totals *salvage) const
+ResultStore::mergeAll(std::map<std::uint32_t, double> *cells) const
 {
-    panicIf(cells == nullptr || salvage == nullptr,
-            "ResultStore::mergeAll needs outputs");
+    panicIf(cells == nullptr, "ResultStore::mergeAll needs an output");
     ScanReport report;
     const std::string prefix = "shard-" + hex16(storeHash) + "-";
     std::error_code ec;
@@ -346,7 +329,6 @@ ResultStore::mergeAll(std::map<std::uint32_t, double> *cells,
             if (cells->emplace(index, value).second)
                 ++report.cellsMerged;
         }
-        *salvage += result.salvage;
         ++report.filesMerged;
     }
     return report;

@@ -4,10 +4,10 @@
  * mechanism (`--result-store DIR`, `--resume 1`).
  *
  * A producer publishes one small text file per range of cells — the
- * cell values plus the producer's salvage totals — named by the
- * owning sweep's hash and the cell range, written through the
- * fault-injectable io layer to a temporary and renamed into place (the
- * same torn-write-proof publish protocol the trace cache uses). Worker
+ * cell values — named by the owning sweep's hash and the cell range,
+ * written through the fault-injectable io layer to a temporary and
+ * renamed into place (the same torn-write-proof publish protocol the
+ * trace store uses). Worker
  * processes (--fleet-workers) publish one file per shard; the thread
  * pool publishes one sparse file per grid, when the grid completes and
  * when a signal interrupts it. A CRC-32 footer covers every byte above
@@ -20,6 +20,10 @@
  * file was written — and computes only the cells still missing.
  * Killing a sweep with `kill -9` therefore costs at most the work in
  * flight since the last publish.
+ *
+ * Format changes: the store folds its layout version into the hash it
+ * is given, so files written in an older layout carry another hash in
+ * their names and are never opened — neither merged nor quarantined.
  */
 
 #ifndef VPSIM_SIM_RESULT_STORE_HPP
@@ -32,19 +36,15 @@
 #include <vector>
 
 #include "common/status.hpp"
-#include "trace/trace_v3.hpp"
 
 namespace vpsim
 {
 
-/** One published cell range: its cells and the producer's salvage. */
+/** One published cell range. */
 struct ShardResult
 {
     /** (global cell index, value) pairs in ascending index order. */
     std::vector<std::pair<std::uint32_t, double>> cells;
-    /** A worker process's salvage totals since its fork (added to the
-     *  parent's registry; zero in the thread pool's grid files). */
-    SalvageRegistry::Totals salvage;
 };
 
 /** A directory of cell-range result files, namespaced by sweep hash. */
@@ -54,8 +54,9 @@ class ResultStore
     /**
      * @param dir Store directory; created (with parents) if missing.
      *        Failure is recorded in status(), not fatal.
-     * @param hash The owning sweep's identity; files of other sweeps
-     *        sharing the directory are ignored.
+     * @param hash The owning sweep's identity, folded with the layout
+     *        version; files of other sweeps or other layouts sharing
+     *        the directory are ignored.
      */
     ResultStore(std::string dir, std::uint64_t hash);
 
@@ -97,11 +98,10 @@ class ResultStore
     /**
      * Merge every intact result file of this sweep into @p cells
      * (later files never overwrite earlier cells — files of one sweep
-     * agree by construction) and fold their salvage totals into
-     * @p salvage. Corrupt files are quarantined to `.corrupt-*`.
+     * agree by construction). Corrupt files are quarantined to
+     * `.corrupt-*`.
      */
-    ScanReport mergeAll(std::map<std::uint32_t, double> *cells,
-                        SalvageRegistry::Totals *salvage) const;
+    ScanReport mergeAll(std::map<std::uint32_t, double> *cells) const;
 
     /**
      * Delete every result file of this sweep (fresh-start mode: a

@@ -7,7 +7,6 @@
 
 #include "common/crc32.hpp"
 #include "common/logging.hpp"
-#include "trace/trace_v3.hpp"
 
 #ifndef VPSIM_GIT_DESCRIBE
 #define VPSIM_GIT_DESCRIBE "unknown"
@@ -19,7 +18,7 @@ namespace vpsim
 namespace
 {
 
-constexpr char manifestSchema[] = "vpsim-run-manifest 2";
+constexpr char manifestSchema[] = "vpsim-run-manifest 3";
 
 std::string
 jsonEscape(const std::string &text)
@@ -80,29 +79,17 @@ writeRunManifest(const Options &options, const std::string &csv_path)
         options.getString("check-invariants");
     const std::string cross_check = options.getString("cross-check");
     const std::string job_timeout = options.getString("job-timeout");
-    const std::uint32_t trace_format = traceFormatVersionV3;
-    const std::string salvage_mode =
-        options.getBool("salvage-blocks") ? "1" : "0";
-    // The signed salvage tally is what makes block-level loss
-    // auditable: a figure produced from a damaged trace carries the
-    // damage in its provenance instead of passing as clean.
-    const SalvageRegistry::Totals salvage = salvageRegistry().totals();
 
     // Canonical signing string: fixed field order, one key=value per
     // line. scripts/verify_manifest.py rebuilds this byte-for-byte
     // from the parsed JSON, so the two must never diverge.
     std::ostringstream signing;
-    signing << "vpsim-manifest-signing-v2\n"
+    signing << "vpsim-manifest-signing-v3\n"
             << "schema=" << manifestSchema << '\n'
             << "gitDescribe=" << buildGitDescribe() << '\n'
-            << "traceFormatVersion=" << trace_format << '\n'
             << "checkInvariants=" << invariants << '\n'
             << "crossCheck=" << cross_check << '\n'
             << "jobTimeout=" << job_timeout << '\n'
-            << "salvageBlocks=" << salvage_mode << '\n'
-            << "salvagedFiles=" << salvage.files << '\n'
-            << "salvagedBlocks=" << salvage.blocksQuarantined << '\n'
-            << "salvagedRecordsLost=" << salvage.recordsLost << '\n'
             << "fingerprint=" << fingerprint << '\n'
             << "csvFile=" << csv_path << '\n'
             << "csvBytes=" << bytes.size() << '\n'
@@ -118,18 +105,10 @@ writeRunManifest(const Options &options, const std::string &csv_path)
         << "  \"schema\": \"" << jsonEscape(manifestSchema) << "\",\n"
         << "  \"gitDescribe\": \"" << jsonEscape(buildGitDescribe())
         << "\",\n"
-        << "  \"traceFormatVersion\": " << trace_format << ",\n"
         << "  \"checkInvariants\": \"" << jsonEscape(invariants)
         << "\",\n"
         << "  \"crossCheck\": \"" << jsonEscape(cross_check) << "\",\n"
         << "  \"jobTimeout\": \"" << jsonEscape(job_timeout) << "\",\n"
-        << "  \"salvageBlocks\": \"" << jsonEscape(salvage_mode)
-        << "\",\n"
-        << "  \"salvagedFiles\": " << salvage.files << ",\n"
-        << "  \"salvagedBlocks\": " << salvage.blocksQuarantined
-        << ",\n"
-        << "  \"salvagedRecordsLost\": " << salvage.recordsLost
-        << ",\n"
         << "  \"fingerprint\": \"" << jsonEscape(fingerprint) << "\",\n"
         << "  \"csvFile\": \"" << jsonEscape(csv_path) << "\",\n"
         << "  \"csvBytes\": " << bytes.size() << ",\n"

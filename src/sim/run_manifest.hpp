@@ -5,13 +5,13 @@
  * Every bench that writes `--csv FILE` also writes `FILE.manifest.json`
  * describing exactly how the data was produced: the full experiment
  * fingerprint (every option, defaults applied), the source revision the
- * binary was built from, the binary trace format version, the
- * self-check configuration (--check-invariants / --cross-check /
- * --job-timeout), and a CRC-32 of the CSV's bytes at write time. The
- * manifest body is itself signed with a CRC-32 over a canonical
- * key=value rendering, so any later edit to the manifest or the CSV is
- * detectable — tamper-*evidence* for honest mistakes (truncated copies,
- * stale files mixed into a figure), not cryptographic protection.
+ * binary was built from, the self-check configuration
+ * (--check-invariants / --cross-check / --job-timeout), and a CRC-32
+ * of the CSV's bytes at write time. The manifest body is itself signed
+ * with a CRC-32 over a canonical key=value rendering, so any later edit
+ * to the manifest or the CSV is detectable — tamper-*evidence* for
+ * honest mistakes (truncated copies, stale files mixed into a figure),
+ * not cryptographic protection.
  *
  * `scripts/verify_manifest.py` re-derives both checksums and fails on
  * any mismatch; docs/VALIDATION.md documents the schema.

@@ -18,7 +18,6 @@
 #include "common/resource_usage.hpp"
 #include "sim/result_store.hpp"
 #include "trace/trace_stats.hpp"
-#include "trace/trace_v3.hpp"
 
 namespace vpsim
 {
@@ -83,7 +82,6 @@ SimRunner::SimRunner(const Options &options_in)
     // Validated >= 0 at parse time (declareRunnerOptions).
     fleetWorkers = static_cast<unsigned>(options.getInt("fleet-workers"));
 
-    salvageBlocksEnabled = options.getBool("salvage-blocks");
     memBudget = static_cast<std::uint64_t>(options.getInt("mem-budget"))
                 << 20;
 
@@ -94,20 +92,6 @@ SimRunner::SimRunner(const Options &options_in)
     runHash = fnv1a(
         std::filesystem::path(options.program()).filename().string(),
         fnv1a(resultFingerprint(options)));
-
-    const std::string cache_dir = options.getString("trace-cache-dir");
-    if (!cache_dir.empty()) {
-        const auto gc_age = std::chrono::seconds(
-            options.getInt("cache-gc-days") * 24 * 3600);
-        cache = std::make_unique<TraceCacheStore>(
-            cache_dir, TraceCacheStore::defaultTmpReapAge, gc_age);
-        cache->setSalvageBlocks(salvageBlocksEnabled);
-        if (!cache->status().isOk()) {
-            warn("trace cache disabled; capturing uncached: " +
-                 cache->status().message());
-            cache.reset();
-        }
-    }
 
     previousSigint = std::signal(SIGINT, simRunnerSignalHandler);
     previousSigterm = std::signal(SIGTERM, simRunnerSignalHandler);
@@ -339,11 +323,9 @@ SimRunner::runGrid(std::size_t rows, std::size_t cols, std::size_t width,
         grid.store = store.get();
         if (resumeRequested) {
             // Corrupt files are quarantined inside mergeAll; their cells
-            // are simply recomputed. Salvage totals are ignored: the
-            // bench reloads its traces and reports their salvage itself.
+            // are simply recomputed.
             std::map<std::uint32_t, double> saved;
-            SalvageRegistry::Totals ignored;
-            (void)store->mergeAll(&saved, &ignored);
+            (void)store->mergeAll(&saved);
             std::vector<std::size_t> present(total, 0);
             for (const auto &[index, value] : saved) {
                 if (index >= grid.values.size())
@@ -484,8 +466,7 @@ std::size_t
 SimRunner::publishGrid(const GridState &grid) const
 {
     // One sparse file over the whole grid: every value of the finished
-    // cells only, with zero salvage totals (a resumed bench reloads its
-    // traces and reports their salvage itself).
+    // cells only.
     ShardResult result;
     std::size_t published = 0;
     for (std::size_t idx = 0; idx < grid.cells; ++idx) {
@@ -541,87 +522,11 @@ SimRunner::captureTrace(const std::string &name, std::uint64_t insts,
                         const WorkloadParams &params)
 {
     fatalIf(insts == 0, "--insts must be positive");
-    const TraceCacheKey key{name, insts, skip, params.scale,
-                            params.seed};
-    const bool use_cache = cache && !cacheDegraded.load();
-    if (use_cache) {
-        std::vector<TraceRecord> records;
-        Status error = Status::ok();
-        if (cache->tryLoad(key, &records, &error)) {
-            return std::make_shared<const std::vector<TraceRecord>>(
-                std::move(records));
-        }
-        if (!error.isOk())
-            warn(error.message() + "; recapturing");
-    }
-
     const auto start = std::chrono::steady_clock::now();
-    std::vector<TraceRecord> trace;
-    bool have_trace = false;
-    if (use_cache) {
-        // Stream the capture straight into the cache entry in bounded
-        // chunks, so insts + skip records never materialize in this
-        // process, then map the published entry back in. Warm-up
-        // handling matches sliceTrace(): the first `skip` records are
-        // dropped and kept records renumber from seq 0, so the entry
-        // is byte-identical to one written by the materializing path.
-        std::uint64_t seen = 0;
-        std::vector<TraceRecord> kept;
-        const Status streamed = cache->storeStreaming(
-            key,
-            [&](const std::function<Status(
-                    const std::vector<TraceRecord> &)> &append) {
-                seen = 0;
-                return captureWorkloadTraceChunked(
-                    name, insts + skip, params, defaultRecordsPerBlock,
-                    [&](const std::vector<TraceRecord> &chunk) {
-                        const std::uint64_t first = seen;
-                        seen += chunk.size();
-                        if (seen <= skip)
-                            return Status::ok();
-                        const auto cut = static_cast<std::size_t>(
-                            skip > first ? skip - first : 0);
-                        kept.assign(chunk.begin() +
-                                        static_cast<std::ptrdiff_t>(cut),
-                                    chunk.end());
-                        for (TraceRecord &rec : kept)
-                            rec.seq -= skip;
-                        return append(kept);
-                    });
-            });
-        if (streamed.isOk()) {
-            // Read the entry back (not tryLoad: this is our own
-            // just-published file, not a cache lookup, so it must not
-            // perturb the hit/miss counters or quarantine logic).
-            const Status read = cache->readBack(key, &trace);
-            if (read.isOk()) {
-                have_trace = true;
-            } else {
-                warn("cannot read back streamed trace capture: " +
-                     read.message() + "; recapturing in memory");
-            }
-        } else if (!cacheDegraded.exchange(true)) {
-            warn("trace cache degraded to in-memory capture: " +
-                 streamed.message());
-        }
-    }
-
-    if (!have_trace) {
-        trace = captureWorkloadTrace(name, insts + skip, params);
-        if (skip > 0)
-            trace = sliceTrace(trace, skip);
-        if (use_cache && !cacheDegraded.load()) {
-            const Status stored = cache->store(key, trace);
-            // A store that still fails after the cache's own retries is
-            // treated as persistent (disk full, dir deleted): degrade
-            // to in-memory capture once, with one warning, instead of
-            // paying the retry cost and a warning per capture.
-            if (!stored.isOk() && !cacheDegraded.exchange(true)) {
-                warn("trace cache degraded to in-memory capture: " +
-                     stored.message());
-            }
-        }
-    }
+    std::vector<TraceRecord> trace =
+        captureWorkloadTrace(name, insts + skip, params);
+    if (skip > 0)
+        trace = sliceTrace(trace, skip);
     captureMicros += microsSince(start);
     ++capturesRun;
 
@@ -687,32 +592,6 @@ SimRunner::reportStats() const
                  static_cast<double>(jobMicros.load()) / 1000.0,
                  static_cast<unsigned long long>(capturesRun.load()),
                  static_cast<double>(captureMicros.load()) / 1000.0);
-    if (cache) {
-        std::fprintf(
-            stderr, "trace cache: %llu hits, %llu misses (%s)\n",
-            static_cast<unsigned long long>(cache->hits()),
-            static_cast<unsigned long long>(cache->misses()),
-            cache->directory().c_str());
-        if (cache->gcRemovedQuarantineFiles() > 0) {
-            std::fprintf(stderr,
-                         "trace cache: garbage-collected %llu expired "
-                         "quarantine file(s)\n",
-                         static_cast<unsigned long long>(
-                             cache->gcRemovedQuarantineFiles()));
-        }
-    }
-    const SalvageRegistry::Totals salvage = salvageRegistry().totals();
-    if (salvage.files > 0) {
-        std::fprintf(
-            stderr,
-            "sim: salvage (--salvage-blocks): %llu damaged trace "
-            "file(s), %llu block(s) quarantined, %llu record(s) lost, "
-            "%llu byte(s) skipped\n",
-            static_cast<unsigned long long>(salvage.files),
-            static_cast<unsigned long long>(salvage.blocksQuarantined),
-            static_cast<unsigned long long>(salvage.recordsLost),
-            static_cast<unsigned long long>(salvage.bytesSkipped));
-    }
     if (resumedCellCount > 0) {
         std::fprintf(stderr,
                      "sim: %llu cells served from result store %s\n",
@@ -791,23 +670,6 @@ SimRunner::reportStats() const
             "cells that failed every worker attempt (NaN)");
     counter("invariant_checks", invariantChecksEvaluated(),
             "self-check invariants evaluated");
-    if (cache) {
-        counter("trace_cache_hits", cache->hits(),
-                "captures served from the on-disk cache");
-    }
-    counter("salvaged_blocks", salvage.blocksQuarantined,
-            "corrupt v3 blocks quarantined by salvage");
-    counter("salvaged_records_lost", salvage.recordsLost,
-            "trace records lost to quarantined blocks");
-    if (cache) {
-        const std::uint64_t lookups = cache->hits() + cache->misses();
-        std::fprintf(stderr, "sim_runner.%-32s %14.6f  # %s\n",
-                     "trace_cache_hit_rate",
-                     lookups == 0 ? 0.0
-                                  : static_cast<double>(cache->hits()) /
-                                        static_cast<double>(lookups),
-                     "hits / lookups");
-    }
 }
 
 } // namespace vpsim

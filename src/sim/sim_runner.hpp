@@ -19,14 +19,11 @@
  *    few contiguous shards of cells (crash and hang isolation; see
  *    runGrid()).
  *
- * Trace capture goes through the same pool and, when --trace-cache-dir
- * is given, through an on-disk TraceCacheStore, so the eight workload
- * traces are captured once per machine instead of once per bench
- * binary. Corrupt cache entries are quarantined and recaptured; an
- * unusable cache directory degrades the run to uncached in-memory
- * capture with a one-line warning — faults never change results, only
- * wall clock. Wall-clock and cache hit/miss statistics go to stderr
- * (reportStats()).
+ * Trace capture goes through the same pool: each workload trace is a
+ * pure function of (workload, insts, skip, scale, seed), so the VM
+ * regenerates it in memory for every run — as fast as reloading a
+ * cached copy, and with nothing on disk to go stale or rot. Wall-clock
+ * statistics go to stderr (reportStats()).
  *
  * Failure isolation (long campaigns must survive, not restart):
  *  - `--keep-going`: a throwing job (or, in process mode, a cell that
@@ -91,7 +88,6 @@
 #include "common/thread_annotations.hpp"
 #include "common/thread_pool.hpp"
 #include "sim/experiment.hpp"
-#include "trace/trace_cache_store.hpp"
 #include "workloads/workload.hpp"
 
 namespace vpsim
@@ -120,14 +116,14 @@ struct JobFailure
     std::string error;
 };
 
-/** Executes SimJob grids on a shared thread pool with a trace cache. */
+/** Executes SimJob grids on a shared thread pool. */
 class SimRunner
 {
   public:
     /**
      * @param options Parsed options; reads --jobs, --fleet-workers,
-     *        --trace-cache-dir, --keep-going, --result-store, --resume
-     *        and --fault-inject (declared by declareRunnerOptions()).
+     *        --keep-going, --result-store, --resume and --fault-inject
+     *        (declared by declareRunnerOptions()).
      *        The runner keeps a reference, so @p options must outlive
      *        it. Installs cooperative SIGINT/SIGTERM handlers (restored
      *        by the destructor).
@@ -140,9 +136,6 @@ class SimRunner
 
     /** Worker threads executing jobs (the resolved --jobs value). */
     unsigned jobs() const { return pool.threadCount(); }
-
-    /** Non-null when --trace-cache-dir was given and the dir is usable. */
-    const TraceCacheStore *traceCache() const { return cache.get(); }
 
     /**
      * Run @p batch to completion on the pool.
@@ -222,16 +215,15 @@ class SimRunner
 
     /**
      * Capture traces for the benchmarks requested by the options
-     * (--benchmarks/--insts/--scale/--seed/--skip), in parallel, through
-     * the trace cache when one is configured. Unknown benchmark names
-     * are fatal, with the list of valid names.
+     * (--benchmarks/--insts/--scale/--seed/--skip), in parallel. Unknown
+     * benchmark names are fatal, with the list of valid names.
      */
     BenchmarkTraces captureBenchmarks();
 
     /**
-     * Capture (or load from the cache) a single trace. Safe to call
-     * from inside a running job: the capture executes on the calling
-     * thread, not the pool.
+     * Capture a single trace on the VM. Safe to call from inside a
+     * running job: the capture executes on the calling thread, not the
+     * pool.
      */
     TraceHandle captureTrace(const std::string &name,
                              std::uint64_t insts, std::uint64_t skip,
@@ -258,13 +250,9 @@ class SimRunner
      *  processes it killed in process mode. */
     std::uint64_t timedOutJobs() const { return timedOutJobCount.load(); }
 
-    /** --salvage-blocks: quarantine + skip corrupt v3 blocks. */
-    bool salvageBlocks() const { return salvageBlocksEnabled; }
-
     /**
      * Print the runtime's summary to stderr: jobs run, threads, wall
-     * and cpu time, trace-cache hits/misses when a cache is
-     * configured, and the per-job failure report when --keep-going
+     * and cpu time, and the per-job failure report when --keep-going
      * recorded any. With --stats, additionally print every counter as
      * a `sim_runner.<name>` line. stdout is never touched, so tables
      * and --csv stay byte-identical across --jobs values.
@@ -314,7 +302,6 @@ class SimRunner
 
     const Options &options;
     ThreadPool pool;
-    std::unique_ptr<TraceCacheStore> cache;
 
     bool keepGoing = false;
     /** --result-store directory (empty = no publishing or resume). */
@@ -359,11 +346,6 @@ class SimRunner
     std::atomic<std::uint64_t> crossCheckedCellCount{0};
     std::atomic<std::uint64_t> timedOutJobCount{0};
 
-    /** One-shot latch for the cache-degradation warning. */
-    std::atomic<bool> cacheDegraded{false};
-
-    /** --salvage-blocks: block-level corruption containment. */
-    bool salvageBlocksEnabled = false;
     /** --mem-budget in bytes (0 = unlimited). */
     std::uint64_t memBudget = 0;
     /** One-shot latch for the over-budget RSS warning. */

@@ -18,9 +18,8 @@
  * held across that failed delivery must not be read again.
  *
  * Corrupt blocks are handled per the reader's mode: strict mode ends
- * the stream with a sticky error Status; salvage mode
- * (--salvage-blocks) quarantines and skips them, with the loss tallied
- * in the global salvage registry.
+ * the stream with a sticky error Status; salvage mode quarantines and
+ * skips them, with the loss tallied in salvageReport().
  */
 
 #ifndef VPSIM_TRACE_STREAMING_SOURCE_HPP

@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <chrono>
 #include <filesystem>
 #include <system_error>
 #include <thread>
@@ -20,19 +21,13 @@ namespace
 constexpr int maxIoAttempts = 3;
 constexpr std::chrono::milliseconds ioBackoffStep{2};
 
-/** True when @p filename looks like a store temporary (`*.tmp.<pid>`). */
-bool
-isTemporaryName(const std::string &filename)
-{
-    return filename.find(".tmp.") != std::string::npos;
-}
+/** Orphaned `*.tmp.<pid>` files younger than this are left alone: a
+ *  live writer renames within seconds. */
+constexpr std::chrono::hours tmpReapAge{1};
 
-/** True when @p filename is quarantined corruption evidence. */
-bool
-isQuarantineName(const std::string &filename)
-{
-    return filename.rfind(".corrupt-", 0) == 0;
-}
+/** Quarantined `.corrupt-*` files younger than this are kept for
+ *  post-mortem. */
+constexpr std::chrono::hours quarantineGcAge{7 * 24};
 
 void
 backoff(int attempt)
@@ -42,32 +37,9 @@ backoff(int attempt)
     std::this_thread::sleep_for(ioBackoffStep * attempt);
 }
 
-/**
- * Read the v3 entry at @p path, retrying transient (kIo) failures with
- * backoff and a "retrying <what>: ..." warning before each retry.
- */
-Status
-readRetrying(const std::string &path, std::vector<TraceRecord> *out,
-             bool salvage, const char *what)
-{
-    Status read = Status::ok();
-    for (int attempt = 1; attempt <= maxIoAttempts; ++attempt) {
-        read = readTraceV3(path, out, salvage);
-        if (read.code() != StatusCode::kIo)
-            break;
-        if (attempt < maxIoAttempts) {
-            warn(std::string("retrying ") + what + ": " + read.message());
-            backoff(attempt);
-        }
-    }
-    return read;
-}
-
 } // namespace
 
-TraceCacheStore::TraceCacheStore(std::string cache_dir,
-                                 std::chrono::seconds tmp_reap_age,
-                                 std::chrono::seconds quarantine_gc_age)
+TraceCacheStore::TraceCacheStore(std::string cache_dir)
     : dir(std::move(cache_dir))
 {
     fatalIf(dir.empty(), "trace cache directory must not be empty");
@@ -80,13 +52,11 @@ TraceCacheStore::TraceCacheStore(std::string cache_dir,
         return;
     }
 
-    reapOrphanedTemporaries(tmp_reap_age);
-    if (quarantine_gc_age > std::chrono::seconds::zero())
-        gcQuarantinedEntries(quarantine_gc_age);
+    removeExpired();
 
     // Probe writability now, through the injectable io layer, so an
-    // unwritable or full cache directory degrades the whole run to
-    // uncached capture up front instead of failing every store.
+    // unwritable or full directory is reported up front instead of
+    // failing every store.
     const std::string probe =
         dir + "/.probe.tmp." + std::to_string(::getpid());
     io::File file;
@@ -103,12 +73,14 @@ TraceCacheStore::TraceCacheStore(std::string cache_dir,
 }
 
 void
-TraceCacheStore::reapOrphanedTemporaries(std::chrono::seconds tmp_reap_age)
+TraceCacheStore::removeExpired()
 {
-    // A temporary older than the threshold belongs to a process that
-    // died mid-store (a live writer renames within seconds); left
-    // alone they accumulate forever. Errors are ignored: reaping is
-    // best-effort hygiene, and a concurrent reaper may win the race.
+    // Temporaries older than tmpReapAge belong to processes that died
+    // mid-store; quarantined entries nobody examined within
+    // quarantineGcAge never will be. Left alone, both accumulate
+    // forever. Entries themselves are never touched, however old.
+    // Errors skip the file: this is best-effort hygiene, and a
+    // concurrent store may win the remove race.
     std::error_code ec;
     const auto now = std::filesystem::file_time_type::clock::now();
     for (const auto &entry :
@@ -118,70 +90,26 @@ TraceCacheStore::reapOrphanedTemporaries(std::chrono::seconds tmp_reap_age)
         if (!entry.is_regular_file(ec))
             continue;
         const std::string name = entry.path().filename().string();
-        if (!isTemporaryName(name))
+        const bool temporary = name.find(".tmp.") != std::string::npos;
+        const bool quarantined = name.rfind(".corrupt-", 0) == 0;
+        if (!temporary && !quarantined)
             continue;
         const auto mtime = entry.last_write_time(ec);
         if (ec) {
             ec.clear();
             continue;
         }
-        if (now - mtime < tmp_reap_age)
+        const auto age = now - mtime;
+        if (temporary ? age < tmpReapAge : age < quarantineGcAge)
             continue;
         if (std::filesystem::remove(entry.path(), ec) && !ec) {
-            ++reapedCount;
-            warn("reaped orphaned trace cache temporary " +
+            warn((temporary ? "reaped orphaned trace cache temporary "
+                            : "garbage-collected expired quarantine "
+                              "file ") +
                  entry.path().string());
         }
         ec.clear();
     }
-}
-
-void
-TraceCacheStore::gcQuarantinedEntries(std::chrono::seconds quarantine_gc_age)
-{
-    // Quarantined entries exist for post-mortem, and a post-mortem
-    // nobody ran within the retention window is never going to happen.
-    // Best-effort like the temporary reap: errors skip the file, and a
-    // concurrent GC winning the remove race is fine.
-    std::error_code ec;
-    const auto now = std::filesystem::file_time_type::clock::now();
-    for (const auto &entry :
-         std::filesystem::directory_iterator(dir, ec)) {
-        if (ec)
-            break;
-        if (!entry.is_regular_file(ec))
-            continue;
-        const std::string name = entry.path().filename().string();
-        if (!isQuarantineName(name))
-            continue;
-        const auto mtime = entry.last_write_time(ec);
-        if (ec) {
-            ec.clear();
-            continue;
-        }
-        if (now - mtime < quarantine_gc_age)
-            continue;
-        if (std::filesystem::remove(entry.path(), ec) && !ec) {
-            ++gcCount;
-            warn("garbage-collected expired quarantine file " +
-                 entry.path().string());
-        }
-        ec.clear();
-    }
-}
-
-Status
-TraceCacheStore::lastError() const
-{
-    MutexLock lock(statsMutex);
-    return lastErrorStatus;
-}
-
-void
-TraceCacheStore::noteError(const Status &error) const
-{
-    MutexLock lock(statsMutex);
-    lastErrorStatus = error;
 }
 
 std::string
@@ -193,15 +121,6 @@ TraceCacheStore::pathFor(const TraceCacheKey &key) const
            "-k" + std::to_string(key.skip) + "-s" +
            std::to_string(key.scale) + "-d" + std::to_string(key.seed) +
            "-v" + std::to_string(key.formatVersion) + ".vptrace";
-}
-
-std::string
-TraceCacheStore::quarantinePathFor(const TraceCacheKey &key) const
-{
-    const std::filesystem::path entry(pathFor(key));
-    return (entry.parent_path() /
-            (".corrupt-" + entry.filename().string()))
-        .string();
 }
 
 bool
@@ -218,8 +137,16 @@ TraceCacheStore::tryLoad(const TraceCacheKey &key,
         return false;
     }
 
-    const Status read =
-        readRetrying(path, out, salvageBlocks, "trace cache load");
+    Status read = Status::ok();
+    for (int attempt = 1; attempt <= maxIoAttempts; ++attempt) {
+        read = readTraceV3(path, out);
+        if (read.code() != StatusCode::kIo)
+            break;
+        if (attempt < maxIoAttempts) {
+            warn("retrying trace cache load: " + read.message());
+            backoff(attempt);
+        }
+    }
     if (read.isOk()) {
         ++hitCount;
         return true;
@@ -229,7 +156,11 @@ TraceCacheStore::tryLoad(const TraceCacheKey &key,
         // Keep the evidence: move the bad entry aside under a name the
         // next lookup ignores, so post-mortem can inspect what rotted
         // while the sweep recaptures and carries on.
-        const std::string quarantine = quarantinePathFor(key);
+        const std::filesystem::path entry(path);
+        const std::string quarantine =
+            (entry.parent_path() /
+             (".corrupt-" + entry.filename().string()))
+                .string();
         std::error_code ec;
         std::filesystem::rename(path, quarantine, ec);
         if (ec)
@@ -243,28 +174,8 @@ TraceCacheStore::tryLoad(const TraceCacheKey &key,
                                "unusable trace cache entry: " +
                                    read.message());
     }
-    noteError(*error);
     ++missCount;
     return false;
-}
-
-Status
-TraceCacheStore::readBack(const TraceCacheKey &key,
-                          std::vector<TraceRecord> *out) const
-{
-    return readRetrying(pathFor(key), out, false, "trace cache read-back");
-}
-
-Status
-TraceCacheStore::store(const TraceCacheKey &key,
-                       const std::vector<TraceRecord> &records) const
-{
-    return storeStreaming(
-        key,
-        [&records](const std::function<Status(
-                       const std::vector<TraceRecord> &)> &append) {
-            return append(records);
-        });
 }
 
 Status
@@ -317,7 +228,6 @@ TraceCacheStore::storeStreaming(
         if (attempt < maxIoAttempts)
             backoff(attempt);
     }
-    noteError(result);
     return result;
 }
 

@@ -294,51 +294,6 @@ corrupt(const std::string &detail)
 } // namespace
 
 // ---------------------------------------------------------------------------
-// SalvageRegistry
-
-void
-SalvageRegistry::note(const std::string &path,
-                      const BlockSalvageReport &report)
-{
-    if (report.clean())
-        return;
-    MutexLock lock(mutex);
-    sums.files += 1;
-    sums.blocksQuarantined += report.blocksQuarantined;
-    sums.recordsLost += report.recordsLost;
-    sums.bytesSkipped += report.bytesSkipped;
-    (void)path;
-}
-
-void
-SalvageRegistry::addTotals(const Totals &other)
-{
-    MutexLock lock(mutex);
-    sums += other;
-}
-
-SalvageRegistry::Totals
-SalvageRegistry::totals() const
-{
-    MutexLock lock(mutex);
-    return sums;
-}
-
-void
-SalvageRegistry::reset()
-{
-    MutexLock lock(mutex);
-    sums = Totals();
-}
-
-SalvageRegistry &
-salvageRegistry()
-{
-    static SalvageRegistry registry;
-    return registry;
-}
-
-// ---------------------------------------------------------------------------
 // TraceV3Writer
 
 Status
@@ -905,8 +860,6 @@ TraceV3Reader::close()
 {
     if (!opened)
         return;
-    if (opts.salvage)
-        salvageRegistry().note(filePath, report);
     file.close();
     pendback.clear();
     frame.clear();

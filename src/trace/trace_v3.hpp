@@ -25,9 +25,8 @@
  * Corruption containment: a reader in salvage mode quarantines the
  * damaged block (Status kCorrupt per block, not per file), scans
  * forward for the next block magic, and resumes — losing exactly the
- * quarantined blocks. Every salvage is tallied in a BlockSalvageReport
- * and noted in the process-global salvage registry so SimRunner can
- * fold the loss into --stats output and the signed run manifest.
+ * quarantined blocks. Every salvage is tallied in the reader's
+ * BlockSalvageReport.
  * Full layout and semantics: docs/TRACE_FORMAT.md.
  */
 
@@ -70,62 +69,6 @@ struct BlockSalvageReport
 
     bool clean() const { return blocksQuarantined == 0; }
 };
-
-/**
- * Process-global, thread-safe accumulator of per-file salvage damage.
- *
- * Readers running in salvage mode note every file that actually lost
- * blocks; SimRunner snapshots the totals into --stats output and the
- * signed run manifest so a sweep that silently dropped records cannot
- * masquerade as a clean one.
- */
-class SalvageRegistry
-{
-  public:
-    struct Totals
-    {
-        std::uint64_t files = 0;
-        std::uint64_t blocksQuarantined = 0;
-        std::uint64_t recordsLost = 0;
-        std::uint64_t bytesSkipped = 0;
-
-        Totals &operator+=(const Totals &other)
-        {
-            files += other.files;
-            blocksQuarantined += other.blocksQuarantined;
-            recordsLost += other.recordsLost;
-            bytesSkipped += other.bytesSkipped;
-            return *this;
-        }
-    };
-
-    /** Fold one damaged file's report in (no-op when report.clean()). */
-    void note(const std::string &path, const BlockSalvageReport &report);
-
-    /**
-     * Fold another process's totals in. The registry is process-global,
-     * so a worker process's salvage damage (--fleet-workers) would
-     * otherwise vanish with the worker: workers serialize the totals
-     * accrued since their fork into their shard result files
-     * (src/sim/result_store.hpp) and the parent merges them here,
-     * making --stats and manifests report the same salvaged_blocks /
-     * salvaged_records_lost as the thread pool.
-     */
-    void addTotals(const Totals &other);
-
-    /** Consistent snapshot of the totals so far. */
-    Totals totals() const;
-
-    /** Clear all tallies (tests and per-run isolation). */
-    void reset();
-
-  private:
-    mutable Mutex mutex;
-    Totals sums GUARDED_BY(mutex);
-};
-
-/** The process-global registry fed by salvage-mode readers. */
-SalvageRegistry &salvageRegistry();
 
 /**
  * Streaming, append-only v3 trace writer.
@@ -183,10 +126,9 @@ class TraceV3Writer
  * Strict mode (the default, used for trace-cache entries) fails the
  * whole file on the first damaged block — the cache then quarantines
  * and recaptures, keeping figure outputs bit-exact.
- * Salvage mode (--salvage-blocks) quarantines the damaged block,
- * resyncs on the next block magic, and keeps going; the damage tally is
- * available via salvageReport() and is noted in salvageRegistry() when
- * the file closes with losses.
+ * Salvage mode quarantines the damaged block, resyncs on the next
+ * block magic, and keeps going; the damage tally is available via
+ * salvageReport().
  *
  * Every read goes through one io::File and a reusable frame buffer, so
  * memory stays bounded for arbitrarily large traces and every read is

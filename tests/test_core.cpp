@@ -225,6 +225,67 @@ TEST(IdealMachine, WrongPredictionsCostPenalty)
     EXPECT_GE(with_penalty, no_penalty);
 }
 
+TEST(IdealMachine, TwoWrongOperandsReissueInAscendingReadyOrder)
+{
+    // The ideal machine's reissue rule (docs/MODELS.md section 1): the
+    // wrongly predicted operands of one consumer are taken in ascending
+    // order of their real values' ready cycles r, and each one that
+    // arrives after the running completion moves it to r + penalty.
+    // Hand-derived at F = 40, W = 40, frontend 2, penalty 2; every
+    // record is fetched in cycle 1, so nothing executes before cycle 3.
+    std::vector<TraceRecord> trace;
+    SeqNum seq = 0;
+    const auto push = [&trace, &seq](std::uint64_t pc, RegIndex rd,
+                                     RegIndex rs1, RegIndex rs2,
+                                     Value result) {
+        TraceRecord record = rec(seq++, rd, rs1, result);
+        record.pc = pc;
+        record.nextPc = pc + instBytes;
+        record.rs2 = rs2;
+        trace.push_back(record);
+    };
+    // Training: producers A (r1) and B (r2) on strides 10 and 100, no
+    // sources, all executing in cycle 3; the stride classifier becomes
+    // confident in both.
+    for (Value k = 1; k <= 6; ++k) {
+        push(0xa000, 1, 0, invalidReg, 10 * k);
+        push(0xb000, 2, 0, invalidReg, 100 * k);
+    }
+    // A chain on r3 through fresh pcs (never predicted): 3, 4, 5.
+    push(0xc000, 3, 0, invalidReg, 1);
+    push(0xc004, 3, 3, invalidReg, 2);
+    push(0xc008, 3, 3, invalidReg, 3);
+    // A off its stride, after the chain: exec 6, real value ready 7.
+    push(0xa000, 1, 3, invalidReg, 12345);
+    push(0xc00c, 3, 3, invalidReg, 4); // exec 6
+    // B off its stride: exec 7, real value ready 8.
+    push(0xb000, 2, 3, invalidReg, 54321);
+    // The consumer: both operands predicted, so it issues at 3. Then
+    // lo = 7 > 3 gives 7 + 2 = 9, and hi = 8 <= 9 costs nothing:
+    // exec 9. Charging each operand against the issue cycle instead
+    // (the pipeline's rule) would give hi + 2 = 10.
+    push(0xd000, 4, 1, 2, 0);
+
+    IdealMachineConfig config;
+    config.fetchRate = 40;
+    config.windowSize = 40;
+    config.vpPenalty = 2;
+    config.useValuePrediction = true;
+    const IdealMachineResult primary =
+        runIdealMachine(trace, config, /*keep_schedule=*/true);
+    EXPECT_EQ(primary.predictionsWrong, 2u);
+    ASSERT_EQ(primary.execCycle.size(), trace.size());
+    EXPECT_EQ(primary.execCycle[trace.size() - 3], 6u) << "A";
+    EXPECT_EQ(primary.execCycle[trace.size() - 2], 7u) << "B";
+    EXPECT_EQ(primary.execCycle.back(), 9u) << "the consumer";
+    EXPECT_EQ(primary.cycles, 9u);
+
+    const IdealMachineResult reference =
+        runReferenceIdealMachine(TraceSpan(trace), config);
+    EXPECT_EQ(reference.predictionsWrong, 2u);
+    EXPECT_EQ(reference.cycles, 9u);
+}
+
 TEST(IdealMachine, SpeedupHelperMatchesManualRatio)
 {
     const auto trace = serialChain(500);

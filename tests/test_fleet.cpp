@@ -213,17 +213,13 @@ class ResultStoreTest : public ::testing::Test
         ShardResult result;
         for (std::uint32_t c = first; c <= last; ++c)
             result.cells.emplace_back(c, 0.125 * c + 1.0);
-        result.salvage.files = 1;
-        result.salvage.blocksQuarantined = 2;
-        result.salvage.recordsLost = 300;
-        result.salvage.bytesSkipped = 4096;
         return result;
     }
 
     std::filesystem::path dir;
 };
 
-TEST_F(ResultStoreTest, StoreLoadRoundTripPreservesCellsAndSalvage)
+TEST_F(ResultStoreTest, StoreLoadRoundTripPreservesCells)
 {
     ResultStore store(dir.string(), 0xabcdefu);
     ASSERT_TRUE(store.status().isOk());
@@ -237,11 +233,6 @@ TEST_F(ResultStoreTest, StoreLoadRoundTripPreservesCellsAndSalvage)
         EXPECT_EQ(out.cells[i].first, in.cells[i].first);
         EXPECT_EQ(out.cells[i].second, in.cells[i].second);
     }
-    EXPECT_EQ(out.salvage.files, in.salvage.files);
-    EXPECT_EQ(out.salvage.blocksQuarantined,
-              in.salvage.blocksQuarantined);
-    EXPECT_EQ(out.salvage.recordsLost, in.salvage.recordsLost);
-    EXPECT_EQ(out.salvage.bytesSkipped, in.salvage.bytesSkipped);
 }
 
 TEST_F(ResultStoreTest, RoundTripPreservesNaNCells)
@@ -267,17 +258,13 @@ TEST_F(ResultStoreTest, MergeAllIgnoresOtherFleetsAndMergesOwn)
     ASSERT_TRUE(theirs.store(0, 9, sampleResult(0, 9)).isOk());
 
     std::map<std::uint32_t, double> cells;
-    SalvageRegistry::Totals salvage;
-    const auto report = mine.mergeAll(&cells, &salvage);
+    const auto report = mine.mergeAll(&cells);
     EXPECT_EQ(report.filesMerged, 2u);
     EXPECT_EQ(report.cellsMerged, 4u);
     EXPECT_EQ(report.filesQuarantined, 0u);
     ASSERT_EQ(cells.size(), 4u);
     EXPECT_TRUE(cells.count(0) && cells.count(1) && cells.count(4) &&
                 cells.count(5));
-    // Two files, each carrying the sample salvage totals.
-    EXPECT_EQ(salvage.files, 2u);
-    EXPECT_EQ(salvage.recordsLost, 600u);
 }
 
 TEST_F(ResultStoreTest, RemoveAllDeletesOnlyThisFleet)
@@ -289,9 +276,8 @@ TEST_F(ResultStoreTest, RemoveAllDeletesOnlyThisFleet)
     EXPECT_EQ(mine.removeAll(), 1u);
 
     std::map<std::uint32_t, double> cells;
-    SalvageRegistry::Totals salvage;
-    EXPECT_EQ(mine.mergeAll(&cells, &salvage).filesMerged, 0u);
-    EXPECT_EQ(theirs.mergeAll(&cells, &salvage).filesMerged, 1u);
+    EXPECT_EQ(mine.mergeAll(&cells).filesMerged, 0u);
+    EXPECT_EQ(theirs.mergeAll(&cells).filesMerged, 1u);
 }
 
 TEST_F(ResultStoreTest, FuzzedCorruptionNeverYieldsWrongData)
@@ -373,8 +359,7 @@ TEST_F(ResultStoreTest, MergeAllQuarantinesCorruptFiles)
                                      2);
 
     std::map<std::uint32_t, double> cells;
-    SalvageRegistry::Totals salvage;
-    const auto report = store.mergeAll(&cells, &salvage);
+    const auto report = store.mergeAll(&cells);
     EXPECT_EQ(report.filesMerged, 1u);
     EXPECT_EQ(report.cellsMerged, 4u);
     EXPECT_EQ(report.filesQuarantined, 1u);

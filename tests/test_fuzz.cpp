@@ -368,7 +368,6 @@ TEST_P(FuzzSweep, V3SalvageRecoversExactlyTheIntactBlocks)
     // trailing garbage — a strict read must refuse the file, and a
     // salvage read must never abort, recovering exactly the records of
     // every intact block with the loss tallied in the salvage report.
-    salvageRegistry().reset();
     const auto trace = fuzzTrace(GetParam());
     ASSERT_FALSE(trace.empty());
     // Size blocks so every trace yields a handful of boundaries to
@@ -492,9 +491,6 @@ TEST_P(FuzzSweep, V3SalvageRecoversExactlyTheIntactBlocks)
     }
 
     std::remove(path.c_str());
-    // Damage above was tallied process-globally; do not leak it into
-    // other tests' view of the registry.
-    salvageRegistry().reset();
 }
 
 TEST_P(FuzzSweep, CorruptTraceFilesNeverCrashTheReader)
@@ -643,7 +639,6 @@ TEST_P(FuzzSweep, ResealedPayloadDamageNeverCrashesTheDecoder)
         EXPECT_TRUE(source.status().isOk()) << source.status().message();
         EXPECT_EQ(streamed, out.size());
     }
-    salvageRegistry().reset();
     std::remove(path.c_str());
 }
 

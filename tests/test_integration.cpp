@@ -77,6 +77,69 @@ TEST_P(BenchmarkIntegration, VpNeverSlowsTheIdealMachineMuch)
     }
 }
 
+/** The ideal machine's fetch bound: the last instruction is fetched
+ *  in cycle ceil(N / F) and executes frontendLatency cycles later. */
+Cycle
+fetchBoundCycles(std::size_t records, const IdealMachineConfig &config)
+{
+    return (records + config.fetchRate - 1) / config.fetchRate +
+           config.frontendLatency;
+}
+
+constexpr unsigned paperFetchRates[] = {4, 8, 16, 32, 40};
+
+TEST_P(BenchmarkIntegration, PerfectVpMeetsTheFetchBoundExactly)
+{
+    // With every value predicted correctly no operand waits, and at
+    // W = 40 the window frees a slot exactly as fetch needs one, so
+    // the schedule is fetch-bound.
+    const auto records = trace();
+    for (const unsigned rate : paperFetchRates) {
+        IdealMachineConfig config;
+        config.fetchRate = rate;
+        config.windowSize = 40;
+        config.useValuePrediction = true;
+        config.perfectValuePrediction = true;
+        EXPECT_EQ(runIdealMachine(records, config).cycles,
+                  fetchBoundCycles(records.size(), config))
+            << "BW=" << rate;
+    }
+}
+
+TEST_P(BenchmarkIntegration, PerfectVpIsNeverSlowerThanNoVp)
+{
+    const auto records = trace();
+    for (const unsigned rate : paperFetchRates) {
+        IdealMachineConfig config;
+        config.fetchRate = rate;
+        config.windowSize = 40;
+        const Cycle base = runIdealMachine(records, config).cycles;
+        config.useValuePrediction = true;
+        config.perfectValuePrediction = true;
+        EXPECT_LE(runIdealMachine(records, config).cycles, base)
+            << "BW=" << rate;
+    }
+}
+
+TEST_P(BenchmarkIntegration, NoModeBeatsTheFetchBound)
+{
+    const auto records = trace();
+    for (const unsigned rate : paperFetchRates) {
+        IdealMachineConfig config;
+        config.fetchRate = rate;
+        config.windowSize = 40;
+        const Cycle bound = fetchBoundCycles(records.size(), config);
+        EXPECT_GE(runIdealMachine(records, config).cycles, bound)
+            << "no VP, BW=" << rate;
+        config.useValuePrediction = true;
+        EXPECT_GE(runIdealMachine(records, config).cycles, bound)
+            << "stride VP, BW=" << rate;
+        config.perfectValuePrediction = true;
+        EXPECT_GE(runIdealMachine(records, config).cycles, bound)
+            << "perfect VP, BW=" << rate;
+    }
+}
+
 TEST_P(BenchmarkIntegration, PipelineSpeedupGrowsWithTakenBranches)
 {
     // Paper Figure 5.1 shape: more taken branches per cycle -> more VP

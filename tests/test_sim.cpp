@@ -25,10 +25,11 @@
 
 #include <gtest/gtest.h>
 
+#include "common/crc32.hpp"
+#include "common/fnv1a.hpp"
 #include "common/io.hpp"
 #include "core/ideal_machine.hpp"
 #include "sim/sim_runner.hpp"
-#include "trace/trace_v3.hpp"
 
 namespace vpsim
 {
@@ -95,41 +96,6 @@ TEST(Harness, SkipDropsWarmup)
     // seqs are renumbered densely.
     EXPECT_EQ(warm.trace(0)[0].seq, 0u);
     EXPECT_EQ(warm.trace(0)[2999].seq, 2999u);
-}
-
-TEST(Harness, StreamedCaptureReadBackRetriesATransientReadError)
-{
-    // On a cold cache, the capture streams into its entry and reads it
-    // back; read 2 is the read-back's trailer. One EIO there costs a
-    // retry with a warning, not a recapture in memory and a second
-    // store, and the trace is the one a fault-free run captures.
-    const auto dir = std::filesystem::temp_directory_path() /
-                     "vpsim_readback_retry";
-    std::filesystem::remove_all(dir);
-    const BenchmarkTraces clean = capture(
-        parsedOptions({"--benchmarks", "go", "--insts", "2000"}));
-    ::testing::internal::CaptureStderr();
-    const BenchmarkTraces faulted = capture(parsedOptions(
-        {"--benchmarks", "go", "--insts", "2000", "--jobs", "1",
-         "--trace-cache-dir", dir.c_str(), "--fault-inject",
-         "read:2:eio"}));
-    const std::string err = ::testing::internal::GetCapturedStderr();
-    io::configureFaultInjection("");
-    std::filesystem::remove_all(dir);
-
-    EXPECT_NE(err.find("retrying trace cache read-back"), std::string::npos)
-        << err;
-    EXPECT_EQ(err.find("recapturing in memory"), std::string::npos) << err;
-    ASSERT_EQ(faulted.trace(0).size(), clean.trace(0).size());
-    for (std::size_t i = 0; i < clean.trace(0).size(); ++i) {
-        const TraceRecord &got = faulted.trace(0)[i];
-        const TraceRecord &want = clean.trace(0)[i];
-        ASSERT_EQ(got.seq, want.seq) << "record " << i;
-        ASSERT_EQ(got.pc, want.pc) << "record " << i;
-        ASSERT_EQ(got.nextPc, want.nextPc) << "record " << i;
-        ASSERT_EQ(got.memAddr, want.memAddr) << "record " << i;
-        ASSERT_EQ(got.result, want.result) << "record " << i;
-    }
 }
 
 TEST(Harness, ScaleAndSeedReachTheWorkloads)
@@ -526,6 +492,51 @@ TEST(SimRunner, BitFlippedStoreFileIsQuarantinedAndRecomputed)
     EXPECT_EQ(store.count("shard-"), 1u) << "the grid republishes intact";
 }
 
+TEST(SimRunner, ResumeNeverOpensAShardFileOfTheSalvageLayout)
+{
+    // Shard files of layout 1 carried a salvage line and were named by
+    // the grid hash alone. Plant one for storeRun()'s first grid, with
+    // values no cell computes and a valid checksum: a resume must
+    // neither merge it nor quarantine it, and must recompute every cell.
+    const TempStore store("vpsim_store_salvage_layout");
+    std::filesystem::create_directories(store.dir);
+    const Options options = parsedOptions({});
+    const std::uint64_t run_hash =
+        fnv1a("bench", fnv1a(resultFingerprint(options)));
+    const std::uint64_t grid_hash =
+        fnv1aFold(fnv1aFold(fnv1aFold(fnv1aFold(run_hash, 1), 2), 2), 1);
+    char hash_text[24];
+    std::snprintf(hash_text, sizeof(hash_text), "%016llx",
+                  static_cast<unsigned long long>(grid_hash));
+    std::string body = std::string("vpsim-shard-result 1\nfleet ") +
+                       hash_text + "\ncells 4\n";
+    for (int cell = 0; cell < 4; ++cell) // 999.0 in every cell
+        body += std::to_string(cell) + " 408f380000000000\n";
+    body += "salvage 0 0 0 0\n";
+    char footer[24];
+    std::snprintf(footer, sizeof(footer), "crc32 %08x\n",
+                  crc32(body.data(), body.size()));
+    body += footer;
+    const auto planted =
+        store.dir / ("shard-" + std::string(hash_text) + "-c0-c3.vpshard");
+    std::ofstream(planted, std::ios::binary) << body;
+
+    ::testing::internal::CaptureStdout();
+    ::testing::internal::CaptureStderr();
+    const StoreRun resumed = storeRun(store, {"--resume", "1"});
+    const std::string out = ::testing::internal::GetCapturedStdout();
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_EQ(resumed.resumed, 0u);
+    EXPECT_EQ(resumed.calls, std::vector<int>{4})
+        << "every cell recomputed, none served at 999";
+    EXPECT_EQ(store.count(".corrupt-"), 0u) << err;
+    EXPECT_TRUE(std::filesystem::exists(planted))
+        << "the old file is left alone, not opened";
+    EXPECT_TRUE(out.empty()) << out;
+    EXPECT_EQ(err.find("quarantined"), std::string::npos) << err;
+    EXPECT_EQ(err.find("resumed"), std::string::npos) << err;
+}
+
 TEST(SimRunner, ResumeServesFinishedGridsWholeAndTheInterruptedOnePartly)
 {
     // Grid 1 finishes (jobs 1-4); grid 2 is interrupted at job 6,
@@ -706,57 +717,6 @@ TEST(SimRunner, ProcessModeKillsAWorkerThatStopsHeartbeating)
     EXPECT_EQ(runner.timedOutJobs(), 3u) << "one kill per attempt";
 }
 
-TEST(SimRunner, ProcessModeReportsTheSalvageItsCellsAccrue)
-{
-    // A cached trace with a rotted block, loaded inside every cell under
-    // --salvage-blocks: each worker reports the salvage accrued since
-    // its fork, so the totals match the thread pool's — neither the
-    // parent's inherited totals counted again nor the workers' lost.
-    const TempStore cache("vpsim_salvage_cache");
-    std::filesystem::create_directories(cache.dir);
-    const std::string dir = cache.dir.string();
-    const std::string path =
-        TraceCacheStore(dir).pathFor(TraceCacheKey{"go", 2000, 0, 1, 0});
-    ASSERT_TRUE(
-        writeTraceV3(path, captureWorkloadTrace("go", 2000), 100).isOk());
-    {
-        std::fstream file(path, std::ios::in | std::ios::out |
-                                    std::ios::binary);
-        const auto middle =
-            static_cast<std::streamoff>(std::filesystem::file_size(path) / 2);
-        file.seekg(middle);
-        const int byte = file.get();
-        file.seekp(middle);
-        file.put(static_cast<char>(byte ^ 0x40));
-    }
-
-    const auto salvageOf = [&dir](const char *workers) {
-        salvageRegistry().reset();
-        SimRunner runner(parsedOptions(
-            {"--jobs", "1", "--trace-cache-dir", dir.c_str(),
-             "--salvage-blocks", "1", "--fleet-workers", workers}));
-        const auto cells =
-            runner.runGrid(2, 2, [&runner](std::size_t, std::size_t) {
-                return static_cast<double>(
-                    runner.captureTrace("go", 2000, 0, WorkloadParams{})
-                        ->size());
-            });
-        const SalvageRegistry::Totals totals = salvageRegistry().totals();
-        salvageRegistry().reset();
-        return std::make_pair(cells, totals);
-    };
-    const auto [thread_cells, thread_salvage] = salvageOf("0");
-    const auto [process_cells, process_salvage] = salvageOf("2");
-    EXPECT_EQ(thread_salvage.files, 4u) << "one damaged load per cell";
-    EXPECT_GT(thread_salvage.blocksQuarantined, 0u);
-    EXPECT_EQ(process_salvage.files, thread_salvage.files);
-    EXPECT_EQ(process_salvage.blocksQuarantined,
-              thread_salvage.blocksQuarantined);
-    EXPECT_EQ(process_salvage.recordsLost, thread_salvage.recordsLost);
-    EXPECT_EQ(process_salvage.bytesSkipped, thread_salvage.bytesSkipped);
-    EXPECT_EQ(process_cells, thread_cells);
-}
-
 TEST(SimRunner, ProcessModeFiresAnIoFaultClauseAtMostOnce)
 {
     // Workers disarm the fault spec they inherit. Write 1 is the
@@ -817,16 +777,17 @@ TEST(Stats, ReportStatsPrintsEveryRunnerCounter)
          {"job_micros", "wall_micros", "vm_captures", "vm_capture_micros",
           "failed_jobs", "resumed_cells", "cross_checked_cells",
           "timed_out_jobs", "worker_launches", "worker_retries",
-          "quarantined_cells", "invariant_checks", "salvaged_blocks",
-          "salvaged_records_lost"}) {
+          "quarantined_cells", "invariant_checks"}) {
         EXPECT_NE(err.find("sim_runner." + std::string(name) + " "),
                   std::string::npos)
             << name;
     }
     EXPECT_NE(err.find("# grid cells reloaded from the result store"),
               std::string::npos);
-    EXPECT_EQ(err.find("trace_cache_hit"), std::string::npos)
-        << "cache counters appear only with --trace-cache-dir";
+    EXPECT_EQ(err.find("trace_cache"), std::string::npos)
+        << "figure benches regenerate their traces: no cache counters";
+    EXPECT_EQ(err.find("salvage"), std::string::npos)
+        << "no trace file is read, so nothing is salvaged";
 }
 
 } // namespace

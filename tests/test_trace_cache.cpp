@@ -2,15 +2,21 @@
  * @file
  * Tests for the on-disk trace cache: hit/miss behaviour, key
  * sensitivity (any parameter or format-version change must change the
- * entry path), corrupt-entry rejection with a useful error, and the
- * atomic store-then-reload round trip.
+ * entry path), corrupt-entry rejection with a useful error, the atomic
+ * store-then-reload round trip, and the faults it absorbs: torn writes
+ * and checksum damage (quarantined), transient read errors mid-load
+ * (retried), ENOSPC mid-capture (retried, never published torn) and a
+ * capture killed mid-append (no entry at all).
  */
 
 #include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <span>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -49,6 +55,34 @@ class TraceCacheTest : public ::testing::Test
         return key;
     }
 
+    /** Store @p records as one chunk. */
+    static Status storeAll(const TraceCacheStore &cache,
+                           const TraceCacheKey &key,
+                           const std::vector<TraceRecord> &records)
+    {
+        return cache.storeStreaming(
+            key, [&records](const auto &append) { return append(records); });
+    }
+
+    /** Where tryLoad() moves a corrupt entry for @p key. */
+    static std::filesystem::path quarantinePath(const TraceCacheStore &cache,
+                                                const TraceCacheKey &key)
+    {
+        const std::filesystem::path entry(cache.pathFor(key));
+        return entry.parent_path() /
+               (".corrupt-" + entry.filename().string());
+    }
+
+    /** Files in the cache directory whose name contains @p part. */
+    std::size_t countNamed(const std::string &part) const
+    {
+        std::size_t files = 0;
+        for (const auto &entry : std::filesystem::directory_iterator(dir))
+            files += entry.path().filename().string().find(part) !=
+                     std::string::npos;
+        return files;
+    }
+
     std::filesystem::path dir;
 };
 
@@ -64,7 +98,7 @@ TEST_F(TraceCacheTest, MissThenStoreThenHit)
     EXPECT_TRUE(error.isOk()) << "a plain miss is not an error";
     EXPECT_EQ(cache.misses(), 1u);
 
-    ASSERT_TRUE(cache.store(key, trace).isOk());
+    ASSERT_TRUE(storeAll(cache, key, trace).isOk());
     ASSERT_TRUE(cache.tryLoad(key, &out, &error));
     EXPECT_TRUE(error.isOk());
     EXPECT_EQ(cache.hits(), 1u);
@@ -106,7 +140,7 @@ TEST_F(TraceCacheTest, ScaleAndSeedMismatchMiss)
     TraceCacheKey key = keyFor("compress", 500);
     key.scale = 2;
     key.seed = 42;
-    ASSERT_TRUE(cache.store(key, trace).isOk());
+    ASSERT_TRUE(storeAll(cache, key, trace).isOk());
 
     std::vector<TraceRecord> out;
     Status error = Status::ok();
@@ -124,7 +158,7 @@ TEST_F(TraceCacheTest, CorruptEntryIsAMissWithAnError)
     TraceCacheStore cache(dir.string());
     const TraceCacheKey key = keyFor("go", 300);
     const auto trace = captureWorkloadTrace("go", 300);
-    ASSERT_TRUE(cache.store(key, trace).isOk());
+    ASSERT_TRUE(storeAll(cache, key, trace).isOk());
 
     // Clobber the entry with garbage shorter than a header.
     const std::string path = cache.pathFor(key);
@@ -142,7 +176,7 @@ TEST_F(TraceCacheTest, CorruptEntryIsAMissWithAnError)
     EXPECT_EQ(cache.misses(), 1u);
 
     // The canonical recovery: recapture and overwrite in place.
-    ASSERT_TRUE(cache.store(key, trace).isOk());
+    ASSERT_TRUE(storeAll(cache, key, trace).isOk());
     error = Status::ok();
     EXPECT_TRUE(cache.tryLoad(key, &out, &error));
     EXPECT_TRUE(error.isOk());
@@ -159,7 +193,7 @@ TEST_F(TraceCacheTest, ChecksumCorruptionIsQuarantinedAndRecaptured)
     TraceCacheStore cache(dir.string());
     const TraceCacheKey key = keyFor("go", 400);
     const auto trace = captureWorkloadTrace("go", 400);
-    ASSERT_TRUE(cache.store(key, trace).isOk());
+    ASSERT_TRUE(storeAll(cache, key, trace).isOk());
 
     // Flip one payload bit: structurally valid, checksum-invalid.
     const std::string path = cache.pathFor(key);
@@ -177,7 +211,7 @@ TEST_F(TraceCacheTest, ChecksumCorruptionIsQuarantinedAndRecaptured)
     Status error = Status::ok();
     EXPECT_FALSE(cache.tryLoad(key, &out, &error));
     ASSERT_FALSE(error.isOk());
-    const std::string quarantine = cache.quarantinePathFor(key);
+    const std::string quarantine = quarantinePath(cache, key).string();
     EXPECT_NE(error.message().find("quarantined"), std::string::npos)
         << error.message();
     EXPECT_NE(error.message().find(quarantine), std::string::npos)
@@ -189,7 +223,7 @@ TEST_F(TraceCacheTest, ChecksumCorruptionIsQuarantinedAndRecaptured)
         << "the corrupt bytes must be preserved for post-mortem";
 
     // Recapture: the store-and-reload cycle heals the entry.
-    ASSERT_TRUE(cache.store(key, trace).isOk());
+    ASSERT_TRUE(storeAll(cache, key, trace).isOk());
     error = Status::ok();
     ASSERT_TRUE(cache.tryLoad(key, &out, &error));
     EXPECT_TRUE(error.isOk());
@@ -212,8 +246,7 @@ TEST_F(TraceCacheTest, ReapsOnlyStaleTemporaries)
         old_tmp, std::filesystem::file_time_type::clock::now() -
                      std::chrono::hours(2));
 
-    TraceCacheStore cache(dir.string());
-    EXPECT_EQ(cache.reapedTmpFiles(), 1u);
+    const TraceCacheStore cache(dir.string());
     EXPECT_FALSE(std::filesystem::exists(old_tmp))
         << "stale orphans must be deleted";
     EXPECT_TRUE(std::filesystem::exists(fresh_tmp))
@@ -242,7 +275,7 @@ TEST_F(TraceCacheTest, StoreRetriesTransientWriteFailures)
     io::configureFaultInjection("write:2:eio");
     const auto trace = captureWorkloadTrace("go", 200);
     const TraceCacheKey key = keyFor("go", 200);
-    ASSERT_TRUE(cache.store(key, trace).isOk())
+    ASSERT_TRUE(storeAll(cache, key, trace).isOk())
         << "one EIO mid-write must be absorbed by the retry loop";
 
     io::configureFaultInjection("read:1:eio");
@@ -266,42 +299,23 @@ TEST_F(TraceCacheTest, ExpiredQuarantineFilesAreGarbageCollected)
         std::fputs("evidence", file);
         std::fclose(file);
     }
-    const auto two_hours_ago =
-        std::filesystem::file_time_type::clock::now() -
-        std::chrono::hours(2);
-    std::filesystem::last_write_time(old_corpse, two_hours_ago);
-    std::filesystem::last_write_time(old_entry, two_hours_ago);
+    // Quarantined files are kept for a week; temporaries for an hour.
+    const auto now = std::filesystem::file_time_type::clock::now();
+    std::filesystem::last_write_time(old_corpse,
+                                     now - std::chrono::hours(8 * 24));
+    std::filesystem::last_write_time(fresh_corpse,
+                                     now - std::chrono::hours(6 * 24));
+    std::filesystem::last_write_time(old_entry,
+                                     now - std::chrono::hours(8 * 24));
 
-    TraceCacheStore cache(dir.string(),
-                          TraceCacheStore::defaultTmpReapAge,
-                          std::chrono::hours(1));
-    EXPECT_EQ(cache.gcRemovedQuarantineFiles(), 1u);
+    const TraceCacheStore cache(dir.string());
     EXPECT_FALSE(std::filesystem::exists(old_corpse))
         << "expired quarantine evidence must be collected";
     EXPECT_TRUE(std::filesystem::exists(fresh_corpse))
-        << "recent evidence stays for post-mortem";
+        << "recent evidence stays for post-mortem, though older than "
+           "the temporaries' hour";
     EXPECT_TRUE(std::filesystem::exists(old_entry))
         << "the GC must never touch real cache entries, however old";
-}
-
-TEST_F(TraceCacheTest, QuarantineGcAgeZeroDisablesTheGc)
-{
-    std::filesystem::create_directories(dir);
-    const auto corpse = dir / ".corrupt-go-i400.vptrace";
-    std::FILE *file = std::fopen(corpse.c_str(), "wb");
-    ASSERT_NE(file, nullptr);
-    std::fputs("evidence", file);
-    std::fclose(file);
-    std::filesystem::last_write_time(
-        corpse, std::filesystem::file_time_type::clock::now() -
-                    std::chrono::hours(24 * 365));
-
-    TraceCacheStore cache(dir.string(),
-                          TraceCacheStore::defaultTmpReapAge,
-                          std::chrono::seconds(0));
-    EXPECT_EQ(cache.gcRemovedQuarantineFiles(), 0u);
-    EXPECT_TRUE(std::filesystem::exists(corpse))
-        << "--cache-gc-days 0 must keep evidence forever";
 }
 
 TEST_F(TraceCacheTest, V3EntriesRoundTripThroughTheCache)
@@ -313,7 +327,7 @@ TEST_F(TraceCacheTest, V3EntriesRoundTripThroughTheCache)
     std::vector<TraceRecord> out;
     Status error = Status::ok();
     EXPECT_FALSE(cache.tryLoad(key, &out, &error));
-    ASSERT_TRUE(cache.store(key, trace).isOk());
+    ASSERT_TRUE(storeAll(cache, key, trace).isOk());
     ASSERT_TRUE(cache.tryLoad(key, &out, &error));
     EXPECT_TRUE(error.isOk());
     ASSERT_EQ(out.size(), trace.size());
@@ -334,68 +348,127 @@ TEST_F(TraceCacheTest, V3EntriesRoundTripThroughTheCache)
     EXPECT_EQ(header[4], traceFormatVersionV3);
 }
 
-TEST_F(TraceCacheTest, SalvageModeLoadsADamagedV3EntryStrictQuarantines)
+TEST_F(TraceCacheTest, TornWriteIsQuarantinedOnTheNextLoad)
 {
-    TraceCacheStore strict(dir.string());
-    const auto trace = captureWorkloadTrace("go", 400);
-    ASSERT_GE(trace.size(), 300u);
+    const TraceCacheStore cache(dir.string()); // probe before arming
+    ASSERT_TRUE(cache.status().isOk());
     const TraceCacheKey key = keyFor("go", 400);
-    // Plant a multi-block entry directly (small blocks), so one rotted
-    // block cannot take the whole capture with it.
-    const std::string path = strict.pathFor(key);
-    ASSERT_TRUE(writeTraceV3(path, trace, 100).isOk());
-
-    // Walk the frames to the second block and flip one payload byte.
-    std::FILE *file = std::fopen(path.c_str(), "rb+");
-    ASSERT_NE(file, nullptr);
-    unsigned char frame[12];
-    std::fseek(file, 16, SEEK_SET); // first block frame
-    ASSERT_EQ(std::fread(frame, 1, sizeof(frame), file), sizeof(frame));
-    std::uint32_t payload0 = 0;
-    std::uint32_t lost = 0;
-    for (int i = 0; i < 4; ++i) {
-        payload0 |= static_cast<std::uint32_t>(frame[8 + i]) << (8 * i);
+    const auto trace = captureWorkloadTrace("go", 400);
+    {
+        // A torn write keeps a prefix and reports success, so the
+        // store publishes the damaged bytes; only the load can tell.
+        InjectorGuard guard;
+        io::configureFaultInjection("write:2:torn,seed:7");
+        ASSERT_TRUE(storeAll(cache, key, trace).isOk());
     }
-    const long second = 16 + 12 + static_cast<long>(payload0) + 4;
-    std::fseek(file, second, SEEK_SET); // second block frame
-    ASSERT_EQ(std::fread(frame, 1, sizeof(frame), file), sizeof(frame));
-    ASSERT_EQ(std::memcmp(frame, "VPB3", 4), 0);
-    for (int i = 0; i < 4; ++i)
-        lost |= static_cast<std::uint32_t>(frame[4 + i]) << (8 * i);
-    std::fseek(file, second + 12 + 5, SEEK_SET);
-    const int byte = std::fgetc(file);
-    std::fseek(file, second + 12 + 5, SEEK_SET);
-    std::fputc(byte ^ 0x40, file);
-    std::fclose(file);
 
-    // Salvage mode: the damaged entry is a usable hit; exactly the
-    // quarantined block's records are missing and the loss is tallied
-    // in the process-global registry. The file stays in place.
-    salvageRegistry().reset();
-    TraceCacheStore salvaging(dir.string());
-    salvaging.setSalvageBlocks(true);
     std::vector<TraceRecord> out;
     Status error = Status::ok();
-    ASSERT_TRUE(salvaging.tryLoad(key, &out, &error))
-        << error.message();
-    EXPECT_TRUE(error.isOk());
-    EXPECT_EQ(out.size(), trace.size() - lost);
-    const SalvageRegistry::Totals totals = salvageRegistry().totals();
-    EXPECT_EQ(totals.files, 1u);
-    EXPECT_EQ(totals.blocksQuarantined, 1u);
-    EXPECT_EQ(totals.recordsLost, lost);
-    EXPECT_TRUE(std::filesystem::exists(path))
-        << "salvage keeps the entry for later loads";
+    EXPECT_FALSE(cache.tryLoad(key, &out, &error));
+    EXPECT_EQ(error.code(), StatusCode::kCorrupt) << error.message();
+    EXPECT_FALSE(std::filesystem::exists(cache.pathFor(key)));
+    EXPECT_TRUE(std::filesystem::exists(quarantinePath(cache, key)))
+        << "the torn bytes must be kept for post-mortem";
+}
 
-    // Strict mode (the default): same bytes are quarantined wholesale
-    // and reported as a miss, preserving bit-exact figure outputs.
-    error = Status::ok();
-    EXPECT_FALSE(strict.tryLoad(key, &out, &error));
-    EXPECT_FALSE(error.isOk());
-    EXPECT_FALSE(std::filesystem::exists(path));
-    EXPECT_TRUE(
-        std::filesystem::exists(strict.quarantinePathFor(key)));
-    salvageRegistry().reset();
+TEST_F(TraceCacheTest, LoadRetriesATransientReadErrorMidEntry)
+{
+    const TraceCacheStore cache(dir.string());
+    const TraceCacheKey key = keyFor("compress", 3000);
+    const auto trace = captureWorkloadTrace("compress", 3000);
+    ASSERT_TRUE(storeAll(cache, key, trace).isOk());
+
+    // Reads 1-3 of a load are the header, the trailer and the first
+    // block frame, so read 4 is the block payload: the load fails half
+    // way, and the retry must start it over rather than give up.
+    InjectorGuard guard;
+    io::configureFaultInjection("read:4:eio");
+    std::vector<TraceRecord> out;
+    Status error = Status::ok();
+    ASSERT_TRUE(cache.tryLoad(key, &out, &error)) << error.message();
+    EXPECT_TRUE(error.isOk());
+    EXPECT_EQ(cache.hits(), 1u);
+    EXPECT_EQ(cache.misses(), 0u);
+    ASSERT_EQ(out.size(), trace.size());
+    EXPECT_EQ(out.back().result, trace.back().result);
+    EXPECT_EQ(countNamed(".corrupt-"), 0u)
+        << "a transient error is not corruption";
+}
+
+TEST_F(TraceCacheTest, StoreStreamingRetriesAnEnospcMidCapture)
+{
+    const TraceCacheStore cache(dir.string());
+    const TraceCacheKey key = keyFor("go", 900);
+    const auto trace = captureWorkloadTrace("go", 900);
+    const std::span<const TraceRecord> all(trace);
+    // Three appends per attempt; the second of the first attempt fails.
+    const auto produce = [&all](const auto &append) {
+        for (std::size_t at = 0; at < all.size(); at += 300) {
+            const auto chunk = all.subspan(at, 300);
+            const Status added = append(
+                std::vector<TraceRecord>(chunk.begin(), chunk.end()));
+            if (!added.isOk())
+                return added;
+        }
+        return Status::ok();
+    };
+    {
+        InjectorGuard guard;
+        io::configureFaultInjection("capture:2:enospc-capture");
+        ASSERT_TRUE(cache.storeStreaming(key, produce).isOk());
+    }
+    EXPECT_EQ(countNamed(".tmp."), 0u);
+
+    std::vector<TraceRecord> out;
+    Status error = Status::ok();
+    ASSERT_TRUE(cache.tryLoad(key, &out, &error)) << error.message();
+    ASSERT_EQ(out.size(), trace.size());
+    EXPECT_EQ(out.back().result, trace.back().result);
+}
+
+TEST_F(TraceCacheTest, StoreStreamingThatKeepsHittingEnospcPublishesNothing)
+{
+    const TraceCacheStore cache(dir.string());
+    const TraceCacheKey key = keyFor("go", 300);
+    const auto trace = captureWorkloadTrace("go", 300);
+    {
+        InjectorGuard guard;
+        io::configureFaultInjection("capture:1:enospc-capture,"
+                                    "capture:2:enospc-capture,"
+                                    "capture:3:enospc-capture");
+        const Status stored = storeAll(cache, key, trace);
+        EXPECT_EQ(stored.code(), StatusCode::kIo) << stored.message();
+    }
+    EXPECT_FALSE(std::filesystem::exists(cache.pathFor(key)));
+    EXPECT_EQ(countNamed(".tmp."), 0u)
+        << "each attempt removes its own temporary";
+}
+
+TEST_F(TraceCacheTest, CaptureKilledMidAppendLeavesNoEntry)
+{
+    const TraceCacheStore cache(dir.string());
+    const TraceCacheKey key = keyFor("go", 900);
+    const auto trace = captureWorkloadTrace("go", 900);
+    // SIGINT at its default disposition ends the process on the second
+    // append, with the header and the first chunk written.
+    EXPECT_EXIT(
+        {
+            io::configureFaultInjection("capture:2:sigint");
+            (void)cache.storeStreaming(key, [&trace](const auto &append) {
+                const Status first = append(trace);
+                return first.isOk() ? append(trace) : first;
+            });
+        },
+        ::testing::KilledBySignal(SIGINT), "");
+
+    EXPECT_FALSE(std::filesystem::exists(cache.pathFor(key)))
+        << "a killed capture must not publish a torn entry";
+    EXPECT_EQ(countNamed(".tmp."), 1u)
+        << "the dead writer's temporary waits for the reaper";
+    std::vector<TraceRecord> out;
+    Status error = Status::ok();
+    EXPECT_FALSE(cache.tryLoad(key, &out, &error));
+    EXPECT_TRUE(error.isOk()) << "a plain miss: " << error.message();
 }
 
 TEST_F(TraceCacheTest, EntriesLiveInsideTheDirectory)

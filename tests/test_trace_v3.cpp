@@ -541,26 +541,6 @@ TEST(TraceV3, InjectedCaptureEnospcFailsTheAppend)
     std::remove(path.c_str());
 }
 
-TEST(TraceV3, SalvageRegistryAccumulatesAndResets)
-{
-    salvageRegistry().reset();
-    BlockSalvageReport damage;
-    damage.blocksQuarantined = 2;
-    damage.recordsLost = 1024;
-    damage.bytesSkipped = 99;
-    salvageRegistry().note("a.vptrace", damage);
-    salvageRegistry().note("b.vptrace", damage);
-    salvageRegistry().note("clean.vptrace", BlockSalvageReport());
-
-    const SalvageRegistry::Totals totals = salvageRegistry().totals();
-    EXPECT_EQ(totals.files, 2u) << "clean files are not counted";
-    EXPECT_EQ(totals.blocksQuarantined, 4u);
-    EXPECT_EQ(totals.recordsLost, 2048u);
-    EXPECT_EQ(totals.bytesSkipped, 198u);
-    salvageRegistry().reset();
-    EXPECT_EQ(salvageRegistry().totals().files, 0u);
-}
-
 /** Little-endian store of the low @p width bytes of @p value. */
 void
 putLe(std::vector<unsigned char> &bytes, std::size_t at, std::uint64_t value,

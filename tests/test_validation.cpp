@@ -608,10 +608,12 @@ TEST(Manifest, WrittenNextToCsvAndChecksumsMatch)
     manifest_text << manifest.rdbuf();
     const std::string text = manifest_text.str();
 
-    EXPECT_NE(text.find("\"schema\": \"vpsim-run-manifest 2\""),
+    EXPECT_NE(text.find("\"schema\": \"vpsim-run-manifest 3\""),
               std::string::npos);
-    EXPECT_NE(text.find("\"salvagedBlocks\": 0"), std::string::npos)
-        << "a clean run must record a zero salvage tally";
+    EXPECT_EQ(text.find("salvage"), std::string::npos)
+        << "schema 3 carries no trace-salvage fields";
+    EXPECT_EQ(text.find("traceFormatVersion"), std::string::npos)
+        << "figure benches read no trace file";
     EXPECT_NE(text.find("\"checkInvariants\": \"full\""),
               std::string::npos);
     EXPECT_NE(text.find("\"fingerprint\""), std::string::npos);
