@@ -134,9 +134,6 @@ main(int argc, char **argv)
                     "(0 = measure only, assert nothing)");
     options.declare("block-records", "65536",
                     "records per v3 block in the generated file");
-    options.declare("salvage-blocks", "0",
-                    "stream back in salvage mode (exercises the "
-                    "containment path on a clean file)");
     options.declare("trace-file", "",
                     "write the synthetic trace here and keep it "
                     "(default: temporary, removed on exit)");
@@ -203,7 +200,7 @@ main(int argc, char **argv)
     sampler.beginPhase();
     Stopwatch read_watch;
     StreamingTraceSource source;
-    fatalIf(!source.open(path, options.getBool("salvage-blocks")).isOk(),
+    fatalIf(!source.open(path).isOk(),
             "cannot stream back " + path);
     std::uint64_t read_digest = fnv1aBasis;
     std::uint64_t read_records = 0;

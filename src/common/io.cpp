@@ -27,13 +27,10 @@ faultKindFromString(const std::string &text)
     if (text == "torn") return FaultKind::Torn;
     if (text == "sigint") return FaultKind::Sigint;
     if (text == "throw") return FaultKind::Throw;
-    if (text == "block-crc") return FaultKind::BlockCrc;
-    if (text == "enospc-capture") return FaultKind::EnospcCapture;
     if (text == "kill9") return FaultKind::Kill9;
     if (text == "hang") return FaultKind::Hang;
     fatal("unknown fault kind '" + text +
-          "' (expected eio/enospc/torn/sigint/throw/block-crc/"
-          "enospc-capture/kill9/hang)");
+          "' (expected eio/enospc/torn/sigint/throw/kill9/hang)");
 }
 
 bool
@@ -41,8 +38,7 @@ isKnownOp(const std::string &op)
 {
     return op == "open" || op == "read" || op == "write" ||
            op == "flush" || op == "rename" || op == "remove" ||
-           op == "job" || op == "block" ||
-           op == "capture" || op == "worker";
+           op == "job" || op == "worker";
 }
 
 std::vector<std::string>
@@ -66,10 +62,7 @@ splitOn(const std::string &text, char sep)
 std::string
 injectedErrnoDetail(FaultKind kind)
 {
-    const int err = (kind == FaultKind::Enospc ||
-                     kind == FaultKind::EnospcCapture)
-                        ? ENOSPC
-                        : EIO;
+    const int err = kind == FaultKind::Enospc ? ENOSPC : EIO;
     return std::string(std::strerror(err)) + " (injected)";
 }
 
@@ -138,7 +131,7 @@ FaultInjector::configure(const std::string &spec)
         fatalIf(!isKnownOp(fields[0]),
                 "unknown fault-inject op '" + fields[0] +
                     "' (expected open/read/write/flush/rename/remove/"
-                    "job/block/capture/worker)");
+                    "job/worker)");
         Clause clause;
         clause.op = fields[0];
         char *end = nullptr;

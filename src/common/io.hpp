@@ -2,12 +2,13 @@
  * @file
  * File I/O layer with deterministic fault injection.
  *
- * Every byte the trace pipeline moves to or from disk goes through
- * io::File, which consults a process-global FaultInjector before each
- * operation. In production the injector is inactive and the layer is a
- * thin RAII wrapper over std::FILE; under `--fault-inject` it fails the
- * Nth read/write/open with a chosen errno, tears a write short, raises
- * a signal, or throws — so every failure path of the trace cache and
+ * Every byte the trace store and the result store move to or from
+ * disk goes through io::File, which consults a process-global
+ * FaultInjector before each operation. In production the injector is
+ * inactive and the layer is a thin RAII wrapper over std::FILE; under
+ * `--fault-inject` it fails the Nth read/write/open with a chosen
+ * errno, tears a write short, raises a signal, or throws — so every
+ * failure path of the trace cache and
  * the experiment runtime is exercisable in deterministic tests instead
  * of waiting for a full disk at minute forty of a sweep.
  *
@@ -44,11 +45,9 @@ enum class FaultKind
     Torn,   ///< Write only a prefix of the bytes, then report success.
     Sigint, ///< raise(SIGINT) — simulates Ctrl-C at this exact point.
     Throw,  ///< Throw std::runtime_error — simulates a crashing job.
-    BlockCrc,      ///< A v3 block CRC check sees a mismatch (bit rot).
-    EnospcCapture, ///< ENOSPC mid-capture on a streaming trace writer.
-    Kill9,         ///< raise(SIGKILL) — an unannounced process death.
-    Hang,          ///< Stop making progress (worker processes: stop
-                   ///< heartbeating and sleep until killed).
+    Kill9,  ///< raise(SIGKILL) — an unannounced process death.
+    Hang,   ///< Stop making progress (worker processes: stop
+            ///< heartbeating and sleep until killed).
 };
 
 /**
@@ -60,19 +59,19 @@ enum class FaultKind
  *   seed:<n>           seed the RNG used for torn-write cut points
  *
  * where <op> is one of open, read, write, flush, rename, remove, job,
- * block, capture, worker and <kind> is eio, enospc, torn, sigint,
- * throw, block-crc, enospc-capture, kill9, hang. Example:
+ * worker and <kind> is eio, enospc, torn, sigint, throw, kill9, hang.
+ * Example:
  *
- *   --fault-inject write:3:torn,block:2:block-crc,capture:4:enospc-capture
+ *   --fault-inject write:3:torn,read:2:eio,job:4:sigint
  *
- * The read op is counted once per File::readExact() or readExactAt();
- * block once per v3 block-CRC validation; capture once per
- * streaming-capture append; the worker op once per worker-process
- * launch under --fleet-workers (the parent draws the kind and the
- * forked worker applies kill9, hang or enospc after its first cell, see
- * src/sim/process_executor.cpp; the worker itself disarms the
- * injector). kill9 on any other op raises
- * SIGKILL at that operation; hang is only meaningful for workers.
+ * The read op is counted once per File::readExact() or readExactAt(),
+ * the write op once per File::writeAll() (a v3 trace writer makes three
+ * per block: frame header, payload, CRC footer); the worker op once
+ * per worker-process launch under --fleet-workers (the parent draws
+ * the kind and the forked worker applies kill9, hang or enospc after
+ * its first cell, see src/sim/process_executor.cpp; the worker itself
+ * disarms the injector). kill9 on any other op raises SIGKILL at that
+ * operation; hang is only meaningful for workers.
  *
  * Operation counters are global to the process and thread-safe, so the
  * n-th write is the n-th write the whole run performs, wherever it

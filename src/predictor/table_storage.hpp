@@ -16,7 +16,7 @@
  * widens the window (doubling it upwards, extending it down to a lower
  * pc); find() never does, and misses outside it. Allocating an
  * unaligned pc, or a window wider than maxDenseSpan static
- * instructions (a salvaged or fuzzed trace can carry any pc), is a
+ * instructions (a fuzzed or hand-built trace can carry any pc), is a
  * fatal error rather than a silent fallback.
  *
  * An entry type with a `bool live` member is stored unwrapped in the

@@ -532,16 +532,15 @@ SimRunner::captureTrace(const std::string &name, std::uint64_t insts,
 
     // --mem-budget soft guard: materialized captures are the main RSS
     // driver in a bench process, so crossing the budget here gets one
-    // actionable warning pointing at the streaming alternative instead
-    // of a later OOM kill with no context.
+    // warning naming the options that shrink them instead of a later
+    // OOM kill with no context.
     if (memBudget != 0 &&
         RssSampler::currentRssBytes() > memBudget &&
         !memBudgetWarned.exchange(true)) {
         warn("process RSS exceeds --mem-budget " +
              std::to_string(memBudget >> 20) +
              " MB after capturing '" + name +
-             "'; consider fewer --benchmarks, smaller --insts, or the "
-             "streaming v3 trace path");
+             "'; consider fewer --benchmarks or a smaller --insts");
     }
     return std::make_shared<const std::vector<TraceRecord>>(
         std::move(trace));

@@ -4,21 +4,18 @@ namespace vpsim
 {
 
 Status
-StreamingTraceSource::open(const std::string &path, bool salvage)
+StreamingTraceSource::open(const std::string &path)
 {
     if (reader.isOpen())
         reader.close();
     filePath = path;
-    salvageMode = salvage;
     endOfTrace = false;
     streamStatus = Status::ok();
     liveRecords = 0;
     posInBlock = 0;
     deliveredRecords = 0;
 
-    TraceV3Reader::Options reader_options;
-    reader_options.salvage = salvage;
-    Status opened = reader.open(path, reader_options);
+    Status opened = reader.open(path);
     if (!opened.isOk()) {
         streamStatus = opened;
         endOfTrace = true;
@@ -77,7 +74,7 @@ StreamingTraceSource::nextBlock(TraceSpan &out, std::size_t max_records)
 void
 StreamingTraceSource::reset()
 {
-    const Status reopened = open(filePath, salvageMode);
+    const Status reopened = open(filePath);
     // open() already recorded any failure in the sticky status; a
     // rewound source that cannot reopen simply reads as exhausted.
     (void)reopened;

@@ -17,9 +17,9 @@
  * decoded over the served block before the damage shows, so a span
  * held across that failed delivery must not be read again.
  *
- * Corrupt blocks are handled per the reader's mode: strict mode ends
- * the stream with a sticky error Status; salvage mode quarantines and
- * skips them, with the loss tallied in salvageReport().
+ * The first damaged block ends the stream with a sticky error Status
+ * (status()): the consumer has seen every record before the damage and
+ * none after it.
  */
 
 #ifndef VPSIM_TRACE_STREAMING_SOURCE_HPP
@@ -42,14 +42,8 @@ class StreamingTraceSource : public TraceSource
   public:
     StreamingTraceSource() = default;
 
-    /**
-     * Open @p path; on error the source reads as exhausted.
-     *
-     * @param salvage Quarantine + skip corrupt blocks instead of
-     *        failing the file.
-     */
-    [[nodiscard]] Status open(const std::string &path,
-                              bool salvage = false);
+    /** Open @p path; on error the source reads as exhausted. */
+    [[nodiscard]] Status open(const std::string &path);
 
     bool nextBlock(TraceSpan &out,
                    std::size_t max_records =
@@ -69,17 +63,10 @@ class StreamingTraceSource : public TraceSource
     /** Records delivered to the consumer so far. */
     std::uint64_t recordsDelivered() const { return deliveredRecords; }
 
-    /** Damage tally from salvage mode (all-zero when clean/strict). */
-    const BlockSalvageReport &salvageReport() const
-    {
-        return reader.salvageReport();
-    }
-
   private:
     bool ensureBlock();
 
     std::string filePath;
-    bool salvageMode = false;
     TraceV3Reader reader;
     Status streamStatus = Status::ok();
     bool endOfTrace = false;

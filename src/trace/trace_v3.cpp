@@ -1,12 +1,9 @@
 #include "trace/trace_v3.hpp"
 
 #include <algorithm>
-#include <cerrno>
-#include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <mutex>
-#include <stdexcept>
 
 #if defined(__GLIBC__)
 #include <malloc.h>
@@ -90,24 +87,6 @@ unpackU64(const unsigned char *in)
     for (int i = 0; i < 8; ++i)
         value |= static_cast<std::uint64_t>(in[i]) << (8 * i);
     return value;
-}
-
-/**
- * Consult the injector's per-block counter. Control kinds behave as
- * everywhere else (sigint raises, throw throws); any other armed kind
- * reports true, which the caller turns into a forced CRC mismatch.
- */
-bool
-injectedBlockCorruption(const std::string &path)
-{
-    const io::FaultKind kind = io::faultInjector().next("block");
-    if (kind == io::FaultKind::Sigint) {
-        std::raise(SIGINT);
-        return false;
-    }
-    if (kind == io::FaultKind::Throw)
-        throw std::runtime_error("injected fault: block " + path);
-    return kind != io::FaultKind::None;
 }
 
 /** Encode @p records as one block payload into @p out (appended). */
@@ -291,6 +270,20 @@ corrupt(const std::string &detail)
     return Status::error(StatusCode::kCorrupt, detail);
 }
 
+/**
+ * What a failed readFrame() of @p what in @p path reports: truncation
+ * (kCorrupt) named after @p what, any other error as it is.
+ */
+Status
+frameError(const Status &got, const std::string &what,
+           const std::string &path)
+{
+    if (got.code() != StatusCode::kCorrupt)
+        return got;
+    return corrupt(what + ": unexpected end of file in " + path +
+                   " (truncated?)");
+}
+
 } // namespace
 
 // ---------------------------------------------------------------------------
@@ -327,19 +320,6 @@ Status
 TraceV3Writer::append(TraceSpan records)
 {
     panicIf(!isOpen(), "append on closed TraceV3Writer");
-    const io::FaultKind kind = io::faultInjector().next("capture");
-    if (kind == io::FaultKind::Sigint)
-        std::raise(SIGINT);
-    else if (kind == io::FaultKind::Throw)
-        throw std::runtime_error("injected fault: capture " +
-                                 file.path());
-    else if (kind != io::FaultKind::None) {
-        const int err = (kind == io::FaultKind::Eio) ? EIO : ENOSPC;
-        return Status::error(StatusCode::kIo,
-                             "capture write error on " + file.path() +
-                                 ": " + std::strerror(err) +
-                                 " (injected)");
-    }
     const std::size_t appended = records.size();
     if (!pending.empty()) {
         // Top up the buffered tail first; write it once it is a block.
@@ -440,21 +420,19 @@ TraceV3Writer::close()
 // TraceV3Reader
 
 Status
-TraceV3Reader::open(const std::string &path, const Options &options)
+TraceV3Reader::open(const std::string &path)
 {
     panicIf(opened, "TraceV3Reader reopened while open: " + path);
-    opts = options;
     filePath = path;
     done = false;
-    declaredRecords = 0;
     hint = 0;
-    report = BlockSalvageReport();
+    blocksDelivered = 0;
+    recordsDelivered = 0;
 
     // Every failure leaves the reader closed, so it can open again.
     const Status got = openAndValidate(path);
     if (!got.isOk()) {
         file.close();
-        pendback.clear();
         frame.clear();
     }
     return got;
@@ -469,14 +447,10 @@ TraceV3Reader::openAndValidate(const std::string &path)
     if (Status got = file.sizeBytes(&fileBytes); !got.isOk())
         return got;
 
-    bool at_end = false;
-    if (Status got = readFrame(v3HeaderBytes, &at_end); !got.isOk())
+    if (Status got = readFrame(v3HeaderBytes); !got.isOk())
         return Status::error(got.code(),
                              "trace header: " + got.message());
-    if (at_end)
-        return corrupt("trace header: unexpected end of file in " +
-                       filePath + " (truncated?)");
-    const unsigned char *h = frameData;
+    const unsigned char *h = frame.data();
     if (std::memcmp(h, v3Magic, 4) != 0)
         return corrupt("bad trace file magic: " + filePath);
     if (h[4] != traceFormatVersionV3) {
@@ -515,19 +489,15 @@ TraceV3Reader::openAndValidate(const std::string &path)
 }
 
 /**
- * Make the next @p size bytes of the stream available at frameData.
- * Sets *at_end (without error) when the stream is cleanly exhausted
- * before the first byte; a partial frame is kCorrupt truncation.
+ * Read the next @p size bytes of the file into the frame buffer. Fewer
+ * than @p size bytes left is kCorrupt truncation.
  */
 Status
-TraceV3Reader::readFrame(std::size_t size, bool *at_end)
+TraceV3Reader::readFrame(std::size_t size)
 {
-    *at_end = false;
-    const std::uint64_t left = pendback.size() + (fileBytes - fileOffset);
-    if (left == 0) {
-        *at_end = true;
-        return Status::ok();
-    }
+    if (fileBytes - fileOffset < size)
+        return corrupt("unexpected end of file in " + filePath +
+                       " (truncated?)");
     if (frame.size() < size) {
         // Twice what is asked: the block payloads of one file differ by
         // far less than 2x, so after its first block a stream never
@@ -536,89 +506,10 @@ TraceV3Reader::readFrame(std::size_t size, bool *at_end)
             frame.reserve(2 * size);
         frame.resize(size);
     }
-    if (left < size) {
-        // Fewer bytes than a block frame hold neither a block nor the
-        // trailer: they are dropped. More stay for resync() to scan, as
-        // a damaged payload length can run past the end of the file
-        // over intact blocks; a frame was consumed just before such a
-        // read, so the scan always makes progress.
-        if (left < v3BlockFrameBytes) {
-            if (Status got = take(frame.data(), left); !got.isOk())
-                return got;
-            if (opts.salvage)
-                report.bytesSkipped += left;
-        }
-        return corrupt("unexpected end of file in " + filePath +
-                       " (truncated?)");
-    }
-    if (Status got = take(frame.data(), size); !got.isOk())
+    if (Status got = file.readExact(frame.data(), size); !got.isOk())
         return got;
-    frameData = frame.data();
+    fileOffset += size;
     return Status::ok();
-}
-
-/** Move the next @p size stream bytes, pushed-back ones first, to @p out. */
-Status
-TraceV3Reader::take(unsigned char *out, std::size_t size)
-{
-    std::size_t have = 0;
-    while (have < size && !pendback.empty()) {
-        out[have++] = pendback.front();
-        pendback.erase(pendback.begin());
-    }
-    if (have == size)
-        return Status::ok();
-    if (Status got = file.readExact(out + have, size - have); !got.isOk())
-        return got;
-    fileOffset += size - have;
-    return Status::ok();
-}
-
-/**
- * Salvage recovery: scan forward for the next block or trailer magic
- * and leave the stream positioned so the next readFrame() returns it.
- * Hitting end-of-stream is not an error — the caller sees at_end.
- */
-Status
-TraceV3Reader::resync()
-{
-    unsigned char window[4];
-    std::size_t filled = 0;
-    for (;;) {
-        while (filled < 4) {
-            if (pendback.empty() && fileOffset == fileBytes) {
-                report.bytesSkipped += filled; // A partial window.
-                return Status::ok();
-            }
-            if (Status got = take(window + filled, 1); !got.isOk())
-                return got;
-            ++filled;
-        }
-        if (std::memcmp(window, blockMagic, 4) == 0 ||
-            std::memcmp(window, trailerMagic, 4) == 0) {
-            pendback.assign(window, window + 4);
-            return Status::ok();
-        }
-        ++report.bytesSkipped;
-        std::memmove(window, window + 1, 3);
-        filled = 3;
-    }
-}
-
-/**
- * One damaged block: fail the file in strict mode; in salvage mode
- * quarantine it (tallying @p declared_count as best-known loss),
- * resync, and tell the caller's loop to continue (outcome untouched).
- */
-Status
-TraceV3Reader::handleCorrupt(const Status &why,
-                             std::uint64_t declared_count)
-{
-    if (!opts.salvage)
-        return why;
-    report.blocksQuarantined += 1;
-    report.recordsLost += declared_count;
-    return resync();
 }
 
 Status
@@ -628,191 +519,90 @@ TraceV3Reader::nextPayload(Payload *out, Block *outcome)
         *outcome = Block::kEnd;
         return Status::ok();
     }
-    for (;;) {
-        bool at_end = false;
-        if (Status got = readFrame(v3BlockFrameBytes, &at_end);
-            !got.isOk()) {
-            // A partial frame header is truncation damage.
-            if (got.code() == StatusCode::kCorrupt) {
-                if (Status handled = handleCorrupt(
-                        corrupt("trace block " +
-                                std::to_string(report.blocksDelivered) +
-                                ": unexpected end of file in " +
-                                filePath + " (truncated?)"),
-                        0);
-                    !handled.isOk()) {
-                    return handled;
-                }
-                continue;
-            }
-            return got;
-        }
-        if (at_end) {
-            // Stream ended with no trailer at all.
-            if (!opts.salvage) {
-                return corrupt("unexpected end of file in " + filePath +
-                               " (missing trailer?)");
-            }
-            done = true;
-            *outcome = Block::kEnd;
-            return Status::ok();
-        }
-
-        if (std::memcmp(frameData, trailerMagic, 4) == 0) {
-            // The 12 frame bytes are the trailer's first half; copy
-            // them before the next readFrame() recycles the buffer.
-            unsigned char trailer[v3TrailerBytes];
-            std::memcpy(trailer, frameData, v3BlockFrameBytes);
-            if (Status got = readFrame(v3TrailerBytes -
-                                           v3BlockFrameBytes,
-                                       &at_end);
-                !got.isOk() || at_end) {
-                const Status why =
-                    corrupt("trace trailer: unexpected end of file in " +
-                            filePath + " (truncated?)");
-                if (!got.isOk() && got.code() != StatusCode::kCorrupt)
-                    return got;
-                if (Status handled = handleCorrupt(why, 0);
-                    !handled.isOk()) {
-                    return handled;
-                }
-                if (at_end) {
-                    done = true;
-                    *outcome = Block::kEnd;
-                    return Status::ok();
-                }
-                continue;
-            }
-            std::memcpy(trailer + v3BlockFrameBytes, frameData,
-                        v3TrailerBytes - v3BlockFrameBytes);
-            if (unpackU32(trailer + 20) != crc32(trailer, 20)) {
-                if (Status handled = handleCorrupt(
-                        corrupt("trace trailer checksum mismatch in " +
-                                filePath),
-                        0);
-                    !handled.isOk()) {
-                    return handled;
-                }
-                continue;
-            }
-            declaredRecords = unpackU64(trailer + 4);
-            const std::uint64_t declared_blocks = unpackU64(trailer + 12);
-            if (!opts.salvage) {
-                if (declaredRecords != report.recordsDelivered ||
-                    declared_blocks != report.blocksDelivered) {
-                    return corrupt(
-                        "trace trailer mismatch in " + filePath +
-                        " (declared " + std::to_string(declaredRecords) +
-                        " records in " + std::to_string(declared_blocks) +
-                        " blocks, decoded " +
-                        std::to_string(report.recordsDelivered) +
-                        " in " + std::to_string(report.blocksDelivered) +
-                        ")");
-                }
-                if (!pendback.empty() || fileOffset != fileBytes) {
-                    return corrupt("trailing bytes after trailer in "
-                                   "trace file: " +
-                                   filePath);
-                }
-            } else if (declaredRecords > report.recordsDelivered) {
-                // The trailer is the exact record count; trust it over
-                // the per-block running estimate.
-                report.recordsLost =
-                    declaredRecords - report.recordsDelivered;
-            }
-            done = true;
-            *outcome = Block::kEnd;
-            return Status::ok();
-        }
-
-        if (std::memcmp(frameData, blockMagic, 4) != 0) {
-            if (Status handled = handleCorrupt(
-                    corrupt("bad block magic at block " +
-                            std::to_string(report.blocksDelivered) +
-                            " in " + filePath),
-                    0);
-                !handled.isOk()) {
-                return handled;
-            }
-            continue;
-        }
-
-        unsigned char frame_header[v3BlockFrameBytes];
-        std::memcpy(frame_header, frameData, v3BlockFrameBytes);
-        const std::uint32_t count = unpackU32(frame_header + 4);
-        const std::uint32_t payload_bytes = unpackU32(frame_header + 8);
-        const bool sane =
-            count >= 1 && count <= blockRecords &&
-            payload_bytes >= count * minEncodedRecordBytes &&
-            payload_bytes <= static_cast<std::uint64_t>(count) *
-                                 maxEncodedRecordBytes;
-        if (!sane) {
-            if (Status handled = handleCorrupt(
-                    corrupt("corrupt block frame at block " +
-                            std::to_string(report.blocksDelivered) +
-                            " in " + filePath),
-                    0);
-                !handled.isOk()) {
-                return handled;
-            }
-            continue;
-        }
-
-        if (Status got = readFrame(payload_bytes + 4, &at_end);
-            !got.isOk() || at_end) {
-            if (!got.isOk() && got.code() != StatusCode::kCorrupt)
-                return got;
-            if (Status handled = handleCorrupt(
-                    corrupt("trace block " +
-                            std::to_string(report.blocksDelivered) +
-                            ": unexpected end of file in " + filePath +
-                            " (truncated?)"),
-                    count);
-                !handled.isOk()) {
-                return handled;
-            }
-            if (at_end) {
-                done = true;
-                *outcome = Block::kEnd;
-                return Status::ok();
-            }
-            continue;
-        }
-        const unsigned char *payload = frameData;
-
-        Crc32 crc;
-        crc.update(frame_header, sizeof(frame_header));
-        crc.update(payload, payload_bytes);
-        const std::uint32_t stored = unpackU32(payload + payload_bytes);
-        bool mismatch = stored != crc.value();
-        std::string injected_detail;
-        if (!mismatch && injectedBlockCorruption(filePath)) {
-            mismatch = true;
-            injected_detail = " (injected)";
-        }
-        if (mismatch) {
-            char detail[64];
-            std::snprintf(detail, sizeof(detail),
-                          "stored %08x, computed %08x", stored,
-                          crc.value());
-            if (Status handled = handleCorrupt(
-                    corrupt("block checksum mismatch at block " +
-                            std::to_string(report.blocksDelivered) +
-                            " in " + filePath + " (" + detail + ")" +
-                            injected_detail),
-                    count);
-                !handled.isOk()) {
-                return handled;
-            }
-            continue;
-        }
-
-        out->data = payload;
-        out->bytes = payload_bytes;
-        out->count = count;
-        *outcome = Block::kDelivered;
-        return Status::ok();
+    if (fileOffset == fileBytes) {
+        return corrupt("unexpected end of file in " + filePath +
+                       " (missing trailer?)");
     }
+    const std::string block = std::to_string(blocksDelivered);
+    if (Status got = readFrame(v3BlockFrameBytes); !got.isOk())
+        return frameError(got, "trace block " + block, filePath);
+    if (std::memcmp(frame.data(), trailerMagic, 4) == 0)
+        return readTrailer(outcome);
+    if (std::memcmp(frame.data(), blockMagic, 4) != 0)
+        return corrupt("bad block magic at block " + block + " in " +
+                       filePath);
+
+    unsigned char frame_header[v3BlockFrameBytes];
+    std::memcpy(frame_header, frame.data(), v3BlockFrameBytes);
+    const std::uint32_t count = unpackU32(frame_header + 4);
+    const std::uint32_t payload_bytes = unpackU32(frame_header + 8);
+    const bool sane =
+        count >= 1 && count <= blockRecords &&
+        payload_bytes >= count * minEncodedRecordBytes &&
+        payload_bytes <=
+            static_cast<std::uint64_t>(count) * maxEncodedRecordBytes;
+    if (!sane)
+        return corrupt("corrupt block frame at block " + block + " in " +
+                       filePath);
+
+    if (Status got = readFrame(payload_bytes + 4); !got.isOk())
+        return frameError(got, "trace block " + block, filePath);
+    const unsigned char *payload = frame.data();
+    Crc32 crc;
+    crc.update(frame_header, sizeof(frame_header));
+    crc.update(payload, payload_bytes);
+    const std::uint32_t stored = unpackU32(payload + payload_bytes);
+    if (stored != crc.value()) {
+        char detail[64];
+        std::snprintf(detail, sizeof(detail), "stored %08x, computed %08x",
+                      stored, crc.value());
+        return corrupt("block checksum mismatch at block " + block +
+                       " in " + filePath + " (" + detail + ")");
+    }
+
+    out->data = payload;
+    out->bytes = payload_bytes;
+    out->count = count;
+    *outcome = Block::kDelivered;
+    return Status::ok();
+}
+
+/**
+ * The frame buffer holds the trailer's first v3BlockFrameBytes: read
+ * the rest and check it against the blocks delivered and the file's end.
+ */
+Status
+TraceV3Reader::readTrailer(Block *outcome)
+{
+    // Copy the first half before the next readFrame() recycles the
+    // buffer.
+    unsigned char trailer[v3TrailerBytes];
+    std::memcpy(trailer, frame.data(), v3BlockFrameBytes);
+    if (Status got = readFrame(v3TrailerBytes - v3BlockFrameBytes);
+        !got.isOk()) {
+        return frameError(got, "trace trailer", filePath);
+    }
+    std::memcpy(trailer + v3BlockFrameBytes, frame.data(),
+                v3TrailerBytes - v3BlockFrameBytes);
+    if (unpackU32(trailer + 20) != crc32(trailer, 20))
+        return corrupt("trace trailer checksum mismatch in " + filePath);
+    const std::uint64_t declared_records = unpackU64(trailer + 4);
+    const std::uint64_t declared_blocks = unpackU64(trailer + 12);
+    if (declared_records != recordsDelivered ||
+        declared_blocks != blocksDelivered) {
+        return corrupt("trace trailer mismatch in " + filePath +
+                       " (declared " + std::to_string(declared_records) +
+                       " records in " + std::to_string(declared_blocks) +
+                       " blocks, decoded " +
+                       std::to_string(recordsDelivered) + " in " +
+                       std::to_string(blocksDelivered) + ")");
+    }
+    if (fileOffset != fileBytes)
+        return corrupt("trailing bytes after trailer in trace file: " +
+                       filePath);
+    done = true;
+    *outcome = Block::kEnd;
+    return Status::ok();
 }
 
 Status
@@ -824,35 +614,25 @@ TraceV3Reader::readBlock(std::vector<TraceRecord> *out, std::size_t offset,
             "readBlock needs an output vector and a count");
     panicIf(outcome == nullptr, "block read needs an outcome parameter");
     *count = 0;
-    for (;;) {
-        Payload payload;
-        if (Status got = nextPayload(&payload, outcome);
-            !got.isOk() || *outcome == Block::kEnd) {
-            return got;
-        }
-        // Grow only: a reused buffer is decoded over in place, never
-        // cleared or value-initialised again.
-        if (out->size() < offset + payload.count)
-            out->resize(offset + payload.count);
-        if (!decodeBlockPayload(payload.data, payload.bytes,
-                                payload.count, out->data() + offset)) {
-            // A payload that fails to decode is one more damaged
-            // block: strict mode fails the file, salvage mode moves on.
-            if (Status handled = handleCorrupt(
-                    corrupt("corrupt record encoding in block " +
-                            std::to_string(report.blocksDelivered) +
-                            " of " + filePath),
-                    payload.count);
-                !handled.isOk()) {
-                return handled;
-            }
-            continue;
-        }
-        report.blocksDelivered += 1;
-        report.recordsDelivered += payload.count;
-        *count = payload.count;
-        return Status::ok();
+    Payload payload;
+    if (Status got = nextPayload(&payload, outcome);
+        !got.isOk() || *outcome == Block::kEnd) {
+        return got;
     }
+    // Grow only: a reused buffer is decoded over in place, never
+    // cleared or value-initialised again.
+    if (out->size() < offset + payload.count)
+        out->resize(offset + payload.count);
+    if (!decodeBlockPayload(payload.data, payload.bytes, payload.count,
+                            out->data() + offset)) {
+        return corrupt("corrupt record encoding in block " +
+                       std::to_string(blocksDelivered) + " of " +
+                       filePath);
+    }
+    blocksDelivered += 1;
+    recordsDelivered += payload.count;
+    *count = payload.count;
+    return Status::ok();
 }
 
 void
@@ -861,7 +641,6 @@ TraceV3Reader::close()
     if (!opened)
         return;
     file.close();
-    pendback.clear();
     frame.clear();
     opened = false;
 }
@@ -885,15 +664,12 @@ writeTraceV3(const std::string &path,
 }
 
 Status
-readTraceV3(const std::string &path, std::vector<TraceRecord> *out,
-            bool salvage, BlockSalvageReport *report_out)
+readTraceV3(const std::string &path, std::vector<TraceRecord> *out)
 {
     panicIf(out == nullptr, "readTraceV3 needs an output vector");
     out->clear();
     TraceV3Reader reader;
-    TraceV3Reader::Options options;
-    options.salvage = salvage;
-    if (Status opened = reader.open(path, options); !opened.isOk())
+    if (Status opened = reader.open(path); !opened.isOk())
         return opened;
     keepTracesMapped();
     out->reserve(reader.recordsHint());
@@ -910,10 +686,6 @@ readTraceV3(const std::string &path, std::vector<TraceRecord> *out,
             break;
         loaded += count;
     }
-    // Drops what a quarantined last block decoded past the intact ones.
-    out->resize(loaded);
-    if (report_out)
-        *report_out = reader.salvageReport();
     reader.close();
     return Status::ok();
 }

@@ -1,13 +1,13 @@
 /**
  * @file
  * Trace file format v3: block-framed, delta/varint-compressed records
- * with per-block CRC-32 containment.
+ * with a CRC-32 per block.
  *
  * The project's only on-disk trace format. The retired v2 format
- * guarded a whole file with one trailing CRC-32, so a single flipped
- * bit in a 100M-instruction capture discarded hours of work and the
- * reader had to materialize every record to verify anything. v3
- * generalizes that footer to the block level:
+ * guarded a whole file with one trailing CRC-32, so the reader had to
+ * materialize every record to verify anything. v3 moves that footer to
+ * the block level, so a reader verifies and delivers one block at a
+ * time:
  *
  *   header  "VPTR" ver=3 reserved[3] recordsPerBlock:u32 headerCrc:u32
  *   block*  "VPB3" recordCount:u32 payloadBytes:u32 payload frameCrc:u32
@@ -22,11 +22,10 @@
  * interrupted mid-stream leaves a prefix of intact blocks, nothing
  * half-updated.
  *
- * Corruption containment: a reader in salvage mode quarantines the
- * damaged block (Status kCorrupt per block, not per file), scans
- * forward for the next block magic, and resumes — losing exactly the
- * quarantined blocks. Every salvage is tallied in the reader's
- * BlockSalvageReport.
+ * Reads are strict: the first damaged header, block, payload or
+ * trailer fails the whole read with a kCorrupt Status naming the file
+ * and the block.
+ *
  * Full layout and semantics: docs/TRACE_FORMAT.md.
  */
 
@@ -58,18 +57,6 @@ inline constexpr std::size_t v3HeaderBytes = 16;
 inline constexpr std::size_t v3BlockFrameBytes = 12;
 inline constexpr std::size_t v3TrailerBytes = 24;
 
-/** Running tally of what block salvage skipped in one file. */
-struct BlockSalvageReport
-{
-    std::uint64_t blocksDelivered = 0;   ///< Blocks decoded intact.
-    std::uint64_t blocksQuarantined = 0; ///< Blocks skipped as corrupt.
-    std::uint64_t recordsDelivered = 0;  ///< Records decoded intact.
-    std::uint64_t recordsLost = 0;       ///< Best-known records skipped.
-    std::uint64_t bytesSkipped = 0;      ///< Raw bytes resync scanned over.
-
-    bool clean() const { return blocksQuarantined == 0; }
-};
-
 /**
  * Streaming, append-only v3 trace writer.
  *
@@ -80,10 +67,10 @@ struct BlockSalvageReport
  * seeks — publishing atomically is the caller's job (write to a
  * temporary name, then io::renameFile; see TraceCacheStore).
  *
- * Each append() consults the fault injector's "capture" counter, so
- * ENOSPC-mid-capture (`capture:N:enospc-capture`) is deterministically
- * testable. After any error the writer is dead: close() discards state
- * and the caller removes the temporary file.
+ * Every block goes out through io::File::writeAll, so the fault
+ * injector's `write:` clauses reach a capture at any block. After any
+ * error the writer is dead: close() discards state and the caller
+ * removes the temporary file.
  */
 class TraceV3Writer
 {
@@ -121,32 +108,21 @@ class TraceV3Writer
 };
 
 /**
- * Sequential block-at-a-time v3 reader with strict and salvage modes.
- *
- * Strict mode (the default, used for trace-cache entries) fails the
- * whole file on the first damaged block — the cache then quarantines
- * and recaptures, keeping figure outputs bit-exact.
- * Salvage mode quarantines the damaged block, resyncs on the next
- * block magic, and keeps going; the damage tally is available via
- * salvageReport().
+ * Sequential block-at-a-time v3 reader. The first damaged block fails
+ * the read: a trace-cache entry is then quarantined and recaptured, and
+ * a stream ends with a sticky error.
  *
  * Every read goes through one io::File and a reusable frame buffer, so
  * memory stays bounded for arbitrarily large traces and every read is
- * fault-counted (`open:`, `read:` specs). Block CRC checks consult the
- * fault injector's "block" counter (`block:N:block-crc` forces a
- * mismatch). Every block is decoded straight into caller-owned storage
- * (readBlock()): the whole-file load decodes each block after the last
- * into one vector reserved up front, the streaming source decodes
- * every block over the same reused block vector.
+ * fault-counted (`open:`, `read:` specs). Every block is decoded
+ * straight into caller-owned storage (readBlock()): the whole-file load
+ * decodes each block after the last into one vector reserved up front,
+ * the streaming source decodes every block over the same reused block
+ * vector.
  */
 class TraceV3Reader
 {
   public:
-    struct Options
-    {
-        bool salvage = false; ///< Skip-resync corrupt blocks.
-    };
-
     /** Outcome of one readBlock() call. */
     enum class Block
     {
@@ -160,21 +136,18 @@ class TraceV3Reader
      * Open @p path, validate the v3 header and read the trailer for
      * recordsHint(). A read error on either is kIo naming the path.
      */
-    [[nodiscard]] Status open(const std::string &path,
-                              const Options &options);
+    [[nodiscard]] Status open(const std::string &path);
 
     /**
      * Decode the next block into (*out)[offset, offset + *count).
      * @p out is resized only when it is shorter than that, so a reused
      * buffer is decoded over in place, not cleared or re-initialised.
-     * Elements before @p offset are untouched; those from
-     * offset + *count on are unspecified (a quarantined block may
-     * have been decoded there first). A block that fails to decode is
-     * never reported as delivered.
+     * Elements before @p offset are untouched; after a kCorrupt those
+     * from @p offset on are unspecified (a block that fails to decode
+     * was decoded there first, and is never reported as delivered).
      *
      * @return ok with *outcome = kDelivered (*count >= 1) or kEnd
-     *         (*count = 0), kCorrupt on damage in strict mode (or
-     *         unsalvageable damage in salvage mode), kIo on read
+     *         (*count = 0), kCorrupt on the first damage, kIo on read
      *         errors. Every message names the path.
      */
     [[nodiscard]] Status readBlock(std::vector<TraceRecord> *out,
@@ -191,18 +164,9 @@ class TraceV3Reader
      */
     std::uint64_t recordsHint() const { return hint; }
 
-    /** Damage tally so far (all-zero in strict mode). */
-    const BlockSalvageReport &salvageReport() const { return report; }
-
-    /** Block size the file was written with (valid after open()). */
-    std::uint32_t recordsPerBlock() const { return blockRecords; }
-
-    /** Total records the trailer declared (valid after kEnd). */
-    std::uint64_t trailerRecords() const { return declaredRecords; }
-
     bool isOpen() const { return opened; }
 
-    /** Close, noting salvage losses in the global registry. */
+    /** Close the file (idempotent). */
     void close();
 
   private:
@@ -217,13 +181,9 @@ class TraceV3Reader
     /** open() minus the cleanup: on failure the file may still be open. */
     [[nodiscard]] Status openAndValidate(const std::string &path);
     [[nodiscard]] Status nextPayload(Payload *out, Block *outcome);
-    [[nodiscard]] Status readFrame(std::size_t size, bool *at_end);
-    [[nodiscard]] Status take(unsigned char *out, std::size_t size);
-    [[nodiscard]] Status resync();
-    [[nodiscard]] Status handleCorrupt(const Status &why,
-                                       std::uint64_t declared_count);
+    [[nodiscard]] Status readTrailer(Block *outcome);
+    [[nodiscard]] Status readFrame(std::size_t size);
 
-    Options opts;
     std::string filePath;
     bool opened = false;
     bool done = false;
@@ -231,14 +191,12 @@ class TraceV3Reader
     io::File file;
     std::uint64_t fileBytes = 0;  ///< The file's size at open().
     std::uint64_t fileOffset = 0; ///< Bytes taken from the file so far.
-    std::vector<unsigned char> frame;    ///< The current frame's bytes.
-    std::vector<unsigned char> pendback; ///< Bytes resync() un-read.
-    const unsigned char *frameData = nullptr;
+    std::vector<unsigned char> frame; ///< The current frame's bytes.
 
     std::uint32_t blockRecords = 0;
-    std::uint64_t declaredRecords = 0;
     std::uint64_t hint = 0;
-    BlockSalvageReport report;
+    std::uint64_t blocksDelivered = 0;  ///< Checked against the trailer.
+    std::uint64_t recordsDelivered = 0; ///< Checked against the trailer.
 };
 
 /**
@@ -253,17 +211,11 @@ class TraceV3Reader
                                       defaultRecordsPerBlock);
 
 /**
- * Read a whole v3 file into @p out.
- *
- * @param salvage When true, damaged blocks are quarantined and skipped
- *        (the per-file tally lands in @p reportOut when non-null and in
- *        the global registry); when false the first damaged block fails
- *        the file with kCorrupt.
+ * Read a whole v3 file into @p out. The first damaged block fails the
+ * read with kCorrupt; @p out then holds the blocks before it.
  */
 [[nodiscard]] Status readTraceV3(const std::string &path,
-                                 std::vector<TraceRecord> *out,
-                                 bool salvage = false,
-                                 BlockSalvageReport *report_out = nullptr);
+                                 std::vector<TraceRecord> *out);
 
 } // namespace vpsim
 

@@ -546,6 +546,14 @@ TEST(FaultInjector, BadSpecDies)
                 ::testing::ExitedWithCode(1), "unknown fault-inject op");
     EXPECT_EXIT(io::configureFaultInjection("open:1:mmap-fail"),
                 ::testing::ExitedWithCode(1), "unknown fault kind");
+    EXPECT_EXIT(io::configureFaultInjection("capture:1:sigint"),
+                ::testing::ExitedWithCode(1), "unknown fault-inject op");
+    EXPECT_EXIT(io::configureFaultInjection("block:1:eio"),
+                ::testing::ExitedWithCode(1), "unknown fault-inject op");
+    EXPECT_EXIT(io::configureFaultInjection("read:1:block-crc"),
+                ::testing::ExitedWithCode(1), "unknown fault kind");
+    EXPECT_EXIT(io::configureFaultInjection("write:1:enospc-capture"),
+                ::testing::ExitedWithCode(1), "unknown fault kind");
 }
 
 TEST(IoFile, InjectedWriteFailureCarriesErrnoDetail)

@@ -621,6 +621,61 @@ TEST(PipelineTiming, YoungerIndependentIssuesBeforeOlderDependent)
     EXPECT_EQ(runReferencePipelineMachine(trace, config).cycles, 11u);
 }
 
+TEST(PipelineTiming, TwoWrongOperandsReissueAgainstTheIssueCycle)
+{
+    // The pipeline's reissue rule (docs/MODELS.md section 2), the
+    // counterpart of IdealMachine.TwoWrongOperandsReissueInAscending-
+    // ReadyOrder on the same trace: a consumer issued on two wrong
+    // predictions executes at the latest of (r <= issue ? r : r +
+    // penalty) over its wrong operands' real-value ready cycles r, each
+    // charged against the issue cycle. Hand-derived at W = 40, width 40,
+    // frontend 2, penalty 2, unlimited taken branches: all 19 records
+    // dispatch in cycle 1, so nothing issues before cycle 3.
+    std::vector<TraceRecord> trace;
+    SeqNum seq = 0;
+    const auto push = [&trace, &seq](std::uint64_t pc, RegIndex rd,
+                                     RegIndex rs1, RegIndex rs2,
+                                     Value result) {
+        TraceRecord record = rec(seq++, rd, rs1, result);
+        record.pc = pc;
+        record.nextPc = pc + instBytes;
+        record.rs2 = rs2;
+        trace.push_back(record);
+    };
+    // Training: producers A (r1) and B (r2) on strides 10 and 100, all
+    // executing in cycle 3; the stride classifier becomes confident in
+    // both.
+    for (Value k = 1; k <= 6; ++k) {
+        push(0xa000, 1, 0, invalidReg, 10 * k);
+        push(0xb000, 2, 0, invalidReg, 100 * k);
+    }
+    // A chain on r3 through fresh pcs (never predicted): exec 3, 4, 5.
+    push(0xc000, 3, 0, invalidReg, 1);
+    push(0xc004, 3, 3, invalidReg, 2);
+    push(0xc008, 3, 3, invalidReg, 3);
+    // A off its stride: exec 6, real value ready lo = 7.
+    push(0xa000, 1, 3, invalidReg, 12345);
+    push(0xc00c, 3, 3, invalidReg, 4); // exec 6
+    // B off its stride: exec 7, real value ready hi = 8.
+    push(0xb000, 2, 3, invalidReg, 54321);
+    // The consumer issues at 3 on both predictions. lo = 7 and hi = 8
+    // both arrive after issue: exec max(7 + 2, 8 + 2) = hi + 2 = 10,
+    // commit 11, the last. The ideal machine's ascending-order rule
+    // (lo + 2 = 9 covers hi = 8) would give exec 9 and 10 cycles.
+    push(0xd000, 4, 1, 2, 0);
+
+    PipelineConfig config;
+    config.maxTakenBranches = 0;
+    config.vpPenalty = 2;
+    config.useValuePrediction = true;
+    for (const PipelineMachineFn machine :
+         {&runPipelineMachine, &runReferencePipelineMachine}) {
+        const PipelineResult result = machine(trace, config);
+        EXPECT_EQ(result.vpPredictionsWrong, 2u);
+        EXPECT_EQ(result.cycles, 11u);
+    }
+}
+
 TEST(PipelineTiming, LateWrongPathBubblesGiveTheirIssueSlotsBack)
 {
     // An 8-link chain feeds a taken bne that a cold BTB mispredicts;

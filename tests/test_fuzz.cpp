@@ -362,12 +362,14 @@ walkV3Blocks(const std::vector<unsigned char> &bytes)
 
 TEST_P(FuzzSweep, V3SalvageRecoversExactlyTheIntactBlocks)
 {
-    // The containment contract of the v3 format (docs/TRACE_FORMAT.md):
+    // The corruption contract of the v3 format (docs/TRACE_FORMAT.md):
     // whatever single-block damage is on disk — a flipped bit at the
     // block boundary, a flip mid-payload, truncation mid-block, or
-    // trailing garbage — a strict read must refuse the file, and a
-    // salvage read must never abort, recovering exactly the records of
-    // every intact block with the loss tallied in the salvage report.
+    // trailing garbage — a whole read fails kCorrupt holding exactly the
+    // records of the intact blocks before the damage, and a stream
+    // delivers exactly those records, then ends with a sticky kCorrupt.
+    // (Named for the retired salvage mode, which skipped the damaged
+    // block; the strict reads it also checked are what remains.)
     const auto trace = fuzzTrace(GetParam());
     ASSERT_FALSE(trace.empty());
     // Size blocks so every trace yields a handful of boundaries to
@@ -404,33 +406,42 @@ TEST_P(FuzzSweep, V3SalvageRecoversExactlyTheIntactBlocks)
         std::fclose(file);
     };
 
-    // The recovered stream must be the original with exactly block b's
-    // record range cut out (records carry seq == index).
-    const auto expectWithoutBlock =
-        [&](std::size_t b, const std::vector<TraceRecord> &got) {
-            std::size_t first = 0;
-            for (std::size_t i = 0; i < b; ++i)
-                first += blocks[i].count;
-            ASSERT_EQ(got.size(), trace.size() - blocks[b].count);
-            for (std::size_t i = 0; i < got.size(); ++i) {
-                const std::size_t src =
-                    i < first ? i : i + blocks[b].count;
-                ASSERT_EQ(got[i].seq, trace[src].seq)
-                    << "record " << i << " after losing block " << b;
-                ASSERT_EQ(got[i].pc, trace[src].pc);
-                ASSERT_EQ(got[i].result, trace[src].result);
-            }
-        };
+    // A whole read and a stream of the file on disk must both end in
+    // kCorrupt after exactly the records of blocks [0, intact)
+    // (records carry seq == index).
+    const auto expectIntactPrefix = [&](std::size_t intact,
+                                        const std::string &what) {
+        SCOPED_TRACE(what);
+        std::size_t records = 0;
+        for (std::size_t i = 0; i < intact; ++i)
+            records += blocks[i].count;
+        std::vector<TraceRecord> out;
+        const Status read = readTraceV3(path, &out);
+        EXPECT_EQ(read.code(), StatusCode::kCorrupt) << read.message();
+        ASSERT_EQ(out.size(), records);
+        for (std::size_t i = 0; i < records; ++i) {
+            ASSERT_EQ(out[i].seq, trace[i].seq) << "record " << i;
+            ASSERT_EQ(out[i].pc, trace[i].pc);
+            ASSERT_EQ(out[i].result, trace[i].result);
+        }
 
+        StreamingTraceSource source;
+        ASSERT_TRUE(source.open(path).isOk());
+        std::size_t streamed = 0;
+        TraceSpan span;
+        while (source.nextBlock(span)) {
+            for (const TraceRecord &r : span)
+                ASSERT_EQ(r.seq, trace[streamed++].seq);
+        }
+        EXPECT_EQ(streamed, records);
+        EXPECT_EQ(source.status().code(), StatusCode::kCorrupt);
+        EXPECT_EQ(source.status().message(), read.message());
+    };
+
+    // Pristine file: everything reads back.
     std::vector<TraceRecord> out;
-    BlockSalvageReport report;
-
-    // Pristine file: both modes read everything, salvage stays clean.
-    ASSERT_TRUE(readTraceV3(path, &out, false).isOk());
+    ASSERT_TRUE(readTraceV3(path, &out).isOk());
     ASSERT_EQ(out.size(), trace.size());
-    ASSERT_TRUE(readTraceV3(path, &out, true, &report).isOk());
-    ASSERT_EQ(out.size(), trace.size());
-    EXPECT_TRUE(report.clean());
 
     // A flipped bit at every block boundary (the frame magic) and one
     // mid-payload per block.
@@ -443,51 +454,26 @@ TEST_P(FuzzSweep, V3SalvageRecoversExactlyTheIntactBlocks)
             auto mutated = pristine;
             mutated[at] ^= 0xffu;
             rewrite(mutated);
-            EXPECT_FALSE(readTraceV3(path, &out, false).isOk())
-                << "strict read must refuse the flip at byte " << at;
-            const Status salvaged = readTraceV3(path, &out, true,
-                                                &report);
-            ASSERT_TRUE(salvaged.isOk())
-                << "salvage must never abort (flip at byte " << at
-                << "): " << salvaged.message();
-            expectWithoutBlock(b, out);
-            EXPECT_GE(report.blocksQuarantined, 1u);
-            EXPECT_EQ(report.recordsLost, blocks[b].count)
-                << "trailer-exact loss accounting for block " << b;
+            expectIntactPrefix(b, "flip at byte " + std::to_string(at));
         }
     }
 
-    // Truncation mid-block: the cut block is quarantined, everything
-    // before it survives, and salvage tolerates the missing trailer.
+    // Truncation mid-block: everything before the cut block survives.
     {
         const V3BlockInfo &last = blocks.back();
         const std::size_t cut =
             last.offset + v3BlockFrameBytes + last.payloadBytes / 2;
         rewrite({pristine.begin(),
                  pristine.begin() + static_cast<std::ptrdiff_t>(cut)});
-        EXPECT_FALSE(readTraceV3(path, &out, false).isOk())
-            << "strict read must refuse mid-block truncation";
-        const Status salvaged = readTraceV3(path, &out, true, &report);
-        ASSERT_TRUE(salvaged.isOk())
-            << "salvage must survive truncation: " << salvaged.message();
-        expectWithoutBlock(blocks.size() - 1, out);
-        EXPECT_GE(report.blocksQuarantined, 1u);
-        EXPECT_EQ(report.recordsLost, last.count);
+        expectIntactPrefix(blocks.size() - 1, "mid-block truncation");
     }
 
-    // Trailing garbage after a valid trailer: strict refuses, salvage
-    // delivers the complete trace with nothing quarantined.
+    // Trailing garbage after a valid trailer: every block was intact.
     {
         auto mutated = pristine;
         mutated.insert(mutated.end(), 64, 0xa5u);
         rewrite(mutated);
-        EXPECT_FALSE(readTraceV3(path, &out, false).isOk())
-            << "strict read must refuse trailing garbage";
-        const Status salvaged = readTraceV3(path, &out, true, &report);
-        ASSERT_TRUE(salvaged.isOk()) << salvaged.message();
-        ASSERT_EQ(out.size(), trace.size());
-        EXPECT_TRUE(report.clean())
-            << "garbage beyond the trailer costs nothing";
+        expectIntactPrefix(blocks.size(), "trailing garbage");
     }
 
     std::remove(path.c_str());
@@ -498,7 +484,7 @@ TEST_P(FuzzSweep, CorruptTraceFilesNeverCrashTheReader)
     // Whatever bytes are on disk, the strict reader must answer — ok
     // for the pristine file, non-ok for every mutation — and never
     // crash, hang, or over-allocate (every on-disk count is untrusted).
-    // Unlike the salvage fuzzer above, damage may land anywhere,
+    // Unlike the block fuzzer above, damage may land anywhere,
     // header and trailer included.
     const auto trace = fuzzTrace(GetParam());
     const std::string path = "/tmp/vpsim_fuzz_corrupt_" +
@@ -575,9 +561,9 @@ TEST_P(FuzzSweep, ResealedPayloadDamageNeverCrashesTheDecoder)
     // Payload damage under a recomputed frame CRC reaches the record
     // decoder itself, in its per-record-checked bulk and its per-byte
     // checked tail alike. Any answer is fine except a crash or an
-    // out-of-bounds read (run under the sanitizers): a strict read
-    // either decodes every record or fails kCorrupt, and salvage and
-    // streaming reads never fail.
+    // out-of-bounds read (run under the sanitizers): a whole read
+    // either decodes every record or fails kCorrupt, and a stream
+    // delivers the same records and ends with the same Status.
     const auto trace = fuzzTrace(GetParam());
     const std::string path = "/tmp/vpsim_fuzz_resealed_" +
                              std::to_string(GetParam()) + ".vptrace";
@@ -627,16 +613,15 @@ TEST_P(FuzzSweep, ResealedPayloadDamageNeverCrashesTheDecoder)
         else
             EXPECT_EQ(strict.code(), StatusCode::kCorrupt)
                 << strict.message();
-        EXPECT_TRUE(readTraceV3(path, &out, /*salvage=*/true).isOk());
-        EXPECT_LE(out.size(), trace.size());
 
         StreamingTraceSource source;
-        ASSERT_TRUE(source.open(path, /*salvage=*/true).isOk());
+        ASSERT_TRUE(source.open(path).isOk());
         std::size_t streamed = 0;
         TraceSpan span;
         while (source.nextBlock(span))
             streamed += span.size();
-        EXPECT_TRUE(source.status().isOk()) << source.status().message();
+        EXPECT_EQ(source.status().code(), strict.code());
+        EXPECT_EQ(source.status().message(), strict.message());
         EXPECT_EQ(streamed, out.size());
     }
     std::remove(path.c_str());

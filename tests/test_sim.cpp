@@ -28,6 +28,7 @@
 #include "common/crc32.hpp"
 #include "common/fnv1a.hpp"
 #include "common/io.hpp"
+#include "common/logging.hpp"
 #include "core/ideal_machine.hpp"
 #include "sim/sim_runner.hpp"
 
@@ -96,6 +97,32 @@ TEST(Harness, SkipDropsWarmup)
     // seqs are renumbered densely.
     EXPECT_EQ(warm.trace(0)[0].seq, 0u);
     EXPECT_EQ(warm.trace(0)[2999].seq, 2999u);
+}
+
+TEST(Harness, MemBudgetWarnsOnceWithRemediesABenchAccepts)
+{
+    // Any process is over a 1 MB budget, so the first capture warns;
+    // the second must not. The remedies named are options a figure
+    // bench takes: it has no streaming trace path to point at.
+    std::vector<std::string> lines;
+    LogSink previous = setLogSink([&lines](std::string_view line) {
+        lines.emplace_back(line);
+    });
+    const auto bench = capture(parsedOptions(
+        {"--insts", "2000", "--benchmarks", "go,compress", "--jobs", "1",
+         "--mem-budget", "1"}));
+    setLogSink(std::move(previous));
+    ASSERT_EQ(bench.size(), 2u);
+
+    ASSERT_EQ(lines.size(), 1u);
+    const std::string &line = lines.front();
+    EXPECT_NE(line.find("exceeds --mem-budget 1 MB after capturing 'go'"),
+              std::string::npos)
+        << line;
+    EXPECT_NE(line.find("--benchmarks"), std::string::npos) << line;
+    EXPECT_NE(line.find("--insts"), std::string::npos) << line;
+    EXPECT_EQ(line.find("stream"), std::string::npos) << line;
+    EXPECT_EQ(line.find("v3"), std::string::npos) << line;
 }
 
 TEST(Harness, ScaleAndSeedReachTheWorkloads)

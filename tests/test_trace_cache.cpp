@@ -397,14 +397,19 @@ TEST_F(TraceCacheTest, LoadRetriesATransientReadErrorMidEntry)
 
 TEST_F(TraceCacheTest, StoreStreamingRetriesAnEnospcMidCapture)
 {
+    // Three appends of one whole block each per attempt. Each block is
+    // three writes (frame header, payload, CRC footer) after the
+    // header's one, so write 5 is the second append's frame header.
+    constexpr std::size_t block = defaultRecordsPerBlock;
     const TraceCacheStore cache(dir.string());
-    const TraceCacheKey key = keyFor("go", 900);
-    const auto trace = captureWorkloadTrace("go", 900);
+    const TraceCacheKey key = keyFor("go", 3 * block);
+    const auto trace = captureWorkloadTrace("go", 3 * block);
     const std::span<const TraceRecord> all(trace);
-    // Three appends per attempt; the second of the first attempt fails.
-    const auto produce = [&all](const auto &append) {
-        for (std::size_t at = 0; at < all.size(); at += 300) {
-            const auto chunk = all.subspan(at, 300);
+    std::size_t appends = 0;
+    const auto produce = [&all, &appends](const auto &append) {
+        for (std::size_t at = 0; at < all.size(); at += block) {
+            const auto chunk = all.subspan(at, block);
+            ++appends;
             const Status added = append(
                 std::vector<TraceRecord>(chunk.begin(), chunk.end()));
             if (!added.isOk())
@@ -414,9 +419,12 @@ TEST_F(TraceCacheTest, StoreStreamingRetriesAnEnospcMidCapture)
     };
     {
         InjectorGuard guard;
-        io::configureFaultInjection("capture:2:enospc-capture");
+        io::configureFaultInjection("write:5:enospc");
         ASSERT_TRUE(cache.storeStreaming(key, produce).isOk());
     }
+    EXPECT_EQ(appends, 2u + 3u)
+        << "the first attempt stops at its second append, the retry "
+           "replays all three";
     EXPECT_EQ(countNamed(".tmp."), 0u);
 
     std::vector<TraceRecord> out;
@@ -432,10 +440,12 @@ TEST_F(TraceCacheTest, StoreStreamingThatKeepsHittingEnospcPublishesNothing)
     const TraceCacheKey key = keyFor("go", 300);
     const auto trace = captureWorkloadTrace("go", 300);
     {
+        // The one block of 300 records is flushed by finish(): each
+        // attempt writes the header, then fails on the block's frame
+        // header, its second write.
         InjectorGuard guard;
-        io::configureFaultInjection("capture:1:enospc-capture,"
-                                    "capture:2:enospc-capture,"
-                                    "capture:3:enospc-capture");
+        io::configureFaultInjection("write:2:enospc,write:4:enospc,"
+                                    "write:6:enospc");
         const Status stored = storeAll(cache, key, trace);
         EXPECT_EQ(stored.code(), StatusCode::kIo) << stored.message();
     }
@@ -447,13 +457,14 @@ TEST_F(TraceCacheTest, StoreStreamingThatKeepsHittingEnospcPublishesNothing)
 TEST_F(TraceCacheTest, CaptureKilledMidAppendLeavesNoEntry)
 {
     const TraceCacheStore cache(dir.string());
-    const TraceCacheKey key = keyFor("go", 900);
-    const auto trace = captureWorkloadTrace("go", 900);
-    // SIGINT at its default disposition ends the process on the second
-    // append, with the header and the first chunk written.
+    const TraceCacheKey key = keyFor("go", defaultRecordsPerBlock);
+    const auto trace = captureWorkloadTrace("go", defaultRecordsPerBlock);
+    // Each append writes one whole block (writes 2-4, then 5-7). SIGINT
+    // at its default disposition ends the process on the second append,
+    // with the header and the first block written.
     EXPECT_EXIT(
         {
-            io::configureFaultInjection("capture:2:sigint");
+            io::configureFaultInjection("write:5:sigint");
             (void)cache.storeStreaming(key, [&trace](const auto &append) {
                 const Status first = append(trace);
                 return first.isOk() ? append(trace) : first;

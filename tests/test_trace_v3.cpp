@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the v3 block-framed trace format: the whole-file read and
- * write status contract, block framing and salvage containment, and
- * the bounded-memory streaming source.
+ * write status contract, block framing and the strict corruption
+ * contract, and the bounded-memory streaming source.
  */
 
 #include <cstdio>
@@ -234,7 +234,7 @@ TEST(TraceIo, ChecksumCatchesFlippedPayloadByte)
 TEST(TraceIo, MissingFooterIsCorrupt)
 {
     // Every block intact, trailer gone: an interrupted capture. Strict
-    // reads refuse it; salvage keeps every record.
+    // reads refuse it.
     const auto original = captureWorkloadTrace("go", 100);
     const std::string path = tempPath("vpsim_nofooter.vptrace");
     ASSERT_TRUE(writeTraceV3(path, original).isOk());
@@ -248,8 +248,6 @@ TEST(TraceIo, MissingFooterIsCorrupt)
     EXPECT_EQ(read.code(), StatusCode::kCorrupt);
     EXPECT_NE(read.message().find("trailer"), std::string::npos)
         << read.message();
-    ASSERT_TRUE(readTraceV3(path, &out, /*salvage=*/true).isOk());
-    expectSameRecords(out, original);
     std::remove(path.c_str());
 }
 
@@ -405,7 +403,7 @@ TEST(TraceV3, RejectsBadMagicVersionAndHeaderRot)
     std::remove(path.c_str());
 }
 
-TEST(TraceV3, FlippedBlockFailsStrictAndIsQuarantinedBySalvage)
+TEST(TraceV3, FlippedBlockFailsStrictNamingTheBlock)
 {
     const auto original = captureWorkloadTrace("compress", 4000);
     const std::string path = tempPath("vpsim_v3_flip.vptrace");
@@ -413,9 +411,7 @@ TEST(TraceV3, FlippedBlockFailsStrictAndIsQuarantinedBySalvage)
 
     std::vector<unsigned char> bytes = slurp(path);
     std::uint64_t records_before = 0;
-    std::uint32_t block_count = 0;
-    const std::size_t offset =
-        blockOffset(bytes, 2, &records_before, &block_count);
+    const std::size_t offset = blockOffset(bytes, 2, &records_before);
     bytes[offset + v3BlockFrameBytes + 7] ^= 0x01; // payload bit rot
     spit(path, bytes);
 
@@ -423,30 +419,19 @@ TEST(TraceV3, FlippedBlockFailsStrictAndIsQuarantinedBySalvage)
     const Status strict = readTraceV3(path, &out);
     ASSERT_FALSE(strict.isOk());
     EXPECT_EQ(strict.code(), StatusCode::kCorrupt);
-    EXPECT_NE(strict.message().find("block"), std::string::npos)
+    EXPECT_NE(strict.message().find("checksum mismatch at block 2"),
+              std::string::npos)
         << strict.message();
-
-    BlockSalvageReport report;
-    ASSERT_TRUE(readTraceV3(path, &out, /*salvage=*/true, &report)
-                    .isOk());
-    EXPECT_EQ(report.blocksQuarantined, 1u);
-    EXPECT_EQ(report.recordsLost, block_count);
-    ASSERT_EQ(out.size(), original.size() - block_count);
-
-    // Salvage loses exactly the quarantined block: everything before
-    // it and everything after it survives bit-for-bit.
-    std::vector<TraceRecord> expected(
-        original.begin(),
-        original.begin() + static_cast<std::ptrdiff_t>(records_before));
-    expected.insert(expected.end(),
-                    original.begin() + static_cast<std::ptrdiff_t>(
-                                           records_before + block_count),
-                    original.end());
-    expectSameRecords(out, expected);
+    // The read stops at the damage: the blocks before it, nothing else.
+    expectSameRecords(
+        out, std::vector<TraceRecord>(
+                 original.begin(),
+                 original.begin() +
+                     static_cast<std::ptrdiff_t>(records_before)));
     std::remove(path.c_str());
 }
 
-TEST(TraceV3, TruncationMidBlockSalvagesThePrefix)
+TEST(TraceV3, TruncationMidBlockFailsStrict)
 {
     const auto original = captureWorkloadTrace("go", 4000);
     const std::string path = tempPath("vpsim_v3_trunc.vptrace");
@@ -462,12 +447,8 @@ TEST(TraceV3, TruncationMidBlockSalvagesThePrefix)
     const Status strict = readTraceV3(path, &out);
     ASSERT_FALSE(strict.isOk());
     EXPECT_EQ(strict.code(), StatusCode::kCorrupt);
-
-    BlockSalvageReport report;
-    ASSERT_TRUE(readTraceV3(path, &out, /*salvage=*/true, &report)
-                    .isOk());
-    EXPECT_GE(report.blocksQuarantined, 1u);
-    ASSERT_EQ(out.size(), records_before);
+    EXPECT_EQ(strict.message(), "trace block 3: unexpected end of file in " +
+                                    path + " (truncated?)");
     expectSameRecords(
         out, std::vector<TraceRecord>(
                  original.begin(),
@@ -476,7 +457,7 @@ TEST(TraceV3, TruncationMidBlockSalvagesThePrefix)
     std::remove(path.c_str());
 }
 
-TEST(TraceV3, TrailingGarbageFailsStrictButNotSalvage)
+TEST(TraceV3, TrailingGarbageFailsStrict)
 {
     const auto original = captureWorkloadTrace("go", 1000);
     const std::string path = tempPath("vpsim_v3_trailing.vptrace");
@@ -489,51 +470,33 @@ TEST(TraceV3, TrailingGarbageFailsStrictButNotSalvage)
     std::vector<TraceRecord> out;
     const Status strict = readTraceV3(path, &out);
     ASSERT_FALSE(strict.isOk());
+    EXPECT_EQ(strict.code(), StatusCode::kCorrupt);
     EXPECT_NE(strict.message().find("trailing bytes"),
               std::string::npos)
         << strict.message();
-
-    ASSERT_TRUE(readTraceV3(path, &out, /*salvage=*/true).isOk());
-    expectSameRecords(out, original);
-    std::remove(path.c_str());
-}
-
-TEST(TraceV3, InjectedBlockCrcFaultQuarantinesExactlyThatBlock)
-{
-    InjectorGuard guard;
-    const auto original = captureWorkloadTrace("compress", 3000);
-    const std::string path = tempPath("vpsim_v3_blockfault.vptrace");
-    ASSERT_TRUE(writeTraceV3(path, original, 512).isOk());
-
-    io::configureFaultInjection("block:2:block-crc");
-    std::vector<TraceRecord> out;
-    const Status strict = readTraceV3(path, &out);
-    ASSERT_FALSE(strict.isOk());
-    EXPECT_EQ(strict.code(), StatusCode::kCorrupt);
-    EXPECT_NE(strict.message().find("(injected)"), std::string::npos)
-        << strict.message();
-
-    io::configureFaultInjection("block:2:block-crc");
-    BlockSalvageReport report;
-    ASSERT_TRUE(readTraceV3(path, &out, /*salvage=*/true, &report)
-                    .isOk());
-    EXPECT_EQ(report.blocksQuarantined, 1u);
-    EXPECT_EQ(out.size(), original.size() - 512);
     std::remove(path.c_str());
 }
 
 TEST(TraceV3, InjectedCaptureEnospcFailsTheAppend)
 {
+    // Writes go out per block of 64 records, three each (frame header,
+    // payload, CRC footer) after the header's one. The first append
+    // writes block 0 (writes 2-4); the second completes block 1, whose
+    // frame header is write 5.
     InjectorGuard guard;
-    io::configureFaultInjection("capture:2:enospc-capture");
+    io::configureFaultInjection("write:5:enospc");
     const auto original = captureWorkloadTrace("go", 100);
     const std::string path = tempPath("vpsim_v3_capfault.vptrace");
     TraceV3Writer writer;
-    ASSERT_TRUE(writer.open(path).isOk());
+    ASSERT_TRUE(writer.open(path, 64).isOk());
     ASSERT_TRUE(writer.append(TraceSpan(original)).isOk());
     const Status second = writer.append(TraceSpan(original));
     ASSERT_FALSE(second.isOk());
     EXPECT_EQ(second.code(), StatusCode::kIo);
+    EXPECT_NE(second.message().find("trace block frame: write error on " +
+                                    path),
+              std::string::npos)
+        << second.message();
     EXPECT_NE(second.message().find("No space left on device"),
               std::string::npos)
         << second.message();
@@ -651,7 +614,7 @@ TEST(TraceV3Load, IntactFileReservesItsDestinationOnce)
     ASSERT_TRUE(writeTraceV3(path, original, 1024).isOk());
 
     TraceV3Reader reader;
-    ASSERT_TRUE(reader.open(path, TraceV3Reader::Options()).isOk());
+    ASSERT_TRUE(reader.open(path).isOk());
     EXPECT_EQ(reader.recordsHint(), original.size())
         << "the hint is the trailer's count";
     reader.close();
@@ -677,7 +640,7 @@ TEST(TraceV3Load, LyingTrailerCountIsCappedAndStillRejected)
     const std::size_t cap = bytes.size() / 9;
 
     TraceV3Reader reader;
-    ASSERT_TRUE(reader.open(path, TraceV3Reader::Options()).isOk());
+    ASSERT_TRUE(reader.open(path).isOk());
     EXPECT_EQ(reader.recordsHint(), cap);
     reader.close();
 
@@ -689,11 +652,6 @@ TEST(TraceV3Load, LyingTrailerCountIsCappedAndStillRejected)
               std::string::npos)
         << strict.message();
     EXPECT_LE(out.capacity(), cap);
-
-    std::vector<TraceRecord> salvaged;
-    ASSERT_TRUE(readTraceV3(path, &salvaged, /*salvage=*/true).isOk());
-    expectSameRecords(salvaged, original);
-    EXPECT_LE(salvaged.capacity(), cap);
     std::remove(path.c_str());
 }
 
@@ -741,9 +699,9 @@ TEST(TraceV3Load, FailedOpenLeavesTheReaderReusable)
         TraceV3Reader reader;
         if (trailer_eio)
             io::configureFaultInjection("read:2:eio");
-        ASSERT_FALSE(reader.open(bad, {}).isOk());
+        ASSERT_FALSE(reader.open(bad).isOk());
         EXPECT_FALSE(reader.isOpen());
-        ASSERT_TRUE(reader.open(good, {}).isOk());
+        ASSERT_TRUE(reader.open(good).isOk());
         std::vector<TraceRecord> records;
         std::size_t delivered = 0;
         TraceV3Reader::Block outcome = TraceV3Reader::Block::kDelivered;
@@ -774,47 +732,49 @@ TEST(TraceV3Load, FailedOpenLeavesTheReaderReusable)
     std::remove(junk.c_str());
 }
 
-TEST(TraceV3Load, SalvageEndsOnTruncatedFramesAndRescansPastALongLength)
+TEST(TraceV3Load, TruncatedFrameAndOverlongPayloadLengthFailStrict)
 {
     const auto original = captureWorkloadTrace("go", 3072);
-    const std::string path = tempPath("vpsim_v3_salvage_tail.vptrace");
+    const std::string path = tempPath("vpsim_v3_truncated_frames.vptrace");
     ASSERT_TRUE(writeTraceV3(path, original, 512).isOk());
     const std::vector<unsigned char> clean = slurp(path);
 
     // A file cut 7 bytes into its first frame, right after the block
-    // magic: the load ends, skipping those 7 bytes.
+    // magic.
     spit(path, std::vector<unsigned char>(clean.begin(),
                                           clean.begin() + v3HeaderBytes + 7));
     std::vector<TraceRecord> out;
-    BlockSalvageReport report;
-    ASSERT_TRUE(readTraceV3(path, &out, /*salvage=*/true, &report).isOk());
+    Status read = readTraceV3(path, &out);
+    EXPECT_EQ(read.code(), StatusCode::kCorrupt);
+    EXPECT_EQ(read.message(), "trace block 0: unexpected end of file in " +
+                                  path + " (truncated?)");
     EXPECT_TRUE(out.empty());
-    EXPECT_EQ(report.blocksQuarantined, 1u);
-    EXPECT_EQ(report.bytesSkipped, 7u);
 
-    // Block 3's payload length now runs past the end of the file: the
-    // rescan finds blocks 4 and 5 inside what it claimed.
+    // Block 3's payload length now runs past the end of the file, over
+    // the intact blocks 4 and 5: the read ends there, whole or streamed.
     std::vector<unsigned char> bytes = clean;
     const std::size_t frame = blockOffset(bytes, 3);
     ASSERT_GT(frame + 27000, bytes.size());
     putLe(bytes, frame + 8, 27000, 4);
     spit(path, bytes);
-    std::vector<TraceRecord> salvaged(original.begin(),
-                                      original.begin() + 3 * 512);
-    salvaged.insert(salvaged.end(), original.begin() + 4 * 512,
-                    original.end());
-    ASSERT_TRUE(readTraceV3(path, &out, /*salvage=*/true, &report).isOk());
-    expectSameRecords(out, salvaged);
-    EXPECT_EQ(report.recordsLost, 512u);
+    const std::vector<TraceRecord> before(original.begin(),
+                                          original.begin() + 3 * 512);
+    const std::string named = "trace block 3: unexpected end of file in " +
+                              path + " (truncated?)";
+    read = readTraceV3(path, &out);
+    EXPECT_EQ(read.code(), StatusCode::kCorrupt);
+    EXPECT_EQ(read.message(), named);
+    expectSameRecords(out, before);
 
     StreamingTraceSource source;
-    ASSERT_TRUE(source.open(path, /*salvage=*/true).isOk());
+    ASSERT_TRUE(source.open(path).isOk());
     std::vector<TraceRecord> streamed;
     TraceSpan span;
     while (source.nextBlock(span))
         streamed.insert(streamed.end(), span.begin(), span.end());
-    EXPECT_TRUE(source.status().isOk());
-    expectSameRecords(streamed, salvaged);
+    EXPECT_EQ(source.status().code(), StatusCode::kCorrupt);
+    EXPECT_EQ(source.status().message(), named);
+    expectSameRecords(streamed, before);
     std::remove(path.c_str());
 }
 
@@ -897,22 +857,15 @@ TEST(TraceV3Load, ElevenByteVarintInTheBulkIsCorrupt)
     EXPECT_NE(strict.message().find("corrupt record encoding in block 0"),
               std::string::npos)
         << strict.message();
-
-    BlockSalvageReport report;
-    ASSERT_TRUE(readTraceV3(path, &out, /*salvage=*/true, &report)
-                    .isOk());
-    EXPECT_EQ(report.blocksQuarantined, 1u);
-    expectSameRecords(
-        out, std::vector<TraceRecord>(original.begin() + 64,
-                                      original.end()));
+    EXPECT_TRUE(out.empty());
     std::remove(path.c_str());
 }
 
 /**
  * @p path holds @p original with block @p bad (of @p per_block records)
  * damaged under a valid CRC. Every reader must reject exactly that
- * block: strict mode fails naming it, salvage mode quarantines it and
- * delivers everything else, and no record of it is ever delivered.
+ * block: a whole read and a stream both fail naming it, after
+ * delivering every record before it and none of it.
  */
 void
 expectOnlyTheDecoderRejectsBlock(const std::string &path,
@@ -921,12 +874,9 @@ expectOnlyTheDecoderRejectsBlock(const std::string &path,
 {
     const std::string named =
         "corrupt record encoding in block " + std::to_string(bad);
-    const auto first_bad =
-        original.begin() + static_cast<std::ptrdiff_t>(bad * per_block);
-    const auto after_bad = first_bad + static_cast<std::ptrdiff_t>(per_block);
-    const std::vector<TraceRecord> before(original.begin(), first_bad);
-    std::vector<TraceRecord> salvaged = before;
-    salvaged.insert(salvaged.end(), after_bad, original.end());
+    const std::vector<TraceRecord> before(
+        original.begin(),
+        original.begin() + static_cast<std::ptrdiff_t>(bad * per_block));
 
     std::vector<TraceRecord> out;
     const Status strict = readTraceV3(path, &out);
@@ -934,35 +884,18 @@ expectOnlyTheDecoderRejectsBlock(const std::string &path,
     EXPECT_EQ(strict.code(), StatusCode::kCorrupt);
     EXPECT_NE(strict.message().find(named), std::string::npos)
         << strict.message();
+    expectSameRecords(out, before);
 
-    BlockSalvageReport report;
-    const Status salvage =
-        readTraceV3(path, &out, /*salvage=*/true, &report);
-    ASSERT_TRUE(salvage.isOk()) << salvage.message();
-    EXPECT_EQ(report.blocksQuarantined, 1u);
-    EXPECT_EQ(report.recordsLost, per_block);
-    expectSameRecords(out, salvaged);
-
-    for (const bool salvage : {false, true}) {
-        SCOPED_TRACE(salvage ? "streamed salvage" : "streamed strict");
-        StreamingTraceSource source;
-        ASSERT_TRUE(source.open(path, salvage).isOk());
-        std::vector<TraceRecord> streamed;
-        TraceSpan span;
-        while (source.nextBlock(span))
-            streamed.insert(streamed.end(), span.begin(), span.end());
-        if (salvage) {
-            EXPECT_TRUE(source.status().isOk());
-            EXPECT_EQ(source.salvageReport().blocksQuarantined, 1u);
-            expectSameRecords(streamed, salvaged);
-        } else {
-            EXPECT_EQ(source.status().code(), StatusCode::kCorrupt);
-            EXPECT_NE(source.status().message().find(named),
-                      std::string::npos)
-                << source.status().message();
-            expectSameRecords(streamed, before);
-        }
-    }
+    StreamingTraceSource source;
+    ASSERT_TRUE(source.open(path).isOk());
+    std::vector<TraceRecord> streamed;
+    TraceSpan span;
+    while (source.nextBlock(span))
+        streamed.insert(streamed.end(), span.begin(), span.end());
+    EXPECT_EQ(source.status().code(), StatusCode::kCorrupt);
+    EXPECT_NE(source.status().message().find(named), std::string::npos)
+        << source.status().message();
+    expectSameRecords(streamed, before);
 }
 
 /**
@@ -1066,36 +999,30 @@ TEST(StreamingSource, SpansNeverCrossBlockBoundaries)
     std::remove(path.c_str());
 }
 
-TEST(StreamingSource, SalvageModeSkipsDamageAndKeepsStreaming)
+TEST(StreamingSource, FlippedBlockEndsTheStreamWithAStickyError)
 {
     const auto original = captureWorkloadTrace("compress", 4000);
-    const std::string path = tempPath("vpsim_v3_stream_salvage.vptrace");
+    const std::string path = tempPath("vpsim_v3_stream_flip.vptrace");
     ASSERT_TRUE(writeTraceV3(path, original, 512).isOk());
     std::vector<unsigned char> bytes = slurp(path);
-    std::uint32_t block_count = 0;
-    const std::size_t offset = blockOffset(bytes, 1, nullptr,
-                                           &block_count);
+    const std::size_t offset = blockOffset(bytes, 1);
     bytes[offset + v3BlockFrameBytes + 3] ^= 0x10;
     spit(path, bytes);
 
-    StreamingTraceSource strict;
-    ASSERT_TRUE(strict.open(path).isOk());
+    StreamingTraceSource source;
+    ASSERT_TRUE(source.open(path).isOk());
     TraceSpan block;
-    std::uint64_t strict_records = 0;
-    while (strict.nextBlock(block))
-        strict_records += block.size();
-    EXPECT_FALSE(strict.status().isOk())
-        << "strict streaming must surface the damage";
-    EXPECT_EQ(strict.status().code(), StatusCode::kCorrupt);
-
-    StreamingTraceSource salvage;
-    ASSERT_TRUE(salvage.open(path, /*salvage=*/true).isOk());
-    std::uint64_t salvaged_records = 0;
-    while (salvage.nextBlock(block))
-        salvaged_records += block.size();
-    EXPECT_TRUE(salvage.status().isOk());
-    EXPECT_EQ(salvaged_records, original.size() - block_count);
-    EXPECT_EQ(salvage.salvageReport().blocksQuarantined, 1u);
+    std::uint64_t records = 0;
+    while (source.nextBlock(block))
+        records += block.size();
+    EXPECT_EQ(records, 512u) << "block 0, and nothing of block 1 on";
+    EXPECT_EQ(source.status().code(), StatusCode::kCorrupt);
+    EXPECT_NE(source.status().message().find(
+                  "checksum mismatch at block 1"),
+              std::string::npos)
+        << source.status().message();
+    EXPECT_FALSE(source.nextBlock(block)) << "the end is sticky";
+    EXPECT_EQ(source.status().code(), StatusCode::kCorrupt);
     std::remove(path.c_str());
 }
 
