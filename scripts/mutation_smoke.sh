@@ -5,8 +5,9 @@
 #
 # 1. -DVPSIM_MUTATION=classifier-drop-correct,
 # which deletes the classifier's correct-prediction increment (see
-# src/predictor/classifier.cpp). The vp.hit_miss_balance invariant
-# (predictions made == correct + wrong) must then fire: under
+# Kernel::tally in src/predictor/classifier.hpp). The
+# vp.hit_miss_balance invariant (predictions made == correct + wrong)
+# must then fire: under
 # --keep-going the affected cells become NaN and the failure list shows
 # a [internal] invariant violation. If the mutant runs cleanly, the
 # self-checks are dead and this script fails. A bench whose runGrid

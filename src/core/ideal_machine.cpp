@@ -8,7 +8,7 @@
 #include "common/invariant.hpp"
 #include "common/logging.hpp"
 #include "core/speedup.hpp"
-#include "isa/instruction.hpp"
+#include "core/timing_kernel.hpp"
 
 namespace vpsim
 {
@@ -19,11 +19,13 @@ namespace
 /** Value prediction off. */
 struct NoVp
 {
+    VpOutcome predictAndTrain(Addr, Value) const { return {}; }
 };
 
 /** Perfect value prediction: every in-scope producer, correctly. */
 struct PerfectVp
 {
+    VpOutcome predictAndTrain(Addr, Value) const { return {true, true}; }
 };
 
 /**
@@ -42,20 +44,11 @@ struct PerfectVp
  */
 struct IdealEngine
 {
-    /** What consumers need to know about a register's last writer. */
-    struct Writer
-    {
-        Cycle execCycle = 0;
-        bool exists = false;
-        bool predicted = false;
-        bool correct = false;
-    };
-
     const IdealMachineConfig &config;
     IdealMachineResult &result;
     const bool keepSchedule;
 
-    std::vector<Writer> lastWriter;
+    std::vector<RegisterRecord> registers;
     /** Ring buffer of the last windowSize execute cycles. */
     std::vector<Cycle> windowExec;
 
@@ -65,18 +58,10 @@ struct IdealEngine
     Cycle fetchCycle = 1;
     unsigned fetchSlot = 0;
 
-    /**
-     * The writer table spans the full RegIndex range so operand lookup
-     * can index by raw register byte with no validity pre-check:
-     * producesValue() never marks r0 or invalidReg as written, so
-     * those entries stay !exists forever and read as "no producer".
-     */
-    static constexpr std::size_t writerTableSize = 256;
-
     IdealEngine(const IdealMachineConfig &machine_config,
                 IdealMachineResult &machine_result, bool keep_schedule)
         : config(machine_config), result(machine_result),
-          keepSchedule(keep_schedule), lastWriter(writerTableSize),
+          keepSchedule(keep_schedule), registers(registerFileSize),
           windowExec(machine_config.windowSize, 0)
     {
     }
@@ -103,7 +88,7 @@ struct IdealEngine
         const unsigned fetch_rate = config.fetchRate;
         const Cycle frontend_latency = config.frontendLatency;
         const Cycle vp_penalty = config.vpPenalty;
-        Writer *const writers = lastWriter.data();
+        RegisterRecord *const regs = registers.data();
         Cycle *const window = windowExec.data();
 
         // Loop state lives in locals for the duration of the block and
@@ -115,9 +100,7 @@ struct IdealEngine
         Cycle fetch_cycle = this->fetchCycle;
         unsigned fetch_slot = this->fetchSlot;
         Cycle max_exec = this->maxExec;
-        std::uint64_t stalling_uses = 0;
-        std::uint64_t correctly_predicted_uses = 0;
-        std::uint64_t useful_predictions = 0;
+        OperandUses uses;
         std::uint64_t perfect_predictions = 0;
 
         const std::size_t block_size = block.size();
@@ -130,66 +113,15 @@ struct IdealEngine
             earliest = std::max(earliest, window[window_slot] + 1);
         }
 
-        // Operand constraints. A consumer issues as soon as its
-        // non-predicted operands are ready (predicted operands impose no
-        // issue constraint: the consumer speculates on the predicted
-        // value). An operand whose prediction was WRONG only costs the
-        // reissue penalty if the consumer actually speculated on it,
-        // i.e. if the real value was not yet available at issue time —
-        // when the consumer issues late anyway, it reads the real value
-        // and the prediction is merely useless, exactly the paper's
-        // "the prediction becomes useless" case.
-        //
-        // Everything below is straight-line select arithmetic, not
-        // branches: whether an operand was predicted / correct flips
-        // with the simulated values, so a branchy encoding pays a
-        // branch misprediction per dependent instruction. A missing
-        // operand (no writer, r0, invalid) reads as ready == 0, which
-        // every max/compare treats as "imposes nothing".
-        const Writer &wr1 = writers[block[k].rs1];
-        const Writer &wr2 = writers[block[k].rs2];
-        const Cycle ready1 = wr1.exists ? wr1.execCycle + 1 : 0;
-        const Cycle ready2 = wr2.exists ? wr2.execCycle + 1 : 0;
-        stalling_uses += ready1 > earliest ? 1 : 0;
-        stalling_uses += ready2 > earliest ? 1 : 0;
-
-        // Issue: non-predicted operands bind. Completion: wrong
-        // speculations reissue after the real value, in ascending
-        // ready order (a later wrong operand sees the delay already
-        // caused by an earlier one); an operand whose real value
-        // arrived by the current execute never speculated, so it
-        // imposes nothing.
-        Cycle issue = earliest;
-        Cycle exec;
-        if constexpr (use_vp) {
-            // 0 = binds at issue, 1 = predicted correct, 2 = wrong.
-            const unsigned kind1 =
-                (wr1.exists && wr1.predicted) ? (wr1.correct ? 1u : 2u)
-                                              : 0u;
-            const unsigned kind2 =
-                (wr2.exists && wr2.predicted) ? (wr2.correct ? 1u : 2u)
-                                              : 0u;
-            issue = std::max(issue, kind1 == 0 ? ready1 : Cycle{0});
-            issue = std::max(issue, kind2 == 0 ? ready2 : Cycle{0});
-            exec = issue;
-            const Cycle wrong1 = kind1 == 2 ? ready1 : Cycle{0};
-            const Cycle wrong2 = kind2 == 2 ? ready2 : Cycle{0};
-            const Cycle lo = std::min(wrong1, wrong2);
-            const Cycle hi = std::max(wrong1, wrong2);
-            exec = lo > exec ? lo + vp_penalty : exec;
-            exec = hi > exec ? hi + vp_penalty : exec;
-            // A correct prediction was useful when the operand would
-            // otherwise have delayed the consumer past its actual
-            // execute.
-            correctly_predicted_uses +=
-                (kind1 == 1 ? 1u : 0u) + (kind2 == 1 ? 1u : 0u);
-            useful_predictions += (kind1 == 1 && ready1 > exec) ? 1 : 0;
-            useful_predictions += (kind2 == 1 && ready2 > exec) ? 1 : 0;
-        } else {
-            issue = std::max(issue, ready1);
-            issue = std::max(issue, ready2);
-            exec = issue;
-        }
+        const auto predict_own = [&] {
+            if (!use_vp || !vpPredicts(config.vpScope, block[k]))
+                return VpOutcome{};
+            perfect_predictions += std::is_same_v<Vp, PerfectVp> ? 1 : 0;
+            return vp.predictAndTrain(block[k].pc, block[k].result);
+        };
+        const Cycle exec = timeInstruction<AscendingReissue, use_vp>(
+            regs, block[k], earliest, vp_penalty, 1, UnboundedIssue{},
+            predict_own, uses);
         if (FullChecks) {
             // Deep audit: the slot being recycled must have freed
             // before this execute (re-reads the ring buffer the
@@ -222,36 +154,6 @@ struct IdealEngine
             result.execCycle.push_back(exec);
         max_exec = std::max(max_exec, exec);
 
-        // Record this instruction as the new last writer of rd, with
-        // its own prediction outcome for downstream consumers.
-        const OpCode op = block[k].op;
-        const RegIndex rd = block[k].rd;
-        const bool produces_value =
-            writesDest(op) && rd != invalidReg && rd != 0;
-        if (produces_value) {
-            Writer writer;
-            writer.exists = true;
-            writer.execCycle = exec;
-            if constexpr (use_vp) {
-                const bool in_scope =
-                    config.vpScope == VpScope::AllInstructions ||
-                    instClassOf(op) == InstClass::Load;
-                if (in_scope) {
-                    if constexpr (std::is_same_v<Vp, PerfectVp>) {
-                        writer.predicted = true;
-                        writer.correct = true;
-                        ++perfect_predictions;
-                    } else {
-                        const VpOutcome outcome = vp.predictAndTrain(
-                            block[k].pc, block[k].result);
-                        writer.predicted = outcome.predicted;
-                        writer.correct = outcome.correct;
-                    }
-                }
-            }
-            writers[rd] = writer;
-        }
-
         ++i;
         if (++window_slot == window_size)
             window_slot = 0;
@@ -266,9 +168,9 @@ struct IdealEngine
         this->fetchCycle = fetch_cycle;
         this->fetchSlot = fetch_slot;
         this->maxExec = max_exec;
-        result.stallingUses += stalling_uses;
-        result.correctlyPredictedUses += correctly_predicted_uses;
-        result.usefulPredictions += useful_predictions;
+        result.stallingUses += uses.stallingUses;
+        result.correctlyPredictedUses += uses.correctlyPredictedUses;
+        result.usefulPredictions += uses.usefulPredictions;
         result.predictionsMade += perfect_predictions;
         result.predictionsCorrect += perfect_predictions;
     }

@@ -42,6 +42,15 @@ enum class VpScope
     LoadsOnly,
 };
 
+/** Whether value prediction under @p scope predicts @p record's value. */
+inline bool
+vpPredicts(VpScope scope, const TraceRecord &record)
+{
+    return record.producesValue() &&
+           (scope == VpScope::AllInstructions ||
+            record.instClass() == InstClass::Load);
+}
+
 /** Configuration of one ideal-machine run. */
 struct IdealMachineConfig
 {

@@ -10,7 +10,7 @@
 #include "common/logging.hpp"
 #include "core/pipeline_components.hpp"
 #include "core/speedup.hpp"
-#include "isa/instruction.hpp"
+#include "core/timing_kernel.hpp"
 
 namespace vpsim
 {
@@ -28,18 +28,6 @@ constexpr Cycle wakeLatency = 2;
 #else
 constexpr Cycle wakeLatency = 1;
 #endif
-
-/** What a consumer needs from the last correct-path writer of a register. */
-struct RegisterState
-{
-    /**
-     * Cycle the real value is ready; 0 when it constrains nothing (never
-     * written, or correctly value-predicted).
-     */
-    Cycle ready = 0;
-    /** The writer was wrongly value-predicted: speculate, then reissue. */
-    bool wrongSpeculation = false;
-};
 
 /** One dispatched, uncommitted instruction: a reorder-buffer entry. */
 struct InFlight
@@ -93,15 +81,11 @@ struct NoKernel
  * entries. When an instruction dispatches, every older one already has
  * its issue, execute and commit cycles fixed, so dispatch computes the
  * new one's on the spot, in O(1) (docs/PERF.md, "The Section 5
- * pipeline: a program-order recurrence"):
- *
- *  - issue: the first cycle at or after max(dispatch + frontendLatency,
- *    dispatch + 1, each plain operand's ready cycle) with an issue slot
- *    left;
- *  - execute: issue, or later for each wrongly value-predicted operand,
- *    which reissues one penalty after its real value arrives unless
- *    that value was already there at issue;
- *  - commit: max(previous commit, execute + 1).
+ * pipeline: a program-order recurrence"). Issue and execute come from
+ * the per-instruction kernel (core/timing_kernel.hpp) with the issue
+ * floor max(dispatch + frontendLatency, dispatch + 1), the issue-width
+ * ring's slot search and the Section 5 reissue order; commit is
+ * max(previous commit, execute + 1).
  *
  * The loop still steps one cycle at a time, because fetch depends on
  * the window's load, the reorder buffer's occupancy and branch
@@ -110,8 +94,9 @@ struct NoKernel
  * reorder buffer keeps each in-flight entry's departure and commit
  * cycles in program order, plus its retire-time predictor update.
  *
- * Fills @p result's cycle count and (for the Perfect path) the oracle
- * prediction counters; the caller owns every other statistic.
+ * Fills @p result's cycle count, operand-use counters and (for the
+ * Perfect path) the oracle prediction counters; the caller owns every
+ * other statistic.
  */
 template <VpPath Vp, typename Kernel>
 void
@@ -125,13 +110,10 @@ runPipelineLoop(TraceSpan records, const PipelineConfig &config,
     const unsigned issueWidth = config.issueWidth;
     const Cycle issueDelay = std::max<Cycle>(config.frontendLatency, 1);
     const Cycle vpPenalty = config.vpPenalty;
-    const bool scopeAll = config.vpScope == VpScope::AllInstructions;
     const bool dispatchTiming =
         config.vpUpdateTiming == VpUpdateTiming::Dispatch;
 
-    // Indexed by any RegIndex: invalidReg and r0 are never written, so
-    // they read as ready.
-    std::vector<RegisterState> registers(std::size_t{1} << 8);
+    std::vector<RegisterRecord> registers(registerFileSize);
 
     // The reorder buffer: in-flight entries in program order, live in
     // [robHead, robTail). Window slots free at execute, but an entry
@@ -167,18 +149,16 @@ runPipelineLoop(TraceSpan records, const PipelineConfig &config,
     // 40-entry, 40-wide machine) issue slots never bind: they go
     // uncounted.
     const bool issueSlotsBind = issueWidth < windowSize;
-    // The first cycle in [earliest, limit) with an issue slot left, or
-    // limit when there is none.
-    const auto firstFreeIssue = [&](Cycle earliest, Cycle limit) {
+    // Claim the first cycle in [earliest, limit) with an issue slot
+    // left; limit, claiming nothing, when there is none.
+    const auto claimIssue = [&](Cycle earliest, Cycle limit) {
         Cycle at = earliest;
         while (issueSlotsBind && at < limit &&
                issuesAt[at & ringMask] >= issueWidth)
             ++at;
-        return at;
-    };
-    const auto takeIssueSlot = [&](Cycle at) {
-        if (issueSlotsBind)
+        if (issueSlotsBind && at < limit)
             ++issuesAt[at & ringMask];
+        return at;
     };
 
     std::span<const VpGrant> grants;
@@ -197,86 +177,64 @@ runPipelineLoop(TraceSpan records, const PipelineConfig &config,
     Cycle resolveAt = noPendingBranch;
     SeqNum resolveSeq = invalidSeqNum;
 
-    // Dispatch the correct-path @p records in cycle now: value-predict
-    // each one's output, then fix its issue, execute and commit cycles.
+    // Dispatch the correct-path @p records in cycle now: fix each one's
+    // issue, execute and commit cycles, and value-predict its output.
     // One call per bundle, so the loop body inlines into it.
     const auto dispatch = [&](TraceSpan correct_path) {
+        OperandUses uses;
         for (const TraceRecord &record : correct_path) {
-            const bool produces_value = record.producesValue();
-            const bool in_scope =
-                scopeAll || record.instClass() == InstClass::Load;
-            RetireUpdate *retire = nullptr;
-            if constexpr (trainsPredictor) {
-                if (!dispatchTiming) {
-                    retire = &retireUpdates[robTail & robMask];
-                    retire->tracked = false;
-                }
-            }
+            RetireUpdate *retire = trainsPredictor && !dispatchTiming
+                                       ? &retireUpdates[robTail & robMask]
+                                       : nullptr;
+            if (retire != nullptr)
+                retire->tracked = false;
 
-            bool vp_predicted = false;
-            bool vp_correct = false;
-            if constexpr (Vp != VpPath::None) {
-                if (produces_value && in_scope) {
-                    if constexpr (Vp == VpPath::Perfect) {
-                        vp_predicted = true;
-                        vp_correct = true;
-                        ++result.vpPredictionsMade;
-                        ++result.vpPredictionsCorrect;
-                    } else {
-                        // A lookup whose outcome trains at retire is owed
-                        // an update there.
-                        const auto predicted = [&](bool looked_up,
-                                                   const ClassifiedPrediction
-                                                       &prediction) {
-                            vp_predicted = looked_up && prediction.predicted;
-                            vp_correct = vp_predicted &&
-                                         prediction.value == record.result;
-                            if (retire != nullptr)
-                                *retire = {looked_up, record.pc,
-                                           record.result, prediction};
-                        };
-                        if constexpr (Vp == VpPath::Table) {
-                            const VpGrant &grant = grants[grant_cursor++];
-                            if (grant.granted && dispatchTiming)
-                                vpTable->update(record.pc, grant.prediction,
-                                                record.result);
-                            predicted(grant.granted, grant.prediction);
-                        } else if (dispatchTiming) {
-                            // predict() immediately followed by update()
-                            // collapses into the kernel's fused
-                            // single-probe path (identical state machine).
-                            const VpOutcome outcome = kernel.predictAndTrain(
-                                record.pc, record.result);
-                            vp_predicted = outcome.predicted;
-                            vp_correct = outcome.correct;
-                        } else {
-                            predicted(true, kernel.predict(record.pc));
-                        }
-                    }
+            // The record's own prediction, which the kernel asks for
+            // when the record writes a register.
+            const auto predict_own = [&] {
+                if (Vp == VpPath::None || !vpPredicts(config.vpScope, record))
+                    return VpOutcome{};
+                if constexpr (Vp == VpPath::Perfect) {
+                    ++result.vpPredictionsMade;
+                    ++result.vpPredictionsCorrect;
+                    return VpOutcome{true, true};
                 }
-            }
-
-            // Issue waits for the plain operands; a wrongly predicted
-            // one lets the instruction issue on the prediction and
-            // execute once the real value is in.
-            Cycle earliest = now + issueDelay;
-            Cycle spec_ready[2];
-            unsigned num_spec = 0;
-            for (const RegIndex reg : {record.rs1, record.rs2}) {
-                const RegisterState &source = registers[reg];
-                if (Vp != VpPath::None && source.wrongSpeculation)
-                    spec_ready[num_spec++] = source.ready;
-                else
-                    earliest = std::max(earliest, source.ready);
-            }
-            const Cycle issue = firstFreeIssue(earliest, ~Cycle{0});
-            takeIssueSlot(issue);
-            Cycle exec = issue;
-            for (unsigned op = 0; op < num_spec; ++op) {
-                const Cycle ready = spec_ready[op];
-                exec = std::max(exec,
-                                ready <= issue ? ready : ready + vpPenalty);
-            }
+                // predict() immediately followed by update() collapses
+                // into the kernel's fused single-probe path (identical
+                // state machine).
+                if constexpr (Vp == VpPath::Plain) {
+                    if (dispatchTiming)
+                        return kernel.predictAndTrain(record.pc,
+                                                      record.result);
+                }
+                // A lookup whose outcome trains at retire is owed an
+                // update there.
+                bool looked_up = true;
+                ClassifiedPrediction prediction;
+                if constexpr (Vp == VpPath::Table) {
+                    const VpGrant &grant = grants[grant_cursor++];
+                    looked_up = grant.granted;
+                    prediction = grant.prediction;
+                    if (looked_up && dispatchTiming)
+                        vpTable->update(record.pc, prediction, record.result);
+                } else if constexpr (Vp == VpPath::Plain) {
+                    prediction = kernel.predict(record.pc);
+                }
+                if (retire != nullptr)
+                    *retire = {looked_up, record.pc, record.result,
+                               prediction};
+                VpOutcome own;
+                own.predicted = looked_up && prediction.predicted;
+                own.correct =
+                    own.predicted && prediction.value == record.result;
+                return own;
+            };
+            const Cycle exec =
+                timeInstruction<IssueCycleReissue, Vp != VpPath::None>(
+                    registers.data(), record, now + issueDelay, vpPenalty,
+                    wakeLatency,
+                    [&](Cycle at) { return claimIssue(at, ~Cycle{0}); },
+                    predict_own, uses);
             panicIf(exec - now > horizon,
                     "pipeline event outside the horizon");
             ++departuresAt[exec & ringMask];
@@ -284,14 +242,10 @@ runPipelineLoop(TraceSpan records, const PipelineConfig &config,
             lastCommit = std::max(lastCommit, exec + 1);
             rob[robTail & robMask] = {exec, lastCommit};
             ++robTail;
-
-            if (produces_value) {
-                registers[record.rd] =
-                    vp_predicted && vp_correct
-                        ? RegisterState{}
-                        : RegisterState{exec + wakeLatency, vp_predicted};
-            }
         }
+        result.stallingUses += uses.stallingUses;
+        result.correctlyPredictedUses += uses.correctlyPredictedUses;
+        result.usefulPredictions += uses.usefulPredictions;
     };
 
     while (committed < records.size()) {
@@ -412,9 +366,7 @@ runPipelineLoop(TraceSpan records, const PipelineConfig &config,
             if constexpr (Vp == VpPath::Table) {
                 bundlePcs.clear();
                 for (const TraceRecord &rec : bundle.records) {
-                    const bool in_scope =
-                        scopeAll || rec.instClass() == InstClass::Load;
-                    if (rec.producesValue() && in_scope)
+                    if (vpPredicts(config.vpScope, rec))
                         bundlePcs.push_back(rec.pc);
                 }
                 grants = vpTable->processBundle(bundlePcs);
@@ -431,23 +383,17 @@ runPipelineLoop(TraceSpan records, const PipelineConfig &config,
                 panicIf(resolveAt == noPendingBranch,
                         "wrong-path fetch without a pending branch");
                 for (const TraceRecord &record : bundle.records) {
-                    if constexpr (trainsPredictor) {
-                        const bool in_scope =
-                            scopeAll || record.instClass() == InstClass::Load;
-                        if (record.producesValue() && in_scope) {
-                            if constexpr (Vp == VpPath::Table) {
-                                if (grants[grant_cursor++].granted)
-                                    vpTable->abandon(record.pc);
-                            } else {
-                                kernel.predict(record.pc);
-                                kernel.abandon(record.pc);
-                            }
+                    if (trainsPredictor && vpPredicts(config.vpScope, record)) {
+                        if constexpr (Vp == VpPath::Table) {
+                            if (grants[grant_cursor++].granted)
+                                vpTable->abandon(record.pc);
+                        } else if constexpr (Vp == VpPath::Plain) {
+                            kernel.predict(record.pc);
+                            kernel.abandon(record.pc);
                         }
                     }
-                    const Cycle depart = firstFreeIssue(
+                    const Cycle depart = claimIssue(
                         std::min(now + issueDelay, resolveAt), resolveAt);
-                    if (depart < resolveAt)
-                        takeIssueSlot(depart);
                     ++departuresAt[depart & ringMask];
                     ++windowLoad;
                     rob[robTail & robMask] = {depart, wrongPathCommit};

@@ -138,6 +138,16 @@ struct PipelineResult
     std::uint64_t vpPredictionsMade = 0;
     std::uint64_t vpPredictionsCorrect = 0;
     std::uint64_t vpPredictionsWrong = 0;
+    /**
+     * Operand uses, counted as IdealMachineResult counts them, with
+     * dispatch + max(frontendLatency, 1) as the issue floor: uses of a
+     * correctly predicted value; uses whose real value is ready after
+     * the floor; and correctly predicted uses whose real value is ready
+     * after the consumer executes.
+     */
+    std::uint64_t correctlyPredictedUses = 0;
+    std::uint64_t stallingUses = 0;
+    std::uint64_t usefulPredictions = 0;
 
     /** Trace-cache statistics (TraceCache front end only). */
     double tcHitRate = 0.0;

@@ -219,6 +219,9 @@ struct RefEntry
     bool vpTracked = false;
     ClassifiedPrediction vpPrediction;
 
+    /** Correct path only: the record's index in program order. */
+    std::size_t index = 0;
+
     /** A source operand whose producer was in flight at dispatch. */
     struct Source
     {
@@ -229,6 +232,48 @@ struct RefEntry
     };
     std::vector<Source> sources;
 };
+
+/** When a correct-path record dispatched and executed, and its prediction. */
+struct RefTiming
+{
+    Cycle dispatch = 0;
+    Cycle exec = 0;
+    bool predictedCorrectly = false;
+};
+
+/**
+ * Count the operand uses of a finished schedule, in program order. A use
+ * stalls when its real value is ready after the consumer's earliest
+ * issue, dispatch + max(frontendLatency, 1) (the scan that issues runs
+ * before the cycle's fetch); a correctly predicted use is useful when
+ * its real value is ready after the consumer executes.
+ */
+void
+countOperandUses(TraceSpan records, const std::vector<RefTiming> &timing,
+                 const PipelineConfig &config, PipelineResult &result)
+{
+    const Cycle earliestIssue = std::max(config.frontendLatency, 1u);
+    constexpr std::size_t none = ~std::size_t{0};
+    std::vector<std::size_t> writerOf(numArchRegs, none);
+    for (std::size_t i = 0; i < records.size(); ++i) {
+        const TraceRecord &record = records[i];
+        for (const RegIndex reg : {record.rs1, record.rs2}) {
+            if (reg == invalidReg || reg == 0 || writerOf[reg] == none)
+                continue;
+            const RefTiming &producer = timing[writerOf[reg]];
+            const Cycle ready = producer.exec + 1;
+            if (ready > timing[i].dispatch + earliestIssue)
+                ++result.stallingUses;
+            if (producer.predictedCorrectly) {
+                ++result.correctlyPredictedUses;
+                if (ready > timing[i].exec)
+                    ++result.usefulPredictions;
+            }
+        }
+        if (record.producesValue())
+            writerOf[record.rd] = i;
+    }
+}
 
 } // namespace
 
@@ -263,6 +308,9 @@ runReferencePipelineMachine(TraceSpan records, const PipelineConfig &config)
         return number != none && number >= firstNumber &&
                number < firstNumber + window.size();
     };
+
+    std::vector<RefTiming> timing(records.size());
+    std::size_t dispatched = 0;
 
     Cycle now = 0;
     Cycle lastCommit = 0;
@@ -339,6 +387,8 @@ runReferencePipelineMachine(TraceSpan records, const PipelineConfig &config)
                 continue;
             entry.executed = true;
             entry.execCycle = now;
+            if (!entry.wrongPath)
+                timing[entry.index].exec = now;
             progress = true;
             if (entry.mispredictedBranch) {
                 engine.branchResolved(entry.seq, now);
@@ -455,6 +505,9 @@ runReferencePipelineMachine(TraceSpan records, const PipelineConfig &config)
                 }
                 if (record.producesValue())
                     writerOf[record.rd] = firstNumber + window.size();
+                entry.index = dispatched++;
+                timing[entry.index] = {now, 0,
+                                       entry.vpPredicted && entry.vpCorrect};
                 window.push_back(std::move(entry));
                 progress = true;
             }
@@ -468,6 +521,7 @@ runReferencePipelineMachine(TraceSpan records, const PipelineConfig &config)
     result.ipc = static_cast<double>(result.instructions) /
                  static_cast<double>(result.cycles);
     parts.collectStats(result);
+    countOperandUses(records, timing, config, result);
     return result;
 }
 

@@ -676,6 +676,40 @@ TEST(PipelineTiming, TwoWrongOperandsReissueAgainstTheIssueCycle)
     }
 }
 
+TEST(PipelineTiming, Table32CountsStallingAndUsefulUses)
+{
+    // The Figure 3.2 DFG at width 4: instructions 1-4 dispatch in cycle
+    // 1 and 5-8 in cycle 2, so the issue floor is 3 and 4. With perfect
+    // VP all six uses are correctly predicted and everything executes
+    // at its floor. The uses of 1 by 2, 2 by 4, 5 by 6 and 7 by 8 are
+    // ready one cycle after the floor: they stall, and their
+    // predictions are useful. 5 and 7 read 1 and 3, ready in cycle 4,
+    // at their floor of 4: correct but useless, the paper's point.
+    // Execute cycles 3,3,3,3,4,4,4,4; commit 5. Without VP the same
+    // four uses stall and execute is 3,4,3,5,4,5,4,5; commit 6.
+    const auto trace = figure32();
+    PipelineConfig config;
+    config.maxTakenBranches = 0;
+    config.issueWidth = 4;
+    for (const PipelineMachineFn machine :
+         {&runPipelineMachine, &runReferencePipelineMachine}) {
+        config.useValuePrediction = true;
+        config.perfectValuePrediction = true;
+        const PipelineResult perfect = machine(trace, config);
+        EXPECT_EQ(perfect.cycles, 5u);
+        EXPECT_EQ(perfect.stallingUses, 4u);
+        EXPECT_EQ(perfect.correctlyPredictedUses, 6u);
+        EXPECT_EQ(perfect.usefulPredictions, 4u);
+
+        config.useValuePrediction = false;
+        const PipelineResult none = machine(trace, config);
+        EXPECT_EQ(none.cycles, 6u);
+        EXPECT_EQ(none.stallingUses, 4u);
+        EXPECT_EQ(none.correctlyPredictedUses, 0u);
+        EXPECT_EQ(none.usefulPredictions, 0u);
+    }
+}
+
 TEST(PipelineTiming, LateWrongPathBubblesGiveTheirIssueSlotsBack)
 {
     // An 8-link chain feeds a taken bne that a cold BTB mispredicts;

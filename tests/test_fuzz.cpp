@@ -293,6 +293,10 @@ TEST_P(FuzzSweep, PipelineMatchesReference)
             EXPECT_EQ(fast.vpPredictionsMade, ref.vpPredictionsMade);
             EXPECT_EQ(fast.vpPredictionsCorrect, ref.vpPredictionsCorrect);
             EXPECT_EQ(fast.vpPredictionsWrong, ref.vpPredictionsWrong);
+            EXPECT_EQ(fast.correctlyPredictedUses,
+                      ref.correctlyPredictedUses);
+            EXPECT_EQ(fast.stallingUses, ref.stallingUses);
+            EXPECT_EQ(fast.usefulPredictions, ref.usefulPredictions);
             EXPECT_EQ(fast.tcHitRate, ref.tcHitRate);
             EXPECT_EQ(fast.tcLookups, ref.tcLookups);
             EXPECT_EQ(fast.tcLineInsts, ref.tcLineInsts);

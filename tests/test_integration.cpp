@@ -11,6 +11,7 @@
 #include "analysis/predictability.hpp"
 #include "core/ideal_machine.hpp"
 #include "core/pipeline_machine.hpp"
+#include "core/reference_machine.hpp"
 #include "workloads/workload.hpp"
 
 namespace vpsim
@@ -168,6 +169,68 @@ TEST_P(BenchmarkIntegration, TraceCacheRunsAndHits)
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBenchmarks, BenchmarkIntegration,
+                         ::testing::ValuesIn(workloadNames()),
+                         [](const auto &param_info) {
+                             return param_info.param;
+                         });
+
+/** Section 5 properties on every benchmark's trace. */
+class PipelineTiming : public BenchmarkIntegration
+{
+};
+
+/**
+ * The pipeline's perfect-VP cycle count at its most ideal corner
+ * (docs/MODELS.md section 2): with every value predicted, nothing waits
+ * on an operand, so an instruction dispatched in cycle d issues in
+ * d + 2, commits in d + 3, and its window slot frees at the start of
+ * d + 2. Cycle c then dispatches n(c) = min(F, W - n(c - 1)): F every
+ * cycle when F <= W / 2, else F and W - F in turn. The run takes the
+ * last dispatch cycle D plus 3, where D = ceil(N / F) for F <= W / 2,
+ * else the first cycle by which the alternation holds N:
+ * min(2 ceil(N / W), 2 ceil((N - F) / W) + 1).
+ */
+Cycle
+pipelinePerfectVpCycles(std::uint64_t n, std::uint64_t f, std::uint64_t w)
+{
+    const auto ceilDiv = [](std::uint64_t a, std::uint64_t b) {
+        return (a + b - 1) / b;
+    };
+    const std::uint64_t last_dispatch =
+        2 * f <= w ? ceilDiv(n, f)
+                   : std::min(2 * ceilDiv(n, w),
+                              2 * ceilDiv(n > f ? n - f : 0, w) + 1);
+    return last_dispatch + 3;
+}
+
+TEST_P(PipelineTiming, PerfectVpClosedFormAtTheIdealCorner)
+{
+    // Sequential fetch, unlimited taken branches, ideal BTB, issue
+    // width = F, W = 40. At N = 200k this gives 10,003 cycles at F = 32
+    // and 10,002 at F = 40: the window caps the machine at W / 2 = 20
+    // IPC, and the alternation's phase sets the constant.
+    const auto records = trace();
+    for (const unsigned rate : paperFetchRates) {
+        PipelineConfig config;
+        config.maxTakenBranches = 0;
+        config.perfectBranchPredictor = true;
+        config.issueWidth = rate;
+        config.windowSize = 40;
+        config.useValuePrediction = true;
+        config.perfectValuePrediction = true;
+        const Cycle expected = pipelinePerfectVpCycles(
+            records.size(), rate, config.windowSize);
+        EXPECT_EQ(runPipelineMachine(records, config).cycles, expected)
+            << "F=" << rate;
+        EXPECT_EQ(runReferencePipelineMachine(records, config).cycles,
+                  expected)
+            << "reference, F=" << rate;
+    }
+    EXPECT_EQ(pipelinePerfectVpCycles(200000, 32, 40), 10003u);
+    EXPECT_EQ(pipelinePerfectVpCycles(200000, 40, 40), 10002u);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllBenchmarks, PipelineTiming,
                          ::testing::ValuesIn(workloadNames()),
                          [](const auto &param_info) {
                              return param_info.param;
