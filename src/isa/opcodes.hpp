@@ -13,6 +13,8 @@
 #ifndef VPSIM_ISA_OPCODES_HPP
 #define VPSIM_ISA_OPCODES_HPP
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
 
@@ -60,18 +62,16 @@ enum class InstClass : std::uint8_t
  */
 [[noreturn]] void invalidOpcodePanic(const char *where, unsigned value);
 
-/**
- * Functional class of @p op.
- *
- * The classification queries below run once or twice per simulated
- * instruction in every machine model, so they are inline: the switch
- * compiles to a lookup, and callers that branch on the result keep
- * everything in registers instead of paying an out-of-line call (the
- * old opcodes.cpp definitions showed up as whole percents of the
- * pipeline-machine profile; see docs/PERF.md).
- */
+/** Number of valid opcodes: every OpCode below NumOpCodes. */
+inline constexpr std::size_t numOpCodes =
+    static_cast<std::size_t>(OpCode::NumOpCodes);
+
+namespace detail
+{
+
+/** Class of a valid opcode; evaluated only to build opcodeTraits. */
 constexpr InstClass
-instClassOf(OpCode op)
+classifyOpcode(OpCode op)
 {
     switch (op) {
       case OpCode::Add:
@@ -122,7 +122,57 @@ instClassOf(OpCode op)
       case OpCode::NumOpCodes:
         break;
     }
-    invalidOpcodePanic("instClassOf", static_cast<unsigned>(op));
+    invalidOpcodePanic("classifyOpcode", static_cast<unsigned>(op));
+}
+
+/** What the classification queries answer for one opcode. */
+struct OpcodeTraits
+{
+    InstClass cls = InstClass::Nop;
+    bool writesDest = false;
+};
+
+/** OpcodeTraits of every valid opcode, indexed by opcode. */
+inline constexpr std::array<OpcodeTraits, numOpCodes> opcodeTraits = [] {
+    std::array<OpcodeTraits, numOpCodes> table{};
+    for (std::size_t i = 0; i < numOpCodes; ++i) {
+        const InstClass cls = classifyOpcode(static_cast<OpCode>(i));
+        // jal/jalr link into rd (rd may be r0 for a plain jump).
+        const bool writes = cls == InstClass::IntAlu ||
+                            cls == InstClass::IntMul ||
+                            cls == InstClass::IntDiv ||
+                            cls == InstClass::Load || cls == InstClass::Jump;
+        table[i] = {cls, writes};
+    }
+    return table;
+}();
+
+/** The traits of @p op; a byte that is no opcode panics, naming @p where. */
+constexpr const OpcodeTraits &
+traitsOf(OpCode op, const char *where)
+{
+    const auto index = static_cast<std::size_t>(op);
+    if (index >= numOpCodes) [[unlikely]]
+        invalidOpcodePanic(where, static_cast<unsigned>(index));
+    return opcodeTraits[index];
+}
+
+} // namespace detail
+
+/**
+ * Functional class of @p op.
+ *
+ * The classification queries below run once or twice per simulated
+ * instruction in every machine model, so each is one bounds check and
+ * one load from a constant per-opcode table, small enough to inline
+ * even into the pipeline's cycle loop (a switch with a panicking
+ * fall-through was not: GCC left it out of line there; see
+ * docs/PERF.md).
+ */
+constexpr InstClass
+instClassOf(OpCode op)
+{
+    return detail::traitsOf(op, "instClassOf").cls;
 }
 
 /** Mnemonic for @p op, e.g. "add". */
@@ -147,22 +197,7 @@ isControl(OpCode op)
 constexpr bool
 writesDest(OpCode op)
 {
-    switch (instClassOf(op)) {
-      case InstClass::IntAlu:
-      case InstClass::IntMul:
-      case InstClass::IntDiv:
-      case InstClass::Load:
-        return true;
-      case InstClass::Jump:
-        // jal/jalr link into rd (rd may be r0 for a plain jump).
-        return true;
-      case InstClass::Store:
-      case InstClass::Branch:
-      case InstClass::Nop:
-      case InstClass::Halt:
-        return false;
-    }
-    invalidOpcodePanic("writesDest", static_cast<unsigned>(op));
+    return detail::traitsOf(op, "writesDest").writesDest;
 }
 
 /** True when the opcode reads rs1. */

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <unordered_set>
 
+#include "trace/trace_buffer.hpp"
+
 namespace vpsim
 {
 
@@ -114,7 +116,7 @@ sliceTrace(const std::vector<TraceRecord> &records, std::uint64_t skip,
     const std::uint64_t end = length == 0
         ? records.size()
         : std::min<std::uint64_t>(records.size(), skip + length);
-    sliced.reserve(end - skip);
+    reserveWholeTrace(sliced, static_cast<std::size_t>(end - skip));
     for (std::uint64_t i = skip; i < end; ++i) {
         TraceRecord rec = records[i];
         rec.seq = i - skip;

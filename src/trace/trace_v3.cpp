@@ -3,14 +3,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <mutex>
-
-#if defined(__GLIBC__)
-#include <malloc.h>
-#endif
 
 #include "common/crc32.hpp"
 #include "common/logging.hpp"
+#include "trace/trace_buffer.hpp"
 #include "trace/varint.hpp"
 
 namespace vpsim
@@ -31,31 +27,6 @@ constexpr std::size_t minEncodedRecordBytes = 5 + 4;
 
 /** Cap on records-per-block so a corrupt header can't balloon memory. */
 constexpr std::uint32_t maxRecordsPerBlock = 1u << 22;
-
-/**
- * Allocations this large get their own mapping (see below): whole
- * traces, but not the 3 MiB block buffers of the writer and readers.
- */
-constexpr int ownMappingBytes = 4 << 20;
-
-/**
- * Give every decoded trace its own mapping, so freeing it hands the
- * pages back. A sweep decodes its traces on worker threads and frees
- * them on another, once per round. Left to itself, glibc raises its
- * mmap threshold past the first large buffer freed, and later traces
- * land in the decoding thread's malloc arena. Which worker decodes
- * which trace varies from run to run, and an arena keeps its
- * high-water mark, so peak RSS wandered by a trace or more between
- * identical runs.
- */
-void
-keepTracesMapped()
-{
-#if defined(__GLIBC__)
-    static std::once_flag once;
-    std::call_once(once, [] { ::mallopt(M_MMAP_THRESHOLD, ownMappingBytes); });
-#endif
-}
 
 void
 packU32(unsigned char *out, std::uint32_t value)
@@ -89,9 +60,14 @@ unpackU64(const unsigned char *in)
     return value;
 }
 
-/** Encode @p records as one block payload into @p out (appended). */
-void
-encodeBlockPayload(std::vector<unsigned char> &out, TraceSpan records)
+/**
+ * Encode @p records as one block payload at @p out, which has room for
+ * records.size() * maxEncodedRecordBytes bytes.
+ *
+ * @return The end of the payload.
+ */
+unsigned char *
+encodeBlockPayload(unsigned char *out, TraceSpan records)
 {
     SeqNum prev_seq = 0;
     Addr prev_pc = 0;
@@ -99,32 +75,33 @@ encodeBlockPayload(std::vector<unsigned char> &out, TraceSpan records)
     for (std::size_t i = 0; i < records.size(); ++i) {
         const TraceRecord &r = records[i];
         if (i == 0) {
-            putVarint(out, r.seq);
-            putVarint(out, r.pc);
+            out = putVarint(out, r.seq);
+            out = putVarint(out, r.pc);
         } else {
-            putSignedVarint(out, static_cast<std::int64_t>(
-                                     r.seq - (prev_seq + 1)));
-            putSignedVarint(out,
-                            static_cast<std::int64_t>(r.pc - prev_pc));
+            out = putSignedVarint(out, static_cast<std::int64_t>(
+                                           r.seq - (prev_seq + 1)));
+            out = putSignedVarint(
+                out, static_cast<std::int64_t>(r.pc - prev_pc));
         }
-        putSignedVarint(out, static_cast<std::int64_t>(
-                                 r.nextPc - r.fallThrough()));
+        out = putSignedVarint(out, static_cast<std::int64_t>(
+                                       r.nextPc - r.fallThrough()));
         if (i == 0)
-            putVarint(out, r.memAddr);
+            out = putVarint(out, r.memAddr);
         else
-            putSignedVarint(out, static_cast<std::int64_t>(r.memAddr -
-                                                           prev_mem));
-        putVarint(out, r.result);
-        out.push_back(static_cast<unsigned char>(
-            static_cast<unsigned char>(r.op) |
-            (r.taken ? 0x80u : 0x00u)));
-        out.push_back(r.rd);
-        out.push_back(r.rs1);
-        out.push_back(r.rs2);
+            out = putSignedVarint(
+                out, static_cast<std::int64_t>(r.memAddr - prev_mem));
+        out = putVarint(out, r.result);
+        out[0] = static_cast<unsigned char>(static_cast<unsigned char>(r.op) |
+                                            (r.taken ? 0x80u : 0x00u));
+        out[1] = r.rd;
+        out[2] = r.rs1;
+        out[3] = r.rs2;
+        out += 4;
         prev_seq = r.seq;
         prev_pc = r.pc;
         prev_mem = r.memAddr;
     }
+    return out;
 }
 
 /**
@@ -202,29 +179,53 @@ takeVarint(const unsigned char *&p, unsigned &bad)
 }
 
 /**
+ * Where decodeBlockPayload puts its records: next() is the slot of the
+ * next record, which the decoder fills field by field. InPlace decodes
+ * over a reused buffer that already holds enough elements (the
+ * streaming source's block); Append grows a vector whose capacity the
+ * caller has reserved (the whole-file load).
+ */
+struct InPlace
+{
+    TraceRecord *slot;
+
+    TraceRecord &next() { return *slot++; }
+};
+
+struct Append
+{
+    std::vector<TraceRecord> *out;
+
+    TraceRecord &next() { return out->emplace_back(); }
+};
+
+/**
  * Decode one block payload of @p count >= 1 records (nextPayload's
- * frame check) into @p dest[0..count). All deltas reset at the block
- * boundary, so this needs nothing from neighbouring blocks. False on any malformed encoding; @p dest then
- * holds garbage that must not be delivered.
+ * frame check) into @p dest. All deltas reset at the block boundary, so
+ * this needs nothing from neighbouring blocks. False on any malformed
+ * encoding; what @p dest received is then garbage that must not be
+ * delivered.
  *
  * The first record (absolute fields) and the tail, where a worst-case
  * record may no longer fit, go through the per-byte checked decoder.
  * In between, bounds are checked once per record, the running
- * seq/pc/memAddr are locals, each record is written in place, and
- * over-long varints and out-of-range opcodes only raise a flag that is
- * checked once for the whole block.
+ * seq/pc/memAddr are locals, each record is written field by field
+ * into its slot, and over-long varints and out-of-range opcodes only
+ * raise a flag that is checked once for the whole block.
  */
+template <typename Dest>
 bool
 decodeBlockPayload(const unsigned char *payload, std::size_t size,
-                   std::uint32_t count, TraceRecord *dest)
+                   std::uint32_t count, Dest dest)
 {
     const unsigned char *p = payload;
     const unsigned char *const end = payload + size;
-    if (!decodeRecordChecked(p, end, true, &dest[0]))
+    TraceRecord *r = &dest.next();
+    if (!decodeRecordChecked(p, end, true, r))
         return false;
-    SeqNum seq = dest[0].seq;
-    Addr pc = dest[0].pc;
-    Addr mem = dest[0].memAddr;
+    SeqNum seq = r->seq;
+    Addr pc = r->pc;
+    Addr mem = r->memAddr;
     unsigned bad = 0;
     std::uint32_t i = 1;
     for (; i < count &&
@@ -238,25 +239,27 @@ decodeBlockPayload(const unsigned char *payload, std::size_t size,
         const std::uint64_t result = takeVarint(p, bad);
         const unsigned char op_byte = p[0] & 0x7fu;
         bad |= op_byte >= static_cast<unsigned char>(OpCode::NumOpCodes);
-        TraceRecord &r = dest[i];
-        r.seq = seq;
-        r.pc = pc;
-        r.nextPc =
+        r = &dest.next();
+        r->seq = seq;
+        r->pc = pc;
+        r->nextPc =
             pc + instBytes + static_cast<std::uint64_t>(zigzagDecode(next_pc));
-        r.memAddr = mem;
-        r.result = result;
-        r.op = static_cast<OpCode>(op_byte);
-        r.rd = p[1];
-        r.rs1 = p[2];
-        r.rs2 = p[3];
-        r.taken = (p[0] & 0x80u) != 0;
+        r->memAddr = mem;
+        r->result = result;
+        r->op = static_cast<OpCode>(op_byte);
+        r->rd = p[1];
+        r->rs1 = p[2];
+        r->rs2 = p[3];
+        r->taken = (p[0] & 0x80u) != 0;
         p += 4;
     }
     if (bad)
         return false;
     for (; i < count; ++i) {
-        dest[i] = dest[i - 1];
-        if (!decodeRecordChecked(p, end, false, &dest[i]))
+        const TraceRecord prev = *r;
+        r = &dest.next();
+        *r = prev;
+        if (!decodeRecordChecked(p, end, false, r))
             return false;
     }
     // A valid block's payload is consumed exactly; slack means the
@@ -303,7 +306,9 @@ TraceV3Writer::open(const std::string &path,
     totalRecords = 0;
     totalBlocks = 0;
     pending.clear();
-    scratch.reserve(std::size_t{recordsPerBlock} * maxEncodedRecordBytes);
+    // Left uninitialised: a block's encoding writes only what it uses.
+    scratch = std::make_unique_for_overwrite<unsigned char[]>(
+        std::size_t{recordsPerBlock} * maxEncodedRecordBytes);
 
     unsigned char header[v3HeaderBytes] = {};
     std::memcpy(header, v3Magic, 4);
@@ -351,16 +356,16 @@ TraceV3Writer::flushBlock(TraceSpan block)
 {
     const std::size_t count = block.size();
     panicIf(count == 0, "flushBlock with no records");
-    scratch.clear();
-    encodeBlockPayload(scratch, block);
+    const std::size_t payload_bytes = static_cast<std::size_t>(
+        encodeBlockPayload(scratch.get(), block) - scratch.get());
 
     unsigned char frame_header[v3BlockFrameBytes];
     std::memcpy(frame_header, blockMagic, 4);
     packU32(frame_header + 4, static_cast<std::uint32_t>(count));
-    packU32(frame_header + 8, static_cast<std::uint32_t>(scratch.size()));
+    packU32(frame_header + 8, static_cast<std::uint32_t>(payload_bytes));
     Crc32 crc;
     crc.update(frame_header, sizeof(frame_header));
-    crc.update(scratch.data(), scratch.size());
+    crc.update(scratch.get(), payload_bytes);
     unsigned char footer[4];
     packU32(footer, crc.value());
 
@@ -369,7 +374,7 @@ TraceV3Writer::flushBlock(TraceSpan block)
         return Status::error(put.code(),
                              "trace block frame: " + put.message());
     }
-    if (Status put = file.writeAll(scratch.data(), scratch.size());
+    if (Status put = file.writeAll(scratch.get(), payload_bytes);
         !put.isOk()) {
         return Status::error(put.code(),
                              "trace block payload: " + put.message());
@@ -413,7 +418,6 @@ TraceV3Writer::close()
 {
     file.close();
     pending.clear();
-    scratch.clear();
 }
 
 // ---------------------------------------------------------------------------
@@ -619,12 +623,23 @@ TraceV3Reader::readBlock(std::vector<TraceRecord> *out, std::size_t offset,
         !got.isOk() || *outcome == Block::kEnd) {
         return got;
     }
-    // Grow only: a reused buffer is decoded over in place, never
-    // cleared or value-initialised again.
-    if (out->size() < offset + payload.count)
-        out->resize(offset + payload.count);
-    if (!decodeBlockPayload(payload.data, payload.bytes, payload.count,
-                            out->data() + offset)) {
+    // Over a reused buffer that is long enough, the block is decoded in
+    // place, never cleared or value-initialised again. Past the end it
+    // is appended, so each new element is written once.
+    const std::size_t need = offset + payload.count;
+    bool decoded = false;
+    if (out->size() >= need) {
+        decoded = decodeBlockPayload(payload.data, payload.bytes,
+                                     payload.count,
+                                     InPlace{out->data() + offset});
+    } else {
+        out->resize(offset);
+        if (out->capacity() < need)
+            out->reserve(std::max(need, 2 * out->capacity()));
+        decoded = decodeBlockPayload(payload.data, payload.bytes,
+                                     payload.count, Append{out});
+    }
+    if (!decoded) {
         return corrupt("corrupt record encoding in block " +
                        std::to_string(blocksDelivered) + " of " +
                        filePath);
@@ -671,8 +686,7 @@ readTraceV3(const std::string &path, std::vector<TraceRecord> *out)
     TraceV3Reader reader;
     if (Status opened = reader.open(path); !opened.isOk())
         return opened;
-    keepTracesMapped();
-    out->reserve(reader.recordsHint());
+    reserveWholeTrace(*out, reader.recordsHint());
     std::size_t loaded = 0;
     for (;;) {
         TraceV3Reader::Block outcome = TraceV3Reader::Block::kEnd;

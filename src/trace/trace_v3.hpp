@@ -33,6 +33,7 @@
 #define VPSIM_TRACE_TRACE_V3_HPP
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -101,7 +102,8 @@ class TraceV3Writer
 
     io::File file;
     std::vector<TraceRecord> pending; ///< The partial tail block.
-    std::vector<unsigned char> scratch;
+    /** Room for one block of recordsPerBlock worst-case records. */
+    std::unique_ptr<unsigned char[]> scratch;
     std::uint32_t recordsPerBlock = defaultRecordsPerBlock;
     std::uint64_t totalRecords = 0;
     std::uint64_t totalBlocks = 0;
@@ -116,9 +118,9 @@ class TraceV3Writer
  * memory stays bounded for arbitrarily large traces and every read is
  * fault-counted (`open:`, `read:` specs). Every block is decoded
  * straight into caller-owned storage (readBlock()): the whole-file load
- * decodes each block after the last into one vector reserved up front,
- * the streaming source decodes every block over the same reused block
- * vector.
+ * appends each block to one vector reserved up front
+ * (reserveWholeTrace), the streaming source decodes every block over
+ * the same reused block vector.
  */
 class TraceV3Reader
 {
@@ -140,11 +142,14 @@ class TraceV3Reader
 
     /**
      * Decode the next block into (*out)[offset, offset + *count).
-     * @p out is resized only when it is shorter than that, so a reused
-     * buffer is decoded over in place, not cleared or re-initialised.
-     * Elements before @p offset are untouched; after a kCorrupt those
-     * from @p offset on are unspecified (a block that fails to decode
-     * was decoded there first, and is never reported as delivered).
+     * When @p out already holds that range, the block is decoded over
+     * it in place, so a reused buffer is not cleared or re-initialised;
+     * otherwise @p out is cut to @p offset and the block appended, each
+     * record written once (into capacity the caller reserved, or grown
+     * geometrically). Elements before @p offset are untouched; after a
+     * kCorrupt those from @p offset on are unspecified (a block that
+     * fails to decode was decoded there first, and is never reported
+     * as delivered).
      *
      * @return ok with *outcome = kDelivered (*count >= 1) or kEnd
      *         (*count = 0), kCorrupt on the first damage, kIo on read

@@ -20,7 +20,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 namespace vpsim
 {
@@ -44,22 +43,28 @@ zigzagDecode(std::uint64_t value)
            -static_cast<std::int64_t>(value & 1u);
 }
 
-/** Append @p value to @p out as an unsigned LEB128 varint. */
-inline void
-putVarint(std::vector<unsigned char> &out, std::uint64_t value)
+/**
+ * Write @p value at @p out as an unsigned LEB128 varint, which takes at
+ * most maxVarintBytes bytes.
+ *
+ * @return The byte after the varint.
+ */
+inline unsigned char *
+putVarint(unsigned char *out, std::uint64_t value)
 {
     while (value >= 0x80u) {
-        out.push_back(static_cast<unsigned char>(value) | 0x80u);
+        *out++ = static_cast<unsigned char>(value) | 0x80u;
         value >>= 7;
     }
-    out.push_back(static_cast<unsigned char>(value));
+    *out++ = static_cast<unsigned char>(value);
+    return out;
 }
 
 /** putVarint of a zigzag-folded signed delta. */
-inline void
-putSignedVarint(std::vector<unsigned char> &out, std::int64_t value)
+inline unsigned char *
+putSignedVarint(unsigned char *out, std::int64_t value)
 {
-    putVarint(out, zigzagEncode(value));
+    return putVarint(out, zigzagEncode(value));
 }
 
 /**

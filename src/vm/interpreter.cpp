@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.hpp"
+#include "trace/trace_buffer.hpp"
 
 namespace vpsim
 {
@@ -208,7 +209,7 @@ captureTrace(const Program &target_program, Memory initial_memory,
 {
     Interpreter interp(target_program, std::move(initial_memory));
     std::vector<TraceRecord> records;
-    records.reserve(max_insts);
+    reserveWholeTrace(records, static_cast<std::size_t>(max_insts));
     interp.run(max_insts, &records);
     return records;
 }

@@ -70,8 +70,9 @@ class Interpreter
 /**
  * Convenience: run @p target_program on @p initial_memory until it halts
  * or retires @p max_insts instructions (0 means unlimited) and return
- * the trace. A program that halts early yields a shorter trace; that is
- * not an error.
+ * the trace, in a whole-trace buffer (reserveWholeTrace) sized for
+ * @p max_insts records. A program that halts early yields a shorter
+ * trace; that is not an error.
  */
 std::vector<TraceRecord> captureTrace(const Program &target_program,
                                       Memory initial_memory,

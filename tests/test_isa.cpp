@@ -4,6 +4,8 @@
  * metadata, and disassembly.
  */
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "isa/instruction.hpp"
@@ -80,6 +82,34 @@ TEST(OpcodeMeta, EveryOpcodeHasNameAndClass)
         // instClassOf must not panic for any valid opcode.
         (void)instClassOf(op);
     }
+}
+
+TEST(OpcodeMeta, WritersAreExactlyTheValueClasses)
+{
+    for (std::size_t i = 0; i < numOpCodes; ++i) {
+        const auto op = static_cast<OpCode>(i);
+        const InstClass cls = instClassOf(op);
+        const bool writes = cls == InstClass::IntAlu ||
+                            cls == InstClass::IntMul ||
+                            cls == InstClass::IntDiv ||
+                            cls == InstClass::Load || cls == InstClass::Jump;
+        EXPECT_EQ(writesDest(op), writes) << opcodeName(op);
+        EXPECT_EQ(isMemory(op),
+                  cls == InstClass::Load || cls == InstClass::Store)
+            << opcodeName(op);
+    }
+}
+
+TEST(OpcodeMeta, BytesPastTheLastOpcodePanic)
+{
+    // The classification tables hold only valid opcodes; a byte past
+    // them must panic, never read beyond the table.
+    EXPECT_DEATH((void)instClassOf(OpCode::NumOpCodes),
+                 "instClassOf: invalid opcode " + std::to_string(numOpCodes));
+    EXPECT_DEATH((void)writesDest(static_cast<OpCode>(255)),
+                 "writesDest: invalid opcode 255");
+    EXPECT_DEATH((void)isControl(static_cast<OpCode>(200)),
+                 "instClassOf: invalid opcode 200");
 }
 
 TEST(InstructionTest, ProducesValueRules)

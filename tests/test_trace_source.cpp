@@ -1,14 +1,17 @@
 /**
  * @file
  * Tests for the batched trace-delivery API (TraceSpan, TraceSource
- * block iteration) and for trace statistics and slicing.
+ * block iteration), for trace statistics and slicing, and for the
+ * whole-trace buffers that capture and slicing reserve.
  */
 
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "trace/source.hpp"
+#include "trace/trace_buffer.hpp"
 #include "trace/trace_stats.hpp"
 #include "workloads/workload.hpp"
 
@@ -212,6 +215,125 @@ TEST(SliceTrace, AnalysesRunOnSlices)
     const auto sliced = sliceTrace(full, 1000);
     for (std::size_t i = 0; i + 1 < sliced.size(); ++i)
         ASSERT_EQ(sliced[i].nextPc, sliced[i + 1].pc);
+}
+
+TEST(SliceTrace, RenumbersAWholeTraceBuffer)
+{
+    // 100,000 records (4.8 MB) take reserveWholeTrace's huge-page path.
+    const auto full = captureWorkloadTrace("gcc", 110000);
+    const auto sliced = sliceTrace(full, 10000);
+    ASSERT_EQ(sliced.size(), 100000u);
+    EXPECT_EQ(sliced.capacity(), sliced.size()) << "reserved once";
+    for (std::size_t i = 0; i < sliced.size(); ++i) {
+        ASSERT_EQ(sliced[i].seq, i) << "dense renumbering";
+        ASSERT_EQ(sliced[i].pc, full[10000 + i].pc);
+        ASSERT_EQ(sliced[i].memAddr, full[10000 + i].memAddr);
+    }
+}
+
+// TraceBuffer: reserveWholeTrace() and the arithmetic of the range it
+// advises for huge pages.
+
+constexpr std::uintptr_t mib = std::uintptr_t{1} << 20;
+
+TEST(TraceBuffer, HugePageInteriorIsEmptyWithoutAnAlignedHugePage)
+{
+    EXPECT_TRUE(hugePageInterior(0, 0).empty());
+    EXPECT_TRUE(hugePageInterior(0, 2 * mib - 1).empty());
+    EXPECT_TRUE(hugePageInterior(16, 2 * mib + 16).empty())
+        << "2 MiB long but straddling a boundary";
+    EXPECT_FALSE(hugePageInterior(2 * mib + 1, 6 * mib).empty())
+        << "[4, 6) MiB fits";
+    EXPECT_TRUE(hugePageInterior(2 * mib + 1, 6 * mib - 1).empty())
+        << "one byte short of it";
+    EXPECT_TRUE(hugePageInterior(8 * mib, 4 * mib).empty())
+        << "a reversed range";
+}
+
+TEST(TraceBuffer, HugePageInteriorIsAlignedAndInside)
+{
+    const AddressRange exact = hugePageInterior(4 * mib, 10 * mib);
+    EXPECT_EQ(exact.first, 4 * mib);
+    EXPECT_EQ(exact.last, 10 * mib);
+
+    // A glibc mapping: the data starts 16 bytes past a page boundary.
+    const AddressRange cut = hugePageInterior(4 * mib + 16, 49 * mib + 40);
+    EXPECT_EQ(cut.first, 6 * mib);
+    EXPECT_EQ(cut.last, 48 * mib);
+
+    // Every begin/end pair on a 60 KiB grid across a few huge pages,
+    // offset by a malloc header.
+    for (std::uintptr_t b = 0; b < 8 * mib; b += 60 * 1024) {
+        for (std::uintptr_t e = b; e < 12 * mib; e += 60 * 1024) {
+            const std::uintptr_t begin = b + 16;
+            const std::uintptr_t end = e + 16;
+            const std::uintptr_t first_huge =
+                (begin + hugePageBytes - 1) / hugePageBytes * hugePageBytes;
+            const bool holds_huge = first_huge + hugePageBytes <= end;
+            const AddressRange range = hugePageInterior(begin, end);
+            ASSERT_EQ(range.empty(), !holds_huge) << begin << " " << end;
+            if (range.empty())
+                continue;
+            ASSERT_EQ(range.first % hugePageBytes, 0u);
+            ASSERT_EQ(range.last % hugePageBytes, 0u);
+            ASSERT_GE(range.first, begin) << "never outside the buffer";
+            ASSERT_LE(range.last, end);
+            ASSERT_LT(range.first - begin, hugePageBytes)
+                << "the largest aligned interior";
+            ASSERT_LT(end - range.last, hugePageBytes);
+        }
+    }
+}
+
+TEST(TraceBuffer, ReserveKeepsElementsAndReservesOnce)
+{
+    std::vector<TraceRecord> trace = syntheticTrace(10);
+    reserveWholeTrace(trace, 200000);
+    ASSERT_EQ(trace.size(), 10u);
+    EXPECT_GE(trace.capacity(), 200000u);
+    for (std::size_t n = 0; n < trace.size(); ++n)
+        EXPECT_EQ(trace[n].result, n * 3 + 1);
+    const TraceRecord *const data = trace.data();
+    reserveWholeTrace(trace, 1000);
+    EXPECT_EQ(trace.data(), data) << "enough room already: no move";
+
+    std::vector<TraceRecord> empty;
+    reserveWholeTrace(empty, 0);
+    EXPECT_EQ(empty.capacity(), 0u);
+}
+
+TEST(TraceBuffer, WholeCaptureEqualsTheChunkedCapture)
+{
+    // 100,000 records per benchmark fill a reserved 4.8 MB buffer (the
+    // huge-page path); the chunked capture never holds the whole trace.
+    for (const std::string &name : workloadNames()) {
+        SCOPED_TRACE(name);
+        const std::vector<TraceRecord> whole =
+            captureWorkloadTrace(name, 100000);
+        EXPECT_EQ(whole.capacity(), 100000u) << "reserved once";
+        std::vector<TraceRecord> chunked;
+        ASSERT_TRUE(captureWorkloadTraceChunked(
+                        name, 100000, WorkloadParams{}, 4099,
+                        [&](const std::vector<TraceRecord> &chunk) {
+                            chunked.insert(chunked.end(), chunk.begin(),
+                                           chunk.end());
+                            return Status::ok();
+                        })
+                        .isOk());
+        ASSERT_EQ(whole.size(), chunked.size());
+        for (std::size_t i = 0; i < whole.size(); ++i) {
+            ASSERT_EQ(whole[i].seq, chunked[i].seq) << "record " << i;
+            ASSERT_EQ(whole[i].pc, chunked[i].pc) << "record " << i;
+            ASSERT_EQ(whole[i].nextPc, chunked[i].nextPc) << "record " << i;
+            ASSERT_EQ(whole[i].memAddr, chunked[i].memAddr) << "record " << i;
+            ASSERT_EQ(whole[i].result, chunked[i].result) << "record " << i;
+            ASSERT_EQ(whole[i].op, chunked[i].op) << "record " << i;
+            ASSERT_EQ(whole[i].rd, chunked[i].rd) << "record " << i;
+            ASSERT_EQ(whole[i].rs1, chunked[i].rs1) << "record " << i;
+            ASSERT_EQ(whole[i].rs2, chunked[i].rs2) << "record " << i;
+            ASSERT_EQ(whole[i].taken, chunked[i].taken) << "record " << i;
+        }
+    }
 }
 
 } // namespace

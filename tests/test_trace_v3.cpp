@@ -627,6 +627,70 @@ TEST(TraceV3Load, IntactFileReservesItsDestinationOnce)
     std::remove(path.c_str());
 }
 
+TEST(TraceV3Load, FreshDestinationEqualsTheCapture)
+{
+    // 70,001 records: a partial tail block at every block size, and one
+    // full 65,536-record block before it at the default size. The load
+    // appends every block into the destination reserved from the
+    // trailer (3.4 MB, the whole-trace buffer path).
+    const auto original = captureWorkloadTrace("perl", 70001);
+    ASSERT_EQ(original.size(), 70001u);
+    const std::string path = tempPath("vpsim_v3_fresh.vptrace");
+    for (const std::uint32_t per_block : {1u, 7u, 65536u}) {
+        SCOPED_TRACE(per_block);
+        ASSERT_TRUE(writeTraceV3(path, original, per_block).isOk());
+        std::vector<TraceRecord> loaded;
+        const Status read = readTraceV3(path, &loaded);
+        ASSERT_TRUE(read.isOk()) << read.message();
+        expectSameRecords(loaded, original);
+        EXPECT_EQ(loaded.capacity(), loaded.size());
+
+        // A destination that already holds a longer trace is cleared
+        // and refilled, not decoded over.
+        std::vector<TraceRecord> reused = captureWorkloadTrace("go", 80000);
+        ASSERT_TRUE(readTraceV3(path, &reused).isOk());
+        expectSameRecords(reused, original);
+    }
+    std::remove(path.c_str());
+}
+
+TEST(TraceV3Load, ReadBlockDecodesInPlaceOrAppends)
+{
+    // 5 full 7-record blocks and a 3-record tail, read through one
+    // reused block vector that starts shorter than a block.
+    const auto original = captureWorkloadTrace("li", 38);
+    const std::string path = tempPath("vpsim_v3_inplace.vptrace");
+    ASSERT_TRUE(writeTraceV3(path, original, 7).isOk());
+    TraceV3Reader reader;
+    ASSERT_TRUE(reader.open(path).isOk());
+    std::vector<TraceRecord> block(3);
+    const TraceRecord *data = nullptr;
+    std::size_t delivered = 0;
+    TraceV3Reader::Block outcome = TraceV3Reader::Block::kDelivered;
+    for (;;) {
+        std::size_t count = 0;
+        ASSERT_TRUE(reader.readBlock(&block, 0, &count, &outcome).isOk());
+        if (outcome == TraceV3Reader::Block::kEnd)
+            break;
+        if (data == nullptr) {
+            EXPECT_EQ(block.size(), 7u) << "cut to the offset, appended";
+            data = block.data();
+        }
+        EXPECT_EQ(block.data(), data) << "later blocks decode in place";
+        EXPECT_EQ(block.size(), 7u) << "a short tail leaves the size";
+        const std::vector<TraceRecord> got(block.begin(),
+                                           block.begin() + count);
+        const std::vector<TraceRecord> want(
+            original.begin() + static_cast<std::ptrdiff_t>(delivered),
+            original.begin() +
+                static_cast<std::ptrdiff_t>(delivered + count));
+        expectSameRecords(got, want);
+        delivered += count;
+    }
+    EXPECT_EQ(delivered, original.size());
+    std::remove(path.c_str());
+}
+
 TEST(TraceV3Load, LyingTrailerCountIsCappedAndStillRejected)
 {
     const auto original = captureWorkloadTrace("go", 3000);
