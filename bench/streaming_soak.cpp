@@ -76,11 +76,9 @@ synthesize(std::uint64_t seq, SoakRng &rng)
     switch (roll % 8) {
       case 0:
         r.op = OpCode::Ld;
-        r.memAddr = 0x10000000 + (roll % 4096) * 8;
         break;
       case 1:
         r.op = OpCode::St;
-        r.memAddr = 0x10000000 + (roll % 4096) * 8;
         r.rd = invalidReg;
         break;
       case 2:
@@ -107,7 +105,6 @@ digestRecord(std::uint64_t hash, const TraceRecord &r)
     mix(r.seq);
     mix(r.pc);
     mix(r.nextPc);
-    mix(r.memAddr);
     mix(r.result);
     mix(static_cast<std::uint64_t>(r.op));
     mix(r.rd);

@@ -3,10 +3,11 @@
  * Dynamic trace record: one executed instruction with its outcome.
  *
  * This plays the role of the Shade-produced SPARC traces in the paper
- * (§3.1): a stream of executed instructions annotated with the value each
- * one produced, the memory address it touched, and the actual control-flow
- * successor. All simulators and analyses in this repository are driven by
- * streams of these records.
+ * (§3.1): a stream of executed instructions annotated with the registers
+ * each one read and wrote, the value it produced, and the actual
+ * control-flow successor. All simulators and analyses in this repository
+ * are driven by streams of these records. No model reads the address a
+ * load or store touched, so a record does not carry it: 40 bytes each.
  */
 
 #ifndef VPSIM_TRACE_RECORD_HPP
@@ -30,8 +31,6 @@ struct TraceRecord
     Addr pc = 0;
     /** Address of the next instruction actually executed. */
     Addr nextPc = 0;
-    /** Effective address for loads/stores, 0 otherwise. */
-    Addr memAddr = 0;
     /** Value written to the destination register (0 when none). */
     Value result = 0;
     /** Opcode. */
@@ -67,6 +66,10 @@ struct TraceRecord
     /** Fall-through address (pc + instruction size). */
     Addr fallThrough() const { return pc + instBytes; }
 };
+
+static_assert(sizeof(TraceRecord) == 40,
+              "a record is 40 bytes; every whole trace, block buffer and "
+              "capture chunk scales with it (docs/PERF.md)");
 
 } // namespace vpsim
 

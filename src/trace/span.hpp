@@ -95,7 +95,6 @@ struct TraceColumns
     const SeqNum *seq = nullptr;
     const Addr *pc = nullptr;
     const Addr *nextPc = nullptr;
-    const Addr *memAddr = nullptr;
     const Value *result = nullptr;
     const OpCode *op = nullptr;
     const RegIndex *rd = nullptr;

@@ -1,7 +1,5 @@
 #include "trace/trace_buffer.hpp"
 
-#include <mutex>
-
 #if defined(__GLIBC__)
 #include <malloc.h>
 #endif
@@ -16,37 +14,35 @@ namespace
 {
 
 /**
- * Allocations this large get their own mapping: whole traces, but not
- * the 3 MiB block buffers of the v3 writer and readers.
+ * Allocations this large get their own mapping: whole traces, and the
+ * block-sized buffers of a capture's chunk and the v3 writer and
+ * readers (2.5-3.5 MiB at the default block size).
  */
-constexpr std::size_t ownMappingBytes = std::size_t{4} << 20;
+constexpr std::size_t ownMappingBytes = std::size_t{1} << 20;
 
 /**
- * Give every whole trace its own mapping, so freeing it hands the pages
- * back. A sweep builds its traces on worker threads and frees them on
- * another, once per round. Left to itself, glibc raises its mmap
- * threshold past the first large buffer freed, and later traces land
- * in the building thread's malloc arena. Which worker builds which
- * trace varies from run to run, and an arena keeps its high-water mark,
- * so peak RSS wandered by a trace or more between identical runs.
+ * Give every trace buffer of ownMappingBytes or more its own mapping,
+ * so freeing it hands the pages back. A sweep builds its traces on
+ * worker threads and frees them on another, once per round. Left to
+ * itself, glibc raises its mmap threshold past the first large buffer
+ * freed, and later buffers land in the building thread's malloc arena.
+ * Which worker builds which trace varies from run to run, and an arena
+ * keeps its high-water mark, so peak RSS wandered by a buffer or more
+ * between identical runs. The pin is set while the program loads,
+ * before any thread allocates a chunk or a block.
  */
-void
-pinMmapThreshold()
-{
+[[maybe_unused]] const bool mmapThresholdPinned = [] {
 #if defined(__GLIBC__)
-    static std::once_flag once;
-    std::call_once(once, [] {
-        ::mallopt(M_MMAP_THRESHOLD, static_cast<int>(ownMappingBytes));
-    });
+    ::mallopt(M_MMAP_THRESHOLD, static_cast<int>(ownMappingBytes));
 #endif
-}
+    return true;
+}();
 
 } // namespace
 
 void
 reserveWholeTrace(std::vector<TraceRecord> &trace, std::size_t records)
 {
-    pinMmapThreshold();
     const TraceRecord *const old = trace.data();
     trace.reserve(records);
     const std::size_t bytes = trace.capacity() * sizeof(TraceRecord);

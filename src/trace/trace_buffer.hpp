@@ -3,8 +3,8 @@
  * Whole-trace buffers: the one way to reserve a std::vector that will
  * hold a whole trace (VM capture, whole-file v3 load, --skip slice).
  *
- * A whole trace is tens of MiB at 48 B per record, written once front
- * to back. Left to 4 KiB pages, filling it costs a page fault per 85
+ * A whole trace is tens of MiB at 40 B per record, written once front
+ * to back. Left to 4 KiB pages, filling it costs a page fault per 102
  * records, which is most of the time of a load or a capture. The helper
  * gives the buffer its own mapping and asks for 2 MiB pages over it;
  * docs/PERF.md ("Whole-trace buffers") has the numbers.
@@ -57,12 +57,13 @@ hugePageInterior(std::uintptr_t begin, std::uintptr_t end)
 /**
  * Reserve @p trace for @p records records, to be filled front to back.
  *
- * Buffers of at least 4 MiB get their own mapping (glibc: the mmap
- * threshold is pinned there on the first call, so freeing a trace hands
- * its pages back instead of leaving them in whichever thread's malloc
- * arena allocated it), and on Linux the huge-page interior of a newly
- * reserved buffer is advised MADV_HUGEPAGE before anything touches it.
- * Elsewhere this is a plain reserve(). Existing elements are kept.
+ * Buffers of at least 1 MiB get their own mapping (glibc: the mmap
+ * threshold is pinned there when the program loads, so freeing a trace,
+ * a capture chunk or a v3 block buffer hands its pages back instead of
+ * leaving them in whichever thread's malloc arena allocated it), and on
+ * Linux the huge-page interior of a newly reserved buffer is advised
+ * MADV_HUGEPAGE before anything touches it. Elsewhere this is a plain
+ * reserve(). Existing elements are kept.
  */
 void reserveWholeTrace(std::vector<TraceRecord> &trace, std::size_t records);
 

@@ -19,7 +19,11 @@ constexpr char v3Magic[4] = {'V', 'P', 'T', 'R'};
 constexpr char blockMagic[4] = {'V', 'P', 'B', '3'};
 constexpr char trailerMagic[4] = {'V', 'P', 'E', '3'};
 
-/** Upper bound on one record's encoded size (4 deltas + result + 4). */
+/**
+ * Upper bound on one record's encoded size (4 deltas + result + 4).
+ * The fourth delta is the reserved memAddr field: written 0 (one byte),
+ * but files written before it was reserved carry any varint there.
+ */
 constexpr std::size_t maxEncodedRecordBytes = 5 * maxVarintBytes + 4;
 
 /** Lower bound on one record's encoded size (5 one-byte varints + 4). */
@@ -71,7 +75,6 @@ encodeBlockPayload(unsigned char *out, TraceSpan records)
 {
     SeqNum prev_seq = 0;
     Addr prev_pc = 0;
-    Addr prev_mem = 0;
     for (std::size_t i = 0; i < records.size(); ++i) {
         const TraceRecord &r = records[i];
         if (i == 0) {
@@ -85,11 +88,7 @@ encodeBlockPayload(unsigned char *out, TraceSpan records)
         }
         out = putSignedVarint(out, static_cast<std::int64_t>(
                                        r.nextPc - r.fallThrough()));
-        if (i == 0)
-            out = putVarint(out, r.memAddr);
-        else
-            out = putSignedVarint(
-                out, static_cast<std::int64_t>(r.memAddr - prev_mem));
+        *out++ = 0; // the reserved memAddr field
         out = putVarint(out, r.result);
         out[0] = static_cast<unsigned char>(static_cast<unsigned char>(r.op) |
                                             (r.taken ? 0x80u : 0x00u));
@@ -99,7 +98,6 @@ encodeBlockPayload(unsigned char *out, TraceSpan records)
         out += 4;
         prev_seq = r.seq;
         prev_pc = r.pc;
-        prev_mem = r.memAddr;
     }
     return out;
 }
@@ -120,10 +118,10 @@ decodeRecordChecked(const unsigned char *&p, const unsigned char *end,
     std::uint64_t seq = 0;
     std::uint64_t pc = 0;
     std::uint64_t next_pc = 0;
-    std::uint64_t mem = 0;
+    std::uint64_t reserved = 0; // memAddr: parsed and ignored
     std::uint64_t result = 0;
     if (!getVarint(p, end, &seq) || !getVarint(p, end, &pc) ||
-        !getVarint(p, end, &next_pc) || !getVarint(p, end, &mem) ||
+        !getVarint(p, end, &next_pc) || !getVarint(p, end, &reserved) ||
         !getVarint(p, end, &result)) {
         return false;
     }
@@ -135,11 +133,9 @@ decodeRecordChecked(const unsigned char *&p, const unsigned char *end,
     if (first) {
         r->seq = seq;
         r->pc = pc;
-        r->memAddr = mem;
     } else {
         r->seq += 1 + static_cast<std::uint64_t>(zigzagDecode(seq));
         r->pc += static_cast<std::uint64_t>(zigzagDecode(pc));
-        r->memAddr += static_cast<std::uint64_t>(zigzagDecode(mem));
     }
     r->nextPc =
         r->pc + instBytes + static_cast<std::uint64_t>(zigzagDecode(next_pc));
@@ -209,7 +205,7 @@ struct Append
  * The first record (absolute fields) and the tail, where a worst-case
  * record may no longer fit, go through the per-byte checked decoder.
  * In between, bounds are checked once per record, the running
- * seq/pc/memAddr are locals, each record is written field by field
+ * seq/pc are locals, each record is written field by field
  * into its slot, and over-long varints and out-of-range opcodes only
  * raise a flag that is checked once for the whole block.
  */
@@ -225,7 +221,6 @@ decodeBlockPayload(const unsigned char *payload, std::size_t size,
         return false;
     SeqNum seq = r->seq;
     Addr pc = r->pc;
-    Addr mem = r->memAddr;
     unsigned bad = 0;
     std::uint32_t i = 1;
     for (; i < count &&
@@ -235,7 +230,7 @@ decodeBlockPayload(const unsigned char *payload, std::size_t size,
                        zigzagDecode(takeVarint(p, bad)));
         pc += static_cast<std::uint64_t>(zigzagDecode(takeVarint(p, bad)));
         const std::uint64_t next_pc = takeVarint(p, bad);
-        mem += static_cast<std::uint64_t>(zigzagDecode(takeVarint(p, bad)));
+        (void)takeVarint(p, bad); // the reserved memAddr field
         const std::uint64_t result = takeVarint(p, bad);
         const unsigned char op_byte = p[0] & 0x7fu;
         bad |= op_byte >= static_cast<unsigned char>(OpCode::NumOpCodes);
@@ -244,7 +239,6 @@ decodeBlockPayload(const unsigned char *payload, std::size_t size,
         r->pc = pc;
         r->nextPc =
             pc + instBytes + static_cast<std::uint64_t>(zigzagDecode(next_pc));
-        r->memAddr = mem;
         r->result = result;
         r->op = static_cast<OpCode>(op_byte);
         r->rd = p[1];

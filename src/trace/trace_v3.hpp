@@ -48,7 +48,7 @@ namespace vpsim
 inline constexpr std::uint32_t traceFormatVersionV3 = 3;
 
 /**
- * Default records per v3 block: ~1 MiB encoded, 65,536 x 48 B = 3 MiB
+ * Default records per v3 block: ~1 MiB encoded, 65,536 x 40 B = 2.5 MiB
  * decoded.
  */
 inline constexpr std::uint32_t defaultRecordsPerBlock = 65536;

@@ -2,12 +2,12 @@
  * @file
  * LEB128 varints and zigzag mapping for the v3 block trace format.
  *
- * Trace fields are strongly clustered: sequence numbers advance by one,
- * PCs advance by one instruction, memory addresses stride through
- * arrays. Encoding each field as a zigzag delta against its natural
- * predecessor turns almost every 8-byte field into a 1-byte varint,
- * which is what makes a 100M-instruction v3 trace a disk-streamable
- * artifact instead of a 4.5 GB one (see docs/TRACE_FORMAT.md §v3).
+ * Trace fields are strongly clustered: sequence numbers advance by one
+ * and PCs by one instruction. Encoding each field as a zigzag delta
+ * against its natural predecessor turns almost every 8-byte field into
+ * a 1-byte varint, which is what makes a 100M-instruction v3 trace a
+ * disk-streamable artifact instead of a 4.5 GB one (see
+ * docs/TRACE_FORMAT.md §v3).
  *
  * Encoding is unsigned LEB128 (7 payload bits per byte, continuation in
  * the top bit, little-endian groups); signed deltas are first folded to

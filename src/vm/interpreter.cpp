@@ -63,6 +63,8 @@ Interpreter::run(std::uint64_t max_insts, std::vector<TraceRecord> *out)
         const auto sa = static_cast<std::int64_t>(a);
         const auto sb_val = static_cast<std::int64_t>(b);
 
+        // Effective address of a load or store; the record omits it.
+        const Addr ea = a + static_cast<Value>(inst.imm);
         std::size_t next_index = pcIndex + 1;
         Value dest_value = 0;
         bool wrote_dest = false;
@@ -124,21 +126,13 @@ Interpreter::run(std::uint64_t max_insts, std::vector<TraceRecord> *out)
             dest_value = static_cast<Value>(inst.imm) << 16;
             wrote_dest = true; break;
           case OpCode::Ld:
-            rec.memAddr = a + static_cast<Value>(inst.imm);
-            dest_value = mem.read64(rec.memAddr);
-            wrote_dest = true; break;
+            dest_value = mem.read64(ea); wrote_dest = true; break;
           case OpCode::Lbu:
-            rec.memAddr = a + static_cast<Value>(inst.imm);
-            dest_value = mem.read8(rec.memAddr);
-            wrote_dest = true; break;
+            dest_value = mem.read8(ea); wrote_dest = true; break;
           case OpCode::St:
-            rec.memAddr = a + static_cast<Value>(inst.imm);
-            mem.write64(rec.memAddr, b);
-            break;
+            mem.write64(ea, b); break;
           case OpCode::Sb:
-            rec.memAddr = a + static_cast<Value>(inst.imm);
-            mem.write8(rec.memAddr, static_cast<std::uint8_t>(b));
-            break;
+            mem.write8(ea, static_cast<std::uint8_t>(b)); break;
           case OpCode::Beq:
             rec.taken = a == b; break;
           case OpCode::Bne:

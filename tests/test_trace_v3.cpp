@@ -96,7 +96,6 @@ expectSameRecords(const std::vector<TraceRecord> &got,
         ASSERT_EQ(got[i].seq, want[i].seq) << "record " << i;
         ASSERT_EQ(got[i].pc, want[i].pc) << "record " << i;
         ASSERT_EQ(got[i].nextPc, want[i].nextPc) << "record " << i;
-        ASSERT_EQ(got[i].memAddr, want[i].memAddr) << "record " << i;
         ASSERT_EQ(got[i].result, want[i].result) << "record " << i;
         ASSERT_EQ(got[i].op, want[i].op) << "record " << i;
         ASSERT_EQ(got[i].rd, want[i].rd) << "record " << i;
@@ -274,7 +273,7 @@ TEST(TraceIo, CorruptionCodesAndMessagesArePinned)
     std::vector<unsigned char> bytes = pristine;
     bytes[second + v3BlockFrameBytes + 5] ^= 0x10; // payload bit rot
     expect_corrupt(bytes, "block checksum mismatch at block 1 in " + path +
-                              " (stored 6d54b472, computed 753621d8)");
+                              " (stored 7d73e2db, computed 5c8726d4)");
     bytes = pristine;
     bytes[second] = 'X'; // frame magic
     expect_corrupt(bytes, "bad block magic at block 1 in " + path);
@@ -843,10 +842,12 @@ TEST(TraceV3Load, TruncatedFrameAndOverlongPayloadLengthFailStrict)
 }
 
 /**
- * Records whose encodings run from the 9-byte minimum to the 54-byte
- * maximum: every fourth one has 10-byte varints in all five fields
- * (huge seq jumps, PC and address swings across the whole address
- * space, result ~0), the rest only a 10-byte result or nothing long.
+ * Records whose encodings run from the 9-byte minimum to 45 bytes:
+ * every fourth one has 10-byte varints in all four fields the writer
+ * encodes (huge seq jumps, PC and next-PC swings across the whole
+ * address space, result ~0), the rest only a 10-byte result or nothing
+ * long. The reserved memAddr field is always written as one zero byte;
+ * payloadWithAddresses() puts 10-byte varints there too.
  */
 std::vector<TraceRecord>
 extremeRecords(std::size_t n)
@@ -860,7 +861,6 @@ extremeRecords(std::size_t n)
         r.seq = seq;
         r.pc = wild ? (std::uint64_t{1} << 63) + 8 * i : 0x1000 + 4 * i;
         r.nextPc = wild ? 4 * i : r.pc + instBytes;
-        r.memAddr = wild ? (std::uint64_t{1} << 63) + i : 0;
         r.result = i % 2 == 1 ? ~std::uint64_t{0} : i;
         r.op = wild ? OpCode::Ld : OpCode::Add;
         r.taken = i % 3 == 0;
@@ -894,6 +894,107 @@ TEST(TraceV3Load, TenByteVarintsRoundTripAcrossTheBoundsCheckSwitch)
         EXPECT_TRUE(source.status().isOk());
         expectSameRecords(streamed, original);
     }
+    std::remove(path.c_str());
+}
+
+/**
+ * The payload of @p records as writers before the memAddr field was
+ * reserved encoded it: the same fields, with the effective address
+ * @p mem_addr(i) of record i absolute in the first record and as a
+ * signed delta after it.
+ */
+template <typename MemAddr>
+std::vector<unsigned char>
+payloadWithAddresses(TraceSpan records, std::size_t first_index,
+                     MemAddr mem_addr)
+{
+    std::vector<unsigned char> payload(records.size() *
+                                       (5 * maxVarintBytes + 4));
+    unsigned char *out = payload.data();
+    for (std::size_t i = 0; i < records.size(); ++i) {
+        const TraceRecord &r = records[i];
+        const Addr mem = mem_addr(first_index + i);
+        if (i == 0) {
+            out = putVarint(out, r.seq);
+            out = putVarint(out, r.pc);
+        } else {
+            const TraceRecord &prev = records[i - 1];
+            out = putSignedVarint(
+                out, static_cast<std::int64_t>(r.seq - (prev.seq + 1)));
+            out = putSignedVarint(
+                out, static_cast<std::int64_t>(r.pc - prev.pc));
+        }
+        out = putSignedVarint(out, static_cast<std::int64_t>(
+                                       r.nextPc - r.fallThrough()));
+        if (i == 0) {
+            out = putVarint(out, mem);
+        } else {
+            const Addr prev_mem = mem_addr(first_index + i - 1);
+            out = putSignedVarint(
+                out, static_cast<std::int64_t>(mem - prev_mem));
+        }
+        out = putVarint(out, r.result);
+        *out++ = static_cast<unsigned char>(static_cast<unsigned char>(r.op) |
+                                            (r.taken ? 0x80u : 0x00u));
+        *out++ = r.rd;
+        *out++ = r.rs1;
+        *out++ = r.rs2;
+    }
+    payload.resize(static_cast<std::size_t>(out - payload.data()));
+    return payload;
+}
+
+TEST(TraceV3Load, FilesThatCarryEffectiveAddressesStillLoad)
+{
+    // Format version 3 used to carry each load's and store's effective
+    // address in the field that is now written 0. A file written then
+    // must still load, and to the same records: re-encode every block
+    // of a fresh file in the old layout, with nonzero addresses and
+    // 10-byte deltas (in the bulk loop and the checked tail alike),
+    // under resealed frame CRCs.
+    const auto original = extremeRecords(200);
+    const auto mem_addr = [](std::size_t i) -> Addr {
+        if (i % 4 == 1)
+            return (std::uint64_t{1} << 63) + i;
+        return i % 4 == 3 ? 0x10000000 + 8 * i : 0;
+    };
+    const std::uint32_t per_block = 64;
+    const std::string path = tempPath("vpsim_v3_old_layout.vptrace");
+    ASSERT_TRUE(writeTraceV3(path, original, per_block).isOk());
+    std::vector<unsigned char> bytes = slurp(path);
+    const std::size_t written = bytes.size();
+    const std::size_t blocks = (original.size() + per_block - 1) / per_block;
+    for (std::size_t b = blocks; b-- > 0;) {
+        const std::size_t frame = blockOffset(bytes, b);
+        const std::size_t first = b * per_block;
+        const auto payload = payloadWithAddresses(
+            TraceSpan(original).subspan(first, per_block), first, mem_addr);
+        const auto at = bytes.begin() + static_cast<std::ptrdiff_t>(
+                                            frame + v3BlockFrameBytes);
+        bytes.erase(at, at + getLe32(bytes, frame + 8));
+        bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(
+                                         frame + v3BlockFrameBytes),
+                     payload.begin(), payload.end());
+        putLe(bytes, frame + 8, payload.size(), 4);
+        resealBlock(bytes, frame);
+    }
+    ASSERT_GT(bytes.size(), written + 50 * 9)
+        << "the old layout spends 9 more bytes on each wild address";
+    spit(path, bytes);
+
+    std::vector<TraceRecord> loaded;
+    const Status read = readTraceV3(path, &loaded);
+    ASSERT_TRUE(read.isOk()) << read.message();
+    expectSameRecords(loaded, original);
+
+    StreamingTraceSource source;
+    ASSERT_TRUE(source.open(path).isOk());
+    std::vector<TraceRecord> streamed;
+    TraceSpan span;
+    while (source.nextBlock(span))
+        streamed.insert(streamed.end(), span.begin(), span.end());
+    EXPECT_TRUE(source.status().isOk()) << source.status().message();
+    expectSameRecords(streamed, original);
     std::remove(path.c_str());
 }
 
