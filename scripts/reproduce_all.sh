@@ -21,7 +21,7 @@ for bench in build/bench/*; do
     name="$(basename "$bench")"
     echo "== $name"
     case "$name" in
-        microbench_components|streaming_soak|table3_2_pipeline_example)
+        streaming_soak|table3_2_pipeline_example)
             # Own CLIs: no benchmark captures, so no shared bench args.
             cmd=("$bench") ;;
         *)

@@ -88,23 +88,6 @@ for bench in "$build"/bench/*; do
     fi
     case "$name" in
         *.cmake|CMakeFiles|Makefile) continue ;;
-        microbench_components)
-            # google-benchmark binary: just prove it starts and lists.
-            echo "== $name (--benchmark_list_tests)"
-            "$bench" --benchmark_list_tests=true > /dev/null ||
-                { echo "FAIL: $name" >&2; failed=1; }
-            continue ;;
-        perf_harness)
-            # Timing output can't be byte-identical across runs;
-            # validate the JSON schema instead (docs/PERF.md).
-            echo "== $name (JSON schema)"
-            "$bench" --insts 2000 --benchmarks go,compress --repeats 1 \
-                > "$work/$name.json" 2> /dev/null ||
-                { echo "FAIL: $name" >&2; failed=1; continue; }
-            python3 "$(dirname "$0")/perf_report.py" --validate \
-                "$work/$name.json" ||
-                { echo "FAIL: $name (schema)" >&2; failed=1; }
-            continue ;;
         streaming_soak)
             # Synthetic-stream soak with its own minimal CLI (no
             # --benchmarks/--jobs); timing goes to stderr, so just

@@ -11,11 +11,12 @@ analyzePredictability(const std::vector<TraceRecord> &records)
 {
     StridePredictor predictor;
 
-    // Whether each producer instance's value was correctly predicted.
-    std::vector<bool> instancePredicted(records.size(), false);
+    // Each register's last writer, and whether that instance's value
+    // was correctly predicted.
     struct Writer
     {
         SeqNum seq = invalidSeqNum;
+        bool predicted = false;
     };
     std::vector<Writer> lastWriter(numArchRegs);
 
@@ -27,15 +28,15 @@ analyzePredictability(const std::vector<TraceRecord> &records)
         const auto consume = [&](RegIndex reg) {
             if (reg == invalidReg || reg == 0)
                 return;
-            const SeqNum producer = lastWriter[reg].seq;
-            if (producer == invalidSeqNum)
+            const Writer &producer = lastWriter[reg];
+            if (producer.seq == invalidSeqNum)
                 return;
             ++arcs;
-            if (!instancePredicted[producer]) {
+            if (!producer.predicted) {
                 ++unpredictable;
                 return;
             }
-            const std::uint64_t did = record.seq - producer;
+            const std::uint64_t did = record.seq - producer.seq;
             if (did >= 4)
                 ++predictableDid[3];
             else
@@ -50,9 +51,8 @@ analyzePredictability(const std::vector<TraceRecord> &records)
             ClassifierState *unused = nullptr;
             const RawPrediction raw =
                 predictor.lookupTrain(record.pc, record.result, unused);
-            instancePredicted[record.seq] =
-                raw.hasPrediction && raw.value == record.result;
-            lastWriter[record.rd].seq = record.seq;
+            lastWriter[record.rd] = {
+                record.seq, raw.hasPrediction && raw.value == record.result};
         }
     }
 

@@ -1,7 +1,7 @@
 /**
  * @file
- * Process resource measurement for the performance harness
- * (bench/perf_harness.cpp, docs/PERF.md).
+ * Process resource measurement: streaming_soak's per-phase peak RSS
+ * (bench/streaming_soak.cpp) and SimRunner's --mem-budget check.
  *
  * Two pieces:
  *  - Stopwatch: a monotonic wall-clock timer (std::chrono::steady_clock
@@ -10,7 +10,7 @@
  *  - RssSampler: a background thread that polls the process's resident
  *    set and keeps a per-phase peak. getrusage()'s ru_maxrss is a
  *    process-lifetime high-water mark, so it cannot attribute memory to
- *    one benchmarked model once a bigger phase has run; the sampler
+ *    one phase once a bigger phase has run; the sampler
  *    resets its own peak at each beginPhase().
  *
  * The sampler's peak/stop state is shared between the caller and the

@@ -8,6 +8,7 @@
 
 #include "analysis/did.hpp"
 #include "analysis/predictability.hpp"
+#include "workloads/workload.hpp"
 
 namespace vpsim
 {
@@ -211,6 +212,28 @@ TEST(Predictability, DidBucketsSplitCorrectly)
     EXPECT_NEAR(pa.fracPredictableDid4Plus, 0.9, 1e-9);
     EXPECT_DOUBLE_EQ(pa.fracPredictableDid1, 0.0);
     EXPECT_DOUBLE_EQ(pa.fracPredictableShort(), 0.0);
+}
+
+TEST(Predictability, SeqOffsetDoesNotChangeTheAnalysis)
+{
+    // The analysis keys arcs on seq differences, as analyzeDid does, so
+    // a trace whose seq does not start at 0 must give the same result
+    // (and must not index per-record state by seq).
+    const auto trace = captureWorkloadTrace("compress", 20000);
+    auto shifted = trace;
+    for (TraceRecord &record : shifted)
+        record.seq += 1000000;
+    const PredictabilityAnalysis original = analyzePredictability(trace);
+    const PredictabilityAnalysis raised = analyzePredictability(shifted);
+    ASSERT_GT(original.totalArcs, 0u);
+    EXPECT_GT(original.fracPredictable(), 0.0);
+    EXPECT_EQ(raised.totalArcs, original.totalArcs);
+    EXPECT_EQ(raised.fracUnpredictable, original.fracUnpredictable);
+    EXPECT_EQ(raised.fracPredictableDid1, original.fracPredictableDid1);
+    EXPECT_EQ(raised.fracPredictableDid2, original.fracPredictableDid2);
+    EXPECT_EQ(raised.fracPredictableDid3, original.fracPredictableDid3);
+    EXPECT_EQ(raised.fracPredictableDid4Plus,
+              original.fracPredictableDid4Plus);
 }
 
 TEST(Predictability, FractionsSumToOne)

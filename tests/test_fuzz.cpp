@@ -216,8 +216,9 @@ TEST_P(FuzzSweep, VpNeverBreaksCorrectness)
 /**
  * A random Section 5 configuration: window, widths, latencies, every
  * front end (with 1..64 instruction-cache banks) and BTB, every
- * value-prediction flavour, scope and update timing, and wrong-path
- * fetch on the Sequential front end.
+ * value-prediction flavour, raw predictor kind, table capacity, counter
+ * width, miss policy, scope and update timing, and wrong-path fetch on
+ * the Sequential front end.
  */
 PipelineConfig
 randomPipelineConfig(Rng &rng, const Program &program)
@@ -249,8 +250,16 @@ randomPipelineConfig(Rng &rng, const Program &program)
             static_cast<unsigned>(rng.nextRange(1, 8));
         break;
     }
-    config.predictorKind = rng.nextChance(1, 2) ? PredictorKind::Stride
-                                                : PredictorKind::LastValue;
+    // Every raw kind, so each per-kind kernel of the Plain path meets
+    // the reference; finite tables, 3-bit counters and decrement-on-miss
+    // each in about a third of the rounds.
+    config.predictorKind = static_cast<PredictorKind>(rng.nextBelow(5));
+    if (rng.nextChance(1, 3))
+        config.tableCapacity = std::size_t{1} << rng.nextRange(3, 8);
+    if (rng.nextChance(1, 3))
+        config.counterBits = 3;
+    if (rng.nextChance(1, 3))
+        config.missPolicy = MissPolicy::Decrement;
     config.vpScope = rng.nextChance(1, 3) ? VpScope::LoadsOnly
                                           : VpScope::AllInstructions;
     config.vpUpdateTiming = rng.nextChance(1, 3) ? VpUpdateTiming::Retire
@@ -364,7 +373,7 @@ walkV3Blocks(const std::vector<unsigned char> &bytes)
     return blocks;
 }
 
-TEST_P(FuzzSweep, V3SalvageRecoversExactlyTheIntactBlocks)
+TEST_P(FuzzSweep, V3StrictReadKeepsExactlyTheIntactBlocks)
 {
     // The corruption contract of the v3 format (docs/TRACE_FORMAT.md):
     // whatever single-block damage is on disk — a flipped bit at the
@@ -372,8 +381,6 @@ TEST_P(FuzzSweep, V3SalvageRecoversExactlyTheIntactBlocks)
     // trailing garbage — a whole read fails kCorrupt holding exactly the
     // records of the intact blocks before the damage, and a stream
     // delivers exactly those records, then ends with a sticky kCorrupt.
-    // (Named for the retired salvage mode, which skipped the damaged
-    // block; the strict reads it also checked are what remains.)
     const auto trace = fuzzTrace(GetParam());
     ASSERT_FALSE(trace.empty());
     // Size blocks so every trace yields a handful of boundaries to

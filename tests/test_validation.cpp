@@ -393,6 +393,28 @@ TEST(ReferenceMachine, MatchesPrimaryAcrossConfigs)
             config.vpScope = VpScope::AllInstructions;
             config.perfectValuePrediction = true;
             expectSameResult(*trace, config, "perfect vp");
+
+            // Every raw predictor kind, under the paper's classifier and
+            // under a finite table, 3-bit counters and decrement-on-miss.
+            config.perfectValuePrediction = false;
+            for (const PredictorKind kind :
+                 {PredictorKind::LastValue, PredictorKind::Stride,
+                  PredictorKind::TwoDeltaStride, PredictorKind::Hybrid,
+                  PredictorKind::Fcm}) {
+                const std::string label =
+                    "kind " + std::to_string(static_cast<int>(kind));
+                config.predictorKind = kind;
+                config.tableCapacity = 0;
+                config.counterBits = 2;
+                config.missPolicy = MissPolicy::Reset;
+                expectSameResult(*trace, config, label.c_str());
+                config.tableCapacity = 64;
+                config.counterBits = 3;
+                config.missPolicy = MissPolicy::Decrement;
+                expectSameResult(*trace, config,
+                                 (label + ", 64 entries, 3-bit, decrement")
+                                     .c_str());
+            }
         }
     }
 }
