@@ -55,18 +55,17 @@ struct SoakRng
 };
 
 /**
- * Synthesize record @p seq: a loopy instruction stream with realistic
- * small PC deltas, loads/stores touching a strided heap, occasional
- * taken branches, and pseudo-random result values (the hard case for
- * the varint encoder).
+ * Synthesize the record at position @p position: a loopy instruction
+ * stream with realistic small PC deltas, loads/stores touching a
+ * strided heap, occasional taken branches, and pseudo-random result
+ * values (the hard case for the varint encoder).
  */
 TraceRecord
-synthesize(std::uint64_t seq, SoakRng &rng)
+synthesize(std::uint64_t position, SoakRng &rng)
 {
     const std::uint64_t roll = rng.next();
     TraceRecord r;
-    r.seq = seq;
-    r.pc = 0x400000 + (seq % 997) * instBytes;
+    r.pc = 0x400000 + (position % 997) * instBytes;
     r.op = OpCode::Add;
     r.rd = static_cast<RegIndex>(1 + roll % 31);
     r.rs1 = static_cast<RegIndex>(1 + (roll >> 8) % 31);
@@ -94,15 +93,19 @@ synthesize(std::uint64_t seq, SoakRng &rng)
     return r;
 }
 
-/** Fold one record, word by word, into the running FNV-1a digest. */
+/**
+ * Fold the record at position @p position, word by word, into the
+ * running FNV-1a digest.
+ */
 std::uint64_t
-digestRecord(std::uint64_t hash, const TraceRecord &r)
+digestRecord(std::uint64_t hash, std::uint64_t position,
+             const TraceRecord &r)
 {
     const auto mix = [&hash](std::uint64_t value) {
         hash ^= value;
         hash *= fnv1aPrime;
     };
-    mix(r.seq);
+    mix(position);
     mix(r.pc);
     mix(r.nextPc);
     mix(r.result);
@@ -176,11 +179,13 @@ main(int argc, char **argv)
         std::vector<TraceRecord> span;
         constexpr std::size_t spanRecords = 8192;
         span.reserve(spanRecords);
-        for (std::uint64_t seq = 0; seq < insts;) {
+        for (std::uint64_t position = 0; position < insts;) {
             span.clear();
-            for (; span.size() < spanRecords && seq < insts; ++seq) {
-                span.push_back(synthesize(seq, rng));
-                write_digest = digestRecord(write_digest, span.back());
+            for (; span.size() < spanRecords && position < insts;
+                 ++position) {
+                span.push_back(synthesize(position, rng));
+                write_digest =
+                    digestRecord(write_digest, position, span.back());
             }
             fatalIf(!writer
                          .append(TraceSpan(span.data(), span.size()))
@@ -204,8 +209,7 @@ main(int argc, char **argv)
     TraceSpan block;
     while (source.nextBlock(block, TraceSpan::noLimit)) {
         for (const TraceRecord &r : block)
-            read_digest = digestRecord(read_digest, r);
-        read_records += block.size();
+            read_digest = digestRecord(read_digest, read_records++, r);
     }
     fatalIf(!source.status().isOk(),
             "stream ended with error: " + source.status().message());

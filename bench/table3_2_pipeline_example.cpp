@@ -38,7 +38,6 @@ figure32Trace()
     std::vector<TraceRecord> trace;
     for (std::size_t i = 0; i < specs.size(); ++i) {
         TraceRecord rec;
-        rec.seq = i;
         rec.pc = 0x1000 + i * instBytes;
         rec.nextPc = rec.pc + instBytes;
         rec.op = specs[i].rs1 == invalidReg ? OpCode::Addi : OpCode::Add;

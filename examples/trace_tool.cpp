@@ -69,7 +69,7 @@ main(int argc, char **argv)
     for (std::size_t i = 0; i < trace.size() && i < dump; ++i) {
         const TraceRecord &rec = trace[i];
         std::printf("  [%llu] pc=0x%llx %-5s rd=%d result=0x%llx%s\n",
-                    static_cast<unsigned long long>(rec.seq),
+                    static_cast<unsigned long long>(i),
                     static_cast<unsigned long long>(rec.pc),
                     std::string(opcodeName(rec.op)).c_str(),
                     rec.rd == invalidReg ? -1 : static_cast<int>(rec.rd),

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Mutation smoke test: prove the self-checking machinery actually
 # detects a model bug, not just that it stays quiet on correct code.
-# Three mutants, each in a tree of its own:
+# Four mutants, each in a tree of its own:
 #
 # 1. -DVPSIM_MUTATION=classifier-drop-correct,
 # which deletes the classifier's correct-prediction increment (see
@@ -30,6 +30,13 @@
 # can see it: fig5_1 under --check-invariants cheap must fail its cells
 # with that invariant.
 #
+# 4. -DVPSIM_MUTATION=did-write-before-read, which makes the DID
+# collector record an instruction's write before its reads (see
+# DidCollector::observe in src/analysis/did.cpp), so an instruction that
+# reads its own destination depends on itself at distance 0: fig3_3
+# under --check-invariants cheap must fail its cells with
+# did.producer_precedes_consumer.
+#
 # Usage: scripts/mutation_smoke.sh [mutant-build-dir] [clean-build-dir]
 set -euo pipefail
 
@@ -37,6 +44,7 @@ root="$(cd "$(dirname "$0")/.." && pwd)"
 build="${1:-$root/build-mutation-smoke}"
 wakeup_build="$build-late-wakeup"
 taken_build="$build-extra-taken"
+did_build="$build-did-write-before-read"
 clean_build="${2:-$root/build}"
 
 echo "mutation-smoke: building mutant (classifier-drop-correct)"
@@ -131,6 +139,28 @@ else
          "front end's taken-transfer limit"
     echo "---- mutant output ----"
     echo "$out_taken"
+    exit 1
+fi
+
+echo "mutation-smoke: building mutant (did-write-before-read)"
+cmake -B "$did_build" -S "$root" -DCMAKE_BUILD_TYPE=Release \
+    -DVPSIM_MUTATION=did-write-before-read >/dev/null
+cmake --build "$did_build" -j"$(nproc)" --target fig3_3_avg_did >/dev/null
+
+echo "mutation-smoke: running the mutant with --check-invariants cheap"
+out_did="$("$did_build/bench/fig3_3_avg_did" --insts 2000 \
+    --benchmarks compress --check-invariants cheap \
+    --keep-going 1 2>&1 || true)"
+if grep -q "invariant 'did.producer_precedes_consumer' violated" \
+        <<<"$out_did" && grep -q "\[internal\]" <<<"$out_did"; then
+    echo "mutation-smoke: PASS (did.producer_precedes_consumer caught" \
+         "the mutant)"
+else
+    echo "mutation-smoke: FAIL - the write-before-read mutant ran without" \
+         "tripping did.producer_precedes_consumer; nothing checks that" \
+         "DID arcs run from producer to consumer"
+    echo "---- mutant output ----"
+    echo "$out_did"
     exit 1
 fi
 

@@ -75,13 +75,12 @@ class DidCollector
 
   private:
     Histogram hist;
-    /** Last writer sequence number per architectural register. */
+    /** Last writer's trace position per architectural register. */
     std::vector<SeqNum> lastWriter;
-    /**
-     * Arcs counted independently of the histogram, so finish() can
-     * audit that no dependence arc was dropped by the bucketing.
-     */
-    std::uint64_t arcsObserved = 0;
+    /** Trace position of the next record, carried across blocks. */
+    SeqNum position = 0;
+    /** The shortest arc so far, which finish() audits. */
+    std::uint64_t shortestDid = ~std::uint64_t{0};
     std::uint64_t arcsAtLeast4 = 0;
     std::uint64_t trimmedArcs = 0;
     /** Exact sum of the trimmed arcs' DIDs; finish() converts it once. */

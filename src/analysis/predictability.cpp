@@ -11,11 +11,11 @@ analyzePredictability(const std::vector<TraceRecord> &records)
 {
     StridePredictor predictor;
 
-    // Each register's last writer, and whether that instance's value
-    // was correctly predicted.
+    // Each register's last writer (its trace position), and whether
+    // that instance's value was correctly predicted.
     struct Writer
     {
-        SeqNum seq = invalidSeqNum;
+        SeqNum position = invalidSeqNum;
         bool predicted = false;
     };
     std::vector<Writer> lastWriter(numArchRegs);
@@ -24,19 +24,20 @@ analyzePredictability(const std::vector<TraceRecord> &records)
     std::uint64_t unpredictable = 0;
     std::uint64_t predictableDid[4] = {0, 0, 0, 0}; // 1,2,3,>=4
 
-    for (const TraceRecord &record : records) {
+    for (SeqNum position = 0; position < records.size(); ++position) {
+        const TraceRecord &record = records[position];
         const auto consume = [&](RegIndex reg) {
             if (reg == invalidReg || reg == 0)
                 return;
             const Writer &producer = lastWriter[reg];
-            if (producer.seq == invalidSeqNum)
+            if (producer.position == invalidSeqNum)
                 return;
             ++arcs;
             if (!producer.predicted) {
                 ++unpredictable;
                 return;
             }
-            const std::uint64_t did = record.seq - producer.seq;
+            const std::uint64_t did = position - producer.position;
             if (did >= 4)
                 ++predictableDid[3];
             else
@@ -52,7 +53,7 @@ analyzePredictability(const std::vector<TraceRecord> &records)
             const RawPrediction raw =
                 predictor.lookupTrain(record.pc, record.result, unused);
             lastWriter[record.rd] = {
-                record.seq, raw.hasPrediction && raw.value == record.result};
+                position, raw.hasPrediction && raw.value == record.result};
         }
     }
 

@@ -172,10 +172,10 @@ runPipelineLoop(TraceSpan records, const PipelineConfig &config,
     Cycle idleCycles = 0;
     // Dispatched entries whose window slot has not freed yet.
     unsigned windowLoad = 0;
-    // Execute cycle and sequence number of the unresolved mispredicted
+    // Execute cycle and trace position of the unresolved mispredicted
     // branch.
     Cycle resolveAt = noPendingBranch;
-    SeqNum resolveSeq = invalidSeqNum;
+    SeqNum resolvePosition = invalidSeqNum;
 
     // Dispatch the correct-path @p records in cycle now: fix each one's
     // issue, execute and commit cycles, and value-predict its output.
@@ -335,7 +335,7 @@ runPipelineLoop(TraceSpan records, const PipelineConfig &config,
             issuesAt[at] = 0;
         }
         if (now == resolveAt) {
-            engine.branchResolved(resolveSeq, now);
+            engine.branchResolved(resolvePosition, now);
             while (robTail != robHead &&
                    rob[(robTail - 1) & robMask].commit == wrongPathCommit)
                 --robTail;
@@ -405,7 +405,8 @@ runPipelineLoop(TraceSpan records, const PipelineConfig &config,
                 // it resolves when it executes.
                 if (bundle.endsInMispredict) {
                     resolveAt = rob[(robTail - 1) & robMask].depart;
-                    resolveSeq = bundle.records.back().seq;
+                    resolvePosition =
+                        bundle.first + bundle.records.size() - 1;
                 }
             }
         }

@@ -204,7 +204,6 @@ namespace
 /** One in-flight instruction of the reference pipeline. */
 struct RefEntry
 {
-    SeqNum seq = 0;
     Addr pc = 0;
     Value result = 0;
     bool wrongPath = false;
@@ -391,7 +390,7 @@ runReferencePipelineMachine(TraceSpan records, const PipelineConfig &config)
                 timing[entry.index].exec = now;
             progress = true;
             if (entry.mispredictedBranch) {
-                engine.branchResolved(entry.seq, now);
+                engine.branchResolved(entry.index, now);
                 while (window.size() > i + 1) {
                     panicIf(!window.back().wrongPath,
                             "reference: squashed a correct-path entry");
@@ -431,7 +430,6 @@ runReferencePipelineMachine(TraceSpan records, const PipelineConfig &config)
             std::size_t nextGrant = 0;
             for (const TraceRecord &record : bundle.records) {
                 RefEntry entry;
-                entry.seq = record.seq;
                 entry.pc = record.pc;
                 entry.result = record.result;
                 entry.wrongPath = bundle.wrongPath;

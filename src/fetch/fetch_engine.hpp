@@ -47,6 +47,8 @@ struct FetchBundle
      * squashed at resolution.
      */
     bool wrongPath = false;
+    /** Trace position of the first record (correct path only). */
+    std::size_t first = 0;
 };
 
 /**
@@ -89,13 +91,14 @@ class TraceFetchBase
     bool done() const { return cursor >= trace.size(); }
 
     /**
-     * The machine resolved the mispredicted branch @p seq in cycle
-     * @p resolve_cycle; fetch may resume the following cycle.
+     * The machine resolved the mispredicted branch at trace position
+     * @p position in cycle @p resolve_cycle; fetch may resume the
+     * following cycle.
      */
-    virtual void
-    branchResolved(SeqNum seq, Cycle resolve_cycle)
+    void
+    branchResolved(SeqNum position, Cycle resolve_cycle)
     {
-        if (seq != pendingBranch)
+        if (position != pendingBranch)
             return;
         pendingBranch = invalidSeqNum;
         resumeCycle = resolve_cycle + 1;
@@ -113,11 +116,11 @@ class TraceFetchBase
     }
 
     /**
-     * Fetch the correct-path record @p record: consult and train the
-     * branch predictor for a control instruction and arm the stall
-     * machine on a misprediction. Every front end calls this once per
-     * fetched record and keeps its own cursor in a local; delivered()
-     * closes the bundle.
+     * Fetch the correct-path record @p record, an element of trace:
+     * consult and train the branch predictor for a control instruction
+     * and arm the stall machine on a misprediction. Every front end
+     * calls this once per fetched record and keeps its own cursor in a
+     * local; delivered() closes the bundle.
      *
      * With the ideal BTB nothing can mispredict, so no predictor is
      * called: the engine learns which predictor it has once, at
@@ -134,7 +137,7 @@ class TraceFetchBase
         bpred.update(record, prediction);
         if (BranchPredictor::correct(record, prediction))
             return false;
-        pendingBranch = record.seq;
+        pendingBranch = static_cast<SeqNum>(&record - trace.data());
         pendingPrediction = prediction;
         ++numMispredicts;
         return true;
@@ -155,7 +158,7 @@ class TraceFetchBase
               bool within_rules)
     {
         const bool mispredict_last = mispredicted
-            ? end > first && trace[end - 1].seq == pendingBranch
+            ? end > first && end - 1 == pendingBranch
             : pendingBranch == invalidSeqNum;
         checkInvariant(InvariantLevel::Cheap,
                        first == cursor && first <= end &&
@@ -174,7 +177,7 @@ class TraceFetchBase
                        });
         cursor = end;
         return {TraceSpan(trace.data() + first, end - first), mispredicted,
-                false};
+                false, first};
     }
 
     const TraceSpan trace;
@@ -183,7 +186,7 @@ class TraceFetchBase
     const bool idealBtb;
     std::size_t cursor = 0;
 
-    /** Sequence number of the unresolved mispredicted branch. */
+    /** Trace position of the unresolved mispredicted branch. */
     SeqNum pendingBranch = invalidSeqNum;
     /** The (wrong) prediction that armed the stall, for wrong-path
      *  navigation. */

@@ -24,14 +24,6 @@ SequentialFetch::SequentialFetch(
 {
 }
 
-void
-SequentialFetch::branchResolved(SeqNum seq, Cycle resolve_cycle)
-{
-    if (seq == pendingBranch)
-        wpActive = false;
-    TraceFetchBase::branchResolved(seq, resolve_cycle);
-}
-
 FetchBundle
 SequentialFetch::fetchWrongPath(unsigned max_insts)
 {
@@ -50,7 +42,6 @@ SequentialFetch::fetchWrongPath(unsigned max_insts)
         }
 
         TraceRecord &rec = wpBundle.emplace_back();
-        rec.seq = wpNextSeq++;
         rec.pc = wpPc;
         rec.op = inst.op;
         rec.rd = writesDest(inst.op) ? inst.rd : invalidReg;

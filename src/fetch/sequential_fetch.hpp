@@ -39,8 +39,6 @@ class SequentialFetch : public TraceFetchBase
 
     FetchBundle fetch(Cycle now, unsigned max_insts) override;
 
-    void branchResolved(SeqNum seq, Cycle resolve_cycle) override;
-
     std::string name() const override;
 
     /** Wrong-path instructions delivered (squashed later). */
@@ -54,10 +52,10 @@ class SequentialFetch : public TraceFetchBase
     unsigned takenStop;
     const Program *wpProgram;
 
+    /** The wrong-path walker may go on; read only while a
+     *  misprediction is pending. */
     bool wpActive = false;
     Addr wpPc = 0;
-    /** Synthetic sequence numbers, far above any real trace. */
-    SeqNum wpNextSeq = SeqNum{1} << 62;
     std::uint64_t numWrongPath = 0;
     /** The last wrong-path bundle; capacity is kept across cycles. */
     std::vector<TraceRecord> wpBundle;

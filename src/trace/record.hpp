@@ -7,7 +7,8 @@
  * each one read and wrote, the value it produced, and the actual
  * control-flow successor. All simulators and analyses in this repository
  * are driven by streams of these records. No model reads the address a
- * load or store touched, so a record does not carry it: 40 bytes each.
+ * load or store touched, and a record's sequence number is its position
+ * in the trace, so a record carries neither: 32 bytes each.
  */
 
 #ifndef VPSIM_TRACE_RECORD_HPP
@@ -25,8 +26,6 @@ namespace vpsim
 /** One dynamically executed instruction. */
 struct TraceRecord
 {
-    /** Appearance order in the trace (0-based). */
-    SeqNum seq = 0;
     /** Instruction address. */
     Addr pc = 0;
     /** Address of the next instruction actually executed. */
@@ -67,8 +66,8 @@ struct TraceRecord
     Addr fallThrough() const { return pc + instBytes; }
 };
 
-static_assert(sizeof(TraceRecord) == 40,
-              "a record is 40 bytes; every whole trace, block buffer and "
+static_assert(sizeof(TraceRecord) == 32,
+              "a record is 32 bytes; every whole trace, block buffer and "
               "capture chunk scales with it (docs/PERF.md)");
 
 } // namespace vpsim

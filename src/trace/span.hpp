@@ -92,7 +92,6 @@ class TraceSpan
  */
 struct TraceColumns
 {
-    const SeqNum *seq = nullptr;
     const Addr *pc = nullptr;
     const Addr *nextPc = nullptr;
     const Value *result = nullptr;

@@ -3,8 +3,8 @@
  * Whole-trace buffers: the one way to reserve a std::vector that will
  * hold a whole trace (VM capture, whole-file v3 load, --skip slice).
  *
- * A whole trace is tens of MiB at 40 B per record, written once front
- * to back. Left to 4 KiB pages, filling it costs a page fault per 102
+ * A whole trace is tens of MiB at 32 B per record, written once front
+ * to back. Left to 4 KiB pages, filling it costs a page fault per 128
  * records, which is most of the time of a load or a capture. The helper
  * gives the buffer its own mapping and asks for 2 MiB pages over it;
  * docs/PERF.md ("Whole-trace buffers") has the numbers.

@@ -117,11 +117,9 @@ sliceTrace(const std::vector<TraceRecord> &records, std::uint64_t skip,
         ? records.size()
         : std::min<std::uint64_t>(records.size(), skip + length);
     reserveWholeTrace(sliced, static_cast<std::size_t>(end - skip));
-    for (std::uint64_t i = skip; i < end; ++i) {
-        TraceRecord rec = records[i];
-        rec.seq = i - skip;
-        sliced.push_back(rec);
-    }
+    sliced.insert(sliced.end(),
+                  records.begin() + static_cast<std::ptrdiff_t>(skip),
+                  records.begin() + static_cast<std::ptrdiff_t>(end));
     return sliced;
 }
 

@@ -52,8 +52,8 @@ TraceStats computeTraceStats(TraceSpan records);
 TraceStats computeTraceStats(TraceSource &source);
 
 /**
- * Cut @p records down to [skip, skip + length) and renumber the
- * sequence ids densely from 0, preserving every other field. Standard
+ * Cut @p records down to [skip, skip + length); a record's sequence
+ * number is its position, so the slice numbers from 0. Standard
  * warm-up exclusion: predictors and caches are trained on the skipped
  * prefix by the caller if desired, or simply never see it.
  *

@@ -65,24 +65,24 @@ unpackU64(const unsigned char *in)
 }
 
 /**
- * Encode @p records as one block payload at @p out, which has room for
- * records.size() * maxEncodedRecordBytes bytes.
+ * Encode @p records, the first at trace position @p position, as one
+ * block payload at @p out, which has room for records.size() *
+ * maxEncodedRecordBytes bytes. The sequence number field is the
+ * position: absolute in the first record, a gap of 0 after it.
  *
  * @return The end of the payload.
  */
 unsigned char *
-encodeBlockPayload(unsigned char *out, TraceSpan records)
+encodeBlockPayload(unsigned char *out, TraceSpan records, SeqNum position)
 {
-    SeqNum prev_seq = 0;
     Addr prev_pc = 0;
     for (std::size_t i = 0; i < records.size(); ++i) {
         const TraceRecord &r = records[i];
         if (i == 0) {
-            out = putVarint(out, r.seq);
+            out = putVarint(out, position);
             out = putVarint(out, r.pc);
         } else {
-            out = putSignedVarint(out, static_cast<std::int64_t>(
-                                           r.seq - (prev_seq + 1)));
+            *out++ = 0; // the sequence gap
             out = putSignedVarint(
                 out, static_cast<std::int64_t>(r.pc - prev_pc));
         }
@@ -96,7 +96,6 @@ encodeBlockPayload(unsigned char *out, TraceSpan records)
         out[2] = r.rs1;
         out[3] = r.rs2;
         out += 4;
-        prev_seq = r.seq;
         prev_pc = r.pc;
     }
     return out;
@@ -106,14 +105,17 @@ encodeBlockPayload(unsigned char *out, TraceSpan records)
  * Decode one record from @p p into @p r, which holds the previous
  * record of the block (deltas are against it) unless @p first. Every
  * byte is bounds-checked against @p end: this decodes a block's first
- * record and its tail, where a worst-case record may not fit.
+ * record and its tail, where a worst-case record may not fit. Sets
+ * @p misplaced unless the sequence number field reads @p want_seq
+ * (the position in a first record, a gap of 0 after it).
  *
  * @return false on a malformed varint, a truncated record or an
  *         out-of-range opcode.
  */
 bool
 decodeRecordChecked(const unsigned char *&p, const unsigned char *end,
-                    bool first, TraceRecord *r)
+                    bool first, std::uint64_t want_seq, TraceRecord *r,
+                    unsigned &misplaced)
 {
     std::uint64_t seq = 0;
     std::uint64_t pc = 0;
@@ -130,13 +132,11 @@ decodeRecordChecked(const unsigned char *&p, const unsigned char *end,
     const unsigned char op_byte = p[0] & 0x7fu;
     if (op_byte >= static_cast<unsigned char>(OpCode::NumOpCodes))
         return false;
-    if (first) {
-        r->seq = seq;
+    misplaced |= seq != want_seq;
+    if (first)
         r->pc = pc;
-    } else {
-        r->seq += 1 + static_cast<std::uint64_t>(zigzagDecode(seq));
+    else
         r->pc += static_cast<std::uint64_t>(zigzagDecode(pc));
-    }
     r->nextPc =
         r->pc + instBytes + static_cast<std::uint64_t>(zigzagDecode(next_pc));
     r->result = result;
@@ -197,37 +197,39 @@ struct Append
 
 /**
  * Decode one block payload of @p count >= 1 records (nextPayload's
- * frame check) into @p dest. All deltas reset at the block boundary, so
- * this needs nothing from neighbouring blocks. False on any malformed
- * encoding; what @p dest received is then garbage that must not be
- * delivered.
+ * frame check), the first at trace position @p position, into @p dest.
+ * All deltas reset at the block boundary, so this needs nothing from
+ * neighbouring blocks. Returns nullptr, or what is wrong with the
+ * block: a malformed encoding, or a well-formed one whose sequence
+ * numbers are not the records' positions. What @p dest received is
+ * then garbage that must not be delivered.
  *
  * The first record (absolute fields) and the tail, where a worst-case
  * record may no longer fit, go through the per-byte checked decoder.
- * In between, bounds are checked once per record, the running
- * seq/pc are locals, each record is written field by field
- * into its slot, and over-long varints and out-of-range opcodes only
- * raise a flag that is checked once for the whole block.
+ * In between, bounds are checked once per record, the running pc is a
+ * local, each record is written field by field into its slot, and
+ * over-long varints, out-of-range opcodes and sequence gaps only raise
+ * a flag each that is checked once for the whole block.
  */
 template <typename Dest>
-bool
+const char *
 decodeBlockPayload(const unsigned char *payload, std::size_t size,
-                   std::uint32_t count, Dest dest)
+                   std::uint32_t count, SeqNum position, Dest dest)
 {
+    const char *const malformed = "corrupt record encoding";
     const unsigned char *p = payload;
     const unsigned char *const end = payload + size;
+    unsigned misplaced = 0;
     TraceRecord *r = &dest.next();
-    if (!decodeRecordChecked(p, end, true, r))
-        return false;
-    SeqNum seq = r->seq;
+    if (!decodeRecordChecked(p, end, true, position, r, misplaced))
+        return malformed;
     Addr pc = r->pc;
     unsigned bad = 0;
     std::uint32_t i = 1;
     for (; i < count &&
            static_cast<std::size_t>(end - p) >= maxEncodedRecordBytes;
          ++i) {
-        seq += 1 + static_cast<std::uint64_t>(
-                       zigzagDecode(takeVarint(p, bad)));
+        misplaced |= takeVarint(p, bad) != 0;
         pc += static_cast<std::uint64_t>(zigzagDecode(takeVarint(p, bad)));
         const std::uint64_t next_pc = takeVarint(p, bad);
         (void)takeVarint(p, bad); // the reserved memAddr field
@@ -235,7 +237,6 @@ decodeBlockPayload(const unsigned char *payload, std::size_t size,
         const unsigned char op_byte = p[0] & 0x7fu;
         bad |= op_byte >= static_cast<unsigned char>(OpCode::NumOpCodes);
         r = &dest.next();
-        r->seq = seq;
         r->pc = pc;
         r->nextPc =
             pc + instBytes + static_cast<std::uint64_t>(zigzagDecode(next_pc));
@@ -248,17 +249,20 @@ decodeBlockPayload(const unsigned char *payload, std::size_t size,
         p += 4;
     }
     if (bad)
-        return false;
+        return malformed;
     for (; i < count; ++i) {
         const TraceRecord prev = *r;
         r = &dest.next();
         *r = prev;
-        if (!decodeRecordChecked(p, end, false, r))
-            return false;
+        if (!decodeRecordChecked(p, end, false, 0, r, misplaced))
+            return malformed;
     }
     // A valid block's payload is consumed exactly; slack means the
     // declared count or the payload length lied.
-    return p == end;
+    if (p != end)
+        return malformed;
+    return misplaced ? "record sequence number is not its position"
+                     : nullptr;
 }
 
 Status
@@ -350,8 +354,11 @@ TraceV3Writer::flushBlock(TraceSpan block)
 {
     const std::size_t count = block.size();
     panicIf(count == 0, "flushBlock with no records");
+    // Every block before this one is full.
     const std::size_t payload_bytes = static_cast<std::size_t>(
-        encodeBlockPayload(scratch.get(), block) - scratch.get());
+        encodeBlockPayload(scratch.get(), block,
+                           totalBlocks * recordsPerBlock) -
+        scratch.get());
 
     unsigned char frame_header[v3BlockFrameBytes];
     std::memcpy(frame_header, blockMagic, 4);
@@ -621,22 +628,22 @@ TraceV3Reader::readBlock(std::vector<TraceRecord> *out, std::size_t offset,
     // place, never cleared or value-initialised again. Past the end it
     // is appended, so each new element is written once.
     const std::size_t need = offset + payload.count;
-    bool decoded = false;
+    const char *wrong = nullptr;
     if (out->size() >= need) {
-        decoded = decodeBlockPayload(payload.data, payload.bytes,
-                                     payload.count,
-                                     InPlace{out->data() + offset});
+        wrong = decodeBlockPayload(payload.data, payload.bytes,
+                                   payload.count, recordsDelivered,
+                                   InPlace{out->data() + offset});
     } else {
         out->resize(offset);
         if (out->capacity() < need)
             out->reserve(std::max(need, 2 * out->capacity()));
-        decoded = decodeBlockPayload(payload.data, payload.bytes,
-                                     payload.count, Append{out});
+        wrong = decodeBlockPayload(payload.data, payload.bytes,
+                                   payload.count, recordsDelivered,
+                                   Append{out});
     }
-    if (!decoded) {
-        return corrupt("corrupt record encoding in block " +
-                       std::to_string(blocksDelivered) + " of " +
-                       filePath);
+    if (wrong != nullptr) {
+        return corrupt(std::string(wrong) + " in block " +
+                       std::to_string(blocksDelivered) + " of " + filePath);
     }
     blocksDelivered += 1;
     recordsDelivered += payload.count;

@@ -51,7 +51,6 @@ Interpreter::run(std::uint64_t max_insts, std::vector<TraceRecord> *out)
         const Addr pc = program.pcOf(pcIndex);
 
         TraceRecord rec;
-        rec.seq = nextSeq;
         rec.pc = pc;
         rec.op = inst.op;
         rec.rd = writesDest(inst.op) ? inst.rd : invalidReg;
@@ -183,7 +182,6 @@ Interpreter::run(std::uint64_t max_insts, std::vector<TraceRecord> *out)
         }
 
         rec.nextPc = halted ? pc : program.pcOf(next_index);
-        ++nextSeq;
         ++result.executed;
         if (out)
             out->push_back(rec);

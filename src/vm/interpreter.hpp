@@ -62,7 +62,6 @@ class Interpreter
     const Program &program;
     Memory mem;
     std::array<Value, numArchRegs> regs{};
-    std::uint64_t nextSeq = 0;
     std::size_t pcIndex = 0;
     bool halted = false;
 };

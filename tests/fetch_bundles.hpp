@@ -24,6 +24,8 @@ struct FetchedRecord
     bool mispredicted = false;
     /** Fetched down the mispredicted path. */
     bool wrongPath = false;
+    /** Trace position of the record (correct path only). */
+    SeqNum position = invalidSeqNum;
 };
 
 /**
@@ -35,8 +37,9 @@ fetchInto(TraceFetchBase &engine, Cycle now, unsigned width,
           std::vector<FetchedRecord> &out)
 {
     const FetchBundle bundle = engine.fetch(now, width);
-    for (const TraceRecord &record : bundle.records)
-        out.push_back({record, false, bundle.wrongPath});
+    for (std::size_t i = 0; i < bundle.records.size(); ++i)
+        out.push_back({bundle.records[i], false, bundle.wrongPath,
+                       bundle.wrongPath ? invalidSeqNum : bundle.first + i});
     if (bundle.endsInMispredict)
         out.back().mispredicted = true;
     return bundle.records.size();

@@ -4,10 +4,16 @@
  * reproduction of the paper's Figure 3.2 worked example.
  */
 
+#include <cstdio>
+#include <string>
+
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include "analysis/did.hpp"
 #include "analysis/predictability.hpp"
+#include "trace/streaming_source.hpp"
+#include "trace/trace_v3.hpp"
 #include "workloads/workload.hpp"
 
 namespace vpsim
@@ -15,14 +21,13 @@ namespace vpsim
 namespace
 {
 
-/** Build a synthetic producer/consumer trace record. */
+/** Build a synthetic producer/consumer record for trace position @p at. */
 TraceRecord
-rec(SeqNum seq, RegIndex rd, RegIndex rs1 = invalidReg,
+rec(SeqNum at, RegIndex rd, RegIndex rs1 = invalidReg,
     RegIndex rs2 = invalidReg, Value result = 0)
 {
     TraceRecord record;
-    record.seq = seq;
-    record.pc = 0x1000 + seq * instBytes;
+    record.pc = 0x1000 + at * instBytes;
     record.op = rs1 == invalidReg ? OpCode::Addi : OpCode::Add;
     record.rd = rd;
     record.rs1 = rs1 == invalidReg ? 0 : rs1;
@@ -141,6 +146,49 @@ TEST(Did, EmptyTrace)
     EXPECT_DOUBLE_EQ(did.averageDid, 0.0);
 }
 
+class DidBlockDelivery : public ::testing::TestWithParam<std::string>
+{
+};
+
+TEST_P(DidBlockDelivery, SourceMatchesSpanAtEveryBlockSize)
+{
+    // A record's distance is its position, which the collector counts
+    // across blocks: arcs that cross a block boundary, down to blocks
+    // of one record, must come out as they do from one whole span.
+    const auto trace = captureWorkloadTrace(GetParam(), 20000);
+    const DidAnalysis whole = analyzeDid(trace);
+    ASSERT_GT(whole.totalArcs, 0u);
+    const char *dir = std::getenv("TMPDIR");
+    const std::string path = std::string(dir ? dir : "/tmp") +
+                             "/vpsim_did_blocks_" + GetParam() + "_" +
+                             std::to_string(::getpid()) + ".vptrace";
+    for (const std::uint32_t per_block : {1u, 7u, defaultRecordsPerBlock}) {
+        SCOPED_TRACE("records per block " + std::to_string(per_block));
+        ASSERT_TRUE(writeTraceV3(path, trace, per_block).isOk());
+        StreamingTraceSource source;
+        ASSERT_TRUE(source.open(path).isOk());
+        const DidAnalysis blocks = analyzeDid(source);
+        EXPECT_TRUE(source.status().isOk()) << source.status().message();
+        EXPECT_EQ(blocks.totalArcs, whole.totalArcs);
+        EXPECT_DOUBLE_EQ(blocks.averageDid, whole.averageDid);
+        EXPECT_DOUBLE_EQ(blocks.averageDidTrimmed, whole.averageDidTrimmed);
+        EXPECT_DOUBLE_EQ(blocks.fracDidAtLeast4, whole.fracDidAtLeast4);
+        ASSERT_EQ(blocks.distribution.numBuckets(),
+                  whole.distribution.numBuckets());
+        for (std::size_t b = 0; b < whole.distribution.numBuckets(); ++b)
+            EXPECT_EQ(blocks.distribution.bucketCount(b),
+                      whole.distribution.bucketCount(b))
+                << "bucket " << b;
+    }
+    std::remove(path.c_str());
+}
+
+INSTANTIATE_TEST_SUITE_P(AllWorkloads, DidBlockDelivery,
+                         ::testing::ValuesIn(workloadNames()),
+                         [](const auto &param_info) {
+                             return param_info.param;
+                         });
+
 TEST(Predictability, ConstantProducerBecomesPredictable)
 {
     // r1 = 42 repeatedly; consumers attach to each instance. The stride
@@ -212,28 +260,6 @@ TEST(Predictability, DidBucketsSplitCorrectly)
     EXPECT_NEAR(pa.fracPredictableDid4Plus, 0.9, 1e-9);
     EXPECT_DOUBLE_EQ(pa.fracPredictableDid1, 0.0);
     EXPECT_DOUBLE_EQ(pa.fracPredictableShort(), 0.0);
-}
-
-TEST(Predictability, SeqOffsetDoesNotChangeTheAnalysis)
-{
-    // The analysis keys arcs on seq differences, as analyzeDid does, so
-    // a trace whose seq does not start at 0 must give the same result
-    // (and must not index per-record state by seq).
-    const auto trace = captureWorkloadTrace("compress", 20000);
-    auto shifted = trace;
-    for (TraceRecord &record : shifted)
-        record.seq += 1000000;
-    const PredictabilityAnalysis original = analyzePredictability(trace);
-    const PredictabilityAnalysis raised = analyzePredictability(shifted);
-    ASSERT_GT(original.totalArcs, 0u);
-    EXPECT_GT(original.fracPredictable(), 0.0);
-    EXPECT_EQ(raised.totalArcs, original.totalArcs);
-    EXPECT_EQ(raised.fracUnpredictable, original.fracUnpredictable);
-    EXPECT_EQ(raised.fracPredictableDid1, original.fracPredictableDid1);
-    EXPECT_EQ(raised.fracPredictableDid2, original.fracPredictableDid2);
-    EXPECT_EQ(raised.fracPredictableDid3, original.fracPredictableDid3);
-    EXPECT_EQ(raised.fracPredictableDid4Plus,
-              original.fracPredictableDid4Plus);
 }
 
 TEST(Predictability, FractionsSumToOne)

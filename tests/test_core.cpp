@@ -33,12 +33,12 @@ namespace
 
 using namespace regs;
 
+/** A record for trace position @p at. */
 TraceRecord
-rec(SeqNum seq, RegIndex rd, RegIndex rs1 = invalidReg, Value result = 0)
+rec(SeqNum at, RegIndex rd, RegIndex rs1 = invalidReg, Value result = 0)
 {
     TraceRecord record;
-    record.seq = seq;
-    record.pc = 0x1000 + seq * instBytes;
+    record.pc = 0x1000 + at * instBytes;
     record.nextPc = record.pc + instBytes;
     record.op = rs1 == invalidReg ? OpCode::Addi : OpCode::Add;
     record.rd = rd;
@@ -537,7 +537,6 @@ TEST(PipelineTiming, MispredictedBranchCostsThreeCycles)
     // c7 — the paper's 3-cycle penalty relative to the 4-cycle ideal.
     std::vector<TraceRecord> trace;
     TraceRecord branch;
-    branch.seq = 0;
     branch.pc = 0x1000;
     branch.op = OpCode::Beq;
     branch.rs1 = 0;
@@ -577,8 +576,6 @@ TEST(PipelineTiming, WrongValuePredictionCostsOneCycle)
         trace.push_back(producer);
         trace.push_back(consumer);
     }
-    for (SeqNum i = 0; i < trace.size(); ++i)
-        trace[i].seq = i;
     PipelineConfig config;
     config.maxTakenBranches = 0;
     config.useValuePrediction = true;

@@ -118,11 +118,9 @@ std::vector<TraceRecord>
 trainingTrace(int reps = 50)
 {
     std::vector<TraceRecord> trace;
-    SeqNum seq = 0;
     Value noise = 7;
     for (int i = 0; i < reps; ++i) {
         TraceRecord constant;
-        constant.seq = seq++;
         constant.pc = 0x1000;
         constant.op = OpCode::Addi;
         constant.rd = 1;
@@ -130,7 +128,6 @@ trainingTrace(int reps = 50)
         trace.push_back(constant);
 
         TraceRecord striding = constant;
-        striding.seq = seq++;
         striding.pc = 0x1004;
         striding.rd = 2;
         striding.result = 100 + static_cast<Value>(i) * 16;
@@ -138,7 +135,6 @@ trainingTrace(int reps = 50)
 
         noise = noise * 6364136223846793005ull + 1442695040888963407ull;
         TraceRecord random = constant;
-        random.seq = seq++;
         random.pc = 0x1008;
         random.rd = 3;
         random.result = noise;
@@ -359,7 +355,7 @@ TEST(WrongPath, FetchWalksThePredictedPath)
             wrong_path += out[i].wrongPath ? 1 : 0;
         if (!out.empty() && out.back().mispredicted &&
             !out.back().wrongPath && pending_seq == invalidSeqNum) {
-            pending_seq = out.back().record.seq;
+            pending_seq = out.back().position;
             resolve_at = now + 3;
         }
     }
@@ -370,7 +366,8 @@ TEST(WrongPath, FetchWalksThePredictedPath)
     for (const FetchedRecord &inst : out) {
         if (inst.wrongPath)
             continue;
-        EXPECT_EQ(inst.record.seq, trace[correct].seq);
+        EXPECT_EQ(inst.position, correct);
+        EXPECT_EQ(inst.record.pc, trace[correct].pc);
         ++correct;
     }
     EXPECT_EQ(correct, trace.size());

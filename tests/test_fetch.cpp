@@ -57,7 +57,7 @@ fetchAll(TraceFetchBase &engine, unsigned width, Cycle max_cycles,
                 static_cast<unsigned>(out.size() - before));
         // Resolve any misprediction immediately (oracle machine).
         if (!out.empty() && out.back().mispredicted)
-            engine.branchResolved(out.back().record.seq, now);
+            engine.branchResolved(out.back().position, now);
     }
     return out;
 }
@@ -70,7 +70,7 @@ TEST(SequentialFetch, FetchesWholeTraceInOrder)
     const auto fetched = fetchAll(engine, 40, 1000);
     ASSERT_EQ(fetched.size(), trace.size());
     for (std::size_t i = 0; i < fetched.size(); ++i)
-        EXPECT_EQ(fetched[i].record.seq, trace[i].seq);
+        EXPECT_EQ(fetched[i].position, i);
     EXPECT_TRUE(engine.done());
 }
 
@@ -130,7 +130,7 @@ TEST(SequentialFetch, MispredictionStallsUntilResolved)
     ASSERT_FALSE(out.empty());
     EXPECT_TRUE(out.back().mispredicted)
         << "cold BTB mispredicts the first taken branch";
-    const SeqNum bad = out.back().record.seq;
+    const SeqNum bad = out.back().position;
     const std::size_t after_first = out.size();
 
     // Fetch is stalled until the branch resolves.
@@ -153,7 +153,7 @@ TEST(SequentialFetch, ForeignResolutionIsIgnored)
     SequentialFetch engine(trace, bpred, 0);
     std::vector<FetchedRecord> out;
     fetchInto(engine, 1, 40, out);
-    const SeqNum bad = out.back().record.seq;
+    const SeqNum bad = out.back().position;
     engine.branchResolved(bad + 999, 2); // not the pending branch
     const std::size_t size_before = out.size();
     fetchInto(engine, 3, 40, out);
@@ -262,9 +262,8 @@ TEST(TraceCache, HitDeliversTheLineAsReadAtHitTime)
     // third delivered instruction the fill unit overwrites the line
     // with {0x200: 200 100 104 108}. Hardware read the whole line at
     // hit time, so the fourth instruction (0x10c) is still delivered.
-    auto make = [](SeqNum seq, Addr pc, OpCode op) {
+    auto make = [](Addr pc, OpCode op) {
         TraceRecord record;
-        record.seq = seq;
         record.pc = pc;
         record.op = op;
         record.nextPc = pc + instBytes;
@@ -272,13 +271,13 @@ TEST(TraceCache, HitDeliversTheLineAsReadAtHitTime)
     };
     std::vector<TraceRecord> trace;
     for (const Addr pc : {0x100, 0x104, 0x108, 0x10c})
-        trace.push_back(make(trace.size(), pc, OpCode::Addi));
-    TraceRecord jump = make(trace.size(), 0x200, OpCode::Jal);
+        trace.push_back(make(pc, OpCode::Addi));
+    TraceRecord jump = make(0x200, OpCode::Jal);
     jump.taken = true;
     jump.nextPc = 0x100;
     trace.push_back(jump);
     for (const Addr pc : {0x100, 0x104, 0x108, 0x10c, 0x110})
-        trace.push_back(make(trace.size(), pc, OpCode::Addi));
+        trace.push_back(make(pc, OpCode::Addi));
 
     TraceCacheConfig config;
     config.lines = 1;
@@ -316,7 +315,7 @@ TEST(TraceCache, TwoLevelBtbDeliversTheTraceInOrder)
     ASSERT_EQ(fetched.size(), trace.size());
     std::uint64_t mispredicted = 0;
     for (std::size_t i = 0; i < fetched.size(); ++i) {
-        EXPECT_EQ(fetched[i].record.seq, trace[i].seq);
+        EXPECT_EQ(fetched[i].position, i);
         mispredicted += fetched[i].mispredicted ? 1 : 0;
     }
     EXPECT_GT(engine.mispredicts(), 0u) << "cold BTB, loop exit";
@@ -337,11 +336,11 @@ TEST(TraceCache, MispredictionStallsUntilResolved)
     const std::size_t before = out.size();
     EXPECT_EQ(fetchInto(engine, now, 40, out), 0u)
         << "fetch waits for the branch to resolve";
-    engine.branchResolved(out.back().record.seq, now);
+    engine.branchResolved(out.back().position, now);
     EXPECT_EQ(fetchInto(engine, now, 40, out), 0u)
         << "fetch resumes the cycle after resolution";
     EXPECT_GT(fetchInto(engine, now + 1, 40, out), 0u);
-    EXPECT_EQ(out[before].record.seq, out[before - 1].record.seq + 1);
+    EXPECT_EQ(out[before].position, out[before - 1].position + 1);
 }
 
 TEST(CollapsingBuffer, CollapsesShortForwardBranch)

@@ -64,7 +64,6 @@ randomProgramTrace(Rng &rng, std::size_t static_insts, std::size_t length)
     while (trace.size() < length) {
         const Static &inst = program[at];
         TraceRecord record;
-        record.seq = trace.size();
         record.pc = pc_of(at);
         record.op = inst.op;
         record.rs1 = 2;
@@ -126,9 +125,8 @@ class NaiveSequentialFetch
         unsigned taken = 0;
         while (cursor < trace.size() && bundle.size < budget) {
             const TraceRecord &record = trace[cursor];
-            ++cursor;
             ++bundle.size;
-            if (mispredicts[record.seq]) {
+            if (mispredicts[cursor++]) {
                 bundle.endsInMispredict = true;
                 waiting = true;
                 break;
@@ -182,12 +180,13 @@ TEST_P(SequentialFetchReference, BundlesMatchTheRules)
         std::vector<bool> mispredicted(trace.size(), false);
         if (!param.idealBtb) {
             TwoLevelPApPredictor btb;
-            for (const TraceRecord &record : trace) {
+            for (std::size_t i = 0; i < trace.size(); ++i) {
+                const TraceRecord &record = trace[i];
                 if (!isControl(record.op))
                     continue;
                 const BranchPrediction prediction = btb.predict(record);
                 btb.update(record, prediction);
-                mispredicted[record.seq] =
+                mispredicted[i] =
                     !BranchPredictor::correct(record, prediction);
             }
         }
@@ -227,9 +226,11 @@ TEST_P(SequentialFetchReference, BundlesMatchTheRules)
                 << expected.size << (expected.endsInMispredict ? " M" : "")
                 << "], got [" << actual.first << " +" << actual.size
                 << (actual.endsInMispredict ? " M" : "") << "]";
+            ASSERT_TRUE(got.records.empty() || got.first == actual.first)
+                << "the bundle names its first record's position";
             if (got.endsInMispredict) {
                 // The machine resolves the branch a few cycles later.
-                pending.emplace(got.records.back().seq,
+                pending.emplace(actual.first + actual.size - 1,
                                 now + 1 + rng.nextBelow(5));
             }
         }

@@ -57,12 +57,12 @@ parsedOptions(std::vector<const char *> args)
     return options;
 }
 
+/** A record for trace position @p at. */
 TraceRecord
-rec(SeqNum seq, RegIndex rd, RegIndex rs1 = invalidReg, Value result = 0)
+rec(SeqNum at, RegIndex rd, RegIndex rs1 = invalidReg, Value result = 0)
 {
     TraceRecord record;
-    record.seq = seq;
-    record.pc = 0x1000 + seq * instBytes;
+    record.pc = 0x1000 + at * instBytes;
     record.nextPc = record.pc + instBytes;
     record.op = rs1 == invalidReg ? OpCode::Addi : OpCode::Add;
     record.rd = rd;

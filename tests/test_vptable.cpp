@@ -221,7 +221,6 @@ TEST(Router, InterleavedDuplicatesAcrossBanksWithHints)
               {0x110, 50 + 3 * v},
               {0x120, 7 + v}}) {
             TraceRecord record;
-            record.seq = training.size();
             record.pc = pc;
             record.op = OpCode::Addi;
             record.rd = 1;
