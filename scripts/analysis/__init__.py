@@ -6,9 +6,9 @@ linting cannot see (docs/STATIC_ANALYSIS.md, "Layer 4"):
   span-lifetime     TraceSpan/TraceColumns invalidation on the next
                     nextBlock()/nextColumns()/reset() of their source,
                     and spans escaping their source's scope.
-  status-dataflow   Status values discarded, overwritten before read,
-                    or propagated across subsystem boundaries without
-                    Status::wrap().
+  status-dataflow   Status values stored and never read, overwritten
+                    before read, or propagated across subsystem
+                    boundaries without Status::wrap().
   lock-order        Global Mutex acquisition graph from MutexLock
                     nesting + ACQUIRE/REQUIRES/EXCLUDES annotations;
                     cycles and EXCLUDES violations.

@@ -4,10 +4,10 @@ Three contracts from src/common/status.hpp:
 
   1. A Status produced by a call must be consulted (isOk()/code()/
      message()/returned/passed on) before it dies — a dropped Status is
-     a swallowed failure. `[[nodiscard]]` catches the bare-call case at
-     compile time; this checker also catches the store-then-ignore
-     case the compiler cannot see:  `Status s = load(...);` with no
-     later read of `s`.
+     a swallowed failure. The bare-call case is the compiler's
+     (`[[nodiscard]]` under -Werror=unused-result); this checker
+     catches the store-then-ignore case the compiler cannot see:
+     `Status s = load(...);` with no later read of `s`.
   2. A stored Status must not be overwritten before it was read:
      `s = stepA(); s = stepB();` silently forgets stepA's failure.
   3. A Status that crosses a subsystem boundary (the callee's home
@@ -22,15 +22,12 @@ branch counts as a read) so it under-reports rather than nags.
 """
 
 from .model import Block, Stmt
-from .cppsem import find_calls, local_decl, top_level_assignment, \
-    _match_paren
+from .cppsem import find_calls, local_decl, top_level_assignment
 from .typeenv import TypeEnv, lambda_locals
 
 ID = "status-dataflow"
 
 _FACTORIES = {"ok", "error", "wrap"}
-_CONTROL = {"if", "while", "for", "switch", "return", "case",
-            "sizeof", "catch", "new", "delete", "do", "else"}
 
 
 class _Var:
@@ -250,7 +247,6 @@ class _Checker:
             if tok.text in wrap_args:
                 var.wrapped = True
 
-        self._check_bare_discard(tokens, texts, line)
         self._check_return(tokens, texts, line)
 
     def _declaration(self, tokens, texts, line):
@@ -308,26 +304,6 @@ class _Checker:
                     if tok.kind == "ident":
                         names.add(tok.text)
         return names
-
-    def _check_bare_discard(self, tokens, texts, line):
-        """`statusCall(...);` as a whole expression statement."""
-        if texts[0] in _CONTROL or "=" in texts:
-            return
-        if texts[-1] != ")":
-            return
-        for call in find_calls(tokens):
-            if not self._status_call_origin(call)[0]:
-                continue
-            close = _match_paren(tokens, call.name_index + 1,
-                                 len(tokens))
-            if close == len(tokens) - 1 and call.name_index <= 4 and \
-                    "void" not in texts[:call.name_index]:
-                self._emit(
-                    line, "bare-discard",
-                    "result of Status-returning call '%s(...)' is "
-                    "discarded; handle it or document the discard "
-                    "with (void) and a justification" % call.name)
-            return
 
     def _check_return(self, tokens, texts, line):
         if texts[0] != "return" or not self.returns_status:

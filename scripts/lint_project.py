@@ -8,13 +8,6 @@ everywhere ctest runs.
 
 Rules
 -----
-status-discard
-    Every call to a Status-returning function (collected by scanning
-    the headers under src/ for by-value `Status f(...)` declarations)
-    must be consumed. A bare statement-position call drops the error;
-    intentional discards must be written `(void)call();` with a
-    justifying comment.
-
 sim-determinism
     Simulation code must be a pure function of its inputs (the PR 1
     determinism contract: identical results for any --jobs value, and
@@ -65,8 +58,7 @@ EXEMPT = {
 
 ALLOW_RE = re.compile(r"lint:allow\s+([\w-]+)")
 
-RULES = ["status-discard", "sim-determinism", "unordered-iter",
-         "raw-mutex"]
+RULES = ["sim-determinism", "unordered-iter", "raw-mutex"]
 
 
 def strip_comments_and_strings(text):
@@ -147,25 +139,6 @@ def strip_comments_and_strings(text):
     return "".join(out)
 
 
-def collect_status_functions(root):
-    """Names of by-value Status-returning functions from src headers.
-
-    `Status f(...)` matches; `Status &f(...)` / `const Status &f()`
-    accessors do not (returning a reference hands the caller something
-    it already owns — nothing is being dropped).
-    """
-    names = set()
-    decl_re = re.compile(r"\bStatus\s+(\w+)\s*\(")
-    for header in sorted((root / "src").rglob("*.hpp")):
-        stripped = strip_comments_and_strings(
-            header.read_text(encoding="utf-8"))
-        for match in decl_re.finditer(stripped):
-            name = match.group(1)
-            if name not in ("operator",):
-                names.add(name)
-    return names
-
-
 def line_allows(raw_line, rule):
     match = ALLOW_RE.search(raw_line)
     return bool(match) and match.group(1) == rule
@@ -188,76 +161,6 @@ def neighborhood_allows(raw_lines, lineno, rule):
             return True
         candidate -= 1
     return False
-
-
-RECEIVER_CHARS = set(
-    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
-    "0123456789_:.>[]-")
-
-# Member names our API shares with std types (std::atomic::store,
-# std::ostream::flush, ...). A member call to one of these is only
-# flagged when the receiver variable is declared in the same file with
-# one of the classes that actually return Status from that member —
-# otherwise `done[idx].store(true, ...)` would drown the report in
-# atomic false positives. Free-function calls are never ambiguous.
-AMBIGUOUS_MEMBERS = {"store", "load", "flush", "open", "close",
-                     "reset", "clear", "swap", "exchange", "wait",
-                     "count", "get"}
-
-# The classes whose members return Status (kept in sync with the
-# headers scanned by collect_status_functions; the self-test fixture
-# guards the wiring end to end).
-STATUS_CLASS_RE = (r"(?:io::)?(?:File|TraceCacheStore)")
-STATUS_VAR_DECL_RES = [
-    re.compile(r"\b" + STATUS_CLASS_RE + r"\s*[&*]?\s+(\w+)\s*[;,)({=]"),
-    re.compile(r"_ptr<\s*(?:const\s+)?" + STATUS_CLASS_RE +
-               r"\s*>\s+(\w+)"),
-]
-
-
-def status_receiver_vars(text):
-    names = set()
-    for decl_re in STATUS_VAR_DECL_RES:
-        names.update(m.group(1) for m in decl_re.finditer(text))
-    return names
-
-
-def check_status_discard(path, text, raw_lines, status_functions,
-                         report):
-    call_re = re.compile(
-        r"\b(" + "|".join(re.escape(n)
-                          for n in sorted(status_functions)) +
-        r")\s*\(")
-    receiver_vars = status_receiver_vars(text)
-    for match in call_re.finditer(text):
-        # Walk back over the receiver expression (io::, file.,
-        # cache->) to the start of the statement's first token.
-        start = match.start(1)
-        i = start - 1
-        while i >= 0 and text[i] in RECEIVER_CHARS:
-            i -= 1
-        expr_start = i + 1
-        # The previous significant character decides whether this call
-        # is a full statement (dropped result) or feeds an expression.
-        j = expr_start - 1
-        while j >= 0 and text[j] in " \t\n":
-            j -= 1
-        at_statement = j < 0 or text[j] in ";{}"
-        if not at_statement:
-            continue
-        name = match.group(1)
-        receiver = text[expr_start:start]
-        if receiver and name in AMBIGUOUS_MEMBERS:
-            base = re.split(r"\.|->|::|\[", receiver.rstrip(".->"))[0]
-            if base not in receiver_vars:
-                continue
-        lineno = text.count("\n", 0, start) + 1
-        if neighborhood_allows(raw_lines, lineno, "status-discard"):
-            continue
-        report(path, lineno, "status-discard",
-               "result of Status-returning '%s' is dropped; consume "
-               "it, or write (void)%s(...) with a justification"
-               % (name, name))
 
 
 DETERMINISM_BANNED = [
@@ -346,7 +249,7 @@ def check_raw_mutex(path, text, raw_lines, report):
                "analysis sees the acquire/release" % match.group(0))
 
 
-def lint_file(path, rel, status_functions, report):
+def lint_file(path, rel, report):
     raw = path.read_text(encoding="utf-8")
     raw_lines = raw.splitlines()
     text = strip_comments_and_strings(raw)
@@ -354,11 +257,6 @@ def lint_file(path, rel, status_functions, report):
     def gate(rule):
         return rel not in EXEMPT.get(rule, set())
 
-    if gate("status-discard") and path.suffix != ".hpp":
-        # Headers hold inline definitions whose callers are elsewhere;
-        # discard checking there is the compiler's job ([[nodiscard]]).
-        check_status_discard(path, text, raw_lines, status_functions,
-                             report)
     if gate("sim-determinism"):
         check_determinism(path, text, raw_lines, report)
     if gate("unordered-iter"):
@@ -368,11 +266,6 @@ def lint_file(path, rel, status_functions, report):
 
 
 def run_lint(paths, root):
-    status_functions = collect_status_functions(root)
-    if not status_functions:
-        print("lint_project: found no Status-returning declarations; "
-              "is --root correct?", file=sys.stderr)
-        return 2
     violations = []
 
     def report(path, lineno, rule, message):
@@ -380,7 +273,7 @@ def run_lint(paths, root):
 
     for path in paths:
         rel = path.resolve().relative_to(root).as_posix()
-        lint_file(path, rel, status_functions, report)
+        lint_file(path, rel, report)
 
     for path, lineno, rule, message in violations:
         print("%s:%d: [%s] %s"
@@ -419,7 +312,6 @@ def self_test(root):
     blinds a rule fails CI."""
     fixture = root / "tests" / "lint_fixtures" / \
         "seeded_violations.cpp"
-    status_functions = collect_status_functions(root)
     hits = set()
 
     def report(path, lineno, rule, message):
@@ -427,13 +319,13 @@ def self_test(root):
 
     raw = fixture.read_text(encoding="utf-8")
     lint_file(fixture, "tests/lint_fixtures/seeded_violations.cpp",
-              status_functions, report)
+              report)
 
     # The fixture marks every line that must be flagged with
-    # `lint:expect <rule>`; everything else (consumed results, (void)
-    # casts, lint:allow blocks, std members that shadow our API) must
-    # stay quiet. Exact-set equality catches both blind spots and
-    # regressions toward false positives.
+    # `lint:expect <rule>`; everything else (lint:allow blocks, the
+    # fixed false-positive classes) must stay quiet. Exact-set
+    # equality catches both blind spots and regressions toward false
+    # positives.
     expect_re = re.compile(r"lint:expect\s+([\w-]+)")
     expected = set()
     for idx, line in enumerate(raw.splitlines(), start=1):

@@ -4,7 +4,6 @@
 
 #include "common/invariant.hpp"
 #include "common/logging.hpp"
-#include "isa/instruction.hpp"
 
 namespace vpsim
 {
@@ -17,7 +16,7 @@ didHistogramBounds()
 
 DidCollector::DidCollector()
     : hist(didHistogramBounds()),
-      lastWriter(numArchRegs, invalidSeqNum)
+      lastWriter(registerFileSize, invalidSeqNum)
 {
 }
 

@@ -75,7 +75,7 @@ class DidCollector
 
   private:
     Histogram hist;
-    /** Last writer's trace position per architectural register. */
+    /** Last writer's trace position per register (registerFileSize). */
     std::vector<SeqNum> lastWriter;
     /** Trace position of the next record, carried across blocks. */
     SeqNum position = 0;

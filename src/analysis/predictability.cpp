@@ -1,6 +1,5 @@
 #include "analysis/predictability.hpp"
 
-#include "isa/instruction.hpp"
 #include "predictor/stride.hpp"
 
 namespace vpsim
@@ -18,7 +17,7 @@ analyzePredictability(const std::vector<TraceRecord> &records)
         SeqNum position = invalidSeqNum;
         bool predicted = false;
     };
-    std::vector<Writer> lastWriter(numArchRegs);
+    std::vector<Writer> lastWriter(registerFileSize);
 
     std::uint64_t arcs = 0;
     std::uint64_t unpredictable = 0;

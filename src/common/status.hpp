@@ -45,8 +45,9 @@ const char *statusCodeName(StatusCode code);
  * value flags callers that drop it on the floor. A dropped Status is a
  * swallowed failure — in a parallel sweep that means a poisoned cell
  * published as a real number. Intentional discards must write
- * `(void)call();` with a one-line justification (and are audited by
- * scripts/lint_project.py rule status-discard).
+ * `(void)call();` with a one-line justification. The build turns the
+ * warning into an error (-Werror=unused-result, top-level
+ * CMakeLists.txt).
  */
 class [[nodiscard]] Status
 {

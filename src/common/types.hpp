@@ -6,6 +6,7 @@
 #ifndef VPSIM_COMMON_TYPES_HPP
 #define VPSIM_COMMON_TYPES_HPP
 
+#include <cstddef>
 #include <cstdint>
 
 namespace vpsim
@@ -28,6 +29,17 @@ using RegIndex = std::uint8_t;
 
 /** Sentinel meaning "no register operand". */
 inline constexpr RegIndex invalidReg = 0xff;
+
+/**
+ * Entries of a table indexed by register: one per RegIndex value, not
+ * per architectural register. A trace read from disk may carry any
+ * byte in rd, rs1 and rs2 (the reader validates only the opcode), so
+ * every register-indexed table covers all of them and needs no range
+ * check. producesValue() never holds for r0 or invalidReg, so their
+ * entries are never written.
+ */
+inline constexpr std::size_t registerFileSize = 256;
+static_assert(registerFileSize == std::size_t{1} << (8 * sizeof(RegIndex)));
 
 /** Sentinel for "no cycle" / "not yet scheduled". */
 inline constexpr Cycle invalidCycle = ~Cycle{0};

@@ -7,7 +7,6 @@
 #include "common/logging.hpp"
 #include "core/pipeline_components.hpp"
 #include "core/speedup.hpp"
-#include "isa/instruction.hpp"
 
 namespace vpsim
 {
@@ -107,7 +106,7 @@ runReferenceIdealMachine(TraceSpan records,
     // value-producing writer so far (or npos).
     constexpr std::size_t npos = ~std::size_t{0};
     std::vector<Cycle> exec(records.size(), 0);
-    std::vector<std::size_t> writerOf(numArchRegs, npos);
+    std::vector<std::size_t> writerOf(registerFileSize, npos);
 
     for (std::size_t i = 0; i < records.size(); ++i) {
         const TraceRecord &record = records[i];
@@ -253,7 +252,7 @@ countOperandUses(TraceSpan records, const std::vector<RefTiming> &timing,
 {
     const Cycle earliestIssue = std::max(config.frontendLatency, 1u);
     constexpr std::size_t none = ~std::size_t{0};
-    std::vector<std::size_t> writerOf(numArchRegs, none);
+    std::vector<std::size_t> writerOf(registerFileSize, none);
     for (std::size_t i = 0; i < records.size(); ++i) {
         const TraceRecord &record = records[i];
         for (const RegIndex reg : {record.rs1, record.rs2}) {
@@ -302,7 +301,7 @@ runReferencePipelineMachine(TraceSpan records, const PipelineConfig &config)
     std::deque<RefEntry> window;
     std::uint64_t firstNumber = 0;
     constexpr std::uint64_t none = ~std::uint64_t{0};
-    std::vector<std::uint64_t> writerOf(numArchRegs, none);
+    std::vector<std::uint64_t> writerOf(registerFileSize, none);
     const auto inFlight = [&](std::uint64_t number) {
         return number != none && number >= firstNumber &&
                number < firstNumber + window.size();

@@ -4,7 +4,10 @@
  * Section 3 ideal machine and the Section 5 pipeline (docs/MODELS.md
  * §1-2), which differ in it only through two compile-time policies: the
  * reissue order and the issue-slot search. The reference models do not
- * include it: they stay independent oracles.
+ * include it: they stay independent oracles. Each machine keeps one
+ * RegisterRecord per RegIndex value (registerFileSize,
+ * common/types.hpp), so any register byte a trace carries indexes it
+ * without a check.
  */
 
 #ifndef VPSIM_CORE_TIMING_KERNEL_HPP
@@ -30,12 +33,6 @@ struct RegisterRecord
     /** The predicted value was the real one. */
     bool correct = false;
 };
-
-/**
- * Records indexed by any RegIndex need no validity check: producesValue()
- * never holds for r0 or invalidReg, so theirs stay unwritten.
- */
-inline constexpr std::size_t registerFileSize = 256;
 
 /** Operand-use counts, named as in IdealMachineResult and PipelineResult. */
 struct OperandUses

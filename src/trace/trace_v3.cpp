@@ -23,6 +23,7 @@ constexpr char trailerMagic[4] = {'V', 'P', 'E', '3'};
  * Upper bound on one record's encoded size (4 deltas + result + 4).
  * The fourth delta is the reserved memAddr field: written 0 (one byte),
  * but files written before it was reserved carry any varint there.
+ * Also the slack readFrame keeps past every frame.
  */
 constexpr std::size_t maxEncodedRecordBytes = 5 * maxVarintBytes + 4;
 
@@ -102,54 +103,6 @@ encodeBlockPayload(unsigned char *out, TraceSpan records, SeqNum position)
 }
 
 /**
- * Decode one record from @p p into @p r, which holds the previous
- * record of the block (deltas are against it) unless @p first. Every
- * byte is bounds-checked against @p end: this decodes a block's first
- * record and its tail, where a worst-case record may not fit. Sets
- * @p misplaced unless the sequence number field reads @p want_seq
- * (the position in a first record, a gap of 0 after it).
- *
- * @return false on a malformed varint, a truncated record or an
- *         out-of-range opcode.
- */
-bool
-decodeRecordChecked(const unsigned char *&p, const unsigned char *end,
-                    bool first, std::uint64_t want_seq, TraceRecord *r,
-                    unsigned &misplaced)
-{
-    std::uint64_t seq = 0;
-    std::uint64_t pc = 0;
-    std::uint64_t next_pc = 0;
-    std::uint64_t reserved = 0; // memAddr: parsed and ignored
-    std::uint64_t result = 0;
-    if (!getVarint(p, end, &seq) || !getVarint(p, end, &pc) ||
-        !getVarint(p, end, &next_pc) || !getVarint(p, end, &reserved) ||
-        !getVarint(p, end, &result)) {
-        return false;
-    }
-    if (end - p < 4)
-        return false;
-    const unsigned char op_byte = p[0] & 0x7fu;
-    if (op_byte >= static_cast<unsigned char>(OpCode::NumOpCodes))
-        return false;
-    misplaced |= seq != want_seq;
-    if (first)
-        r->pc = pc;
-    else
-        r->pc += static_cast<std::uint64_t>(zigzagDecode(pc));
-    r->nextPc =
-        r->pc + instBytes + static_cast<std::uint64_t>(zigzagDecode(next_pc));
-    r->result = result;
-    r->op = static_cast<OpCode>(op_byte);
-    r->taken = (p[0] & 0x80u) != 0;
-    r->rd = p[1];
-    r->rs1 = p[2];
-    r->rs2 = p[3];
-    p += 4;
-    return true;
-}
-
-/**
  * One varint with no bounds check: the caller guarantees
  * maxVarintBytes readable bytes at @p p. Most trace fields are one
  * byte, which takes the first branch. An encoding longer than
@@ -204,12 +157,14 @@ struct Append
  * numbers are not the records' positions. What @p dest received is
  * then garbage that must not be delivered.
  *
- * The first record (absolute fields) and the tail, where a worst-case
- * record may no longer fit, go through the per-byte checked decoder.
- * In between, bounds are checked once per record, the running pc is a
- * local, each record is written field by field into its slot, and
- * over-long varints, out-of-range opcodes and sequence gaps only raise
- * a flag each that is checked once for the whole block.
+ * @p payload is followed by maxEncodedRecordBytes readable bytes
+ * (readFrame's slack), so a record that starts before the payload's
+ * end decodes inside the buffer, however long its varints: the one
+ * bounds check is p < end before each record after the first. The
+ * running pc is a local, each record is written field by field into
+ * its slot, and over-long varints, out-of-range opcodes and sequence
+ * numbers off their position only raise a flag each, checked once for
+ * the whole block together with p == end.
  */
 template <typename Dest>
 const char *
@@ -219,24 +174,17 @@ decodeBlockPayload(const unsigned char *payload, std::size_t size,
     const char *const malformed = "corrupt record encoding";
     const unsigned char *p = payload;
     const unsigned char *const end = payload + size;
-    unsigned misplaced = 0;
-    TraceRecord *r = &dest.next();
-    if (!decodeRecordChecked(p, end, true, position, r, misplaced))
-        return malformed;
-    Addr pc = r->pc;
     unsigned bad = 0;
-    std::uint32_t i = 1;
-    for (; i < count &&
-           static_cast<std::size_t>(end - p) >= maxEncodedRecordBytes;
-         ++i) {
-        misplaced |= takeVarint(p, bad) != 0;
-        pc += static_cast<std::uint64_t>(zigzagDecode(takeVarint(p, bad)));
+    // The first record's sequence field and pc are absolute.
+    unsigned misplaced = takeVarint(p, bad) != position;
+    Addr pc = takeVarint(p, bad);
+    for (std::uint32_t i = 0;;) {
         const std::uint64_t next_pc = takeVarint(p, bad);
         (void)takeVarint(p, bad); // the reserved memAddr field
         const std::uint64_t result = takeVarint(p, bad);
         const unsigned char op_byte = p[0] & 0x7fu;
         bad |= op_byte >= static_cast<unsigned char>(OpCode::NumOpCodes);
-        r = &dest.next();
+        TraceRecord *r = &dest.next();
         r->pc = pc;
         r->nextPc =
             pc + instBytes + static_cast<std::uint64_t>(zigzagDecode(next_pc));
@@ -247,19 +195,18 @@ decodeBlockPayload(const unsigned char *payload, std::size_t size,
         r->rs2 = p[3];
         r->taken = (p[0] & 0x80u) != 0;
         p += 4;
-    }
-    if (bad)
-        return malformed;
-    for (; i < count; ++i) {
-        const TraceRecord prev = *r;
-        r = &dest.next();
-        *r = prev;
-        if (!decodeRecordChecked(p, end, false, 0, r, misplaced))
+        if (++i == count)
+            break;
+        if (p >= end)
             return malformed;
+        // A later record's sequence field and pc are a gap and a delta.
+        misplaced |= takeVarint(p, bad) != 0;
+        pc += static_cast<std::uint64_t>(zigzagDecode(takeVarint(p, bad)));
     }
-    // A valid block's payload is consumed exactly; slack means the
-    // declared count or the payload length lied.
-    if (p != end)
+    // A valid block's payload is consumed exactly; slack or a record
+    // cut off by the end means the declared count or the payload
+    // length lied.
+    if (bad || p != end)
         return malformed;
     return misplaced ? "record sequence number is not its position"
                      : nullptr;
@@ -495,7 +442,10 @@ TraceV3Reader::openAndValidate(const std::string &path)
 
 /**
  * Read the next @p size bytes of the file into the frame buffer. Fewer
- * than @p size bytes left is kCorrupt truncation.
+ * than @p size bytes left is kCorrupt truncation. The buffer holds
+ * maxEncodedRecordBytes more, never uninitialised (whatever an earlier
+ * frame left there, or zeros), so the decoder can read a record that
+ * starts anywhere before a payload's end without a bounds check.
  */
 Status
 TraceV3Reader::readFrame(std::size_t size)
@@ -503,13 +453,14 @@ TraceV3Reader::readFrame(std::size_t size)
     if (fileBytes - fileOffset < size)
         return corrupt("unexpected end of file in " + filePath +
                        " (truncated?)");
-    if (frame.size() < size) {
+    const std::size_t padded = size + maxEncodedRecordBytes;
+    if (frame.size() < padded) {
         // Twice what is asked: the block payloads of one file differ by
         // far less than 2x, so after its first block a stream never
         // reallocates the frame buffer.
-        if (frame.capacity() < size)
-            frame.reserve(2 * size);
-        frame.resize(size);
+        if (frame.capacity() < padded)
+            frame.reserve(2 * padded);
+        frame.resize(padded);
     }
     if (Status got = file.readExact(frame.data(), size); !got.isOk())
         return got;

@@ -196,7 +196,8 @@ class TraceV3Reader
     io::File file;
     std::uint64_t fileBytes = 0;  ///< The file's size at open().
     std::uint64_t fileOffset = 0; ///< Bytes taken from the file so far.
-    std::vector<unsigned char> frame; ///< The current frame's bytes.
+    /** The current frame's bytes, then readFrame's decoder slack. */
+    std::vector<unsigned char> frame;
 
     std::uint32_t blockRecords = 0;
     std::uint64_t hint = 0;

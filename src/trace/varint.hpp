@@ -12,7 +12,9 @@
  * Encoding is unsigned LEB128 (7 payload bits per byte, continuation in
  * the top bit, little-endian groups); signed deltas are first folded to
  * unsigned with the standard zigzag map so small negative deltas stay
- * short. A u64 never needs more than 10 encoded bytes.
+ * short. A u64 never needs more than 10 encoded bytes. The decoder is
+ * takeVarint in trace_v3.cpp, inside the v3 reader's record loop,
+ * which checks bounds once per record.
  */
 
 #ifndef VPSIM_TRACE_VARINT_HPP
@@ -65,34 +67,6 @@ inline unsigned char *
 putSignedVarint(unsigned char *out, std::int64_t value)
 {
     return putVarint(out, zigzagEncode(value));
-}
-
-/**
- * Decode one varint from [@p p, @p end), checking bounds at every byte.
- *
- * @param p Advanced past the varint on success; unspecified on failure.
- * @return false on a truncated varint or one longer than
- *         maxVarintBytes (corrupt data — a valid encoder never emits
- *         either).
- */
-inline bool
-getVarint(const unsigned char *&p, const unsigned char *end,
-          std::uint64_t *value)
-{
-    std::uint64_t result = 0;
-    unsigned shift = 0;
-    for (std::size_t i = 0; i < maxVarintBytes; ++i) {
-        if (p == end)
-            return false;
-        const unsigned char byte = *p++;
-        result |= static_cast<std::uint64_t>(byte & 0x7fu) << shift;
-        if ((byte & 0x80u) == 0) {
-            *value = result;
-            return true;
-        }
-        shift += 7;
-    }
-    return false;
 }
 
 } // namespace vpsim

@@ -5,11 +5,6 @@
 
 #include "trace/reader.hpp"
 
-// Violation: result of a Status-returning call dropped on the floor.
-void fireAndForget() {
-    loadBlock(); // lint:expect status-dataflow
-}
-
 // Violation: the first Status is overwritten before anything read it.
 Status doubleStep() {
     Status status = loadBlock();

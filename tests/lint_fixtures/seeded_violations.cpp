@@ -6,52 +6,15 @@
 // the bug its rule exists to catch — if a linter refactor stops
 // flagging one of them, the self-test fails.
 
-#include <atomic>
+#include <cstdint>
 #include <cstdlib>
-#include <fstream>
+#include <ctime>
 #include <mutex>
 #include <unordered_map>
-
-#include "common/io.hpp"
-#include "trace/trace_v3.hpp"
+#include <vector>
 
 namespace vpsim_lint_fixture
 {
-
-void
-seededStatusDiscard(const std::vector<vpsim::TraceRecord> &records)
-{
-    // [status-discard] A write whose failure vanishes: the sweep would
-    // publish numbers from a trace that never landed on disk.
-    vpsim::writeTraceV3("/tmp/fixture.vptrace", records); // lint:expect status-discard
-
-    // Consumed calls must NOT fire.
-    const vpsim::Status kept =
-        vpsim::writeTraceV3("/tmp/fixture2.vptrace", records);
-    if (!kept.isOk())
-        return;
-
-    // Justified discard must NOT fire either.
-    // Cleanup is best-effort; failure changes nothing.
-    (void)vpsim::io::removeFile("/tmp/fixture.vptrace");
-}
-
-void
-seededAmbiguousMembers()
-{
-    // [status-discard] flush() is ambiguous (std::ostream has one
-    // too), but on an io::File receiver the dropped Status means a
-    // torn file can go unnoticed.
-    vpsim::io::File file;
-    file.flush(); // lint:expect status-discard
-
-    // The same member names on std types must NOT fire: the linter
-    // resolves the receiver's declared type before flagging.
-    std::ofstream out("/tmp/fixture.log");
-    out.flush();
-    std::atomic<bool> done{false};
-    done.store(true, std::memory_order_release);
-}
 
 std::uint64_t
 seededNondeterminism()

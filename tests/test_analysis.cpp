@@ -12,6 +12,9 @@
 
 #include "analysis/did.hpp"
 #include "analysis/predictability.hpp"
+#include "core/ideal_machine.hpp"
+#include "core/pipeline_machine.hpp"
+#include "core/reference_machine.hpp"
 #include "trace/streaming_source.hpp"
 #include "trace/trace_v3.hpp"
 #include "workloads/workload.hpp"
@@ -267,6 +270,76 @@ TEST(Predictability, FractionsSumToOne)
     const auto trace = figure32();
     const PredictabilityAnalysis pa = analyzePredictability(trace);
     EXPECT_NEAR(pa.fracUnpredictable + pa.fracPredictable(), 1.0, 1e-9);
+}
+
+TEST(RegisterBytes, RegistersOutsideTheArchitecturalFileIndexEveryTable)
+{
+    // A trace read from disk may carry any byte in rd, rs1 and rs2: the
+    // v3 reader checks only the opcode. Renaming two registers of a
+    // captured trace throughout (5 to 200, 6 to 32) keeps every
+    // dependence, so every consumer of register numbers must give the
+    // results it gives on the original, from a table slot past the 32
+    // architectural registers.
+    const auto original = captureWorkloadTrace("go", 20000);
+    std::vector<TraceRecord> renamed = original;
+    std::size_t to200 = 0;
+    std::size_t to32 = 0;
+    for (TraceRecord &record : renamed) {
+        for (RegIndex *reg : {&record.rd, &record.rs1, &record.rs2}) {
+            if (*reg == 5) {
+                *reg = 200;
+                ++to200;
+            } else if (*reg == 6) {
+                *reg = 32;
+                ++to32;
+            }
+        }
+    }
+    ASSERT_GT(to200, 0u);
+    ASSERT_GT(to32, 0u);
+
+    const DidAnalysis did = analyzeDid(original);
+    const DidAnalysis did_renamed = analyzeDid(renamed);
+    EXPECT_EQ(did_renamed.totalArcs, did.totalArcs);
+    EXPECT_EQ(did_renamed.averageDid, did.averageDid);
+    EXPECT_EQ(did_renamed.averageDidTrimmed, did.averageDidTrimmed);
+    for (std::size_t b = 0; b < did.distribution.numBuckets(); ++b)
+        EXPECT_EQ(did_renamed.distribution.bucketCount(b),
+                  did.distribution.bucketCount(b))
+            << "bucket " << b;
+
+    const PredictabilityAnalysis pa = analyzePredictability(original);
+    const PredictabilityAnalysis pa_renamed = analyzePredictability(renamed);
+    EXPECT_EQ(pa_renamed.totalArcs, pa.totalArcs);
+    EXPECT_EQ(pa_renamed.fracUnpredictable, pa.fracUnpredictable);
+    EXPECT_EQ(pa_renamed.fracPredictableDid1, pa.fracPredictableDid1);
+    EXPECT_EQ(pa_renamed.fracPredictableDid4Plus,
+              pa.fracPredictableDid4Plus);
+
+    IdealMachineConfig ideal;
+    ideal.fetchRate = 16;
+    ideal.useValuePrediction = true;
+    const IdealMachineResult want = runIdealMachine(original, ideal);
+    ASSERT_GT(want.stallingUses, 0u);
+    for (const IdealMachineResult &got :
+         {runIdealMachine(renamed, ideal),
+          runReferenceIdealMachine(TraceSpan(renamed), ideal)}) {
+        EXPECT_EQ(got.cycles, want.cycles);
+        EXPECT_EQ(got.stallingUses, want.stallingUses);
+        EXPECT_EQ(got.usefulPredictions, want.usefulPredictions);
+    }
+
+    PipelineConfig pipeline;
+    pipeline.useValuePrediction = true;
+    pipeline.maxTakenBranches = 0;
+    const PipelineResult timed = runPipelineMachine(original, pipeline);
+    for (const PipelineResult &got :
+         {runPipelineMachine(renamed, pipeline),
+          runReferencePipelineMachine(TraceSpan(renamed), pipeline)}) {
+        EXPECT_EQ(got.cycles, timed.cycles);
+        EXPECT_EQ(got.stallingUses, timed.stallingUses);
+        EXPECT_EQ(got.usefulPredictions, timed.usefulPredictions);
+    }
 }
 
 } // namespace

@@ -652,6 +652,59 @@ addSlack(std::vector<unsigned char> &bytes, std::size_t frame,
     resealBlock(bytes, frame);
 }
 
+/**
+ * Cut the last @p cut bytes off the payload of the block at @p frame.
+ * The frame still declares its records, in at least 9 bytes each.
+ */
+void
+cutPayload(std::vector<unsigned char> &bytes, std::size_t frame,
+           std::size_t cut)
+{
+    const std::uint32_t payload_bytes = getLe32(bytes, frame + 8);
+    ASSERT_GE(payload_bytes - cut, getLe32(bytes, frame + 4) * 9u)
+        << "the frame check must let the cut payload through";
+    const auto payload_end = bytes.begin() + static_cast<std::ptrdiff_t>(
+                                                 frame + v3BlockFrameBytes +
+                                                 payload_bytes);
+    bytes.erase(payload_end - static_cast<std::ptrdiff_t>(cut), payload_end);
+    putLe(bytes, frame + 8, payload_bytes - cut, 4);
+    resealBlock(bytes, frame);
+}
+
+/**
+ * Set the continuation bit in every payload byte of the block at
+ * @p frame: each record then claims 54 bytes, six times the 9 the
+ * frame check allows per record, so a decoder that stops only at the
+ * declared count reads far past the payload.
+ */
+void
+floodPayload(std::vector<unsigned char> &bytes, std::size_t frame)
+{
+    const std::size_t payload = frame + v3BlockFrameBytes;
+    std::fill(bytes.begin() + static_cast<std::ptrdiff_t>(payload),
+              bytes.begin() + static_cast<std::ptrdiff_t>(
+                                  payload + getLe32(bytes, frame + 8)),
+              0xff);
+    resealBlock(bytes, frame);
+}
+
+/**
+ * Declare one record more in the block at @p frame than its payload
+ * holds, and one more per block in the resealed file header, so the
+ * frame check still passes.
+ */
+void
+raiseCount(std::vector<unsigned char> &bytes, std::size_t frame)
+{
+    const std::uint32_t count = getLe32(bytes, frame + 4) + 1;
+    ASSERT_GE(getLe32(bytes, frame + 8), count * 9u)
+        << "the frame check must let the raised count through";
+    putLe(bytes, 8, getLe32(bytes, 8) + 1, 4);
+    putLe(bytes, 12, crc32(bytes.data(), 12), 4);
+    putLe(bytes, frame + 4, count, 4);
+    resealBlock(bytes, frame);
+}
+
 TEST(TraceV3Load, IntactFileReservesItsDestinationOnce)
 {
     // 20 blocks: the parent's per-block reserve reallocated at each.
@@ -917,11 +970,11 @@ extremeRecords(std::size_t n)
     return records;
 }
 
-TEST(TraceV3Load, TenByteVarintsRoundTripAcrossTheBoundsCheckSwitch)
+TEST(TraceV3Load, TenByteVarintsRoundTripAtEveryBlockEnd)
 {
-    // Block sizes 1-24 move the point where fewer than a worst-case
-    // record's bytes remain (and decoding switches to per-byte bounds
-    // checks) across records of every length, long ones included.
+    // Block sizes 1-24 put records of every length, 10-byte varints
+    // included, first and last in a block, so the one record loop
+    // starts and ends payloads on each of them.
     const auto original = extremeRecords(97);
     const std::string path = tempPath("vpsim_v3_varint10.vptrace");
     for (std::uint32_t per_block = 1; per_block <= 24; ++per_block) {
@@ -1108,51 +1161,53 @@ expectOnlyTheDecoderRejectsBlock(
 
 /**
  * The decoder-only rejections: an opcode >= NumOpCodes, slack after the
- * declared records and an over-long varint, each once where the bulk
- * loop decodes it (a worst-case record still fits) and once in the
- * checked tail.
+ * declared records, an over-long varint, a payload that ends inside a
+ * record or before the last declared one, a count one past the
+ * payload's records, and records that claim more bytes than the
+ * payload holds. Each damages a block with other blocks before and
+ * after it.
  */
-TEST(TraceV3Load, DecoderRejectsBadOpcodesAndSlackInBulkAndTail)
+TEST(TraceV3Load, DecoderRejectsBadOpcodesSlackAndPayloadsThatEndEarly)
 {
     constexpr std::size_t perBlock = 64;
     constexpr std::size_t bad = 1;
-    const auto original = captureWorkloadTrace("go", 3 * perBlock + 5);
+    // compress: block 1 encodes its 64 records in 674 bytes, so it can
+    // lose 54 and still pass the frame's 9-bytes-per-record floor.
+    const auto original = captureWorkloadTrace("compress", 3 * perBlock + 5);
     const std::string path = tempPath("vpsim_v3_decoder_rejects.vptrace");
     ASSERT_TRUE(writeTraceV3(path, original, perBlock).isOk());
     const std::vector<unsigned char> clean = slurp(path);
     const std::size_t frame = blockOffset(clean, bad);
-    const std::vector<std::size_t> starts = recordStarts(clean, frame);
-    const std::size_t end = starts.back();
-    const auto in_bulk = [&](std::size_t start, std::size_t slack) {
-        return end + slack - start >= 5 * maxVarintBytes + 4;
-    };
-    // Record 1 is the bulk loop's first; the last one is in the tail,
-    // unless enough slack follows it to keep the bulk loop going.
-    ASSERT_TRUE(in_bulk(starts[1], 0));
-    ASSERT_FALSE(in_bulk(starts[perBlock - 1], 0));
-    ASSERT_FALSE(in_bulk(starts[perBlock - 1], 1));
-    ASSERT_TRUE(in_bulk(starts[perBlock - 1], 64));
 
     struct Damage
     {
         const char *name;
         std::vector<unsigned char> bytes;
     };
-    std::vector<Damage> cases = {{"opcode in the bulk", clean},
-                                 {"opcode in the tail", clean},
-                                 {"slack after the bulk", clean},
-                                 {"slack after the tail", clean},
-                                 {"over-long varint in the bulk", clean},
-                                 {"over-long varint in the tail", clean}};
+    std::vector<Damage> cases = {{"opcode in record 1", clean},
+                                 {"opcode in the last record", clean},
+                                 {"64 bytes of slack", clean},
+                                 {"1 byte of slack", clean},
+                                 {"over-long varint in record 1", clean},
+                                 {"over-long varint in the last record",
+                                  clean},
+                                 {"payload cut by 1 byte", clean},
+                                 {"payload cut by 10 bytes", clean},
+                                 {"payload cut by 54 bytes", clean},
+                                 {"one record more than the payload",
+                                  clean},
+                                 {"continuation bits throughout", clean}};
     breakOpcode(cases[0].bytes, frame, 1);
     breakOpcode(cases[1].bytes, frame, perBlock - 1);
     addSlack(cases[2].bytes, frame, 64);
     addSlack(cases[3].bytes, frame, 1);
     overlongVarint(cases[4].bytes, frame, 1);
     overlongVarint(cases[5].bytes, frame, perBlock - 1);
-    ASSERT_FALSE(in_bulk(starts[perBlock - 1], maxVarintBytes))
-        << "an over-long varint must not pull the last record into the "
-           "bulk";
+    cutPayload(cases[6].bytes, frame, 1);
+    cutPayload(cases[7].bytes, frame, 10);
+    cutPayload(cases[8].bytes, frame, 5 * maxVarintBytes + 4);
+    raiseCount(cases[9].bytes, frame);
+    floodPayload(cases[10].bytes, frame);
     for (const Damage &damage : cases) {
         SCOPED_TRACE(damage.name);
         spit(path, damage.bytes);
