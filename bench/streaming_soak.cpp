@@ -7,7 +7,9 @@
  *
  * Neither direction ever materializes the trace: generation appends
  * fixed-size spans to a TraceV3Writer, and the read-back consumes
- * spans from the source's single decoded block. Both sides fold every record
+ * spans from the source's two decoded blocks (one served while its
+ * read-ahead thread decodes the next; with the reader's frame buffer,
+ * that is all the read-back holds). Both sides fold every record
  * field into an FNV-1a digest; the digests must match exactly, the
  * record count must match --insts, and the phase peak RSS (RssSampler)
  * must stay at or below --mem-budget. A 100M-instruction run (the CI
@@ -197,7 +199,7 @@ main(int argc, char **argv)
     const double write_seconds = write_watch.seconds();
     const std::size_t write_peak = sampler.peakBytes();
 
-    // Phase 2: stream it back one decoded block at a time and redo the
+    // Phase 2: stream it back block by block and redo the
     // digest from the delivered spans.
     sampler.beginPhase();
     Stopwatch read_watch;

@@ -17,9 +17,10 @@ ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD_DIR="$ROOT/build-tsan"
 # The suites that exercise the multithreaded runtime: the work-stealing
 # pool, SimRunner's watchdog/signal-publish/failure paths (test_sim also
-# forks the process executor's workers from the threaded parent), and
-# the validation harness that drives them end to end.
-SUITES=(test_thread_pool test_sim test_validation)
+# forks the process executor's workers from the threaded parent), the
+# validation harness that drives them end to end, and the v3 suite,
+# whose streaming source decodes ahead on a thread of its own.
+SUITES=(test_thread_pool test_sim test_validation test_trace_v3)
 
 while [ $# -gt 0 ]; do
     case "$1" in

@@ -17,11 +17,10 @@
  *    source. It stays valid until the next *successful* nextBlock()
  *    call, a reset(), or the source's destruction — whichever comes
  *    first. A nextBlock() that reports exhaustion (returns false)
- *    never invalidates earlier spans (StreamingTraceSource documents
- *    the one exception, a block that fails to decode).
+ *    never invalidates earlier spans.
  *    BorrowedTraceSource keeps earlier spans valid for the viewed
  *    storage's lifetime, but callers must not rely on that: a
- *    streaming source decodes each block over the previous one.
+ *    streaming source decodes later blocks over earlier ones.
  *  - Callers that need records to outlive the iteration must copy
  *    them.
  */

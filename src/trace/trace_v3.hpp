@@ -119,8 +119,8 @@ class TraceV3Writer
  * fault-counted (`open:`, `read:` specs). Every block is decoded
  * straight into caller-owned storage (readBlock()): the whole-file load
  * appends each block to one vector reserved up front
- * (reserveWholeTrace), the streaming source decodes every block over
- * the same reused block vector.
+ * (reserveWholeTrace), the streaming source decodes each block over
+ * one of its two reused block vectors.
  */
 class TraceV3Reader
 {
@@ -168,6 +168,13 @@ class TraceV3Reader
      * blocks.
      */
     std::uint64_t recordsHint() const { return hint; }
+
+    /**
+     * The most records a block of this file may hold, from its header
+     * (valid after open()): enough to size a buffer every block
+     * decodes into without growing it.
+     */
+    std::uint32_t recordsPerBlock() const { return blockRecords; }
 
     bool isOpen() const { return opened; }
 

@@ -6,9 +6,13 @@
  */
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <memory>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -1347,38 +1351,202 @@ TEST(StreamingSource, FlippedBlockEndsTheStreamWithAStickyError)
 
 TEST(StreamingSource, ResetReusesTheDecodedBlockBuffer)
 {
+    // Blocks alternate between the source's two block buffers: every
+    // span lies inside one of them, and neither moves across blocks or
+    // across reset().
     const auto original = captureWorkloadTrace("go", 2000);
     const std::string path = tempPath("vpsim_v3_stream_reset.vptrace");
     ASSERT_TRUE(writeTraceV3(path, original, 256).isOk());
 
     StreamingTraceSource source;
     ASSERT_TRUE(source.open(path).isOk());
-    // A partial read that crosses into the second block, so the one
-    // block buffer has already been decoded over once.
     TraceSpan block;
-    ASSERT_TRUE(source.nextBlock(block, 200));
-    const TraceRecord *const buffer = block.data();
-    ASSERT_TRUE(source.nextBlock(block, 200));
-    ASSERT_TRUE(source.nextBlock(block, 200));
-    EXPECT_EQ(block[0].pc, original[256].pc)
-        << "the third delivery starts the second block";
-    EXPECT_EQ(block[0].result, original[256].result);
-    EXPECT_EQ(block.data(), buffer)
-        << "the second block is decoded into the first block's buffer";
+    ASSERT_TRUE(source.nextBlock(block, TraceSpan::noLimit));
+    const TraceRecord *const first = block.data();
+    ASSERT_TRUE(source.nextBlock(block, TraceSpan::noLimit));
+    const TraceRecord *const second = block.data();
+    EXPECT_EQ(block[0].pc, original[256].pc);
+    EXPECT_NE(first, second) << "block 1 is decoded beside block 0";
+    const auto inside_a_buffer = [&](TraceSpan span) {
+        for (const TraceRecord *buffer : {first, second}) {
+            if (span.data() >= buffer &&
+                span.data() + span.size() <= buffer + 256)
+                return true;
+        }
+        return false;
+    };
+
+    std::vector<TraceRecord> got;
+    for (const bool rewound : {false, true}) {
+        SCOPED_TRACE(rewound ? "after reset" : "first pass");
+        if (rewound) {
+            source.reset();
+            got.clear();
+        } else {
+            got.assign(original.begin(), original.begin() + 512);
+        }
+        std::size_t deliveries = 0;
+        while (source.nextBlock(block, 100)) {
+            EXPECT_TRUE(inside_a_buffer(block))
+                << "delivery " << deliveries
+                << " lies outside both block buffers";
+            if (rewound && deliveries == 0) {
+                EXPECT_EQ(block.data(), first) << "reset keeps the buffers";
+            }
+            got.insert(got.end(), block.begin(), block.end());
+            ++deliveries;
+        }
+        EXPECT_TRUE(source.status().isOk()) << source.status().message();
+        EXPECT_EQ(source.recordsDelivered(), original.size());
+        expectSameRecords(got, original);
+    }
+    std::remove(path.c_str());
+}
+
+TEST(StreamingSource, MalformedBlockLeavesTheServedSpanIntact)
+{
+    // Block 2 passes its checksum but its last record does not decode.
+    // The read-ahead decodes it into the buffer block 0 used, never
+    // over block 1, so block 1's span still holds block 1 after the
+    // failed delivery.
+    constexpr std::size_t perBlock = 64;
+    const auto original = captureWorkloadTrace("compress", 4 * perBlock);
+    const std::string path = tempPath("vpsim_v3_stream_malformed.vptrace");
+    ASSERT_TRUE(writeTraceV3(path, original, perBlock).isOk());
+    std::vector<unsigned char> bytes = slurp(path);
+    breakOpcode(bytes, blockOffset(bytes, 2), perBlock - 1);
+    spit(path, bytes);
+
+    StreamingTraceSource source;
+    ASSERT_TRUE(source.open(path).isOk());
+    TraceSpan served;
+    ASSERT_TRUE(source.nextBlock(served, TraceSpan::noLimit));
+    ASSERT_TRUE(source.nextBlock(served, TraceSpan::noLimit));
+    ASSERT_EQ(served.size(), perBlock);
+    TraceSpan after;
+    EXPECT_FALSE(source.nextBlock(after, TraceSpan::noLimit));
+    EXPECT_EQ(source.status().code(), StatusCode::kCorrupt);
+    EXPECT_EQ(source.status().message(),
+              "corrupt record encoding in block 2 of " + path);
+    expectSameRecords(std::vector<TraceRecord>(served.begin(), served.end()),
+                      std::vector<TraceRecord>(original.begin() + perBlock,
+                                               original.begin() +
+                                                   2 * perBlock));
+    std::remove(path.c_str());
+}
+
+TEST(StreamingSource, DestroyingWhileTheReadAheadWaitsReturnsPromptly)
+{
+    // Unread, the read-ahead fills both buffers and waits for one to
+    // come free; after one delivery it waits with block 1 decoded. The
+    // destructor must wake and join it either way.
+    const auto original = captureWorkloadTrace("go", 2000);
+    const std::string path = tempPath("vpsim_v3_stream_destroy.vptrace");
+    ASSERT_TRUE(writeTraceV3(path, original, 256).isOk());
+    for (const std::size_t deliveries : {0u, 1u}) {
+        SCOPED_TRACE(std::to_string(deliveries) + " deliveries");
+        auto source = std::make_unique<StreamingTraceSource>();
+        ASSERT_TRUE(source->open(path).isOk());
+        TraceSpan block;
+        for (std::size_t i = 0; i < deliveries; ++i)
+            ASSERT_TRUE(source->nextBlock(block, TraceSpan::noLimit));
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        const auto start = std::chrono::steady_clock::now();
+        source = nullptr;
+        EXPECT_LT(std::chrono::steady_clock::now() - start,
+                  std::chrono::seconds(2));
+    }
+    std::remove(path.c_str());
+}
+
+TEST(StreamingSource, ResetMidBlockAndAfterTheEndRestartsAtRecordZero)
+{
+    const auto original = captureWorkloadTrace("li", 1500);
+    const std::string path = tempPath("vpsim_v3_stream_rewind.vptrace");
+    ASSERT_TRUE(writeTraceV3(path, original, 256).isOk());
+    const auto read_all = [](StreamingTraceSource &source) {
+        std::vector<TraceRecord> got;
+        TraceSpan span;
+        while (source.nextBlock(span, 100))
+            got.insert(got.end(), span.begin(), span.end());
+        return got;
+    };
+
+    StreamingTraceSource source;
+    ASSERT_TRUE(source.open(path).isOk());
+    TraceSpan span;
+    for (int i = 0; i < 4; ++i) // 400 records: mid block 1
+        ASSERT_TRUE(source.nextBlock(span, 100));
+    source.reset();
+    EXPECT_EQ(source.recordsDelivered(), 0u);
+    expectSameRecords(read_all(source), original);
+    EXPECT_TRUE(source.status().isOk()) << source.status().message();
 
     source.reset();
+    expectSameRecords(read_all(source), original);
+    EXPECT_TRUE(source.status().isOk()) << source.status().message();
+    std::remove(path.c_str());
+}
+
+TEST(StreamingSource, DamageFoundAheadStaysHiddenUntilTheConsumerGetsThere)
+{
+    // The read-ahead may reach block 2's bad checksum as soon as the
+    // consumer asks for block 1. status() must stay ok, and every
+    // record of blocks 0 and 1 must come out, until the consumer asks
+    // past block 1.
+    const auto original = captureWorkloadTrace("compress", 4 * 256);
+    const std::string path = tempPath("vpsim_v3_stream_ahead.vptrace");
+    ASSERT_TRUE(writeTraceV3(path, original, 256).isOk());
+    std::vector<unsigned char> bytes = slurp(path);
+    bytes[blockOffset(bytes, 2) + v3BlockFrameBytes + 3] ^= 0x10;
+    spit(path, bytes);
+
+    StreamingTraceSource source;
+    ASSERT_TRUE(source.open(path).isOk());
     std::vector<TraceRecord> got;
-    ASSERT_TRUE(source.nextBlock(block, 100));
-    EXPECT_EQ(block.data(), buffer) << "reset keeps the buffer";
-    do {
-        EXPECT_GE(block.data(), buffer);
-        EXPECT_LE(block.data() + block.size(), buffer + 256)
-            << "every span lies inside the one block buffer";
-        got.insert(got.end(), block.begin(), block.end());
-    } while (source.nextBlock(block, 100));
-    EXPECT_TRUE(source.status().isOk());
-    EXPECT_EQ(source.recordsDelivered(), original.size());
-    expectSameRecords(got, original);
+    TraceSpan span;
+    ASSERT_TRUE(source.nextBlock(span, TraceSpan::noLimit));
+    got.insert(got.end(), span.begin(), span.end());
+    ASSERT_TRUE(source.nextBlock(span, 56));
+    got.insert(got.end(), span.begin(), span.end());
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    while (got.size() < 2 * 256) {
+        EXPECT_TRUE(source.status().isOk()) << source.status().message();
+        ASSERT_TRUE(source.nextBlock(span, 50));
+        got.insert(got.end(), span.begin(), span.end());
+    }
+    EXPECT_TRUE(source.status().isOk()) << source.status().message();
+    EXPECT_FALSE(source.nextBlock(span));
+    EXPECT_EQ(source.status().code(), StatusCode::kCorrupt);
+    EXPECT_NE(source.status().message().find("checksum mismatch at block 2"),
+              std::string::npos)
+        << source.status().message();
+    expectSameRecords(got, std::vector<TraceRecord>(
+                               original.begin(), original.begin() + 512));
+    std::remove(path.c_str());
+}
+
+TEST(StreamingSource, ThrowingReadReachesTheConsumerAtItsBlock)
+{
+    // Reads 1 and 2 are the header and the trailer, 3 and 4 block 0's
+    // frame and payload: read 5, block 1's frame, throws on the
+    // read-ahead. The consumer gets block 0, then the exception where
+    // block 1 would have been, then a sticky end.
+    InjectorGuard guard;
+    const auto original = captureWorkloadTrace("go", 1000);
+    const std::string path = tempPath("vpsim_v3_stream_throw.vptrace");
+    ASSERT_TRUE(writeTraceV3(path, original, 256).isOk());
+    io::configureFaultInjection("read:5:throw");
+
+    StreamingTraceSource source;
+    ASSERT_TRUE(source.open(path).isOk());
+    TraceSpan span;
+    ASSERT_TRUE(source.nextBlock(span, TraceSpan::noLimit));
+    EXPECT_EQ(span.size(), 256u);
+    EXPECT_THROW(source.nextBlock(span), std::runtime_error);
+    EXPECT_FALSE(source.nextBlock(span));
+    EXPECT_EQ(source.status().code(), StatusCode::kInternal);
+    EXPECT_EQ(source.recordsDelivered(), 256u);
     std::remove(path.c_str());
 }
 
